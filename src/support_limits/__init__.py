@@ -13,7 +13,7 @@ from .model import (
     sample_realization,
     snr_db,
 )
-from .info import InfoStats, info_density, mutual_information, variance_mc
+from .info import InfoStats, mutual_information, variance_mc
 from .bounds import (
     BoundOptions,
     ThresholdResult,
@@ -58,7 +58,6 @@ __all__ = [
     "decode_threshold",
     "enumerate_partitions",
     "figure_curves",
-    "info_density",
     "min_info_partition",
     "mutual_information",
     "phase_sweep",

@@ -25,16 +25,14 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .conc import TailBoundSpec, gt_tail_specs, remainder_n_required
+from .channels import CHANNELS
+from .conc import remainder_n_required
 from .info import (
     gaussian_logit_slope_constant,
-    gt_mi_closed_form,
     mutual_information,
     prior_divergence_stats,
 )
 from .model import (
-    GROUP_TESTING,
-    ONE_BIT,
     ModelSpec,
     ProblemDims,
     SignalPrior,
@@ -74,7 +72,6 @@ class BoundOptions:
     eta: float = 0.0
     asymptotic: bool = False
     remainder_target: float | None = None
-    delta2_schedule: object = None
     ell_set: tuple[int, ...] | None = None
 
 
@@ -126,45 +123,18 @@ def gamma_select(
     raise ValueError(f"unknown gamma rule {rule!r}")
 
 
+def _entries(b, dims: ProblemDims) -> np.ndarray:
+    """b as a float vector; all ones when absent (group testing)."""
+    return np.ones(dims.k) if b is None else np.asarray(b, dtype=float)
+
+
 def _per_ell_mi(model: ModelSpec, b, dims: ProblemDims, quad: QuadratureSpec):
     """Worst-case (minimum) mutual information per ell."""
-    if model.channel == GROUP_TESTING:
-        return {
-            ell: gt_mi_closed_form(model.nu, dims.k, ell, model.rho)
-            for ell in range(1, dims.k + 1)
-        }
-    b = np.asarray(b, dtype=float)
+    b = _entries(b, dims)
     return {
         ell: mutual_information(model, min_info_partition(b, ell), b, quad).mi
         for ell in range(1, dims.k + 1)
     }
-
-
-def _default_tail_specs(model: ModelSpec, b, dims: ProblemDims, mi_map, opts: BoundOptions):
-    if opts.delta2_schedule is not None:
-        sched = opts.delta2_schedule
-        if isinstance(sched, (list, tuple)) and all(
-            isinstance(s, TailBoundSpec) for s in sched
-        ):
-            return list(sched)
-    if model.channel == GROUP_TESTING:
-        return gt_tail_specs(model.nu, dims.k, model.rho)
-    mi_fn = lambda ell: mi_map[ell]
-    if model.channel == ONE_BIT:
-        return [
-            TailBoundSpec(
-                kind="bernstein-discrete",
-                delta2=opts.delta2_schedule or 0.5,
-                params={"mi": mi_fn, "alphabet_size": 2},
-            )
-        ]
-    return [
-        TailBoundSpec(
-            kind="bernstein-linear",
-            delta2=opts.delta2_schedule or 0.5,
-            params={"b": np.asarray(b, dtype=float), "sigma": model.sigma},
-        )
-    ]
 
 
 def _stirling_log_binom(N: float, r: float) -> float:
@@ -216,7 +186,7 @@ def achievability_threshold_generic(
     n_formula = best[1] * (1.0 + opts.eta)
     remainder = None
     if math.isfinite(n_formula):
-        specs = _default_tail_specs(model, b, dims, mi_map, opts)
+        specs = CHANNELS[model.channel].tail_specs(model, b, dims, mi_map)
         target = opts.remainder_target if opts.remainder_target is not None else 1e-2
         remainder = remainder_n_required(specs, dims, list(ells), target)
     n_ach = n_formula
@@ -327,13 +297,10 @@ def fano_lower_bound(
     reported alongside the strong converse, which it never exceeds.
     """
     k, p = dims.k, dims.p
+    b = _entries(b, dims)
     boundary = INFINITE
     for ell in range(1, k + 1):
-        if model.channel == GROUP_TESTING:
-            mi = gt_mi_closed_form(model.nu, k, ell, model.rho)
-        else:
-            part = max_info_partition(b, ell)
-            mi = mutual_information(model, part, b, quad).mi
+        mi = mutual_information(model, max_info_partition(b, ell), b, quad).mi
         if mi <= 0.0:
             continue
         boundary = min(boundary, log_binomial(p - k + ell, ell) * (1.0 - delta2) / mi)
@@ -424,10 +391,11 @@ class PartialCurves:
 
 
 def _maximize_partial(
-    denom: Callable[[float], float], alpha_star: float, grid_points: int = 10**4
+    denom: Callable[[float], float], alpha_star: float, grid_points: int, eta: float
 ) -> PartialCurves:
     """Maximize alpha/denom and (alpha - alpha*)/denom over [alpha*, 1] on a
-    grid refined by golden-section; ties resolve to the smaller alpha."""
+    grid refined by golden-section; ties resolve to the smaller alpha.  The
+    maxima are scaled by (1 + eta) and (1 - eta)."""
     alphas = np.linspace(alpha_star, 1.0, grid_points)
     dens = np.array([denom(a) for a in alphas])
     with np.errstate(divide="ignore"):
@@ -442,7 +410,11 @@ def _maximize_partial(
         for a, d, oa, oc in zip(alphas, dens, obj_a, obj_c)
     )
     return PartialCurves(
-        coef_ach=v_a, coef_conv=v_c, alpha_ach=a_a, alpha_conv=a_c, curves=curves
+        coef_ach=v_a * (1.0 + eta),
+        coef_conv=v_c * (1.0 - eta),
+        alpha_ach=a_a,
+        alpha_conv=a_c,
+        curves=curves,
     )
 
 
@@ -482,16 +454,7 @@ def cor_linear_partial(
     both multiplying k log(p/k); eta scales them by (1 +/- eta).
     """
     denom = lambda a: 0.5 * math.log1p(c_beta * g_alpha(a) / sigma**2)
-    out = _maximize_partial(denom, alpha_star, grid_points)
-    if eta:
-        out = PartialCurves(
-            coef_ach=out.coef_ach * (1.0 + eta),
-            coef_conv=out.coef_conv * (1.0 - eta),
-            alpha_ach=out.alpha_ach,
-            alpha_conv=out.alpha_conv,
-            curves=out.curves,
-        )
-    return out
+    return _maximize_partial(denom, alpha_star, grid_points, eta)
 
 
 # ---------------------------------------------------------------------------
@@ -574,16 +537,7 @@ def cor_1bit_partial(
     """Partial-recovery coefficients for the 1-bit channel: as the linear
     case with denominator Psi(alpha, c_beta, sigma)."""
     denom = lambda a: psi_function_1bit(a, c_beta, sigma, quad)
-    out = _maximize_partial(denom, alpha_star, grid_points)
-    if eta:
-        out = PartialCurves(
-            coef_ach=out.coef_ach * (1.0 + eta),
-            coef_conv=out.coef_conv * (1.0 - eta),
-            alpha_ach=out.alpha_ach,
-            alpha_conv=out.alpha_conv,
-            curves=out.curves,
-        )
-    return out
+    return _maximize_partial(denom, alpha_star, grid_points, eta)
 
 
 # ---------------------------------------------------------------------------

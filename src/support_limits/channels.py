@@ -1,0 +1,361 @@
+"""
+The three observation channels, each written once.
+
+A channel is fully specified by a few facts: its measurement design and
+sampler, its per-row likelihood P(y | x_s, b), its per-row marginal over the
+differing part P(y | x_eq, b), its mutual information with the variance of
+the information density, and the tail-bound families for the density sums.
+The objects in CHANNELS state these facts once per channel; the rest of the
+package reaches them through CHANNELS[model.channel].  They hold no state:
+every method takes the ModelSpec `spec` first, which carries sigma, rho and
+nu.
+
+Group testing has a finite outcome table (GtTable).  Given beta = ones, one
+measurement row falls in one of five cases: x_eq has a one (density 0), or
+x_eq = 0 crossed with (x_dif = 0 / != 0) x (y = 0 / 1).  Its density rows,
+its moments, the verification suite's density sums and the exhaustive-ML
+score are all read from it.
+
+This module imports only `numerics`, so that `model` and `info` can both use
+it.
+"""
+from __future__ import annotations
+
+import math
+from dataclasses import dataclass
+from functools import lru_cache
+
+import numpy as np
+
+from .numerics import (
+    NonConvergenceError,
+    binary_entropy,
+    gauss_hermite_nodes,
+    log_q_function,
+    mean_entropy_q_scaled,
+)
+
+LINEAR = "linear"
+ONE_BIT = "one-bit"
+GROUP_TESTING = "group-testing"
+
+GAUSSIAN_UNIT = "gaussian-unit"
+BERNOULLI = "bernoulli"
+
+NEG_INF = float("-inf")
+
+_LOG_2PI = float(np.log(2.0 * np.pi))
+
+
+def one_bit_sign(v) -> np.ndarray:
+    """Sign with the non-negative convention: sign(0) = +1."""
+    return np.where(np.asarray(v) >= 0.0, 1.0, -1.0)
+
+
+def _energy(b: np.ndarray, index: np.ndarray) -> float:
+    return float(np.sum(b[index] ** 2))
+
+
+class Channel:
+    """One observation channel.  Each subclass defines
+
+        validate(spec)                  reject a design or parameter that does not fit
+        check_prior(spec, prior, k)     reject a signal prior it does not pair with
+        draw_design(spec, rng, n, p, k) n x p measurement matrix from the design
+        sample(spec, x_s, b, rng)       y | x_s, b, one output per row
+        loglik_rows(spec, x_s, b, y)    log P(y | x_s, b) per row
+        log_marginal_rows(spec, partition, x_s, b, y)
+                                        log P(y | x_eq, b) per row, x_dif
+                                        marginalized over the design
+        mi_var(spec, partition, b, quad)
+                                        I_{dif,eq}(b) in nats and the variance
+                                        of the information density
+        tail_specs(spec, b, dims, mi_map)
+                                        tail-bound families for the generic
+                                        achievability bound
+
+    x_s holds n measurement rows restricted to the support (n x k), b the
+    non-zero entries aligned with its columns (a float array) and y the n
+    outputs.
+    """
+
+    mi_method: str
+
+    def loglik(self, spec, x_s, b, y) -> float:
+        """log P(y | x_s, b) summed over the rows."""
+        return float(np.sum(self.loglik_rows(spec, x_s, b, y)))
+
+    def density_rows(self, spec, partition, b, x_s, y) -> np.ndarray:
+        """Information density log P(y | x_s, b) / P(y | x_eq, b) per row."""
+        return self.loglik_rows(spec, x_s, b, y) - self.log_marginal_rows(
+            spec, partition, x_s, b, y
+        )
+
+
+class _GaussianDesign(Channel):
+    """Unit Gaussian design with real-valued entries b and noise std sigma."""
+
+    def validate(self, spec) -> None:
+        if spec.design != GAUSSIAN_UNIT:
+            raise ValueError(f"{spec.channel} requires the gaussian-unit design")
+        if not spec.sigma > 0:
+            raise ValueError("noise std sigma must be > 0")
+
+    def check_prior(self, spec, prior, k: int) -> None:
+        if prior.variant == "all-ones":
+            raise ValueError("the all-ones prior pairs only with group testing")
+
+    def draw_design(self, spec, rng, n, p, k):
+        return rng.standard_normal((n, p))
+
+
+class Linear(_GaussianDesign):
+    """y = <x, b> + z, z ~ N(0, sigma^2);  I = (1/2) log(1 + sum_dif b^2 / sigma^2)."""
+
+    mi_method = "closed-form"
+
+    def sample(self, spec, x_s, b, rng):
+        return x_s @ b + spec.sigma * rng.standard_normal(x_s.shape[0])
+
+    def loglik_rows(self, spec, x_s, b, y):
+        z = y - x_s @ b
+        return -0.5 * (z**2) / spec.sigma**2 - 0.5 * np.log(2.0 * np.pi * spec.sigma**2)
+
+    def loglik(self, spec, x_s, b, y):
+        z = y - x_s @ b
+        return float(
+            -0.5 * np.sum(z**2) / spec.sigma**2
+            - 0.5 * y.size * (_LOG_2PI + 2.0 * math.log(spec.sigma))
+        )
+
+    def log_marginal_rows(self, spec, partition, x_s, b, y):
+        sig_l_sq = _energy(b, partition.dif_index())
+        if sig_l_sq == 0.0:
+            # y does not depend on x_dif: the marginal is the likelihood
+            return self.loglik_rows(spec, x_s, b, y)
+        eq = partition.eq_index()
+        resid_eq = y - x_s[:, eq] @ b[eq]
+        v = spec.sigma**2 + sig_l_sq
+        return -0.5 * (resid_eq**2) / v - 0.5 * np.log(2.0 * np.pi * v)
+
+    def mi_var(self, spec, partition, b, quad):
+        sig_l_sq = _energy(np.asarray(b, dtype=float), partition.dif_index())
+        mi = 0.5 * math.log1p(sig_l_sq / spec.sigma**2)
+        return mi, sig_l_sq / (spec.sigma**2 + sig_l_sq)
+
+    def tail_specs(self, spec, b, dims, mi_map):
+        from .conc import TailBoundSpec  # conc imports model, which imports this module
+
+        params = {"b": np.asarray(b, dtype=float), "sigma": spec.sigma}
+        return [TailBoundSpec(kind="bernstein-linear", delta2=0.5, params=params)]
+
+
+class OneBit(_GaussianDesign):
+    """y = sign(<x, b> + z) in {-1, +1};
+
+    I = E[H2(Q(W a_eq))] - E[H2(Q(W a_s))],
+    a_eq = sqrt(sum_eq b^2 / (sigma^2 + sum_dif b^2)), a_s = sqrt(sum_s b^2) / sigma.
+    """
+
+    mi_method = "quadrature"
+
+    def sample(self, spec, x_s, b, rng):
+        return one_bit_sign(x_s @ b + spec.sigma * rng.standard_normal(x_s.shape[0]))
+
+    def loglik_rows(self, spec, x_s, b, y):
+        return log_q_function(-y * (x_s @ b) / spec.sigma)
+
+    def log_marginal_rows(self, spec, partition, x_s, b, y):
+        eq = partition.eq_index()
+        sig_l_sq = _energy(b, partition.dif_index())
+        return log_q_function(-y * (x_s[:, eq] @ b[eq]) / np.sqrt(spec.sigma**2 + sig_l_sq))
+
+    def mi_var(self, spec, partition, b, quad):
+        b = np.asarray(b, dtype=float)
+        sig_l_sq = _energy(b, partition.dif_index())
+        sig_eq_sq = _energy(b, partition.eq_index())
+        if sig_l_sq == 0.0:
+            return 0.0, 0.0
+        a_eq = math.sqrt(sig_eq_sq / (spec.sigma**2 + sig_l_sq))
+        a_s = math.sqrt((sig_l_sq + sig_eq_sq)) / spec.sigma
+        mi = mean_entropy_q_scaled(a_eq, quad) - mean_entropy_q_scaled(a_s, quad)
+        var = self._variance(spec.sigma, math.sqrt(sig_l_sq), math.sqrt(sig_eq_sq), quad)
+        if not (math.isfinite(mi) and math.isfinite(var)):
+            raise NonConvergenceError(f"1-bit quadrature gave mi={mi}, var={var}")
+        return max(0.0, mi), max(0.0, var)
+
+    @staticmethod
+    def _variance(sigma, s_dif, s_eq, quad) -> float:
+        """Var of the density by tensor quadrature over (W_dif, W_eq)."""
+        z, w = gauss_hermite_nodes(quad.node_count if quad.scheme == "gauss-hermite" else 96)
+        wd = s_dif * z[:, None]
+        we = s_eq * z[None, :]
+        denom_scale = math.sqrt(sigma**2 + s_dif**2)
+        mean = 0.0
+        second = 0.0
+        for y in (1.0, -1.0):
+            dens = log_q_function(-y * (wd + we) / sigma) - log_q_function(-y * we / denom_scale)
+            p_y = np.exp(log_q_function(-y * (wd + we) / sigma))
+            mean += float(w @ (p_y * dens) @ w)
+            second += float(w @ (p_y * dens**2) @ w)
+        return second - mean**2
+
+    def tail_specs(self, spec, b, dims, mi_map):
+        from .conc import TailBoundSpec  # conc imports model, which imports this module
+
+        params = {"mi": lambda ell: mi_map[ell], "alphabet_size": 2}
+        return [TailBoundSpec(kind="bernstein-discrete", delta2=0.5, params=params)]
+
+
+# ---------------------------------------------------------------------------
+# Group testing and its outcome table
+# ---------------------------------------------------------------------------
+
+
+@lru_cache(maxsize=256)
+def _flip_logs(rho: float) -> tuple[float, float]:
+    """(log P[y = noiseless output], log P[y flipped]) = (log(1 - rho), log rho)."""
+    return float(np.log(1.0 - rho)), float(np.log(rho)) if rho > 0 else NEG_INF
+
+
+@dataclass(frozen=True)
+class GtTable:
+    """The five outcome cases of one group-testing row for a split with
+    |s_dif| = ell, given beta = ones.
+
+    probs and vals list, per case, the probability and the density value:
+    x_eq has a one; then x_eq = 0 with (x_dif, y) = (0, 0), (0, 1), (!= 0, 0),
+    (!= 0, 1).  log_match/log_miss are log(1 - rho) and log rho;
+    log_y1/log_y0 are log P[y = 1 | x_eq = 0] and log P[y = 0 | x_eq = 0]
+    (-inf when impossible).
+    """
+
+    log_match: float
+    log_miss: float
+    log_y1: float
+    log_y0: float
+    probs: np.ndarray
+    vals: np.ndarray
+
+
+@lru_cache(maxsize=4096)
+def _gt_table(p1: float, k: int, ell: int, rho: float) -> GtTable:
+    """Outcome table for design probability p1 = nu/k and crossover rho."""
+    xi = (1.0 - p1) ** ell  # P[x_dif = 0]
+    q0 = (1.0 - p1) ** (k - ell)  # P[x_eq = 0]
+    m1 = rho * xi + (1.0 - rho) * (1.0 - xi)  # P[y=1 | x_eq = 0]
+    m0 = 1.0 - m1
+    log_match, log_miss = _flip_logs(rho)
+    with np.errstate(divide="ignore"):
+        log_y1 = float(np.log(m1))
+    log_y0 = float(np.log(m0)) if m0 > 0 else NEG_INF
+    cases = np.array([xi * (1.0 - rho), xi * rho, (1.0 - xi) * rho, (1.0 - xi) * (1.0 - rho)])
+    probs = np.concatenate([[1.0 - q0], q0 * cases])
+    # a zero-probability case may hold nan or +inf here; no reader uses it
+    vals = np.array(
+        [0.0, log_match - log_y0, log_miss - log_y1, log_miss - log_y0, log_match - log_y1]
+    )
+    probs.flags.writeable = vals.flags.writeable = False  # shared through the cache
+    return GtTable(log_match, log_miss, log_y1, log_y0, probs, vals)
+
+
+def gt_mi_closed_form(nu: float, k: int, ell: int, rho: float = 0.0) -> float:
+    """(1 - nu/k)^(k-ell) (H2(xi * rho) - H2(rho)), xi = (1 - nu/k)^ell."""
+    nu_over_k = nu / k
+    if nu_over_k > 1.0:
+        raise ValueError("nu/k exceeds 1")
+    xi = (1.0 - nu_over_k) ** ell
+    q0 = (1.0 - nu_over_k) ** (k - ell)
+    star = xi * rho + (1.0 - xi) * (1.0 - rho)
+    return q0 * (binary_entropy(star) - binary_entropy(rho))
+
+
+class GroupTesting(Channel):
+    """y = 1{any tested item defective} xor Bernoulli(rho), x ~ Bernoulli(nu/k);
+
+    I = (1 - nu/k)^(k-ell) (H2(xi * rho) - H2(rho)),  xi = (1 - nu/k)^ell.
+    b is ignored (beta = ones).  A zero-probability observation (noiseless
+    testing only) has density -inf, never NaN.
+    """
+
+    mi_method = "closed-form"
+
+    def validate(self, spec) -> None:
+        if spec.design != BERNOULLI:
+            raise ValueError("group testing requires the Bernoulli design")
+        if not 0.0 <= spec.rho < 0.5:
+            raise ValueError(f"crossover rho must lie in [0, 0.5), got {spec.rho}")
+        if not spec.nu > 0:
+            raise ValueError("Bernoulli design intensity nu must be > 0")
+
+    def check_prior(self, spec, prior, k: int) -> None:
+        if prior.variant != "all-ones":
+            raise ValueError("group testing pairs only with the all-ones prior")
+        spec.bernoulli_p(k)
+
+    def draw_design(self, spec, rng, n, p, k):
+        return (rng.random((n, p)) < spec.bernoulli_p(k)).astype(float)
+
+    def sample(self, spec, x_s, b, rng):
+        hit = (x_s.astype(bool).any(axis=1)).astype(np.int8)
+        if spec.rho > 0.0:
+            hit = hit ^ (rng.random(x_s.shape[0]) < spec.rho).astype(np.int8)
+        return hit.astype(float)
+
+    def table(self, spec, partition) -> GtTable:
+        return _gt_table(spec.bernoulli_p(partition.k), partition.k, partition.ell, spec.rho)
+
+    def score(self, spec, n, n_miss):
+        """log P(y | x_s) of n rows, n_miss of which differ from the noiseless
+        output; n_miss may be an array (one entry per candidate support)."""
+        if spec.rho == 0.0:
+            return np.where(n_miss == 0, 0.0, NEG_INF)
+        log_match, log_miss = _flip_logs(spec.rho)
+        return (n - n_miss) * log_match + n_miss * log_miss
+
+    def loglik_rows(self, spec, x_s, b, y):
+        log_match, log_miss = _flip_logs(spec.rho)
+        return np.where((y > 0.5) == x_s.astype(bool).any(axis=1), log_match, log_miss)
+
+    def loglik(self, spec, x_s, b, y):
+        n_miss = int(np.sum((y > 0.5) != x_s.astype(bool).any(axis=1)))
+        return float(self.score(spec, y.size, n_miss))
+
+    def log_marginal_rows(self, spec, partition, x_s, b, y):
+        t = self.table(spec, partition)
+        eq_hit = x_s[:, partition.eq_index()].astype(bool).any(axis=1)
+        y1 = y > 0.5
+        # x_eq has a one: the noiseless output is 1 whatever x_dif is
+        return np.where(
+            eq_hit, np.where(y1, t.log_match, t.log_miss), np.where(y1, t.log_y1, t.log_y0)
+        )
+
+    def density_rows(self, spec, partition, b, x_s, y):
+        num = self.loglik_rows(spec, x_s, b, y)
+        with np.errstate(invalid="ignore"):
+            out = num - self.log_marginal_rows(spec, partition, x_s, b, y)
+        # zero-probability observation: explicit -inf sentinel, never NaN
+        return np.where(np.isneginf(num), NEG_INF, out)
+
+    def mi_var(self, spec, partition, b, quad):
+        mi = gt_mi_closed_form(spec.nu, partition.k, partition.ell, spec.rho)
+        t = self.table(spec, partition)
+        mean = 0.0
+        second = 0.0
+        for pr, v in zip(t.probs, t.vals):
+            if pr > 0.0:
+                mean += pr * v
+                second += pr * v * v
+        return mi, max(0.0, second - mean**2)
+
+    def tail_specs(self, spec, b, dims, mi_map):
+        from .conc import gt_tail_specs  # conc imports model, which imports this module
+
+        return gt_tail_specs(spec.nu, dims.k, spec.rho)
+
+
+CHANNELS: dict[str, Channel] = {
+    LINEAR: Linear(),
+    ONE_BIT: OneBit(),
+    GROUP_TESTING: GroupTesting(),
+}

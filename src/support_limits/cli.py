@@ -11,8 +11,7 @@ Exit codes: 0 success, 1 failed verification check, 2 configuration error,
 
 Config may also be supplied as a JSON file via --config; explicit flags
 override file values.  All randomized commands take --seed (a fixed default
-is printed if omitted); no wall-clock entropy anywhere.  The environment
-variable SUPPORT_LIMITS_THREADS caps worker threads for grid sweeps.
+is printed if omitted); no wall-clock entropy anywhere.
 """
 from __future__ import annotations
 
@@ -20,9 +19,7 @@ import argparse
 import csv
 import json
 import math
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -33,7 +30,7 @@ from .model import (
     ProblemDims,
     SignalPrior,
 )
-from .numerics import LOG2, NonConvergenceError
+from .numerics import NonConvergenceError
 
 DEFAULT_SEED = 20240917
 
@@ -63,15 +60,6 @@ def parse_range(spec: str) -> list[float]:
         raise ConfigError(f"range requires step > 0 and stop >= start: {spec!r}")
     count = int(math.floor((stop - start) / step + 1e-9)) + 1
     return [start + i * step for i in range(count)]
-
-
-def worker_count(n_items: int) -> int:
-    cap = os.environ.get("SUPPORT_LIMITS_THREADS", "1")
-    try:
-        cap_n = max(1, int(cap))
-    except ValueError:
-        cap_n = 1
-    return max(1, min(n_items, cap_n, os.cpu_count() or 1))
 
 
 def _write_rows(path: str | None, header: list[str], rows: list[list], fmt: str):
@@ -139,13 +127,14 @@ def cmd_threshold(args, parser) -> int:
             "sigma": args.sigma,
             "grid_points": args.grid_points,
         }
-        rows = _partial_rows_parallel(grid)
+        rows = bounds.figure_curves(bounds.FIG_PARTIAL, grid)
         out = [["partial-recovery", f"{x:.6g}", c, f"{y:.10g}"] for x, c, y in rows]
         if args.verbose:
+            gp = args.grid_points
             for snr in snrs:
                 cb = args.sigma**2 * 10 ** (snr / 10)
-                lin = bounds.cor_linear_partial(cb, args.sigma, args.alpha_star, grid_points=501)
-                ob = bounds.cor_1bit_partial(cb, args.sigma, args.alpha_star, grid_points=501)
+                lin = bounds.cor_linear_partial(cb, args.sigma, args.alpha_star, grid_points=gp)
+                ob = bounds.cor_1bit_partial(cb, args.sigma, args.alpha_star, grid_points=gp)
                 print(
                     f"snr={snr:g} linear alpha*={lin.alpha_ach:.4f}/{lin.alpha_conv:.4f} "
                     f"1bit alpha*={ob.alpha_ach:.4f}/{ob.alpha_conv:.4f}"
@@ -155,29 +144,6 @@ def cmd_threshold(args, parser) -> int:
     out.sort(key=lambda r: (float(r[1]), r[2]))
     _write_rows(args.output, THRESHOLD_HEADER, out, args.format)
     return EXIT_OK
-
-
-def _partial_rows_parallel(grid: dict):
-    snrs = grid["snr_db"]
-    workers = worker_count(len(snrs))
-
-    def one(snr):
-        return bounds.figure_curves(
-            bounds.FIG_PARTIAL,
-            {
-                "snr_db": [snr],
-                "alpha_star": grid["alpha_star"],
-                "sigma": grid["sigma"],
-                "grid_points": grid["grid_points"],
-            },
-        )
-
-    if workers == 1:
-        chunks = [one(s) for s in snrs]
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            chunks = list(pool.map(one, snrs))
-    return [row for chunk in chunks for row in chunk]
 
 
 # ---------------------------------------------------------------------------
@@ -213,9 +179,8 @@ def cmd_simulate(args, parser) -> int:
     for required in ("p", "k", "n_grid"):
         if getattr(args, required) is None:
             raise ConfigError(f"missing required setting --{required.replace('_', '-')}")
-    if args.seed is None:
-        args.seed = DEFAULT_SEED
-        print(f"using default seed {args.seed}", file=sys.stderr)
+    if args.trials < 1:
+        raise ConfigError(f"--trials must be >= 1, got {args.trials}")
     model = _build_model(args)
     prior = _build_prior(args, model, args.k)
     dims = ProblemDims(p=args.p, k=args.k, n=0, d_max=args.d_max)
@@ -224,6 +189,9 @@ def cmd_simulate(args, parser) -> int:
         args.decoder
     ]
     decoder = sim.DecoderSpec(kind=decoder_kind, delta1=args.delta1)
+    if args.seed is None:
+        args.seed = DEFAULT_SEED
+        print(f"using default seed {args.seed}", file=sys.stderr)
     reports = sim.phase_sweep(model, prior, dims, n_grid, decoder, args.trials, args.seed)
     rows = [r.as_csv_row() for r in sorted(reports, key=lambda r: r.n)]
     _write_rows(args.output, sim.CSV_HEADER, rows, args.format)
@@ -253,8 +221,10 @@ def cmd_verify(args, parser) -> int:
     n_fail = sum(not r.passed for r in results)
     print(f"{len(results) - n_fail}/{len(results)} checks passed")
     if args.output:
+        # serialize first: a failure must not leave a truncated report behind
+        report = json.dumps([r.to_dict() for r in results], indent=2, allow_nan=False)
         with open(args.output, "w") as fh:
-            json.dump([r.to_dict() for r in results], fh, indent=2)
+            fh.write(report)
     return EXIT_OK if n_fail == 0 else EXIT_CHECK_FAILED
 
 
@@ -302,7 +272,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     v = sub.add_parser("verify", help="run the named oracle/invariant checks")
     v.add_argument("--only", help="run a single named check")
-    v.add_argument("--perturb", type=float, default=0.0, help="inject an additive fault into H2")
+    v.add_argument(
+        "--perturb", type=float, default=0.0,
+        help="scale every entropy by (1 + PERTURB): a fault-injection canary",
+    )
     v.add_argument("--config")
     v.add_argument("--output", help="write a JSON report")
     v.set_defaults(func=cmd_verify)

@@ -21,10 +21,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Mapping, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
+from .channels import gt_mi_closed_form
 from .model import Partition, ProblemDims, min_info_partition
 from .numerics import log_binomial
 
@@ -116,27 +117,9 @@ def psi_bennett_gt_noisy(
     return min(1.0, math.exp(-n * rate))
 
 
-Delta2Schedule = float | Mapping[int, float] | Callable[[int], float]
-
-
-def resolve_delta2(delta2: Delta2Schedule, ell: int) -> float:
-    if callable(delta2):
-        return float(delta2(ell))
-    if isinstance(delta2, Mapping):
-        return float(delta2[ell])
-    return float(delta2)
-
-
-def gt_delta2_schedule(k: int, d2_small: float = 0.9, d2_large: float = 0.1):
-    """Per-ell delta2 split: d2_small (near one) up to floor(k / log k) for the
-    Chernoff/Bennett family, d2_large (near zero) above for discrete Bernstein."""
-    cut = int(k / math.log(k)) if k >= 3 else 1
-    return lambda ell: d2_small if ell <= cut else d2_large
-
-
 @dataclass(frozen=True)
 class TailBoundSpec:
-    """One psi family with its delta2 schedule and model parameters.
+    """One psi family with its delta2 and model parameters.
 
     params by kind:
         chebyshev          mi: callable ell -> I, var: callable ell -> V
@@ -148,7 +131,7 @@ class TailBoundSpec:
     """
 
     kind: str
-    delta2: Delta2Schedule
+    delta2: float
     params: dict = field(default_factory=dict)
     ell_lo: int = 1
     ell_hi: int | None = None
@@ -157,7 +140,7 @@ class TailBoundSpec:
         return ell >= self.ell_lo and (self.ell_hi is None or ell <= self.ell_hi)
 
     def psi(self, ell: int, n: int, dims: ProblemDims) -> float:
-        d2 = resolve_delta2(self.delta2, ell)
+        d2 = self.delta2
         p = self.params
         if self.kind == "chebyshev":
             return psi_chebyshev(p["mi"](ell), p["var"](ell), n, d2)
@@ -186,8 +169,6 @@ def gt_tail_specs(
 ) -> list[TailBoundSpec]:
     """The group-testing pair: Chernoff/Bennett below floor(k/log k) with
     delta2 near one, discrete Bernstein above with delta2 near zero."""
-    from .info import gt_mi_closed_form
-
     cut = int(k / math.log(k)) if k >= 3 else 1
     mi_fn = mi if mi is not None else (lambda ell: gt_mi_closed_form(nu, k, ell, rho))
     small_kind = "chernoff-gt" if rho == 0.0 else "bennett-gt-noisy"

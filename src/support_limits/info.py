@@ -8,15 +8,9 @@ information density is the log-likelihood ratio
 
 where the denominator marginalizes x_dif over the measurement design (never
 an empirical plug-in).  Its conditional mean is the mutual information
-I_{dif,eq}(b) = I(X_dif; Y | X_eq, beta = b), computed here in closed form or
-by quadrature per channel:
-
-    linear   I = (1/2) log(1 + sum_dif b_i^2 / sigma^2)
-    one-bit  I = E[H2(Q(W a_eq))] - E[H2(Q(W a_s))]
-             a_eq = sqrt(sum_eq b^2 / (sigma^2 + sum_dif b^2)),
-             a_s  = sqrt(sum_s b^2) / sigma
-    GT       I = (1 - nu/k)^(k-ell) (H2(xi * rho) - H2(rho)),
-             xi = (1 - nu/k)^ell,  q1 * q2 := q1 q2 + (1-q1)(1-q2)
+I_{dif,eq}(b) = I(X_dif; Y | X_eq, beta = b), computed in closed form or by
+quadrature.  The per-channel formulas live in `channels`; this module turns
+them into densities, mutual informations and marginal likelihoods.
 
 Zero-probability observations (noiseless group testing only) yield an
 explicit -inf density, never a silent NaN; decoders treat -inf as
@@ -31,10 +25,10 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import logsumexp
 
+from .channels import CHANNELS, NEG_INF, gt_mi_closed_form  # noqa: F401 (re-exported)
 from .model import (
     ALL_ONES,
     FIXED_VECTOR,
-    GROUP_TESTING,
     IID_GAUSSIAN,
     LINEAR,
     ONE_BIT,
@@ -48,14 +42,10 @@ from .model import (
 from .numerics import (
     DEFAULT_QUAD,
     QuadratureSpec,
-    binary_entropy,
-    gauss_hermite_nodes,
     gaussian_expectation,
     log_q_function,
     mean_entropy_q_scaled,
 )
-
-NEG_INF = float("-inf")
 
 _LOG_2PI = float(np.log(2.0 * np.pi))
 
@@ -84,165 +74,19 @@ class InfoStats:
 # ---------------------------------------------------------------------------
 
 
-def _density_linear(sigma, b, partition, x_s, y):
-    b = np.asarray(b, dtype=float)
-    dif, eq = partition.dif_index(), partition.eq_index()
-    sig_l_sq = float(np.sum(b[dif] ** 2))
-    if sig_l_sq == 0.0:
-        return np.zeros(np.shape(y))
-    z = y - x_s @ b
-    resid_eq = y - x_s[:, eq] @ b[eq]
-    v = sigma**2 + sig_l_sq
-    num = -0.5 * (z**2) / sigma**2 - 0.5 * np.log(2.0 * np.pi * sigma**2)
-    den = -0.5 * (resid_eq**2) / v - 0.5 * np.log(2.0 * np.pi * v)
-    return num - den
-
-
-def _density_one_bit(sigma, b, partition, x_s, y):
-    b = np.asarray(b, dtype=float)
-    eq = partition.eq_index()
-    dif = partition.dif_index()
-    sig_l_sq = float(np.sum(b[dif] ** 2))
-    mu_s = x_s @ b
-    mu_eq = x_s[:, eq] @ b[eq]
-    num = log_q_function(-y * mu_s / sigma)
-    den = log_q_function(-y * mu_eq / np.sqrt(sigma**2 + sig_l_sq))
-    return num - den
-
-
-def _gt_case_table(nu_over_k: float, ell: int, rho: float):
-    """(probabilities, density values) over the five GT outcome cases,
-    conditioned on beta = ones.  Cases: x_eq has a one (density 0);
-    x_eq = 0 crossed with (x_dif = 0 / != 0) x (y = 0 / 1)."""
-    xi = (1.0 - nu_over_k) ** ell
-    m1 = rho * xi + (1.0 - rho) * (1.0 - xi)  # P[y=1 | x_eq = 0]
-    m0 = 1.0 - m1
-    probs = np.array(
-        [xi * (1.0 - rho), xi * rho, (1.0 - xi) * rho, (1.0 - xi) * (1.0 - rho)]
-    )
-    with np.errstate(divide="ignore"):
-        vals = np.array(
-            [
-                np.log(1.0 - rho) - np.log(m0) if m0 > 0 else NEG_INF,
-                np.log(rho) - np.log(m1) if rho > 0 else NEG_INF,
-                np.log(rho) - np.log(m0) if rho > 0 else NEG_INF,
-                np.log(1.0 - rho) - np.log(m1),
-            ]
-        )
-    return xi, m0, m1, probs, vals
-
-
-def _density_gt(model: ModelSpec, partition: Partition, x_s, y):
-    k = partition.k
-    nu_over_k = model.bernoulli_p(k)
-    rho = model.rho
-    xi, m0, m1, _, _ = _gt_case_table(nu_over_k, partition.ell, rho)
-    x_s = np.asarray(x_s)
-    eq_hit = x_s[:, partition.eq_index()].astype(bool).any(axis=1)
-    dif_hit = x_s[:, partition.dif_index()].astype(bool).any(axis=1)
-    y1 = np.asarray(y) > 0.5
-
-    with np.errstate(divide="ignore", invalid="ignore"):
-        log_rho = np.log(rho) if rho > 0 else NEG_INF
-        log_1mrho = np.log(1.0 - rho)
-        # numerator: noiseless output is (eq_hit | dif_hit)
-        clean = eq_hit | dif_hit
-        num = np.where(y1 == clean, log_1mrho, log_rho)
-        # denominator: marginal over x_dif; deterministic 1 when eq_hit
-        den_eq0 = np.where(y1, np.log(m1), np.log(m0) if m0 > 0 else NEG_INF)
-        den_hit = np.where(y1, log_1mrho, log_rho)
-        den = np.where(eq_hit, den_hit, den_eq0)
-        out = num - den
-    # zero-probability observation: explicit -inf sentinel, never NaN
-    out = np.where(np.isnan(out), NEG_INF, out)
-    out = np.where(np.isneginf(num), NEG_INF, out)
-    return out
-
-
-def info_density(model: ModelSpec, partition: Partition, b, x_row, y) -> float:
-    """Single-letter information density for one measurement row.
-
-    x_row holds the measurement entries on the support, aligned with b and
-    indexed by the partition's positions.  Returns -inf (sentinel) for
-    observations with zero likelihood under the channel.
-    """
-    x_s = np.atleast_2d(np.asarray(x_row, dtype=float))
-    y_arr = np.atleast_1d(np.asarray(y, dtype=float))
-    if model.channel == LINEAR:
-        out = _density_linear(model.sigma, b, partition, x_s, y_arr)
-    elif model.channel == ONE_BIT:
-        out = _density_one_bit(model.sigma, b, partition, x_s, y_arr)
-    else:
-        out = _density_gt(model, partition, x_s, y_arr)
-    return float(out[0])
-
-
 def density_rows(model: ModelSpec, partition: Partition, b, x_s, y) -> np.ndarray:
-    """Vectorized info_density over the rows of x_s (n x k) and y (n)."""
+    """Information density of each row of x_s (n x k) and y (n): the
+    channel's log-likelihood rows minus its log-marginal rows.  Returns -inf
+    (sentinel) for observations with zero likelihood under the channel."""
     x_s = np.asarray(x_s, dtype=float)
     y = np.asarray(y, dtype=float)
-    if model.channel == LINEAR:
-        return _density_linear(model.sigma, b, partition, x_s, y)
-    if model.channel == ONE_BIT:
-        return _density_one_bit(model.sigma, b, partition, x_s, y)
-    return _density_gt(model, partition, x_s, y)
+    b = np.asarray(b, dtype=float)
+    return CHANNELS[model.channel].density_rows(model, partition, b, x_s, y)
 
 
 # ---------------------------------------------------------------------------
 # Mutual information and variance
 # ---------------------------------------------------------------------------
-
-
-def _one_bit_variance_quad(sigma, b, partition, quad: QuadratureSpec) -> float:
-    """Var of the 1-bit density by tensor quadrature over (W_dif, W_eq)."""
-    b = np.asarray(b, dtype=float)
-    s_dif = math.sqrt(float(np.sum(b[partition.dif_index()] ** 2)))
-    s_eq = math.sqrt(float(np.sum(b[partition.eq_index()] ** 2)))
-    if s_dif == 0.0:
-        return 0.0
-    z, w = gauss_hermite_nodes(
-        quad.node_count if quad.scheme == "gauss-hermite" else 96
-    )
-    wd = s_dif * z[:, None]
-    we = s_eq * z[None, :]
-    denom_scale = math.sqrt(sigma**2 + s_dif**2)
-    mean = 0.0
-    second = 0.0
-    for y in (1.0, -1.0):
-        dens = log_q_function(-y * (wd + we) / sigma) - log_q_function(
-            -y * we / denom_scale
-        )
-        p_y = np.exp(log_q_function(-y * (wd + we) / sigma))
-        mean += float(w @ (p_y * dens) @ w)
-        second += float(w @ (p_y * dens**2) @ w)
-    return max(0.0, second - mean**2)
-
-
-def gt_mi_closed_form(nu: float, k: int, ell: int, rho: float = 0.0) -> float:
-    """(1 - nu/k)^(k-ell) (H2(xi * rho) - H2(rho)), xi = (1 - nu/k)^ell."""
-    nu_over_k = nu / k
-    if nu_over_k > 1.0:
-        raise ValueError("nu/k exceeds 1")
-    xi = (1.0 - nu_over_k) ** ell
-    q0 = (1.0 - nu_over_k) ** (k - ell)
-    star = xi * rho + (1.0 - xi) * (1.0 - rho)
-    return q0 * (binary_entropy(star) - binary_entropy(rho))
-
-
-def _gt_moments(model: ModelSpec, partition: Partition) -> tuple[float, float]:
-    """Exact (mean, variance) of the GT density from the finite case table."""
-    k = partition.k
-    xi, m0, m1, probs, vals = _gt_case_table(
-        model.bernoulli_p(k), partition.ell, model.rho
-    )
-    q0 = (1.0 - model.bernoulli_p(k)) ** (k - partition.ell)
-    mean = 0.0
-    second = 0.0
-    for pr, v in zip(probs, vals):
-        if pr > 0.0:
-            mean += q0 * pr * v
-            second += q0 * pr * v * v
-    return mean, max(0.0, second - mean**2)
 
 
 def mutual_information(
@@ -257,34 +101,15 @@ def mutual_information(
     1-bit channel evaluates two scaled-entropy Gaussian expectations and a
     2-D tensor quadrature for the variance.  b is ignored for group testing.
     """
-    if model.channel == GROUP_TESTING:
-        mi = gt_mi_closed_form(model.nu, partition.k, partition.ell, model.rho)
-        _, var = _gt_moments(model, partition)
-        return InfoStats(mi=mi, var=var, method="closed-form")
-    b = np.asarray(b, dtype=float)
-    dif, eq = partition.dif_index(), partition.eq_index()
-    sig_l_sq = float(np.sum(b[dif] ** 2))
-    if model.channel == LINEAR:
-        mi = 0.5 * math.log1p(sig_l_sq / model.sigma**2)
-        var = sig_l_sq / (model.sigma**2 + sig_l_sq)
-        return InfoStats(mi=mi, var=var, method="closed-form")
-    sig_eq_sq = float(np.sum(b[eq] ** 2))
-    if sig_l_sq == 0.0:
-        return InfoStats(mi=0.0, var=0.0, method="quadrature")
-    a_eq = math.sqrt(sig_eq_sq / (model.sigma**2 + sig_l_sq))
-    a_s = math.sqrt((sig_l_sq + sig_eq_sq)) / model.sigma
-    mi = mean_entropy_q_scaled(a_eq, quad) - mean_entropy_q_scaled(a_s, quad)
-    var = _one_bit_variance_quad(model.sigma, b, partition, quad)
-    return InfoStats(mi=max(0.0, mi), var=var, method="quadrature")
+    channel = CHANNELS[model.channel]
+    mi, var = channel.mi_var(model, partition, b, quad)
+    return InfoStats(mi=mi, var=var, method=channel.mi_method)
 
 
 def mi_asymptotic_1bit_lowsnr(b, sigma: float, partition: Partition) -> float:
     """Low-SNR 1-bit approximation (1 / (pi sigma^2)) sum_dif b_i^2."""
     b = np.asarray(b, dtype=float)
     return float(np.sum(b[partition.dif_index()] ** 2)) / (math.pi * sigma**2)
-
-
-STEIN_LOGIT_CONSTANT_ORDER = 96
 
 
 def gaussian_logit_slope_constant(quad: QuadratureSpec = DEFAULT_QUAD) -> float:
@@ -340,28 +165,6 @@ def variance_bound_1bit(b, sigma: float, partition: Partition, c0: float = 1.0) 
     return c0 * (t + t * t + min(1.0, t * t) * e)
 
 
-def sample_conditional_rows(
-    model: ModelSpec, k: int, b, trials: int, rng: np.random.Generator
-) -> tuple[np.ndarray, np.ndarray]:
-    """Draw (x_s, y) rows from the single-letter joint given beta = b."""
-    if model.channel == GROUP_TESTING:
-        x = (rng.random((trials, k)) < model.bernoulli_p(k)).astype(float)
-        b_s = np.ones(k)
-    else:
-        x = rng.standard_normal((trials, k))
-        b_s = np.asarray(b, dtype=float)
-    if model.channel == LINEAR:
-        y = x @ b_s + model.sigma * rng.standard_normal(trials)
-    elif model.channel == ONE_BIT:
-        y = np.where(x @ b_s + model.sigma * rng.standard_normal(trials) >= 0, 1.0, -1.0)
-    else:
-        hit = x.astype(bool).any(axis=1).astype(np.int8)
-        if model.rho > 0:
-            hit = hit ^ (rng.random(trials) < model.rho).astype(np.int8)
-        y = hit.astype(float)
-    return x, y
-
-
 def variance_mc(
     model: ModelSpec, partition: Partition, b, trials: int, seed: int
 ) -> InfoStats:
@@ -373,8 +176,11 @@ def variance_mc(
     if trials < 1000:
         raise ValueError("variance_mc requires trials >= 1000")
     rng = rng_stream(seed)
-    x, y = sample_conditional_rows(model, partition.k, b, trials, rng)
-    dens = density_rows(model, partition, b if b is not None else np.ones(partition.k), x, y)
+    channel = CHANNELS[model.channel]
+    b = np.ones(partition.k) if b is None else np.asarray(b, dtype=float)
+    x = channel.draw_design(model, rng, trials, partition.k, partition.k)
+    y = channel.sample(model, x, b, rng)
+    dens = density_rows(model, partition, b, x, y)
     if not np.all(np.isfinite(dens)):
         raise SupportMismatchError("sampled a zero-likelihood observation")
     mean = float(np.mean(dens))
@@ -458,51 +264,7 @@ def log_conditional_likelihood(model: ModelSpec, x_s, b, y) -> float:
     x_s = np.asarray(x_s, dtype=float)
     y = np.asarray(y, dtype=float)
     b = np.asarray(b, dtype=float)
-    if model.channel == LINEAR:
-        z = y - x_s @ b
-        return float(
-            -0.5 * np.sum(z**2) / model.sigma**2
-            - 0.5 * y.size * (_LOG_2PI + 2.0 * math.log(model.sigma))
-        )
-    if model.channel == ONE_BIT:
-        return float(np.sum(log_q_function(-y * (x_s @ b) / model.sigma)))
-    hit = x_s.astype(bool).any(axis=1)
-    match = (y > 0.5) == hit
-    n_miss = int(np.sum(~match))
-    if model.rho == 0.0:
-        return 0.0 if n_miss == 0 else NEG_INF
-    return float(
-        (y.size - n_miss) * math.log(1.0 - model.rho) + n_miss * math.log(model.rho)
-    )
-
-
-def log_partition_marginal_likelihood(
-    model: ModelSpec, partition: Partition, x_s, b, y
-) -> float:
-    """log P(y | x_eq, b): rows independent, x_dif marginalized per row."""
-    x_s = np.asarray(x_s, dtype=float)
-    y = np.asarray(y, dtype=float)
-    num = log_conditional_likelihood(model, x_s, b, y)
-    dens = density_rows(model, partition, b, x_s, y)
-    if np.isneginf(num):
-        # recompute the denominator directly: num - density is 0*inf here
-        return _log_marginal_rows_direct(model, partition, x_s, b, y)
-    return float(num - np.sum(dens))
-
-
-def _log_marginal_rows_direct(model, partition, x_s, b, y) -> float:
-    if model.channel != GROUP_TESTING:
-        raise SupportMismatchError("zero-likelihood rows outside group testing")
-    k = partition.k
-    xi, m0, m1, _, _ = _gt_case_table(model.bernoulli_p(k), partition.ell, model.rho)
-    eq_hit = x_s[:, partition.eq_index()].astype(bool).any(axis=1)
-    y1 = y > 0.5
-    with np.errstate(divide="ignore"):
-        rho_terms = np.where(
-            y1, math.log(1.0 - model.rho), math.log(model.rho) if model.rho > 0 else NEG_INF
-        )
-        eq0_terms = np.where(y1, np.log(m1), np.log(m0) if m0 > 0 else NEG_INF)
-    return float(np.sum(np.where(eq_hit, rho_terms, eq0_terms)))
+    return CHANNELS[model.channel].loglik(model, x_s, b, y)
 
 
 def log_marginal_likelihood(model: ModelSpec, prior: SignalPrior, x_s, y) -> float:

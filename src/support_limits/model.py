@@ -10,12 +10,8 @@ Conventions used throughout the package:
 - Randomness comes from the counter-based Philox generator keyed by
   (seed, *stream), so parallel trials are reproducible and independent.
 
-Observation channels:
-
-    linear          y = <x, beta> + z,      z ~ N(0, sigma^2), x ~ N(0,1)
-    one-bit         y = sign(<x, beta> + z) in {-1, +1}, sign(0) = +1
-    group-testing   y = 1{any tested item defective} xor Bernoulli(rho),
-                    x ~ Bernoulli(nu/k) in {0,1}
+The observation channels (linear, one-bit, group testing) and their designs
+are defined in `channels`.
 """
 from __future__ import annotations
 
@@ -26,12 +22,7 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
-LINEAR = "linear"
-ONE_BIT = "one-bit"
-GROUP_TESTING = "group-testing"
-
-GAUSSIAN_UNIT = "gaussian-unit"
-BERNOULLI = "bernoulli"
+from .channels import BERNOULLI, CHANNELS, GAUSSIAN_UNIT, GROUP_TESTING, LINEAR, ONE_BIT
 
 
 class GuardError(ValueError):
@@ -77,20 +68,10 @@ class ModelSpec:
     nu: float = float(np.log(2.0))
 
     def __post_init__(self):
-        if self.channel in (LINEAR, ONE_BIT):
-            if self.design != GAUSSIAN_UNIT:
-                raise ValueError(f"{self.channel} requires the gaussian-unit design")
-            if not self.sigma > 0:
-                raise ValueError("noise std sigma must be > 0")
-        elif self.channel == GROUP_TESTING:
-            if self.design != BERNOULLI:
-                raise ValueError("group testing requires the Bernoulli design")
-            if not 0.0 <= self.rho < 0.5:
-                raise ValueError(f"crossover rho must lie in [0, 0.5), got {self.rho}")
-            if not self.nu > 0:
-                raise ValueError("Bernoulli design intensity nu must be > 0")
-        else:
+        channel = CHANNELS.get(self.channel)
+        if channel is None:
             raise ValueError(f"unknown channel {self.channel!r}")
+        channel.validate(self)
 
     @staticmethod
     def linear(sigma: float) -> "ModelSpec":
@@ -171,15 +152,9 @@ class SignalPrior:
 
 
 def validate_pairing(model: ModelSpec, prior: SignalPrior, k: int) -> None:
-    if model.channel == GROUP_TESTING:
-        if prior.variant != ALL_ONES:
-            raise ValueError("group testing pairs only with the all-ones prior")
-        model.bernoulli_p(k)
-    else:
-        if prior.variant == ALL_ONES:
-            raise ValueError("the all-ones prior pairs only with group testing")
-        if prior.variant in (FIXED_VECTOR, PERMUTED_VECTOR) and len(prior.b) != k:
-            raise ValueError(f"prior vector length {len(prior.b)} != k = {k}")
+    CHANNELS[model.channel].check_prior(model, prior, k)
+    if prior.variant in (FIXED_VECTOR, PERMUTED_VECTOR) and len(prior.b) != k:
+        raise ValueError(f"prior vector length {len(prior.b)} != k = {k}")
 
 
 @dataclass(frozen=True)
@@ -305,27 +280,6 @@ class Realization:
         )
 
 
-def one_bit_sign(v) -> np.ndarray:
-    """Sign with the non-negative convention: sign(0) = +1."""
-    return np.where(np.asarray(v) >= 0.0, 1.0, -1.0)
-
-
-def channel_output(
-    model: ModelSpec, x_s: np.ndarray, b_s: np.ndarray, rng: np.random.Generator
-) -> np.ndarray:
-    """Draw y | x_s, b_s for n rows of support-restricted measurements."""
-    n = x_s.shape[0]
-    if model.channel == LINEAR:
-        return x_s @ b_s + model.sigma * rng.standard_normal(n)
-    if model.channel == ONE_BIT:
-        return one_bit_sign(x_s @ b_s + model.sigma * rng.standard_normal(n))
-    hit = (x_s.astype(bool).any(axis=1)).astype(np.int8)
-    if model.rho > 0.0:
-        flips = (rng.random(n) < model.rho).astype(np.int8)
-        hit = hit ^ flips
-    return hit.astype(float)
-
-
 def sample_realization(
     dims: ProblemDims,
     model: ModelSpec,
@@ -351,12 +305,10 @@ def sample_realization(
     else:
         b_s = np.ones(dims.k)
 
-    if model.design == GAUSSIAN_UNIT:
-        x = rng.standard_normal((dims.n, dims.p))
-    else:
-        x = (rng.random((dims.n, dims.p)) < model.bernoulli_p(dims.k)).astype(float)
+    channel = CHANNELS[model.channel]
+    x = channel.draw_design(model, rng, dims.n, dims.p, dims.k)
 
     beta = np.zeros(dims.p)
     beta[np.asarray(support, dtype=int) - 1] = b_s
-    y = channel_output(model, x[:, np.asarray(support, dtype=int) - 1], b_s, rng)
+    y = channel.sample(model, x[:, np.asarray(support, dtype=int) - 1], b_s, rng)
     return Realization(support=support, beta=beta, x=x, y=y)

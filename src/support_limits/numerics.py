@@ -44,6 +44,11 @@ _SQRT_2PI = float(np.sqrt(2.0 * np.pi))
 _ENTROPY_PERTURBATION = 0.0
 
 
+# hermgauss weights overflow to NaN from about 380 nodes (numpy 2.4); a NaN
+# weight would silently turn every expectation into NaN, so cap well below.
+MAX_HERMITE_NODES = 300
+
+
 class NonConvergenceError(RuntimeError):
     """Adaptive quadrature failed to reach the requested tolerance."""
 
@@ -58,8 +63,8 @@ def set_entropy_perturbation(eps: float) -> None:
 class QuadratureSpec:
     """Configuration for expectations over W ~ N(0,1).
 
-    node_count applies to the gauss-hermite scheme (>= 16); abs_tol to the
-    adaptive-simpson scheme (> 0, tails truncated at |w| = 10).
+    node_count applies to the gauss-hermite scheme (16..MAX_HERMITE_NODES);
+    abs_tol to the adaptive-simpson scheme (> 0, tails truncated at |w| = 10).
     """
 
     node_count: int = 96
@@ -69,8 +74,11 @@ class QuadratureSpec:
     def __post_init__(self):
         if self.scheme not in ("gauss-hermite", "adaptive-simpson"):
             raise ValueError(f"unknown quadrature scheme {self.scheme!r}")
-        if self.scheme == "gauss-hermite" and self.node_count < 16:
-            raise ValueError("gauss-hermite requires node_count >= 16")
+        if self.scheme == "gauss-hermite" and not 16 <= self.node_count <= MAX_HERMITE_NODES:
+            raise ValueError(
+                f"gauss-hermite requires 16 <= node_count <= {MAX_HERMITE_NODES}, "
+                f"got {self.node_count}"
+            )
         if self.scheme == "adaptive-simpson" and not self.abs_tol > 0:
             raise ValueError("adaptive-simpson requires abs_tol > 0")
 

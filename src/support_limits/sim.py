@@ -29,6 +29,7 @@ from typing import Sequence
 import numpy as np
 from scipy.special import logsumexp
 
+from .channels import CHANNELS
 from .info import (
     NEG_INF,
     density_rows,
@@ -81,7 +82,6 @@ class SimReport:
     pe_hat: float
     ci_lo: float
     ci_hi: float
-    mean_decode_candidates: float
     seed: int
 
     def as_csv_row(self) -> list:
@@ -145,23 +145,24 @@ def combined_thresholds(dims: ProblemDims, delta1: float, gamma: float = 0.0):
 
 
 def _averaged_partition_density(model, prior, x_cand, y, partition) -> float:
-    """Beta-averaged statistic log P(y|x_s) - log P(y|x_eq) for one partition."""
+    """Beta-averaged statistic log P(y|x_s) - log P(y|x_eq) for one partition.
+
+    Each atom's denominator is its numerator minus the summed densities; where
+    that is undefined (a zero-likelihood row) it is summed directly from the
+    channel's marginal rows."""
     atoms = prior_atoms(prior, x_cand.shape[1])
     num_terms = []
     den_terms = []
     for lw, b in atoms:
         num = log_conditional_likelihood(model, x_cand, b, y)
         num_terms.append(lw + num)
-        if np.isneginf(num):
-            dens = None
-        else:
+        if not np.isneginf(num):
             dens = density_rows(model, partition, b, x_cand, y)
-        if dens is not None and np.all(np.isfinite(dens)):
-            den_terms.append(lw + num - float(np.sum(dens)))
-        else:
-            from .info import _log_marginal_rows_direct
-
-            den_terms.append(lw + _log_marginal_rows_direct(model, partition, x_cand, b, y))
+            if np.all(np.isfinite(dens)):
+                den_terms.append(lw + num - float(np.sum(dens)))
+                continue
+        marginal = CHANNELS[model.channel].log_marginal_rows(model, partition, x_cand, b, y)
+        den_terms.append(lw + float(np.sum(marginal)))
     num_total = float(logsumexp(num_terms))
     if np.isneginf(num_total):
         return NEG_INF  # zero-likelihood candidate: eliminated
@@ -254,13 +255,8 @@ def _ml_fast_gt(model, x, y, cands):
     """Vectorized all-ones GT likelihood over candidate index tuples."""
     xb = x.astype(bool)
     hits = np.stack([xb[:, np.asarray(c) - 1].any(axis=1) for c in cands])
-    match = hits == (y > 0.5)[None, :]
-    if model.rho == 0.0:
-        ok = match.all(axis=1)
-        return np.where(ok, 0.0, NEG_INF)
-    n_miss = (~match).sum(axis=1)
-    n = y.size
-    return (n - n_miss) * math.log(1 - model.rho) + n_miss * math.log(model.rho)
+    n_miss = (hits != (y > 0.5)[None, :]).sum(axis=1)
+    return CHANNELS[model.channel].score(model, y.size, n_miss)
 
 
 def decode_ml(
@@ -330,8 +326,6 @@ def run_cell(
     """One (n, trials) simulation cell with per-(n, trial) derived streams."""
     errors_exact = 0
     errors_partial = 0
-    cand_total = 0.0
-    n_candidates = math.comb(dims.p, dims.k)
     for t in range(trials):
         real = sample_realization(dims, model, prior, seed, stream=(n_index, t))
         out = _decode(decoder, real, model, prior, dims)
@@ -345,7 +339,6 @@ def run_cell(
             extra = len(out.estimate - true)
             if missed > dims.d_max or extra > dims.d_max:
                 errors_partial += 1
-        cand_total += out.candidates_passing if decoder.kind == "threshold" else n_candidates
     pe = errors_exact / trials
     lo, hi = wilson_interval(errors_exact, trials)
     return SimReport(
@@ -356,7 +349,6 @@ def run_cell(
         pe_hat=pe,
         ci_lo=lo,
         ci_hi=hi,
-        mean_decode_candidates=cand_total / trials,
         seed=seed,
     )
 

@@ -19,6 +19,7 @@ import numpy as np
 from scipy.special import ndtr
 
 from . import bounds, conc, info, model as md, numerics as nm, sim
+from .channels import CHANNELS
 
 SEED = 20240917
 
@@ -33,7 +34,11 @@ class CheckResult:
     seconds: float = 0.0
 
     def to_dict(self):
-        return asdict(self)
+        """JSON-ready record: non-finite numbers become None (null)."""
+        return {
+            k: None if isinstance(v, float) and not math.isfinite(v) else v
+            for k, v in asdict(self).items()
+        }
 
 
 _REGISTRY: dict[str, Callable[[], tuple[float, float, str]]] = {}
@@ -60,6 +65,7 @@ def run_checks(only: str | None = None) -> list[CheckResult]:
         t0 = time.perf_counter()
         try:
             measured, tol, detail = _REGISTRY[name]()
+            measured, tol = float(measured), float(tol)
             passed = measured <= tol
         except Exception as exc:  # surface as a failed check, not a crash
             measured, tol, detail, passed = math.inf, 0.0, f"exception: {exc}", False
@@ -325,7 +331,7 @@ def _gt_var_enum():
         for ell in (1, k // 2, k):
             part = md.min_info_partition([1.0] * k, ell)
             m = md.ModelSpec.group_testing(rho=0.11)
-            _, var_table = info._gt_moments(m, part)
+            var_table = info.mutual_information(m, part).var
             mc = info.variance_mc(m, part, None, trials=2 * 10**5, seed=SEED + k + ell)
             se = mc.var * math.sqrt(2.0 / (mc.trials - 1))
             worst = max(worst, abs(var_table - mc.var) - 3 * se)
@@ -430,15 +436,11 @@ def _marginal_2d():
 
 def _gt_density_sums(m: md.ModelSpec, part: md.Partition, n: int, trials: int, seed: int):
     """i^n samples for GT by multinomial draws over the finite case table."""
-    k = part.k
-    xi, m0, m1, probs, vals = info._gt_case_table(m.bernoulli_p(k), part.ell, m.rho)
-    q0 = (1.0 - m.bernoulli_p(k)) ** (k - part.ell)
-    cats = np.concatenate([[1.0 - q0], q0 * probs])
-    vvals = np.concatenate([[0.0], vals])
-    keep = cats > 0
+    table = CHANNELS[m.channel].table(m, part)
+    keep = table.probs > 0
     rng = md.rng_stream(seed)
-    counts = rng.multinomial(n, cats[keep] / cats[keep].sum(), size=trials)
-    return counts @ vvals[keep]
+    counts = rng.multinomial(n, table.probs[keep] / table.probs[keep].sum(), size=trials)
+    return counts @ table.vals[keep]
 
 
 def _tail_freq(sums: np.ndarray, n: int, I: float, delta2: float, two_sided: bool):
@@ -537,7 +539,7 @@ def _var_cap():
         for ell in (1, k // 2, k):
             for rho in (0.0, 0.11, 0.25):
                 part = md.min_info_partition([1.0] * k, ell)
-                _, v = info._gt_moments(md.ModelSpec.group_testing(rho=rho), part)
+                v = info.mutual_information(md.ModelSpec.group_testing(rho=rho), part).var
                 worst = max(worst, v - cap)
     return worst, 0.0, f"GT variances <= |Y|(4/e)^2 = {cap:.3f}"
 

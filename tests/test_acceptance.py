@@ -2,10 +2,20 @@
 Acceptance suite: one test per numbered criterion, each printing a single
 PASS/FAIL line with the measured quantity and its stated tolerance.
 
-Criteria 6 and 11 currently fail at their stated tolerances; the analysis of
-why the stated numbers are unattainable under the implemented formulas is
-recorded outside the package (see the project notes).  The tests state the
-criteria faithfully rather than loosening them.
+Criteria 6 and 11 currently fail at their stated tolerances.  The tests
+state the criteria faithfully rather than loosening them; why the stated
+numbers are unattainable under the implemented formulas:
+
+- Criterion 11 (generic achievability within 5% of the noiseless group
+  testing corollary at p = 1e9, k = p^0.2) measures an 11.2% gap, bound at
+  ell = 1.  There the generic numerator is 51.1 nats, of which the leading
+  log C(p-k, 1) is only 20.7; the rest is the 2 log(k/delta1) + 2 log C(k, ell)
+  overhead at delta1 = 1e-3, which the corollary drops.  With
+  BoundOptions(asymptotic=True) the gap is 0.0% (about 1e-5).
+- Criterion 6 (1-bit coef_ach saturates between c_beta = 1e4 and 1e6) fails
+  because the saturation comes later than the criterion's window assumes: at
+  alpha* = 0.1, coef_ach is 9.25 at c_beta = 1e4, then 6.32 at 1e6, 6.08 at
+  1e8 and 6.06 at 1e10, with the argmax at the boundary alpha = alpha*.
 """
 import math
 import time

@@ -198,17 +198,36 @@ class TestVerifyCommand:
         blob = json.loads(report.read_text())
         assert blob[0]["name"] == "q-symmetry" and blob[0]["passed"] is True
 
+    def test_non_finite_numbers_become_null(self):
+        from support_limits import verify
 
-class TestWorkerCount:
-    def test_env_cap(self, monkeypatch):
-        monkeypatch.setenv("SUPPORT_LIMITS_THREADS", "3")
-        assert cli.worker_count(10) <= 3
-        monkeypatch.setenv("SUPPORT_LIMITS_THREADS", "bogus")
-        assert cli.worker_count(10) == 1
+        record = verify.CheckResult("x", False, float("inf"), float("nan")).to_dict()
+        assert record["measured"] is None and record["tolerance"] is None
 
-    def test_parallel_rows_match_serial(self, monkeypatch):
-        grid = {"snr_db": [0.0, 10.0, 20.0], "alpha_star": 0.1, "sigma": 1.0, "grid_points": 201}
-        serial = cli._partial_rows_parallel(grid)
-        monkeypatch.setenv("SUPPORT_LIMITS_THREADS", "3")
-        parallel = cli._partial_rows_parallel(grid)
-        assert serial == parallel
+
+def _reject_constant(token):
+    raise ValueError(f"non-standard JSON constant {token}")
+
+
+# (argv, exit code, stderr lines); "{tmp}" is replaced by a temporary directory
+BAD_INPUTS = [
+    (["simulate", "--p", "8", "--k", "2", "--n-grid", "2:4:2", "--trials", "0"], 2, 1),
+    (["simulate", "--p", "8", "--k", "2", "--n-grid", "2:4:2", "--trials", "-3"], 2, 1),
+    (["simulate", "--p", "8", "--k", "2", "--n-grid", "4:2:1", "--seed", "1"], 2, 1),
+    (["verify", "--only", "no-such-check"], 2, 1),
+    (["simulate", "--p", "60", "--k", "12", "--n-grid", "2:4:2", "--seed", "1"], 4, 1),
+    (["verify", "--only", "q-tail-value", "--output", "{tmp}/r.json"], 0, 0),
+]
+
+
+@pytest.mark.parametrize("argv,code,err_lines", BAD_INPUTS)
+def test_bad_input_exit_codes(capsys, tmp_path, argv, code, err_lines):
+    argv = [a.replace("{tmp}", str(tmp_path)) for a in argv]
+    got, _, err = run(capsys, *argv)
+    assert got == code
+    assert len(err.splitlines()) == err_lines
+    assert "Traceback" not in err
+    if "--output" in argv:
+        report = json.loads((tmp_path / "r.json").read_text(), parse_constant=_reject_constant)
+        assert report[0]["passed"] is True
+        assert isinstance(report[0]["measured"], float)

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from support_limits import conc, info
+from support_limits import conc, info, verify
 from support_limits import model as md
 
 LN2 = math.log(2.0)
@@ -34,7 +34,7 @@ class TestVarianceCap:
             for ell in (1, k // 2, k):
                 for rho in (0.0, 0.11, 0.25):
                     part = md.min_info_partition([1.0] * k, ell)
-                    _, v = info._gt_moments(md.ModelSpec.group_testing(rho=rho), part)
+                    v = info.mutual_information(md.ModelSpec.group_testing(rho=rho), part).var
                     assert v <= cap
 
 
@@ -164,25 +164,13 @@ class TestFamilyProperties:
         assert conc.psi_bernstein_discrete(I, 2, n, d2) > 0.5
 
 
-def _gt_density_sums(m, part, n, trials, seed):
-    k = part.k
-    xi, m0, m1, probs, vals = info._gt_case_table(m.bernoulli_p(k), part.ell, m.rho)
-    q0 = (1.0 - m.bernoulli_p(k)) ** (k - part.ell)
-    cats = np.concatenate([[1.0 - q0], q0 * probs])
-    vvals = np.concatenate([[0.0], vals])
-    keep = cats > 0
-    rng = md.rng_stream(seed)
-    counts = rng.multinomial(n, cats[keep] / cats[keep].sum(), size=trials)
-    return counts @ vvals[keep]
-
-
 class TestEmpiricalDomination:
     def test_chebyshev_gt_tail(self):
         m = md.ModelSpec.group_testing(rho=0.11)
         part = md.min_info_partition([1.0] * 8, 2)
         st = info.mutual_information(m, part)
         n, d2 = 500, 0.5
-        sums = _gt_density_sums(m, part, n, 10**4, 33)
+        sums = verify._gt_density_sums(m, part, n, 10**4, 33)
         freq = float(np.mean(np.abs(sums - n * st.mi) >= n * d2 * st.mi))
         se = math.sqrt(max(freq * (1 - freq), 1e-4) / 10**4)
         assert freq <= conc.psi_chebyshev(st.mi, st.var, n, d2) + 3 * se
@@ -192,7 +180,7 @@ class TestEmpiricalDomination:
         part = md.min_info_partition([1.0] * 100, 2)
         st = info.mutual_information(m, part)
         n, d2 = 900, 0.85
-        sums = _gt_density_sums(m, part, n, 10**4, 34)
+        sums = verify._gt_density_sums(m, part, n, 10**4, 34)
         freq = float(np.mean(sums <= n * st.mi * (1 - d2)))
         se = math.sqrt(max(freq * (1 - freq), 1e-4) / 10**4)
         assert freq <= conc.psi_chernoff_gt(m.nu, 100, 2, n, d2) + 3 * se

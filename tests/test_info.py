@@ -10,6 +10,10 @@ from support_limits.numerics import LOG2
 LN2 = math.log(2.0)
 
 
+def density_one_row(model, part, b, x_row, y):
+    return info.density_rows(model, part, b, [x_row], [y])[0]
+
+
 def gt_mi_exhaustive(nu, k, ell, rho):
     """First-principles enumeration over X in {0,1}^k and Y."""
     p1 = nu / k
@@ -39,14 +43,14 @@ class TestInfoDensity:
         m = md.ModelSpec.group_testing(rho=0.0)
         part = md.Partition(s_dif=(1,), s_eq=(2, 3))
         # x_eq contains a one -> density identically zero for the consistent y
-        assert info.info_density(m, part, None, [0, 1, 0], 1.0) == 0.0
+        assert density_one_row(m, part, None, [0, 1, 0], 1.0) == 0.0
         m_noisy = md.ModelSpec.group_testing(rho=0.2)
-        assert info.info_density(m_noisy, part, None, [1, 1, 0], 0.0) == 0.0
+        assert density_one_row(m_noisy, part, None, [1, 1, 0], 0.0) == 0.0
 
     def test_gt_zero_probability_is_neg_inf_sentinel(self):
         m = md.ModelSpec.group_testing(rho=0.0)
         part = md.Partition(s_dif=(1,), s_eq=(2, 3))
-        val = info.info_density(m, part, None, [0, 1, 0], 0.0)  # defective tested, y = 0
+        val = density_one_row(m, part, None, [0, 1, 0], 0.0)  # defective tested, y = 0
         assert val == info.NEG_INF and not math.isnan(val)
 
     def test_linear_zero_dif_energy(self):
@@ -54,7 +58,7 @@ class TestInfoDensity:
         part = md.Partition(s_dif=(1,), s_eq=(2,))
         b = [0.0, 3.0]
         for y in (-1.0, 0.3, 2.0):
-            assert info.info_density(m, part, b, [0.7, -0.2], y) == 0.0
+            assert density_one_row(m, part, b, [0.7, -0.2], y) == 0.0
 
     def test_one_bit_mean_matches_quadrature(self):
         m = md.ModelSpec.one_bit(1.0)
@@ -123,6 +127,16 @@ class TestMutualInformation:
                     for p in md.enumerate_partitions(6, [ell])
                 )
                 assert mine <= brute + 1e-9
+
+
+    def test_one_bit_non_finite_quadrature_raises(self, monkeypatch):
+        from support_limits import channels
+        from support_limits.numerics import NonConvergenceError
+
+        monkeypatch.setattr(channels, "mean_entropy_q_scaled", lambda a, quad: float("nan"))
+        b = [1.0, -0.5, 2.0]
+        with pytest.raises(NonConvergenceError):
+            info.mutual_information(md.ModelSpec.one_bit(1.0), md.min_info_partition(b, 1), b)
 
 
 class TestAsymptotic1Bit:
@@ -209,7 +223,7 @@ class TestVarianceMc:
         m = md.ModelSpec.group_testing(rho=0.11)
         for k in (4, 8):
             part = md.min_info_partition([1.0] * k, k // 2)
-            _, var_exact = info._gt_moments(m, part)
+            var_exact = info.mutual_information(m, part).var
             mc = info.variance_mc(m, part, None, trials=2 * 10**5, seed=k)
             se = var_exact * math.sqrt(2.0 / (mc.trials - 1))
             assert abs(mc.var - var_exact) <= 3 * max(se, 1e-4)

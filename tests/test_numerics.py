@@ -168,6 +168,13 @@ class TestQuadratureSpec:
         with pytest.raises(ValueError):
             nm.QuadratureSpec(node_count=8)
 
+    def test_gauss_hermite_node_cap(self):
+        # hermgauss weights are NaN at 400 nodes; the cap keeps them finite
+        with pytest.raises(ValueError):
+            nm.QuadratureSpec(node_count=400)
+        spec = nm.QuadratureSpec(node_count=nm.MAX_HERMITE_NODES)
+        assert np.all(np.isfinite(nm.gauss_hermite_nodes(spec.node_count)[1]))
+
     def test_simpson_needs_positive_tol(self):
         with pytest.raises(ValueError):
             nm.QuadratureSpec(scheme="adaptive-simpson", abs_tol=0.0)
