@@ -391,24 +391,28 @@ class PartialCurves:
 
 
 def _maximize_partial(
-    denom: Callable[[float], float], alpha_star: float, grid_points: int, eta: float
+    denom: Callable, alpha_star: float, grid_points: int, eta: float
 ) -> PartialCurves:
     """Maximize alpha/denom and (alpha - alpha*)/denom over [alpha*, 1] on a
     grid refined by golden-section; ties resolve to the smaller alpha.  The
-    maxima are scaled by (1 + eta) and (1 - eta)."""
+    maxima are scaled by (1 + eta) and (1 - eta).
+
+    denom takes the whole alpha grid as an array (one call) and a scalar
+    alpha (the golden-section steps)."""
+    if grid_points < 2:
+        raise ValueError(f"grid_points must be at least 2, got {grid_points!r}")
+    if not 0.0 <= alpha_star <= 1.0:
+        raise ValueError(f"alpha_star must lie in [0, 1], got {float(alpha_star)!r}")
     alphas = np.linspace(alpha_star, 1.0, grid_points)
-    dens = np.array([denom(a) for a in alphas])
+    dens = denom(alphas)
     with np.errstate(divide="ignore"):
         obj_a = np.where(dens > 0, alphas / dens, INFINITE)
         obj_c = np.where(dens > 0, (alphas - alpha_star) / dens, 0.0)
-    obj_c[0] = 0.0 if dens[0] > 0 else 0.0
+    obj_c[0] = 0.0
     ia, ic = int(np.argmax(obj_a)), int(np.argmax(obj_c))
     a_a, v_a = _golden_refine(lambda a: a / denom(a), alphas, ia)
     a_c, v_c = _golden_refine(lambda a: (a - alpha_star) / denom(a), alphas, ic)
-    curves = tuple(
-        (float(a), float(d), float(oa), float(oc))
-        for a, d, oa, oc in zip(alphas, dens, obj_a, obj_c)
-    )
+    curves = tuple(zip(alphas.tolist(), dens.tolist(), obj_a.tolist(), obj_c.tolist()))
     return PartialCurves(
         coef_ach=v_a * (1.0 + eta),
         coef_conv=v_c * (1.0 - eta),
@@ -453,7 +457,10 @@ def cor_linear_partial(
 
     both multiplying k log(p/k); eta scales them by (1 +/- eta).
     """
-    denom = lambda a: 0.5 * math.log1p(c_beta * g_alpha(a) / sigma**2)
+    # math.log1p per element: np.log1p differs from it in the last bit on
+    # some numpy builds, and the figure CSVs must not change.
+    log1p = np.vectorize(math.log1p, otypes=[float])
+    denom = lambda a: 0.5 * log1p(c_beta * g_alpha(a) / sigma**2)
     return _maximize_partial(denom, alpha_star, grid_points, eta)
 
 
@@ -512,18 +519,23 @@ def cor_1bit_highsnr_converse(
 
 
 def psi_function_1bit(
-    alpha: float, c_beta: float, sigma: float = 1.0, quad: QuadratureSpec = DEFAULT_QUAD
-) -> float:
+    alpha, c_beta: float, sigma: float = 1.0, quad: QuadratureSpec = DEFAULT_QUAD
+):
     """Psi(alpha, c_beta, sigma) =
         E[H2(Q(W sqrt(c_beta (1-g)/(sigma^2 + c_beta g))))]
         - E[H2(Q(W sqrt(c_beta)/sigma))],  g = g_alpha(alpha).
 
-    Always in [0, log 2].
+    Always in [0, log 2].  A scalar alpha returns a float, an array of alphas
+    an array: the first expectation at every alpha and the alpha-free second
+    one go to mean_entropy_q_scaled as one array.
     """
     g = g_alpha(alpha)
-    a1 = math.sqrt(c_beta * (1.0 - g) / (sigma**2 + c_beta * g))
+    a1 = np.sqrt(c_beta * (1.0 - g) / (sigma**2 + c_beta * g))
     a2 = math.sqrt(c_beta) / sigma
-    return max(0.0, mean_entropy_q_scaled(a1, quad) - mean_entropy_q_scaled(a2, quad))
+    e = mean_entropy_q_scaled(np.append(a1, a2), quad)
+    diff = e[:-1] - e[-1]
+    psi = np.where(diff > 0.0, diff, 0.0)  # max(0.0, diff) per element, NaN included
+    return float(psi[0]) if np.ndim(alpha) == 0 else psi.reshape(np.shape(alpha))
 
 
 def cor_1bit_partial(

@@ -303,6 +303,50 @@ class TestPsiFunction1Bit:
         assert bounds.psi_function_1bit(0.5, 10.0) == pytest.approx(mc, abs=3 * se)
 
 
+class TestPartialGridEquivalence:
+    """The alpha grid evaluated as one array gives the per-alpha scalars."""
+
+    def test_psi_array_equals_scalar_calls(self):
+        alphas = np.concatenate([np.linspace(0.0, 1.0, 401), [0.1, 1.0]])
+        for cb, sigma in ((1e-3, 1.0), (10.0, 1.0), (1e4, 2.0), (1e8, 0.5)):
+            vals = bounds.psi_function_1bit(alphas, cb, sigma)
+            assert vals.shape == alphas.shape
+            assert vals.tolist() == [bounds.psi_function_1bit(float(a), cb, sigma) for a in alphas]
+        assert type(bounds.psi_function_1bit(0.5, 10.0)) is float
+        grid = alphas[:400].reshape(20, 20)
+        assert bounds.psi_function_1bit(grid, 10.0).tolist() == (
+            bounds.psi_function_1bit(alphas[:400], 10.0).reshape(20, 20).tolist()
+        )
+
+    def test_1bit_curve_denominators_equal_scalar_psi(self):
+        for cb in (0.1, 10.0, 1e5):
+            res = bounds.cor_1bit_partial(cb, 1.0, 0.1, grid_points=301)
+            alphas = [row[0] for row in res.curves]
+            assert alphas == np.linspace(0.1, 1.0, 301).tolist()
+            assert [row[1] for row in res.curves] == [
+                bounds.psi_function_1bit(a, cb, 1.0) for a in alphas
+            ]
+            assert all(type(v) is float for row in res.curves for v in row)
+
+    def test_linear_curve_denominators_equal_scalar_formula(self):
+        cb, sigma = 50.0, 1.5
+        res = bounds.cor_linear_partial(cb, sigma, 0.2, grid_points=301)
+        assert [row[1] for row in res.curves] == [
+            0.5 * math.log1p(cb * nm.g_alpha(row[0]) / sigma**2) for row in res.curves
+        ]
+
+    @pytest.mark.parametrize("corollary", [bounds.cor_linear_partial, bounds.cor_1bit_partial])
+    @pytest.mark.parametrize(
+        "kwargs,name",
+        [({"grid_points": 0}, "grid_points"), ({"grid_points": 1}, "grid_points"),
+         ({"alpha_star": 1.5}, "alpha_star"), ({"alpha_star": -0.1}, "alpha_star"),
+         ({"alpha_star": float("nan")}, "alpha_star")],
+    )
+    def test_degenerate_grid_rejected(self, corollary, kwargs, name):
+        with pytest.raises(ValueError, match=name):
+            corollary(10.0, **kwargs)
+
+
 class TestCor1BitPartial:
     def test_floor_from_log2(self):
         for cb in (0.1, 10.0, 1e4):

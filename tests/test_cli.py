@@ -67,6 +67,17 @@ class TestThresholdCommand:
             "1bit-conv-coef-nats",
         }
 
+    @pytest.mark.parametrize(
+        "flag,value,message",
+        [("--grid-points", "1", "grid_points must be at least 2, got 1"),
+         ("--alpha-star", "1.5", "alpha_star must lie in [0, 1], got 1.5")],
+    )
+    def test_partial_recovery_degenerate_grid_named(self, capsys, flag, value, message):
+        code, out, err = run(
+            capsys, "threshold", "--figure", "partial-recovery", "--snr-db=0:0:1", flag, value
+        )
+        assert (code, out, err) == (2, "", f"configuration error: {message}\n")
+
     def test_malformed_range_exits_2(self, capsys):
         code, _, err = run(capsys, "threshold", "--figure", "gt-noiseless", "--theta", "5:1:1")
         assert code == 2
@@ -217,6 +228,9 @@ BAD_INPUTS = [
     (["verify", "--only", "no-such-check"], 2, 1),
     (["simulate", "--p", "60", "--k", "12", "--n-grid", "2:4:2", "--seed", "1"], 4, 1),
     (["verify", "--only", "q-tail-value", "--output", "{tmp}/r.json"], 0, 0),
+    (["threshold", "--figure", "partial-recovery", "--snr-db=0:0:1", "--grid-points", "0"], 2, 1),
+    (["threshold", "--figure", "partial-recovery", "--snr-db=0:0:1", "--grid-points", "1"], 2, 1),
+    (["threshold", "--figure", "partial-recovery", "--snr-db=0:0:1", "--alpha-star", "1.5"], 2, 1),
 ]
 
 

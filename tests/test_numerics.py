@@ -111,6 +111,25 @@ class TestGAlpha:
         with pytest.raises(ValueError):
             nm.g_alpha(1.5)
 
+    def test_array_equals_scalar_calls_exactly(self):
+        grid = np.concatenate([[0.0, 1.0], np.linspace(0.0, 1.0, 501), rng_stream(3).random(500)])
+        vals = nm.g_alpha(grid)
+        assert vals.shape == grid.shape
+        assert vals.tolist() == [nm.g_alpha(float(a)) for a in grid]
+        assert vals[0] == 0.0 and vals[1] == 1.0
+        assert type(nm.g_alpha(0.5)) is float and type(nm.g_alpha(1.0)) is float
+        assert nm.g_alpha(grid[:999].reshape(-1, 3)).tolist() == vals[:999].reshape(-1, 3).tolist()
+
+    def test_array_adaptive_route_equals_scalar_calls(self):
+        quad = nm.QuadratureSpec(scheme="adaptive-simpson", abs_tol=1e-10)
+        grid = np.array([0.0, 0.2, 0.7, 1.0])
+        assert nm.g_alpha(grid, quad).tolist() == [nm.g_alpha(float(a), quad) for a in grid]
+
+    @pytest.mark.parametrize("bad", [[0.5, 1.5], [-0.1, 0.2], [0.3, float("nan")]])
+    def test_array_domain_error(self, bad):
+        with pytest.raises(ValueError, match="outside"):
+            nm.g_alpha(np.array(bad))
+
 
 class TestGaussianExpectation:
     def test_normalization(self):
@@ -211,3 +230,65 @@ class TestScaledEntropyMean:
     @given(st.floats(min_value=0.01, max_value=50.0))
     def test_monotone_decreasing_in_scale(self, a):
         assert nm.mean_entropy_q_scaled(a) >= nm.mean_entropy_q_scaled(a * 1.5) - 1e-12
+
+
+class TestScaledEntropyMeanGrid:
+    """An array argument gives exactly the per-element scalar results."""
+
+    def _grid(self):
+        rng = rng_stream(21)
+        # more than one _GRID_BLOCK per branch, branches interleaved
+        a = np.concatenate([
+            [0.0, 1.0, -1.0, 1e-12, np.nextafter(1.0, 2.0)],
+            rng.uniform(0.0, 1.0, 300),
+            rng.uniform(1.0, 60.0, 300),
+            np.exp(rng.uniform(-15.0, 10.0, 100)),
+            -rng.uniform(0.0, 5.0, 50),
+        ])
+        return rng.permutation(a)
+
+    def test_array_equals_scalar_calls_exactly(self):
+        a = self._grid()
+        vals = nm.mean_entropy_q_scaled(a)
+        assert vals.shape == a.shape
+        assert vals.tolist() == [nm.mean_entropy_q_scaled(float(x)) for x in a]
+
+    def test_zero_and_negative_arguments(self):
+        vals = nm.mean_entropy_q_scaled(np.array([0.0, -0.0, 0.4, -0.4, 3.0, -3.0]))
+        assert vals[0] == vals[1] == LOG2
+        assert vals[2] == vals[3] == nm.mean_entropy_q_scaled(0.4)
+        assert vals[4] == vals[5] == nm.mean_entropy_q_scaled(3.0)
+
+    def test_shape_kept_and_scalar_returns_float(self):
+        a = self._grid()[:300].reshape(20, 15)
+        vals = nm.mean_entropy_q_scaled(a)
+        assert vals.shape == (20, 15)
+        assert vals.ravel().tolist() == nm.mean_entropy_q_scaled(a.ravel()).tolist()
+        assert nm.mean_entropy_q_scaled(np.array([])).shape == (0,)
+        for x in (0.0, 0.5, 2.0, np.float64(2.0), np.array(2.0)):
+            assert type(nm.mean_entropy_q_scaled(x)) is float
+
+    def test_node_count_and_scheme_follow_quad(self):
+        a = self._grid()[:200]
+        for quad in (nm.QuadratureSpec(node_count=30),
+                     nm.QuadratureSpec(scheme="adaptive-simpson")):
+            got = nm.mean_entropy_q_scaled(a, quad).tolist()
+            assert got == [nm.mean_entropy_q_scaled(float(x), quad) for x in a]
+
+    def test_perturbation_scales_array_path(self):
+        a = self._grid()[:200]
+        base = nm.mean_entropy_q_scaled(a)
+        try:
+            nm.set_entropy_perturbation(1e-3)
+            got = nm.mean_entropy_q_scaled(a)
+            assert got.tolist() == [nm.mean_entropy_q_scaled(float(x)) for x in a]
+            assert got.tolist() == (base * (1.0 + 1e-3)).tolist()
+        finally:
+            nm.set_entropy_perturbation(0.0)
+        assert nm.mean_entropy_q_scaled(a).tolist() == base.tolist()
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.lists(st.floats(min_value=-80.0, max_value=80.0), min_size=1, max_size=300))
+    def test_property_array_equals_scalar(self, xs):
+        vals = nm.mean_entropy_q_scaled(np.array(xs))
+        assert vals.tolist() == [nm.mean_entropy_q_scaled(x) for x in xs]
