@@ -525,17 +525,21 @@ def psi_function_1bit(
         E[H2(Q(W sqrt(c_beta (1-g)/(sigma^2 + c_beta g))))]
         - E[H2(Q(W sqrt(c_beta)/sigma))],  g = g_alpha(alpha).
 
-    Always in [0, log 2].  A scalar alpha returns a float, an array of alphas
-    an array: the first expectation at every alpha and the alpha-free second
-    one go to mean_entropy_q_scaled as one array.
+    Always in [0, log 2]; a non-finite quadrature value (e.g. c_beta = inf)
+    raises NonConvergenceError.  A scalar alpha returns a float, an array of
+    alphas an array: the first expectation at every alpha and the alpha-free
+    second one go to mean_entropy_q_scaled as one array.
     """
     g = g_alpha(alpha)
     a1 = np.sqrt(c_beta * (1.0 - g) / (sigma**2 + c_beta * g))
     a2 = math.sqrt(c_beta) / sigma
     e = mean_entropy_q_scaled(np.append(a1, a2), quad)
     diff = e[:-1] - e[-1]
-    psi = np.where(diff > 0.0, diff, 0.0)  # max(0.0, diff) per element, NaN included
-    return float(psi[0]) if np.ndim(alpha) == 0 else psi.reshape(np.shape(alpha))
+    scalar = np.ndim(alpha) == 0
+    if not (math.isfinite(diff.item()) if scalar else np.isfinite(diff).all()):
+        raise NonConvergenceError(f"Psi quadrature is not finite at c_beta={c_beta}, sigma={sigma}")
+    psi = np.where(diff > 0.0, diff, 0.0)  # max(0.0, diff) per element
+    return float(psi[0]) if scalar else psi.reshape(np.shape(alpha))
 
 
 def cor_1bit_partial(

@@ -56,6 +56,11 @@ def _energy(b: np.ndarray, index: np.ndarray) -> float:
     return float(np.sum(b[index] ** 2))
 
 
+def _row_sum(total):
+    """A 0-d sum over the rows as a Python float; a per-candidate array as is."""
+    return float(total) if np.ndim(total) == 0 else total
+
+
 class Channel:
     """One observation channel.  Each subclass defines
 
@@ -76,14 +81,17 @@ class Channel:
 
     x_s holds n measurement rows restricted to the support (n x k), b the
     non-zero entries aligned with its columns (a float array) and y the n
-    outputs.
+    outputs.  The likelihood and marginal methods also take a stack of C
+    candidate supports, x_s of shape (C x n x k) against the same y: the row
+    methods then return (C x n) arrays and loglik one sum per candidate.
     """
 
     mi_method: str
 
-    def loglik(self, spec, x_s, b, y) -> float:
-        """log P(y | x_s, b) summed over the rows."""
-        return float(np.sum(self.loglik_rows(spec, x_s, b, y)))
+    def loglik(self, spec, x_s, b, y):
+        """log P(y | x_s, b) summed over the rows: a float for one (n x k)
+        x_s, an array of C sums for a (C x n x k) stack."""
+        return _row_sum(np.sum(self.loglik_rows(spec, x_s, b, y), axis=-1))
 
     def density_rows(self, spec, partition, b, x_s, y) -> np.ndarray:
         """Information density log P(y | x_s, b) / P(y | x_eq, b) per row."""
@@ -123,8 +131,8 @@ class Linear(_GaussianDesign):
 
     def loglik(self, spec, x_s, b, y):
         z = y - x_s @ b
-        return float(
-            -0.5 * np.sum(z**2) / spec.sigma**2
+        return _row_sum(
+            -0.5 * np.sum(z**2, axis=-1) / spec.sigma**2
             - 0.5 * y.size * (_LOG_2PI + 2.0 * math.log(spec.sigma))
         )
 
@@ -134,7 +142,7 @@ class Linear(_GaussianDesign):
             # y does not depend on x_dif: the marginal is the likelihood
             return self.loglik_rows(spec, x_s, b, y)
         eq = partition.eq_index()
-        resid_eq = y - x_s[:, eq] @ b[eq]
+        resid_eq = y - x_s[..., eq] @ b[eq]
         v = spec.sigma**2 + sig_l_sq
         return -0.5 * (resid_eq**2) / v - 0.5 * np.log(2.0 * np.pi * v)
 
@@ -168,7 +176,7 @@ class OneBit(_GaussianDesign):
     def log_marginal_rows(self, spec, partition, x_s, b, y):
         eq = partition.eq_index()
         sig_l_sq = _energy(b, partition.dif_index())
-        return log_q_function(-y * (x_s[:, eq] @ b[eq]) / np.sqrt(spec.sigma**2 + sig_l_sq))
+        return log_q_function(-y * (x_s[..., eq] @ b[eq]) / np.sqrt(spec.sigma**2 + sig_l_sq))
 
     def mi_var(self, spec, partition, b, quad):
         b = np.asarray(b, dtype=float)
@@ -297,7 +305,7 @@ class GroupTesting(Channel):
         return (rng.random((n, p)) < spec.bernoulli_p(k)).astype(float)
 
     def sample(self, spec, x_s, b, rng):
-        hit = (x_s.astype(bool).any(axis=1)).astype(np.int8)
+        hit = (x_s.astype(bool).any(axis=-1)).astype(np.int8)
         if spec.rho > 0.0:
             hit = hit ^ (rng.random(x_s.shape[0]) < spec.rho).astype(np.int8)
         return hit.astype(float)
@@ -315,15 +323,15 @@ class GroupTesting(Channel):
 
     def loglik_rows(self, spec, x_s, b, y):
         log_match, log_miss = _flip_logs(spec.rho)
-        return np.where((y > 0.5) == x_s.astype(bool).any(axis=1), log_match, log_miss)
+        return np.where((y > 0.5) == x_s.astype(bool).any(axis=-1), log_match, log_miss)
 
     def loglik(self, spec, x_s, b, y):
-        n_miss = int(np.sum((y > 0.5) != x_s.astype(bool).any(axis=1)))
-        return float(self.score(spec, y.size, n_miss))
+        n_miss = np.sum((y > 0.5) != x_s.astype(bool).any(axis=-1), axis=-1)
+        return _row_sum(self.score(spec, y.size, n_miss))
 
     def log_marginal_rows(self, spec, partition, x_s, b, y):
         t = self.table(spec, partition)
-        eq_hit = x_s[:, partition.eq_index()].astype(bool).any(axis=1)
+        eq_hit = x_s[..., partition.eq_index()].astype(bool).any(axis=-1)
         y1 = y > 0.5
         # x_eq has a one: the noiseless output is 1 whatever x_dif is
         return np.where(

@@ -25,10 +25,12 @@ import numpy as np
 
 from . import bounds, numerics, sim, verify
 from .model import (
+    IID_GAUSSIAN,
     GuardError,
     ModelSpec,
     ProblemDims,
     SignalPrior,
+    c_beta_from_snr,
 )
 from .numerics import NonConvergenceError
 
@@ -121,6 +123,15 @@ def cmd_threshold(args, parser) -> int:
                     print(f"theta={t:.4g} rho={r:g} delta2*={res.delta2_star:.6f}")
     elif fig == "partial-recovery":
         snrs = parse_range(args.snr_db)
+        try:  # c_beta grows with the SNR: check the largest
+            c_beta_max = c_beta_from_snr(snrs[-1], args.sigma)
+        except OverflowError:
+            c_beta_max = math.inf
+        if not math.isfinite(c_beta_max):
+            raise ConfigError(
+                f"--snr-db {snrs[-1]:g} dB puts the signal power sigma^2 10^(SNR/10) "
+                "beyond the float range"
+            )
         grid = {
             "snr_db": snrs,
             "alpha_star": args.alpha_star,
@@ -188,6 +199,11 @@ def cmd_simulate(args, parser) -> int:
     decoder_kind = {"ml": "exhaustive-ml", "threshold": "threshold", "comp": "comp-gt"}[
         args.decoder
     ]
+    if decoder_kind == "threshold" and prior.variant == IID_GAUSSIAN:
+        raise ConfigError(
+            "the threshold decoder needs a discrete prior (--prior fixed or "
+            "--prior permuted with --b); use --decoder ml with --prior gaussian"
+        )
     decoder = sim.DecoderSpec(kind=decoder_kind, delta1=args.delta1)
     if args.seed is None:
         args.seed = DEFAULT_SEED

@@ -77,7 +77,8 @@ class InfoStats:
 def density_rows(model: ModelSpec, partition: Partition, b, x_s, y) -> np.ndarray:
     """Information density of each row of x_s (n x k) and y (n): the
     channel's log-likelihood rows minus its log-marginal rows.  Returns -inf
-    (sentinel) for observations with zero likelihood under the channel."""
+    (sentinel) for observations with zero likelihood under the channel.  A
+    (C x n x k) stack of candidate supports gives a (C x n) array."""
     x_s = np.asarray(x_s, dtype=float)
     y = np.asarray(y, dtype=float)
     b = np.asarray(b, dtype=float)
@@ -259,8 +260,10 @@ def prior_atoms(prior: SignalPrior, k: int, max_atoms: int = 10**6):
     raise UnsupportedCombinationError(f"no atoms for prior {prior.variant!r}")
 
 
-def log_conditional_likelihood(model: ModelSpec, x_s, b, y) -> float:
-    """log P(y | x_s, b): product over rows of the channel likelihood."""
+def log_conditional_likelihood(model: ModelSpec, x_s, b, y):
+    """log P(y | x_s, b): product over rows of the channel likelihood.  A
+    float for one (n x k) x_s; one value per candidate for a (C x n x k)
+    stack."""
     x_s = np.asarray(x_s, dtype=float)
     y = np.asarray(y, dtype=float)
     b = np.asarray(b, dtype=float)

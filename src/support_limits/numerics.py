@@ -163,18 +163,23 @@ def g_alpha(alpha, quad: QuadratureSpec | None = None):
     [0, u_a]; the two routes agree to the requested tolerance.
 
     Accepts a scalar (returns a float) or an array (returns an array of the
-    same shape); raises if any argument lies outside [0, 1].
+    same shape); raises if any argument lies outside [0, 1].  Where
+    (1 + alpha)/2 rounds to 1, t is infinite and g is the alpha = 1 limit, 1.
     """
     if np.ndim(alpha) == 0:
         if not 0.0 <= alpha <= 1.0:
             raise ValueError(f"g_alpha argument outside [0, 1]: {float(alpha)!r}")
-        return float(alpha) if alpha in (0.0, 1.0) else float(_g_interior(alpha, quad))
+        if alpha == 0.0:
+            return float(alpha)
+        return 1.0 if (1.0 + alpha) / 2.0 == 1.0 else float(_g_interior(alpha, quad))
     al = np.asarray(alpha, dtype=float)
     inside = (al >= 0.0) & (al <= 1.0)
     if not inside.all():
         raise ValueError(f"g_alpha argument outside [0, 1]: {float(al[~inside][0])!r}")
     g = al.copy()
-    interior = (al > 0.0) & (al < 1.0)
+    top = (1.0 + al) / 2.0 == 1.0
+    g[top] = 1.0
+    interior = (al > 0.0) & ~top
     g[interior] = _g_interior(al[interior], quad)
     return g
 

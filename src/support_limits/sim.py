@@ -16,6 +16,13 @@ Decoders:
 - comp-gt: rules out any item appearing in a negative test, then keeps the k
   items occurring most often in positive tests (group testing only).
 
+The threshold and exhaustive-ML decoders work on all candidate supports at
+once.  Candidates are drawn in lexicographic blocks of at most
+_CANDIDATE_BLOCK; the threshold decoder stacks a block's design columns into
+one (candidates x rows x k) array, which the channel likelihood and density
+methods take whole, and group-testing ML scores a block with one product of
+the design and a 0/1 (items x candidates) incidence matrix.
+
 Exhaustive decoding is guarded at C(p, k) <= 10^6 and k <= 12; the guards
 are hard errors, not warnings.
 """
@@ -53,6 +60,11 @@ from .numerics import g_alpha, log_binomial
 
 CANDIDATE_CAP = 10**6
 K_CAP = 12
+
+# Candidates decoded together.  A threshold-decoder block holds
+# _CANDIDATE_BLOCK x n x k design entries, a group-testing ML block
+# _CANDIDATE_BLOCK x (p + n), so memory stays bounded whatever C(p, k) is.
+_CANDIDATE_BLOCK = 512
 
 
 @dataclass(frozen=True)
@@ -128,6 +140,14 @@ def candidate_supports(dims: ProblemDims):
     return itertools.combinations(range(1, dims.p + 1), dims.k)
 
 
+def _candidate_blocks(dims: ProblemDims):
+    """candidate_supports(dims) in lexicographic blocks, each a (B x k) array
+    of 1-based indices with B <= _CANDIDATE_BLOCK."""
+    cands = candidate_supports(dims)
+    while block := list(itertools.islice(cands, _CANDIDATE_BLOCK)):
+        yield np.array(block, dtype=int)
+
+
 # ---------------------------------------------------------------------------
 # Threshold decoder
 # ---------------------------------------------------------------------------
@@ -144,29 +164,36 @@ def combined_thresholds(dims: ProblemDims, delta1: float, gamma: float = 0.0):
     return out
 
 
-def _averaged_partition_density(model, prior, x_cand, y, partition) -> float:
+def _averaged_partition_density(model, prior, x_cand, y, partition):
     """Beta-averaged statistic log P(y|x_s) - log P(y|x_eq) for one partition.
 
-    Each atom's denominator is its numerator minus the summed densities; where
+    x_cand is one candidate's (n x k) design columns, which gives a float, or
+    a (C x n x k) stack of candidates, which gives one statistic each.  Each
+    atom's denominator is its numerator minus the summed densities; where
     that is undefined (a zero-likelihood row) it is summed directly from the
     channel's marginal rows."""
-    atoms = prior_atoms(prior, x_cand.shape[1])
     num_terms = []
     den_terms = []
-    for lw, b in atoms:
-        num = log_conditional_likelihood(model, x_cand, b, y)
-        num_terms.append(lw + num)
-        if not np.isneginf(num):
-            dens = density_rows(model, partition, b, x_cand, y)
-            if np.all(np.isfinite(dens)):
-                den_terms.append(lw + num - float(np.sum(dens)))
-                continue
-        marginal = CHANNELS[model.channel].log_marginal_rows(model, partition, x_cand, b, y)
-        den_terms.append(lw + float(np.sum(marginal)))
-    num_total = float(logsumexp(num_terms))
-    if np.isneginf(num_total):
-        return NEG_INF  # zero-likelihood candidate: eliminated
-    return num_total - float(logsumexp(den_terms))
+    for lw, b in prior_atoms(prior, x_cand.shape[-1]):
+        num = lw + log_conditional_likelihood(model, x_cand, b, y)
+        dens = density_rows(model, partition, b, x_cand, y)
+        with np.errstate(invalid="ignore"):
+            den = num - np.sum(dens, axis=-1)
+        direct = np.isneginf(num) | ~np.isfinite(dens).all(axis=-1)
+        if direct.any():
+            marginal = CHANNELS[model.channel].log_marginal_rows(model, partition, x_cand, b, y)
+            den = np.where(direct, lw + np.sum(marginal, axis=-1), den)
+        num_terms.append(num)
+        den_terms.append(den)
+    if len(num_terms) == 1:  # a single atom: the log-sum-exp is the term itself
+        num_total, den_total = num_terms[0], den_terms[0]
+    else:
+        num_total = logsumexp(np.stack(num_terms, axis=-1), axis=-1)
+        den_total = logsumexp(np.stack(den_terms, axis=-1), axis=-1)
+    # a zero-likelihood candidate is eliminated
+    with np.errstate(invalid="ignore"):
+        stat = np.where(np.isneginf(num_total), NEG_INF, num_total - den_total)
+    return float(stat) if stat.ndim == 0 else stat
 
 
 def decode_threshold(
@@ -186,22 +213,22 @@ def decode_threshold(
     x, y = realization.x, realization.y
     partitions = list(enumerate_partitions(dims.k))
     winners = []
-    for cand in candidate_supports(dims):
-        x_cand = x[:, np.asarray(cand, dtype=int) - 1]
-        ok = True
+    for block in _candidate_blocks(dims):
+        x_cands = np.ascontiguousarray(np.moveaxis(x[:, block - 1], 1, 0))
+        live = np.arange(len(block))
         for part in partitions:
-            stat = _averaged_partition_density(model, prior, x_cand, y, part)
-            if not stat > thresholds[part.ell]:
-                ok = False
+            stat = _averaged_partition_density(model, prior, x_cands, y, part)
+            passed = stat > thresholds[part.ell]
+            live, x_cands = live[passed], x_cands[passed]
+            if not live.size:
                 break
-        if ok:
-            winners.append(frozenset(cand))
-            if len(winners) > 1:
-                break
+        winners += [frozenset(block[i].tolist()) for i in live]
+        if len(winners) > 1:
+            break
     if len(winners) == 1:
         return DecodeOutcome(estimate=winners[0], status="unique", candidates_passing=1)
     status = "none" if not winners else "multiple"
-    return DecodeOutcome(estimate=None, status=status, candidates_passing=len(winners))
+    return DecodeOutcome(estimate=None, status=status, candidates_passing=min(len(winners), 2))
 
 
 def threshold_union_bound(
@@ -252,10 +279,14 @@ def threshold_union_bound(
 
 
 def _ml_fast_gt(model, x, y, cands):
-    """Vectorized all-ones GT likelihood over candidate index tuples."""
-    xb = x.astype(bool)
-    hits = np.stack([xb[:, np.asarray(c) - 1].any(axis=1) for c in cands])
-    n_miss = (hits != (y > 0.5)[None, :]).sum(axis=1)
+    """All-ones GT likelihood of each candidate in cands, a (C x k) array of
+    1-based indices.  A test hits a candidate when the product of the design
+    with the 0/1 (p x C) incidence matrix is non-zero; the counts are exact
+    integers."""
+    incidence = np.zeros((x.shape[1], len(cands)))
+    incidence[cands - 1, np.arange(len(cands))[:, None]] = 1.0
+    hits = ((x != 0) @ incidence) > 0.5
+    n_miss = (hits != (y > 0.5)[:, None]).sum(axis=0)
     return CHANNELS[model.channel].score(model, y.size, n_miss)
 
 
@@ -266,12 +297,16 @@ def decode_ml(
     dims: ProblemDims,
 ) -> frozenset[int]:
     """Exhaustive maximum-likelihood support estimate, lexicographic ties."""
-    cands = list(candidate_supports(dims))
     x, y = realization.x, realization.y
     if model.channel == GROUP_TESTING and prior.variant == ALL_ONES:
-        scores = _ml_fast_gt(model, x, y, cands)
-        best = int(np.argmax(scores))  # argmax takes the first (lexicographic) max
-        return frozenset(cands[best])
+        best_score, best_cand = -math.inf, None
+        for block in _candidate_blocks(dims):
+            scores = _ml_fast_gt(model, x, y, block)
+            i = int(np.argmax(scores))  # argmax takes the first (lexicographic) max
+            if best_cand is None or scores[i] > best_score:
+                best_score, best_cand = scores[i], block[i].tolist()
+        return frozenset(best_cand)
+    cands = list(candidate_supports(dims))
     best_score = -math.inf
     best_cand = cands[0]
     for cand in cands:

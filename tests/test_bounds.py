@@ -290,6 +290,14 @@ class TestPsiFunction1Bit:
     def test_vanishes_at_zero_snr(self):
         assert bounds.psi_function_1bit(0.5, 1e-8) < 1e-6
 
+    def test_non_finite_quadrature_raises(self):
+        # infinite c_beta makes the first scale inf/inf: NaN, not a Psi of 0
+        with np.errstate(invalid="ignore"):
+            with pytest.raises(nm.NonConvergenceError):
+                bounds.psi_function_1bit(0.5, math.inf)
+            with pytest.raises(nm.NonConvergenceError):
+                bounds.psi_function_1bit(np.array([0.2, 0.5]), math.inf)
+
     def test_mid_value_vs_monte_carlo(self):
         rng = md.rng_stream(55)
         w = rng.standard_normal(10**6)

@@ -231,6 +231,9 @@ BAD_INPUTS = [
     (["threshold", "--figure", "partial-recovery", "--snr-db=0:0:1", "--grid-points", "0"], 2, 1),
     (["threshold", "--figure", "partial-recovery", "--snr-db=0:0:1", "--grid-points", "1"], 2, 1),
     (["threshold", "--figure", "partial-recovery", "--snr-db=0:0:1", "--alpha-star", "1.5"], 2, 1),
+    (["threshold", "--figure", "partial-recovery", "--snr-db=4000:4000:1"], 2, 1),
+    (["simulate", "--model", "linear", "--prior", "gaussian", "--decoder", "threshold",
+      "--p", "6", "--k", "2", "--n-grid", "4:4:1", "--seed", "1"], 2, 1),
 ]
 
 

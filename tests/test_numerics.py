@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -110,6 +111,15 @@ class TestGAlpha:
     def test_domain_error(self):
         with pytest.raises(ValueError):
             nm.g_alpha(1.5)
+
+    def test_alpha_one_limit_where_the_quantile_overflows(self):
+        top = 1.0 - 2.0**-53  # (1 + top)/2 rounds to 1, so Phi^{-1} is infinite
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert nm.g_alpha(top) == 1.0
+            assert nm.g_alpha(np.array([0.5, top, 1.0])).tolist() == [nm.g_alpha(0.5), 1.0, 1.0]
+            below = nm.g_alpha(1.0 - 2.0**-52)
+        assert math.isfinite(below) and below < 1.0
 
     def test_array_equals_scalar_calls_exactly(self):
         grid = np.concatenate([[0.0, 1.0], np.linspace(0.0, 1.0, 501), rng_stream(3).random(500)])

@@ -2,9 +2,11 @@ import math
 
 import numpy as np
 import pytest
+from scipy.special import logsumexp
 
-from support_limits import sim
+from support_limits import bounds, info, sim
 from support_limits import model as md
+from support_limits.channels import CHANNELS
 
 LN2 = math.log(2.0)
 SEED = 314159
@@ -20,6 +22,146 @@ def gt_consistent_supports(realization, dims):
         if np.array_equal(hits, y):
             out.append(frozenset(cand))
     return out
+
+
+def loop_statistic(model, prior, x_cand, y, partition):
+    """Reference: the threshold statistic of one candidate, computed atom by
+    atom as it was before candidates were stacked."""
+    num_terms = []
+    den_terms = []
+    for lw, b in info.prior_atoms(prior, x_cand.shape[1]):
+        num = info.log_conditional_likelihood(model, x_cand, b, y)
+        num_terms.append(lw + num)
+        if not np.isneginf(num):
+            dens = info.density_rows(model, partition, b, x_cand, y)
+            if np.all(np.isfinite(dens)):
+                den_terms.append(lw + num - float(np.sum(dens)))
+                continue
+        marginal = CHANNELS[model.channel].log_marginal_rows(model, partition, x_cand, b, y)
+        den_terms.append(lw + float(np.sum(marginal)))
+    num_total = float(logsumexp(num_terms))
+    if np.isneginf(num_total):
+        return float("-inf")
+    return num_total - float(logsumexp(den_terms))
+
+
+def loop_threshold_decode(real, model, prior, dims, delta1):
+    """Reference: the threshold decoder as a loop over candidates."""
+    gamma = bounds.gamma_select("discrete", model, prior, dims)
+    thresholds = sim.combined_thresholds(dims, delta1, gamma)
+    winners = [
+        frozenset(cand)
+        for cand in sim.candidate_supports(dims)
+        if all(
+            loop_statistic(model, prior, real.x[:, np.asarray(cand) - 1], real.y, part)
+            > thresholds[part.ell]
+            for part in md.enumerate_partitions(dims.k)
+        )
+    ]
+    if len(winners) == 1:
+        return sim.DecodeOutcome(estimate=winners[0], status="unique", candidates_passing=1)
+    status = "none" if not winners else "multiple"
+    return sim.DecodeOutcome(estimate=None, status=status, candidates_passing=min(len(winners), 2))
+
+
+def loop_gt_scores(model, x, y, cands):
+    """Reference: group-testing ML scores from one hit vector per candidate."""
+    xb = x.astype(bool)
+    hits = np.stack([xb[:, np.asarray(c) - 1].any(axis=1) for c in cands])
+    n_miss = (hits != (y > 0.5)[None, :]).sum(axis=1)
+    return CHANNELS[model.channel].score(model, y.size, n_miss)
+
+
+STAT_CASES = {
+    "gt-noiseless": (md.ModelSpec.group_testing(rho=0.0), md.SignalPrior.all_ones()),
+    "gt-noisy": (md.ModelSpec.group_testing(rho=0.11), md.SignalPrior.all_ones()),
+    "linear-fixed": (md.ModelSpec.linear(0.7), md.SignalPrior.fixed([1.0, -0.5, 2.0])),
+    "linear-permuted": (md.ModelSpec.linear(0.7), md.SignalPrior.permuted([1.0, 1.0, 2.0])),
+    "one-bit-fixed": (md.ModelSpec.one_bit(0.5), md.SignalPrior.fixed([1.0, -0.5, 2.0])),
+    "one-bit-permuted": (md.ModelSpec.one_bit(0.5), md.SignalPrior.permuted([1.0, -0.5, 2.0])),
+}
+
+
+class TestBatchedCandidates:
+    @pytest.mark.parametrize("n", [0, 1, 25])
+    @pytest.mark.parametrize("name", sorted(STAT_CASES))
+    def test_statistic_equals_candidate_loop(self, name, n):
+        m, pr = STAT_CASES[name]
+        dims = md.ProblemDims(p=7, k=3, n=n)
+        real = md.sample_realization(dims, m, pr, SEED, stream=(8, n))
+        cands = np.array(list(sim.candidate_supports(dims)))
+        x_cands = np.ascontiguousarray(np.moveaxis(real.x[:, cands - 1], 1, 0))
+        for part in md.enumerate_partitions(dims.k):
+            batched = sim._averaged_partition_density(m, pr, x_cands, real.y, part)
+            expected = [loop_statistic(m, pr, x, real.y, part) for x in x_cands]
+            assert batched.tolist() == expected
+            one = sim._averaged_partition_density(m, pr, x_cands[0], real.y, part)
+            assert type(one) is float and one == expected[0]
+
+    def test_zero_likelihood_rows_equal_candidate_loop(self):
+        # nu = k puts every item in every test, so log P(y = 0 | x_eq = 0) is
+        # -inf: a y = 0 row missed by the candidate has a +inf density, a
+        # y = 1 row missed has zero likelihood
+        gt = md.ModelSpec.group_testing(rho=0.0, nu=2.0)
+        rng = md.rng_stream(SEED)
+        x = (rng.random((12, 6)) < 0.3).astype(float)
+        y = x[:, :2].any(axis=1).astype(float)
+        # at sigma = 1e-200 a sign the atom gets wrong has log Q = -inf: a
+        # permuted prior then mixes zero-likelihood atoms, whose denominators
+        # come from the marginal rows, with finite ones
+        one_bit = md.ModelSpec.one_bit(1e-200)
+        permuted = md.SignalPrior.permuted([1.0, -0.5, 2.0])
+        dims = md.ProblemDims(p=6, k=3, n=12)
+        real = md.sample_realization(dims, one_bit, permuted, SEED)
+        for m, pr, k, x, y, kinds in (
+            (gt, md.SignalPrior.all_ones(), 2, x, y, {math.inf, -math.inf}),
+            (one_bit, permuted, 3, real.x, real.y, {"finite", -math.inf}),
+        ):
+            cands = np.array(list(sim.candidate_supports(md.ProblemDims(p=6, k=k, n=12))))
+            x_cands = np.ascontiguousarray(np.moveaxis(x[:, cands - 1], 1, 0))
+            seen = set()
+            for part in md.enumerate_partitions(k):
+                batched = sim._averaged_partition_density(m, pr, x_cands, y, part)
+                expected = [loop_statistic(m, pr, xc, y, part) for xc in x_cands]
+                assert batched.tolist() == expected
+                seen.update(v if math.isinf(v) else "finite" for v in expected)
+            assert seen == kinds
+
+    @pytest.mark.parametrize("rho", [0.0, 0.11])
+    def test_gt_ml_scores_equal_candidate_loop(self, rho):
+        m = md.ModelSpec.group_testing(rho=rho)
+        pr = md.SignalPrior.all_ones()
+        for n in (0, 9, 30):
+            dims = md.ProblemDims(p=9, k=3, n=n)
+            cands = list(sim.candidate_supports(dims))
+            for t in range(10):
+                real = md.sample_realization(dims, m, pr, SEED, stream=(n, t))
+                scores = sim._ml_fast_gt(m, real.x, real.y, np.array(cands))
+                assert np.array_equal(scores, loop_gt_scores(m, real.x, real.y, cands))
+
+    def test_decoders_across_block_boundaries(self, monkeypatch):
+        cases = [
+            (md.ModelSpec.group_testing(rho=rho), md.SignalPrior.all_ones(), 8, 2, n, d1)
+            for rho in (0.0, 0.11)
+            for n in (6, 14)
+            for d1 in (1.0, 10.0)
+        ]
+        cases.append((*STAT_CASES["linear-permuted"], 7, 3, 5, 100.0))
+        monkeypatch.setattr(sim, "_CANDIDATE_BLOCK", 7)
+        statuses = set()
+        for m, pr, p, k, n, d1 in cases:
+            dims = md.ProblemDims(p=p, k=k, n=n)
+            cands = list(sim.candidate_supports(dims))
+            for t in range(6):
+                real = md.sample_realization(dims, m, pr, SEED, stream=(9, t))
+                out = sim.decode_threshold(real, m, pr, dims, delta1=d1)
+                assert out == loop_threshold_decode(real, m, pr, dims, d1)
+                statuses.add(out.status)
+                if m.channel == md.GROUP_TESTING:
+                    scores = loop_gt_scores(m, real.x, real.y, cands)
+                    expected = frozenset(cands[int(np.argmax(scores))])
+                    assert sim.decode_ml(real, m, pr, dims) == expected
+        assert statuses == {"unique", "none", "multiple"}
 
 
 class TestGuards:
