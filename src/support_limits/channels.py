@@ -76,8 +76,9 @@ class Channel:
                                         I_{dif,eq}(b) in nats and the variance
                                         of the information density
         tail_specs(spec, b, dims, mi_map)
-                                        tail-bound families for the generic
-                                        achievability bound
+                                        conc.TailBoundSpec list for the
+                                        achievability remainder; mi_map:
+                                        ell -> min-info I
 
     x_s holds n measurement rows restricted to the support (n x k), b the
     non-zero entries aligned with its columns (a float array) and y the n
@@ -152,10 +153,12 @@ class Linear(_GaussianDesign):
         return mi, sig_l_sq / (spec.sigma**2 + sig_l_sq)
 
     def tail_specs(self, spec, b, dims, mi_map):
-        from .conc import TailBoundSpec  # conc imports model, which imports this module
+        from .conc import TailBoundSpec, bernstein_linear_terms  # conc imports this module
+        from .model import min_info_partition  # model imports this module too
 
-        params = {"b": np.asarray(b, dtype=float), "sigma": spec.sigma}
-        return [TailBoundSpec(kind="bernstein-linear", delta2=0.5, params=params)]
+        b = np.asarray(b, dtype=float)
+        terms = lambda ell: bernstein_linear_terms(b, spec.sigma, min_info_partition(b, ell), 0.5)
+        return [TailBoundSpec(terms)]
 
 
 class OneBit(_GaussianDesign):
@@ -209,10 +212,9 @@ class OneBit(_GaussianDesign):
         return second - mean**2
 
     def tail_specs(self, spec, b, dims, mi_map):
-        from .conc import TailBoundSpec  # conc imports model, which imports this module
+        from .conc import TailBoundSpec, bernstein_discrete_terms  # conc imports this module
 
-        params = {"mi": lambda ell: mi_map[ell], "alphabet_size": 2}
-        return [TailBoundSpec(kind="bernstein-discrete", delta2=0.5, params=params)]
+        return [TailBoundSpec(lambda ell: bernstein_discrete_terms(mi_map[ell], 2, 0.5))]
 
 
 # ---------------------------------------------------------------------------
@@ -357,9 +359,9 @@ class GroupTesting(Channel):
         return mi, max(0.0, second - mean**2)
 
     def tail_specs(self, spec, b, dims, mi_map):
-        from .conc import gt_tail_specs  # conc imports model, which imports this module
+        from .conc import gt_tail_specs  # conc imports this module
 
-        return gt_tail_specs(spec.nu, dims.k, spec.rho)
+        return gt_tail_specs(spec.nu, dims.k, spec.rho, mi=mi_map.__getitem__)
 
 
 CHANNELS: dict[str, Channel] = {

@@ -3,35 +3,36 @@ Tail bounds psi_ell(n, delta2) for the n-fold information-density sum, and a
 solver for the measurement count that drives the weighted remainder
 sum_ell C(k, ell) psi_ell(n, delta2) below a target.
 
-Five families, each bounding P[|i^n - n I| >= n delta2 I] (or the lower tail
-only, for the two group-testing families) conditioned on beta = b:
+Four families bound P[|i^n - n I| >= n delta2 I] (the lower tail only for
+group testing) given beta = b, all as min(1, scale exp(-q n / den)).  Each is
+written once, as the `*_terms` function of its n-free (scale, q, den):
 
-    chebyshev            V / (n (delta2 I)^2)
-    bernstein-discrete   2 exp(-d^2 n / (2 (8|Y| + 2 d))),        d = delta2 I
-    bernstein-linear     2 exp(-d^2 n / (2 (4 a^2 + d a))),       a = alpha_dif
-    chernoff-gt          exp(-n (l/k) e^-nu nu ((1-d2) log(1-d2) + d2)(1-eps))
-    bennett-gt-noisy     exp(-n (l/k) e^-nu nu d2^2 (1-2 rho)^2
-                              / (2 (1 + d2 (1-2 rho)/3)) (1-eps))
+    bernstein-discrete  2, d^2, 2 (8|Y| + 2 d)        d = delta2 I
+    bernstein-linear    2, d^2, 2 (4 a^2 + d a)       a = 2 s (sigma + s) / (sigma^2 + s^2)
+    chernoff-gt         1, (l/k) e^-nu nu ((1-d2) log(1-d2) + d2)(1-eps), 1
+    bennett-gt-noisy    1, (l/k) e^-nu nu d2^2 (1-2 rho)^2 / (2 (1 + d2 (1-2 rho)/3)) (1-eps), 1
 
-with alpha_dif = 2 s (sigma + s) / (sigma^2 + s^2), s^2 = sum_dif b_i^2.
-The two group-testing families hold for large problems (l = o(k)); the
-asymptotic caveat is surfaced as the explicit eps slack (default 0.05).
+with s^2 = sum_dif b_i^2.  The group-testing families hold for l = o(k), with
+the explicit eps slack (default 0.05) for "sufficiently large p".  Chebyshev,
+min(1, V / (n (delta2 I)^2)), is a scalar bound only: no TailBoundSpec uses it.
 """
 from __future__ import annotations
 
+import functools
 import math
-from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
 import numpy as np
 
 from .channels import gt_mi_closed_form
-from .model import Partition, ProblemDims, min_info_partition
+from .model import Partition, ProblemDims
 from .numerics import log_binomial
 
 E_SQ_CAP = (4.0 / math.e) ** 2
 
 UNBOUNDED = float("inf")
+
+Terms = tuple[float, float, float]
 
 
 def psi_chebyshev(I: float, V: float, n: int, delta2: float) -> float:
@@ -52,12 +53,21 @@ def variance_cap_discrete(alphabet_size: int) -> float:
     return alphabet_size * E_SQ_CAP
 
 
-def psi_bernstein_discrete(I: float, alphabet_size: int, n: int, delta2: float) -> float:
-    """Bernstein two-sided tail for finite alphabets, clipped to [0, 1]."""
+def _tail(scale: float, q: float, den: float, n: int) -> float:
+    return min(1.0, scale * math.exp(-q * n / den))
+
+
+def bernstein_discrete_terms(I: float, alphabet_size: int, delta2: float) -> Terms:
+    """Bernstein two-sided tail for finite alphabets."""
     if I <= 0:
         raise ValueError("psi_bernstein_discrete needs I > 0")
     d = delta2 * I
-    return min(1.0, 2.0 * math.exp(-(d * d) * n / (2.0 * (8.0 * alphabet_size + 2.0 * d))))
+    return 2.0, d * d, 2.0 * (8.0 * alphabet_size + 2.0 * d)
+
+
+def psi_bernstein_discrete(I: float, alphabet_size: int, n: int, delta2: float) -> float:
+    """Bernstein two-sided tail for finite alphabets, clipped to [0, 1]."""
+    return _tail(*bernstein_discrete_terms(I, alphabet_size, delta2), n)
 
 
 def alpha_dif_linear(b, sigma: float, partition: Partition) -> float:
@@ -69,39 +79,41 @@ def alpha_dif_linear(b, sigma: float, partition: Partition) -> float:
     return 2.0 * s * (sigma + s) / (sigma**2 + s * s)
 
 
-def psi_bernstein_linear(b, sigma: float, partition: Partition, n: int, delta2: float) -> float:
-    """Bernstein two-sided tail for the linear channel.
-
-    The density is constant when sum_dif b^2 = 0, so the tail is 0 there.
-    """
+def bernstein_linear_terms(b, sigma: float, partition: Partition, delta2: float) -> Terms:
+    """Bernstein two-sided tail for the linear channel."""
     b = np.asarray(b, dtype=float)
     s_sq = float(np.sum(b[partition.dif_index()] ** 2))
-    if s_sq == 0.0:
-        return 0.0
+    if s_sq == 0.0:  # the density is constant: the tail is 0
+        return 0.0, 0.0, 1.0
     a = alpha_dif_linear(b, sigma, partition)
     I = 0.5 * math.log1p(s_sq / sigma**2)
     d = delta2 * I
-    return min(1.0, 2.0 * math.exp(-(d * d) * n / (2.0 * (4.0 * a * a + d * a))))
+    return 2.0, d * d, 2.0 * (4.0 * a * a + d * a)
+
+
+def psi_bernstein_linear(b, sigma: float, partition: Partition, n: int, delta2: float) -> float:
+    """Bernstein two-sided tail for the linear channel; 0 if sum_dif b^2 = 0."""
+    return _tail(*bernstein_linear_terms(b, sigma, partition, delta2), n)
+
+
+def chernoff_gt_terms(nu: float, k: int, ell: int, delta2: float, eps: float = 0.05) -> Terms:
+    """Binomial-Chernoff lower-tail bound for noiseless group testing."""
+    if not 0.0 < delta2 < 1.0:
+        raise ValueError("delta2 must lie in (0, 1)")
+    h = (1.0 - delta2) * math.log(1.0 - delta2) + delta2
+    return 1.0, (ell / k) * math.exp(-nu) * nu * h * (1.0 - eps), 1.0
 
 
 def psi_chernoff_gt(
     nu: float, k: int, ell: int, n: int, delta2: float, eps: float = 0.05
 ) -> float:
-    """Binomial-Chernoff lower-tail bound for noiseless group testing.
-
-    Intended for the l = o(k) regime (caller's responsibility); eps is the
-    explicit "sufficiently large p" slack.
-    """
-    if not 0.0 < delta2 < 1.0:
-        raise ValueError("delta2 must lie in (0, 1)")
-    h = (1.0 - delta2) * math.log(1.0 - delta2) + delta2
-    rate = (ell / k) * math.exp(-nu) * nu * h * (1.0 - eps)
-    return min(1.0, math.exp(-n * rate))
+    """Binomial-Chernoff lower-tail bound for noiseless group testing."""
+    return _tail(*chernoff_gt_terms(nu, k, ell, delta2, eps), n)
 
 
-def psi_bennett_gt_noisy(
-    nu: float, rho: float, k: int, ell: int, n: int, delta2: float, eps: float = 0.05
-) -> float:
+def bennett_gt_noisy_terms(
+    nu: float, rho: float, k: int, ell: int, delta2: float, eps: float = 0.05
+) -> Terms:
     """Bennett-form lower-tail bound for noisy group testing (rho in (0, 0.5))."""
     if not 0.0 < delta2 < 1.0:
         raise ValueError("delta2 must lie in (0, 1)")
@@ -114,48 +126,33 @@ def psi_bennett_gt_noisy(
         / (2.0 * (1.0 + delta2 * gap / 3.0))
         * (1.0 - eps)
     )
-    return min(1.0, math.exp(-n * rate))
+    return 1.0, rate, 1.0
 
 
-@dataclass(frozen=True)
+def psi_bennett_gt_noisy(
+    nu: float, rho: float, k: int, ell: int, n: int, delta2: float, eps: float = 0.05
+) -> float:
+    """Bennett-form lower-tail bound for noisy group testing."""
+    return _tail(*bennett_gt_noisy_terms(nu, rho, k, ell, delta2, eps), n)
+
+
 class TailBoundSpec:
-    """One psi family with its delta2 and model parameters.
+    """One family over ell_lo <= ell <= ell_hi (ell_hi None: no upper end).
 
-    params by kind:
-        chebyshev          mi: callable ell -> I, var: callable ell -> V
-        bernstein-discrete mi: callable ell -> I, alphabet_size: int
-        bernstein-linear   b: vector, sigma: float   (min-info split per ell)
-        chernoff-gt        nu: float, eps: float
-        bennett-gt-noisy   nu: float, rho: float, eps: float
-    ell_lo/ell_hi restrict the family to a sub-range of ell (inclusive).
+    terms(ell) gives the family's n-free (scale, q, den) for that ell, with
+    delta2 and the model parameters bound in; it is evaluated once per ell.
     """
 
-    kind: str
-    delta2: float
-    params: dict = field(default_factory=dict)
-    ell_lo: int = 1
-    ell_hi: int | None = None
+    def __init__(self, terms: Callable[[int], Terms], ell_lo: int = 1, ell_hi: int | None = None):
+        self.terms = functools.cache(terms)
+        self.ell_lo = ell_lo
+        self.ell_hi = ell_hi
 
     def covers(self, ell: int) -> bool:
         return ell >= self.ell_lo and (self.ell_hi is None or ell <= self.ell_hi)
 
-    def psi(self, ell: int, n: int, dims: ProblemDims) -> float:
-        d2 = self.delta2
-        p = self.params
-        if self.kind == "chebyshev":
-            return psi_chebyshev(p["mi"](ell), p["var"](ell), n, d2)
-        if self.kind == "bernstein-discrete":
-            return psi_bernstein_discrete(p["mi"](ell), p["alphabet_size"], n, d2)
-        if self.kind == "bernstein-linear":
-            part = min_info_partition(p["b"], ell)
-            return psi_bernstein_linear(p["b"], p["sigma"], part, n, d2)
-        if self.kind == "chernoff-gt":
-            return psi_chernoff_gt(p["nu"], dims.k, ell, n, d2, p.get("eps", 0.05))
-        if self.kind == "bennett-gt-noisy":
-            return psi_bennett_gt_noisy(
-                p["nu"], p["rho"], dims.k, ell, n, d2, p.get("eps", 0.05)
-            )
-        raise ValueError(f"unknown tail-bound kind {self.kind!r}")
+    def psi(self, ell: int, n: int) -> float:
+        return _tail(*self.terms(ell), n)
 
 
 def gt_tail_specs(
@@ -168,20 +165,21 @@ def gt_tail_specs(
     mi: Callable[[int], float] | None = None,
 ) -> list[TailBoundSpec]:
     """The group-testing pair: Chernoff/Bennett below floor(k/log k) with
-    delta2 near one, discrete Bernstein above with delta2 near zero."""
+    delta2 near one, discrete Bernstein above with delta2 near zero; mi(ell)
+    defaults to the closed-form mutual information."""
     cut = int(k / math.log(k)) if k >= 3 else 1
     mi_fn = mi if mi is not None else (lambda ell: gt_mi_closed_form(nu, k, ell, rho))
-    small_kind = "chernoff-gt" if rho == 0.0 else "bennett-gt-noisy"
-    small_params = {"nu": nu, "eps": eps} if rho == 0.0 else {"nu": nu, "rho": rho, "eps": eps}
-    return [
-        TailBoundSpec(kind=small_kind, delta2=d2_small, params=small_params, ell_hi=cut),
-        TailBoundSpec(
-            kind="bernstein-discrete",
-            delta2=d2_large,
-            params={"mi": mi_fn, "alphabet_size": 2},
-            ell_lo=cut + 1,
-        ),
-    ]
+    if rho == 0.0:
+        small = lambda ell: chernoff_gt_terms(nu, k, ell, d2_small, eps)
+    else:
+        small = lambda ell: bennett_gt_noisy_terms(nu, rho, k, ell, d2_small, eps)
+    large = lambda ell: bernstein_discrete_terms(mi_fn(ell), 2, d2_large)
+    return [TailBoundSpec(small, ell_hi=cut), TailBoundSpec(large, ell_lo=cut + 1)]
+
+
+@functools.lru_cache(maxsize=4096)
+def _binomial_weight(k: int, ell: int) -> float:
+    return math.exp(log_binomial(k, ell))
 
 
 def remainder_sum(
@@ -197,7 +195,7 @@ def remainder_sum(
     for ell in ell_range:
         for spec in specs:
             if spec.covers(ell):
-                total += math.exp(log_binomial(dims.k, ell)) * spec.psi(ell, n, dims)
+                total += _binomial_weight(dims.k, ell) * spec.psi(ell, n)
                 break
     return total
 
@@ -212,9 +210,9 @@ def remainder_n_required(
     """Smallest n with the remainder probability bound <= target.
 
     The weighted sum caps at 1 (it bounds a union probability), so a target
-    of 1 is vacuous and yields n = 0.  Doubling bracket plus integer
-    bisection; returns the UNBOUNDED sentinel (inf) if no n <= n_cap
-    suffices.
+    of 1 is vacuous and yields n = 0.  Doubling bracket, clamped to n_cap,
+    plus integer bisection; returns the UNBOUNDED sentinel (inf) if no
+    n <= n_cap suffices.
     """
     if not 0.0 < target <= 1.0:
         raise ValueError("target must lie in (0, 1]")
@@ -222,12 +220,11 @@ def remainder_n_required(
     bound = lambda n: min(1.0, remainder_sum(psi_family, dims, ells, n))
     if bound(0) <= target:
         return 0
-    hi = 1
+    lo, hi = 0, 1
     while bound(hi) > target:
-        hi *= 2
-        if hi > n_cap:
+        if hi >= n_cap:
             return UNBOUNDED
-    lo = hi // 2
+        lo, hi = hi, min(2 * hi, n_cap)
     while lo + 1 < hi:
         mid = (lo + hi) // 2
         if bound(mid) <= target:

@@ -257,7 +257,6 @@ def _gt_mi_exhaustive(nu, k, ell, rho):
     """Exhaustive joint enumeration over X in {0,1}^k (and Y) from first
     principles; independent of the case-table path."""
     p1 = nu / k
-    dif = list(range(ell))
     I = 0.0
     for bits in range(2**k):
         x = [(bits >> i) & 1 for i in range(k)]

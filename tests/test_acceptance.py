@@ -147,30 +147,6 @@ def test_criterion_06_one_bit_saturation():
     )
 
 
-def _gt_mi_exhaustive(nu, k, ell, rho):
-    """Exhaustive joint enumeration over X in {0,1}^k and Y."""
-    p1 = nu / k
-    out = 0.0
-    for bits in range(2**k):
-        x = [(bits >> i) & 1 for i in range(k)]
-        px = math.prod(p1 if xi else 1 - p1 for xi in x)
-        clean = 1 if any(x) else 0
-        eq_any = any(x[ell:])
-        xi_l = (1 - p1) ** ell
-        for y in (0, 1):
-            p_num = (1 - rho) if y == clean else rho
-            if p_num == 0.0:
-                continue
-            if eq_any:
-                p_den = (1 - rho) if y == 1 else rho
-            else:
-                p_den = xi_l * ((1 - rho) if y == 0 else rho) + (1 - xi_l) * (
-                    (1 - rho) if y == 1 else rho
-                )
-            out += px * p_num * math.log(p_num / p_den)
-    return out
-
-
 def test_criterion_07_mi_oracle_equivalence():
     t0 = time.perf_counter()
     worst_gt = 0.0
@@ -181,7 +157,8 @@ def test_criterion_07_mi_oracle_equivalence():
                     continue
                 for rho in (0.0, 0.11, 0.25):
                     closed = info.gt_mi_closed_form(nu, k, ell, rho)
-                    worst_gt = max(worst_gt, abs(closed - _gt_mi_exhaustive(nu, k, ell, rho)))
+                    brute = verify._gt_mi_exhaustive(nu, k, ell, rho)
+                    worst_gt = max(worst_gt, abs(closed - brute))
     b = np.array([1.0, -0.6, 0.3])
     part = md.min_info_partition(b, 2)
     lin_mc = info.variance_mc(md.ModelSpec.linear(0.8), part, b, 10**6, SEED)

@@ -2,8 +2,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from support_limits import conc, info, verify
+from support_limits.channels import CHANNELS, GROUP_TESTING, LINEAR, ONE_BIT
 from support_limits import model as md
 
 LN2 = math.log(2.0)
@@ -119,23 +122,115 @@ class TestRemainder:
         ns = [conc.remainder_n_required(specs, dims, range(1, 21), t) for t in (0.5, 0.1, 0.01)]
         assert ns[0] <= ns[1] <= ns[2]
 
+    @staticmethod
+    def _discrete(I):
+        return conc.TailBoundSpec(lambda ell: conc.bernstein_discrete_terms(I, 2, 0.5))
+
     def test_unbounded_sentinel(self):
-        spec = conc.TailBoundSpec(
-            kind="chebyshev", delta2=0.5, params={"mi": lambda l: 1.0, "var": lambda l: 1e30}
-        )
+        # I so small that psi stays 1 out to n_cap
+        spec = self._discrete(1e-12)
         dims = md.ProblemDims(p=100, k=2, n=0)
         assert conc.remainder_n_required(spec, dims, [1, 2], 0.01, n_cap=10**6) == conc.UNBOUNDED
 
+    def test_cap_that_is_not_a_power_of_two(self):
+        spec = self._discrete(0.0342)
+        dims = md.ProblemDims(p=100, k=2, n=0)
+        n = conc.remainder_n_required(spec, dims, [1, 2], 0.01)
+        assert 2**19 < n < 10**6  # the doubling bracket steps over 10**6 to 2**20
+        assert conc.remainder_n_required(spec, dims, [1, 2], 0.01, n_cap=10**6) == n
+        assert conc.remainder_n_required(spec, dims, [1, 2], 0.01, n_cap=n) == n
+        assert conc.remainder_n_required(spec, dims, [1, 2], 0.01, n_cap=n - 1) == conc.UNBOUNDED
+
     def test_exact_integer_boundary(self):
-        spec = conc.TailBoundSpec(
-            kind="bernstein-discrete",
-            delta2=0.5,
-            params={"mi": lambda l: 0.5, "alphabet_size": 2},
-        )
+        spec = self._discrete(0.5)
         dims = md.ProblemDims(p=100, k=2, n=0)
         n = conc.remainder_n_required(spec, dims, [1, 2], 0.05)
         assert conc.remainder_sum(spec, dims, [1, 2], n) <= 0.05
         assert conc.remainder_sum(spec, dims, [1, 2], n - 1) > 0.05
+
+
+class TestSpecsMatchScalars:
+    """Every spec's psi equals the public scalar of its family, bit for bit."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        b=st.lists(st.one_of(st.just(0.0), st.floats(-3.0, 3.0)), min_size=1, max_size=6),
+        sigma=st.floats(0.05, 5.0),
+        n=st.integers(0, 10**7),
+        ell=st.integers(1, 6),
+    )
+    @example(b=[0.0, 1.0], sigma=1.0, n=100, ell=1)  # sum_dif b^2 = 0: psi = 0
+    def test_linear(self, b, sigma, n, ell):
+        ell = min(ell, len(b))
+        dims = md.ProblemDims(p=100, k=len(b), n=0)
+        (spec,) = CHANNELS[LINEAR].tail_specs(md.ModelSpec.linear(sigma), b, dims, {})
+        part = md.min_info_partition(np.asarray(b, dtype=float), ell)
+        expect = conc.psi_bernstein_linear(b, sigma, part, n, 0.5)
+        assert spec.psi(ell, n) == expect
+        if not np.any(np.asarray(b)[part.dif_index()]):
+            assert expect == 0.0
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        mis=st.lists(st.floats(1e-9, 5.0), min_size=1, max_size=8),
+        n=st.integers(0, 10**8),
+        data=st.data(),
+    )
+    def test_one_bit(self, mis, n, data):
+        ell = data.draw(st.integers(1, len(mis)))
+        mi_map = dict(enumerate(mis, start=1))
+        dims = md.ProblemDims(p=100, k=len(mis), n=0)
+        (spec,) = CHANNELS[ONE_BIT].tail_specs(md.ModelSpec.one_bit(1.0), None, dims, mi_map)
+        assert spec.psi(ell, n) == conc.psi_bernstein_discrete(mi_map[ell], 2, n, 0.5)
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        k=st.integers(1, 80),
+        nu=st.floats(0.05, 0.95),
+        rho=st.one_of(st.just(0.0), st.floats(1e-4, 0.49)),
+        n=st.integers(0, 10**7),
+        data=st.data(),
+    )
+    def test_group_testing(self, k, nu, rho, n, data):
+        ell = data.draw(st.integers(1, k))
+        # any map: the specs must read the MI they are given
+        mis = data.draw(st.lists(st.floats(1e-9, 1.0), min_size=k, max_size=k))
+        mi_map = dict(enumerate(mis, start=1))
+        dims = md.ProblemDims(p=10**4, k=k, n=0)
+        model = md.ModelSpec.group_testing(rho=rho, nu=nu)
+        small, large = CHANNELS[GROUP_TESTING].tail_specs(model, None, dims, mi_map)
+        assert small.covers(ell) != large.covers(ell)
+        if large.covers(ell):
+            spec, expect = large, conc.psi_bernstein_discrete(mi_map[ell], 2, n, 0.1)
+        elif rho == 0.0:
+            spec, expect = small, conc.psi_chernoff_gt(nu, k, ell, n, 0.9)
+        else:
+            spec, expect = small, conc.psi_bennett_gt_noisy(nu, rho, k, ell, n, 0.9)
+        assert spec.psi(ell, n) == expect
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        k=st.integers(1, 80),
+        nu=st.floats(0.05, 0.95),
+        rho=st.one_of(st.just(0.0), st.floats(1e-4, 0.49)),
+        d2_small=st.floats(0.01, 0.99),
+        d2_large=st.floats(0.01, 0.99),
+        eps=st.floats(0.0, 0.5),
+        n=st.integers(0, 10**7),
+        data=st.data(),
+    )
+    def test_gt_tail_specs(self, k, nu, rho, d2_small, d2_large, eps, n, data):
+        ell = data.draw(st.integers(1, k))
+        specs = conc.gt_tail_specs(nu, k, rho, d2_small, d2_large, eps)
+        (spec,) = [s for s in specs if s.covers(ell)]
+        if spec is specs[1]:
+            mi = info.gt_mi_closed_form(nu, k, ell, rho)
+            expect = conc.psi_bernstein_discrete(mi, 2, n, d2_large)
+        elif rho == 0.0:
+            expect = conc.psi_chernoff_gt(nu, k, ell, n, d2_small, eps)
+        else:
+            expect = conc.psi_bennett_gt_noisy(nu, rho, k, ell, n, d2_small, eps)
+        assert spec.psi(ell, n) == expect
 
 
 class TestFamilyProperties:
