@@ -26,6 +26,7 @@ import numpy as np
 from . import bounds, numerics, sim, verify
 from .model import (
     IID_GAUSSIAN,
+    LINEAR,
     GuardError,
     ModelSpec,
     ProblemDims,
@@ -175,13 +176,19 @@ def _build_model(args) -> ModelSpec:
 def _build_prior(args, model: ModelSpec, k: int) -> SignalPrior:
     if model.channel == "group-testing":
         return SignalPrior.all_ones()
+    if args.prior == "gaussian":
+        if args.b:
+            raise ConfigError("--prior gaussian draws the entries: drop --b, or use "
+                              "--prior fixed or --prior permuted")
+        if model.channel != LINEAR:
+            raise ConfigError("--prior gaussian needs --model linear: no decoder has a "
+                              f"{model.channel} likelihood under the Gaussian prior")
+        return SignalPrior.iid_gaussian(args.sigma_beta_sq)
     if args.b:
         vals = [float(x) for x in args.b.split(",")]
         if len(vals) != k:
             raise ConfigError(f"--b needs {k} entries, got {len(vals)}")
         return SignalPrior.permuted(vals) if args.prior == "permuted" else SignalPrior.fixed(vals)
-    if args.prior == "gaussian":
-        return SignalPrior.iid_gaussian(args.sigma_beta_sq)
     raise ConfigError("linear/one-bit simulation needs --b or --prior gaussian")
 
 

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import logsumexp
 
-from .channels import CHANNELS, NEG_INF, gt_mi_closed_form  # noqa: F401 (re-exported)
+from .channels import CHANNELS, NEG_INF, _row_sum, gt_mi_closed_form  # noqa: F401 (re-exported)
 from .model import (
     ALL_ONES,
     FIXED_VECTOR,
@@ -270,27 +270,64 @@ def log_conditional_likelihood(model: ModelSpec, x_s, b, y):
     return CHANNELS[model.channel].loglik(model, x_s, b, y)
 
 
-def log_marginal_likelihood(model: ModelSpec, prior: SignalPrior, x_s, y) -> float:
-    """log P(y | x_s), marginalizing beta_S over the prior.
+def log_marginal_likelihood(model: ModelSpec, prior: SignalPrior, x_s, y):
+    """log P(y | x_s), marginalizing beta_S over the prior.  A float for one
+    (n x k) x_s; one score per candidate for a (C x n x k) stack.
 
     Exact finite mixture over distinct permutations for permuted-vector
-    priors (all channels); exact multivariate Gaussian for the iid-gaussian
-    prior on the linear channel; deterministic for fixed-vector/all-ones.
+    priors (all channels); the exact Gaussian evidence for the iid-gaussian
+    prior on the linear channel (`_gaussian_evidence`); deterministic for
+    fixed-vector/all-ones.
     """
     x_s = np.asarray(x_s, dtype=float)
     y = np.asarray(y, dtype=float)
-    k = x_s.shape[1]
     if prior.variant == IID_GAUSSIAN:
         if model.channel != LINEAR:
             raise UnsupportedCombinationError(
                 "iid-gaussian marginal likelihood is only available for the linear channel"
             )
-        cov = model.sigma**2 * np.eye(y.size) + prior.sigma_beta_sq * (x_s @ x_s.T)
-        sign, logdet = np.linalg.slogdet(cov)
-        if sign <= 0:
-            raise np.linalg.LinAlgError("covariance not positive definite")
-        sol = np.linalg.solve(cov, y)
-        return float(-0.5 * (y @ sol) - 0.5 * logdet - 0.5 * y.size * _LOG_2PI)
-    atoms = prior_atoms(prior, k)
-    terms = [lw + log_conditional_likelihood(model, x_s, b, y) for lw, b in atoms]
-    return float(logsumexp(terms))
+        return _row_sum(_gaussian_evidence(model.sigma, prior.sigma_beta_sq, x_s, y))
+    terms = [
+        lw + log_conditional_likelihood(model, x_s, b, y)
+        for lw, b in prior_atoms(prior, x_s.shape[-1])
+    ]
+    if len(terms) == 1:  # a single atom is its own log-sum-exp
+        return terms[0]
+    return _row_sum(logsumexp(np.stack(terms, axis=-1), axis=-1))
+
+
+def _gaussian_evidence(sigma: float, sigma_beta_sq: float, x_s, y):
+    """log N(y; 0, Sigma), Sigma = sigma^2 I + sigma_beta^2 X_S X_S^T, from
+    k x k quantities only: the evidence of Bayesian linear regression (Bishop,
+    PRML, section 3.5).  With r = sigma_beta^2 / sigma^2, G = X_S^T X_S,
+    u = X_S^T y, M = I + r G, w = M^-1 u and the posterior mean m = r w,
+
+        log det Sigma  = n log sigma^2 + log det M
+        y^T Sigma^-1 y = (||y - X_S m||^2 + r ||w||^2) / sigma^2.
+
+    The quadratic form is a sum of non-negative terms; the Woodbury
+    difference (y^T y - r u^T w) / sigma^2 cancels and can go negative when
+    r is large.
+
+    M is positive definite only while its identity survives rounding against
+    r G: LinAlgError("covariance not positive definite") is raised when
+    sigma^2 underflows to 0, when r is not finite, or when
+    r * max diag G >= 1 / eps for any candidate.  At n = 4 this refuses from
+    sigma_beta^2 / sigma^2 of about 1e15 on.  Below the cut-off a singular G
+    (n < k) still carries a rounding error of about eps * max diag G, which
+    r scales: the relative error of the score grows like eps * r * max diag G
+    (2e-11 at sigma_beta^2 = 1e6, 2e-5 at 1e12, n = 1, k = 2).
+    """
+    sigma_sq = sigma**2
+    r = sigma_beta_sq / sigma_sq if sigma_sq > 0.0 else math.inf
+    xt = np.swapaxes(x_s, -1, -2)
+    g = xt @ x_s
+    # a Python product: an overflow is inf, and inf * 0 is nan, both refused
+    if not r * float(np.max(np.diagonal(g, axis1=-2, axis2=-1))) < 1.0 / np.finfo(float).eps:
+        raise np.linalg.LinAlgError("covariance not positive definite")
+    m_mat = np.eye(x_s.shape[-1]) + r * g
+    _, logdet = np.linalg.slogdet(m_mat)
+    w = np.linalg.solve(m_mat, (xt @ y)[..., None])
+    resid = y - (x_s @ (r * w))[..., 0]
+    quad = (np.sum(resid**2, axis=-1) + r * np.sum(w[..., 0] ** 2, axis=-1)) / sigma_sq
+    return -0.5 * (quad + logdet + y.size * (math.log(sigma_sq) + _LOG_2PI))

@@ -16,12 +16,17 @@ Decoders:
 - comp-gt: rules out any item appearing in a negative test, then keeps the k
   items occurring most often in positive tests (group testing only).
 
-The threshold and exhaustive-ML decoders work on all candidate supports at
-once.  Candidates are drawn in lexicographic blocks of at most
-_CANDIDATE_BLOCK; the threshold decoder stacks a block's design columns into
-one (candidates x rows x k) array, which the channel likelihood and density
-methods take whole, and group-testing ML scores a block with one product of
-the design and a 0/1 (items x candidates) incidence matrix.
+Every exhaustive decoder works on all candidate supports at once.
+Candidates are drawn in lexicographic blocks of at most _CANDIDATE_BLOCK; a
+block's design columns are stacked into one (candidates x rows x k) array,
+which the channel likelihood and density methods take whole.  The threshold
+decoder computes its statistics from the stack, and exhaustive ML scores it
+with one `log_marginal_likelihood` call: a discrete prior sums the stacked
+likelihood over its atoms, and the iid-Gaussian prior (linear channel) takes
+the k x k evidence of Bayesian linear regression in its non-negative
+residual form, which refuses a covariance it cannot tell from singular.
+Group-testing ML with the all-ones prior instead scores a block with one
+product of the design and a 0/1 (items x candidates) incidence matrix.
 
 Exhaustive decoding is guarded at C(p, k) <= 10^6 and k <= 12; the guards
 are hard errors, not warnings.
@@ -148,6 +153,11 @@ def _candidate_blocks(dims: ProblemDims):
         yield np.array(block, dtype=int)
 
 
+def _design_stack(x, block):
+    """The (B x n x k) design columns of the candidates in block."""
+    return np.ascontiguousarray(np.moveaxis(x[:, block - 1], 1, 0))
+
+
 # ---------------------------------------------------------------------------
 # Threshold decoder
 # ---------------------------------------------------------------------------
@@ -214,7 +224,7 @@ def decode_threshold(
     partitions = list(enumerate_partitions(dims.k))
     winners = []
     for block in _candidate_blocks(dims):
-        x_cands = np.ascontiguousarray(np.moveaxis(x[:, block - 1], 1, 0))
+        x_cands = _design_stack(x, block)
         live = np.arange(len(block))
         for part in partitions:
             stat = _averaged_partition_density(model, prior, x_cands, y, part)
@@ -296,24 +306,24 @@ def decode_ml(
     prior: SignalPrior,
     dims: ProblemDims,
 ) -> frozenset[int]:
-    """Exhaustive maximum-likelihood support estimate, lexicographic ties."""
+    """Exhaustive maximum-likelihood support estimate, lexicographic ties.
+
+    Each block of candidates is scored at once: group testing with the
+    all-ones prior through `_ml_fast_gt`, every other pair through
+    `log_marginal_likelihood` on the block's stacked design columns."""
     x, y = realization.x, realization.y
-    if model.channel == GROUP_TESTING and prior.variant == ALL_ONES:
-        best_score, best_cand = -math.inf, None
-        for block in _candidate_blocks(dims):
+    fast_gt = model.channel == GROUP_TESTING and prior.variant == ALL_ONES
+    best_score, best_cand = -math.inf, None
+    for block in _candidate_blocks(dims):
+        if fast_gt:
             scores = _ml_fast_gt(model, x, y, block)
-            i = int(np.argmax(scores))  # argmax takes the first (lexicographic) max
-            if best_cand is None or scores[i] > best_score:
-                best_score, best_cand = scores[i], block[i].tolist()
-        return frozenset(best_cand)
-    cands = list(candidate_supports(dims))
-    best_score = -math.inf
-    best_cand = cands[0]
-    for cand in cands:
-        x_cand = x[:, np.asarray(cand, dtype=int) - 1]
-        score = log_marginal_likelihood(model, prior, x_cand, y)
-        if score > best_score:
-            best_score, best_cand = score, cand
+        else:
+            scores = log_marginal_likelihood(model, prior, _design_stack(x, block), y)
+            # a nan score never wins, as under a strict > comparison
+            scores = np.where(np.isnan(scores), -math.inf, scores)
+        i = int(np.argmax(scores))  # argmax takes the first (lexicographic) max
+        if best_cand is None or scores[i] > best_score:
+            best_score, best_cand = scores[i], block[i].tolist()
     return frozenset(best_cand)
 
 

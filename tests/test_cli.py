@@ -1,4 +1,5 @@
 import json
+import warnings
 
 import pytest
 
@@ -178,6 +179,18 @@ class TestSimulateCommand:
         assert code == 0
         assert len(out.strip().splitlines()) == 3
 
+    def test_overflowing_residuals_warn_nothing(self, capsys):
+        # b = 1e300 squares past the float range: those candidates score -inf
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code, out, err = run(
+                capsys, "simulate", "--p", "6", "--k", "2", "--model", "linear",
+                "--b", "1,1e300", "--decoder", "ml", "--n-grid", "4:4:1",
+                "--trials", "3", "--seed", "1",
+            )
+        assert (code, err, caught) == (0, "", [])
+        assert len(out.strip().splitlines()) == 2
+
 
 class TestVerifyCommand:
     def test_suite_size_contract(self):
@@ -234,6 +247,21 @@ BAD_INPUTS = [
     (["threshold", "--figure", "partial-recovery", "--snr-db=4000:4000:1"], 2, 1),
     (["simulate", "--model", "linear", "--prior", "gaussian", "--decoder", "threshold",
       "--p", "6", "--k", "2", "--n-grid", "4:4:1", "--seed", "1"], 2, 1),
+    (["simulate", "--model", "one-bit", "--prior", "gaussian",
+      "--p", "6", "--k", "2", "--n-grid", "4:4:1", "--seed", "1"], 2, 1),
+    (["simulate", "--model", "linear", "--prior", "gaussian", "--b", "1,2",
+      "--p", "6", "--k", "2", "--n-grid", "4:4:1", "--seed", "1"], 2, 1),
+] + [
+    # the Gaussian evidence refuses a covariance it cannot tell from singular
+    (["simulate", "--model", "linear", "--prior", "gaussian", "--p", "6", "--k", "2",
+      "--n-grid", "4:4:1", "--trials", "3", "--seed", "1", flag, value], code, lines)
+    for flag, value, code, lines in (
+        ("--sigma", "1e-300", 2, 1),
+        ("--sigma", "1e-160", 2, 1),
+        ("--sigma-beta-sq", "1e20", 2, 1),
+        ("--sigma-beta-sq", "1e300", 2, 1),
+        ("--sigma-beta-sq", "1e12", 0, 0),
+    )
 ]
 
 

@@ -164,6 +164,145 @@ class TestBatchedCandidates:
         assert statuses == {"unique", "none", "multiple"}
 
 
+def loop_ml_score(model, prior, x_cand, y):
+    """Reference: the exhaustive-ML score of one candidate, atom by atom, as
+    it was before candidates were stacked."""
+    terms = [
+        lw + info.log_conditional_likelihood(model, x_cand, b, y)
+        for lw, b in info.prior_atoms(prior, x_cand.shape[1])
+    ]
+    return float(logsumexp(terms))
+
+
+def loop_gaussian_score(model, prior, x_cand, y):
+    """Reference: the iid-Gaussian evidence from the n x n covariance, as it
+    was computed before the k x k form."""
+    cov = model.sigma**2 * np.eye(y.size) + prior.sigma_beta_sq * (x_cand @ x_cand.T)
+    _, logdet = np.linalg.slogdet(cov)
+    sol = np.linalg.solve(cov, y)
+    return float(-0.5 * (y @ sol) - 0.5 * logdet - 0.5 * y.size * math.log(2.0 * math.pi))
+
+
+def loop_ml_decode(real, model, prior, dims, score=loop_ml_score):
+    """Reference: exhaustive ML as a loop over candidates, first strict max."""
+    cands = list(sim.candidate_supports(dims))
+    best_score, best_cand = -math.inf, cands[0]
+    for cand in cands:
+        s = score(model, prior, real.x[:, np.asarray(cand) - 1], real.y)
+        if s > best_score:
+            best_score, best_cand = s, cand
+    return frozenset(best_cand)
+
+
+def mp_gaussian_evidence(model, prior, x_cand, y, dps=60):
+    """Oracle: log N(y; 0, sigma^2 I + sigma_beta^2 X X^T) from the n x n
+    covariance in dps-digit arithmetic."""
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(dps):
+        n = y.size
+        if n == 0:
+            return 0.0
+        x = mpmath.matrix(x_cand.tolist())
+        yv = mpmath.matrix(y.tolist())
+        cov = mpmath.mpf(model.sigma) ** 2 * mpmath.eye(n) + mpmath.mpf(prior.sigma_beta_sq) * (
+            x * x.T
+        )
+        quad = (yv.T * mpmath.lu_solve(cov, yv))[0]
+        return float(-(quad + mpmath.log(mpmath.det(cov)) + n * mpmath.log(2 * mpmath.pi)) / 2)
+
+
+ML_CASES = [name for name in sorted(STAT_CASES) if not name.startswith("gt")]
+
+
+class TestBlockMl:
+    @pytest.mark.parametrize("n", [0, 1, 25])
+    @pytest.mark.parametrize("name", ML_CASES)
+    def test_discrete_scores_and_decisions_equal_candidate_loop(self, name, n, monkeypatch):
+        m, pr = STAT_CASES[name]
+        dims = md.ProblemDims(p=7, k=3, n=n)
+        monkeypatch.setattr(sim, "_CANDIDATE_BLOCK", 7)
+        for t in range(6):
+            real = md.sample_realization(dims, m, pr, SEED, stream=(10, n, t))
+            cands = np.array(list(sim.candidate_supports(dims)))
+            x_cands = sim._design_stack(real.x, cands)
+            scores = info.log_marginal_likelihood(m, pr, x_cands, real.y)
+            assert scores.tolist() == [loop_ml_score(m, pr, x, real.y) for x in x_cands]
+            one = info.log_marginal_likelihood(m, pr, x_cands[0], real.y)
+            assert type(one) is float and one == scores[0]
+            assert sim.decode_ml(real, m, pr, dims) == loop_ml_decode(real, m, pr, dims)
+
+    @pytest.mark.parametrize("prior", [md.SignalPrior.fixed([1.0, -0.5, 2.0]),
+                                       md.SignalPrior.permuted([1.0, -0.5, 2.0])])
+    def test_zero_likelihood_atoms_equal_candidate_loop(self, prior, monkeypatch):
+        # at sigma = 1e-200 every sign an atom gets wrong has log Q = -inf
+        m = md.ModelSpec.one_bit(1e-200)
+        dims = md.ProblemDims(p=6, k=3, n=12)
+        monkeypatch.setattr(sim, "_CANDIDATE_BLOCK", 7)
+        seen = set()
+        for t in range(6):
+            real = md.sample_realization(dims, m, prior, SEED, stream=(11, t))
+            x_cands = sim._design_stack(real.x, np.array(list(sim.candidate_supports(dims))))
+            scores = info.log_marginal_likelihood(m, prior, x_cands, real.y).tolist()
+            assert scores == [loop_ml_score(m, prior, x, real.y) for x in x_cands]
+            seen.update("finite" if math.isfinite(v) else v for v in scores)
+            assert sim.decode_ml(real, m, prior, dims) == loop_ml_decode(real, m, prior, dims)
+        assert seen == {"finite", -math.inf}
+
+    def test_nan_scores_never_win(self):
+        # entries at the float limit overflow x_s @ b to inf - inf = nan for
+        # some candidates; the loop's strict > passes over them
+        m = md.ModelSpec.linear(1.0)
+        pr = md.SignalPrior.fixed([1e308, -1e308])
+        dims = md.ProblemDims(p=6, k=2, n=4)
+        cands = np.array(list(sim.candidate_supports(dims)))
+        mixed = 0
+        with np.errstate(all="ignore"):
+            for t in range(20):
+                real = md.sample_realization(dims, m, pr, SEED, stream=(14, t))
+                x_cands = sim._design_stack(real.x, cands)
+                nan = np.isnan(info.log_marginal_likelihood(m, pr, x_cands, real.y))
+                mixed += nan.any() and not nan.all()
+                assert sim.decode_ml(real, m, pr, dims) == loop_ml_decode(real, m, pr, dims)
+        assert mixed > 0
+
+    @pytest.mark.parametrize("sigma_beta_sq", [0.25, 1.0, 1e6])
+    def test_gaussian_scores_match_high_precision_evidence(self, sigma_beta_sq):
+        # new tolerance: the k x k evidence against a 60-digit n x n one
+        m = md.ModelSpec.linear(0.7)
+        pr = md.SignalPrior.iid_gaussian(sigma_beta_sq)
+        for n in (0, 1, 12):
+            dims = md.ProblemDims(p=6, k=2, n=n)
+            real = md.sample_realization(dims, m, pr, SEED, stream=(12, n))
+            x_cands = sim._design_stack(real.x, np.array(list(sim.candidate_supports(dims))))
+            scores = info.log_marginal_likelihood(m, pr, x_cands, real.y)
+            for got, x in zip(scores, x_cands):
+                exact = mp_gaussian_evidence(m, pr, x, real.y)
+                assert abs(got - exact) <= 1e-9 * abs(exact)
+            one = info.log_marginal_likelihood(m, pr, x_cands[0], real.y)
+            assert type(one) is float and one == scores[0]
+
+    @pytest.mark.parametrize("sigma_beta_sq", [0.25, 1.0])
+    def test_gaussian_decisions_equal_covariance_loop(self, sigma_beta_sq, monkeypatch):
+        m = md.ModelSpec.linear(0.7)
+        pr = md.SignalPrior.iid_gaussian(sigma_beta_sq)
+        monkeypatch.setattr(sim, "_CANDIDATE_BLOCK", 7)
+        for n in (2, 8, 30):
+            dims = md.ProblemDims(p=8, k=2, n=n)
+            for t in range(15):
+                real = md.sample_realization(dims, m, pr, SEED, stream=(13, n, t))
+                expected = loop_ml_decode(real, m, pr, dims, score=loop_gaussian_score)
+                assert sim.decode_ml(real, m, pr, dims) == expected
+
+    def test_gaussian_guard(self):
+        x = md.rng_stream(SEED).standard_normal((2, 4, 2))
+        y = np.ones(4)
+        for sigma, sigma_beta_sq in ((1e-300, 1.0), (1e-160, 1.0), (1.0, 1e20)):
+            with pytest.raises(np.linalg.LinAlgError, match="not positive definite"):
+                info.log_marginal_likelihood(
+                    md.ModelSpec.linear(sigma), md.SignalPrior.iid_gaussian(sigma_beta_sq), x, y
+                )
+
+
 class TestGuards:
     def test_candidate_cap(self):
         with pytest.raises(md.GuardError):
