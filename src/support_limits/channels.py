@@ -109,6 +109,8 @@ class _GaussianDesign(Channel):
             raise ValueError(f"{spec.channel} requires the gaussian-unit design")
         if not spec.sigma > 0:
             raise ValueError("noise std sigma must be > 0")
+        if not spec.sigma * spec.sigma < math.inf:
+            raise ValueError(f"noise std sigma = {spec.sigma:g} has a square beyond the float range")
 
     def check_prior(self, spec, prior, k: int) -> None:
         if prior.variant == "all-ones":
@@ -122,6 +124,11 @@ class Linear(_GaussianDesign):
     """y = <x, b> + z, z ~ N(0, sigma^2);  I = (1/2) log(1 + sum_dif b^2 / sigma^2)."""
 
     mi_method = "closed-form"
+
+    def validate(self, spec) -> None:
+        super().validate(spec)
+        if spec.sigma * spec.sigma == 0.0:  # the likelihood divides by sigma^2
+            raise ValueError(f"noise std sigma = {spec.sigma:g} has a square that underflows to 0")
 
     def sample(self, spec, x_s, b, rng):
         return x_s @ b + spec.sigma * rng.standard_normal(x_s.shape[0])
@@ -313,9 +320,9 @@ class GroupTesting(Channel):
         return (rng.random((n, p)) < spec.bernoulli_p(k)).astype(float)
 
     def sample(self, spec, x_s, b, rng):
-        hit = (x_s.astype(bool).any(axis=-1)).astype(np.int8)
+        hit = x_s.astype(bool).any(axis=-1)
         if spec.rho > 0.0:
-            hit = hit ^ (rng.random(x_s.shape[0]) < spec.rho).astype(np.int8)
+            hit = hit ^ (rng.random(x_s.shape[0]) < spec.rho)
         return hit.astype(float)
 
     def table(self, spec, partition) -> GtTable:

@@ -215,6 +215,8 @@ def cmd_simulate(args, parser) -> int:
     if args.seed is None:
         args.seed = DEFAULT_SEED
         print(f"using default seed {args.seed}", file=sys.stderr)
+    if not 0 <= int(args.seed) < 2**63:
+        raise ConfigError(f"--seed must lie in [0, 2^63), got {args.seed}")
     reports = sim.phase_sweep(model, prior, dims, n_grid, decoder, args.trials, args.seed)
     rows = [r.as_csv_row() for r in sorted(reports, key=lambda r: r.n)]
     _write_rows(args.output, sim.CSV_HEADER, rows, args.format)

@@ -310,16 +310,16 @@ def _gaussian_evidence(sigma: float, sigma_beta_sq: float, x_s, y):
     r is large.
 
     M is positive definite only while its identity survives rounding against
-    r G: LinAlgError("covariance not positive definite") is raised when
-    sigma^2 underflows to 0, when r is not finite, or when
-    r * max diag G >= 1 / eps for any candidate.  At n = 4 this refuses from
+    r G: LinAlgError("covariance not positive definite") is raised when r
+    is not finite, or when r * max diag G >= 1 / eps for any candidate
+    (`Linear.validate` refuses a sigma^2 that underflows to 0).  At n = 4 this refuses from
     sigma_beta^2 / sigma^2 of about 1e15 on.  Below the cut-off a singular G
     (n < k) still carries a rounding error of about eps * max diag G, which
     r scales: the relative error of the score grows like eps * r * max diag G
     (2e-11 at sigma_beta^2 = 1e6, 2e-5 at 1e12, n = 1, k = 2).
     """
     sigma_sq = sigma**2
-    r = sigma_beta_sq / sigma_sq if sigma_sq > 0.0 else math.inf
+    r = sigma_beta_sq / sigma_sq
     xt = np.swapaxes(x_s, -1, -2)
     g = xt @ x_s
     # a Python product: an overflow is inf, and inf * 0 is nan, both refused

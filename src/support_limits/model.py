@@ -30,9 +30,10 @@ class GuardError(ValueError):
 
 
 def rng_stream(seed: int, *stream: int) -> np.random.Generator:
-    """Counter-based generator for (seed, stream...); reproducible splitting."""
-    ss = np.random.SeedSequence([int(seed) & (2**63 - 1), *[int(s) for s in stream]])
-    return np.random.Generator(np.random.Philox(key=ss.generate_state(2, np.uint64)))
+    """Counter-based generator for (seed, stream...), seed in [0, 2^63)."""
+    if not 0 <= int(seed) < 2**63:
+        raise ValueError(f"seed must lie in [0, 2^63), got {seed}")
+    return np.random.Generator(np.random.Philox(np.random.SeedSequence([int(seed), *stream])))
 
 
 @dataclass(frozen=True)
@@ -294,7 +295,7 @@ def sample_realization(
     """
     validate_pairing(model, prior, dims.k)
     rng = rng_stream(seed, *stream)
-    support = tuple(sorted(int(i) + 1 for i in rng.choice(dims.p, size=dims.k, replace=False)))
+    index = np.sort(rng.choice(dims.p, size=dims.k, replace=False))
 
     if prior.variant == FIXED_VECTOR:
         b_s = np.asarray(prior.b, dtype=float)
@@ -309,6 +310,6 @@ def sample_realization(
     x = channel.draw_design(model, rng, dims.n, dims.p, dims.k)
 
     beta = np.zeros(dims.p)
-    beta[np.asarray(support, dtype=int) - 1] = b_s
-    y = channel.sample(model, x[:, np.asarray(support, dtype=int) - 1], b_s, rng)
-    return Realization(support=support, beta=beta, x=x, y=y)
+    beta[index] = b_s
+    y = channel.sample(model, x[:, index], b_s, rng)
+    return Realization(support=tuple((index + 1).tolist()), beta=beta, x=x, y=y)

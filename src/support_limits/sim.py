@@ -28,6 +28,11 @@ residual form, which refuses a covariance it cannot tell from singular.
 Group-testing ML with the all-ones prior instead scores a block with one
 product of the design and a 0/1 (items x candidates) incidence matrix.
 
+`run_cell` decodes trial blocks of at most _TRIAL_BLOCK_ENTRIES design
+entries (n x p per trial) and at least one trial: COMP scores a block in one
+pass, exhaustive ML enumerates the candidates (and GT incidence matrices)
+once per block, and the threshold decoder takes one realization per call.
+
 Exhaustive decoding is guarded at C(p, k) <= 10^6 and k <= 12; the guards
 are hard errors, not warnings.
 """
@@ -70,6 +75,8 @@ K_CAP = 12
 # _CANDIDATE_BLOCK x n x k design entries, a group-testing ML block
 # _CANDIDATE_BLOCK x (p + n), so memory stays bounded whatever C(p, k) is.
 _CANDIDATE_BLOCK = 512
+# Design entries (n x p per trial) of the trials run_cell decodes together.
+_TRIAL_BLOCK_ENTRIES = 2**16
 
 
 @dataclass(frozen=True)
@@ -288,56 +295,68 @@ def threshold_union_bound(
 # ---------------------------------------------------------------------------
 
 
-def _ml_fast_gt(model, x, y, cands):
-    """All-ones GT likelihood of each candidate in cands, a (C x k) array of
-    1-based indices.  A test hits a candidate when the product of the design
-    with the 0/1 (p x C) incidence matrix is non-zero; the counts are exact
-    integers."""
-    incidence = np.zeros((x.shape[1], len(cands)))
+def _incidence(p: int, cands):
+    """0/1 (p x C) incidence matrix of cands, a (C x k) array of 1-based indices."""
+    incidence = np.zeros((p, len(cands)))
     incidence[cands - 1, np.arange(len(cands))[:, None]] = 1.0
+    return incidence
+
+
+def _ml_fast_gt(model, x, y, incidence):
+    """All-ones GT likelihood of each candidate of an `_incidence` matrix; a
+    test hits the candidates where its product with the design is non-zero."""
     hits = ((x != 0) @ incidence) > 0.5
     n_miss = (hits != (y > 0.5)[:, None]).sum(axis=0)
     return CHANNELS[model.channel].score(model, y.size, n_miss)
 
 
 def decode_ml(
-    realization: Realization,
+    realizations: Realization | Sequence[Realization],
     model: ModelSpec,
     prior: SignalPrior,
     dims: ProblemDims,
-) -> frozenset[int]:
-    """Exhaustive maximum-likelihood support estimate, lexicographic ties.
+) -> frozenset[int] | list[frozenset[int]]:
+    """Exhaustive maximum-likelihood support estimate, lexicographic ties:
+    one for a Realization, a list for a sequence of them.
 
-    Each block of candidates is scored at once: group testing with the
+    The candidate blocks are enumerated once for all the realizations, and
+    each block is scored at once per realization: group testing with the
     all-ones prior through `_ml_fast_gt`, every other pair through
     `log_marginal_likelihood` on the block's stacked design columns."""
-    x, y = realization.x, realization.y
+    reals = [realizations] if isinstance(realizations, Realization) else realizations
     fast_gt = model.channel == GROUP_TESTING and prior.variant == ALL_ONES
-    best_score, best_cand = -math.inf, None
+    best = [(-math.inf, None)] * len(reals)
     for block in _candidate_blocks(dims):
-        if fast_gt:
-            scores = _ml_fast_gt(model, x, y, block)
-        else:
-            scores = log_marginal_likelihood(model, prior, _design_stack(x, block), y)
-            # a nan score never wins, as under a strict > comparison
-            scores = np.where(np.isnan(scores), -math.inf, scores)
-        i = int(np.argmax(scores))  # argmax takes the first (lexicographic) max
-        if best_cand is None or scores[i] > best_score:
-            best_score, best_cand = scores[i], block[i].tolist()
-    return frozenset(best_cand)
+        incidence = _incidence(dims.p, block) if fast_gt else None
+        for j, real in enumerate(reals):
+            if fast_gt:
+                scores = _ml_fast_gt(model, real.x, real.y, incidence)
+            else:
+                scores = log_marginal_likelihood(model, prior, _design_stack(real.x, block), real.y)
+                # a nan score never wins, as under a strict > comparison
+                scores = np.where(np.isnan(scores), -math.inf, scores)
+            i = int(np.argmax(scores))  # argmax takes the first (lexicographic) max
+            if best[j][1] is None or scores[i] > best[j][0]:
+                best[j] = scores[i], block[i]
+    estimates = [frozenset(cand.tolist()) for _, cand in best]
+    return estimates[0] if isinstance(realizations, Realization) else estimates
 
 
-def decode_comp(realization: Realization, dims: ProblemDims) -> frozenset[int]:
+def decode_comp(
+    realizations: Realization | Sequence[Realization], dims: ProblemDims
+) -> frozenset[int] | list[frozenset[int]]:
     """COMP baseline: items in any negative test are non-defective; the k
-    highest positive-test membership counts win, lexicographic ties."""
-    x = realization.x.astype(bool)
-    y = realization.y > 0.5
-    excluded = x[~y].any(axis=0) if (~y).any() else np.zeros(dims.p, dtype=bool)
-    scores = x[y].sum(axis=0).astype(float) if y.any() else np.zeros(dims.p)
-    scores[excluded] = -1.0
-    # stable sort on (-score, index) gives highest scores, ties to low index
-    order = np.lexsort((np.arange(dims.p), -scores))
-    return frozenset(int(i) + 1 for i in order[: dims.k])
+    highest positive-test membership counts win, lexicographic ties.  One
+    estimate for a Realization, a list for a sequence of them."""
+    reals = [realizations] if isinstance(realizations, Realization) else realizations
+    x = np.stack([r.x for r in reals], dtype=bool, casting="unsafe")  # trials x n x p
+    y = (np.stack([r.y for r in reals]) > 0.5)[:, :, None]
+    scores = (x & y).sum(axis=1).astype(float)
+    scores[(x & ~y).any(axis=1)] = -1.0
+    # a stable sort on -score gives highest scores, ties to low index
+    order = np.argsort(-scores, axis=1, kind="stable")[:, : dims.k]
+    estimates = [frozenset((row + 1).tolist()) for row in order]
+    return estimates[0] if isinstance(realizations, Realization) else estimates
 
 
 # ---------------------------------------------------------------------------
@@ -345,18 +364,20 @@ def decode_comp(realization: Realization, dims: ProblemDims) -> frozenset[int]:
 # ---------------------------------------------------------------------------
 
 
-def _decode(decoder: DecoderSpec, real, model, prior, dims) -> DecodeOutcome:
+def _decode(decoder: DecoderSpec, reals, model, prior, dims) -> list[DecodeOutcome]:
+    """One DecodeOutcome per realization in reals."""
     if decoder.kind == "threshold":
-        return decode_threshold(real, model, prior, dims, decoder.delta1, decoder.gamma_rule)
+        args = (model, prior, dims, decoder.delta1, decoder.gamma_rule)
+        return [decode_threshold(real, *args) for real in reals]
     if decoder.kind == "exhaustive-ml":
-        est = decode_ml(real, model, prior, dims)
-        return DecodeOutcome(estimate=est, status="unique", candidates_passing=1)
-    if decoder.kind == "comp-gt":
+        estimates = decode_ml(reals, model, prior, dims)
+    elif decoder.kind == "comp-gt":
         if model.channel != GROUP_TESTING:
             raise ValueError("comp-gt requires the group-testing model")
-        est = decode_comp(real, dims)
-        return DecodeOutcome(estimate=est, status="unique", candidates_passing=1)
-    raise ValueError(f"unknown decoder kind {decoder.kind!r}")
+        estimates = decode_comp(reals, dims)
+    else:
+        raise ValueError(f"unknown decoder kind {decoder.kind!r}")
+    return [DecodeOutcome(estimate=est, status="unique", candidates_passing=1) for est in estimates]
 
 
 def run_cell(
@@ -368,22 +389,21 @@ def run_cell(
     seed: int,
     n_index: int = 0,
 ) -> SimReport:
-    """One (n, trials) simulation cell with per-(n, trial) derived streams."""
-    errors_exact = 0
-    errors_partial = 0
-    for t in range(trials):
-        real = sample_realization(dims, model, prior, seed, stream=(n_index, t))
-        out = _decode(decoder, real, model, prior, dims)
-        true = real.support_set()
-        if out.status != "unique" or out.estimate != true:
-            errors_exact += 1
-        if out.status != "unique":
-            errors_partial += 1
-        else:
-            missed = len(true - out.estimate)
-            extra = len(out.estimate - true)
-            if missed > dims.d_max or extra > dims.d_max:
-                errors_partial += 1
+    """One (n, trials) simulation cell with per-(n, trial) derived streams,
+    decoded in trial blocks of at most _TRIAL_BLOCK_ENTRIES design entries."""
+    errors_exact = errors_partial = 0
+    block = max(1, _TRIAL_BLOCK_ENTRIES // max(1, dims.n * dims.p))
+    for start in range(0, trials, block):
+        reals = [
+            sample_realization(dims, model, prior, seed, stream=(n_index, t))
+            for t in range(start, min(start + block, trials))
+        ]
+        for real, out in zip(reals, _decode(decoder, reals, model, prior, dims)):
+            true, est = real.support_set(), out.estimate
+            unique = out.status == "unique"
+            errors_exact += not unique or est != true
+            # missed or extra items beyond d_max
+            errors_partial += not unique or max(len(true - est), len(est - true)) > dims.d_max
     pe = errors_exact / trials
     lo, hi = wilson_interval(errors_exact, trials)
     return SimReport(

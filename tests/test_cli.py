@@ -154,6 +154,26 @@ class TestSimulateCommand:
         assert code == 0
         assert "default seed" in err
 
+    def test_seed_range(self, capsys, tmp_path):
+        argv = ["simulate", "--p", "8", "--k", "2", "--n-grid", "6:6:1", "--trials", "40"]
+        for seed in ("-1", str(2**63)):
+            code, out, err = run(capsys, *argv, "--seed", seed)
+            assert (code, out) == (2, "") and "--seed" in err
+        # a config file's seed is not parsed by argparse: "7" still runs as 7
+        cfg = tmp_path / "run.json"
+        expected = {"7": (0, run(capsys, *argv, "--seed", "7")[1], 0), "-1": (2, "", 1),
+                    "x": (2, "", 1)}
+        for seed, (code, stdout, err_lines) in expected.items():
+            cfg.write_text(json.dumps({"seed": seed}))
+            got, out, err = run(capsys, *argv, "--config", str(cfg))
+            assert (got, out, len(err.splitlines())) == (code, stdout, err_lines)
+        # the ends of the range keep their own streams: 16 and 15 errors
+        counts = [
+            run(capsys, *argv, "--seed", seed)[1].splitlines()[1].split(",")[2]
+            for seed in ("0", str(2**63 - 1))
+        ]
+        assert counts == ["16", "15"]
+
     def test_guard_exits_4(self, capsys):
         code, _, err = run(
             capsys, "simulate", "--p", "60", "--k", "12", "--model", "gt",
@@ -262,6 +282,20 @@ BAD_INPUTS = [
         ("--sigma-beta-sq", "1e300", 2, 1),
         ("--sigma-beta-sq", "1e12", 0, 0),
     )
+] + [
+    # a seed outside [0, 2^63) used to alias an in-range one
+    (["simulate", "--p", "8", "--k", "2", "--n-grid", "6:6:1", "--trials", "4", "--seed", seed],
+     2, 1)
+    for seed in ("-1", str(2**63), str(2**64))
+] + [
+    # a noise std whose square overflows or underflows
+    (["simulate", "--model", "linear", "--p", "6", "--k", "2", "--n-grid", "4:4:1",
+      "--trials", "3", "--seed", "1", "--sigma", sigma, *prior], 2, 1)
+    for sigma in ("1e200", "1e160", "1e-200")
+    for prior in (("--b", "1,2"), ("--prior", "gaussian"))
+] + [
+    (["simulate", "--model", "one-bit", "--decoder", "threshold", "--b", "1,2", "--p", "6",
+      "--k", "2", "--n-grid", "4:4:1", "--trials", "3", "--seed", "1", "--sigma", "1e200"], 2, 1),
 ]
 
 

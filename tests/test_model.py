@@ -28,6 +28,15 @@ class TestModelSpec:
             md.ModelSpec.group_testing(rho=0.5)
         md.ModelSpec.group_testing(rho=0.49)
 
+    def test_linear_sigma_square_in_float_range(self):
+        for sigma in (1e200, 1e160, 1e-200, math.inf):
+            with pytest.raises(ValueError, match="sigma"):
+                md.ModelSpec.linear(sigma)
+        md.ModelSpec.linear(1e-150)
+        md.ModelSpec.one_bit(1e-200)  # the 1-bit likelihood divides by sigma, not sigma^2
+        with pytest.raises(ValueError, match="sigma"):
+            md.ModelSpec.one_bit(1e200)
+
     def test_prior_pairing(self):
         with pytest.raises(ValueError):
             md.validate_pairing(md.ModelSpec.group_testing(), md.SignalPrior.fixed([1.0]), 1)
@@ -101,6 +110,20 @@ class TestSnr:
             c_beta = md.c_beta_from_snr(snr)
             prior = md.SignalPrior.iid_gaussian(c_beta / 5)
             assert md.snr_db(prior, md.ModelSpec.linear(1.0), 5) == pytest.approx(snr, abs=1e-12)
+
+
+class TestRngStream:
+    @pytest.mark.parametrize("stream", [(), (0,), (3, 2**31), (1, 2, 3, 4, 5)])
+    @pytest.mark.parametrize("seed", [0, 1, 2**32 - 1, 2**32, 2**63 - 1])
+    def test_same_draws_as_explicit_key(self, seed, stream):
+        ss = np.random.SeedSequence([seed, *stream])
+        old = np.random.Generator(np.random.Philox(key=ss.generate_state(2, np.uint64)))
+        assert md.rng_stream(seed, *stream).random(16).tolist() == old.random(16).tolist()
+
+    @pytest.mark.parametrize("seed", [-1, 2**63, 2**64])
+    def test_seed_outside_range_refused(self, seed):
+        with pytest.raises(ValueError, match="seed"):
+            md.rng_stream(seed)
 
 
 class TestSampler:

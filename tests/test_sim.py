@@ -136,7 +136,7 @@ class TestBatchedCandidates:
             cands = list(sim.candidate_supports(dims))
             for t in range(10):
                 real = md.sample_realization(dims, m, pr, SEED, stream=(n, t))
-                scores = sim._ml_fast_gt(m, real.x, real.y, np.array(cands))
+                scores = sim._ml_fast_gt(m, real.x, real.y, sim._incidence(dims.p, np.array(cands)))
                 assert np.array_equal(scores, loop_gt_scores(m, real.x, real.y, cands))
 
     def test_decoders_across_block_boundaries(self, monkeypatch):
@@ -296,11 +296,110 @@ class TestBlockMl:
     def test_gaussian_guard(self):
         x = md.rng_stream(SEED).standard_normal((2, 4, 2))
         y = np.ones(4)
-        for sigma, sigma_beta_sq in ((1e-300, 1.0), (1e-160, 1.0), (1.0, 1e20)):
+        for sigma, sigma_beta_sq in ((1e-160, 1.0), (1.0, 1e20)):
             with pytest.raises(np.linalg.LinAlgError, match="not positive definite"):
                 info.log_marginal_likelihood(
                     md.ModelSpec.linear(sigma), md.SignalPrior.iid_gaussian(sigma_beta_sq), x, y
                 )
+        # a sigma whose square underflows to 0 is refused before any evidence
+        with pytest.raises(ValueError, match="sigma = 1e-300"):
+            md.ModelSpec.linear(1e-300)
+
+
+def loop_run_cell(model, prior, dims, decoder, trials, seed, n_index=0):
+    """Reference: run_cell as one decode per trial, as it was before trial
+    blocks."""
+    errors_exact = errors_partial = 0
+    for t in range(trials):
+        real = md.sample_realization(dims, model, prior, seed, stream=(n_index, t))
+        if decoder.kind == "threshold":
+            out = sim.decode_threshold(real, model, prior, dims, decoder.delta1, decoder.gamma_rule)
+        else:
+            if decoder.kind == "exhaustive-ml":
+                est = sim.decode_ml(real, model, prior, dims)
+            else:
+                est = sim.decode_comp(real, dims)
+            out = sim.DecodeOutcome(estimate=est, status="unique", candidates_passing=1)
+        true = real.support_set()
+        if out.status != "unique" or out.estimate != true:
+            errors_exact += 1
+        if out.status != "unique":
+            errors_partial += 1
+        elif len(true - out.estimate) > dims.d_max or len(out.estimate - true) > dims.d_max:
+            errors_partial += 1
+    lo, hi = sim.wilson_interval(errors_exact, trials)
+    return sim.SimReport(dims.n, trials, errors_exact, errors_partial, errors_exact / trials,
+                         lo, hi, seed)
+
+
+GT = md.SignalPrior.all_ones()
+BLOCK_CASES = {
+    "comp-gt-noiseless": (md.ModelSpec.group_testing(rho=0.0), GT, "comp-gt"),
+    "comp-gt-noisy": (md.ModelSpec.group_testing(rho=0.11), GT, "comp-gt"),
+    "ml-gt-noiseless": (md.ModelSpec.group_testing(rho=0.0), GT, "exhaustive-ml"),
+    "ml-gt-noisy": (md.ModelSpec.group_testing(rho=0.11), GT, "exhaustive-ml"),
+    "ml-linear-fixed": (*STAT_CASES["linear-fixed"], "exhaustive-ml"),
+    "ml-linear-permuted": (*STAT_CASES["linear-permuted"], "exhaustive-ml"),
+    "ml-linear-gaussian": (md.ModelSpec.linear(0.7), md.SignalPrior.iid_gaussian(1.0),
+                           "exhaustive-ml"),
+    "ml-one-bit-fixed": (*STAT_CASES["one-bit-fixed"], "exhaustive-ml"),
+}
+
+
+class TestTrialBlocks:
+    @pytest.mark.parametrize("n", [0, 1, 12])
+    @pytest.mark.parametrize("name", sorted(BLOCK_CASES))
+    def test_block_estimates_equal_single_decodes(self, name, n, monkeypatch):
+        m, pr, kind = BLOCK_CASES[name]
+        k = len(pr.b) or 2
+        dims = md.ProblemDims(p=7, k=k, n=n, d_max=k - 1)
+        # three trials to a block: 7 trials span blocks of 3, 3 and 1
+        monkeypatch.setattr(sim, "_TRIAL_BLOCK_ENTRIES", 3 * max(1, n * dims.p))
+        monkeypatch.setattr(sim, "_CANDIDATE_BLOCK", 7)
+        fn_name = "decode_comp" if kind == "comp-gt" else "decode_ml"
+        decode, sizes = getattr(sim, fn_name), []
+
+        def spy(reals, *args):
+            if isinstance(reals, md.Realization):  # a call from loop_run_cell
+                return decode(reals, *args)
+            estimates = decode(reals, *args)
+            assert estimates == [decode(r, *args) for r in reals]
+            sizes.append(len(reals))
+            return estimates
+
+        monkeypatch.setattr(sim, fn_name, spy)
+        decoder = sim.DecoderSpec(kind=kind)
+        rep = sim.run_cell(m, pr, dims, decoder, 7, SEED, n_index=n)
+        assert sizes == [3, 3, 1]
+        assert rep == loop_run_cell(m, pr, dims, decoder, 7, SEED, n_index=n)
+
+    @pytest.mark.parametrize("name", sorted(BLOCK_CASES))
+    def test_run_cell_equals_trial_loop(self, name):
+        m, pr, kind = BLOCK_CASES[name]
+        dims = md.ProblemDims(p=8, k=len(pr.b) or 2, n=10, d_max=1)
+        for trials in (1, 40):
+            rep = sim.run_cell(m, pr, dims, sim.DecoderSpec(kind=kind), trials, SEED, n_index=3)
+            assert rep == loop_run_cell(m, pr, dims, sim.DecoderSpec(kind=kind), trials, SEED, 3)
+
+    def test_threshold_run_cell_equals_trial_loop(self, monkeypatch):
+        m, pr = STAT_CASES["gt-noisy"]
+        dims = md.ProblemDims(p=8, k=2, n=20, d_max=1)
+        decoder = sim.DecoderSpec(kind="threshold", delta1=1.0)
+        monkeypatch.setattr(sim, "_TRIAL_BLOCK_ENTRIES", 2 * dims.n * dims.p)
+        rep = sim.run_cell(m, pr, dims, decoder, 9, SEED)
+        assert rep == loop_run_cell(m, pr, dims, decoder, 9, SEED)
+
+    @pytest.mark.parametrize("p,n,sizes", [(16, 40, [102, 102, 46]), (300, 250, [1, 1])])
+    def test_block_holds_at_most_the_entry_bound(self, p, n, sizes, monkeypatch):
+        # 2^16 entries hold 102 trials of 40 x 16; a 250 x 300 trial is alone
+        decode, seen = sim.decode_comp, []
+        monkeypatch.setattr(
+            sim, "decode_comp", lambda reals, dims: seen.append(len(reals)) or decode(reals, dims)
+        )
+        dims = md.ProblemDims(p=p, k=2, n=n)
+        m = md.ModelSpec.group_testing()
+        sim.run_cell(m, GT, dims, sim.DecoderSpec(kind="comp-gt"), sum(sizes), SEED)
+        assert seen == sizes
 
 
 class TestGuards:
@@ -452,6 +551,22 @@ class TestCompDecoder:
             support=(3, 4), beta=np.zeros(6), x=np.zeros((0, 6)), y=np.zeros(0)
         )
         assert sim.decode_comp(real, md.ProblemDims(p=6, k=2, n=0)) == frozenset({1, 2})
+
+    @pytest.mark.parametrize("rho", [0.0, 0.11])
+    def test_ties_break_to_lowest_index(self, rho):
+        # p = 40 is past the length where numpy's default sort is stable
+        m = md.ModelSpec.group_testing(rho=rho)
+        for n in (0, 5, 30):
+            dims = md.ProblemDims(p=40, k=3, n=n)
+            reals = [md.sample_realization(dims, m, GT, SEED, stream=(6, n, t)) for t in range(20)]
+            expected = []
+            for real in reals:
+                x, y = real.x.astype(bool), real.y > 0.5
+                score = [-1 if x[~y, i].any() else int(x[y, i].sum()) for i in range(dims.p)]
+                ranked = sorted(range(dims.p), key=lambda i: (-score[i], i))
+                expected.append(frozenset(i + 1 for i in ranked[: dims.k]))
+            assert sim.decode_comp(reals, dims) == expected
+            assert [sim.decode_comp(real, dims) for real in reals] == expected
 
     def test_ml_no_worse_than_comp(self):
         m = md.ModelSpec.group_testing(rho=0.0)
