@@ -19,12 +19,14 @@ k log2(p/k) / n = 1 / (coef * log 2).
 """
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
 
+from . import numerics
 from .channels import CHANNELS
 from .conc import remainder_n_required
 from .info import (
@@ -527,19 +529,30 @@ def psi_function_1bit(
 
     Always in [0, log 2]; a non-finite quadrature value (e.g. c_beta = inf)
     raises NonConvergenceError.  A scalar alpha returns a float, an array of
-    alphas an array: the first expectation at every alpha and the alpha-free
-    second one go to mean_entropy_q_scaled as one array.
+    alphas an array of the same shape, each element equal to the scalar
+    call.  The first expectation is one mean_entropy_q_scaled call on all
+    the alphas; the alpha-free second one is kept for the last (c_beta,
+    sigma, quad) and entropy perturbation, so repeated calls at one c_beta
+    compute it once.
     """
     g = g_alpha(alpha)
     a1 = np.sqrt(c_beta * (1.0 - g) / (sigma**2 + c_beta * g))
-    a2 = math.sqrt(c_beta) / sigma
-    e = mean_entropy_q_scaled(np.append(a1, a2), quad)
-    diff = e[:-1] - e[-1]
+    full = _psi_full_term(c_beta, sigma, quad, numerics._ENTROPY_PERTURBATION)
+    diff = mean_entropy_q_scaled(a1, quad) - full
     scalar = np.ndim(alpha) == 0
-    if not (math.isfinite(diff.item()) if scalar else np.isfinite(diff).all()):
+    if not (math.isfinite(diff) if scalar else np.isfinite(diff).all()):
         raise NonConvergenceError(f"Psi quadrature is not finite at c_beta={c_beta}, sigma={sigma}")
-    psi = np.where(diff > 0.0, diff, 0.0)  # max(0.0, diff) per element
-    return float(psi[0]) if scalar else psi.reshape(np.shape(alpha))
+    if scalar:
+        return diff if diff > 0.0 else 0.0  # max(0.0, diff)
+    return np.where(diff > 0.0, diff, 0.0)
+
+
+@functools.lru_cache(maxsize=1)
+def _psi_full_term(c_beta: float, sigma: float, quad: QuadratureSpec, eps: float) -> float:
+    """E[H2(Q(W sqrt(c_beta)/sigma))], the alpha-free term of Psi.  `eps`
+    is the entropy perturbation in force: it scales the value, so it is
+    part of the cache key."""
+    return mean_entropy_q_scaled(math.sqrt(c_beta) / sigma, quad)
 
 
 def cor_1bit_partial(
@@ -551,7 +564,11 @@ def cor_1bit_partial(
     quad: QuadratureSpec = DEFAULT_QUAD,
 ) -> PartialCurves:
     """Partial-recovery coefficients for the 1-bit channel: as the linear
-    case with denominator Psi(alpha, c_beta, sigma)."""
+    case with denominator Psi(alpha, c_beta, sigma).
+
+    The alpha grid is one array psi_function_1bit call and each
+    golden-section step one scalar call; Psi's alpha-free term is computed
+    once per call, by the first of them."""
     denom = lambda a: psi_function_1bit(a, c_beta, sigma, quad)
     return _maximize_partial(denom, alpha_star, grid_points, eta)
 
@@ -581,15 +598,9 @@ def cor_gt_noiseless(theta: float, eta: float = 0.0) -> GtNoiselessResult:
     """
     if not 0.0 < theta < 1.0:
         raise ValueError("theta must lie in (0, 1)")
-
-    def objective(nu: float) -> float:
-        t1 = theta / (math.exp(-nu) * nu * (1.0 - theta))
-        t2 = 1.0 / binary_entropy(math.exp(-nu))
-        return max(t1, t2)
-
+    objective = lambda nu: _gt_noiseless_objective(theta, nu)
     grid = np.linspace(1e-3, 5.0, 256)
-    vals = [objective(float(nu)) for nu in grid]
-    i = int(np.argmin(vals))
+    i = int(np.argmin(objective(grid)))
     nu_star, best = _golden_refine_min(objective, grid, i)
     # nu = log 2 minimizes the second term exactly; prefer it when optimal
     at_log2 = objective(LOG2)
@@ -600,6 +611,18 @@ def cor_gt_noiseless(theta: float, eta: float = 0.0) -> GtNoiselessResult:
         coef_conv=(1.0 / LOG2) * (1.0 - eta),
         nu_star=nu_star,
     )
+
+
+def _gt_noiseless_objective(theta: float, nu):
+    """max{theta/(e^-nu nu (1-theta)), 1/H2(e^-nu)} at a float nu, or at each
+    element of an array of nus with the same bits: e^-nu by math.exp (np.exp
+    differs from it in the last bit on some numpy builds) and the operands
+    in the same order."""
+    if np.ndim(nu) == 0:
+        e = math.exp(-nu)
+        return max(theta / (e * nu * (1.0 - theta)), 1.0 / binary_entropy(e))
+    e = np.array([math.exp(-v) for v in nu.tolist()])
+    return np.maximum(theta / (e * nu * (1.0 - theta)), 1.0 / binary_entropy(e))
 
 
 def _golden_refine_min(f, grid, i, tol: float = 1e-10):

@@ -80,20 +80,38 @@ def _write_rows(path: str | None, header: list[str], rows: list[list], fmt: str)
             out.close()
 
 
-def _merge_config(args: argparse.Namespace, parser: argparse.ArgumentParser):
-    """Overlay JSON config under explicit flags (flags win)."""
+def _merge_config(args: argparse.Namespace, argv) -> argparse.Namespace:
+    """Overlay a JSON config under the flags given on the command line.
+
+    Each file key becomes the token `--key=value` (`--key` for true; false
+    and null leave the option at its default), placed right after the
+    subcommand name, and the command line is parsed again.  So an explicit
+    flag wins even where it equals its default, and argparse converts and
+    checks each file value and refuses an unknown key as it does a flag."""
     if not getattr(args, "config", None):
         return args
     with open(args.config) as fh:
         file_cfg = json.load(fh)
-    defaults = {a.dest: parser.get_default(a.dest) for a in parser._actions}
+    if not isinstance(file_cfg, dict):
+        raise ConfigError(f"config file {args.config} must hold a JSON object")
+    tokens = []
     for key, value in file_cfg.items():
-        dest = key.replace("-", "_")
-        if not hasattr(args, dest):
-            raise ConfigError(f"unknown config key {key!r}")
-        if getattr(args, dest) == defaults.get(dest):
-            setattr(args, dest, value)
-    return args
+        flag = "--" + key.replace("_", "-")
+        if value is True:
+            tokens.append(flag)
+        elif value is not None and value is not False:
+            tokens.append(f"{flag}={value}")
+    argv = list(sys.argv[1:] if argv is None else argv)
+    at = argv.index(args.command) + 1
+    return build_parser(_ConfigParser).parse_args(argv[:at] + tokens + argv[at:])
+
+
+class _ConfigParser(argparse.ArgumentParser):
+    """The parser of a command line with config tokens: an error is the
+    config file's, so it is a ConfigError, not a usage message."""
+
+    def error(self, message):
+        raise ConfigError(f"config file: {message}")
 
 
 # ---------------------------------------------------------------------------
@@ -101,8 +119,7 @@ def _merge_config(args: argparse.Namespace, parser: argparse.ArgumentParser):
 # ---------------------------------------------------------------------------
 
 
-def cmd_threshold(args, parser) -> int:
-    args = _merge_config(args, parser)
+def cmd_threshold(args) -> int:
     fig = args.figure
     if fig == "gt-noiseless":
         thetas = parse_range(args.theta)
@@ -192,8 +209,7 @@ def _build_prior(args, model: ModelSpec, k: int) -> SignalPrior:
     raise ConfigError("linear/one-bit simulation needs --b or --prior gaussian")
 
 
-def cmd_simulate(args, parser) -> int:
-    args = _merge_config(args, parser)
+def cmd_simulate(args) -> int:
     for required in ("p", "k", "n_grid"):
         if getattr(args, required) is None:
             raise ConfigError(f"missing required setting --{required.replace('_', '-')}")
@@ -228,14 +244,9 @@ def cmd_simulate(args, parser) -> int:
 # ---------------------------------------------------------------------------
 
 
-def cmd_verify(args, parser) -> int:
-    args = _merge_config(args, parser)
-    if args.perturb:
-        numerics.set_entropy_perturbation(args.perturb)
-    try:
+def cmd_verify(args) -> int:
+    with numerics.entropy_perturbation(args.perturb):
         results = verify.run_checks(only=args.only)
-    finally:
-        numerics.set_entropy_perturbation(0.0)
     width = max(len(r.name) for r in results)
     for r in results:
         status = "PASS" if r.passed else "FAIL"
@@ -256,8 +267,8 @@ def cmd_verify(args, parser) -> int:
 # ---------------------------------------------------------------------------
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(prog="support-limits", description=__doc__)
+def build_parser(cls=argparse.ArgumentParser) -> argparse.ArgumentParser:
+    parser = cls(prog="support-limits", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
     t = sub.add_parser("threshold", help="threshold curves and figure tables")
@@ -311,7 +322,7 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args, parser)
+        return args.func(_merge_config(args, argv))
     except (ConfigError, ValueError, FileNotFoundError, KeyError) as exc:
         if isinstance(exc, GuardError):
             print(f"guard refused: {exc}", file=sys.stderr)

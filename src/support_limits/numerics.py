@@ -25,16 +25,19 @@ whose integrand grows only polynomially and is evaluated in the log domain.
 Its a-independent factor log H2(Q(|r|)) is computed once per node count and
 cached beside the Hermite nodes.
 
-g(alpha) and mean_entropy_q_scaled take a scalar (and return a Python float)
-or an array of arguments (and return an array of the same shape); every
-element equals the scalar call bit for bit.  mean_entropy_q_scaled sums an
-array as (grid x nodes) Gauss-Hermite matrices of at most _GRID_BLOCK rows.
+H2, g(alpha) and mean_entropy_q_scaled take a scalar (and return a Python
+float) or an array of arguments (and return an array of the same shape);
+every element equals the scalar call bit for bit.  A scalar takes a scalar
+path, so the golden-section steps of the figure corollaries pay no array
+overhead.  mean_entropy_q_scaled sums an array as (grid x nodes)
+Gauss-Hermite matrices of at most _GRID_BLOCK rows.
 
 All entropies and information measures are in nats (base-e logs); base-2
 conversion happens only at the CLI reporting layer.
 """
 from __future__ import annotations
 
+from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import Callable
 
@@ -64,6 +67,18 @@ def set_entropy_perturbation(eps: float) -> None:
     """Inject a relative fault into the entropy routines (verify canary)."""
     global _ENTROPY_PERTURBATION
     _ENTROPY_PERTURBATION = float(eps)
+
+
+@contextmanager
+def entropy_perturbation(eps: float):
+    """Scale every entropy by (1 + eps) inside the block; the previous
+    perturbation is restored on exit, also when the block raises."""
+    previous = _ENTROPY_PERTURBATION
+    set_entropy_perturbation(eps)
+    try:
+        yield
+    finally:
+        set_entropy_perturbation(previous)
 
 
 @dataclass(frozen=True)
@@ -113,16 +128,29 @@ def gauss_hermite_nodes(n: int) -> tuple[np.ndarray, np.ndarray]:
 def binary_entropy(rho):
     """Binary entropy -rho log rho - (1-rho) log(1-rho) in nats.
 
-    Accepts scalars or arrays; raises on values outside [0, 1].
+    A float (np.float64 included) takes a scalar path and returns a float;
+    anything else goes through numpy and returns a float for a 0-d argument,
+    an array otherwise.  The scalar path applies np.log and np.log1p in the
+    array path's order, so it equals the array element bit for bit, signed
+    zeros included (H2(0) = 0.0, H2(1) = -0.0).  Raises ValueError on values
+    outside [0, 1] and on NaN.
     """
+    scale = 1.0 + _ENTROPY_PERTURBATION
+    if isinstance(rho, float):
+        if not 0.0 <= rho <= 1.0:
+            raise ValueError(f"binary_entropy argument outside [0, 1]: {float(rho)!r}")
+        h = -(rho * np.log(rho)) if rho > 0.0 else -0.0
+        h -= (1.0 - rho) * np.log1p(-rho) if rho < 1.0 else 0.0
+        return float(h * scale)
     r = np.asarray(rho, dtype=float)
-    if np.any(r < 0.0) or np.any(r > 1.0):
-        raise ValueError(f"binary_entropy argument outside [0, 1]: {rho!r}")
+    bad = ~((r >= 0.0) & (r <= 1.0))  # NaN included
+    if bad.any():
+        raise ValueError(f"binary_entropy argument outside [0, 1]: {float(r[bad][0])!r}")
     with np.errstate(divide="ignore", invalid="ignore"):
         h = -np.where(r > 0.0, r * np.log(r), 0.0)
         h -= np.where(r < 1.0, (1.0 - r) * np.log1p(-r), 0.0)
-    h = h * (1.0 + _ENTROPY_PERTURBATION)
-    return float(h) if np.isscalar(rho) or np.ndim(rho) == 0 else h
+    h = h * scale
+    return float(h) if np.ndim(rho) == 0 else h
 
 
 def q_function(x):

@@ -355,6 +355,101 @@ class TestPartialGridEquivalence:
             corollary(10.0, **kwargs)
 
 
+def _old_psi(alpha, c_beta, sigma=1.0, quad=nm.DEFAULT_QUAD):
+    """psi_function_1bit as it was: both expectations in one array call."""
+    g = nm.g_alpha(alpha)
+    a1 = np.sqrt(c_beta * (1.0 - g) / (sigma**2 + c_beta * g))
+    a2 = math.sqrt(c_beta) / sigma
+    e = nm.mean_entropy_q_scaled(np.append(a1, a2), quad)
+    diff = e[:-1] - e[-1]
+    psi = np.where(diff > 0.0, diff, 0.0)
+    return float(psi[0]) if np.ndim(alpha) == 0 else psi.reshape(np.shape(alpha))
+
+
+def _old_gt_objective(theta, nu):
+    """cor_gt_noiseless's objective as it was, with the binary entropy through
+    the array path as every call took it."""
+    t1 = theta / (math.exp(-nu) * nu * (1.0 - theta))
+    t2 = 1.0 / nm.binary_entropy(np.array(math.exp(-nu)))
+    return max(t1, t2)
+
+
+def _old_gt_noiseless(theta, eta=0.0):
+    """cor_gt_noiseless as it was: one scalar objective call per grid nu."""
+    objective = lambda nu: _old_gt_objective(theta, nu)
+    grid = np.linspace(1e-3, 5.0, 256)
+    vals = [objective(float(nu)) for nu in grid]
+    nu_star, best = bounds._golden_refine_min(objective, grid, int(np.argmin(vals)))
+    at_log2 = objective(nm.LOG2)
+    if at_log2 <= best + 1e-15:
+        nu_star, best = nm.LOG2, at_log2
+    return bounds.GtNoiselessResult(
+        coef_ach=best * (1.0 + eta), coef_conv=(1.0 / nm.LOG2) * (1.0 - eta), nu_star=nu_star
+    )
+
+
+# (c_beta, sigma): sqrt(c_beta)/sigma below, at and above 1, so Psi's
+# alpha-free term takes both mean_entropy_q_scaled branches
+# (0.7, 0.5) gives raw differences of -1e-16 at alpha near 1e-12, which Psi clamps to 0
+PSI_CASES = [(1e-3, 1.0), (0.5, 2.0), (1.0, 1.0), (0.7, 0.5), (3.0, 1.0), (50.0, 1.5),
+             (1e4, 2.0), (1e8, 0.5)]
+
+
+class TestFigureCorollariesEqualOldLoops:
+    """The scalar-kernel steps and the hoisted terms give the old values
+    bit for bit (==, no tolerance)."""
+
+    @pytest.mark.parametrize("eps", [0.0, 1e-3])
+    def test_psi_equals_two_row_call(self, eps):
+        small = np.logspace(-12, -1, 23)  # where Psi clamps at (0.7, 0.5)
+        alphas = np.concatenate([np.linspace(0.0, 1.0, 101), [0.1, 1.0], small])
+        with nm.entropy_perturbation(eps):
+            for cb, sigma in PSI_CASES:
+                assert bounds.psi_function_1bit(alphas, cb, sigma).tolist() == (
+                    _old_psi(alphas, cb, sigma).tolist()
+                )
+                for a in alphas[:103:10].tolist() + small.tolist():
+                    got = bounds.psi_function_1bit(a, cb, sigma)
+                    assert type(got) is float and got == _old_psi(a, cb, sigma)
+
+    @pytest.mark.parametrize("eps", [0.0, 1e-3])
+    @pytest.mark.parametrize("cb,sigma", PSI_CASES)
+    def test_1bit_partial_equals_old_loop(self, cb, sigma, eps):
+        with nm.entropy_perturbation(eps):
+            for alpha_star, eta in ((0.1, 0.0), (0.05, 0.05), (0.6, 0.0)):
+                got = bounds.cor_1bit_partial(cb, sigma, alpha_star, eta, grid_points=201)
+                old = bounds._maximize_partial(
+                    lambda a: _old_psi(a, cb, sigma), alpha_star, 201, eta
+                )
+                assert got == old
+
+    def test_gt_noiseless_equals_old_loop(self):
+        thetas = np.concatenate([np.linspace(0.01, 0.99, 99), [1e-9, 1.0 / 3.0, 1.0 - 1e-9]])
+        grid = np.linspace(1e-3, 5.0, 256)
+        for theta in thetas.tolist():
+            assert bounds.cor_gt_noiseless(theta) == _old_gt_noiseless(theta), theta
+            # the argmin alone would hide a last-bit change of the grid values
+            assert bounds._gt_noiseless_objective(theta, grid).tolist() == [
+                _old_gt_objective(theta, nu) for nu in grid.tolist()
+            ], theta
+        assert bounds.cor_gt_noiseless(0.7, eta=0.1) == _old_gt_noiseless(0.7, eta=0.1)
+
+    def test_hoisted_psi_term_sees_the_perturbation(self):
+        eps, cb = 1e-3, 10.0
+        plain = bounds.cor_1bit_partial(cb, grid_points=101)
+        with nm.entropy_perturbation(eps):
+            perturbed = bounds.cor_1bit_partial(cb, grid_points=101)
+        # both expectations of Psi scale by (1 + eps), the alpha-free one too
+        alphas = np.array([row[0] for row in plain.curves])
+        g = nm.g_alpha(alphas)
+        e1 = nm.mean_entropy_q_scaled(np.sqrt(cb * (1.0 - g) / (1.0 + cb * g)))
+        e2 = nm.mean_entropy_q_scaled(math.sqrt(cb))
+        diff = e1 * (1.0 + eps) - e2 * (1.0 + eps)
+        assert [row[1] for row in perturbed.curves] == np.where(diff > 0.0, diff, 0.0).tolist()
+        assert perturbed.coef_ach != plain.coef_ach
+        assert bounds.cor_1bit_partial(cb, grid_points=101) == plain
+
+
 class TestCor1BitPartial:
     def test_floor_from_log2(self):
         for cb in (0.1, 10.0, 1e4):

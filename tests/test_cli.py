@@ -3,7 +3,7 @@ import warnings
 
 import pytest
 
-from support_limits import cli
+from support_limits import cli, numerics
 from support_limits.numerics import NonConvergenceError
 
 
@@ -184,11 +184,54 @@ class TestSimulateCommand:
 
     def test_config_file_with_flag_override(self, capsys, tmp_path):
         cfg = tmp_path / "run.json"
-        cfg.write_text(json.dumps({"p": 8, "k": 2, "model": "gt", "decoder": "ml",
-                                   "n_grid": "2:6:2", "trials": 20, "seed": 3}))
+        cfg.write_text(json.dumps({"p": 8, "k": 2, "model": "linear", "b": "1,-2",
+                                   "decoder": "ml", "n_grid": "2:6:2", "trials": 20,
+                                   "seed": 3}))
         code, out, _ = run(capsys, "simulate", "--config", str(cfg), "--p", "10")
         assert code == 0
-        assert len(out.strip().splitlines()) == 4  # header + 3 grid points
+        lines = out.strip().splitlines()
+        assert len(lines) == 4  # header + 3 grid points
+        assert {line.split(",")[1] for line in lines[1:]} == {"20"}  # trials from the file
+        flags = ["simulate", "--p", "10", "--k", "2", "--model", "linear", "--b", "1,-2",
+                 "--n-grid", "2:6:2", "--trials", "20", "--seed", "3"]
+        assert out == run(capsys, *flags)[1]  # so is the linear model
+        # an explicit flag wins, also where it equals its default
+        code, out, _ = run(capsys, "simulate", "--config", str(cfg), "--trials", "500",
+                           "--model", "gt", "--decoder", "comp", "--n-grid", "4:4:1")
+        assert code == 0
+        assert out.splitlines()[1].split(",")[:2] == ["4", "500"]
+        assert out == run(capsys, "simulate", "--p", "8", "--k", "2", "--decoder", "comp",
+                          "--n-grid", "4:4:1", "--seed", "3")[1]
+
+    def test_config_values_converted_like_flags(self, capsys, tmp_path):
+        cfg = tmp_path / "run.json"
+        flags = ["threshold", "--figure", "gt-noisy", "--theta", "0.2:0.3:0.1", "--rho", "0.11"]
+        # false and null leave an option at its default: the CSV goes to stdout
+        cfg.write_text(json.dumps({"theta": "0.2:0.3:0.1", "rho": 0.11, "verbose": False,
+                                   "output": None}))
+        code, out, _ = run(capsys, "threshold", "--figure", "gt-noisy", "--config", str(cfg))
+        assert code == 0 and out == run(capsys, *flags)[1]
+        cfg.write_text(json.dumps({"theta": "0.2:0.3:0.1", "verbose": True}))
+        code, out, _ = run(capsys, "threshold", "--figure", "gt-noiseless", "--config", str(cfg))
+        assert code == 0 and out == run(capsys, "threshold", "--figure", "gt-noiseless",
+                                        "--theta", "0.2:0.3:0.1", "--verbose")[1]
+        argv = ["simulate", "--p", "8", "--k", "2", "--n-grid", "4:4:1", "--trials", "30"]
+        cfg.write_text(json.dumps({"seed": None, "b": None}))
+        assert run(capsys, *argv, "--config", str(cfg)) == run(capsys, *argv)
+        bad = [({"trials": "many"}, "argument --trials: invalid int value: 'many'"),
+               ({"trials": 2.5}, "argument --trials: invalid int value: '2.5'"),
+               ({"trials": True}, "argument --trials: expected one argument"),
+               ({"model": "quantum"}, "argument --model: invalid choice: 'quantum'"),
+               ({"func": "x"}, "unrecognized arguments: --func=x"),
+               ({"verbose": 1}, "unrecognized arguments: --verbose=1"),
+               ([1, 2], "must hold a JSON object")]
+        for content, message in bad:
+            cfg.write_text(json.dumps(content))
+            code, out, err = run(capsys, *argv, "--seed", "1", "--config", str(cfg))
+            assert (code, out) == (2, "") and message in err and len(err.splitlines()) == 1
+        cfg.write_text(json.dumps({"verbose": 1}))
+        code, _, err = run(capsys, "threshold", "--figure", "gt-noiseless", "--config", str(cfg))
+        assert code == 2 and "argument --verbose: ignored explicit argument '1'" in err
 
     def test_linear_model_with_b(self, capsys):
         code, out, _ = run(
@@ -228,6 +271,7 @@ class TestVerifyCommand:
         assert code == 1
         assert "FAIL" in out
         # and the perturbation is reset afterwards
+        assert numerics.binary_entropy(0.5) == numerics.LOG2
         code2, _, _ = run(capsys, "verify", "--only", "gt-mi-enumeration")
         assert code2 == 0
 

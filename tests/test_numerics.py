@@ -3,7 +3,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.special import erfc
 
@@ -35,6 +35,72 @@ class TestBinaryEntropy:
         h = nm.binary_entropy(rho)
         assert -1e-15 <= h <= LOG2 + 1e-15
         assert h == pytest.approx(nm.binary_entropy(1.0 - rho), abs=1e-12)
+
+
+class TestBinaryEntropyScalarPath:
+    """A float argument takes the scalar path; it equals the array element
+    bit for bit, signed zeros included."""
+
+    @settings(max_examples=300)
+    @given(st.floats(min_value=0.0, max_value=1.0))
+    @example(0.0)
+    @example(1.0)
+    @example(5e-324)
+    @example(2.2250738585072009e-308)  # largest subnormal
+    @example(2.2250738585072014e-308)  # smallest normal
+    @example(1.0 - 2.0**-53)
+    @example(0.5)
+    def test_scalar_equals_array_element(self, rho):
+        h = nm.binary_entropy(rho)
+        assert type(h) is float
+        assert repr(h) == repr(float(nm.binary_entropy(np.array([rho]))[0]))
+        assert repr(h) == repr(nm.binary_entropy(np.array(rho)))  # 0-d: array path
+        assert repr(nm.binary_entropy(np.float64(rho))) == repr(h)
+
+    def test_scalar_equals_array_on_a_dense_sample(self):
+        # math.log differs from np.log in the last bit at about 1 in 300
+        # arguments here; a sample this size catches a scalar path that uses it
+        rng = rng_stream(9)
+        x = np.concatenate([rng.uniform(0.0, 1.0, 20000),
+                            np.exp(rng.uniform(-700.0, 0.0, 5000)),
+                            1.0 - np.exp(rng.uniform(-36.0, 0.0, 5000))])
+        assert [nm.binary_entropy(v) for v in x.tolist()] == nm.binary_entropy(x).tolist()
+
+    def test_signed_zeros_at_the_endpoints(self):
+        assert repr(nm.binary_entropy(0.0)) == "0.0"
+        assert repr(nm.binary_entropy(1.0)) == "-0.0"
+        assert repr(nm.binary_entropy(np.array([0.0, 1.0])).tolist()) == "[0.0, -0.0]"
+
+    @pytest.mark.parametrize(
+        "bad",
+        [float("nan"), np.float64("nan"), np.array(float("nan")), np.array([0.2, float("nan")]),
+         np.array([[0.5], [float("nan")]]), -0.1, 1.1, np.array([0.3, -1e-300]), float("inf")],
+    )
+    def test_nan_and_out_of_range_raise_naming_the_argument(self, bad):
+        with pytest.raises(ValueError, match=r"binary_entropy argument outside \[0, 1\]: "):
+            nm.binary_entropy(bad)
+
+
+class TestEntropyPerturbation:
+    def test_scales_both_binary_entropy_paths(self):
+        rhos = [0.0, 0.11, 0.5, 1.0 - 2.0**-53, 1.0]
+        base = nm.binary_entropy(np.array(rhos))
+        with nm.entropy_perturbation(1e-3):
+            scalar = [nm.binary_entropy(r) for r in rhos]
+            array = nm.binary_entropy(np.array(rhos)).tolist()
+        assert scalar == array == (base * (1.0 + 1e-3)).tolist()
+        assert [nm.binary_entropy(r) for r in rhos] == base.tolist()
+
+    def test_restores_the_previous_value(self):
+        with nm.entropy_perturbation(1e-3):
+            with nm.entropy_perturbation(2e-3):
+                assert nm.binary_entropy(0.5) == LOG2 * (1.0 + 2e-3)
+            assert nm.binary_entropy(0.5) == LOG2 * (1.0 + 1e-3)
+            with pytest.raises(RuntimeError):
+                with nm.entropy_perturbation(5e-3):
+                    raise RuntimeError("inside the block")
+            assert nm.mean_entropy_q_scaled(0.0) == LOG2 * (1.0 + 1e-3)
+        assert nm.binary_entropy(0.5) == LOG2
 
 
 class TestQFunction:
@@ -288,13 +354,10 @@ class TestScaledEntropyMeanGrid:
     def test_perturbation_scales_array_path(self):
         a = self._grid()[:200]
         base = nm.mean_entropy_q_scaled(a)
-        try:
-            nm.set_entropy_perturbation(1e-3)
+        with nm.entropy_perturbation(1e-3):
             got = nm.mean_entropy_q_scaled(a)
             assert got.tolist() == [nm.mean_entropy_q_scaled(float(x)) for x in a]
             assert got.tolist() == (base * (1.0 + 1e-3)).tolist()
-        finally:
-            nm.set_entropy_perturbation(0.0)
         assert nm.mean_entropy_q_scaled(a).tolist() == base.tolist()
 
     @settings(max_examples=40, deadline=None)

@@ -1,8 +1,9 @@
 """Every function the benchmark's tracer (perfbench/tracer.py) patches by name
 still exists in the package, so a rename cannot silently drop a layer from
-the benchmark's per-layer metrics; and the tiny decode operations
+the benchmark's per-layer metrics; and every workload's tiny operations
 (perfbench/workloads.py) still give their reference outputs under the tracer,
-whose hooks read the decoders' arguments and results."""
+whose hooks read the traced functions' arguments and results, and reach the
+layers they are meant to."""
 import importlib
 import importlib.util
 import sys
@@ -38,8 +39,22 @@ def test_traced_name_resolves(name):
         assert callable(getattr(owner, attr))
 
 
-@pytest.mark.parametrize("workload", ["decode-gt", "decode-real"])
-def test_tiny_decode_operations_under_the_tracer(workload):
+# metrics each workload's tiny operations must move off zero
+REACHED = {
+    "figures": ["numerics.binary_entropy.calls", "numerics.mean_entropy_q_scaled.calls",
+                "bounds.psi_function_1bit.calls_per_point"],
+    "thresholds": ["numerics.binary_entropy.calls", "numerics.mean_entropy_q_scaled.calls",
+                   "info.mutual_information.calls", "conc.remainder_n_required.calls"],
+    "decode-gt": ["model.sample_realization.x_bytes", "sim.decode_ml.candidates",
+                  "sim.decode_threshold.calls", "sim.decode_comp.calls"],
+    "decode-real": ["model.sample_realization.x_bytes", "sim.decode_ml.candidates",
+                    "sim.decode_threshold.calls"],
+}
+
+
+def _tiny_metrics(workload):
+    """Per-layer metrics of the workload's tiny operations, each checked
+    against its reference output."""
     references = workloads.load_references()
     tr = tracer.Tracer()
     tr.install()
@@ -50,9 +65,15 @@ def test_tiny_decode_operations_under_the_tracer(workload):
     finally:
         tr.uninstall()
     assert {m for m, _ in tracer.LAYER_METRICS} == set(metrics)
-    reached = ["model.sample_realization.x_bytes", "sim.decode_ml.candidates",
-               "sim.decode_threshold.calls"]
-    if workload == "decode-gt":
-        reached.append("sim.decode_comp.calls")
-    for metric in reached:
+    for metric in REACHED[workload]:
         assert metrics[metric] > 0, metric
+
+
+@pytest.mark.parametrize("workload", ["decode-gt", "decode-real"])
+def test_tiny_decode_operations_under_the_tracer(workload):
+    _tiny_metrics(workload)
+
+
+@pytest.mark.parametrize("workload", ["figures", "thresholds"])
+def test_tiny_threshold_operations_under_the_tracer(workload):
+    _tiny_metrics(workload)
