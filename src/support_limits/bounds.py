@@ -81,9 +81,11 @@ class BoundOptions:
 class ThresholdResult:
     """Measurement count with its per-ell diagnostic table.
 
-    breakdown rows are (ell, numerator, mi, ratio); binding is the arg-max
-    ell (ties to the smallest).  remainder_n carries the tail-bound side
-    condition when one was computed.
+    breakdown rows are (ell, numerator, mi, ratio), one for every ell
+    considered; the ratio is infinite where mi = 0 (that ell cannot be
+    resolved) and a note where the converse is vacuous.  binding is the ell
+    of the largest ratio, ties (infinite ratios included) to the smallest.
+    remainder_n carries the tail-bound side condition when one was computed.
     """
 
     n_ach: float = INFINITE
@@ -93,10 +95,22 @@ class ThresholdResult:
     remainder_n: float | None = None
 
 
+def _ratio_row(ell: int, num: float, mi: float, scale: float = 1.0) -> tuple:
+    """Breakdown row (ell, num, mi, num / (mi * scale)), the ratio inf if mi <= 0."""
+    return (ell, num, mi, num / (mi * scale) if mi > 0.0 else INFINITE)
+
+
+def _binding(rows) -> tuple:
+    """(ell, ratio) of the largest ratio, ties to the smallest ell; rows whose
+    ratio is a note are skipped, and (None, -inf) means no row has a ratio."""
+    ratios = [(row[0], row[3]) for row in rows if not isinstance(row[3], str)]
+    return max(ratios, key=lambda pair: (pair[1], -pair[0]), default=(None, -INFINITE))
+
+
 def gamma_select(
     rule: str,
     model: ModelSpec,
-    prior: SignalPrior,
+    prior: SignalPrior | None,
     dims: ProblemDims,
     delta0: float = 0.01,
 ) -> float:
@@ -107,9 +121,13 @@ def gamma_select(
     chebyshev -> I0_bound + sqrt(V0_bound / delta0);
     markov    -> I0+_bound / delta0;
     zero      -> 0 (deterministic beta, e.g. group testing).
+
+    Every rule but zero needs the prior.
     """
     if rule == "zero":
         return 0.0
+    if prior is None:
+        raise ValueError(f"gamma rule {rule!r} needs the prior")
     if rule == "discrete":
         if prior.variant in ("fixed-vector", "all-ones"):
             return 0.0
@@ -161,11 +179,10 @@ def achievability_threshold_generic(
     opts.remainder_target is set.
     """
     k, p = dims.k, dims.p
-    gamma = _resolve_gamma(model, b, dims, opts, prior)
+    gamma = gamma_select(opts.gamma_rule, model, prior, dims, opts.delta0)
     mi_map = _per_ell_mi(model, b, dims, quad)
     ells = range(dims.d_max + 1, k + 1)
     rows = []
-    best = (None, -INFINITE)
     for ell in ells:
         if opts.asymptotic:
             num = _stirling_log_binom(p - k, ell) + gamma
@@ -176,16 +193,9 @@ def achievability_threshold_generic(
                 + 2.0 * log_binomial(k, ell)
                 + gamma
             )
-        mi = mi_map[ell]
-        if mi <= 0.0:
-            rows.append((ell, num, mi, INFINITE))
-            best = (ell, INFINITE)
-            continue
-        ratio = num / (mi * (1.0 - opts.delta2))
-        rows.append((ell, num, mi, ratio))
-        if ratio > best[1]:
-            best = (ell, ratio)
-    n_formula = best[1] * (1.0 + opts.eta)
+        rows.append(_ratio_row(ell, num, mi_map[ell], 1.0 - opts.delta2))
+    binding, ratio = _binding(rows)
+    n_formula = ratio * (1.0 + opts.eta)
     remainder = None
     if math.isfinite(n_formula):
         specs = CHANNELS[model.channel].tail_specs(model, b, dims, mi_map)
@@ -197,18 +207,10 @@ def achievability_threshold_generic(
     return ThresholdResult(
         n_ach=n_ach,
         n_conv=INFINITE,
-        binding=best[0],
+        binding=binding,
         breakdown=tuple(rows),
         remainder_n=None if remainder is None else float(remainder),
     )
-
-
-def _resolve_gamma(model, b, dims, opts: BoundOptions, prior):
-    if opts.gamma_rule == "zero":
-        return 0.0
-    if prior is None:
-        raise ValueError(f"gamma rule {opts.gamma_rule!r} needs the prior")
-    return gamma_select(opts.gamma_rule, model, prior, dims, opts.delta0)
 
 
 def log_partial_conv_subtraction(p: int, k: int, ell: int, d_max: int) -> float:
@@ -246,7 +248,6 @@ def converse_threshold_generic(
         else list(range(dims.d_max + 1, k + 1))
     )
     rows = []
-    best = (None, -INFINITE)
     for ell in ells:
         if opts.asymptotic:
             main = _stirling_log_binom(p - k, ell)
@@ -259,24 +260,11 @@ def converse_threshold_generic(
                 rows.append((ell, num, mi_map[ell], "converse vacuous at this ell"))
                 continue
             num -= sub
-        mi = mi_map[ell]
-        if mi <= 0.0:
-            rows.append((ell, num, mi, INFINITE))
-            best = (ell, INFINITE)
-            continue
-        ratio = num / (mi * (1.0 + opts.delta2))
-        rows.append((ell, num, mi, ratio))
-        if ratio > best[1]:
-            best = (ell, ratio)
-    if best[0] is None:
-        # every ell was vacuous: the bound makes no converse claim
-        return ThresholdResult(n_ach=INFINITE, n_conv=0.0, binding=None, breakdown=tuple(rows))
-    return ThresholdResult(
-        n_ach=INFINITE,
-        n_conv=best[1] * (1.0 - opts.eta),
-        binding=best[0],
-        breakdown=tuple(rows),
-    )
+        rows.append(_ratio_row(ell, num, mi_map[ell], 1.0 + opts.delta2))
+    binding, ratio = _binding(rows)
+    # every ell vacuous (no binding): the bound makes no converse claim
+    n_conv = 0.0 if binding is None else ratio * (1.0 - opts.eta)
+    return ThresholdResult(n_conv=n_conv, binding=binding, breakdown=tuple(rows))
 
 
 @dataclass(frozen=True)
@@ -319,6 +307,16 @@ def fano_lower_bound(
 # ---------------------------------------------------------------------------
 
 
+def _corollary_result(rows, conv_rows, eta: float) -> ThresholdResult:
+    """n_ach and binding from rows, n_conv from conv_rows, scaled by (1 +/- eta);
+    both infinite, whatever eta, when some ell has zero MI."""
+    binding, ratio = _binding(rows)
+    if ratio == INFINITE:
+        return ThresholdResult(binding=binding, breakdown=tuple(rows))
+    n_conv = _binding(conv_rows)[1] * (1.0 - eta)
+    return ThresholdResult(ratio * (1.0 + eta), n_conv, binding, tuple(rows))
+
+
 def cor_linear_exact(
     b: Sequence[float], sigma: float, p: int, k: int, eta: float = 0.0
 ) -> ThresholdResult:
@@ -329,26 +327,13 @@ def cor_linear_exact(
     by (1 - eta).
     """
     b = np.asarray(b, dtype=float)
-    rows = []
-    best_a = (None, -INFINITE)
-    best_c = -INFINITE
+    rows, conv = [], []
     for ell in range(1, k + 1):
         s_sq = float(np.sum(np.sort(b**2)[:ell]))
         mi = 0.5 * math.log1p(s_sq / sigma**2)
-        if mi <= 0.0:
-            return ThresholdResult(binding=ell, breakdown=tuple(rows))
-        ra = log_binomial(p - k, ell) / mi
-        rc = log_binomial(p - k + ell, ell) / mi
-        rows.append((ell, log_binomial(p - k, ell), mi, ra))
-        if ra > best_a[1]:
-            best_a = (ell, ra)
-        best_c = max(best_c, rc)
-    return ThresholdResult(
-        n_ach=best_a[1] * (1.0 + eta),
-        n_conv=best_c * (1.0 - eta),
-        binding=best_a[0],
-        breakdown=tuple(rows),
-    )
+        rows.append(_ratio_row(ell, log_binomial(p - k, ell), mi))
+        conv.append(_ratio_row(ell, log_binomial(p - k + ell, ell), mi))
+    return _corollary_result(rows, conv, eta)
 
 
 def validity_conditions_linear(b, p: int, k: int) -> dict[str, bool]:
@@ -405,6 +390,8 @@ def _maximize_partial(
         raise ValueError(f"grid_points must be at least 2, got {grid_points!r}")
     if not 0.0 <= alpha_star <= 1.0:
         raise ValueError(f"alpha_star must lie in [0, 1], got {float(alpha_star)!r}")
+    if alpha_star == 0.0:  # alpha / denom(alpha) grows without bound as alpha -> 0
+        raise ValueError("alpha_star must be > 0: both coefficients are infinite at alpha_star = 0")
     alphas = np.linspace(alpha_star, 1.0, grid_points)
     dens = denom(alphas)
     with np.errstate(divide="ignore"):
@@ -482,23 +469,11 @@ def cor_1bit_exact_lowsnr(
     ell.
     """
     b = np.asarray(b, dtype=float)
-    best = (None, -INFINITE)
     rows = []
     for ell in range(1, k + 1):
         s_sq = float(np.sum(np.sort(b**2)[:ell]))
-        mi = s_sq / (math.pi * sigma**2)
-        if mi <= 0.0:
-            return ThresholdResult(binding=ell, breakdown=tuple(rows))
-        ratio = ell * math.log(p) / mi
-        rows.append((ell, ell * math.log(p), mi, ratio))
-        if ratio > best[1]:
-            best = (ell, ratio)
-    return ThresholdResult(
-        n_ach=best[1] * (1.0 + eta),
-        n_conv=best[1] * (1.0 - eta),
-        binding=best[0],
-        breakdown=tuple(rows),
-    )
+        rows.append(_ratio_row(ell, ell * math.log(p), s_sq / (math.pi * sigma**2)))
+    return _corollary_result(rows, rows, eta)
 
 
 def cor_1bit_highsnr_converse(
@@ -630,18 +605,20 @@ def _golden_refine_min(f, grid, i, tol: float = 1e-10):
     return x, -v
 
 
-def gt_noisy_zeta(rho: float, delta2: float, theta: float) -> float:
+def gt_noisy_zeta(rho: float, delta2, theta: float):
     """Concentration-side coefficient for noisy group testing at nu = log 2:
 
         zeta = (2/log 2) max{ 2 (1 + delta2 (1-2 rho)/3) theta/(1-theta)
                                   / (delta2^2 (1-2 rho)^2),
                               ((1+4 theta)/(1-theta))
                                   / ((1-2 rho) log((1-rho)/rho) (1-delta2)) }.
+
+    An array of delta2 gives an array, each element equal to the scalar call.
     """
     gap = 1.0 - 2.0 * rho
     t1 = 2.0 * (1.0 + delta2 * gap / 3.0) * (theta / (1.0 - theta)) / (delta2**2 * gap**2)
     t2 = ((1.0 + 4.0 * theta) / (1.0 - theta)) / (gap * math.log((1.0 - rho) / rho) * (1.0 - delta2))
-    return (2.0 / LOG2) * max(t1, t2)
+    return (2.0 / LOG2) * np.maximum(t1, t2)
 
 
 @dataclass(frozen=True)
@@ -664,8 +641,7 @@ def cor_gt_noisy(theta: float, rho: float, eta: float = 0.0) -> GtNoisyResult:
         raise ValueError("theta must lie in (0, 1)")
     floor = 1.0 / (LOG2 - binary_entropy(rho))
     grid = np.linspace(1e-4, 1.0 - 1e-4, 256)
-    zetas = [gt_noisy_zeta(rho, float(d2), theta) for d2 in grid]
-    i = int(np.argmin(zetas))
+    i = int(np.argmin(gt_noisy_zeta(rho, grid, theta)))
     d2_star, zeta_min = _golden_refine_min(
         lambda d2: gt_noisy_zeta(rho, d2, theta), grid, i
     )

@@ -39,9 +39,6 @@ LINEAR = "linear"
 ONE_BIT = "one-bit"
 GROUP_TESTING = "group-testing"
 
-GAUSSIAN_UNIT = "gaussian-unit"
-BERNOULLI = "bernoulli"
-
 NEG_INF = float("-inf")
 
 _LOG_2PI = float(np.log(2.0 * np.pi))
@@ -64,7 +61,7 @@ def _row_sum(total):
 class Channel:
     """One observation channel.  Each subclass defines
 
-        validate(spec)                  reject a design or parameter that does not fit
+        validate(spec)                  reject a parameter that does not fit
         check_prior(spec, prior, k)     reject a signal prior it does not pair with
         draw_design(spec, rng, n, p, k) n x p measurement matrix from the design
         sample(spec, x_s, b, rng)       y | x_s, b, one output per row
@@ -105,8 +102,6 @@ class _GaussianDesign(Channel):
     """Unit Gaussian design with real-valued entries b and noise std sigma."""
 
     def validate(self, spec) -> None:
-        if spec.design != GAUSSIAN_UNIT:
-            raise ValueError(f"{spec.channel} requires the gaussian-unit design")
         if not spec.sigma > 0:
             raise ValueError("noise std sigma must be > 0")
         if not spec.sigma * spec.sigma < math.inf:
@@ -304,8 +299,6 @@ class GroupTesting(Channel):
     mi_method = "closed-form"
 
     def validate(self, spec) -> None:
-        if spec.design != BERNOULLI:
-            raise ValueError("group testing requires the Bernoulli design")
         if not 0.0 <= spec.rho < 0.5:
             raise ValueError(f"crossover rho must lie in [0, 0.5), got {spec.rho}")
         if not spec.nu > 0:

@@ -16,13 +16,12 @@ are defined in `channels`.
 from __future__ import annotations
 
 import itertools
-import json
 from dataclasses import dataclass
 from typing import Iterator, Sequence
 
 import numpy as np
 
-from .channels import BERNOULLI, CHANNELS, GAUSSIAN_UNIT, GROUP_TESTING, LINEAR, ONE_BIT
+from .channels import CHANNELS, GROUP_TESTING, LINEAR, ONE_BIT
 
 
 class GuardError(ValueError):
@@ -56,14 +55,13 @@ class ProblemDims:
 
 @dataclass(frozen=True)
 class ModelSpec:
-    """Observation channel plus measurement design.
+    """Observation channel; the measurement design follows from it.
 
-    linear/one-bit pair with the unit Gaussian design; group testing pairs
-    with the Bernoulli(nu/k) design.
+    linear/one-bit use the unit Gaussian design; group testing uses the
+    Bernoulli(nu/k) design.
     """
 
     channel: str
-    design: str
     sigma: float = 1.0
     rho: float = 0.0
     nu: float = float(np.log(2.0))
@@ -76,15 +74,15 @@ class ModelSpec:
 
     @staticmethod
     def linear(sigma: float) -> "ModelSpec":
-        return ModelSpec(channel=LINEAR, design=GAUSSIAN_UNIT, sigma=sigma)
+        return ModelSpec(channel=LINEAR, sigma=sigma)
 
     @staticmethod
     def one_bit(sigma: float) -> "ModelSpec":
-        return ModelSpec(channel=ONE_BIT, design=GAUSSIAN_UNIT, sigma=sigma)
+        return ModelSpec(channel=ONE_BIT, sigma=sigma)
 
     @staticmethod
     def group_testing(rho: float = 0.0, nu: float = float(np.log(2.0))) -> "ModelSpec":
-        return ModelSpec(channel=GROUP_TESTING, design=BERNOULLI, rho=rho, nu=nu)
+        return ModelSpec(channel=GROUP_TESTING, rho=rho, nu=nu)
 
     def bernoulli_p(self, k: int) -> float:
         """Per-entry design probability nu/k for group testing."""
@@ -142,14 +140,6 @@ class SignalPrior:
         if self.variant == ALL_ONES:
             return 1
         raise ValueError("m_beta is only defined for discrete priors")
-
-    @property
-    def b_min(self) -> float:
-        return min(abs(x) for x in self.b) if self.b else 1.0
-
-    @property
-    def b_max(self) -> float:
-        return max(abs(x) for x in self.b) if self.b else 1.0
 
 
 def validate_pairing(model: ModelSpec, prior: SignalPrior, k: int) -> None:
@@ -268,17 +258,6 @@ class Realization:
 
     def b_support(self) -> np.ndarray:
         return self.beta[np.asarray(self.support, dtype=int) - 1]
-
-    def to_json(self) -> str:
-        """Debugging serialization; not a stability contract."""
-        return json.dumps(
-            {
-                "support": list(self.support),
-                "beta": self.beta.tolist(),
-                "x": self.x.tolist(),
-                "y": self.y.tolist(),
-            }
-        )
 
 
 def sample_realization(

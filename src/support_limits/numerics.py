@@ -163,11 +163,6 @@ def log_q_function(x):
     return log_ndtr(-np.asarray(x, dtype=float)) if np.ndim(x) else float(log_ndtr(-x))
 
 
-def inverse_normal_cdf(p):
-    """Quantile function of N(0,1) (rational approximation via ndtri)."""
-    return ndtri(p)
-
-
 def chi2_cdf_1dof(u):
     """CDF of W^2, W ~ N(0,1): P[W^2 <= u] = 1 - 2 Q(sqrt(u))."""
     uu = np.asarray(u, dtype=float)

@@ -46,6 +46,7 @@ from typing import Sequence
 import numpy as np
 from scipy.special import logsumexp
 
+from .bounds import gamma_select
 from .channels import CHANNELS
 from .info import (
     NEG_INF,
@@ -85,7 +86,6 @@ class DecoderSpec:
 
     kind: str
     delta1: float = 0.1
-    gamma_rule: str = "discrete"
 
 
 @dataclass(frozen=True)
@@ -219,13 +219,12 @@ def decode_threshold(
     prior: SignalPrior,
     dims: ProblemDims,
     delta1: float = 0.1,
-    gamma_rule: str = "discrete",
 ) -> DecodeOutcome:
     """Unique candidate passing the combined threshold test on every
-    partition; "none" or "multiple" otherwise (both are errors)."""
-    from .bounds import gamma_select
-
-    gamma = gamma_select(gamma_rule, model, prior, dims) if gamma_rule != "zero" else 0.0
+    partition; "none" or "multiple" otherwise (both are errors).  gamma
+    follows the discrete rule, the one defined for the discrete priors this
+    decoder accepts."""
+    gamma = gamma_select("discrete", model, prior, dims)
     thresholds = combined_thresholds(dims, delta1, gamma)
     x, y = realization.x, realization.y
     partitions = list(enumerate_partitions(dims.k))
@@ -253,23 +252,20 @@ def threshold_union_bound(
     prior: SignalPrior,
     dims: ProblemDims,
     delta1: float = 0.1,
-    gamma_rule: str = "discrete",
     trials: int = 2000,
     seed: int = 0,
 ) -> tuple[float, float, float]:
     """Numeric evaluation of the two-term union bound on the threshold
     decoder's error: (true-support failure probability estimated by Monte
     Carlo, its standard error, exact wrong-support mass
-    sum_l C(p-k,l) C(k,l) e^{-t_l})."""
-    from .bounds import gamma_select
-
-    gamma = gamma_select(gamma_rule, model, prior, dims) if gamma_rule != "zero" else 0.0
+    sum_l C(p-k,l) C(k,l) e^{-t_l}), with gamma by the discrete rule."""
+    gamma = gamma_select("discrete", model, prior, dims)
     thresholds = combined_thresholds(dims, delta1, gamma)
     partitions = list(enumerate_partitions(dims.k))
     fails = 0
     for t in range(trials):
         real = sample_realization(dims, model, prior, seed, stream=(7, t))
-        x_true = real.x[:, np.asarray(real.support, dtype=int) - 1]
+        x_true = real.x_support()
         ok = True
         for part in partitions:
             stat = _averaged_partition_density(model, prior, x_true, real.y, part)
@@ -367,8 +363,7 @@ def decode_comp(
 def _decode(decoder: DecoderSpec, reals, model, prior, dims) -> list[DecodeOutcome]:
     """One DecodeOutcome per realization in reals."""
     if decoder.kind == "threshold":
-        args = (model, prior, dims, decoder.delta1, decoder.gamma_rule)
-        return [decode_threshold(real, *args) for real in reals]
+        return [decode_threshold(real, model, prior, dims, decoder.delta1) for real in reals]
     if decoder.kind == "exhaustive-ml":
         estimates = decode_ml(reals, model, prior, dims)
     elif decoder.kind == "comp-gt":

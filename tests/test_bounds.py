@@ -39,6 +39,53 @@ class TestGammaSelect:
         _, _, i0p = info.prior_divergence_stats(m, pr, dims)
         assert bounds.gamma_select("markov", m, pr, dims, delta0=0.5) == pytest.approx(2 * i0p)
 
+    def test_rules_other_than_zero_need_the_prior(self):
+        m = md.ModelSpec.linear(1.0)
+        dims = md.ProblemDims(p=100, k=3, n=10)
+        assert bounds.gamma_select("zero", m, None, dims) == 0.0
+        for rule in ("discrete", "chebyshev", "markov"):
+            with pytest.raises(ValueError, match=f"gamma rule '{rule}' needs the prior"):
+                bounds.gamma_select(rule, m, None, dims)
+            with pytest.raises(ValueError, match="needs the prior"):
+                bounds.achievability_threshold_generic(
+                    m, [1.0] * 3, dims, bounds.BoundOptions(gamma_rule=rule)
+                )
+
+
+class TestBindingRule:
+    """Every per-ell max-ratio binds at the smallest ell of the largest ratio,
+    an infinite ratio (zero MI) included, and lists every ell."""
+
+    def test_generic_zero_mi_binds_smallest_ell(self):
+        m = md.ModelSpec.linear(1.0)
+        dims = md.ProblemDims(p=50, k=3, n=0)
+        for fn in (bounds.achievability_threshold_generic, bounds.converse_threshold_generic):
+            res = fn(m, [0.0, 0.0, 1.0], dims)
+            assert res.binding == 1
+            assert [row[0] for row in res.breakdown] == [1, 2, 3]
+            assert [row[3] for row in res.breakdown[:2]] == [bounds.INFINITE] * 2
+        assert bounds.achievability_threshold_generic(m, [0.0, 0.0, 1.0], dims).n_ach == (
+            bounds.INFINITE
+        )
+
+    @pytest.mark.parametrize("eta", [0.0, 0.3, 1.0])
+    @pytest.mark.parametrize("corollary", [bounds.cor_linear_exact, bounds.cor_1bit_exact_lowsnr])
+    def test_exact_corollaries_zero_mi(self, corollary, eta):
+        res = corollary([0.0, 0.0, 1.0], 1.0, 50, 3, eta)
+        assert res.binding == 1
+        assert [row[0] for row in res.breakdown] == [1, 2, 3]
+        assert [row[3] for row in res.breakdown[:2]] == [bounds.INFINITE] * 2
+        assert res.n_ach == res.n_conv == bounds.INFINITE
+
+    def test_ties_to_smallest_ell_and_notes_skipped(self):
+        note = "converse vacuous at this ell"
+        rows = [(1, 1.0, 1.0, note), (2, 2.0, 1.0, 2.0), (3, 4.0, 2.0, 2.0), (4, 1.0, 1.0, 1.0)]
+        assert bounds._binding(rows) == (2, 2.0)
+        assert bounds._binding(rows[::-1]) == (2, 2.0)
+        assert bounds._binding(rows[:1]) == (None, -bounds.INFINITE)
+        assert bounds._ratio_row(5, 3.0, 0.0, 0.5) == (5, 3.0, 0.0, bounds.INFINITE)
+        assert bounds._ratio_row(5, 3.0, 2.0, 0.5) == (5, 3.0, 2.0, 3.0)
+
 
 class TestGenericAchievability:
     def test_k1_collapse(self):
@@ -348,7 +395,7 @@ class TestPartialGridEquivalence:
         "kwargs,name",
         [({"grid_points": 0}, "grid_points"), ({"grid_points": 1}, "grid_points"),
          ({"alpha_star": 1.5}, "alpha_star"), ({"alpha_star": -0.1}, "alpha_star"),
-         ({"alpha_star": float("nan")}, "alpha_star")],
+         ({"alpha_star": float("nan")}, "alpha_star"), ({"alpha_star": 0.0}, "alpha_star")],
     )
     def test_degenerate_grid_rejected(self, corollary, kwargs, name):
         with pytest.raises(ValueError, match=name):
@@ -386,6 +433,14 @@ def _old_gt_noiseless(theta, eta=0.0):
     return bounds.GtNoiselessResult(
         coef_ach=best * (1.0 + eta), coef_conv=(1.0 / nm.LOG2) * (1.0 - eta), nu_star=nu_star
     )
+
+
+def _old_gt_noisy_zeta(rho, delta2, theta):
+    """gt_noisy_zeta as it was: scalar only, with the built-in max."""
+    gap = 1.0 - 2.0 * rho
+    t1 = 2.0 * (1.0 + delta2 * gap / 3.0) * (theta / (1.0 - theta)) / (delta2**2 * gap**2)
+    t2 = ((1.0 + 4.0 * theta) / (1.0 - theta)) / (gap * math.log((1.0 - rho) / rho) * (1.0 - delta2))
+    return (2.0 / nm.LOG2) * max(t1, t2)
 
 
 # (c_beta, sigma): sqrt(c_beta)/sigma below, at and above 1, so Psi's
@@ -433,6 +488,14 @@ class TestFigureCorollariesEqualOldLoops:
                 _old_gt_objective(theta, nu) for nu in grid.tolist()
             ], theta
         assert bounds.cor_gt_noiseless(0.7, eta=0.1) == _old_gt_noiseless(0.7, eta=0.1)
+
+    def test_gt_noisy_zeta_grid_equals_scalar_calls(self):
+        grid = np.linspace(1e-4, 1.0 - 1e-4, 256)
+        for rho in (0.01, 0.05, 0.11, 0.25, 0.3, 0.45):
+            for theta in np.linspace(0.05, 0.95, 19).tolist():
+                assert bounds.gt_noisy_zeta(rho, grid, theta).tolist() == [
+                    _old_gt_noisy_zeta(rho, d2, theta) for d2 in grid.tolist()
+                ], (rho, theta)
 
     def test_hoisted_psi_term_sees_the_perturbation(self):
         eps, cb = 1e-3, 10.0

@@ -71,7 +71,9 @@ class TestThresholdCommand:
     @pytest.mark.parametrize(
         "flag,value,message",
         [("--grid-points", "1", "grid_points must be at least 2, got 1"),
-         ("--alpha-star", "1.5", "alpha_star must lie in [0, 1], got 1.5")],
+         ("--alpha-star", "1.5", "alpha_star must lie in [0, 1], got 1.5"),
+         ("--alpha-star", "0",
+          "alpha_star must be > 0: both coefficients are infinite at alpha_star = 0")],
     )
     def test_partial_recovery_degenerate_grid_named(self, capsys, flag, value, message):
         code, out, err = run(
@@ -308,6 +310,8 @@ BAD_INPUTS = [
     (["threshold", "--figure", "partial-recovery", "--snr-db=0:0:1", "--grid-points", "0"], 2, 1),
     (["threshold", "--figure", "partial-recovery", "--snr-db=0:0:1", "--grid-points", "1"], 2, 1),
     (["threshold", "--figure", "partial-recovery", "--snr-db=0:0:1", "--alpha-star", "1.5"], 2, 1),
+    (["threshold", "--figure", "partial-recovery", "--snr-db=-30:-30:1", "--grid-points", "21",
+      "--alpha-star", "0"], 2, 1),
     (["threshold", "--figure", "partial-recovery", "--snr-db=4000:4000:1"], 2, 1),
     (["simulate", "--model", "linear", "--prior", "gaussian", "--decoder", "threshold",
       "--p", "6", "--k", "2", "--n-grid", "4:4:1", "--seed", "1"], 2, 1),

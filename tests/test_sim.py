@@ -313,7 +313,7 @@ def loop_run_cell(model, prior, dims, decoder, trials, seed, n_index=0):
     for t in range(trials):
         real = md.sample_realization(dims, model, prior, seed, stream=(n_index, t))
         if decoder.kind == "threshold":
-            out = sim.decode_threshold(real, model, prior, dims, decoder.delta1, decoder.gamma_rule)
+            out = sim.decode_threshold(real, model, prior, dims, decoder.delta1)
         else:
             if decoder.kind == "exhaustive-ml":
                 est = sim.decode_ml(real, model, prior, dims)
