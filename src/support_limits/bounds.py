@@ -76,6 +76,16 @@ class BoundOptions:
     remainder_target: float | None = None
     ell_set: tuple[int, ...] | None = None
 
+    def __post_init__(self):
+        _check_eta(self.eta)
+
+
+def _check_eta(eta: float) -> None:
+    """The slack eta scales counts by (1 +/- eta); outside [0, 1) (or NaN)
+    the converse count turns zero, negative or NaN."""
+    if not 0.0 <= eta < 1.0:
+        raise ValueError(f"eta must lie in [0, 1), got {eta}")
+
 
 @dataclass(frozen=True)
 class ThresholdResult:
@@ -86,6 +96,11 @@ class ThresholdResult:
     resolved) and a note where the converse is vacuous.  binding is the ell
     of the largest ratio, ties (infinite ratios included) to the smallest.
     remainder_n carries the tail-bound side condition when one was computed.
+
+    At p = k the only k-subset is the true support, so no wrong support
+    exists: the thresholds that count wrong supports (the generic
+    achievability and converse, cor_linear_exact) give 0.0 with no binding
+    ell and an empty breakdown.
     """
 
     n_ach: float = INFINITE
@@ -181,6 +196,8 @@ def achievability_threshold_generic(
     k, p = dims.k, dims.p
     gamma = gamma_select(opts.gamma_rule, model, prior, dims, opts.delta0)
     mi_map = _per_ell_mi(model, b, dims, quad)
+    if p == k:
+        return ThresholdResult(n_ach=0.0)
     ells = range(dims.d_max + 1, k + 1)
     rows = []
     for ell in ells:
@@ -242,6 +259,8 @@ def converse_threshold_generic(
     """
     k, p = dims.k, dims.p
     mi_map = _per_ell_mi(model, b, dims, quad)
+    if p == k:
+        return ThresholdResult(n_conv=0.0)
     ells = (
         list(opts.ell_set)
         if opts.ell_set is not None
@@ -326,6 +345,9 @@ def cor_linear_exact(
     scaled by (1 + eta); n_conv replaces C(p-k, l) by C(p-k+l, l) and scales
     by (1 - eta).
     """
+    _check_eta(eta)
+    if p == k:
+        return ThresholdResult(n_ach=0.0, n_conv=0.0)
     b = np.asarray(b, dtype=float)
     rows, conv = [], []
     for ell in range(1, k + 1):
@@ -446,6 +468,7 @@ def cor_linear_partial(
 
     both multiplying k log(p/k); eta scales them by (1 +/- eta).
     """
+    _check_eta(eta)
     # math.log1p per element: np.log1p differs from it in the last bit on
     # some numpy builds, and the figure CSVs must not change.
     log1p = np.vectorize(math.log1p, otypes=[float])
@@ -468,6 +491,7 @@ def cor_1bit_exact_lowsnr(
     scaled by (1 + eta) / (1 - eta) respectively.  Ties go to the smallest
     ell.
     """
+    _check_eta(eta)
     b = np.asarray(b, dtype=float)
     rows = []
     for ell in range(1, k + 1):
@@ -489,6 +513,7 @@ def cor_1bit_highsnr_converse(
         log p / [ (1/2) (b0^2/sigma^2) / sqrt(2 pi k b0^2/sigma^2)
                   E[W log((1-Q(W))/Q(W))] ] * (1 - eta).
     """
+    _check_eta(eta)
     snr = b0**2 / sigma**2
     denom = 0.5 * snr / math.sqrt(2.0 * math.pi * k * snr)
     denom *= gaussian_logit_slope_constant(quad)
@@ -544,6 +569,7 @@ def cor_1bit_partial(
     The alpha grid is one array psi_function_1bit call and each
     golden-section step one scalar call; Psi's alpha-free term is computed
     once per call, by the first of them."""
+    _check_eta(eta)
     denom = lambda a: psi_function_1bit(a, c_beta, sigma, quad)
     return _maximize_partial(denom, alpha_star, grid_points, eta)
 
@@ -571,6 +597,7 @@ def cor_gt_noiseless(theta: float, eta: float = 0.0) -> GtNoiselessResult:
     attains log 2, so the infimum equals 1/log 2 exactly whenever the first
     term allows it (theta <= 1/3).
     """
+    _check_eta(eta)
     if not 0.0 < theta < 1.0:
         raise ValueError("theta must lie in (0, 1)")
     objective = lambda nu: _gt_noiseless_objective(theta, nu)
@@ -635,6 +662,7 @@ def cor_gt_noisy(theta: float, rho: float, eta: float = 0.0) -> GtNoisyResult:
                                                1/(log 2 - H2(rho)) }
         coef_conv = 1 / (log 2 - H2(rho)).
     """
+    _check_eta(eta)
     if not 0.0 < rho < 0.5:
         raise ValueError("rho must lie in (0, 0.5)")
     if not 0.0 < theta < 1.0:
@@ -661,6 +689,7 @@ def cor_gt_partial(rho: float, alpha_star: float, eta: float = 0.0) -> tuple[flo
         coef_ach  = 1 / (log 2 - H2(rho))
         coef_conv = (1 - alpha*) / (log 2 - H2(rho)).
     """
+    _check_eta(eta)
     if not 0.0 <= rho < 0.5:
         raise ValueError("rho must lie in [0, 0.5)")
     base = 1.0 / (LOG2 - binary_entropy(rho))

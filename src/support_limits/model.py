@@ -8,14 +8,20 @@ Conventions used throughout the package:
 - The support is split into (s_dif, s_eq) with s_dif nonempty; all
   information measures are indexed by ell = |s_dif|.
 - Randomness comes from the counter-based Philox generator keyed by
-  (seed, *stream), so parallel trials are reproducible and independent.
+  SeedSequence([seed, *stream]), so parallel trials are reproducible and
+  independent.  `rng_stream` builds a new generator for its caller to keep;
+  `sample_realization` draws the same stream from one generator per thread,
+  re-keyed on every call, and reads its key from a memoized table of 256
+  consecutive trials' keys.
 
 The observation channels (linear, one-bit, group testing) and their designs
 are defined in `channels`.
 """
 from __future__ import annotations
 
+import functools
 import itertools
+import threading
 from dataclasses import dataclass
 from typing import Iterator, Sequence
 
@@ -28,11 +34,127 @@ class GuardError(ValueError):
     """A desk-scale guard refused an exponentially large computation."""
 
 
-def rng_stream(seed: int, *stream: int) -> np.random.Generator:
-    """Counter-based generator for (seed, stream...), seed in [0, 2^63)."""
+def _checked_seed(seed) -> int:
     if not 0 <= int(seed) < 2**63:
         raise ValueError(f"seed must lie in [0, 2^63), got {seed}")
-    return np.random.Generator(np.random.Philox(np.random.SeedSequence([int(seed), *stream])))
+    return int(seed)
+
+
+def rng_stream(seed: int, *stream: int) -> np.random.Generator:
+    """Counter-based generator for (seed, stream...), seed in [0, 2^63)."""
+    entropy = [_checked_seed(seed), *stream]
+    return np.random.Generator(np.random.Philox(np.random.SeedSequence(entropy)))
+
+
+# numpy's SeedSequence constants (pool of 4 uint32 words; hashmix, mix and
+# generate_state multipliers).
+_POOL_SIZE = 4
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
+_MASK32 = 0xFFFFFFFF
+# Trials per key table: one table costs about 0.4 ms, 64 of them 256 KB.
+_KEY_TABLE_SIZE = 256
+
+
+def _uint32_words(value: int) -> list[int]:
+    """Little-endian 32-bit words of a non-negative int, as SeedSequence
+    splits each entropy entry (0 is one word)."""
+    words = [value & _MASK32]
+    while value > _MASK32:
+        value >>= 32
+        words.append(value & _MASK32)
+    return words
+
+
+@functools.lru_cache(maxsize=64)
+def _key_table(seed: int, prefix: tuple[int, ...], t0: int) -> np.ndarray:
+    """Read-only (256, 2) uint64 table whose row i is
+    SeedSequence([seed, *prefix, t0 + i]).generate_state(2, np.uint64).
+
+    An integer-exact port of SeedSequence's entropy pool (hashmix, mix, the
+    extra loop for words beyond the pool) and of generate_state, run over
+    the t axis at once.  uint32 values live in uint64 lanes and every
+    product is masked back to 32 bits, so nothing overflows.
+    """
+    n = _KEY_TABLE_SIZE
+    words = [np.full(n, w, np.uint64) for v in (seed, *prefix) for w in _uint32_words(v)]
+    words.append(np.arange(t0, t0 + n, dtype=np.uint64))
+    hash_const = _INIT_A
+
+    def hashmix(value):
+        nonlocal hash_const
+        value = value ^ hash_const
+        hash_const = hash_const * _MULT_A & _MASK32
+        value = value * hash_const & _MASK32
+        return value ^ (value >> 16)
+
+    def mix(x, y):
+        # uint64 wraparound is a multiple of 2^32, so the mask gives the
+        # uint32 difference.
+        r = (x * _MIX_MULT_L - y * _MIX_MULT_R) & _MASK32
+        return r ^ (r >> 16)
+
+    zero = np.zeros(n, np.uint64)
+    pool = [hashmix(words[i] if i < len(words) else zero) for i in range(_POOL_SIZE)]
+    for i_src in range(_POOL_SIZE):
+        for i_dst in range(_POOL_SIZE):
+            if i_src != i_dst:
+                pool[i_dst] = mix(pool[i_dst], hashmix(pool[i_src]))
+    for word in words[_POOL_SIZE:]:
+        for i_dst in range(_POOL_SIZE):
+            pool[i_dst] = mix(pool[i_dst], hashmix(word))
+
+    hash_const = _INIT_B
+    out = []
+    for value in pool:  # generate_state(2, uint64) takes 4 words, one pool cycle
+        value = value ^ hash_const
+        hash_const = hash_const * _MULT_B & _MASK32
+        value = value * hash_const & _MASK32
+        out.append(value ^ (value >> 16))
+    table = np.stack([out[0] | out[1] << 32, out[2] | out[3] << 32], axis=1)
+    table.setflags(write=False)
+    return table
+
+
+def _stream_key(seed: int, stream: tuple[int, ...]) -> np.ndarray:
+    """Philox key of SeedSequence([seed, *stream]) as two uint64 words.
+
+    A stream ending in a trial index t < 2^32 reads the key from the table
+    of its 256-trial chunk; any other stream asks SeedSequence itself, which
+    also raises on entries it refuses.
+    """
+    if (
+        stream
+        and all(isinstance(v, (int, np.integer)) and v >= 0 for v in stream)
+        and stream[-1] <= _MASK32
+    ):
+        t = int(stream[-1])
+        r = t % _KEY_TABLE_SIZE
+        return _key_table(seed, tuple(int(v) for v in stream[:-1]), t - r)[r]
+    return np.random.SeedSequence([seed, *stream]).generate_state(2, np.uint64)
+
+
+_THREAD = threading.local()
+_ZERO_WORDS = np.zeros(4, np.uint64)
+_ZERO_WORDS.setflags(write=False)
+
+
+def _rekeyed_generator(key: np.ndarray) -> np.random.Generator:
+    """This thread's Generator(Philox), reset to the state a fresh
+    Philox(SeedSequence) with this key starts in: zero counter, empty buffer."""
+    gen = getattr(_THREAD, "generator", None)
+    if gen is None:
+        gen = _THREAD.generator = np.random.Generator(np.random.Philox(0))
+    gen.bit_generator.state = {
+        "bit_generator": "Philox",
+        "state": {"counter": _ZERO_WORDS, "key": key},
+        "buffer": _ZERO_WORDS,
+        "buffer_pos": 4,
+        "has_uint32": 0,
+        "uinteger": 0,
+    }
+    return gen
 
 
 @dataclass(frozen=True)
@@ -270,10 +392,12 @@ def sample_realization(
     """Draw (S, beta, X, Y): S uniform over k-subsets, X i.i.d. from the
     design, beta_S from the prior, Y conditionally i.i.d. per row.
 
-    Deterministic given (seed, stream).
+    Deterministic given (seed, stream): the draws are those of
+    rng_stream(seed, *stream), taken from this thread's re-keyed generator,
+    which never leaves this function.
     """
     validate_pairing(model, prior, dims.k)
-    rng = rng_stream(seed, *stream)
+    rng = _rekeyed_generator(_stream_key(_checked_seed(seed), tuple(stream)))
     index = np.sort(rng.choice(dims.p, size=dims.k, replace=False))
 
     if prior.variant == FIXED_VECTOR:

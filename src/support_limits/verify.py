@@ -255,27 +255,22 @@ def _min_partition_brute():
 
 def _gt_mi_exhaustive(nu, k, ell, rho):
     """Exhaustive joint enumeration over X in {0,1}^k (and Y) from first
-    principles; independent of the case-table path."""
+    principles; independent of the case-table path.  The 2^k patterns are
+    the rows of a (2^k x k) 0/1 matrix, column i holding bit i."""
     p1 = nu / k
+    x = (np.arange(2**k)[:, None] >> np.arange(k)) & 1
+    px = np.prod(np.where(x == 1, p1, 1 - p1), axis=1)
+    clean = x.any(axis=1)
+    eq_any = x[:, ell:].any(axis=1)
+    # P[y | x_eq] marginalizing x_dif
+    xi_l = (1 - p1) ** ell
     I = 0.0
-    for bits in range(2**k):
-        x = [(bits >> i) & 1 for i in range(k)]
-        px = math.prod(p1 if xi else 1 - p1 for xi in x)
-        clean = 1 if any(x) else 0
-        eq_any = any(x[ell:])
-        # P[y | x_eq] marginalizing x_dif
-        xi_l = (1 - p1) ** ell
-        for y in (0, 1):
-            py_num = (1 - rho) if y == clean else rho
-            if py_num == 0.0:
-                continue
-            if eq_any:
-                py_den = (1 - rho) if y == 1 else rho
-            else:
-                py_den = xi_l * ((1 - rho) if y == 0 else rho) + (1 - xi_l) * (
-                    (1 - rho) if y == 1 else rho
-                )
-            I += px * py_num * math.log(py_num / py_den)
+    for y in (0, 1):
+        py_num = np.where(clean == y, 1 - rho, rho)
+        p_hit, p_miss = ((1 - rho) if y == 1 else rho), ((1 - rho) if y == 0 else rho)
+        py_den = np.where(eq_any, p_hit, xi_l * p_miss + (1 - xi_l) * p_hit)
+        keep = py_num != 0.0
+        I += float(np.sum(px[keep] * py_num[keep] * np.log(py_num[keep] / py_den[keep])))
     return I
 
 

@@ -68,7 +68,7 @@ class TestBindingRule:
             bounds.INFINITE
         )
 
-    @pytest.mark.parametrize("eta", [0.0, 0.3, 1.0])
+    @pytest.mark.parametrize("eta", [0.0, 0.3, 0.99])
     @pytest.mark.parametrize("corollary", [bounds.cor_linear_exact, bounds.cor_1bit_exact_lowsnr])
     def test_exact_corollaries_zero_mi(self, corollary, eta):
         res = corollary([0.0, 0.0, 1.0], 1.0, 50, 3, eta)
@@ -319,8 +319,11 @@ class TestCor1BitHighSnr:
         )
         assert slope == pytest.approx(1.0 + loglog_correction, abs=0.02)
 
-    def test_eta_one_gives_zero(self):
-        assert bounds.cor_1bit_highsnr_converse(0.1, 1.0, 1000, 500, eta=1.0) == 0.0
+    def test_eta_scales_and_one_refused(self):
+        full = bounds.cor_1bit_highsnr_converse(0.1, 1.0, 1000, 500)
+        assert bounds.cor_1bit_highsnr_converse(0.1, 1.0, 1000, 500, eta=0.5) == full * 0.5
+        with pytest.raises(ValueError, match="eta"):
+            bounds.cor_1bit_highsnr_converse(0.1, 1.0, 1000, 500, eta=1.0)
 
     def test_quadrupling_b0_sq_halves(self):
         a = bounds.cor_1bit_highsnr_converse(0.05, 1.0, 10**4, 5000)
@@ -673,3 +676,86 @@ class TestMatchedPairInvariant:
             ach = bounds.achievability_threshold_generic(m, None, dims)
             conv = bounds.converse_threshold_generic(m, None, dims)
             assert ach.n_ach >= conv.n_conv
+
+
+# every public entry point that takes the slack eta, called at a cheap input
+ETA_TAKERS = {
+    "BoundOptions": lambda eta: bounds.BoundOptions(eta=eta),
+    "cor_linear_exact": lambda eta: bounds.cor_linear_exact([1.0, 1.0, 1.0], 1.0, 50, 3, eta=eta),
+    "cor_linear_partial": lambda eta: bounds.cor_linear_partial(10.0, eta=eta, grid_points=50),
+    "cor_1bit_exact_lowsnr": lambda eta: bounds.cor_1bit_exact_lowsnr(
+        [1.0, 1.0, 1.0], 1.0, 3, 3, eta=eta
+    ),
+    "cor_1bit_highsnr_converse": lambda eta: bounds.cor_1bit_highsnr_converse(
+        0.1, 1.0, 1000, 500, eta=eta
+    ),
+    "cor_1bit_partial": lambda eta: bounds.cor_1bit_partial(10.0, eta=eta, grid_points=50),
+    "cor_gt_noiseless": lambda eta: bounds.cor_gt_noiseless(0.3, eta=eta),
+    "cor_gt_noisy": lambda eta: bounds.cor_gt_noisy(0.3, 0.11, eta=eta),
+    "cor_gt_partial": lambda eta: bounds.cor_gt_partial(0.11, 0.1, eta=eta),
+}
+
+
+class TestEtaRange:
+    @pytest.mark.parametrize("eta", [1.0, 1.5, -0.1, float("nan")])
+    @pytest.mark.parametrize("name", sorted(ETA_TAKERS))
+    def test_outside_unit_interval_refused(self, name, eta):
+        with pytest.raises(ValueError, match="eta"):
+            ETA_TAKERS[name](eta)
+
+    @pytest.mark.parametrize("eta", [0.0, 0.5])
+    @pytest.mark.parametrize("name", sorted(ETA_TAKERS))
+    def test_inside_accepted(self, name, eta):
+        ETA_TAKERS[name](eta)
+
+    def test_reported_cases_now_refused(self):
+        dims = md.ProblemDims(p=50, k=3)
+        for b, eta in (([0.0, 0.0, 1.0], 1.0), ([1.0, 1.0, 1.0], 1.5)):
+            with pytest.raises(ValueError, match="eta"):
+                bounds.converse_threshold_generic(
+                    md.ModelSpec.linear(1.0), b, dims, bounds.BoundOptions(eta=eta)
+                )
+        with pytest.raises(ValueError, match="eta"):
+            bounds.cor_1bit_exact_lowsnr([1, 1, 1], 1.0, 3, 3, eta=2)
+
+    def test_converse_scales_by_one_minus_eta(self):
+        m, dims = md.ModelSpec.linear(1.0), md.ProblemDims(p=50, k=3)
+        full = bounds.converse_threshold_generic(m, [1.0, 1.0, 1.0], dims).n_conv
+        half = bounds.converse_threshold_generic(
+            m, [1.0, 1.0, 1.0], dims, bounds.BoundOptions(eta=0.5)
+        ).n_conv
+        assert half == full * 0.5 > 0.0
+
+
+class TestNoWrongSupport:
+    """p = k: the true support is the only k-subset, so every threshold that
+    counts wrong supports is 0 with no binding ell."""
+
+    @pytest.mark.parametrize(
+        "model, b",
+        [
+            (md.ModelSpec.linear(1.0), [1.0, 1.0, 1.0]),
+            (md.ModelSpec.one_bit(0.5), [1.0, -0.5, 2.0]),
+            (md.ModelSpec.group_testing(0.11), None),
+        ],
+    )
+    def test_generic_thresholds(self, model, b):
+        dims = md.ProblemDims(p=3, k=3)
+        ach = bounds.achievability_threshold_generic(model, b, dims)
+        conv = bounds.converse_threshold_generic(model, b, dims)
+        assert (ach.n_ach, ach.binding, ach.breakdown, ach.remainder_n) == (0.0, None, (), None)
+        assert (conv.n_conv, conv.binding, conv.breakdown) == (0.0, None, ())
+
+    def test_options_do_not_change_it(self):
+        m, dims = md.ModelSpec.linear(1.0), md.ProblemDims(p=3, k=3, d_max=1)
+        opts = bounds.BoundOptions(asymptotic=True, eta=0.5, remainder_target=1e-3)
+        assert bounds.achievability_threshold_generic(m, [1.0, 1.0, 1.0], dims, opts).n_ach == 0.0
+        assert bounds.converse_threshold_generic(m, [1.0, 1.0, 1.0], dims, opts).n_conv == 0.0
+
+    def test_cor_linear_exact(self):
+        res = bounds.cor_linear_exact([1.0, 1.0, 1.0], 1.0, 3, 3)
+        assert (res.n_ach, res.n_conv, res.binding, res.breakdown) == (0.0, 0.0, None, ())
+
+    def test_wrong_supports_give_positive_counts(self):
+        res = bounds.cor_linear_exact([1.0, 1.0, 1.0], 1.0, 6, 3)
+        assert res.n_ach > 0.0 and res.n_conv > 0.0 and res.binding is not None

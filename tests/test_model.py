@@ -1,4 +1,6 @@
 import math
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -174,6 +176,138 @@ class TestSampler:
         for s in range(100):
             r = md.sample_realization(dims, md.ModelSpec.linear(1.0), pr, seed=s)
             assert sorted(r.b_support()) == sorted(pr.b)
+
+
+def _fresh_sample(dims, model, prior, seed, stream=()):
+    """sample_realization with a new rng_stream generator per call."""
+    md.validate_pairing(model, prior, dims.k)
+    rng = md.rng_stream(seed, *stream)
+    index = np.sort(rng.choice(dims.p, size=dims.k, replace=False))
+    if prior.variant == md.FIXED_VECTOR:
+        b_s = np.asarray(prior.b, dtype=float)
+    elif prior.variant == md.PERMUTED_VECTOR:
+        b_s = rng.permutation(np.asarray(prior.b, dtype=float))
+    elif prior.variant == md.IID_GAUSSIAN:
+        b_s = rng.normal(0.0, np.sqrt(prior.sigma_beta_sq), size=dims.k)
+    else:
+        b_s = np.ones(dims.k)
+    channel = CHANNELS[model.channel]
+    x = channel.draw_design(model, rng, dims.n, dims.p, dims.k)
+    beta = np.zeros(dims.p)
+    beta[index] = b_s
+    y = channel.sample(model, x[:, index], b_s, rng)
+    return md.Realization(support=tuple((index + 1).tolist()), beta=beta, x=x, y=y)
+
+
+def _same_realization(a, b):
+    return (
+        a.support == b.support
+        and a.beta.tolist() == b.beta.tolist()
+        and a.x.tolist() == b.x.tolist()
+        and a.y.tolist() == b.y.tolist()
+    )
+
+
+SAMPLER_CASES = {
+    "linear-fixed": (md.ModelSpec.linear(0.7), md.SignalPrior.fixed([1.0, -0.5, 2.0])),
+    "linear-permuted": (md.ModelSpec.linear(0.7), md.SignalPrior.permuted([1.0, -0.5, 2.0])),
+    "linear-gaussian": (md.ModelSpec.linear(0.7), md.SignalPrior.iid_gaussian(2.0)),
+    "one-bit-fixed": (md.ModelSpec.one_bit(0.5), md.SignalPrior.fixed([1.0, -0.5, 2.0])),
+    "one-bit-permuted": (md.ModelSpec.one_bit(0.5), md.SignalPrior.permuted([1.0, 1.0, -2.0])),
+    "gt-noiseless": (md.ModelSpec.group_testing(0.0), md.SignalPrior.all_ones()),
+    "gt-noisy": (md.ModelSpec.group_testing(0.11), md.SignalPrior.all_ones()),
+}
+
+
+class TestStreamKey:
+    @pytest.mark.parametrize("n_index", [0, 7, 2**31, 2**32, 2**40])
+    @pytest.mark.parametrize("seed", [0, 1, 2**32 - 1, 2**32, 2**63 - 1])
+    def test_key_table_port_equals_seed_sequence(self, seed, n_index):
+        for t in [*range(600), 2**31, 2**32 - 1, 2**32, 2**40]:
+            expect = np.random.SeedSequence([seed, n_index, t]).generate_state(2, np.uint64)
+            assert md._stream_key(seed, (n_index, t)).tolist() == expect.tolist(), t
+
+    @pytest.mark.parametrize("stream", [(), (5,), (1, 2, 3, 4, 5), (3, 2**40)])
+    @pytest.mark.parametrize("seed", [0, 2**32, 2**63 - 1])
+    def test_other_streams_equal_seed_sequence(self, seed, stream):
+        expect = np.random.SeedSequence([seed, *stream]).generate_state(2, np.uint64)
+        assert md._stream_key(seed, stream).tolist() == expect.tolist()
+
+    def test_tables_are_read_only(self):
+        with pytest.raises(ValueError):
+            md._key_table(3, (1,), 0)[0, 0] = 0
+
+
+class TestRekeyedSampler:
+    @pytest.mark.parametrize("seed", [7, 2**63 - 1])
+    @pytest.mark.parametrize("case", sorted(SAMPLER_CASES))
+    def test_equals_fresh_generator_per_call(self, case, seed):
+        model, prior = SAMPLER_CASES[case]
+        dims = md.ProblemDims(p=11, k=3, n=9)
+        for stream in [(), (3,), (2, 255), (2, 256), (2, 2**32)]:
+            got = md.sample_realization(dims, model, prior, seed, stream=stream)
+            assert _same_realization(got, _fresh_sample(dims, model, prior, seed, stream)), stream
+
+    def test_rekeyed_generator_draws_as_fresh_philox(self):
+        # A numpy upgrade that changes Philox's state dict must fail here
+        # rather than let the sampler's draws drift.
+        key = md._stream_key(11, (4, 300))
+        used = md._rekeyed_generator(key)
+        used.integers(0, 2**32, size=3, dtype=np.uint32)  # leaves one buffered uint32
+        used.standard_normal(5)
+        gen = md._rekeyed_generator(key)
+        fresh = np.random.Generator(np.random.Philox(np.random.SeedSequence([11, 4, 300])))
+        got, want = gen.bit_generator.state, fresh.bit_generator.state
+        assert got["state"]["key"].tolist() == want["state"]["key"].tolist()
+        assert got["state"]["counter"].tolist() == want["state"]["counter"].tolist()
+        assert got["buffer"].tolist() == want["buffer"].tolist()
+        assert [got[f] for f in ("buffer_pos", "has_uint32", "uinteger")] == [
+            want[f] for f in ("buffer_pos", "has_uint32", "uinteger")
+        ]
+        draws = (
+            lambda g: g.choice(50, size=5, replace=False),
+            lambda g: g.random(7),
+            lambda g: g.standard_normal(9),
+            lambda g: g.normal(0.0, 2.0, size=4),
+            lambda g: g.permutation(np.arange(6.0)),
+            lambda g: g.integers(0, 2**32, size=3, dtype=np.uint32),
+        )
+        for draw in draws:
+            assert draw(gen).tolist() == draw(fresh).tolist()
+
+    def test_threads_match_serial_run(self):
+        model, prior = SAMPLER_CASES["gt-noisy"]
+        dims = md.ProblemDims(p=15, k=3, n=12)
+        streams = [(n_index, t) for n_index in (0, 1) for t in range(250, 262)]
+        serial = {s: md.sample_realization(dims, model, prior, 5, s) for s in streams}
+        results, errors = {}, []
+
+        def work(part):
+            try:
+                for s in part:
+                    results[s] = md.sample_realization(dims, model, prior, 5, s)
+            except Exception as exc:  # reported by the assertion below
+                errors.append(exc)
+
+        old = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=work, args=(streams[i::4],)) for i in range(4)]
+            for th in threads:
+                th.start()
+            for th in threads:
+                th.join(timeout=60)
+        finally:
+            sys.setswitchinterval(old)
+        assert not any(th.is_alive() for th in threads)
+        assert errors == []
+        assert all(_same_realization(results[s], serial[s]) for s in streams)
+
+    @pytest.mark.parametrize("seed", [-1, 2**63, 2**64])
+    def test_seed_outside_range_refused(self, seed):
+        model, prior = SAMPLER_CASES["gt-noisy"]
+        with pytest.raises(ValueError, match="seed must lie"):
+            md.sample_realization(md.ProblemDims(p=5, k=2, n=3), model, prior, seed, stream=(0, 1))
 
 
 class TestPriorAccessors:
