@@ -13,7 +13,7 @@ from .model import (
     sample_realization,
     snr_db,
 )
-from .info import InfoStats, mutual_information, variance_mc
+from .info import InfoStats, density_variance, mutual_information, variance_mc
 from .bounds import (
     BoundOptions,
     ThresholdResult,
@@ -56,6 +56,7 @@ __all__ = [
     "decode_comp",
     "decode_ml",
     "decode_threshold",
+    "density_variance",
     "enumerate_partitions",
     "figure_curves",
     "min_info_partition",

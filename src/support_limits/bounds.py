@@ -97,10 +97,13 @@ class ThresholdResult:
     of the largest ratio, ties (infinite ratios included) to the smallest.
     remainder_n carries the tail-bound side condition when one was computed.
 
-    At p = k the only k-subset is the true support, so no wrong support
-    exists: the thresholds that count wrong supports (the generic
-    achievability and converse, cor_linear_exact) give 0.0 with no binding
-    ell and an empty breakdown.
+    A wrong support lies at a distance ell <= min(k, p - k), so the
+    achievability rows (generic and cor_linear_exact) and the remainder's ell
+    range stop there.  At p = k no wrong support exists: the counts of wrong
+    supports (the generic achievability and converse, cor_linear_exact,
+    fano_lower_bound, cor_general_discrete_converse) give 0.0 with no binding
+    ell and an empty breakdown; the generic achievability also does when
+    d_max >= p - k, where every wrong support is within the allowed misses.
     """
 
     n_ach: float = INFINITE
@@ -167,7 +170,7 @@ def _per_ell_mi(model: ModelSpec, b, dims: ProblemDims, quad: QuadratureSpec):
     """Worst-case (minimum) mutual information per ell."""
     b = _entries(b, dims)
     return {
-        ell: mutual_information(model, min_info_partition(b, ell), b, quad).mi
+        ell: mutual_information(model, min_info_partition(b, ell), b, quad)
         for ell in range(1, dims.k + 1)
     }
 
@@ -185,8 +188,8 @@ def achievability_threshold_generic(
     prior: SignalPrior | None = None,
     quad: QuadratureSpec = DEFAULT_QUAD,
 ) -> ThresholdResult:
-    """Sufficient measurement count: max-ratio over ell in {d_max+1..k} with
-    the worst-case (min-info) partition per ell.
+    """Sufficient measurement count: max-ratio over ell in
+    {d_max+1..min(k, p-k)} with the worst-case (min-info) partition per ell.
 
     Returns an infinite threshold (unrecoverable sentinel) if some required
     ell has zero mutual information.  The tail-bound side condition is
@@ -195,10 +198,10 @@ def achievability_threshold_generic(
     """
     k, p = dims.k, dims.p
     gamma = gamma_select(opts.gamma_rule, model, prior, dims, opts.delta0)
-    mi_map = _per_ell_mi(model, b, dims, quad)
-    if p == k:
+    ells = range(dims.d_max + 1, min(k, p - k) + 1)
+    if not ells:
         return ThresholdResult(n_ach=0.0)
-    ells = range(dims.d_max + 1, k + 1)
+    mi_map = _per_ell_mi(model, b, dims, quad)
     rows = []
     for ell in ells:
         if opts.asymptotic:
@@ -258,9 +261,9 @@ def converse_threshold_generic(
     main term is recorded as vacuous and skipped.
     """
     k, p = dims.k, dims.p
-    mi_map = _per_ell_mi(model, b, dims, quad)
     if p == k:
         return ThresholdResult(n_conv=0.0)
+    mi_map = _per_ell_mi(model, b, dims, quad)
     ells = (
         list(opts.ell_set)
         if opts.ell_set is not None
@@ -306,10 +309,12 @@ def fano_lower_bound(
     reported alongside the strong converse, which it never exceeds.
     """
     k, p = dims.k, dims.p
+    if p == k:
+        return 0.0, FanoRegion(boundary_n=0.0, description="no wrong support at p = k")
     b = _entries(b, dims)
     boundary = INFINITE
     for ell in range(1, k + 1):
-        mi = mutual_information(model, max_info_partition(b, ell), b, quad).mi
+        mi = mutual_information(model, max_info_partition(b, ell), b, quad)
         if mi <= 0.0:
             continue
         boundary = min(boundary, log_binomial(p - k + ell, ell) * (1.0 - delta2) / mi)
@@ -353,7 +358,8 @@ def cor_linear_exact(
     for ell in range(1, k + 1):
         s_sq = float(np.sum(np.sort(b**2)[:ell]))
         mi = 0.5 * math.log1p(s_sq / sigma**2)
-        rows.append(_ratio_row(ell, log_binomial(p - k, ell), mi))
+        if ell <= p - k:
+            rows.append(_ratio_row(ell, log_binomial(p - k, ell), mi))
         conv.append(_ratio_row(ell, log_binomial(p - k + ell, ell), mi))
     return _corollary_result(rows, conv, eta)
 
@@ -726,6 +732,8 @@ def cor_general_discrete_converse(
     solved by fixed-point iteration on n (the additive denominator term
     decays as n^{-1/2}).
     """
+    if dims.p == dims.k:
+        return 0.0
     mi_map = _per_ell_mi(model, b, dims, quad)
     nums = {
         ell: log_binomial(dims.p - dims.k + ell, ell) - math.log(delta1)

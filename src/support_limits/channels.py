@@ -3,12 +3,12 @@ The three observation channels, each written once.
 
 A channel is fully specified by a few facts: its measurement design and
 sampler, its per-row likelihood P(y | x_s, b), its per-row marginal over the
-differing part P(y | x_eq, b), its mutual information with the variance of
-the information density, and the tail-bound families for the density sums.
-The objects in CHANNELS state these facts once per channel; the rest of the
-package reaches them through CHANNELS[model.channel].  They hold no state:
-every method takes the ModelSpec `spec` first, which carries sigma, rho and
-nu.
+differing part P(y | x_eq, b), its mutual information, the variance of the
+information density (apart: the thresholds read only the former), and the
+tail-bound families for the density sums.  The objects in CHANNELS state
+these facts once per channel; the rest of the package reaches them through
+CHANNELS[model.channel].  They hold no state: every method takes the
+ModelSpec `spec` first, which carries sigma, rho and nu.
 
 Group testing has a finite outcome table (GtTable).  Given beta = ones, one
 measurement row falls in one of five cases: x_eq has a one (density 0), or
@@ -69,9 +69,9 @@ class Channel:
         log_marginal_rows(spec, partition, x_s, b, y)
                                         log P(y | x_eq, b) per row, x_dif
                                         marginalized over the design
-        mi_var(spec, partition, b, quad)
-                                        I_{dif,eq}(b) in nats and the variance
-                                        of the information density
+        mi(spec, partition, b, quad)    I_{dif,eq}(b) in nats
+        variance(spec, partition, b, quad)
+                                        variance of the information density
         tail_specs(spec, b, dims, mi_map)
                                         conc.TailBoundSpec list for the
                                         achievability remainder; mi_map:
@@ -83,8 +83,6 @@ class Channel:
     candidate supports, x_s of shape (C x n x k) against the same y: the row
     methods then return (C x n) arrays and loglik one sum per candidate.
     """
-
-    mi_method: str
 
     def loglik(self, spec, x_s, b, y):
         """log P(y | x_s, b) summed over the rows: a float for one (n x k)
@@ -117,8 +115,6 @@ class _GaussianDesign(Channel):
 
 class Linear(_GaussianDesign):
     """y = <x, b> + z, z ~ N(0, sigma^2);  I = (1/2) log(1 + sum_dif b^2 / sigma^2)."""
-
-    mi_method = "closed-form"
 
     def validate(self, spec) -> None:
         super().validate(spec)
@@ -155,10 +151,13 @@ class Linear(_GaussianDesign):
         with np.errstate(over="ignore"):
             return -0.5 * (resid_eq**2) / v - 0.5 * np.log(2.0 * np.pi * v)
 
-    def mi_var(self, spec, partition, b, quad):
+    def mi(self, spec, partition, b, quad):
         sig_l_sq = _energy(np.asarray(b, dtype=float), partition.dif_index())
-        mi = 0.5 * math.log1p(sig_l_sq / spec.sigma**2)
-        return mi, sig_l_sq / (spec.sigma**2 + sig_l_sq)
+        return 0.5 * math.log1p(sig_l_sq / spec.sigma**2)
+
+    def variance(self, spec, partition, b, quad):
+        sig_l_sq = _energy(np.asarray(b, dtype=float), partition.dif_index())
+        return sig_l_sq / (spec.sigma**2 + sig_l_sq)
 
     def tail_specs(self, spec, b, dims, mi_map):
         from .conc import TailBoundSpec, bernstein_linear_terms  # conc imports this module
@@ -176,8 +175,6 @@ class OneBit(_GaussianDesign):
     a_eq = sqrt(sum_eq b^2 / (sigma^2 + sum_dif b^2)), a_s = sqrt(sum_s b^2) / sigma.
     """
 
-    mi_method = "quadrature"
-
     def sample(self, spec, x_s, b, rng):
         return one_bit_sign(x_s @ b + spec.sigma * rng.standard_normal(x_s.shape[0]))
 
@@ -189,35 +186,43 @@ class OneBit(_GaussianDesign):
         sig_l_sq = _energy(b, partition.dif_index())
         return log_q_function(-y * (x_s[..., eq] @ b[eq]) / np.sqrt(spec.sigma**2 + sig_l_sq))
 
-    def mi_var(self, spec, partition, b, quad):
+    def mi(self, spec, partition, b, quad):
         b = np.asarray(b, dtype=float)
         sig_l_sq = _energy(b, partition.dif_index())
-        sig_eq_sq = _energy(b, partition.eq_index())
         if sig_l_sq == 0.0:
-            return 0.0, 0.0
+            return 0.0
+        sig_eq_sq = _energy(b, partition.eq_index())
         a_eq = math.sqrt(sig_eq_sq / (spec.sigma**2 + sig_l_sq))
         a_s = math.sqrt((sig_l_sq + sig_eq_sq)) / spec.sigma
         mi = mean_entropy_q_scaled(a_eq, quad) - mean_entropy_q_scaled(a_s, quad)
-        var = self._variance(spec.sigma, math.sqrt(sig_l_sq), math.sqrt(sig_eq_sq), quad)
-        if not (math.isfinite(mi) and math.isfinite(var)):
-            raise NonConvergenceError(f"1-bit quadrature gave mi={mi}, var={var}")
-        return max(0.0, mi), max(0.0, var)
+        if not math.isfinite(mi):
+            raise NonConvergenceError(f"1-bit quadrature gave mi={mi}")
+        return max(0.0, mi)
 
-    @staticmethod
-    def _variance(sigma, s_dif, s_eq, quad) -> float:
+    def variance(self, spec, partition, b, quad):
         """Var of the density by tensor quadrature over (W_dif, W_eq)."""
+        b = np.asarray(b, dtype=float)
+        sig_l_sq = _energy(b, partition.dif_index())
+        if sig_l_sq == 0.0:
+            return 0.0
+        s_dif = math.sqrt(sig_l_sq)
+        s_eq = math.sqrt(_energy(b, partition.eq_index()))
         z, w = gauss_hermite_nodes(quad.node_count if quad.scheme == "gauss-hermite" else 96)
         wd = s_dif * z[:, None]
         we = s_eq * z[None, :]
-        denom_scale = math.sqrt(sigma**2 + s_dif**2)
+        denom_scale = math.sqrt(spec.sigma**2 + s_dif**2)
         mean = 0.0
         second = 0.0
         for y in (1.0, -1.0):
-            dens = log_q_function(-y * (wd + we) / sigma) - log_q_function(-y * we / denom_scale)
-            p_y = np.exp(log_q_function(-y * (wd + we) / sigma))
+            log_p_y = log_q_function(-y * (wd + we) / spec.sigma)
+            dens = log_p_y - log_q_function(-y * we / denom_scale)
+            p_y = np.exp(log_p_y)
             mean += float(w @ (p_y * dens) @ w)
             second += float(w @ (p_y * dens**2) @ w)
-        return second - mean**2
+        var = second - mean**2
+        if not math.isfinite(var):
+            raise NonConvergenceError(f"1-bit quadrature gave var={var}")
+        return max(0.0, var)
 
     def tail_specs(self, spec, b, dims, mi_map):
         from .conc import TailBoundSpec, bernstein_discrete_terms  # conc imports this module
@@ -296,8 +301,6 @@ class GroupTesting(Channel):
     testing only) has density -inf, never NaN.
     """
 
-    mi_method = "closed-form"
-
     def validate(self, spec) -> None:
         if not 0.0 <= spec.rho < 0.5:
             raise ValueError(f"crossover rho must lie in [0, 0.5), got {spec.rho}")
@@ -353,8 +356,10 @@ class GroupTesting(Channel):
         # zero-probability observation: explicit -inf sentinel, never NaN
         return np.where(np.isneginf(num), NEG_INF, out)
 
-    def mi_var(self, spec, partition, b, quad):
-        mi = gt_mi_closed_form(spec.nu, partition.k, partition.ell, spec.rho)
+    def mi(self, spec, partition, b, quad):
+        return gt_mi_closed_form(spec.nu, partition.k, partition.ell, spec.rho)
+
+    def variance(self, spec, partition, b, quad):
         t = self.table(spec, partition)
         mean = 0.0
         second = 0.0
@@ -362,7 +367,7 @@ class GroupTesting(Channel):
             if pr > 0.0:
                 mean += pr * v
                 second += pr * v * v
-        return mi, max(0.0, second - mean**2)
+        return max(0.0, second - mean**2)
 
     def tail_specs(self, spec, b, dims, mi_map):
         from .conc import gt_tail_specs  # conc imports this module

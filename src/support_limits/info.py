@@ -8,9 +8,10 @@ information density is the log-likelihood ratio
 
 where the denominator marginalizes x_dif over the measurement design (never
 an empirical plug-in).  Its conditional mean is the mutual information
-I_{dif,eq}(b) = I(X_dif; Y | X_eq, beta = b), computed in closed form or by
-quadrature.  The per-channel formulas live in `channels`; this module turns
-them into densities, mutual informations and marginal likelihoods.
+I_{dif,eq}(b) = I(X_dif; Y | X_eq, beta = b), a float from `mutual_information`
+(closed form or quadrature); `density_variance` gives its variance.  The
+per-channel formulas live in `channels`; this module turns them into
+densities, mutual informations and marginal likelihoods.
 
 Zero-probability observations (noiseless group testing only) yield an
 explicit -inf density, never a silent NaN; decoders treat -inf as
@@ -60,11 +61,10 @@ class UnsupportedCombinationError(ValueError):
 
 @dataclass(frozen=True)
 class InfoStats:
-    """Mutual information (nats) and information-density variance."""
+    """Monte Carlo density mean (nats) and variance, from variance_mc."""
 
     mi: float
     var: float
-    method: str
     trials: int = 0
     std_err: float = 0.0
 
@@ -95,16 +95,27 @@ def mutual_information(
     partition: Partition,
     b=None,
     quad: QuadratureSpec = DEFAULT_QUAD,
-) -> InfoStats:
-    """I_{dif,eq}(b) in nats, with the information-density variance.
+) -> float:
+    """I_{dif,eq}(b) in nats.
 
-    Linear and group testing are closed form (exact variance included); the
-    1-bit channel evaluates two scaled-entropy Gaussian expectations and a
-    2-D tensor quadrature for the variance.  b is ignored for group testing.
+    Linear and group testing are closed form; the 1-bit channel evaluates two
+    scaled-entropy Gaussian expectations.  b is ignored for group testing.
     """
-    channel = CHANNELS[model.channel]
-    mi, var = channel.mi_var(model, partition, b, quad)
-    return InfoStats(mi=mi, var=var, method=channel.mi_method)
+    return CHANNELS[model.channel].mi(model, partition, b, quad)
+
+
+def density_variance(
+    model: ModelSpec,
+    partition: Partition,
+    b=None,
+    quad: QuadratureSpec = DEFAULT_QUAD,
+) -> float:
+    """Variance of the information density i(x_dif; y | x_eq, b).
+
+    Linear and group testing are closed form; the 1-bit channel evaluates a
+    2-D tensor quadrature over (W_dif, W_eq).  b is ignored for group testing.
+    """
+    return CHANNELS[model.channel].variance(model, partition, b, quad)
 
 
 def mi_asymptotic_1bit_lowsnr(b, sigma: float, partition: Partition) -> float:
@@ -187,9 +198,7 @@ def variance_mc(
     mean = float(np.mean(dens))
     var = float(np.var(dens, ddof=1))
     se_mean = math.sqrt(var / trials)
-    return InfoStats(
-        mi=mean, var=var, method="monte-carlo", trials=trials, std_err=se_mean
-    )
+    return InfoStats(mi=mean, var=var, trials=trials, std_err=se_mean)
 
 
 # ---------------------------------------------------------------------------

@@ -317,20 +317,16 @@ def min_info_partition(b: Sequence[float], ell: int) -> Partition:
     k = b.size
     if not 1 <= ell <= k:
         raise ValueError(f"need 1 <= ell <= k, got ell={ell}, k={k}")
-    order = np.argsort(np.abs(b), kind="stable")
-    dif = tuple(sorted(int(i) + 1 for i in order[:ell]))
-    eq = tuple(sorted(int(i) + 1 for i in order[ell:]))
-    return Partition(s_dif=dif, s_eq=eq)
+    order = (np.argsort(np.abs(b), kind="stable") + 1).tolist()  # Partition sorts
+    return Partition(s_dif=tuple(order[:ell]), s_eq=tuple(order[ell:]))
 
 
 def max_info_partition(b: Sequence[float], ell: int) -> Partition:
     """Partition putting the ell largest-magnitude entries into s_dif."""
     b = np.asarray(b, dtype=float)
     k = b.size
-    order = np.argsort(np.abs(b), kind="stable")
-    dif = tuple(sorted(int(i) + 1 for i in order[k - ell :]))
-    eq = tuple(sorted(int(i) + 1 for i in order[: k - ell]))
-    return Partition(s_dif=dif, s_eq=eq)
+    order = (np.argsort(np.abs(b), kind="stable") + 1).tolist()
+    return Partition(s_dif=tuple(order[k - ell :]), s_eq=tuple(order[: k - ell]))
 
 
 def enumerate_partitions(k: int, ell_set: Sequence[int] | None = None) -> Iterator[Partition]:

@@ -295,7 +295,7 @@ def _idens_mean_linear():
     b = np.array([1.0, -0.6, 0.3])
     part = md.min_info_partition(b, 2)
     mc = info.variance_mc(m, part, b, trials=10**6, seed=SEED + 5)
-    closed = info.mutual_information(m, part, b).mi
+    closed = info.mutual_information(m, part, b)
     return abs(mc.mi - closed), 3 * mc.std_err, "1e6-sample density mean vs closed form"
 
 
@@ -305,7 +305,7 @@ def _idens_mean_1bit():
     b = np.array([1.0, 1.0, -0.5])
     part = md.min_info_partition(b, 1)
     mc = info.variance_mc(m, part, b, trials=10**6, seed=SEED + 6)
-    quad = info.mutual_information(m, part, b).mi
+    quad = info.mutual_information(m, part, b)
     return abs(mc.mi - quad), 3 * mc.std_err, "1e6-sample density mean vs quadrature"
 
 
@@ -314,7 +314,7 @@ def _idens_mean_gt():
     m = md.ModelSpec.group_testing(rho=0.11)
     part = md.min_info_partition([1.0] * 4, 2)
     mc = info.variance_mc(m, part, None, trials=10**6, seed=SEED + 7)
-    closed = info.mutual_information(m, part).mi
+    closed = info.mutual_information(m, part)
     return abs(mc.mi - closed), 3 * mc.std_err, "1e6-sample density mean vs closed form"
 
 
@@ -325,7 +325,7 @@ def _gt_var_enum():
         for ell in (1, k // 2, k):
             part = md.min_info_partition([1.0] * k, ell)
             m = md.ModelSpec.group_testing(rho=0.11)
-            var_table = info.mutual_information(m, part).var
+            var_table = info.density_variance(m, part)
             mc = info.variance_mc(m, part, None, trials=2 * 10**5, seed=SEED + k + ell)
             se = mc.var * math.sqrt(2.0 / (mc.trials - 1))
             worst = max(worst, abs(var_table - mc.var) - 3 * se)
@@ -342,8 +342,8 @@ def _onebit_dpi():
         ell = int(rng.integers(1, k + 1))
         part = md.min_info_partition(b, ell)
         sigma = float(rng.uniform(0.5, 2.0))
-        one = info.mutual_information(md.ModelSpec.one_bit(sigma), part, b).mi
-        lin = info.mutual_information(md.ModelSpec.linear(sigma), part, b).mi
+        one = info.mutual_information(md.ModelSpec.one_bit(sigma), part, b)
+        lin = info.mutual_information(md.ModelSpec.linear(sigma), part, b)
         worst = max(worst, one - nm.LOG2, one - lin)
     return worst, 1e-9, "1-bit MI <= log 2 and <= linear MI"
 
@@ -352,7 +352,7 @@ def _onebit_dpi():
 def _gt_rho_monotone():
     part = md.min_info_partition([1.0] * 6, 3)
     rhos = np.linspace(0.0, 0.49, 50)
-    vals = [info.mutual_information(md.ModelSpec.group_testing(rho=float(r)), part).mi for r in rhos]
+    vals = [info.mutual_information(md.ModelSpec.group_testing(rho=float(r)), part) for r in rhos]
     worst = max(max(0.0, vals[i + 1] - vals[i]) for i in range(len(vals) - 1))
     return worst, 1e-12, "GT MI decreasing in rho"
 
@@ -365,9 +365,9 @@ def _min_partition_mi():
         for k in (4, 6, 8):
             b = rng.normal(0, 1, k)
             for ell in (1, k // 2, k - 1):
-                mine = info.mutual_information(model, md.min_info_partition(b, ell), b).mi
+                mine = info.mutual_information(model, md.min_info_partition(b, ell), b)
                 brute = min(
-                    info.mutual_information(model, p, b).mi
+                    info.mutual_information(model, p, b)
                     for p in md.enumerate_partitions(k, [ell])
                 )
                 worst = max(worst, mine - brute)
@@ -453,10 +453,10 @@ def _psi_cheby_dom():
     m = md.ModelSpec.group_testing(rho=0.11)
     for ell, n, d2 in ((2, 500, 0.5), (3, 300, 0.6), (1, 800, 0.7)):
         part = md.min_info_partition([1.0] * 8, ell)
-        st = info.mutual_information(m, part)
+        mi = info.mutual_information(m, part)
         sums = _gt_density_sums(m, part, n, 10**4, SEED + ell)
-        p, se = _tail_freq(sums, n, st.mi, d2, two_sided=True)
-        bound = conc.psi_chebyshev(st.mi, st.var, n, d2)
+        p, se = _tail_freq(sums, n, mi, d2, two_sided=True)
+        bound = conc.psi_chebyshev(mi, info.density_variance(m, part), n, d2)
         worst = max(worst, p - bound - 3 * se)
     return worst, 0.0, "empirical two-sided tail <= Chebyshev"
 
@@ -469,12 +469,12 @@ def _psi_bd_dom():
     rng = md.rng_stream(SEED, 11)
     for ell, n, d2 in ((3, 300, 0.9), (2, 500, 0.8), (1, 900, 0.9)):
         part = md.min_info_partition(b, ell)
-        st = info.mutual_information(m, part, b)
+        mi = info.mutual_information(m, part, b)
         x = rng.standard_normal((10**4, n, 3)).reshape(-1, 3)
         y = np.where(x @ b + rng.standard_normal(x.shape[0]) >= 0, 1.0, -1.0)
         dens = info.density_rows(m, part, b, x, y).reshape(10**4, n)
-        p, se = _tail_freq(dens.sum(axis=1), n, st.mi, d2, two_sided=True)
-        bound = conc.psi_bernstein_discrete(st.mi, 2, n, d2)
+        p, se = _tail_freq(dens.sum(axis=1), n, mi, d2, two_sided=True)
+        bound = conc.psi_bernstein_discrete(mi, 2, n, d2)
         worst = max(worst, p - bound - 3 * se)
     return worst, 0.0, "empirical tail <= discrete Bernstein"
 
@@ -487,11 +487,11 @@ def _psi_bl_dom():
     rng = md.rng_stream(SEED, 12)
     for ell, n, d2 in ((3, 60, 0.9), (2, 120, 0.9), (1, 400, 0.9)):
         part = md.min_info_partition(b, ell)
-        st = info.mutual_information(m, part, b)
+        mi = info.mutual_information(m, part, b)
         x = rng.standard_normal((10**4 * n, 3))
         y = x @ b + rng.standard_normal(x.shape[0])
         dens = info.density_rows(m, part, b, x, y).reshape(10**4, n)
-        p, se = _tail_freq(dens.sum(axis=1), n, st.mi, d2, two_sided=True)
+        p, se = _tail_freq(dens.sum(axis=1), n, mi, d2, two_sided=True)
         bound = conc.psi_bernstein_linear(b, 1.0, part, n, d2)
         worst = max(worst, p - bound - 3 * se)
     return worst, 0.0, "empirical tail <= linear Bernstein"
@@ -503,9 +503,9 @@ def _psi_chernoff_dom():
     m = md.ModelSpec.group_testing(rho=0.0)
     for ell, n, d2 in ((1, 1500, 0.9), (2, 900, 0.85), (3, 600, 0.9)):
         part = md.min_info_partition([1.0] * 100, ell)
-        st = info.mutual_information(m, part)
+        mi = info.mutual_information(m, part)
         sums = _gt_density_sums(m, part, n, 10**4, SEED + 13 + ell)
-        p, se = _tail_freq(sums, n, st.mi, d2, two_sided=False)
+        p, se = _tail_freq(sums, n, mi, d2, two_sided=False)
         bound = conc.psi_chernoff_gt(m.nu, 100, ell, n, d2)
         worst = max(worst, p - bound - 3 * se)
     return worst, 0.0, "empirical lower tail <= Chernoff"
@@ -517,9 +517,9 @@ def _psi_bennett_dom():
     m = md.ModelSpec.group_testing(rho=0.11)
     for ell, n, d2 in ((2, 1200, 0.9), (1, 2500, 0.9), (3, 900, 0.85)):
         part = md.min_info_partition([1.0] * 100, ell)
-        st = info.mutual_information(m, part)
+        mi = info.mutual_information(m, part)
         sums = _gt_density_sums(m, part, n, 10**4, SEED + 17 + ell)
-        p, se = _tail_freq(sums, n, st.mi, d2, two_sided=False)
+        p, se = _tail_freq(sums, n, mi, d2, two_sided=False)
         bound = conc.psi_bennett_gt_noisy(m.nu, 0.11, 100, ell, n, d2)
         worst = max(worst, p - bound - 3 * se)
     return worst, 0.0, "empirical lower tail <= Bennett"
@@ -533,7 +533,7 @@ def _var_cap():
         for ell in (1, k // 2, k):
             for rho in (0.0, 0.11, 0.25):
                 part = md.min_info_partition([1.0] * k, ell)
-                v = info.mutual_information(md.ModelSpec.group_testing(rho=rho), part).var
+                v = info.density_variance(md.ModelSpec.group_testing(rho=rho), part)
                 worst = max(worst, v - cap)
     return worst, 0.0, f"GT variances <= |Y|(4/e)^2 = {cap:.3f}"
 

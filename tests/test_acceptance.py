@@ -162,10 +162,10 @@ def test_criterion_07_mi_oracle_equivalence():
     b = np.array([1.0, -0.6, 0.3])
     part = md.min_info_partition(b, 2)
     lin_mc = info.variance_mc(md.ModelSpec.linear(0.8), part, b, 10**6, SEED)
-    lin_closed = info.mutual_information(md.ModelSpec.linear(0.8), part, b).mi
+    lin_closed = info.mutual_information(md.ModelSpec.linear(0.8), part, b)
     lin_ok = abs(lin_mc.mi - lin_closed) <= 3 * lin_mc.std_err
     ob_mc = info.variance_mc(md.ModelSpec.one_bit(1.0), part, b, 10**6, SEED + 1)
-    ob_quad = info.mutual_information(md.ModelSpec.one_bit(1.0), part, b).mi
+    ob_quad = info.mutual_information(md.ModelSpec.one_bit(1.0), part, b)
     ob_ok = abs(ob_mc.mi - ob_quad) <= 3 * ob_mc.std_err
     ok = worst_gt <= 1e-12 and lin_ok and ob_ok
     _report(

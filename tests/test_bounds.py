@@ -149,7 +149,7 @@ class TestGenericConverse:
         res = bounds.converse_threshold_generic(m, b, dims, bounds.BoundOptions(delta1=1.0))
         def ratio(ell):
             part = md.min_info_partition(b, ell)
-            return nm.log_binomial(500 - 2 + ell, ell) / info.mutual_information(m, part, b).mi
+            return nm.log_binomial(500 - 2 + ell, ell) / info.mutual_information(m, part, b)
         assert res.n_conv == pytest.approx(max(ratio(1), ratio(2)), rel=1e-12)
 
     def test_dmax_zero_subtraction_is_identity(self):
@@ -759,3 +759,104 @@ class TestNoWrongSupport:
     def test_wrong_supports_give_positive_counts(self):
         res = bounds.cor_linear_exact([1.0, 1.0, 1.0], 1.0, 6, 3)
         assert res.n_ach > 0.0 and res.n_conv > 0.0 and res.binding is not None
+
+    def test_fano(self):
+        dims = md.ProblemDims(p=3, k=3, n=5)
+        pe, region = bounds.fano_lower_bound(md.ModelSpec.linear(1.0), [1.0, 1.0, 1.0], dims, 0.5)
+        assert (pe, region.boundary_n) == (0.0, 0.0)
+
+    def test_general_discrete_converse(self):
+        m, dims = md.ModelSpec.group_testing(0.11), md.ProblemDims(p=3, k=3)
+        assert bounds.cor_general_discrete_converse(m, None, dims, 2) == 0.0
+
+
+class TestFewWrongSupports:
+    """k < p < 2k: a wrong support shares at least 2k - p entries with the
+    true one, so the achievability rows stop at ell = p - k."""
+
+    @pytest.mark.parametrize(
+        "model, b",
+        [
+            (md.ModelSpec.linear(1.0), [1.0, 1.0, 1.0]),
+            (md.ModelSpec.one_bit(0.5), [1.0, -0.5, 2.0]),
+            (md.ModelSpec.group_testing(0.11), None),
+        ],
+    )
+    @pytest.mark.parametrize("p", [4, 5])
+    def test_generic_achievability_rows(self, model, b, p):
+        dims = md.ProblemDims(p=p, k=3)
+        res = bounds.achievability_threshold_generic(model, b, dims)
+        assert [row[0] for row in res.breakdown] == list(range(1, p - 3 + 1))
+        assert math.isfinite(res.n_ach) and res.remainder_n is not None
+        full = bounds.achievability_threshold_generic(model, b, md.ProblemDims(p=6, k=3))
+        assert [row[0] for row in full.breakdown] == [1, 2, 3]
+
+    def test_generic_rows_match_the_formula(self):
+        m, b, dims = md.ModelSpec.linear(1.0), [1.0, 1.0, 1.0], md.ProblemDims(p=5, k=3)
+        res = bounds.achievability_threshold_generic(m, b, dims)
+        for ell, num, mi, ratio in res.breakdown:
+            part = md.min_info_partition(b, ell)
+            expect = nm.log_binomial(2, ell) + 2 * math.log(3 / 1e-3) + 2 * nm.log_binomial(3, ell)
+            assert (num, mi) == (expect, info.mutual_information(m, part, b))
+            assert ratio == num / mi
+        assert res.n_ach == max(row[3] for row in res.breakdown)
+
+    def test_every_wrong_support_within_d_max(self):
+        dims = md.ProblemDims(p=4, k=3, d_max=1)
+        res = bounds.achievability_threshold_generic(md.ModelSpec.linear(1.0), [1.0, 1.0, 1.0], dims)
+        assert (res.n_ach, res.binding, res.breakdown, res.remainder_n) == (0.0, None, (), None)
+
+    @pytest.mark.parametrize("p", [4, 5])
+    def test_cor_linear_exact(self, p):
+        res = bounds.cor_linear_exact([1.0, 1.0, 1.0], 1.0, p, 3)
+        assert [row[0] for row in res.breakdown] == list(range(1, p - 3 + 1))
+        mi = lambda ell: 0.5 * math.log1p(ell)
+        assert res.n_ach == max(nm.log_binomial(p - 3, l) / mi(l) for l in range(1, p - 3 + 1))
+        assert res.n_conv == max(nm.log_binomial(p - 3 + l, l) / mi(l) for l in range(1, 4))
+
+
+class TestThresholdsNeverReadTheVariance:
+    """The thresholds need the mutual information per ell and nothing else:
+    with the 1-bit density variance made to raise, they still give their
+    recorded outputs."""
+
+    @staticmethod
+    def _workloads():
+        import importlib.util
+        import sys
+        from pathlib import Path
+
+        name = "perfbench_workloads"
+        if name not in sys.modules:
+            path = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+            spec = importlib.util.spec_from_file_location(name, path)
+            sys.modules[name] = importlib.util.module_from_spec(spec)
+            spec.loader.exec_module(sys.modules[name])
+        return sys.modules[name]
+
+    @pytest.fixture(autouse=True)
+    def _variance_raises(self, monkeypatch):
+        from support_limits import channels
+
+        def raise_(*args):
+            raise AssertionError("a bound evaluated the density variance")
+
+        monkeypatch.setattr(channels.OneBit, "variance", raise_)
+
+    def test_one_bit_thresholds_and_tiny_operations_match_references(self):
+        wl = self._workloads()
+        refs = wl.load_references()
+        ops = [
+            op for op in wl.operations("thresholds", 0)
+            if op.args[1] == "one-bit" and op.args[2] in (3, 8) and op.args[3] in (10**4, 10**9)
+        ]
+        assert len(ops) == 8
+        for op in ops + wl.operations("thresholds", 0, tiny=True):
+            assert wl.execute(op) == refs[op.key], op.key
+
+    @pytest.mark.parametrize("k", [3, 8])
+    @pytest.mark.parametrize("p", [10**4, 10**9])
+    def test_fano(self, k, p):
+        b = self._workloads()._bvec(k)
+        pe, region = bounds.fano_lower_bound(md.ModelSpec.one_bit(1.0), b, md.ProblemDims(p, k, 1), 0.5)
+        assert pe > 0.0 and math.isfinite(region.boundary_n)

@@ -1,9 +1,18 @@
+import math
+
 import numpy as np
 import pytest
 
 from support_limits import info
 from support_limits import model as md
-from support_limits.channels import CHANNELS
+from support_limits.channels import CHANNELS, _energy, _gt_table, gt_mi_closed_form
+from support_limits.numerics import (
+    DEFAULT_QUAD,
+    NonConvergenceError,
+    gauss_hermite_nodes,
+    log_q_function,
+    mean_entropy_q_scaled,
+)
 
 # (model, b, output alphabet or None for a continuous channel)
 CASES = {
@@ -34,3 +43,79 @@ def test_density_is_loglik_minus_log_marginal(name):
             for v in alphabet
         )
         assert np.allclose(total, 1.0, rtol=0, atol=1e-12)
+
+
+# ---------------------------------------------------------------------------
+# mutual_information and density_variance equal the joint computation they
+# were split from (an inline copy of the channels' former mi_var)
+# ---------------------------------------------------------------------------
+
+
+def _old_mi_var(spec, partition, b, quad):
+    if spec.channel == md.LINEAR:
+        sig_l_sq = _energy(np.asarray(b, dtype=float), partition.dif_index())
+        mi = 0.5 * math.log1p(sig_l_sq / spec.sigma**2)
+        return mi, sig_l_sq / (spec.sigma**2 + sig_l_sq)
+    if spec.channel == md.ONE_BIT:
+        b = np.asarray(b, dtype=float)
+        sig_l_sq = _energy(b, partition.dif_index())
+        sig_eq_sq = _energy(b, partition.eq_index())
+        if sig_l_sq == 0.0:
+            return 0.0, 0.0
+        a_eq = math.sqrt(sig_eq_sq / (spec.sigma**2 + sig_l_sq))
+        a_s = math.sqrt((sig_l_sq + sig_eq_sq)) / spec.sigma
+        mi = mean_entropy_q_scaled(a_eq, quad) - mean_entropy_q_scaled(a_s, quad)
+        sigma, s_dif, s_eq = spec.sigma, math.sqrt(sig_l_sq), math.sqrt(sig_eq_sq)
+        z, w = gauss_hermite_nodes(quad.node_count if quad.scheme == "gauss-hermite" else 96)
+        wd = s_dif * z[:, None]
+        we = s_eq * z[None, :]
+        denom_scale = math.sqrt(sigma**2 + s_dif**2)
+        mean = 0.0
+        second = 0.0
+        for y in (1.0, -1.0):
+            dens = log_q_function(-y * (wd + we) / sigma) - log_q_function(-y * we / denom_scale)
+            p_y = np.exp(log_q_function(-y * (wd + we) / sigma))
+            mean += float(w @ (p_y * dens) @ w)
+            second += float(w @ (p_y * dens**2) @ w)
+        return max(0.0, mi), max(0.0, second - mean**2)
+    mi = gt_mi_closed_form(spec.nu, partition.k, partition.ell, spec.rho)
+    t = _gt_table(spec.bernoulli_p(partition.k), partition.k, partition.ell, spec.rho)
+    mean = 0.0
+    second = 0.0
+    for pr, v in zip(t.probs, t.vals):
+        if pr > 0.0:
+            mean += pr * v
+            second += pr * v * v
+    return mi, max(0.0, second - mean**2)
+
+
+_SPLIT_CASES = [
+    (make(sigma), b, part)
+    for make in (md.ModelSpec.linear, md.ModelSpec.one_bit)
+    for sigma in (0.5, 1.0, 3.0)
+    for b in ([1.0, -0.5, 2.0], [2.0, 2.0, 2.0], [0.0, 0.0, 1.0])
+    for part in md.enumerate_partitions(3)
+] + [
+    (md.ModelSpec.group_testing(rho=rho), None, part)
+    for rho in (0.0, 0.11)
+    for k in (3, 10)
+    for part in (md.min_info_partition([1.0] * k, ell) for ell in range(1, k + 1))
+]
+
+
+@pytest.mark.parametrize("model, b, part", _SPLIT_CASES)
+def test_mi_and_variance_equal_the_joint_computation(model, b, part):
+    mi, var = _old_mi_var(model, part, b, DEFAULT_QUAD)
+    assert info.mutual_information(model, part, b) == mi
+    assert info.density_variance(model, part, b) == var
+    assert type(info.mutual_information(model, part, b)) is float
+
+
+def test_non_finite_one_bit_variance_raises_only_in_density_variance():
+    # s_dif / sigma = 1e80: the squared density overflows at the outer nodes,
+    # and 0 * inf makes the variance nan; the mutual information stays finite
+    model, b = md.ModelSpec.one_bit(1.0), [1e80, 1.0]
+    part = md.Partition(s_dif=(1,), s_eq=(2,))
+    assert np.isfinite(info.mutual_information(model, part, b))
+    with pytest.raises(NonConvergenceError), np.errstate(over="ignore", invalid="ignore"):
+        info.density_variance(model, part, b)

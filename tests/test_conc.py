@@ -37,7 +37,7 @@ class TestVarianceCap:
             for ell in (1, k // 2, k):
                 for rho in (0.0, 0.11, 0.25):
                     part = md.min_info_partition([1.0] * k, ell)
-                    v = info.mutual_information(md.ModelSpec.group_testing(rho=rho), part).var
+                    v = info.density_variance(md.ModelSpec.group_testing(rho=rho), part)
                     assert v <= cap
 
 
@@ -263,19 +263,19 @@ class TestEmpiricalDomination:
     def test_chebyshev_gt_tail(self):
         m = md.ModelSpec.group_testing(rho=0.11)
         part = md.min_info_partition([1.0] * 8, 2)
-        st = info.mutual_information(m, part)
+        mi, var = info.mutual_information(m, part), info.density_variance(m, part)
         n, d2 = 500, 0.5
         sums = verify._gt_density_sums(m, part, n, 10**4, 33)
-        freq = float(np.mean(np.abs(sums - n * st.mi) >= n * d2 * st.mi))
+        freq = float(np.mean(np.abs(sums - n * mi) >= n * d2 * mi))
         se = math.sqrt(max(freq * (1 - freq), 1e-4) / 10**4)
-        assert freq <= conc.psi_chebyshev(st.mi, st.var, n, d2) + 3 * se
+        assert freq <= conc.psi_chebyshev(mi, var, n, d2) + 3 * se
 
     def test_chernoff_gt_lower_tail(self):
         m = md.ModelSpec.group_testing(rho=0.0)
         part = md.min_info_partition([1.0] * 100, 2)
-        st = info.mutual_information(m, part)
+        mi = info.mutual_information(m, part)
         n, d2 = 900, 0.85
         sums = verify._gt_density_sums(m, part, n, 10**4, 34)
-        freq = float(np.mean(sums <= n * st.mi * (1 - d2)))
+        freq = float(np.mean(sums <= n * mi * (1 - d2)))
         se = math.sqrt(max(freq * (1 - freq), 1e-4) / 10**4)
         assert freq <= conc.psi_chernoff_gt(m.nu, 100, 2, n, d2) + 3 * se
