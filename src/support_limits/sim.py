@@ -9,8 +9,9 @@ Decoders:
 
       gamma_l + gamma'_l = log((k/d1) C(p-k, l) C(k, l)) + log((k/d1) C(k, l))
 
-  for every partition of the candidate; "none" and "multiple" outcomes both
-  count as errors.
+  for every partition of the candidate with l <= p - k (no wrong support
+  lies at a larger distance); "none" and "multiple" outcomes both count as
+  errors.
 - exhaustive-ml: argmax of the beta-averaged likelihood over all C(p, k)
   candidate supports, lexicographic tie-break.
 - comp-gt: rules out any item appearing in a negative test, then keeps the k
@@ -32,6 +33,9 @@ product of the design and a 0/1 (items x candidates) incidence matrix.
 entries (n x p per trial) and at least one trial: COMP scores a block in one
 pass, exhaustive ML enumerates the candidates (and GT incidence matrices)
 once per block, and the threshold decoder takes one realization per call.
+Group-testing ML scores each candidate block for groups of trials with one
+product, each group's trials x n x candidates hit counts again at most
+_TRIAL_BLOCK_ENTRIES.
 
 Exhaustive decoding is guarded at C(p, k) <= 10^6 and k <= 12; the guards
 are hard errors, not warnings.
@@ -171,10 +175,11 @@ def _design_stack(x, block):
 
 
 def combined_thresholds(dims: ProblemDims, delta1: float, gamma: float = 0.0):
-    """gamma_l + gamma'_l (+ gamma) for l = 1..k."""
+    """gamma_l + gamma'_l (+ gamma) for l = 1..min(k, p - k): no wrong
+    support lies at a larger distance l."""
     k, p = dims.k, dims.p
     out = {}
-    for ell in range(1, k + 1):
+    for ell in range(1, min(k, p - k) + 1):
         g1 = math.log(k / delta1) + log_binomial(p - k, ell) + log_binomial(k, ell)
         g2 = math.log(k / delta1) + log_binomial(k, ell)
         out[ell] = g1 + g2 + gamma
@@ -227,7 +232,7 @@ def decode_threshold(
     gamma = gamma_select("discrete", model, prior, dims)
     thresholds = combined_thresholds(dims, delta1, gamma)
     x, y = realization.x, realization.y
-    partitions = list(enumerate_partitions(dims.k))
+    partitions = list(enumerate_partitions(dims.k, thresholds))
     winners = []
     for block in _candidate_blocks(dims):
         x_cands = _design_stack(x, block)
@@ -261,7 +266,7 @@ def threshold_union_bound(
     sum_l C(p-k,l) C(k,l) e^{-t_l}), with gamma by the discrete rule."""
     gamma = gamma_select("discrete", model, prior, dims)
     thresholds = combined_thresholds(dims, delta1, gamma)
-    partitions = list(enumerate_partitions(dims.k))
+    partitions = list(enumerate_partitions(dims.k, thresholds))
     fails = 0
     for t in range(trials):
         real = sample_realization(dims, model, prior, seed, stream=(7, t))
@@ -276,12 +281,8 @@ def threshold_union_bound(
     p1 = fails / trials
     se = math.sqrt(max(p1 * (1 - p1), 1.0 / trials) / trials)
     term2 = sum(
-        math.exp(
-            log_binomial(dims.p - dims.k, ell)
-            + log_binomial(dims.k, ell)
-            - thresholds[ell]
-        )
-        for ell in range(1, dims.k + 1)
+        math.exp(log_binomial(dims.p - dims.k, ell) + log_binomial(dims.k, ell) - t)
+        for ell, t in thresholds.items()
     )
     return p1, se, term2
 
@@ -300,10 +301,13 @@ def _incidence(p: int, cands):
 
 def _ml_fast_gt(model, x, y, incidence):
     """All-ones GT likelihood of each candidate of an `_incidence` matrix; a
-    test hits the candidates where its product with the design is non-zero."""
+    test hits the candidates where its product with the design is non-zero.
+
+    x is one (n x p) design or a (trials x n x p) stack with y of shape
+    (n,) or (trials x n); the scores are (C,) or (trials x C)."""
     hits = ((x != 0) @ incidence) > 0.5
-    n_miss = (hits != (y > 0.5)[:, None]).sum(axis=0)
-    return CHANNELS[model.channel].score(model, y.size, n_miss)
+    n_miss = (hits != (y > 0.5)[..., None]).sum(axis=-2)
+    return CHANNELS[model.channel].score(model, y.shape[-1], n_miss)
 
 
 def decode_ml(
@@ -315,26 +319,44 @@ def decode_ml(
     """Exhaustive maximum-likelihood support estimate, lexicographic ties:
     one for a Realization, a list for a sequence of them.
 
-    The candidate blocks are enumerated once for all the realizations, and
-    each block is scored at once per realization: group testing with the
-    all-ones prior through `_ml_fast_gt`, every other pair through
-    `log_marginal_likelihood` on the block's stacked design columns."""
+    The candidate blocks are enumerated once for all the realizations.
+    Group testing with the all-ones prior scores a block through
+    `_ml_fast_gt` for groups of trials, each group's trials x n x candidates
+    hit counts at most _TRIAL_BLOCK_ENTRIES (and at least one trial); every
+    other pair scores it per realization through `log_marginal_likelihood`
+    on the block's stacked design columns."""
     reals = [realizations] if isinstance(realizations, Realization) else realizations
+    if not reals:
+        return []
     fast_gt = model.channel == GROUP_TESTING and prior.variant == ALL_ONES
-    best = [(-math.inf, None)] * len(reals)
+    if fast_gt:
+        x = np.stack([r.x for r in reals], dtype=bool, casting="unsafe")  # trials x n x p
+        y = np.stack([r.y for r in reals])
+    rows = np.arange(len(reals))
+    # the first candidate until one scores strictly higher
+    best_score = np.full(len(reals), -math.inf)
+    best = np.tile(np.arange(1, dims.k + 1), (len(reals), 1))
     for block in _candidate_blocks(dims):
-        incidence = _incidence(dims.p, block) if fast_gt else None
-        for j, real in enumerate(reals):
-            if fast_gt:
-                scores = _ml_fast_gt(model, real.x, real.y, incidence)
-            else:
-                scores = log_marginal_likelihood(model, prior, _design_stack(real.x, block), real.y)
-                # a nan score never wins, as under a strict > comparison
-                scores = np.where(np.isnan(scores), -math.inf, scores)
-            i = int(np.argmax(scores))  # argmax takes the first (lexicographic) max
-            if best[j][1] is None or scores[i] > best[j][0]:
-                best[j] = scores[i], block[i]
-    estimates = [frozenset(cand.tolist()) for _, cand in best]
+        if fast_gt:
+            incidence = _incidence(dims.p, block)
+            group = max(1, _TRIAL_BLOCK_ENTRIES // max(1, x.shape[1] * len(block)))
+            scores = np.concatenate([
+                _ml_fast_gt(model, x[g : g + group], y[g : g + group], incidence)
+                for g in range(0, len(reals), group)
+            ])
+        else:
+            scores = np.stack([
+                log_marginal_likelihood(model, prior, _design_stack(r.x, block), r.y)
+                for r in reals
+            ])
+            # a nan score never wins, as under a strict > comparison
+            scores = np.where(np.isnan(scores), -math.inf, scores)
+        i = np.argmax(scores, axis=1)  # argmax takes the first (lexicographic) max
+        top = scores[rows, i]
+        won = top > best_score
+        best_score = np.where(won, top, best_score)
+        best = np.where(won[:, None], block[i], best)
+    estimates = [frozenset(cand.tolist()) for cand in best]
     return estimates[0] if isinstance(realizations, Realization) else estimates
 
 

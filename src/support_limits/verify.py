@@ -221,6 +221,34 @@ def _support_uniform():
     return worst, 4 * sd, f"15 supports, worst dev {worst:.0f}"
 
 
+def _plain(state: dict) -> dict:
+    """A bit generator's state dict with its arrays as lists, for ==."""
+    return {k: _plain(v) if isinstance(v, dict) else np.asarray(v).tolist() for k, v in state.items()}
+
+
+@check("support-draw-vs-numpy-choice")
+def _support_draw():
+    # Edges of the port, its rejections (a quarter of the draws at 3 * 2^30)
+    # and every fallback: k above the port, numpy's tail shuffle, 64-bit draws.
+    cap = md._FLOYD_MAX_K
+    cases = [(1, 1), (7, 7), (50, 1), (16, cap), (16, cap + 1), (10000, 300),
+             (10001, 200), (10001, 201), (3 * 2**30, 3), (3 * 2**30, 5), (2**32, 2)]
+    keys = range(30)
+    bad = 0
+    for p, k in cases:
+        for key in keys:
+            port, numpy_choice = [np.random.Generator(np.random.Philox(SEED + key)) for _ in range(2)]
+            if key % 2:  # start with half a 64-bit word parked
+                for gen in (port, numpy_choice):
+                    gen.integers(0, 2**32, dtype=np.uint32)
+            got = md._support(port, p, k)
+            want = np.sort(numpy_choice.choice(p, size=k, replace=False))
+            same = got.dtype == want.dtype and got.tolist() == want.tolist()
+            states = [_plain(gen.bit_generator.state) for gen in (port, numpy_choice)]
+            bad += not (same and states[0] == states[1])
+    return float(bad), 0.0, f"{len(cases) * len(keys)} draws: supports and generator states"
+
+
 @check("permuted-multiset")
 def _permuted_multiset():
     dims = md.ProblemDims(p=9, k=4, n=2)

@@ -184,6 +184,15 @@ class TestSimulateCommand:
         assert code == 4
         assert "guard" in err
 
+    def test_threshold_decoder_below_twice_k(self, capsys):
+        # k < p < 2k: no wrong support lies at distance 2 or 3
+        code, out, err = run(
+            capsys, "simulate", "--model", "gt", "--p", "4", "--k", "3",
+            "--decoder", "threshold", "--n-grid", "5:6:1", "--trials", "3", "--seed", "1",
+        )
+        assert (code, err) == (0, "")
+        assert [row.split(",")[:2] for row in out.splitlines()[1:]] == [["5", "3"], ["6", "3"]]
+
     def test_config_file_with_flag_override(self, capsys, tmp_path):
         cfg = tmp_path / "run.json"
         cfg.write_text(json.dumps({"p": 8, "k": 2, "model": "linear", "b": "1,-2",

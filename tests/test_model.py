@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from support_limits import model as md
+from support_limits import verify
 from support_limits.channels import CHANNELS, one_bit_sign
 
 
@@ -216,7 +217,24 @@ SAMPLER_CASES = {
     "one-bit-permuted": (md.ModelSpec.one_bit(0.5), md.SignalPrior.permuted([1.0, 1.0, -2.0])),
     "gt-noiseless": (md.ModelSpec.group_testing(0.0), md.SignalPrior.all_ones()),
     "gt-noisy": (md.ModelSpec.group_testing(0.11), md.SignalPrior.all_ones()),
+    # nu = 3: at k = 3 every design entry is 1 (q = nu / k = 1)
+    "gt-nu-3": (md.ModelSpec.group_testing(0.0, nu=3.0), md.SignalPrior.all_ones()),
 }
+# The support draw's edges: p = k, k one above the port of Generator.choice,
+# and numpy's tail shuffle (p > 10000, k > p // 50).
+SAMPLER_DIMS = [
+    md.ProblemDims(p=11, k=3, n=9),
+    md.ProblemDims(p=3, k=3, n=9),
+    md.ProblemDims(p=11, k=md._FLOYD_MAX_K + 1, n=9),
+    md.ProblemDims(p=10001, k=201, n=1),
+]
+
+
+def _prior_at(prior, k):
+    """prior with its vector, if any, tiled to length k."""
+    if not prior.b:
+        return prior
+    return md.SignalPrior(variant=prior.variant, b=tuple(np.resize(prior.b, k).tolist()))
 
 
 class TestStreamKey:
@@ -243,10 +261,12 @@ class TestRekeyedSampler:
     @pytest.mark.parametrize("case", sorted(SAMPLER_CASES))
     def test_equals_fresh_generator_per_call(self, case, seed):
         model, prior = SAMPLER_CASES[case]
-        dims = md.ProblemDims(p=11, k=3, n=9)
-        for stream in [(), (3,), (2, 255), (2, 256), (2, 2**32)]:
-            got = md.sample_realization(dims, model, prior, seed, stream=stream)
-            assert _same_realization(got, _fresh_sample(dims, model, prior, seed, stream)), stream
+        for dims in SAMPLER_DIMS:
+            prior_k = _prior_at(prior, dims.k)
+            for stream in [(), (3,), (2, 255), (2, 256), (2, 2**32)]:
+                got = md.sample_realization(dims, model, prior_k, seed, stream=stream)
+                expect = _fresh_sample(dims, model, prior_k, seed, stream)
+                assert _same_realization(got, expect), (dims, stream)
 
     def test_rekeyed_generator_draws_as_fresh_philox(self):
         # A numpy upgrade that changes Philox's state dict must fail here
@@ -274,6 +294,13 @@ class TestRekeyedSampler:
         )
         for draw in draws:
             assert draw(gen).tolist() == draw(fresh).tolist()
+
+    def test_support_draw_equals_numpy_choice(self):
+        # the registry oracle: a numpy whose Generator.choice takes other
+        # steps must fail here
+        (result,) = verify.run_checks("support-draw-vs-numpy-choice")
+        assert (result.passed, result.measured, result.tolerance) == (True, 0.0, 0.0), result.detail
+        assert result.seconds < 1.0
 
     def test_threads_match_serial_run(self):
         model, prior = SAMPLER_CASES["gt-noisy"]

@@ -55,7 +55,7 @@ def loop_threshold_decode(real, model, prior, dims, delta1):
         if all(
             loop_statistic(model, prior, real.x[:, np.asarray(cand) - 1], real.y, part)
             > thresholds[part.ell]
-            for part in md.enumerate_partitions(dims.k)
+            for part in md.enumerate_partitions(dims.k, thresholds)
         )
     ]
     if len(winners) == 1:
@@ -134,10 +134,14 @@ class TestBatchedCandidates:
         for n in (0, 9, 30):
             dims = md.ProblemDims(p=9, k=3, n=n)
             cands = list(sim.candidate_supports(dims))
-            for t in range(10):
-                real = md.sample_realization(dims, m, pr, SEED, stream=(n, t))
-                scores = sim._ml_fast_gt(m, real.x, real.y, sim._incidence(dims.p, np.array(cands)))
-                assert np.array_equal(scores, loop_gt_scores(m, real.x, real.y, cands))
+            incidence = sim._incidence(dims.p, np.array(cands))
+            reals = [md.sample_realization(dims, m, pr, SEED, stream=(n, t)) for t in range(10)]
+            expected = [loop_gt_scores(m, real.x, real.y, cands) for real in reals]
+            for real, scores in zip(reals, expected):
+                assert np.array_equal(sim._ml_fast_gt(m, real.x, real.y, incidence), scores)
+            # a (trials x n x p) stack gives one row of scores per trial
+            x, y = np.stack([r.x for r in reals]), np.stack([r.y for r in reals])
+            assert np.array_equal(sim._ml_fast_gt(m, x, y, incidence), np.stack(expected))
 
     def test_decoders_across_block_boundaries(self, monkeypatch):
         cases = [
@@ -402,6 +406,58 @@ class TestTrialBlocks:
         assert seen == sizes
 
 
+def loop_gt_ml(model, reals, dims):
+    """Reference: group-testing ML one trial at a time, as before trial
+    groups: `_ml_fast_gt` on one design over every candidate, then argmax."""
+    cands = np.array(list(sim.candidate_supports(dims)))
+    incidence = sim._incidence(dims.p, cands)
+    return [
+        frozenset(cands[int(np.argmax(sim._ml_fast_gt(model, r.x, r.y, incidence)))].tolist())
+        for r in reals
+    ]
+
+
+class TestGroupedGtMl:
+    # p = 9: 36 candidates, groups of 5 trials (13 = 5 + 5 + 3); p = 40:
+    # 780 candidates in blocks of 512 and 268, groups of 6 and 12 trials at
+    # n = 20; n = 0 puts every trial in one group
+    @pytest.mark.parametrize("rho", [0.0, 0.11])
+    @pytest.mark.parametrize(
+        "p,n,sizes",
+        [(9, 0, [13]), (9, 12, [5, 5, 3]), (40, 20, [6, 6, 1, 12, 1]), (40, 0, [13, 13])],
+    )
+    def test_groups_equal_trial_loop(self, rho, p, n, sizes, monkeypatch):
+        m = md.ModelSpec.group_testing(rho=rho)
+        dims = md.ProblemDims(p=p, k=2, n=n)
+        if p == 9:
+            monkeypatch.setattr(sim, "_TRIAL_BLOCK_ENTRIES", 5 * max(1, n) * 36)
+        reals = [md.sample_realization(dims, m, GT, SEED, stream=(5, t)) for t in range(13)]
+        expected = loop_gt_ml(m, reals, dims)
+        score, seen = sim._ml_fast_gt, []
+
+        def spy(model, x, y, incidence):
+            seen.append(len(x))
+            entries = x.shape[0] * x.shape[1] * incidence.shape[1]
+            assert entries <= sim._TRIAL_BLOCK_ENTRIES or len(x) == 1
+            return score(model, x, y, incidence)
+
+        monkeypatch.setattr(sim, "_ml_fast_gt", spy)
+        assert sim.decode_ml(reals, m, GT, dims) == expected
+        assert seen == sizes
+
+    @pytest.mark.parametrize("rho", [0.0, 0.11])
+    def test_run_cell_equals_trial_loop(self, rho):
+        m = md.ModelSpec.group_testing(rho=rho)
+        dims = md.ProblemDims(p=40, k=2, n=20, d_max=1)
+        decoder = sim.DecoderSpec(kind="exhaustive-ml")
+        rep = sim.run_cell(m, GT, dims, decoder, 13, SEED, n_index=2)
+        assert rep == loop_run_cell(m, GT, dims, decoder, 13, SEED, 2)
+
+    def test_no_realizations(self):
+        m = md.ModelSpec.group_testing()
+        assert sim.decode_ml([], m, GT, md.ProblemDims(p=9, k=2, n=4)) == []
+
+
 class TestGuards:
     def test_candidate_cap(self):
         with pytest.raises(md.GuardError):
@@ -481,6 +537,24 @@ class TestThresholdDecoder:
         rep = sim.run_cell(m, pr, dims, sim.DecoderSpec(kind="threshold"), 250, SEED + 3)
         se = math.sqrt(rep.pe_hat * (1 - rep.pe_hat) / rep.trials + se1**2)
         assert rep.pe_hat <= p1 + term2 + 3 * max(se, 1.0 / rep.trials)
+
+
+class TestThresholdBelowTwiceK:
+    # k < p < 2k: no wrong support lies at a distance ell > p - k
+    @pytest.mark.parametrize("p", [3, 4, 5])
+    def test_decoder_equals_candidate_loop(self, p):
+        m, pr = md.ModelSpec.group_testing(rho=0.11), GT
+        dims = md.ProblemDims(p=p, k=3, n=12)
+        assert list(sim.combined_thresholds(dims, 1.0)) == list(range(1, p - 3 + 1))
+        for t in range(8):
+            real = md.sample_realization(dims, m, pr, SEED, stream=(4, t))
+            out = sim.decode_threshold(real, m, pr, dims, delta1=1.0)
+            assert out == loop_threshold_decode(real, m, pr, dims, 1.0)
+
+    def test_union_bound_is_finite(self):
+        m, pr = md.ModelSpec.group_testing(rho=0.0), GT
+        p1, se, term2 = sim.threshold_union_bound(m, pr, md.ProblemDims(p=5, k=3, n=10), trials=50)
+        assert all(math.isfinite(v) for v in (p1, se, term2)) and term2 > 0.0
 
 
 class TestMlDecoder:
