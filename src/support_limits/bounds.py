@@ -38,6 +38,7 @@ from .model import (
     ModelSpec,
     ProblemDims,
     SignalPrior,
+    c_beta_from_snr,
     max_info_partition,
     min_info_partition,
 )
@@ -74,7 +75,6 @@ class BoundOptions:
     eta: float = 0.0
     asymptotic: bool = False
     remainder_target: float | None = None
-    ell_set: tuple[int, ...] | None = None
 
     def __post_init__(self):
         _check_eta(self.eta)
@@ -254,7 +254,7 @@ def converse_threshold_generic(
     quad: QuadratureSpec = DEFAULT_QUAD,
 ) -> ThresholdResult:
     """Necessary measurement count (strong-converse sense): max-ratio over
-    ell in the restriction set with converse numerators.
+    ell in {d_max+1..k} with converse numerators.
 
     Partial recovery (d_max > 0) subtracts the confusable-set mass
     log sum_d C(p-k, d) C(ell, d); an ell whose subtracted mass reaches the
@@ -264,15 +264,10 @@ def converse_threshold_generic(
     if p == k:
         return ThresholdResult(n_conv=0.0)
     mi_map = _per_ell_mi(model, b, dims, quad)
-    ells = (
-        list(opts.ell_set)
-        if opts.ell_set is not None
-        else list(range(dims.d_max + 1, k + 1))
-    )
     rows = []
-    for ell in ells:
+    for ell in range(dims.d_max + 1, k + 1):
         if opts.asymptotic:
-            main = _stirling_log_binom(p - k, ell)
+            main = _stirling_log_binom(p - k + ell, ell)
         else:
             main = log_binomial(p - k + ell, ell)
         num = main - math.log(opts.delta1)
@@ -759,28 +754,29 @@ def cor_general_discrete_converse(
 # Figure tables
 # ---------------------------------------------------------------------------
 
-FIG_PARTIAL = "partial-recovery-snr"
-FIG_GT_NOISELESS = "gt-noiseless-theta"
-FIG_GT_NOISY = "gt-noisy-theta"
+FIG_PARTIAL = "partial-recovery"
+FIG_GT_NOISELESS = "gt-noiseless"
+FIG_GT_NOISY = "gt-noisy"
 
 
 def figure_curves(figure: str, grid: dict) -> list[tuple[float, str, float]]:
     """(x, curve-name, y) rows behind the three numeric figures; the curve
     name states the unit.
 
-    partial-recovery-snr: y = n/(k log(p/k)) coefficients in nats vs SNR in
-    dB, four curves (linear/1-bit x ach/conv), alpha* and sigma from the
-    grid.  gt-noiseless-theta / gt-noisy-theta: y = base-2 rate
-    k log2(p/k)/n vs theta, achievability and converse curves (per rho for
-    the noisy figure).
+    partial-recovery: y = n/(k log(p/k)) coefficients in nats vs SNR in dB,
+    four curves (linear/1-bit x ach/conv), alpha* and sigma from the grid;
+    every SNR's c_beta is checked (`c_beta_from_snr`) before the first
+    corollary runs.  gt-noiseless / gt-noisy: y = base-2 rate k log2(p/k)/n
+    vs theta, achievability and converse curves (per rho for the noisy
+    figure).
     """
     rows: list[tuple[float, str, float]] = []
     if figure == FIG_PARTIAL:
         alpha_star = grid.get("alpha_star", 0.1)
         sigma = grid.get("sigma", 1.0)
         gp = grid.get("grid_points", 2001)
-        for snr in grid["snr_db"]:
-            c_beta = sigma**2 * 10.0 ** (snr / 10.0)
+        c_betas = [c_beta_from_snr(snr, sigma) for snr in grid["snr_db"]]
+        for snr, c_beta in zip(grid["snr_db"], c_betas):
             lin = cor_linear_partial(c_beta, sigma, alpha_star, grid_points=gp)
             ob = cor_1bit_partial(c_beta, sigma, alpha_star, grid_points=gp)
             rows += [

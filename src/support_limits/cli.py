@@ -121,58 +121,48 @@ class _ConfigParser(argparse.ArgumentParser):
 
 def cmd_threshold(args) -> int:
     fig = args.figure
-    if fig == "gt-noiseless":
-        thetas = parse_range(args.theta)
-        rows = bounds.figure_curves(bounds.FIG_GT_NOISELESS, {"theta": thetas})
-        extras = {t: bounds.cor_gt_noiseless(t).nu_star for t in thetas} if args.verbose else {}
-        out = [["gt-noiseless", f"{x:.6g}", c, f"{y:.10g}"] for x, c, y in rows]
-        if args.verbose:
-            for x, c, y in rows:
-                print(f"theta={x:.4g} {c} rate={y:.6f} nu*={extras[x]:.6f}")
-    elif fig == "gt-noisy":
-        thetas = parse_range(args.theta)
-        rhos = [float(r) for r in args.rho.split(",")]
-        rows = bounds.figure_curves(bounds.FIG_GT_NOISY, {"theta": thetas, "rho": rhos})
-        out = [["gt-noisy", f"{x:.6g}", c, f"{y:.10g}"] for x, c, y in rows]
-        if args.verbose:
-            for t in thetas:
-                for r in rhos:
-                    res = bounds.cor_gt_noisy(t, r)
-                    print(f"theta={t:.4g} rho={r:g} delta2*={res.delta2_star:.6f}")
-    elif fig == "partial-recovery":
-        snrs = parse_range(args.snr_db)
-        try:  # c_beta grows with the SNR: check the largest
-            c_beta_max = c_beta_from_snr(snrs[-1], args.sigma)
-        except OverflowError:
-            c_beta_max = math.inf
-        if not math.isfinite(c_beta_max):
-            raise ConfigError(
-                f"--snr-db {snrs[-1]:g} dB puts the signal power sigma^2 10^(SNR/10) "
-                "beyond the float range"
-            )
+    if fig == bounds.FIG_PARTIAL:
         grid = {
-            "snr_db": snrs,
+            "snr_db": parse_range(args.snr_db),
             "alpha_star": args.alpha_star,
             "sigma": args.sigma,
             "grid_points": args.grid_points,
         }
-        rows = bounds.figure_curves(bounds.FIG_PARTIAL, grid)
-        out = [["partial-recovery", f"{x:.6g}", c, f"{y:.10g}"] for x, c, y in rows]
-        if args.verbose:
-            gp = args.grid_points
-            for snr in snrs:
-                cb = args.sigma**2 * 10 ** (snr / 10)
-                lin = bounds.cor_linear_partial(cb, args.sigma, args.alpha_star, grid_points=gp)
-                ob = bounds.cor_1bit_partial(cb, args.sigma, args.alpha_star, grid_points=gp)
-                print(
-                    f"snr={snr:g} linear alpha*={lin.alpha_ach:.4f}/{lin.alpha_conv:.4f} "
-                    f"1bit alpha*={ob.alpha_ach:.4f}/{ob.alpha_conv:.4f}"
-                )
     else:
-        raise ConfigError(f"unknown figure {fig!r}")
+        grid = {"theta": parse_range(args.theta)}
+        if fig == bounds.FIG_GT_NOISY:
+            grid["rho"] = [float(r) for r in args.rho.split(",")]
+    rows = bounds.figure_curves(fig, grid)
+    if args.verbose:
+        for line in _verbose_lines(fig, grid, rows):
+            print(line)
+    out = [[fig, f"{x:.6g}", c, f"{y:.10g}"] for x, c, y in rows]
     out.sort(key=lambda r: (float(r[1]), r[2]))
     _write_rows(args.output, THRESHOLD_HEADER, out, args.format)
     return EXIT_OK
+
+
+def _verbose_lines(fig: str, grid: dict, rows):
+    """The optimizer behind each figure point: nu* per noiseless row,
+    delta2* per (theta, rho), the maximizing alphas per SNR."""
+    if fig == bounds.FIG_GT_NOISELESS:
+        nu_star = {t: bounds.cor_gt_noiseless(t).nu_star for t in grid["theta"]}
+        for x, c, y in rows:
+            yield f"theta={x:.4g} {c} rate={y:.6f} nu*={nu_star[x]:.6f}"
+    elif fig == bounds.FIG_GT_NOISY:
+        for t in grid["theta"]:
+            for r in grid["rho"]:
+                yield f"theta={t:.4g} rho={r:g} delta2*={bounds.cor_gt_noisy(t, r).delta2_star:.6f}"
+    else:
+        sigma, alpha_star, gp = grid["sigma"], grid["alpha_star"], grid["grid_points"]
+        for snr in grid["snr_db"]:
+            cb = c_beta_from_snr(snr, sigma)
+            lin = bounds.cor_linear_partial(cb, sigma, alpha_star, grid_points=gp)
+            ob = bounds.cor_1bit_partial(cb, sigma, alpha_star, grid_points=gp)
+            yield (
+                f"snr={snr:g} linear alpha*={lin.alpha_ach:.4f}/{lin.alpha_conv:.4f} "
+                f"1bit alpha*={ob.alpha_ach:.4f}/{ob.alpha_conv:.4f}"
+            )
 
 
 # ---------------------------------------------------------------------------
@@ -272,7 +262,8 @@ def build_parser(cls=argparse.ArgumentParser) -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     t = sub.add_parser("threshold", help="threshold curves and figure tables")
-    t.add_argument("--figure", required=True, choices=["gt-noiseless", "gt-noisy", "partial-recovery"])
+    figures = [bounds.FIG_GT_NOISELESS, bounds.FIG_GT_NOISY, bounds.FIG_PARTIAL]
+    t.add_argument("--figure", required=True, choices=figures)
     t.add_argument("--theta", default="0.05:0.95:0.05", help="range start:stop:step")
     t.add_argument("--rho", default="0.11", help="comma-separated crossover values")
     t.add_argument("--snr-db", default="-20:50:1", help="range start:stop:step in dB")

@@ -300,9 +300,14 @@ def log_marginal_likelihood(model: ModelSpec, prior: SignalPrior, x_s, y):
         lw + log_conditional_likelihood(model, x_s, b, y)
         for lw, b in prior_atoms(prior, x_s.shape[-1])
     ]
+    return _row_sum(_log_mixture(terms))
+
+
+def _log_mixture(terms):
+    """Log-sum-exp of the prior atoms' log-weighted terms, per candidate."""
     if len(terms) == 1:  # a single atom is its own log-sum-exp
         return terms[0]
-    return _row_sum(logsumexp(np.stack(terms, axis=-1), axis=-1))
+    return logsumexp(np.stack(terms, axis=-1), axis=-1)
 
 
 def _gaussian_evidence(sigma: float, sigma_beta_sq: float, x_s, y):

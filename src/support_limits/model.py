@@ -361,20 +361,23 @@ def min_info_partition(b: Sequence[float], ell: int) -> Partition:
     and 1-bit channels and is the canonical per-ell representative for group
     testing, where all partitions of a given size are equivalent.
     """
-    b = np.asarray(b, dtype=float)
-    k = b.size
-    if not 1 <= ell <= k:
-        raise ValueError(f"need 1 <= ell <= k, got ell={ell}, k={k}")
-    order = (np.argsort(np.abs(b), kind="stable") + 1).tolist()  # Partition sorts
+    order = _magnitude_order(b, ell)
     return Partition(s_dif=tuple(order[:ell]), s_eq=tuple(order[ell:]))
 
 
 def max_info_partition(b: Sequence[float], ell: int) -> Partition:
     """Partition putting the ell largest-magnitude entries into s_dif."""
+    order = _magnitude_order(b, ell)[::-1]
+    return Partition(s_dif=tuple(order[:ell]), s_eq=tuple(order[ell:]))
+
+
+def _magnitude_order(b: Sequence[float], ell: int) -> list[int]:
+    """1-based positions of b by increasing |b|, ties by index, for a split
+    with 1 <= ell <= k entries in s_dif (ValueError otherwise)."""
     b = np.asarray(b, dtype=float)
-    k = b.size
-    order = (np.argsort(np.abs(b), kind="stable") + 1).tolist()
-    return Partition(s_dif=tuple(order[k - ell :]), s_eq=tuple(order[: k - ell]))
+    if not 1 <= ell <= b.size:
+        raise ValueError(f"need 1 <= ell <= k, got ell={ell}, k={b.size}")
+    return (np.argsort(np.abs(b), kind="stable") + 1).tolist()  # Partition sorts
 
 
 def enumerate_partitions(k: int, ell_set: Sequence[int] | None = None) -> Iterator[Partition]:
@@ -402,8 +405,17 @@ def snr_db(prior: SignalPrior, model: ModelSpec, k: int) -> float:
 
 
 def c_beta_from_snr(snr: float, sigma: float = 1.0) -> float:
-    """Inverse of snr_db at fixed sigma: c_beta = k sigma_beta^2."""
-    return sigma**2 * 10.0 ** (snr / 10.0)
+    """Inverse of snr_db at fixed sigma: c_beta = k sigma_beta^2.  A c_beta
+    beyond the float range (or NaN) raises ValueError."""
+    try:
+        c_beta = sigma**2 * 10.0 ** (snr / 10.0)
+    except OverflowError:
+        c_beta = np.inf
+    if not np.isfinite(c_beta):
+        raise ValueError(
+            f"SNR {snr:g} dB puts the signal power sigma^2 10^(SNR/10) beyond the float range"
+        )
+    return c_beta
 
 
 @dataclass(frozen=True)

@@ -48,12 +48,12 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-from scipy.special import logsumexp
 
 from .bounds import gamma_select
 from .channels import CHANNELS
 from .info import (
     NEG_INF,
+    _log_mixture,
     density_rows,
     log_conditional_likelihood,
     log_marginal_likelihood,
@@ -207,15 +207,32 @@ def _averaged_partition_density(model, prior, x_cand, y, partition):
             den = np.where(direct, lw + np.sum(marginal, axis=-1), den)
         num_terms.append(num)
         den_terms.append(den)
-    if len(num_terms) == 1:  # a single atom: the log-sum-exp is the term itself
-        num_total, den_total = num_terms[0], den_terms[0]
-    else:
-        num_total = logsumexp(np.stack(num_terms, axis=-1), axis=-1)
-        den_total = logsumexp(np.stack(den_terms, axis=-1), axis=-1)
+    num_total, den_total = _log_mixture(num_terms), _log_mixture(den_terms)
     # a zero-likelihood candidate is eliminated
     with np.errstate(invalid="ignore"):
         stat = np.where(np.isneginf(num_total), NEG_INF, num_total - den_total)
     return float(stat) if stat.ndim == 0 else stat
+
+
+def _threshold_test(model, prior, dims: ProblemDims, delta1: float):
+    """(thresholds, partitions) of the threshold test: the combined
+    thresholds, gamma by the discrete rule, and every partition they cover."""
+    gamma = gamma_select("discrete", model, prior, dims)
+    thresholds = combined_thresholds(dims, delta1, gamma)
+    return thresholds, list(enumerate_partitions(dims.k, thresholds))
+
+
+def _passing(model, prior, x_cands, y, thresholds, partitions) -> np.ndarray:
+    """Indices of the candidates of the (C x n x k) stack x_cands whose
+    statistic exceeds its threshold on every one of the partitions."""
+    live = np.arange(len(x_cands))
+    for part in partitions:
+        stat = _averaged_partition_density(model, prior, x_cands, y, part)
+        passed = stat > thresholds[part.ell]
+        live, x_cands = live[passed], x_cands[passed]
+        if not live.size:
+            break
+    return live
 
 
 def decode_threshold(
@@ -229,20 +246,11 @@ def decode_threshold(
     partition; "none" or "multiple" otherwise (both are errors).  gamma
     follows the discrete rule, the one defined for the discrete priors this
     decoder accepts."""
-    gamma = gamma_select("discrete", model, prior, dims)
-    thresholds = combined_thresholds(dims, delta1, gamma)
+    thresholds, partitions = _threshold_test(model, prior, dims, delta1)
     x, y = realization.x, realization.y
-    partitions = list(enumerate_partitions(dims.k, thresholds))
     winners = []
     for block in _candidate_blocks(dims):
-        x_cands = _design_stack(x, block)
-        live = np.arange(len(block))
-        for part in partitions:
-            stat = _averaged_partition_density(model, prior, x_cands, y, part)
-            passed = stat > thresholds[part.ell]
-            live, x_cands = live[passed], x_cands[passed]
-            if not live.size:
-                break
+        live = _passing(model, prior, _design_stack(x, block), y, thresholds, partitions)
         winners += [frozenset(block[i].tolist()) for i in live]
         if len(winners) > 1:
             break
@@ -264,20 +272,12 @@ def threshold_union_bound(
     decoder's error: (true-support failure probability estimated by Monte
     Carlo, its standard error, exact wrong-support mass
     sum_l C(p-k,l) C(k,l) e^{-t_l}), with gamma by the discrete rule."""
-    gamma = gamma_select("discrete", model, prior, dims)
-    thresholds = combined_thresholds(dims, delta1, gamma)
-    partitions = list(enumerate_partitions(dims.k, thresholds))
+    thresholds, partitions = _threshold_test(model, prior, dims, delta1)
     fails = 0
     for t in range(trials):
         real = sample_realization(dims, model, prior, seed, stream=(7, t))
-        x_true = real.x_support()
-        ok = True
-        for part in partitions:
-            stat = _averaged_partition_density(model, prior, x_true, real.y, part)
-            if not stat > thresholds[part.ell]:
-                ok = False
-                break
-        fails += 0 if ok else 1
+        x_true = real.x_support()[None]  # a stack of one candidate
+        fails += not _passing(model, prior, x_true, real.y, thresholds, partitions).size
     p1 = fails / trials
     se = math.sqrt(max(p1 * (1 - p1), 1.0 / trials) / trials)
     term2 = sum(
@@ -407,7 +407,10 @@ def run_cell(
     n_index: int = 0,
 ) -> SimReport:
     """One (n, trials) simulation cell with per-(n, trial) derived streams,
-    decoded in trial blocks of at most _TRIAL_BLOCK_ENTRIES design entries."""
+    decoded in trial blocks of at most _TRIAL_BLOCK_ENTRIES design entries.
+    trials < 1 raises ValueError before any sampling."""
+    if trials < 1:
+        raise ValueError(f"trials must be >= 1, got {trials}")
     errors_exact = errors_partial = 0
     block = max(1, _TRIAL_BLOCK_ENTRIES // max(1, dims.n * dims.p))
     for start in range(0, trials, block):

@@ -169,14 +169,29 @@ class TestGenericConverse:
         m = md.ModelSpec.group_testing(rho=0.0, nu=LN2)
         p, k = 10**6, 10**3
         dims = md.ProblemDims(p=p, k=k, n=0)
-        opts = bounds.BoundOptions(ell_set=(k,))
+        opts = bounds.BoundOptions()
         res = bounds.converse_threshold_generic(m, None, dims, opts)
+        ell_k, _, _, ratio_k = res.breakdown[-1]
+        assert ell_k == k
         target = k * math.log(p / k) / nm.binary_entropy(math.exp(-LN2))
         # the gap is the Stirling residue k - log sqrt(2 pi k) plus the
         # -log delta1 slack, all divided by the binding mutual information
         mi_k = info.gt_mi_closed_form(LN2, k, k, 0.0)
         residue = (k + math.log(1 / opts.delta1)) / mi_k
-        assert 0 < res.n_conv - target < residue
+        assert 0 < ratio_k - target < residue
+
+    @pytest.mark.parametrize("p,k", [(4, 3), (12, 3), (10**6, 5)])
+    def test_asymptotic_main_term_is_converse_stirling(self, p, k):
+        # the asymptotic numerator is ell log((p - k + ell) / ell) - log
+        # delta1: the Stirling form of log C(p - k + ell, ell), never negative
+        m = md.ModelSpec.linear(1.0)
+        opts = bounds.BoundOptions(delta1=1e-3, asymptotic=True)
+        res = bounds.converse_threshold_generic(m, [1.0] * k, md.ProblemDims(p=p, k=k), opts)
+        assert [row[0] for row in res.breakdown] == list(range(1, k + 1))
+        for ell, num, _, _ in res.breakdown:
+            main = num + math.log(opts.delta1)
+            assert main >= 0.0
+            assert main == pytest.approx(ell * math.log((p - k + ell) / ell), rel=1e-12, abs=1e-12)
 
     def test_vacuous_ell_skipped(self):
         # d_max >= p - k saturates the subtraction (Vandermonde), so every

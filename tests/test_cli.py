@@ -91,17 +91,30 @@ class TestThresholdCommand:
             capsys, "threshold", "--figure", "gt-noiseless", "--theta", "0.1:0.2:0.1",
             "--verbose", "--output", str(tmp_path / "a.csv"),
         )
-        assert code == 0 and "nu*=" in out
+        assert code == 0
+        assert out.splitlines() == [
+            "theta=0.1 ach-rate-log2 rate=1.000000 nu*=0.693147",
+            "theta=0.1 conv-rate-log2 rate=1.000000 nu*=0.693147",
+            "theta=0.2 ach-rate-log2 rate=1.000000 nu*=0.693147",
+            "theta=0.2 conv-rate-log2 rate=1.000000 nu*=0.693147",
+        ]
         code, out, _ = run(
-            capsys, "threshold", "--figure", "gt-noisy", "--theta", "0.1:0.1:0.1",
-            "--verbose", "--output", str(tmp_path / "b.csv"),
+            capsys, "threshold", "--figure", "gt-noisy", "--theta", "0.1:0.2:0.1",
+            "--rho", "0.05,0.11", "--verbose", "--output", str(tmp_path / "b.csv"),
         )
-        assert code == 0 and "delta2*=" in out
+        assert code == 0
+        assert out.splitlines() == [  # theta-major, as figure_curves is not
+            "theta=0.1 rho=0.05 delta2*=0.512646",
+            "theta=0.1 rho=0.11 delta2*=0.475177",
+            "theta=0.2 rho=0.05 delta2*=0.591406",
+            "theta=0.2 rho=0.11 delta2*=0.552261",
+        ]
         code, out, _ = run(
             capsys, "threshold", "--figure", "partial-recovery", "--snr-db", "0:0:1",
             "--grid-points", "201", "--verbose", "--output", str(tmp_path / "c.csv"),
         )
-        assert code == 0 and "alpha*=" in out
+        assert code == 0
+        assert out.splitlines() == ["snr=0 linear alpha*=0.1000/0.1497 1bit alpha*=0.1000/0.1497"]
 
     def test_json_format(self, capsys, tmp_path):
         out_file = tmp_path / "rows.json"

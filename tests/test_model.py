@@ -84,6 +84,17 @@ class TestMinInfoPartition:
         assert md.min_info_partition(b, ell).ell == ell
 
 
+class TestMaxInfoPartition:
+    def test_largest_magnitude(self):
+        assert md.max_info_partition([3, 1, -4], 2) == md.Partition(s_dif=(1, 3), s_eq=(2,))
+
+    @pytest.mark.parametrize("split", [md.min_info_partition, md.max_info_partition])
+    @pytest.mark.parametrize("ell", [0, 4, 5])
+    def test_ell_outside_one_to_k_refused(self, split, ell):
+        with pytest.raises(ValueError, match=f"got ell={ell}, k=3"):
+            split([1.0, 2.0, 3.0], ell)
+
+
 class TestEnumeratePartitions:
     def test_counts(self):
         assert sum(1 for _ in md.enumerate_partitions(2)) == 3
@@ -109,6 +120,12 @@ class TestSnr:
             c_beta = md.c_beta_from_snr(snr)
             prior = md.SignalPrior.iid_gaussian(c_beta / 5)
             assert md.snr_db(prior, md.ModelSpec.linear(1.0), 5) == pytest.approx(snr, abs=1e-12)
+
+    @pytest.mark.parametrize("snr,sigma", [(4000.0, 1.0), (0.0, 1e200), (0.0, math.inf),
+                                           (-4000.0, math.inf), (0.0, math.nan)])
+    def test_c_beta_beyond_float_range_refused(self, snr, sigma):
+        with pytest.raises(ValueError, match=f"SNR {snr:g} dB .* beyond the float range"):
+            md.c_beta_from_snr(snr, sigma)
 
 
 class TestRngStream:

@@ -6,6 +6,7 @@ from scipy.special import logsumexp
 
 from support_limits import bounds, info, sim
 from support_limits import model as md
+from support_limits import numerics as nm
 from support_limits.channels import CHANNELS
 
 LN2 = math.log(2.0)
@@ -539,6 +540,50 @@ class TestThresholdDecoder:
         assert rep.pe_hat <= p1 + term2 + 3 * max(se, 1.0 / rep.trials)
 
 
+def loop_union_bound(model, prior, dims, delta1, trials, seed):
+    """Reference: the union bound's true-support loop as it was before it
+    shared the decoder's survivor loop, one unstacked candidate per trial."""
+    gamma = bounds.gamma_select("discrete", model, prior, dims)
+    thresholds = sim.combined_thresholds(dims, delta1, gamma)
+    partitions = list(md.enumerate_partitions(dims.k, thresholds))
+    fails = 0
+    for t in range(trials):
+        real = md.sample_realization(dims, model, prior, seed, stream=(7, t))
+        x_true = real.x_support()
+        ok = True
+        for part in partitions:
+            stat = sim._averaged_partition_density(model, prior, x_true, real.y, part)
+            if not stat > thresholds[part.ell]:
+                ok = False
+                break
+        fails += 0 if ok else 1
+    p1 = fails / trials
+    se = math.sqrt(max(p1 * (1 - p1), 1.0 / trials) / trials)
+    term2 = sum(
+        math.exp(nm.log_binomial(dims.p - dims.k, ell) + nm.log_binomial(dims.k, ell) - t)
+        for ell, t in thresholds.items()
+    )
+    return p1, se, term2
+
+
+UNION_CASES = {
+    "gt-noiseless": (md.ModelSpec.group_testing(rho=0.0), GT, md.ProblemDims(p=12, k=2, n=30)),
+    "gt-noisy": (md.ModelSpec.group_testing(rho=0.11), GT, md.ProblemDims(p=12, k=2, n=60)),
+    "linear-permuted": (md.ModelSpec.linear(0.7), md.SignalPrior.permuted([1.0, 1.0, 2.0]),
+                        md.ProblemDims(p=7, k=3, n=30)),
+    "one-bit-fixed": (md.ModelSpec.one_bit(0.5), md.SignalPrior.fixed([1.0, -0.5, 2.0]),
+                      md.ProblemDims(p=7, k=3, n=150)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(UNION_CASES))
+def test_union_bound_equals_true_support_loop(name):
+    m, pr, dims = UNION_CASES[name]
+    got = sim.threshold_union_bound(m, pr, dims, trials=200, seed=SEED)
+    assert got == loop_union_bound(m, pr, dims, 0.1, 200, SEED)
+    assert 0.0 < got[0] < 1.0  # some trials fail, some pass
+
+
 class TestThresholdBelowTwiceK:
     # k < p < 2k: no wrong support lies at a distance ell > p - k
     @pytest.mark.parametrize("p", [3, 4, 5])
@@ -674,6 +719,19 @@ class TestPhaseSweep:
         dims = md.ProblemDims(p=16, k=2, n=0)
         rep = sim.run_cell(m, pr, dims, sim.DecoderSpec(kind="exhaustive-ml"), 300, SEED)
         assert rep.pe_hat >= 0.97  # chance level is 119/120
+
+    @pytest.mark.parametrize("trials", [0, -2])
+    def test_no_trials_refused_before_sampling(self, trials, monkeypatch):
+        def no_sampling(*args, **kwargs):
+            raise AssertionError("sampled a realization")
+
+        monkeypatch.setattr(sim, "sample_realization", no_sampling)
+        m, decoder = md.ModelSpec.group_testing(rho=0.0), sim.DecoderSpec(kind="comp-gt")
+        dims = md.ProblemDims(p=8, k=2, n=4)
+        with pytest.raises(ValueError, match=f"trials must be >= 1, got {trials}"):
+            sim.run_cell(m, GT, dims, decoder, trials, SEED)
+        with pytest.raises(ValueError, match=f"trials must be >= 1, got {trials}"):
+            sim.phase_sweep(m, GT, dims, [4, 6], decoder, trials, SEED)
 
     def test_comp_requires_gt(self):
         m = md.ModelSpec.linear(1.0)
