@@ -401,80 +401,133 @@ class PartialCurves:
 
 
 def _maximize_partial(
-    denom: Callable, alpha_star: float, grid_points: int, eta: float
-) -> PartialCurves:
-    """Maximize alpha/denom and (alpha - alpha*)/denom over [alpha*, 1] on a
-    grid refined by golden-section; ties resolve to the smaller alpha.  The
-    maxima are scaled by (1 + eta) and (1 - eta).
+    denom: Callable, c_beta, alpha_star: float, grid_points: int, eta: float
+) -> PartialCurves | list[PartialCurves]:
+    """Maximize alpha/denom and (alpha - alpha*)/denom over [alpha*, 1] for
+    each c_beta, on a grid refined by golden-section; ties resolve to the
+    smaller alpha.  The maxima are scaled by (1 + eta) and (1 - eta).
 
-    denom takes the whole alpha grid as an array (one call) and a scalar
-    alpha (the golden-section steps)."""
+    denom(alpha, c_beta) takes arrays broadcast against each other.  Each
+    c_beta's alpha grid is one denom call, kept only as the brackets around
+    its two argmaxes (and as `curves` for a single c_beta); then every
+    c_beta's two refinements run as lanes of one `_golden_lanes` pass, whose
+    steps are one denom call over the live lanes.  A float c_beta returns
+    one PartialCurves, a sequence a list of them with empty curves.  A
+    denominator that is not > 0 at a refinement point raises
+    NonConvergenceError naming its c_beta."""
     if grid_points < 2:
         raise ValueError(f"grid_points must be at least 2, got {grid_points!r}")
     if not 0.0 <= alpha_star <= 1.0:
         raise ValueError(f"alpha_star must lie in [0, 1], got {float(alpha_star)!r}")
     if alpha_star == 0.0:  # alpha / denom(alpha) grows without bound as alpha -> 0
         raise ValueError("alpha_star must be > 0: both coefficients are infinite at alpha_star = 0")
+    single = np.ndim(c_beta) == 0
+    c_betas = [c_beta] if single else list(c_beta)
     alphas = np.linspace(alpha_star, 1.0, grid_points)
-    dens = denom(alphas)
-    with np.errstate(divide="ignore"):
-        obj_a = np.where(dens > 0, alphas / dens, INFINITE)
-        obj_c = np.where(dens > 0, (alphas - alpha_star) / dens, 0.0)
-    obj_c[0] = 0.0
-    ia, ic = int(np.argmax(obj_a)), int(np.argmax(obj_c))
-    a_a, v_a = _golden_refine(lambda a: a / denom(a), alphas, ia)
-    a_c, v_c = _golden_refine(lambda a: (a - alpha_star) / denom(a), alphas, ic)
-    curves = tuple(zip(alphas.tolist(), dens.tolist(), obj_a.tolist(), obj_c.tolist()))
-    return PartialCurves(
-        coef_ach=v_a * (1.0 + eta),
-        coef_conv=v_c * (1.0 - eta),
-        alpha_ach=a_a,
-        alpha_conv=a_c,
-        curves=curves,
-    )
+    best, curves = [], ()
+    for cb in c_betas:
+        dens = denom(alphas, cb)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            obj_a = np.where(dens > 0, alphas / dens, INFINITE)
+            obj_c = np.where(dens > 0, (alphas - alpha_star) / dens, 0.0)
+        obj_c[0] = 0.0
+        best += [int(np.argmax(obj_a)), int(np.argmax(obj_c))]  # lanes ach, conv
+        if single:
+            curves = tuple(zip(alphas.tolist(), dens.tolist(), obj_a.tolist(), obj_c.tolist()))
+    lane_cb = np.repeat(np.asarray(c_betas, dtype=float), 2)
+    offset = np.tile([0.0, alpha_star], len(c_betas))
+
+    def objective(x, lanes):
+        den = denom(x, lane_cb[lanes])
+        bad = ~(den > 0.0)
+        if bad.any():
+            j = int(np.argmax(bad))
+            raise NonConvergenceError(
+                f"the partial-recovery denominator is {float(den[j]):g} at "
+                f"alpha={float(x[j]):.6g}, c_beta={float(lane_cb[lanes[j]]):g}: "
+                "the SNR is too low for the quadrature to resolve"
+            )
+        return (x - offset[lanes]) / den
+
+    x, v = _golden_lanes(objective, alphas, best)
+    x, v = x.tolist(), v.tolist()
+    out = [
+        PartialCurves(
+            coef_ach=v[j] * (1.0 + eta),
+            coef_conv=v[j + 1] * (1.0 - eta),
+            alpha_ach=x[j],
+            alpha_conv=x[j + 1],
+            curves=curves,
+        )
+        for j in range(0, len(x), 2)
+    ]
+    return out[0] if single else out
 
 
-def _golden_refine(f, grid: np.ndarray, i: int, tol: float = 1e-10):
-    """Golden-section maximization bracketed by the grid neighbors of i."""
-    lo = grid[max(0, i - 1)]
-    hi = grid[min(len(grid) - 1, i + 1)]
-    invphi = (math.sqrt(5.0) - 1.0) / 2.0
-    a, b = float(lo), float(hi)
-    c, d = b - invphi * (b - a), a + invphi * (b - a)
-    fc, fd = f(c), f(d)
-    while b - a > tol:
-        if fc >= fd:
-            b, d, fd = d, c, fc
-            c = b - invphi * (b - a)
-            fc = f(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + invphi * (b - a)
-            fd = f(d)
-    x = c if fc >= fd else d
-    return float(x), float(max(fc, fd))
+_INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
+
+
+def _golden_lanes(f, grid: np.ndarray, best, tol: float = 1e-10) -> tuple[np.ndarray, np.ndarray]:
+    """Golden-section maximization of every lane at once, lane i bracketed by
+    the grid neighbors of its grid argmax best[i]: (argmax, max) arrays, one
+    element per lane.
+
+    f(x, lanes) is the objective at the points x of the lanes `lanes` (an
+    index array).  All lanes take their steps together, so each step is one
+    f call over the live lanes, and each lane takes the steps of the scalar
+    loop bit for bit: it keeps the left part when f(c) >= f(d), stops once
+    its own b - a <= tol (a bracket that starts so narrow takes no step), and
+    gives x = c if f(c) >= f(d) else d, with the value max(f(c), f(d)) as
+    Python's max takes it.  A minimizer maximizes the exact negation."""
+    best = np.asarray(best, dtype=int)
+    a = grid[np.maximum(best - 1, 0)]
+    b = grid[np.minimum(best + 1, len(grid) - 1)]
+    if not a.size:
+        return a, b
+    c = b - _INVPHI * (b - a)
+    d = a + _INVPHI * (b - a)
+    every = np.arange(a.size)
+    fcd = f(np.concatenate([c, d]), np.concatenate([every, every]))
+    fc, fd = fcd[: a.size], fcd[a.size :]
+    live = every[b - a > tol]
+    while live.size:
+        left = fc[live] >= fd[live]
+        keep, drop = live[left], live[~left]
+        # left part: b, d, fd = d, c, fc; c = b - invphi (b - a)
+        b[keep], d[keep], fd[keep] = d[keep], c[keep], fc[keep]
+        c[keep] = b[keep] - _INVPHI * (b[keep] - a[keep])
+        # right part: a, c, fc = c, d, fd; d = a + invphi (b - a)
+        a[drop], c[drop], fc[drop] = c[drop], d[drop], fd[drop]
+        d[drop] = a[drop] + _INVPHI * (b[drop] - a[drop])
+        fx = f(np.where(left, c[live], d[live]), live)
+        fc[keep], fd[drop] = fx[left], fx[~left]
+        live = live[b[live] - a[live] > tol]
+    return np.where(fc >= fd, c, d), np.where(fd > fc, fd, fc)
 
 
 def cor_linear_partial(
-    c_beta: float,
+    c_beta,
     sigma: float = 1.0,
     alpha_star: float = 0.1,
     eta: float = 0.0,
     grid_points: int = 10**4,
-) -> PartialCurves:
+) -> PartialCurves | list[PartialCurves]:
     """Partial-recovery coefficients for the linear channel, Gaussian prior:
 
         coef_ach  = max_{a in [a*,1]}  a / ((1/2) log(1 + c_beta g(a)/sigma^2))
         coef_conv = max_{a in [a*,1]} (a - a*) / (same denominator),
 
-    both multiplying k log(p/k); eta scales them by (1 +/- eta).
+    both multiplying k log(p/k); eta scales them by (1 +/- eta).  A float
+    c_beta returns one PartialCurves with its alpha grid rows; a sequence
+    refines every point in one lockstep pass (`_maximize_partial`) and
+    returns a list whose curves are empty.
     """
     _check_eta(eta)
     # math.log1p per element: np.log1p differs from it in the last bit on
     # some numpy builds, and the figure CSVs must not change.
     log1p = np.vectorize(math.log1p, otypes=[float])
-    denom = lambda a: 0.5 * log1p(c_beta * g_alpha(a) / sigma**2)
-    return _maximize_partial(denom, alpha_star, grid_points, eta)
+    denom = lambda a, cb: 0.5 * log1p(cb * g_alpha(a) / sigma**2)
+    return _maximize_partial(denom, c_beta, alpha_star, grid_points, eta)
 
 
 # ---------------------------------------------------------------------------
@@ -522,25 +575,32 @@ def cor_1bit_highsnr_converse(
 
 
 def psi_function_1bit(
-    alpha, c_beta: float, sigma: float = 1.0, quad: QuadratureSpec = DEFAULT_QUAD
+    alpha, c_beta, sigma: float = 1.0, quad: QuadratureSpec = DEFAULT_QUAD
 ):
     """Psi(alpha, c_beta, sigma) =
         E[H2(Q(W sqrt(c_beta (1-g)/(sigma^2 + c_beta g))))]
         - E[H2(Q(W sqrt(c_beta)/sigma))],  g = g_alpha(alpha).
 
     Always in [0, log 2]; a non-finite quadrature value (e.g. c_beta = inf)
-    raises NonConvergenceError.  A scalar alpha returns a float, an array of
-    alphas an array of the same shape, each element equal to the scalar
-    call.  The first expectation is one mean_entropy_q_scaled call on all
-    the alphas; the alpha-free second one is kept for the last (c_beta,
-    sigma, quad) and entropy perturbation, so repeated calls at one c_beta
-    compute it once.
+    raises NonConvergenceError.  A scalar alpha and c_beta return a float;
+    arrays of either are broadcast against each other and return an array,
+    each element equal to the scalar call.  The first expectation is one
+    mean_entropy_q_scaled call on all the points; the alpha-free second one
+    is cached per (c_beta, sigma, quad) and entropy perturbation, so the
+    grid and every golden-section step of a partial-recovery pass compute
+    it once per c_beta.
     """
     g = g_alpha(alpha)
     a1 = np.sqrt(c_beta * (1.0 - g) / (sigma**2 + c_beta * g))
-    full = _psi_full_term(c_beta, sigma, quad, numerics._ENTROPY_PERTURBATION)
+    eps = numerics._ENTROPY_PERTURBATION
+    if np.ndim(c_beta) == 0:
+        full = _psi_full_term(c_beta, sigma, quad, eps)
+    else:
+        cbs, inverse = np.unique(c_beta, return_inverse=True)
+        terms = np.array([_psi_full_term(cb, sigma, quad, eps) for cb in cbs.tolist()])
+        full = terms[inverse.ravel()].reshape(np.shape(c_beta))
     diff = mean_entropy_q_scaled(a1, quad) - full
-    scalar = np.ndim(alpha) == 0
+    scalar = np.ndim(diff) == 0
     if not (math.isfinite(diff) if scalar else np.isfinite(diff).all()):
         raise NonConvergenceError(f"Psi quadrature is not finite at c_beta={c_beta}, sigma={sigma}")
     if scalar:
@@ -548,7 +608,9 @@ def psi_function_1bit(
     return np.where(diff > 0.0, diff, 0.0)
 
 
-@functools.lru_cache(maxsize=1)
+# Holds every c_beta of a figure call up to this many SNR points; beyond it
+# the lockstep steps recompute the term, with the same value.
+@functools.lru_cache(maxsize=1024)
 def _psi_full_term(c_beta: float, sigma: float, quad: QuadratureSpec, eps: float) -> float:
     """E[H2(Q(W sqrt(c_beta)/sigma))], the alpha-free term of Psi.  `eps`
     is the entropy perturbation in force: it scales the value, so it is
@@ -557,22 +619,22 @@ def _psi_full_term(c_beta: float, sigma: float, quad: QuadratureSpec, eps: float
 
 
 def cor_1bit_partial(
-    c_beta: float,
+    c_beta,
     sigma: float = 1.0,
     alpha_star: float = 0.1,
     eta: float = 0.0,
     grid_points: int = 10**4,
     quad: QuadratureSpec = DEFAULT_QUAD,
-) -> PartialCurves:
+) -> PartialCurves | list[PartialCurves]:
     """Partial-recovery coefficients for the 1-bit channel: as the linear
-    case with denominator Psi(alpha, c_beta, sigma).
+    case with denominator Psi(alpha, c_beta, sigma), float or sequence
+    c_beta alike.
 
-    The alpha grid is one array psi_function_1bit call and each
-    golden-section step one scalar call; Psi's alpha-free term is computed
-    once per call, by the first of them."""
+    Each alpha grid is one array psi_function_1bit call, and each lockstep
+    golden-section step one call over the live lanes (2 per c_beta)."""
     _check_eta(eta)
-    denom = lambda a: psi_function_1bit(a, c_beta, sigma, quad)
-    return _maximize_partial(denom, alpha_star, grid_points, eta)
+    denom = lambda a, cb: psi_function_1bit(a, cb, sigma, quad)
+    return _maximize_partial(denom, c_beta, alpha_star, grid_points, eta)
 
 
 # ---------------------------------------------------------------------------
@@ -587,7 +649,26 @@ class GtNoiselessResult:
     nu_star: float
 
 
-def cor_gt_noiseless(theta: float, eta: float = 0.0) -> GtNoiselessResult:
+def _thetas(theta) -> tuple[bool, list]:
+    """(single, thetas): a float theta as a list of one; each in (0, 1)."""
+    single = np.ndim(theta) == 0
+    thetas = [theta] if single else list(theta)
+    if not all(0.0 < t < 1.0 for t in thetas):
+        raise ValueError("theta must lie in (0, 1)")
+    return single, thetas
+
+
+def _grid_golden_min(objective, grid: np.ndarray, thetas: list) -> tuple[list, list]:
+    """(argmins, minima) of objective(theta, x) over x for each theta: the
+    argmin of the theta's grid values, refined by one `_golden_lanes` pass
+    over all the thetas on the exact negation."""
+    best = [int(np.argmin(objective(t, grid))) for t in thetas]
+    th = np.array(thetas, dtype=float)
+    x, v = _golden_lanes(lambda x, lanes: -objective(th[lanes], x), grid, best)
+    return x.tolist(), (-v).tolist()
+
+
+def cor_gt_noiseless(theta, eta: float = 0.0) -> GtNoiselessResult | list[GtNoiselessResult]:
     """Noiseless group-testing coefficients of k log(p/k) at sparsity
     exponent theta:
 
@@ -596,31 +677,31 @@ def cor_gt_noiseless(theta: float, eta: float = 0.0) -> GtNoiselessResult:
 
     The second term is globally minimized at nu = log 2 where H2(e^-nu)
     attains log 2, so the infimum equals 1/log 2 exactly whenever the first
-    term allows it (theta <= 1/3).
+    term allows it (theta <= 1/3).  A float theta returns one result; a
+    sequence returns a list, its golden-section refinements run in lockstep.
     """
     _check_eta(eta)
-    if not 0.0 < theta < 1.0:
-        raise ValueError("theta must lie in (0, 1)")
-    objective = lambda nu: _gt_noiseless_objective(theta, nu)
+    single, thetas = _thetas(theta)
     grid = np.linspace(1e-3, 5.0, 256)
-    i = int(np.argmin(objective(grid)))
-    nu_star, best = _golden_refine_min(objective, grid, i)
-    # nu = log 2 minimizes the second term exactly; prefer it when optimal
-    at_log2 = objective(LOG2)
-    if at_log2 <= best + 1e-15:
-        nu_star, best = LOG2, at_log2
-    return GtNoiselessResult(
-        coef_ach=best * (1.0 + eta),
-        coef_conv=(1.0 / LOG2) * (1.0 - eta),
-        nu_star=nu_star,
-    )
+    out = []
+    for t, nu_star, best in zip(thetas, *_grid_golden_min(_gt_noiseless_objective, grid, thetas)):
+        # nu = log 2 minimizes the second term exactly; prefer it when optimal
+        at_log2 = _gt_noiseless_objective(t, LOG2)
+        if at_log2 <= best + 1e-15:
+            nu_star, best = LOG2, at_log2
+        out.append(GtNoiselessResult(
+            coef_ach=best * (1.0 + eta),
+            coef_conv=(1.0 / LOG2) * (1.0 - eta),
+            nu_star=nu_star,
+        ))
+    return out[0] if single else out
 
 
-def _gt_noiseless_objective(theta: float, nu):
+def _gt_noiseless_objective(theta, nu):
     """max{theta/(e^-nu nu (1-theta)), 1/H2(e^-nu)} at a float nu, or at each
-    element of an array of nus with the same bits: e^-nu by math.exp (np.exp
-    differs from it in the last bit on some numpy builds) and the operands
-    in the same order."""
+    element of an array of nus (theta a float or an array broadcast against
+    it) with the same bits: e^-nu by math.exp (np.exp differs from it in the
+    last bit on some numpy builds) and the operands in the same order."""
     if np.ndim(nu) == 0:
         e = math.exp(-nu)
         return max(theta / (e * nu * (1.0 - theta)), 1.0 / binary_entropy(e))
@@ -628,12 +709,7 @@ def _gt_noiseless_objective(theta: float, nu):
     return np.maximum(theta / (e * nu * (1.0 - theta)), 1.0 / binary_entropy(e))
 
 
-def _golden_refine_min(f, grid, i, tol: float = 1e-10):
-    x, v = _golden_refine(lambda t: -f(t), grid, i, tol)
-    return x, -v
-
-
-def gt_noisy_zeta(rho: float, delta2, theta: float):
+def gt_noisy_zeta(rho: float, delta2, theta):
     """Concentration-side coefficient for noisy group testing at nu = log 2:
 
         zeta = (2/log 2) max{ 2 (1 + delta2 (1-2 rho)/3) theta/(1-theta)
@@ -641,7 +717,8 @@ def gt_noisy_zeta(rho: float, delta2, theta: float):
                               ((1+4 theta)/(1-theta))
                                   / ((1-2 rho) log((1-rho)/rho) (1-delta2)) }.
 
-    An array of delta2 gives an array, each element equal to the scalar call.
+    Arrays of delta2 and theta are broadcast against each other and give an
+    array, each element equal to the scalar call.
     """
     gap = 1.0 - 2.0 * rho
     t1 = 2.0 * (1.0 + delta2 * gap / 3.0) * (theta / (1.0 - theta)) / (delta2**2 * gap**2)
@@ -656,32 +733,34 @@ class GtNoisyResult:
     delta2_star: float
 
 
-def cor_gt_noisy(theta: float, rho: float, eta: float = 0.0) -> GtNoisyResult:
+def cor_gt_noisy(theta, rho: float, eta: float = 0.0) -> GtNoisyResult | list[GtNoisyResult]:
     """Noisy group-testing coefficients (nu = log 2):
 
         coef_ach  = inf_{delta2 in (0,1)} max{ zeta(rho, delta2, theta),
                                                1/(log 2 - H2(rho)) }
         coef_conv = 1 / (log 2 - H2(rho)).
+
+    A float theta returns one result; a sequence returns a list, its
+    golden-section refinements run in lockstep.
     """
     _check_eta(eta)
     if not 0.0 < rho < 0.5:
         raise ValueError("rho must lie in (0, 0.5)")
-    if not 0.0 < theta < 1.0:
-        raise ValueError("theta must lie in (0, 1)")
+    single, thetas = _thetas(theta)
     floor = 1.0 / (LOG2 - binary_entropy(rho))
     grid = np.linspace(1e-4, 1.0 - 1e-4, 256)
-    i = int(np.argmin(gt_noisy_zeta(rho, grid, theta)))
-    d2_star, zeta_min = _golden_refine_min(
-        lambda d2: gt_noisy_zeta(rho, d2, theta), grid, i
-    )
-    # the converse-matching floor is exact whenever some delta2 drives the
-    # concentration side below it
-    coef = floor if zeta_min <= floor else max(zeta_min, floor)
-    return GtNoisyResult(
-        coef_ach=coef * (1.0 + eta),
-        coef_conv=floor * (1.0 - eta),
-        delta2_star=d2_star,
-    )
+    zeta = lambda t, d2: gt_noisy_zeta(rho, d2, t)
+    out = []
+    for d2_star, zeta_min in zip(*_grid_golden_min(zeta, grid, thetas)):
+        # the converse-matching floor is exact whenever some delta2 drives the
+        # concentration side below it
+        coef = floor if zeta_min <= floor else max(zeta_min, floor)
+        out.append(GtNoisyResult(
+            coef_ach=coef * (1.0 + eta),
+            coef_conv=floor * (1.0 - eta),
+            delta2_star=d2_star,
+        ))
+    return out[0] if single else out
 
 
 def cor_gt_partial(rho: float, alpha_star: float, eta: float = 0.0) -> tuple[float, float]:
@@ -766,9 +845,10 @@ def figure_curves(figure: str, grid: dict) -> list[tuple[float, str, float]]:
     partial-recovery: y = n/(k log(p/k)) coefficients in nats vs SNR in dB,
     four curves (linear/1-bit x ach/conv), alpha* and sigma from the grid;
     every SNR's c_beta is checked (`c_beta_from_snr`) before the first
-    corollary runs.  gt-noiseless / gt-noisy: y = base-2 rate k log2(p/k)/n
-    vs theta, achievability and converse curves (per rho for the noisy
-    figure).
+    corollary runs, and each channel refines all its points in one lockstep
+    pass.  gt-noiseless / gt-noisy: y = base-2 rate k log2(p/k)/n vs theta,
+    achievability and converse curves (per rho for the noisy figure), one
+    corollary call per curve family.
     """
     rows: list[tuple[float, str, float]] = []
     if figure == FIG_PARTIAL:
@@ -776,19 +856,18 @@ def figure_curves(figure: str, grid: dict) -> list[tuple[float, str, float]]:
         sigma = grid.get("sigma", 1.0)
         gp = grid.get("grid_points", 2001)
         c_betas = [c_beta_from_snr(snr, sigma) for snr in grid["snr_db"]]
-        for snr, c_beta in zip(grid["snr_db"], c_betas):
-            lin = cor_linear_partial(c_beta, sigma, alpha_star, grid_points=gp)
-            ob = cor_1bit_partial(c_beta, sigma, alpha_star, grid_points=gp)
+        lin = cor_linear_partial(c_betas, sigma, alpha_star, grid_points=gp)
+        ob = cor_1bit_partial(c_betas, sigma, alpha_star, grid_points=gp)
+        for snr, lc, oc in zip(grid["snr_db"], lin, ob):
             rows += [
-                (snr, "linear-ach-coef-nats", lin.coef_ach),
-                (snr, "linear-conv-coef-nats", lin.coef_conv),
-                (snr, "1bit-ach-coef-nats", ob.coef_ach),
-                (snr, "1bit-conv-coef-nats", ob.coef_conv),
+                (snr, "linear-ach-coef-nats", lc.coef_ach),
+                (snr, "linear-conv-coef-nats", lc.coef_conv),
+                (snr, "1bit-ach-coef-nats", oc.coef_ach),
+                (snr, "1bit-conv-coef-nats", oc.coef_conv),
             ]
         return rows
     if figure == FIG_GT_NOISELESS:
-        for theta in grid["theta"]:
-            res = cor_gt_noiseless(theta)
+        for theta, res in zip(grid["theta"], cor_gt_noiseless(grid["theta"])):
             rows += [
                 (theta, "ach-rate-log2", 1.0 / (res.coef_ach * LOG2)),
                 (theta, "conv-rate-log2", 1.0 / (res.coef_conv * LOG2)),
@@ -796,8 +875,7 @@ def figure_curves(figure: str, grid: dict) -> list[tuple[float, str, float]]:
         return rows
     if figure == FIG_GT_NOISY:
         for rho in grid.get("rho", (0.11,)):
-            for theta in grid["theta"]:
-                res = cor_gt_noisy(theta, rho)
+            for theta, res in zip(grid["theta"], cor_gt_noisy(grid["theta"], rho)):
                 rows += [
                     (theta, f"ach-rate-log2 rho={rho:g}", 1.0 / (res.coef_ach * LOG2)),
                     (theta, f"conv-rate-log2 rho={rho:g}", 1.0 / (res.coef_conv * LOG2)),

@@ -144,24 +144,27 @@ def cmd_threshold(args) -> int:
 
 def _verbose_lines(fig: str, grid: dict, rows):
     """The optimizer behind each figure point: nu* per noiseless row,
-    delta2* per (theta, rho), the maximizing alphas per SNR."""
+    delta2* per (theta, rho), the maximizing alphas per SNR; each curve
+    family is one batched corollary call."""
+    thetas = grid.get("theta")
     if fig == bounds.FIG_GT_NOISELESS:
-        nu_star = {t: bounds.cor_gt_noiseless(t).nu_star for t in grid["theta"]}
+        nu_star = {t: r.nu_star for t, r in zip(thetas, bounds.cor_gt_noiseless(thetas))}
         for x, c, y in rows:
             yield f"theta={x:.4g} {c} rate={y:.6f} nu*={nu_star[x]:.6f}"
     elif fig == bounds.FIG_GT_NOISY:
-        for t in grid["theta"]:
+        d2_star = {r: bounds.cor_gt_noisy(thetas, r) for r in grid["rho"]}
+        for i, t in enumerate(thetas):
             for r in grid["rho"]:
-                yield f"theta={t:.4g} rho={r:g} delta2*={bounds.cor_gt_noisy(t, r).delta2_star:.6f}"
+                yield f"theta={t:.4g} rho={r:g} delta2*={d2_star[r][i].delta2_star:.6f}"
     else:
         sigma, alpha_star, gp = grid["sigma"], grid["alpha_star"], grid["grid_points"]
-        for snr in grid["snr_db"]:
-            cb = c_beta_from_snr(snr, sigma)
-            lin = bounds.cor_linear_partial(cb, sigma, alpha_star, grid_points=gp)
-            ob = bounds.cor_1bit_partial(cb, sigma, alpha_star, grid_points=gp)
+        cbs = [c_beta_from_snr(snr, sigma) for snr in grid["snr_db"]]
+        lin = bounds.cor_linear_partial(cbs, sigma, alpha_star, grid_points=gp)
+        ob = bounds.cor_1bit_partial(cbs, sigma, alpha_star, grid_points=gp)
+        for snr, lc, oc in zip(grid["snr_db"], lin, ob):
             yield (
-                f"snr={snr:g} linear alpha*={lin.alpha_ach:.4f}/{lin.alpha_conv:.4f} "
-                f"1bit alpha*={ob.alpha_ach:.4f}/{ob.alpha_conv:.4f}"
+                f"snr={snr:g} linear alpha*={lc.alpha_ach:.4f}/{lc.alpha_conv:.4f} "
+                f"1bit alpha*={oc.alpha_ach:.4f}/{oc.alpha_conv:.4f}"
             )
 
 

@@ -406,7 +406,8 @@ def snr_db(prior: SignalPrior, model: ModelSpec, k: int) -> float:
 
 def c_beta_from_snr(snr: float, sigma: float = 1.0) -> float:
     """Inverse of snr_db at fixed sigma: c_beta = k sigma_beta^2.  A c_beta
-    beyond the float range (or NaN) raises ValueError."""
+    beyond the float range (or NaN) raises ValueError, and then so do a
+    sigma <= 0 and a c_beta that underflows to 0."""
     try:
         c_beta = sigma**2 * 10.0 ** (snr / 10.0)
     except OverflowError:
@@ -414,6 +415,12 @@ def c_beta_from_snr(snr: float, sigma: float = 1.0) -> float:
     if not np.isfinite(c_beta):
         raise ValueError(
             f"SNR {snr:g} dB puts the signal power sigma^2 10^(SNR/10) beyond the float range"
+        )
+    if not sigma > 0.0:
+        raise ValueError(f"sigma must be > 0, got {sigma:g}")
+    if not c_beta > 0.0:
+        raise ValueError(
+            f"SNR {snr:g} dB puts the signal power sigma^2 10^(SNR/10) below the float range"
         )
     return c_beta
 

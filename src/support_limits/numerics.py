@@ -28,9 +28,9 @@ cached beside the Hermite nodes.
 H2, g(alpha) and mean_entropy_q_scaled take a scalar (and return a Python
 float) or an array of arguments (and return an array of the same shape);
 every element equals the scalar call bit for bit.  A scalar takes a scalar
-path, so the golden-section steps of the figure corollaries pay no array
-overhead.  mean_entropy_q_scaled sums an array as (grid x nodes)
-Gauss-Hermite matrices of at most _GRID_BLOCK rows.
+path with no array overhead; the figure corollaries' golden-section steps
+pass all their lanes as one array.  mean_entropy_q_scaled sums an array as
+(grid x nodes) Gauss-Hermite matrices of at most _GRID_BLOCK rows.
 
 All entropies and information measures are in nats (base-e logs); base-2
 conversion happens only at the CLI reporting layer.

@@ -42,9 +42,11 @@ are hard errors, not warnings.
 """
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
+from types import MappingProxyType
 from typing import Sequence
 
 import numpy as np
@@ -214,12 +216,15 @@ def _averaged_partition_density(model, prior, x_cand, y, partition):
     return float(stat) if stat.ndim == 0 else stat
 
 
+@functools.lru_cache(maxsize=64)
 def _threshold_test(model, prior, dims: ProblemDims, delta1: float):
     """(thresholds, partitions) of the threshold test: the combined
-    thresholds, gamma by the discrete rule, and every partition they cover."""
+    thresholds, gamma by the discrete rule, and every partition they cover.
+    Built once per (model, prior, dims, delta1), that is once per simulated
+    cell, and shared read-only by its decodes."""
     gamma = gamma_select("discrete", model, prior, dims)
     thresholds = combined_thresholds(dims, delta1, gamma)
-    return thresholds, list(enumerate_partitions(dims.k, thresholds))
+    return MappingProxyType(thresholds), tuple(enumerate_partitions(dims.k, thresholds))
 
 
 def _passing(model, prior, x_cands, y, thresholds, partitions) -> np.ndarray:

@@ -1,9 +1,10 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from support_limits import bounds, info
+from support_limits import bounds, info, verify
 from support_limits import model as md
 from support_limits import numerics as nm
 
@@ -439,12 +440,66 @@ def _old_gt_objective(theta, nu):
     return max(t1, t2)
 
 
+def _old_golden_refine(f, grid, i, tol=1e-10):
+    """The scalar golden-section loop the lane routine replaced, verbatim:
+    the reference every lockstep refinement must equal."""
+    lo = grid[max(0, i - 1)]
+    hi = grid[min(len(grid) - 1, i + 1)]
+    invphi = (math.sqrt(5.0) - 1.0) / 2.0
+    a, b = float(lo), float(hi)
+    c, d = b - invphi * (b - a), a + invphi * (b - a)
+    fc, fd = f(c), f(d)
+    while b - a > tol:
+        if fc >= fd:
+            b, d, fd = d, c, fc
+            c = b - invphi * (b - a)
+            fc = f(c)
+        else:
+            a, c, fc = c, d, fd
+            d = a + invphi * (b - a)
+            fd = f(d)
+    x = c if fc >= fd else d
+    return float(x), float(max(fc, fd))
+
+
+def _old_golden_refine_min(f, grid, i, tol=1e-10):
+    x, v = _old_golden_refine(lambda t: -f(t), grid, i, tol)
+    return x, -v
+
+
+def _old_maximize_partial(denom, alpha_star, grid_points, eta):
+    """_maximize_partial as it was: one scalar golden-section loop per
+    maximum, denom taking the alpha grid as an array and a scalar alpha."""
+    alphas = np.linspace(alpha_star, 1.0, grid_points)
+    dens = denom(alphas)
+    with np.errstate(divide="ignore"):
+        obj_a = np.where(dens > 0, alphas / dens, math.inf)
+        obj_c = np.where(dens > 0, (alphas - alpha_star) / dens, 0.0)
+    obj_c[0] = 0.0
+    ia, ic = int(np.argmax(obj_a)), int(np.argmax(obj_c))
+    a_a, v_a = _old_golden_refine(lambda a: a / denom(a), alphas, ia)
+    a_c, v_c = _old_golden_refine(lambda a: (a - alpha_star) / denom(a), alphas, ic)
+    curves = tuple(zip(alphas.tolist(), dens.tolist(), obj_a.tolist(), obj_c.tolist()))
+    return bounds.PartialCurves(
+        coef_ach=v_a * (1.0 + eta),
+        coef_conv=v_c * (1.0 - eta),
+        alpha_ach=a_a,
+        alpha_conv=a_c,
+        curves=curves,
+    )
+
+
+def _old_linear_denom(cb, sigma):
+    log1p = np.vectorize(math.log1p, otypes=[float])
+    return lambda a: 0.5 * log1p(cb * nm.g_alpha(a) / sigma**2)
+
+
 def _old_gt_noiseless(theta, eta=0.0):
     """cor_gt_noiseless as it was: one scalar objective call per grid nu."""
     objective = lambda nu: _old_gt_objective(theta, nu)
     grid = np.linspace(1e-3, 5.0, 256)
     vals = [objective(float(nu)) for nu in grid]
-    nu_star, best = bounds._golden_refine_min(objective, grid, int(np.argmin(vals)))
+    nu_star, best = _old_golden_refine_min(objective, grid, int(np.argmin(vals)))
     at_log2 = objective(nm.LOG2)
     if at_log2 <= best + 1e-15:
         nu_star, best = nm.LOG2, at_log2
@@ -461,11 +516,26 @@ def _old_gt_noisy_zeta(rho, delta2, theta):
     return (2.0 / nm.LOG2) * max(t1, t2)
 
 
+def _old_gt_noisy(theta, rho, eta=0.0):
+    """cor_gt_noisy as it was: one scalar golden-section loop per theta."""
+    floor = 1.0 / (nm.LOG2 - nm.binary_entropy(rho))
+    grid = np.linspace(1e-4, 1.0 - 1e-4, 256)
+    i = int(np.argmin([_old_gt_noisy_zeta(rho, d2, theta) for d2 in grid.tolist()]))
+    d2_star, zeta_min = _old_golden_refine_min(lambda d2: _old_gt_noisy_zeta(rho, d2, theta), grid, i)
+    coef = floor if zeta_min <= floor else max(zeta_min, floor)
+    return bounds.GtNoisyResult(
+        coef_ach=coef * (1.0 + eta), coef_conv=floor * (1.0 - eta), delta2_star=d2_star
+    )
+
+
 # (c_beta, sigma): sqrt(c_beta)/sigma below, at and above 1, so Psi's
 # alpha-free term takes both mean_entropy_q_scaled branches
 # (0.7, 0.5) gives raw differences of -1e-16 at alpha near 1e-12, which Psi clamps to 0
 PSI_CASES = [(1e-3, 1.0), (0.5, 2.0), (1.0, 1.0), (0.7, 0.5), (3.0, 1.0), (50.0, 1.5),
              (1e4, 2.0), (1e8, 0.5)]
+# alpha* = 0.999 puts the conv argmax at the grid's right end; the ach
+# argmax sits at its left end for most cases
+PARTIAL_ALPHA_STARS = (0.05, 0.1, 0.6, 0.999)
 
 
 class TestFigureCorollariesEqualOldLoops:
@@ -489,12 +559,72 @@ class TestFigureCorollariesEqualOldLoops:
     @pytest.mark.parametrize("cb,sigma", PSI_CASES)
     def test_1bit_partial_equals_old_loop(self, cb, sigma, eps):
         with nm.entropy_perturbation(eps):
-            for alpha_star, eta in ((0.1, 0.0), (0.05, 0.05), (0.6, 0.0)):
-                got = bounds.cor_1bit_partial(cb, sigma, alpha_star, eta, grid_points=201)
-                old = bounds._maximize_partial(
-                    lambda a: _old_psi(a, cb, sigma), alpha_star, 201, eta
-                )
-                assert got == old
+            for alpha_star in PARTIAL_ALPHA_STARS:
+                for eta in (0.0, 0.05):
+                    got = bounds.cor_1bit_partial(cb, sigma, alpha_star, eta, grid_points=201)
+                    old = _old_maximize_partial(
+                        lambda a: _old_psi(a, cb, sigma), alpha_star, 201, eta
+                    )
+                    assert got == old, (alpha_star, eta)
+
+    @pytest.mark.parametrize("cb,sigma", PSI_CASES)
+    def test_linear_partial_equals_old_loop(self, cb, sigma):
+        for alpha_star in PARTIAL_ALPHA_STARS:
+            for eta in (0.0, 0.05):
+                got = bounds.cor_linear_partial(cb, sigma, alpha_star, eta, grid_points=201)
+                old = _old_maximize_partial(_old_linear_denom(cb, sigma), alpha_star, 201, eta)
+                assert got == old, (alpha_star, eta)
+
+    def test_cases_put_the_grid_argmax_at_both_ends(self):
+        ends = set()
+        for cb, sigma in PSI_CASES:
+            for alpha_star in PARTIAL_ALPHA_STARS:
+                for res in (bounds.cor_linear_partial(cb, sigma, alpha_star, grid_points=201),
+                            bounds.cor_1bit_partial(cb, sigma, alpha_star, grid_points=201)):
+                    for col in (2, 3):
+                        ends.add(int(np.argmax([row[col] for row in res.curves])))
+        assert {0, 200} <= ends
+
+    @pytest.mark.parametrize("eps", [0.0, 1e-3])
+    @pytest.mark.parametrize("sigma", [0.5, 1.0, 2.0])
+    def test_batched_partial_equals_old_loops(self, sigma, eps):
+        cbs = [cb for cb, _ in PSI_CASES]
+        with nm.entropy_perturbation(eps):
+            for alpha_star in PARTIAL_ALPHA_STARS:
+                lin = bounds.cor_linear_partial(cbs, sigma, alpha_star, 0.05, grid_points=201)
+                one = bounds.cor_1bit_partial(cbs, sigma, alpha_star, 0.05, grid_points=201)
+                assert lin == [
+                    replace(_old_maximize_partial(_old_linear_denom(cb, sigma), alpha_star,
+                                                  201, 0.05), curves=())
+                    for cb in cbs
+                ]
+                assert one == [
+                    replace(_old_maximize_partial(lambda a: _old_psi(a, cb, sigma), alpha_star,
+                                                  201, 0.05), curves=())
+                    for cb in cbs
+                ]
+
+    def test_lanes_of_mixed_widths_equal_scalar_loops(self):
+        # uneven spacing, down to brackets narrower than tol (no step at all),
+        # so the lanes stop at different steps; argmaxes at both ends too
+        grid = np.cumsum([0.0, 0.3, 1e-11, 2e-12, 0.05, 1e-6, 0.4, 0.2, 1e-9, 0.7])
+        best = [0, 1, 2, 3, 4, 5, 6, 7, 9, 9, 2, 0]
+        shift = np.linspace(0.0, 2.0, len(best))
+        f = lambda x, i: np.sin(3.0 * x + shift[i]) - 0.1 * x * x
+        x, v = bounds._golden_lanes(f, grid, best)
+        for lane, i in enumerate(best):
+            g = lambda t: math.sin(3.0 * t + shift[lane]) - 0.1 * t * t
+            assert (x[lane], v[lane]) == _old_golden_refine(g, grid, i), lane
+        assert bounds._golden_lanes(f, grid, [])[0].size == 0
+        # a bracket exactly tol wide takes no step, a wider one does; the
+        # last two are the widths [0, 1] has after its first step
+        grid, best = np.array([0.0, 0.5, 1.0]), [1, 0]
+        invphi = (math.sqrt(5.0) - 1.0) / 2.0
+        for tol in (1.0, 0.5, invphi * 1.0, 1.0 - (1.0 - invphi * 1.0)):
+            x, v = bounds._golden_lanes(f, grid, best, tol)
+            for lane, i in enumerate(best):
+                g = lambda t: math.sin(3.0 * t + shift[lane]) - 0.1 * t * t
+                assert (x[lane], v[lane]) == _old_golden_refine(g, grid, i, tol), (tol, lane)
 
     def test_gt_noiseless_equals_old_loop(self):
         thetas = np.concatenate([np.linspace(0.01, 0.99, 99), [1e-9, 1.0 / 3.0, 1.0 - 1e-9]])
@@ -506,6 +636,19 @@ class TestFigureCorollariesEqualOldLoops:
                 _old_gt_objective(theta, nu) for nu in grid.tolist()
             ], theta
         assert bounds.cor_gt_noiseless(0.7, eta=0.1) == _old_gt_noiseless(0.7, eta=0.1)
+
+    def test_gt_sequences_equal_per_theta_loops(self):
+        thetas = np.linspace(0.05, 0.95, 19).tolist()
+        assert bounds.cor_gt_noiseless(thetas, eta=0.1) == [
+            _old_gt_noiseless(t, eta=0.1) for t in thetas
+        ]
+        thetas = np.linspace(0.01, 0.99, 70).tolist()
+        for rho in (0.01, 0.05, 0.11, 0.25, 0.45):
+            assert bounds.cor_gt_noisy(thetas, rho, eta=0.05) == [
+                _old_gt_noisy(t, rho, eta=0.05) for t in thetas
+            ], rho
+            assert bounds.cor_gt_noisy(thetas[7], rho) == _old_gt_noisy(thetas[7], rho)
+        assert bounds.cor_gt_noiseless([]) == [] and bounds.cor_gt_noisy((), 0.11) == []
 
     def test_gt_noisy_zeta_grid_equals_scalar_calls(self):
         grid = np.linspace(1e-4, 1.0 - 1e-4, 256)
@@ -681,6 +824,17 @@ class TestFigureCurves:
     def test_unknown_figure(self):
         with pytest.raises(ValueError):
             bounds.figure_curves("nope", {})
+
+    def test_coefficients_match_dense_grid_check(self):
+        (result,) = verify.run_checks("partial-coef-vs-dense-grid")
+        assert result.passed and result.tolerance == 1e-8, result.detail
+
+    def test_vanishing_denominator_raises_naming_c_beta(self):
+        # Psi's two expectations cancel to 0.0 at c_beta = 1e-14 (-140 dB)
+        with pytest.raises(nm.NonConvergenceError, match="c_beta=1e-14"):
+            bounds.cor_1bit_partial(1e-14, grid_points=21)
+        with pytest.raises(nm.NonConvergenceError, match="c_beta=1e-14"):
+            bounds.cor_1bit_partial([1.0, 1e-14], grid_points=21)
 
 
 class TestMatchedPairInvariant:

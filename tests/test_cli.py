@@ -335,6 +335,13 @@ BAD_INPUTS = [
     (["threshold", "--figure", "partial-recovery", "--snr-db=-30:-30:1", "--grid-points", "21",
       "--alpha-star", "0"], 2, 1),
     (["threshold", "--figure", "partial-recovery", "--snr-db=4000:4000:1"], 2, 1),
+    # c_beta underflows to 0, or sigma is not positive
+    (["threshold", "--figure", "partial-recovery", "--snr-db=-4000:-4000:1"], 2, 1),
+    (["threshold", "--figure", "partial-recovery", "--snr-db=0:0:1", "--sigma", "0"], 2, 1),
+    (["threshold", "--figure", "partial-recovery", "--snr-db=0:0:1", "--sigma=-1"], 2, 1),
+    # Psi's difference cancels to 0.0: no refinement step can divide by it
+    (["threshold", "--figure", "partial-recovery", "--snr-db=-140:-140:1"], 3, 1),
+    (["threshold", "--figure", "partial-recovery", "--snr-db=-300:-300:1"], 3, 1),
     (["simulate", "--model", "linear", "--prior", "gaussian", "--decoder", "threshold",
       "--p", "6", "--k", "2", "--n-grid", "4:4:1", "--seed", "1"], 2, 1),
     (["simulate", "--model", "one-bit", "--prior", "gaussian",

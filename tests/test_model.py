@@ -127,6 +127,14 @@ class TestSnr:
         with pytest.raises(ValueError, match=f"SNR {snr:g} dB .* beyond the float range"):
             md.c_beta_from_snr(snr, sigma)
 
+    @pytest.mark.parametrize("snr,sigma,match", [(0.0, 0.0, "sigma must be > 0"),
+                                                 (0.0, -1.0, "sigma must be > 0"),
+                                                 (-4000.0, 1.0, "below the float range"),
+                                                 (0.0, 1e-200, "below the float range")])
+    def test_non_positive_sigma_or_c_beta_refused(self, snr, sigma, match):
+        with pytest.raises(ValueError, match=match):
+            md.c_beta_from_snr(snr, sigma)
+
 
 class TestRngStream:
     @pytest.mark.parametrize("stream", [(), (0,), (3, 2**31), (1, 2, 3, 4, 5)])

@@ -584,6 +584,17 @@ def test_union_bound_equals_true_support_loop(name):
     assert 0.0 < got[0] < 1.0  # some trials fail, some pass
 
 
+def test_threshold_test_built_once_per_cell():
+    m, pr, dims = UNION_CASES["gt-noisy"]
+    thresholds, partitions = first = sim._threshold_test(m, pr, dims, 0.1)
+    assert sim._threshold_test(m, pr, dims, 0.1) is first
+    assert sim._threshold_test(m, pr, dims, 0.2) is not first
+    assert dict(thresholds) == sim.combined_thresholds(dims, 0.1)
+    assert partitions == tuple(md.enumerate_partitions(dims.k, thresholds))
+    with pytest.raises(TypeError):  # shared by every decode of the cell: read-only
+        thresholds[1] = 0.0
+
+
 class TestThresholdBelowTwiceK:
     # k < p < 2k: no wrong support lies at a distance ell > p - k
     @pytest.mark.parametrize("p", [3, 4, 5])
