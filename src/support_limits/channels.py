@@ -63,8 +63,12 @@ class Channel:
 
         validate(spec)                  reject a parameter that does not fit
         check_prior(spec, prior, k)     reject a signal prior it does not pair with
-        draw_design(spec, rng, n, p, k) n x p measurement matrix from the design
-        sample(spec, x_s, b, rng)       y | x_s, b, one output per row
+        draw(spec, rng, raw, noise)     fill one trial's raw design draws (n x p)
+                                        and then its noise draws (n), in place
+        design(spec, raw, k)            measurement matrices from raw design
+                                        draws; may overwrite raw
+        outputs(spec, x_s, b, noise)    y | x_s, b from the noise draws, one
+                                        output per row
         loglik_rows(spec, x_s, b, y)    log P(y | x_s, b) per row
         log_marginal_rows(spec, partition, x_s, b, y)
                                         log P(y | x_eq, b) per row, x_dif
@@ -76,6 +80,10 @@ class Channel:
                                         conc.TailBoundSpec list for the
                                         achievability remainder; mi_map:
                                         ell -> min-info I
+
+    The sampler is split so that only `draw` runs once per trial: `design`
+    and `outputs` take any leading trial axes, x_s (... x n x k), b (... x k)
+    and noise (... x n), and map a whole block of trials at once.
 
     x_s holds n measurement rows restricted to the support (n x k), b the
     non-zero entries aligned with its columns (a float array) and y the n
@@ -109,8 +117,16 @@ class _GaussianDesign(Channel):
         if prior.variant == "all-ones":
             raise ValueError("the all-ones prior pairs only with group testing")
 
-    def draw_design(self, spec, rng, n, p, k):
-        return rng.standard_normal((n, p))
+    def draw(self, spec, rng, raw, noise):
+        rng.standard_normal(out=raw)
+        rng.standard_normal(out=noise)
+
+    def design(self, spec, raw, k):
+        return raw
+
+    def _response(self, spec, x_s, b, noise):
+        """<x, b> + sigma z per row: one matrix-vector product per trial."""
+        return np.matmul(x_s, b[..., None])[..., 0] + spec.sigma * noise
 
 
 class Linear(_GaussianDesign):
@@ -121,8 +137,8 @@ class Linear(_GaussianDesign):
         if spec.sigma * spec.sigma == 0.0:  # the likelihood divides by sigma^2
             raise ValueError(f"noise std sigma = {spec.sigma:g} has a square that underflows to 0")
 
-    def sample(self, spec, x_s, b, rng):
-        return x_s @ b + spec.sigma * rng.standard_normal(x_s.shape[0])
+    def outputs(self, spec, x_s, b, noise):
+        return self._response(spec, x_s, b, noise)
 
     # A residual whose square overflows scores -inf, which orders it right:
     # the overflow warnings are silenced, no value changes.
@@ -175,8 +191,8 @@ class OneBit(_GaussianDesign):
     a_eq = sqrt(sum_eq b^2 / (sigma^2 + sum_dif b^2)), a_s = sqrt(sum_s b^2) / sigma.
     """
 
-    def sample(self, spec, x_s, b, rng):
-        return one_bit_sign(x_s @ b + spec.sigma * rng.standard_normal(x_s.shape[0]))
+    def outputs(self, spec, x_s, b, noise):
+        return one_bit_sign(self._response(spec, x_s, b, noise))
 
     def loglik_rows(self, spec, x_s, b, y):
         return log_q_function(-y * (x_s @ b) / spec.sigma)
@@ -312,13 +328,18 @@ class GroupTesting(Channel):
             raise ValueError("group testing pairs only with the all-ones prior")
         spec.bernoulli_p(k)
 
-    def draw_design(self, spec, rng, n, p, k):
-        return (rng.random((n, p)) < spec.bernoulli_p(k)).astype(float)
+    def draw(self, spec, rng, raw, noise):
+        rng.random(out=raw)
+        if spec.rho > 0.0:  # noiseless testing takes no noise draw
+            rng.random(out=noise)
 
-    def sample(self, spec, x_s, b, rng):
+    def design(self, spec, raw, k):
+        return np.less(raw, spec.bernoulli_p(k), out=raw)  # 0/1 floats
+
+    def outputs(self, spec, x_s, b, noise):
         hit = x_s.astype(bool).any(axis=-1)
         if spec.rho > 0.0:
-            hit = hit ^ (rng.random(x_s.shape[0]) < spec.rho)
+            hit ^= noise < spec.rho
         return hit.astype(float)
 
     def table(self, spec, partition) -> GtTable:

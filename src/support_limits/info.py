@@ -190,8 +190,10 @@ def variance_mc(
     rng = rng_stream(seed)
     channel = CHANNELS[model.channel]
     b = np.ones(partition.k) if b is None else np.asarray(b, dtype=float)
-    x = channel.draw_design(model, rng, trials, partition.k, partition.k)
-    y = channel.sample(model, x, b, rng)
+    raw, noise = np.empty((trials, partition.k)), np.empty(trials)
+    channel.draw(model, rng, raw, noise)
+    x = channel.design(model, raw, partition.k)
+    y = channel.outputs(model, x, b, noise)
     dens = density_rows(model, partition, b, x, y)
     if not np.all(np.isfinite(dens)):
         raise SupportMismatchError("sampled a zero-likelihood observation")

@@ -11,8 +11,11 @@ Conventions used throughout the package:
   SeedSequence([seed, *stream]), so parallel trials are reproducible and
   independent.  `rng_stream` builds a new generator for its caller to keep;
   `sample_realization` draws the same stream from one generator per thread,
-  re-keyed on every call, and reads its key from a memoized table of 256
-  consecutive trials' keys.
+  re-keyed for every trial it draws, and reads the keys of a trial range as
+  rows of memoized tables of 256 consecutive trials' keys.
+- `sample_realization` draws one trial as a `Realization`, or a range of
+  trials as one `RealizationBlock` of stacked arrays: per trial it takes
+  only the draws, then maps the whole block to designs and outputs at once.
 - A support is drawn as `np.sort(rng.choice(p, size=k, replace=False))`
   would draw it, for small k by a port of the steps `choice` takes (Floyd's
   algorithm, then its shuffle) on the generator's own 32-bit draws.
@@ -120,21 +123,34 @@ def _key_table(seed: int, prefix: tuple[int, ...], t0: int) -> np.ndarray:
     return table
 
 
-def _stream_key(seed: int, stream: tuple[int, ...]) -> np.ndarray:
-    """Philox key of SeedSequence([seed, *stream]) as two uint64 words.
+def _stream_keys(seed: int, prefix: tuple[int, ...], trials: range) -> np.ndarray:
+    """(T x 2) uint64 Philox keys, row i that of SeedSequence([seed, *prefix,
+    trials[i]]).
 
-    A stream ending in a trial index t < 2^32 reads the key from the table
-    of its 256-trial chunk; any other stream asks SeedSequence itself, which
-    also raises on entries it refuses.
+    Consecutive trial indices below 2^32 after a prefix of non-negative ints
+    are read as rows of the tables of their 256-trial chunks; any other
+    stream asks SeedSequence itself, which also raises on entries it refuses.
     """
     if (
-        stream
-        and all(isinstance(v, (int, np.integer)) and v >= 0 for v in stream)
-        and stream[-1] <= _MASK32
+        all(isinstance(v, (int, np.integer)) and v >= 0 for v in prefix)
+        and trials.step == 1
+        and 0 <= trials.start < trials.stop <= _MASK32 + 1
     ):
+        prefix = tuple(int(v) for v in prefix)
+        t0, t1 = trials.start, trials.stop
+        chunks = range(t0 - t0 % _KEY_TABLE_SIZE, t1, _KEY_TABLE_SIZE)
+        rows = [_key_table(seed, prefix, c)[max(t0 - c, 0) : t1 - c] for c in chunks]
+        return rows[0] if len(rows) == 1 else np.concatenate(rows)
+    keys = [np.random.SeedSequence([seed, *prefix, t]).generate_state(2, np.uint64) for t in trials]
+    return np.array(keys, dtype=np.uint64).reshape(-1, 2)
+
+
+def _stream_key(seed: int, stream: tuple[int, ...]) -> np.ndarray:
+    """Philox key of SeedSequence([seed, *stream]) as two uint64 words: a
+    stream ending in an int is trial stream[-1] of `_stream_keys`."""
+    if stream and isinstance(stream[-1], (int, np.integer)):
         t = int(stream[-1])
-        r = t % _KEY_TABLE_SIZE
-        return _key_table(seed, tuple(int(v) for v in stream[:-1]), t - r)[r]
+        return _stream_keys(seed, stream[:-1], range(t, t + 1))[0]
     return np.random.SeedSequence([seed, *stream]).generate_state(2, np.uint64)
 
 
@@ -445,37 +461,95 @@ class Realization:
         return self.beta[np.asarray(self.support, dtype=int) - 1]
 
 
+def _support_columns(x: np.ndarray, index: np.ndarray) -> np.ndarray:
+    """(T x n x k) columns index (T x k, 0-based) of the (T x n x p) designs
+    x, each trial's laid out column-major as x[t][:, index[t]] is, so that
+    its products with b sum in the same order."""
+    return x.swapaxes(1, 2)[np.arange(len(index))[:, None], index].swapaxes(1, 2)
+
+
+@dataclass(frozen=True)
+class RealizationBlock:
+    """T realizations drawn together, stacked: support (T x k, each row
+    sorted and 1-based), beta (T x p), x (T x n x p) and y (T x n).
+    block[i] is trial i's Realization, a view of the block's rows."""
+
+    support: np.ndarray
+    beta: np.ndarray
+    x: np.ndarray
+    y: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.support)
+
+    def __getitem__(self, i: int) -> Realization:
+        return Realization(tuple(self.support[i].tolist()), self.beta[i], self.x[i], self.y[i])
+
+    def __iter__(self) -> Iterator[Realization]:
+        return map(self.__getitem__, range(len(self)))
+
+    def x_support(self) -> np.ndarray:
+        """(T x n x k) design columns on each trial's support, each trial's
+        laid out as its Realization.x_support() is."""
+        return _support_columns(self.x, self.support - 1)
+
+
+def _entry_draw(prior: SignalPrior, k: int):
+    """The per-trial draw rng -> b_S of a prior that draws its k non-zero
+    entries, or None for a prior that fixes them."""
+    if prior.variant == PERMUTED_VECTOR:
+        b = np.asarray(prior.b, dtype=float)
+        return lambda rng: rng.permutation(b)
+    if prior.variant == IID_GAUSSIAN:
+        scale = np.sqrt(prior.sigma_beta_sq)
+        return lambda rng: rng.normal(0.0, scale, size=k)
+    return None
+
+
 def sample_realization(
     dims: ProblemDims,
     model: ModelSpec,
     prior: SignalPrior,
     seed: int,
     stream: tuple[int, ...] = (),
-) -> Realization:
+    trials: range | None = None,
+) -> Realization | RealizationBlock:
     """Draw (S, beta, X, Y): S uniform over k-subsets, X i.i.d. from the
     design, beta_S from the prior, Y conditionally i.i.d. per row.
 
     Deterministic given (seed, stream): the draws are those of
     rng_stream(seed, *stream), taken from this thread's re-keyed generator,
-    which never leaves this function.
+    which never leaves this function.  With trials (a range of consecutive
+    trial indices) trial t draws stream (*stream, t), and the trials come
+    back as one RealizationBlock; without, one Realization, a block of one.
+
+    Per trial the generator takes its draws in a fixed order: the support,
+    the prior's entries (if the prior draws them), the raw design draws and
+    the noise draws, the last two straight into the block's buffers.  The
+    channel then maps the whole block to designs and outputs.
     """
     validate_pairing(model, prior, dims.k)
-    rng = _rekeyed_generator(_stream_key(_checked_seed(seed), tuple(stream)))
-    index = _support(rng, dims.p, dims.k)
-
-    if prior.variant == FIXED_VECTOR:
-        b_s = np.asarray(prior.b, dtype=float)
-    elif prior.variant == PERMUTED_VECTOR:
-        b_s = rng.permutation(np.asarray(prior.b, dtype=float))
-    elif prior.variant == IID_GAUSSIAN:
-        b_s = rng.normal(0.0, np.sqrt(prior.sigma_beta_sq), size=dims.k)
-    else:
-        b_s = np.ones(dims.k)
-
+    seed = _checked_seed(seed)
+    stream = tuple(stream)
+    keys = _stream_key(seed, stream)[None] if trials is None else _stream_keys(seed, stream, trials)
+    n, p, k, count = dims.n, dims.p, dims.k, len(keys)
     channel = CHANNELS[model.channel]
-    x = channel.draw_design(model, rng, dims.n, dims.p, dims.k)
+    index = np.empty((count, k), dtype=np.int64)
+    b = np.empty((count, k))
+    draw_b = _entry_draw(prior, k)
+    if draw_b is None:
+        b[:] = prior.b if prior.variant == FIXED_VECTOR else 1.0
+    raw, noise = np.empty((count, n, p)), np.empty((count, n))
+    for i, key in enumerate(keys):
+        rng = _rekeyed_generator(key)
+        index[i] = _support(rng, p, k)
+        if draw_b:
+            b[i] = draw_b(rng)
+        channel.draw(model, rng, raw[i], noise[i])
 
-    beta = np.zeros(dims.p)
-    beta[index] = b_s
-    y = channel.sample(model, x[:, index], b_s, rng)
-    return Realization(support=tuple((index + 1).tolist()), beta=beta, x=x, y=y)
+    x = channel.design(model, raw, k)
+    y = channel.outputs(model, _support_columns(x, index), b, noise)
+    beta = np.zeros((count, p))
+    beta[np.arange(count)[:, None], index] = b
+    block = RealizationBlock(support=index + 1, beta=beta, x=x, y=y)
+    return block[0] if trials is None else block

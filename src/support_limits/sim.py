@@ -29,12 +29,14 @@ residual form, which refuses a covariance it cannot tell from singular.
 Group-testing ML with the all-ones prior instead scores a block with one
 product of the design and a 0/1 (items x candidates) incidence matrix.
 
-`run_cell` decodes trial blocks of at most _TRIAL_BLOCK_ENTRIES design
-entries (n x p per trial) and at least one trial: COMP scores a block in one
-pass, exhaustive ML enumerates the candidates (and GT incidence matrices)
-once per block, and the threshold decoder takes one realization per call.
-Group-testing ML scores each candidate block for groups of trials with one
-product, each group's trials x n x candidates hit counts again at most
+`run_cell` draws and decodes trial blocks of at most _TRIAL_BLOCK_ENTRIES
+design entries (n x p per trial) and at least one trial, each drawn by one
+`sample_realization` call as a RealizationBlock: COMP scores a block in one
+pass on its stacked designs and outputs, exhaustive ML enumerates the
+candidates (and GT incidence matrices) once per block, and the threshold
+decoder takes the block's realizations one per call.  Group-testing ML
+scores each candidate block for groups of trials with one product, each
+group's trials x n x candidates hit counts again at most
 _TRIAL_BLOCK_ENTRIES.
 
 Exhaustive decoding is guarded at C(p, k) <= 10^6 and k <= 12; the guards
@@ -68,12 +70,12 @@ from .model import (
     ModelSpec,
     ProblemDims,
     Realization,
+    RealizationBlock,
     SignalPrior,
     enumerate_partitions,
-    rng_stream,
     sample_realization,
 )
-from .numerics import g_alpha, log_binomial
+from .numerics import log_binomial
 
 CANDIDATE_CAP = 10**6
 K_CAP = 12
@@ -169,6 +171,21 @@ def _candidate_blocks(dims: ProblemDims):
 def _design_stack(x, block):
     """The (B x n x k) design columns of the candidates in block."""
     return np.ascontiguousarray(np.moveaxis(x[:, block - 1], 1, 0))
+
+
+def _trial_blocks(dims: ProblemDims, trials: int):
+    """range(trials) in consecutive ranges of at most _TRIAL_BLOCK_ENTRIES
+    design entries (n x p per trial) and at least one trial."""
+    size = max(1, _TRIAL_BLOCK_ENTRIES // max(1, dims.n * dims.p))
+    return (range(t, min(t + size, trials)) for t in range(0, trials, size))
+
+
+def _stacked(realizations) -> tuple[np.ndarray, np.ndarray]:
+    """(x, y) of trials x n x p designs and trials x n outputs: a
+    RealizationBlock's own arrays, a sequence of Realizations' stacked."""
+    if isinstance(realizations, RealizationBlock):
+        return realizations.x, realizations.y
+    return np.stack([r.x for r in realizations]), np.stack([r.y for r in realizations])
 
 
 # ---------------------------------------------------------------------------
@@ -279,10 +296,11 @@ def threshold_union_bound(
     sum_l C(p-k,l) C(k,l) e^{-t_l}), with gamma by the discrete rule."""
     thresholds, partitions = _threshold_test(model, prior, dims, delta1)
     fails = 0
-    for t in range(trials):
-        real = sample_realization(dims, model, prior, seed, stream=(7, t))
-        x_true = real.x_support()[None]  # a stack of one candidate
-        fails += not _passing(model, prior, x_true, real.y, thresholds, partitions).size
+    for block in _trial_blocks(dims, trials):
+        reals = sample_realization(dims, model, prior, seed, stream=(7,), trials=block)
+        for x_true, y in zip(reals.x_support(), reals.y):
+            # a stack of one candidate
+            fails += not _passing(model, prior, x_true[None], y, thresholds, partitions).size
     p1 = fails / trials
     se = math.sqrt(max(p1 * (1 - p1), 1.0 / trials) / trials)
     term2 = sum(
@@ -316,13 +334,13 @@ def _ml_fast_gt(model, x, y, incidence):
 
 
 def decode_ml(
-    realizations: Realization | Sequence[Realization],
+    realizations: Realization | RealizationBlock | Sequence[Realization],
     model: ModelSpec,
     prior: SignalPrior,
     dims: ProblemDims,
 ) -> frozenset[int] | list[frozenset[int]]:
     """Exhaustive maximum-likelihood support estimate, lexicographic ties:
-    one for a Realization, a list for a sequence of them.
+    one for a Realization, a list for a block or a sequence of them.
 
     The candidate blocks are enumerated once for all the realizations.
     Group testing with the all-ones prior scores a block through
@@ -331,12 +349,10 @@ def decode_ml(
     other pair scores it per realization through `log_marginal_likelihood`
     on the block's stacked design columns."""
     reals = [realizations] if isinstance(realizations, Realization) else realizations
-    if not reals:
+    if not len(reals):
         return []
     fast_gt = model.channel == GROUP_TESTING and prior.variant == ALL_ONES
-    if fast_gt:
-        x = np.stack([r.x for r in reals], dtype=bool, casting="unsafe")  # trials x n x p
-        y = np.stack([r.y for r in reals])
+    x, y = _stacked(reals)  # trials x n x p, trials x n
     rows = np.arange(len(reals))
     # the first candidate until one scores strictly higher
     best_score = np.full(len(reals), -math.inf)
@@ -351,8 +367,8 @@ def decode_ml(
             ])
         else:
             scores = np.stack([
-                log_marginal_likelihood(model, prior, _design_stack(r.x, block), r.y)
-                for r in reals
+                log_marginal_likelihood(model, prior, _design_stack(x_t, block), y_t)
+                for x_t, y_t in zip(x, y)
             ])
             # a nan score never wins, as under a strict > comparison
             scores = np.where(np.isnan(scores), -math.inf, scores)
@@ -366,14 +382,14 @@ def decode_ml(
 
 
 def decode_comp(
-    realizations: Realization | Sequence[Realization], dims: ProblemDims
+    realizations: Realization | RealizationBlock | Sequence[Realization], dims: ProblemDims
 ) -> frozenset[int] | list[frozenset[int]]:
     """COMP baseline: items in any negative test are non-defective; the k
     highest positive-test membership counts win, lexicographic ties.  One
-    estimate for a Realization, a list for a sequence of them."""
+    estimate for a Realization, a list for a block or a sequence of them."""
     reals = [realizations] if isinstance(realizations, Realization) else realizations
-    x = np.stack([r.x for r in reals], dtype=bool, casting="unsafe")  # trials x n x p
-    y = (np.stack([r.y for r in reals]) > 0.5)[:, :, None]
+    x, y = _stacked(reals)  # trials x n x p, trials x n
+    x, y = x.astype(bool), (y > 0.5)[:, :, None]
     scores = (x & y).sum(axis=1).astype(float)
     scores[(x & ~y).any(axis=1)] = -1.0
     # a stable sort on -score gives highest scores, ties to low index
@@ -417,14 +433,10 @@ def run_cell(
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
     errors_exact = errors_partial = 0
-    block = max(1, _TRIAL_BLOCK_ENTRIES // max(1, dims.n * dims.p))
-    for start in range(0, trials, block):
-        reals = [
-            sample_realization(dims, model, prior, seed, stream=(n_index, t))
-            for t in range(start, min(start + block, trials))
-        ]
-        for real, out in zip(reals, _decode(decoder, reals, model, prior, dims)):
-            true, est = real.support_set(), out.estimate
+    for block in _trial_blocks(dims, trials):
+        reals = sample_realization(dims, model, prior, seed, stream=(n_index,), trials=block)
+        for support, out in zip(reals.support.tolist(), _decode(decoder, reals, model, prior, dims)):
+            true, est = frozenset(support), out.estimate
             unique = out.status == "unique"
             errors_exact += not unique or est != true
             # missed or extra items beyond d_max
@@ -459,22 +471,3 @@ def phase_sweep(
         cell_dims = ProblemDims(p=dims.p, k=dims.k, n=int(n), d_max=dims.d_max)
         reports.append(run_cell(model, prior, cell_dims, decoder, trials, seed, n_index=i))
     return reports
-
-
-def empirical_g_check(k: int, trials: int, seed: int, alphas: Sequence[float] = ()):
-    """Sorted squared-Gaussian partial means against g(alpha).
-
-    Draws k squares per trial, sorts, and reports the average over trials of
-    (1/k) sum of the floor(alpha k) smallest, next to g(alpha).
-    """
-    if not alphas:
-        alphas = tuple(np.linspace(0.1, 1.0, 10))
-    rng = rng_stream(seed)
-    acc = np.zeros(len(alphas))
-    for _ in range(trials):
-        sq = np.sort(rng.standard_normal(k) ** 2)
-        csum = np.concatenate([[0.0], np.cumsum(sq)])
-        for j, a in enumerate(alphas):
-            acc[j] += csum[int(math.floor(a * k))] / k
-    acc /= trials
-    return [(float(a), float(emp), g_alpha(float(a))) for a, emp in zip(alphas, acc)]

@@ -13,7 +13,7 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass, asdict
-from typing import Callable
+from typing import Callable, Sequence
 
 import numpy as np
 from scipy.special import ndtr
@@ -247,6 +247,72 @@ def _support_draw():
             states = [_plain(gen.bit_generator.state) for gen in (port, numpy_choice)]
             bad += not (same and states[0] == states[1])
     return float(bad), 0.0, f"{len(cases) * len(keys)} draws: supports and generator states"
+
+
+def _fresh_realization(dims, model, prior, seed, stream=()):
+    """The Realization sample_realization draws for (seed, stream), drawn
+    from a new rng_stream generator with numpy's own calls in its order:
+    np.sort(choice), the prior's permutation or normal draw, the design's
+    random or standard_normal fill and then the noise's."""
+    md.validate_pairing(model, prior, dims.k)
+    rng = md.rng_stream(seed, *stream)
+    n, p, k = dims.n, dims.p, dims.k
+    index = np.sort(rng.choice(p, size=k, replace=False))
+    if prior.variant == md.FIXED_VECTOR:
+        b_s = np.asarray(prior.b, dtype=float)
+    elif prior.variant == md.PERMUTED_VECTOR:
+        b_s = rng.permutation(np.asarray(prior.b, dtype=float))
+    elif prior.variant == md.IID_GAUSSIAN:
+        b_s = rng.normal(0.0, np.sqrt(prior.sigma_beta_sq), size=k)
+    else:
+        b_s = np.ones(k)
+    if model.channel == md.GROUP_TESTING:
+        x = (rng.random((n, p)) < model.nu / k).astype(float)
+        hit = x[:, index].astype(bool).any(axis=1)
+        if model.rho > 0.0:
+            hit = hit ^ (rng.random(n) < model.rho)
+        y = hit.astype(float)
+    else:
+        x = rng.standard_normal((n, p))
+        y = x[:, index] @ b_s + model.sigma * rng.standard_normal(n)
+        if model.channel == md.ONE_BIT:
+            y = np.where(y >= 0.0, 1.0, -1.0)
+    beta = np.zeros(p)
+    beta[index] = b_s
+    return md.Realization(support=tuple((index + 1).tolist()), beta=beta, x=x, y=y)
+
+
+def _same_realization(a, b) -> bool:
+    return (
+        a.support == b.support
+        and a.beta.tolist() == b.beta.tolist()
+        and a.x.tolist() == b.x.tolist()
+        and a.y.tolist() == b.y.tolist()
+    )
+
+
+@check("block-draw-vs-rng-stream")
+def _block_draw():
+    # every channel and prior, n = 0, and trials 250..261 across the
+    # boundary of two 256-trial key chunks
+    b = (1.0, -0.5, 2.0)
+    pairs = [
+        (md.ModelSpec.linear(0.7), md.SignalPrior.fixed(b)),
+        (md.ModelSpec.linear(0.7), md.SignalPrior.permuted(b)),
+        (md.ModelSpec.one_bit(0.5), md.SignalPrior.iid_gaussian(2.0)),
+        (md.ModelSpec.group_testing(0.0), md.SignalPrior.all_ones()),
+        (md.ModelSpec.group_testing(0.11), md.SignalPrior.all_ones()),
+    ]
+    trials = range(250, 262)
+    bad = draws = 0
+    for model, prior in pairs:
+        for n in (0, 9):
+            dims = md.ProblemDims(p=11, k=3, n=n)
+            block = md.sample_realization(dims, model, prior, SEED, stream=(4,), trials=trials)
+            for real, t in zip(block, trials):
+                bad += not _same_realization(real, _fresh_realization(dims, model, prior, SEED, (4, t)))
+                draws += 1
+    return float(bad), 0.0, f"{draws} block trials: supports, beta, x and y"
 
 
 @check("permuted-multiset")
@@ -758,11 +824,30 @@ def _comp_vs_ml():
     )
 
 
+def empirical_g_check(k: int, trials: int, seed: int, alphas: Sequence[float] = ()):
+    """Sorted squared-Gaussian partial means against g(alpha).
+
+    Draws k squares per trial, sorts, and reports the average over trials of
+    (1/k) sum of the floor(alpha k) smallest, next to g(alpha).
+    """
+    if not alphas:
+        alphas = tuple(np.linspace(0.1, 1.0, 10))
+    rng = md.rng_stream(seed)
+    acc = np.zeros(len(alphas))
+    for _ in range(trials):
+        sq = np.sort(rng.standard_normal(k) ** 2)
+        csum = np.concatenate([[0.0], np.cumsum(sq)])
+        for j, a in enumerate(alphas):
+            acc[j] += csum[int(math.floor(a * k))] / k
+    acc /= trials
+    return [(float(a), float(emp), nm.g_alpha(float(a))) for a, emp in zip(alphas, acc)]
+
+
 @check("empirical-g-convergence")
 def _emp_g():
     worst = 0.0
     for s in range(5):
-        table = sim.empirical_g_check(10**6, 1, SEED + s)
+        table = empirical_g_check(10**6, 1, SEED + s)
         worst = max(worst, max(abs(emp - g) for _, emp, g in table))
     return worst, 0.01, "max |empirical - g| at k = 1e6, 5 seeds"
 

@@ -62,10 +62,10 @@ def test_criterion_01_gt_noiseless_thresholds():
     t0 = time.perf_counter()
     thetas = [0.05, 0.10, 0.15, 0.20, 0.25, 0.30, 1.0 / 3.0]
     worst = 0.0
-    for theta in thetas:
-        res = bounds.cor_gt_noiseless(theta)
+    *results, at_04 = bounds.cor_gt_noiseless([*thetas, 0.4])
+    for res in results:
         worst = max(worst, abs(res.coef_ach - 1.0 / LN2), abs(res.coef_conv - 1.0 / LN2))
-    gap_04 = bounds.cor_gt_noiseless(0.4).coef_ach - 1.0 / LN2
+    gap_04 = at_04.coef_ach - 1.0 / LN2
     ok = worst < 1e-9 and gap_04 >= 1e-3
     _report(
         1, ok, 1.0, time.perf_counter() - t0,
@@ -254,17 +254,17 @@ def test_criterion_11_generic_vs_corollary():
         m, None, dims, bounds.BoundOptions(gamma_rule="zero")
     )
     theta = math.log(k) / math.log(p)
-    n_cor = bounds.cor_gt_noiseless(theta).coef_ach * k * math.log(p / k)
+    ths = (0.05, 0.2, 1 / 3, 0.5, 0.8)
+    at_theta, *noiseless = bounds.cor_gt_noiseless([theta, *ths])
+    n_cor = at_theta.coef_ach * k * math.log(p / k)
     gap = abs(gen.n_ach - n_cor) / n_cor
     exact_gap = abs(exact.n_ach - n_cor) / n_cor
     clause1 = gap < 0.05
 
     # clause 2: n_ach >= n_conv across the corollary grids
     clause2 = True
-    for th in (0.05, 0.2, 1 / 3, 0.5, 0.8):
-        r = bounds.cor_gt_noiseless(th)
+    for r, rn in zip(noiseless, bounds.cor_gt_noisy(ths, 0.11)):
         clause2 &= r.coef_ach >= r.coef_conv - 1e-12
-        rn = bounds.cor_gt_noisy(th, 0.11)
         clause2 &= rn.coef_ach >= rn.coef_conv - 1e-12
     for a_star in (0.1, 0.5):
         a, c = bounds.cor_gt_partial(0.11, a_star)

@@ -700,8 +700,7 @@ class TestCor1BitPartial:
 
 class TestCorGtNoiseless:
     def test_exact_match_below_third(self):
-        for theta in (0.05, 0.1, 0.2, 1.0 / 3.0):
-            res = bounds.cor_gt_noiseless(theta)
+        for res in bounds.cor_gt_noiseless((0.05, 0.1, 0.2, 1.0 / 3.0)):
             assert abs(res.coef_ach - 1.0 / LN2) < 1e-9
             assert res.nu_star == pytest.approx(LN2, abs=1e-6)
 
@@ -717,12 +716,12 @@ class TestCorGtNoiseless:
 
     def test_continuous_nondecreasing_in_theta(self):
         grid = np.linspace(0.02, 0.98, 49)
-        vals = [bounds.cor_gt_noiseless(float(t)).coef_ach for t in grid]
+        vals = [res.coef_ach for res in bounds.cor_gt_noiseless([float(t) for t in grid])]
         assert all(b >= a - 1e-9 for a, b in zip(vals, vals[1:]))
         # local continuity: shrinking steps shrink the increments
-        for theta in (0.2, 0.5, 0.8):
-            f0 = bounds.cor_gt_noiseless(theta).coef_ach
-            f1 = bounds.cor_gt_noiseless(theta + 1e-6).coef_ach
+        pairs = [t for theta in (0.2, 0.5, 0.8) for t in (theta, theta + 1e-6)]
+        coefs = [res.coef_ach for res in bounds.cor_gt_noiseless(pairs)]
+        for f0, f1 in zip(coefs[::2], coefs[1::2]):
             assert abs(f1 - f0) < 1e-3
 
 

@@ -28,8 +28,10 @@ def test_density_is_loglik_minus_log_marginal(name):
     channel = CHANNELS[model.channel]
     b = np.asarray(b)
     rng = md.rng_stream(5)
-    x = channel.draw_design(model, rng, 400, 3, 3)
-    y = channel.sample(model, x, b, rng)
+    raw, noise = np.empty((400, 3)), np.empty(400)
+    channel.draw(model, rng, raw, noise)
+    x = channel.design(model, raw, 3)
+    y = channel.outputs(model, x, b, noise)
     for part in md.enumerate_partitions(3):
         dens = info.density_rows(model, part, b, x, y)
         expected = channel.loglik_rows(model, x, b, y) - channel.log_marginal_rows(

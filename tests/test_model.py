@@ -164,7 +164,7 @@ class TestSampler:
 
     def test_gt_all_zero_rows_give_zero_output(self):
         m = md.ModelSpec.group_testing(rho=0.0)
-        y = CHANNELS[m.channel].sample(m, np.zeros((6, 3)), np.ones(3), md.rng_stream(0))
+        y = CHANNELS[m.channel].outputs(m, np.zeros((6, 3)), np.ones(3), md.rng_stream(0).random(6))
         assert np.array_equal(y, np.zeros(6))
 
     def test_linear_noiseless_limit(self):
@@ -204,34 +204,10 @@ class TestSampler:
             assert sorted(r.b_support()) == sorted(pr.b)
 
 
-def _fresh_sample(dims, model, prior, seed, stream=()):
-    """sample_realization with a new rng_stream generator per call."""
-    md.validate_pairing(model, prior, dims.k)
-    rng = md.rng_stream(seed, *stream)
-    index = np.sort(rng.choice(dims.p, size=dims.k, replace=False))
-    if prior.variant == md.FIXED_VECTOR:
-        b_s = np.asarray(prior.b, dtype=float)
-    elif prior.variant == md.PERMUTED_VECTOR:
-        b_s = rng.permutation(np.asarray(prior.b, dtype=float))
-    elif prior.variant == md.IID_GAUSSIAN:
-        b_s = rng.normal(0.0, np.sqrt(prior.sigma_beta_sq), size=dims.k)
-    else:
-        b_s = np.ones(dims.k)
-    channel = CHANNELS[model.channel]
-    x = channel.draw_design(model, rng, dims.n, dims.p, dims.k)
-    beta = np.zeros(dims.p)
-    beta[index] = b_s
-    y = channel.sample(model, x[:, index], b_s, rng)
-    return md.Realization(support=tuple((index + 1).tolist()), beta=beta, x=x, y=y)
-
-
-def _same_realization(a, b):
-    return (
-        a.support == b.support
-        and a.beta.tolist() == b.beta.tolist()
-        and a.x.tolist() == b.x.tolist()
-        and a.y.tolist() == b.y.tolist()
-    )
+# sample_realization with a new rng_stream generator per call, drawn with
+# numpy's own calls inline (the `block-draw-vs-rng-stream` oracle's draw)
+_fresh_sample = verify._fresh_realization
+_same_realization = verify._same_realization
 
 
 SAMPLER_CASES = {
@@ -240,6 +216,7 @@ SAMPLER_CASES = {
     "linear-gaussian": (md.ModelSpec.linear(0.7), md.SignalPrior.iid_gaussian(2.0)),
     "one-bit-fixed": (md.ModelSpec.one_bit(0.5), md.SignalPrior.fixed([1.0, -0.5, 2.0])),
     "one-bit-permuted": (md.ModelSpec.one_bit(0.5), md.SignalPrior.permuted([1.0, 1.0, -2.0])),
+    "one-bit-gaussian": (md.ModelSpec.one_bit(0.5), md.SignalPrior.iid_gaussian(0.5)),
     "gt-noiseless": (md.ModelSpec.group_testing(0.0), md.SignalPrior.all_ones()),
     "gt-noisy": (md.ModelSpec.group_testing(0.11), md.SignalPrior.all_ones()),
     # nu = 3: at k = 3 every design entry is 1 (q = nu / k = 1)
@@ -275,6 +252,21 @@ class TestStreamKey:
     def test_other_streams_equal_seed_sequence(self, seed, stream):
         expect = np.random.SeedSequence([seed, *stream]).generate_state(2, np.uint64)
         assert md._stream_key(seed, stream).tolist() == expect.tolist()
+
+    @pytest.mark.parametrize(
+        "prefix,trials",
+        [((7,), range(0, 600)), ((7,), range(255, 257)), ((), range(3)), ((2**40,), range(510, 515)),
+         ((1,), range(2**32 - 2, 2**32 + 2)), ((1,), range(4, 4))],
+    )
+    def test_trial_range_rows_equal_seed_sequence(self, prefix, trials):
+        for seed in (0, 2**63 - 1):
+            expect = [
+                np.random.SeedSequence([seed, *prefix, t]).generate_state(2, np.uint64).tolist()
+                for t in trials
+            ]
+            got = md._stream_keys(seed, prefix, trials)
+            assert got.dtype == np.uint64 and got.shape == (len(trials), 2)
+            assert got.tolist() == expect
 
     def test_tables_are_read_only(self):
         with pytest.raises(ValueError):
@@ -360,6 +352,64 @@ class TestRekeyedSampler:
         model, prior = SAMPLER_CASES["gt-noisy"]
         with pytest.raises(ValueError, match="seed must lie"):
             md.sample_realization(md.ProblemDims(p=5, k=2, n=3), model, prior, seed, stream=(0, 1))
+
+
+# a range inside one 256-trial key chunk, one across two, one from a prefix
+# of no entries, and one the tables cannot hold (t >= 2^32)
+BLOCK_STREAMS = [((2,), range(3, 5)), ((2,), range(250, 262)), ((), range(0, 3)),
+                 ((5, 1), range(2**32 - 2, 2**32 + 1))]
+
+
+class TestBlockSampler:
+    @pytest.mark.parametrize("case", sorted(SAMPLER_CASES))
+    def test_block_equals_fresh_generator_per_trial(self, case):
+        model, prior = SAMPLER_CASES[case]
+        for dims in [*SAMPLER_DIMS, md.ProblemDims(p=11, k=3, n=0)]:
+            prior_k = _prior_at(prior, dims.k)
+            for prefix, trials in BLOCK_STREAMS:
+                block = md.sample_realization(dims, model, prior_k, 7, stream=prefix, trials=trials)
+                count = len(trials)
+                assert len(block) == count
+                assert block.support.shape == (count, dims.k)
+                assert (block.beta.shape, block.x.shape) == ((count, dims.p), (count, dims.n, dims.p))
+                assert block.y.shape == (count, dims.n)
+                for real, t in zip(block, trials):
+                    stream = (*prefix, t)
+                    assert _same_realization(real, _fresh_sample(dims, model, prior_k, 7, stream))
+                    one = md.sample_realization(dims, model, prior_k, 7, stream=stream)
+                    assert _same_realization(real, one), (dims, stream)
+
+    @pytest.mark.parametrize("case", ["linear-permuted", "gt-noisy"])
+    def test_support_columns_equal_each_realization(self, case):
+        model, prior = SAMPLER_CASES[case]
+        dims = md.ProblemDims(p=11, k=3, n=9)
+        block = md.sample_realization(dims, model, prior, 3, stream=(1,), trials=range(6))
+        x_s = block.x_support()
+        for i, real in enumerate(block):
+            assert x_s[i].strides == real.x_support().strides  # column-major, as x[:, index]
+            assert x_s[i].tolist() == real.x_support().tolist()
+
+    def test_stacked_product_equals_per_trial_products(self):
+        rng = np.random.default_rng(0)
+        for n in (0, 1, 7, 200):
+            for k in (1, 2, 3, 6):
+                p = k + 4
+                x = rng.standard_normal((5, n, p))
+                index = np.sort(rng.permuted(np.tile(np.arange(p), (5, 1)), axis=1)[:, :k], axis=1)
+                b = rng.standard_normal((5, k))
+                got = np.matmul(md._support_columns(x, index), b[..., None])[..., 0]
+                for t in range(5):
+                    assert got[t].tolist() == (x[t][:, index[t]] @ b[t]).tolist(), (n, k, t)
+
+    def test_block_is_frozen(self):
+        model, prior = SAMPLER_CASES["gt-noisy"]
+        block = md.sample_realization(md.ProblemDims(p=5, k=2, n=3), model, prior, 1, trials=range(2))
+        with pytest.raises(AttributeError):
+            block.x = None
+
+    def test_block_draw_oracle(self):
+        (result,) = verify.run_checks("block-draw-vs-rng-stream")
+        assert (result.passed, result.measured, result.tolerance) == (True, 0.0, 0.0), result.detail
 
 
 class TestPriorAccessors:

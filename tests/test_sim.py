@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from scipy.special import logsumexp
 
-from support_limits import bounds, info, sim
+from support_limits import bounds, info, sim, verify
 from support_limits import model as md
 from support_limits import numerics as nm
 from support_limits.channels import CHANNELS
@@ -394,6 +394,22 @@ class TestTrialBlocks:
         rep = sim.run_cell(m, pr, dims, decoder, 9, SEED)
         assert rep == loop_run_cell(m, pr, dims, decoder, 9, SEED)
 
+    def test_one_draw_per_trial_block(self, monkeypatch):
+        draw, calls = sim.sample_realization, []
+
+        def spy(dims, *args, **kwargs):
+            calls.append((kwargs["stream"], kwargs["trials"]))
+            return draw(dims, *args, **kwargs)
+
+        monkeypatch.setattr(sim, "sample_realization", spy)
+        dims = md.ProblemDims(p=7, k=2, n=4)
+        monkeypatch.setattr(sim, "_TRIAL_BLOCK_ENTRIES", 3 * dims.n * dims.p)
+        m = md.ModelSpec.group_testing(rho=0.11)
+        sim.run_cell(m, GT, dims, sim.DecoderSpec(kind="comp-gt"), 7, SEED, n_index=5)
+        sim.threshold_union_bound(m, GT, dims, trials=4, seed=SEED)
+        assert calls == [((5,), range(0, 3)), ((5,), range(3, 6)), ((5,), range(6, 7)),
+                         ((7,), range(0, 3)), ((7,), range(3, 4))]
+
     @pytest.mark.parametrize("p,n,sizes", [(16, 40, [102, 102, 46]), (300, 250, [1, 1])])
     def test_block_holds_at_most_the_entry_bound(self, p, n, sizes, monkeypatch):
         # 2^16 entries hold 102 trials of 40 x 16; a 250 x 300 trial is alone
@@ -754,12 +770,12 @@ class TestPhaseSweep:
 
 class TestEmpiricalG:
     def test_endpoints(self):
-        table = sim.empirical_g_check(10**5, 1, SEED, alphas=(0.0, 1.0))
+        table = verify.empirical_g_check(10**5, 1, SEED, alphas=(0.0, 1.0))
         (a0, emp0, g0), (a1, emp1, g1) = table
         assert emp0 == 0.0 and g0 == 0.0
         assert emp1 == pytest.approx(1.0, abs=0.02) and g1 == 1.0
 
     def test_glivenko_cantelli_deviation(self):
         for s in range(3):
-            table = sim.empirical_g_check(10**6, 1, SEED + s)
+            table = verify.empirical_g_check(10**6, 1, SEED + s)
             assert max(abs(emp - g) for _, emp, g in table) <= 0.01
