@@ -40,7 +40,7 @@ from .model import (
     SignalPrior,
     c_beta_from_snr,
     max_info_partition,
-    min_info_partition,
+    min_info_partitions,
 )
 from .numerics import (
     LOG2,
@@ -167,12 +167,9 @@ def _entries(b, dims: ProblemDims) -> np.ndarray:
 
 
 def _per_ell_mi(model: ModelSpec, b, dims: ProblemDims, quad: QuadratureSpec):
-    """Worst-case (minimum) mutual information per ell."""
+    """Worst-case (minimum) mutual information per ell = 1..k."""
     b = _entries(b, dims)
-    return {
-        ell: mutual_information(model, min_info_partition(b, ell), b, quad)
-        for ell in range(1, dims.k + 1)
-    }
+    return {part.ell: mutual_information(model, part, b, quad) for part in min_info_partitions(b)}
 
 
 def _stirling_log_binom(N: float, r: float) -> float:
@@ -202,18 +199,19 @@ def achievability_threshold_generic(
     if not ells:
         return ThresholdResult(n_ach=0.0)
     mi_map = _per_ell_mi(model, b, dims, quad)
-    rows = []
-    for ell in ells:
-        if opts.asymptotic:
-            num = _stirling_log_binom(p - k, ell) + gamma
-        else:
-            num = (
-                log_binomial(p - k, ell)
-                + 2.0 * math.log(k / opts.delta1)
-                + 2.0 * log_binomial(k, ell)
-                + gamma
-            )
-        rows.append(_ratio_row(ell, num, mi_map[ell], 1.0 - opts.delta2))
+    if opts.asymptotic:
+        nums = [_stirling_log_binom(p - k, ell) + gamma for ell in ells]
+    else:
+        r = np.arange(ells.start, ells.stop)
+        nums = (
+            log_binomial(p - k, r)
+            + 2.0 * math.log(k / opts.delta1)
+            + 2.0 * log_binomial(k, r)
+            + gamma
+        ).tolist()
+    rows = [
+        _ratio_row(ell, num, mi_map[ell], 1.0 - opts.delta2) for ell, num in zip(ells, nums)
+    ]
     binding, ratio = _binding(rows)
     n_formula = ratio * (1.0 + opts.eta)
     remainder = None
@@ -264,12 +262,14 @@ def converse_threshold_generic(
     if p == k:
         return ThresholdResult(n_conv=0.0)
     mi_map = _per_ell_mi(model, b, dims, quad)
+    ells = range(dims.d_max + 1, k + 1)
+    if opts.asymptotic:
+        mains = [_stirling_log_binom(p - k + ell, ell) for ell in ells]
+    else:
+        r = np.arange(ells.start, ells.stop)
+        mains = log_binomial(p - k + r, r).tolist()
     rows = []
-    for ell in range(dims.d_max + 1, k + 1):
-        if opts.asymptotic:
-            main = _stirling_log_binom(p - k + ell, ell)
-        else:
-            main = log_binomial(p - k + ell, ell)
+    for ell, main in zip(ells, mains):
         num = main - math.log(opts.delta1)
         if dims.d_max > 0:
             sub = log_partial_conv_subtraction(p, k, ell, dims.d_max)

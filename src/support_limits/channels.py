@@ -153,7 +153,7 @@ class Linear(_GaussianDesign):
         with np.errstate(over="ignore"):
             return _row_sum(
                 -0.5 * np.sum(z**2, axis=-1) / spec.sigma**2
-                - 0.5 * y.size * (_LOG_2PI + 2.0 * math.log(spec.sigma))
+                - 0.5 * y.shape[-1] * (_LOG_2PI + 2.0 * math.log(spec.sigma))
             )
 
     def log_marginal_rows(self, spec, partition, x_s, b, y):
@@ -359,7 +359,7 @@ class GroupTesting(Channel):
 
     def loglik(self, spec, x_s, b, y):
         n_miss = np.sum((y > 0.5) != x_s.astype(bool).any(axis=-1), axis=-1)
-        return _row_sum(self.score(spec, y.size, n_miss))
+        return _row_sum(self.score(spec, y.shape[-1], n_miss))
 
     def log_marginal_rows(self, spec, partition, x_s, b, y):
         t = self.table(spec, partition)

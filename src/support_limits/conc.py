@@ -15,6 +15,11 @@ written once, as the `*_terms` function of its n-free (scale, q, den):
 with s^2 = sum_dif b_i^2.  The group-testing families hold for l = o(k), with
 the explicit eps slack (default 0.05) for "sufficiently large p".  Chebyshev,
 min(1, V / (n (delta2 I)^2)), is a scalar bound only: no TailBoundSpec uses it.
+
+remainder_n_required finds the smallest n whose sum is at most the target.
+remainder_sum, a plain loop over ell with math.exp, is the exact sum and is
+nonincreasing in n, so that n is unique.  A numpy sum over arrays of the
+per-ell terms proposes n, and the exact sum confirms it at n and n - 1.
 """
 from __future__ import annotations
 
@@ -210,25 +215,70 @@ def remainder_n_required(
     """Smallest n with the remainder probability bound <= target.
 
     The weighted sum caps at 1 (it bounds a union probability), so a target
-    of 1 is vacuous and yields n = 0.  Doubling bracket, clamped to n_cap,
-    plus integer bisection; returns the UNBOUNDED sentinel (inf) if no
-    n <= n_cap suffices.
+    of 1 is vacuous and yields n = 0.  Returns the UNBOUNDED sentinel (inf)
+    if no n <= n_cap suffices (n_cap below 1 counts as 1).
+
+    The exact bound, min(1, remainder_sum), is nonincreasing in n: each
+    term min(1, scale exp(-q n / den)) is built from operations monotone in
+    n, and the weighted terms are added in a fixed order.  So the smallest
+    passing n is unique, and any search that brackets it finds the same n.
+    Each ell's (C(k, ell), scale, q, den) is read once per solve into
+    arrays.  Their numpy sum, whose exp differs from math.exp in the last
+    bit for a few percent of arguments, only proposes n: `_first_passing`
+    searches it from n = 0.  The proposal is then confirmed on the exact
+    sum, at a cost of two remainder_sum calls when it is right (one when it
+    is 0 or UNBOUNDED); otherwise the search gallops and bisects from the
+    proposal on exact sums.
     """
     if not 0.0 < target <= 1.0:
         raise ValueError("target must lie in (0, 1]")
+    specs = [psi_family] if isinstance(psi_family, TailBoundSpec) else list(psi_family)
     ells = list(ell_range)
-    bound = lambda n: min(1.0, remainder_sum(psi_family, dims, ells, n))
-    if bound(0) <= target:
-        return 0
-    lo, hi = 0, 1
-    while bound(hi) > target:
-        if hi >= n_cap:
-            return UNBOUNDED
-        lo, hi = hi, min(2 * hi, n_cap)
+    rows = []
+    for ell in ells:  # each ell's (C(k, ell), scale, q, den), read once
+        spec = next((s for s in specs if s.covers(ell)), None)
+        if spec is not None:
+            rows.append((_binomial_weight(dims.k, ell), *spec.terms(ell)))
+    w, scale, q, den = np.array(rows, dtype=float).reshape(-1, 4).T
+    neg_q = -q
+
+    def proposal(n: int) -> float:
+        return min(1.0, float(np.sum(w * np.minimum(1.0, scale * np.exp(neg_q * n / den)))))
+
+    exact = lambda n: min(1.0, remainder_sum(specs, dims, ells, n))
+    cap = max(n_cap, 1)
+    return _first_passing(exact, target, cap, _first_passing(proposal, target, cap, 0))
+
+
+def _first_passing(
+    bound: Callable[[int], float], target: float, cap: int, guess: int | float
+) -> int | float:
+    """Smallest n in [0, cap] with bound(n) <= target, UNBOUNDED if none,
+    for a bound nonincreasing in n.  Probes the guess (cap if above it),
+    gallops away from it in steps 1, 2, 4, ... until the answer is
+    bracketed, then bisects."""
+    lo, hi = -1, cap + 1  # bound(lo) > target >= bound(hi); neither end is probed
+    n, step = min(guess, cap), 1
+    if bound(n) <= target:
+        hi = n
+        while lo + 1 < hi:
+            n = max(hi - step, lo + 1)
+            if bound(n) > target:
+                lo = n
+                break
+            hi, step = n, 2 * step
+    else:
+        lo = n
+        while lo + 1 < hi:
+            n = min(lo + step, hi - 1)
+            if bound(n) <= target:
+                hi = n
+                break
+            lo, step = n, 2 * step
     while lo + 1 < hi:
         mid = (lo + hi) // 2
         if bound(mid) <= target:
             hi = mid
         else:
             lo = mid
-    return hi
+    return UNBOUNDED if hi > cap else hi

@@ -25,6 +25,7 @@ are defined in `channels`.
 """
 from __future__ import annotations
 
+import bisect
 import functools
 import itertools
 import threading
@@ -368,6 +369,14 @@ class Partition:
     def eq_index(self) -> np.ndarray:
         return np.asarray(self.s_eq, dtype=int) - 1
 
+    @classmethod
+    def _of_sorted(cls, s_dif: tuple[int, ...], s_eq: tuple[int, ...]) -> Partition:
+        """A split known to be valid, both tuples sorted: skips the set checks."""
+        part = object.__new__(cls)
+        object.__setattr__(part, "s_dif", s_dif)
+        object.__setattr__(part, "s_eq", s_eq)
+        return part
+
 
 def min_info_partition(b: Sequence[float], ell: int) -> Partition:
     """Partition putting the ell smallest-magnitude entries into s_dif.
@@ -377,14 +386,18 @@ def min_info_partition(b: Sequence[float], ell: int) -> Partition:
     and 1-bit channels and is the canonical per-ell representative for group
     testing, where all partitions of a given size are equivalent.
     """
-    order = _magnitude_order(b, ell)
-    return Partition(s_dif=tuple(order[:ell]), s_eq=tuple(order[ell:]))
+    return next(_splits(_magnitude_order(b, ell), [ell]))
+
+
+def min_info_partitions(b: Sequence[float]) -> list[Partition]:
+    """min_info_partition(b, ell) for ell = 1..k, from one sort of |b|."""
+    order = _magnitude_order(b, 1)
+    return list(_splits(order, range(1, len(order) + 1)))
 
 
 def max_info_partition(b: Sequence[float], ell: int) -> Partition:
     """Partition putting the ell largest-magnitude entries into s_dif."""
-    order = _magnitude_order(b, ell)[::-1]
-    return Partition(s_dif=tuple(order[:ell]), s_eq=tuple(order[ell:]))
+    return next(_splits(_magnitude_order(b, ell)[::-1], [ell]))
 
 
 def _magnitude_order(b: Sequence[float], ell: int) -> list[int]:
@@ -393,7 +406,21 @@ def _magnitude_order(b: Sequence[float], ell: int) -> list[int]:
     b = np.asarray(b, dtype=float)
     if not 1 <= ell <= b.size:
         raise ValueError(f"need 1 <= ell <= k, got ell={ell}, k={b.size}")
-    return (np.argsort(np.abs(b), kind="stable") + 1).tolist()  # Partition sorts
+    return (np.argsort(np.abs(b), kind="stable") + 1).tolist()
+
+
+def _splits(order: list[int], ells) -> Iterator[Partition]:
+    """The split rule: s_dif = the first ell positions of `order` (a
+    permutation of 1..k), for each of the increasing ells.  Each split moves
+    its new positions from the sorted s_eq into the sorted s_dif."""
+    dif, eq = [], sorted(order)
+    taken = 0
+    for ell in ells:
+        for i in order[taken:ell]:
+            bisect.insort(dif, i)
+            del eq[bisect.bisect_left(eq, i)]
+        taken = ell
+        yield Partition._of_sorted(tuple(dif), tuple(eq))
 
 
 def enumerate_partitions(k: int, ell_set: Sequence[int] | None = None) -> Iterator[Partition]:

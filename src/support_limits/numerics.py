@@ -31,6 +31,10 @@ every element equals the scalar call bit for bit.  A scalar takes a scalar
 path with no array overhead; the figure corollaries' golden-section steps
 pass all their lanes as one array.  mean_entropy_q_scaled sums an array as
 (grid x nodes) Gauss-Hermite matrices of at most _GRID_BLOCK rows.
+log_binomial(n, r) follows the same rule: two ints take the scalar path, and
+integer arrays (n and r broadcast) give one array whose elements equal the
+scalar calls bit for bit, so a threshold's numerators for every ell come
+from one call per binomial.
 
 All entropies and information measures are in nats (base-e logs); base-2
 conversion happens only at the CLI reporting layer.
@@ -254,11 +258,28 @@ def _adaptive_simpson(f, a: float, b: float, tol: float, max_depth: int = 48) ->
     return recurse(a, b, fa, fm, fb, whole, tol, 0)
 
 
-def log_binomial(n: int, r: int) -> float:
-    """log C(n, r) in nats via log-gamma; requires 0 <= r <= n."""
-    if r < 0 or n < 0 or r > n:
-        raise ValueError(f"log_binomial requires 0 <= r <= n, got n={n}, r={r}")
-    return float(gammaln(n + 1) - gammaln(r + 1) - gammaln(n - r + 1))
+def log_binomial(n, r):
+    """log C(n, r) in nats via log-gamma; requires 0 <= r <= n.
+
+    Two ints (np.integer included) take the scalar path and return a float.
+    Otherwise n and r broadcast as integer arrays (below 2**63), and the
+    result is an array, each element equal to the scalar call bit for bit.
+    An element out of range raises one ValueError that names the first one.
+    """
+    if isinstance(r, (int, np.integer)) and isinstance(n, (int, np.integer)):
+        if r < 0 or n < 0 or r > n:
+            raise ValueError(f"log_binomial requires 0 <= r <= n, got n={n}, r={r}")
+        return float(gammaln(n + 1) - gammaln(r + 1) - gammaln(n - r + 1))
+    nn, rr = np.broadcast_arrays(np.asarray(n), np.asarray(r))
+    bad = ~((rr >= 0) & (rr <= nn))
+    if bad.any():
+        i = np.argwhere(bad)[0]
+        at = "".join(f"[{j}]" for j in i)
+        raise ValueError(
+            f"log_binomial requires 0 <= r <= n, got n{at}={nn[tuple(i)]}, r{at}={rr[tuple(i)]}"
+        )
+    out = gammaln(nn + 1) - gammaln(rr + 1) - gammaln(nn - rr + 1)
+    return float(out) if out.ndim == 0 else out
 
 
 def _log_h2_of_q(z: np.ndarray) -> np.ndarray:

@@ -19,7 +19,7 @@ import numpy as np
 from scipy.special import ndtr
 
 from . import bounds, conc, info, model as md, numerics as nm, sim
-from .channels import CHANNELS
+from .channels import CHANNELS, GROUP_TESTING, LINEAR
 
 SEED = 20240917
 
@@ -657,6 +657,59 @@ def _remainder_scaling():
         ys.append(math.log(n))
     slope = float(np.polyfit(xs, ys, 1)[0])
     return abs(slope - 1.0), 0.5, f"regression slope {slope:.3f} vs 1 (k log(p/k) scaling)"
+
+
+def _family_tail(model: md.ModelSpec, b: np.ndarray, ell: int, n: int) -> float:
+    """One ell's tail min(1, scale exp(-q n / den)), from the family formulas
+    of the conc module docstring with the deltas each channel uses: GT
+    Chernoff/Bennett (delta2 = 0.9, eps = 0.05) up to floor(k / log k),
+    discrete Bernstein (delta2 = 0.1) above; linear Bernstein and 1-bit
+    discrete Bernstein at delta2 = 0.5."""
+    k = b.size
+    if model.channel == GROUP_TESTING and ell <= (int(k / math.log(k)) if k >= 3 else 1):
+        d2, nu, gap = 0.9, model.nu, 1.0 - 2.0 * model.rho
+        if model.rho == 0.0:
+            shape = (1.0 - d2) * math.log(1.0 - d2) + d2
+        else:
+            shape = d2 * d2 * gap * gap / (2.0 * (1.0 + d2 * gap / 3.0))
+        return min(1.0, math.exp(-(ell / k) * math.exp(-nu) * nu * shape * 0.95 * n))
+    part = md.min_info_partition(b, ell)
+    s_sq = float(np.sum(b[part.dif_index()] ** 2))
+    if model.channel == LINEAR:
+        if s_sq == 0.0:
+            return 0.0
+        s, sig = math.sqrt(s_sq), model.sigma
+        a = 2.0 * s * (sig + s) / (sig * sig + s_sq)
+        d = 0.5 * 0.5 * math.log1p(s_sq / (sig * sig))
+        return min(1.0, 2.0 * math.exp(-d * d * n / (2.0 * (4.0 * a * a + d * a))))
+    d = (0.1 if model.channel == GROUP_TESTING else 0.5) * info.mutual_information(model, part, b)
+    return min(1.0, 2.0 * math.exp(-d * d * n / (2.0 * (16.0 + 2.0 * d))))
+
+
+@check("remainder-n-minimal")
+def _remainder_n_minimal():
+    # remainder_n of the generic achievability is the smallest n whose
+    # weighted tail sum S(n) = sum_ell C(k, ell) tail_ell(n), capped at 1,
+    # is <= 1e-2; S is recomputed here from the family formulas.  Measured:
+    # the worst of S(n) - target and target - S(n - 1), relative to the
+    # target and floored at 0; 1e-12 absorbs the last bits in which the two
+    # routes may round
+    target, worst, ns = 1e-2, -math.inf, []
+    b_real = np.array([0.5, -1.0, 1.5, -2.0, 0.5])
+    cases = [
+        (md.ModelSpec.group_testing(rho=rho), np.ones(k)) for k in (10, 100) for rho in (0.0, 0.11)
+    ]
+    cases += [(md.ModelSpec.linear(1.0), b_real), (md.ModelSpec.one_bit(1.0), b_real)]
+    for model, b in cases:
+        k = b.size
+        dims = md.ProblemDims(p=10**6, k=k, n=0)
+        n = int(bounds.achievability_threshold_generic(model, b, dims).remainder_n)
+        ns.append(n)
+        s = lambda m: min(
+            1.0, sum(math.comb(k, l) * _family_tail(model, b, l, m) for l in range(1, k + 1))
+        )
+        worst = max(worst, (s(n) - target) / target, (target - s(n - 1)) / target)
+    return max(worst, 0.0), 1e-12, f"S(n) <= 1e-2 < S(n - 1) at n = {ns}"
 
 
 # --- bounds -----------------------------------------------------------------

@@ -47,6 +47,27 @@ def test_density_is_loglik_minus_log_marginal(name):
         assert np.allclose(total, 1.0, rtol=0, atol=1e-12)
 
 
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_loglik_of_a_stack_against_per_candidate_outputs(name):
+    # C candidates, each with its own n outputs: one sum per candidate over
+    # its n rows, equal to the candidate's own call
+    model, b, _ = CASES[name]
+    channel = CHANNELS[model.channel]
+    b = np.asarray(b)
+    rng = md.rng_stream(6)
+    raw, noise = np.empty((5, 40, 3)), np.empty((5, 40))
+    for c in range(5):
+        channel.draw(model, rng, raw[c], noise[c])
+    x = channel.design(model, raw, 3)
+    y = channel.outputs(model, x, b, noise)
+    stacked = channel.loglik(model, x, b, y)
+    assert stacked.shape == (5,)
+    for c in range(5):
+        assert stacked[c] == channel.loglik(model, x[c], b, y[c])
+        assert stacked[c] == pytest.approx(np.sum(channel.loglik_rows(model, x[c], b, y[c])))
+
+
 # ---------------------------------------------------------------------------
 # mutual_information and density_variance equal the joint computation they
 # were split from (an inline copy of the channels' former mi_var)

@@ -1,11 +1,12 @@
 import math
+import random
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from support_limits import conc, info, verify
+from support_limits import bounds, conc, info, verify
 from support_limits.channels import CHANNELS, GROUP_TESTING, LINEAR, ONE_BIT
 from support_limits import model as md
 
@@ -147,6 +148,119 @@ class TestRemainder:
         n = conc.remainder_n_required(spec, dims, [1, 2], 0.05)
         assert conc.remainder_sum(spec, dims, [1, 2], n) <= 0.05
         assert conc.remainder_sum(spec, dims, [1, 2], n - 1) > 0.05
+
+
+
+def _old_remainder_n_required(psi_family, dims, ell_range, target, n_cap=2**30):
+    """The solver as it was before the numpy proposal, verbatim: a doubling
+    bracket clamped to n_cap plus integer bisection, all on remainder_sum."""
+    if not 0.0 < target <= 1.0:
+        raise ValueError("target must lie in (0, 1]")
+    ells = list(ell_range)
+    bound = lambda n: min(1.0, conc.remainder_sum(psi_family, dims, ells, n))
+    if bound(0) <= target:
+        return 0
+    lo, hi = 0, 1
+    while bound(hi) > target:
+        if hi >= n_cap:
+            return conc.UNBOUNDED
+        lo, hi = hi, min(2 * hi, n_cap)
+    while lo + 1 < hi:
+        mid = (lo + hi) // 2
+        if bound(mid) <= target:
+            hi = mid
+        else:
+            lo = mid
+    return hi
+
+
+def _solver_families(rng: random.Random, k: int):
+    """One seeded family of each kind for k: GT noiseless and noisy (random
+    nu, delta2 pair and eps), discrete Bernstein over random per-ell MIs and
+    linear Bernstein over a random b with some zero entries."""
+    nu = rng.uniform(0.05, 0.95)
+    d2s, d2l, eps = rng.uniform(0.05, 0.99), rng.uniform(0.01, 0.95), rng.uniform(0.0, 0.5)
+    rho = rng.uniform(1e-3, 0.45)
+    mis = {ell: 10 ** rng.uniform(-7, 0.5) for ell in range(1, k + 1)}
+    alphabet, d2 = rng.randint(2, 6), rng.uniform(0.05, 0.95)
+    b = [0.0 if rng.random() < 0.2 else rng.uniform(-3.0, 3.0) for _ in range(k)]
+    dims = md.ProblemDims(p=10**6, k=k, n=0)
+    return [
+        conc.gt_tail_specs(nu, k, 0.0, d2s, d2l, eps),
+        conc.gt_tail_specs(nu, k, rho, d2s, d2l, eps),
+        conc.TailBoundSpec(lambda ell: conc.bernstein_discrete_terms(mis[ell], alphabet, d2)),
+        CHANNELS[LINEAR].tail_specs(md.ModelSpec.linear(rng.uniform(0.1, 3.0)), b, dims, {}),
+    ]
+
+
+class TestRemainderSolverEqualsOldSearch:
+    """The proposal-and-confirmation solver returns the old search's n."""
+
+    def test_seeded_sweep(self):
+        # caps 1 and 0 both search [0, 1]: the old bracket starts at hi = 1
+        rng = random.Random(20261019)
+        solves = 0
+        while solves < 2000:
+            k = rng.choice([1, 2, 3, 5, 8, 13, 21, 34, 100])
+            dims = md.ProblemDims(p=10**6, k=k, n=0)
+            lo = 1 if rng.random() < 0.5 else rng.randint(1, k)
+            ells = range(lo, rng.randint(lo, k) + 1)
+            for family in _solver_families(rng, k):
+                target = rng.choice([1.0, 0.5, 1e-2, 1e-9, 10 ** rng.uniform(-12, 0)])
+                n = _old_remainder_n_required(family, dims, ells, target)
+                caps = [2**30, 10**6, 1000, 1, 0] + ([n, n - 1] if 1 <= n < conc.UNBOUNDED else [])
+                for cap in caps:
+                    expect = n if cap == 2**30 else _old_remainder_n_required(
+                        family, dims, ells, target, cap
+                    )
+                    got = conc.remainder_n_required(family, dims, ells, target, cap)
+                    assert got == expect, (k, ells, target, cap)
+                    solves += 1
+
+    def test_wrong_proposals_still_give_the_first_passing_n(self):
+        rng = random.Random(7)
+        for _ in range(3000):
+            answer = rng.choice([0, 1, 2, rng.randint(0, 50), rng.randint(0, 10**7)])
+            cap = rng.choice([1, 2, 37, 1000, 10**6, 2**30, answer, max(answer - 1, 1)])
+            guess = rng.choice(
+                [0, cap, conc.UNBOUNDED, answer, answer + 1, max(answer - 1, 0),
+                 rng.randint(0, cap), rng.randint(0, 2**31)]
+            )
+            probes = []
+            bound = lambda n: probes.append(n) or (0.5 if n >= answer else 0.7)
+            got = conc._first_passing(bound, 0.6, cap, guess)
+            assert got == (answer if answer <= cap else conc.UNBOUNDED)
+            assert all(0 <= n <= cap for n in probes)
+            if guess == answer and answer <= cap:
+                assert len(probes) == (1 if answer == 0 else 2)
+
+    def test_cap_below_one_counts_as_one(self):
+        # bound(0) = 0.5, bound(1) = 0.5 / e: the old bracket's first step
+        # reaches n = 1 whatever the cap
+        spec = conc.TailBoundSpec(lambda ell: (0.5, 1.0, 1.0))
+        dims = md.ProblemDims(p=10, k=1, n=0)
+        for cap in (1, 0, -5):
+            assert _old_remainder_n_required(spec, dims, [1], 0.3, cap) == 1
+            assert conc.remainder_n_required(spec, dims, [1], 0.3, cap) == 1
+            assert conc.remainder_n_required(spec, dims, [1], 0.1, cap) == conc.UNBOUNDED
+
+    @pytest.mark.parametrize("rho", [0.0, 0.11])
+    def test_workload_gt_solves_make_at_most_three_exact_sums(self, monkeypatch, rho):
+        sums = []
+        real = conc.remainder_sum
+        monkeypatch.setattr(conc, "remainder_sum", lambda *args: sums.append(1) or real(*args))
+        for k in (10, 50, 100):
+            for p in (10**4, 10**6):
+                sums.clear()
+                dims = md.ProblemDims(p=p, k=k, n=0)
+                model = md.ModelSpec.group_testing(rho=rho)
+                res = bounds.achievability_threshold_generic(model, None, dims)
+                assert res.remainder_n > 0
+                assert 1 <= len(sums) <= 3, (k, p)
+
+    def test_remainder_n_minimal_check(self):
+        (result,) = verify.run_checks("remainder-n-minimal")
+        assert result.passed and result.tolerance == 1e-12, result.detail
 
 
 class TestSpecsMatchScalars:

@@ -1,4 +1,5 @@
 import math
+import re
 import warnings
 
 import numpy as np
@@ -250,6 +251,46 @@ class TestLogBinomial:
     def test_domain_error(self):
         with pytest.raises(ValueError):
             nm.log_binomial(3, 4)
+
+    NS = [0, 1, 2, 7, 100, 10**4, 10**6, 10**9, 10**12, 2**53 + 1, 10**15]
+
+    @pytest.mark.parametrize("n", NS)
+    def test_array_of_r_equals_scalar_calls(self, n):
+        rng = np.random.default_rng(n)
+        edges = [0, 1, n // 2, n - 1, n]
+        r = np.unique(np.concatenate([edges, rng.integers(0, n, 200, endpoint=True)]))
+        r = r[(r >= 0) & (r <= n)]
+        got = nm.log_binomial(n, r)
+        assert got.shape == r.shape
+        for ri, g in zip(r.tolist(), got.tolist()):
+            assert g == nm.log_binomial(n, ri)
+        # n broadcast as an array too (the converse numerators' C(p-k+l, l))
+        assert np.array_equal(nm.log_binomial(np.full(r.shape, n), r), got)
+
+    def test_array_of_n_and_r_equals_scalar_calls(self):
+        r = np.arange(0, 101)
+        for offset in (0, 1, 10**6 - 100, 10**15):
+            got = nm.log_binomial(offset + r, r)
+            assert got.tolist() == [nm.log_binomial(offset + int(ri), int(ri)) for ri in r]
+
+    def test_zero_d_and_integer_scalars(self):
+        assert nm.log_binomial(10, np.array(3)) == nm.log_binomial(10, 3)
+        assert isinstance(nm.log_binomial(10, np.array(3)), float)
+        assert nm.log_binomial(np.int64(10), np.int64(3)) == nm.log_binomial(10, 3)
+
+    @pytest.mark.parametrize(
+        "n, r, named",
+        [
+            (10, [1, 11, 12], "n[1]=10, r[1]=11"),
+            (10, [2, -1, 3], "n[1]=10, r[1]=-1"),
+            (-1, [0, 0], "n[0]=-1, r[0]=0"),
+            (10**15, [10**15 + 1], "r[0]=1000000000000001"),
+        ],
+    )
+    def test_array_domain_error_names_the_first_bad_element(self, n, r, named):
+        with pytest.raises(ValueError, match=re.escape(named)) as err:
+            nm.log_binomial(n, np.array(r))
+        assert str(err.value).count("r[") == 1
 
 
 class TestQuadratureSpec:
