@@ -90,18 +90,34 @@ class Channel:
     outputs.  The likelihood and marginal methods also take a stack of C
     candidate supports, x_s of shape (C x n x k) against the same y: the row
     methods then return (C x n) arrays and loglik one sum per candidate.
+
+    From these the base class derives loglik (the row sum), the pair
+    loglik_rows_and_sum and the density rows.  density_from_rows turns
+    likelihood rows and marginal rows already computed into density rows,
+    so that the threshold decoder evaluates each atom's likelihood once per
+    candidate block.  Linear and group testing compute their sums in their
+    own way, from the same residuals or matches as the rows.
     """
 
     def loglik(self, spec, x_s, b, y):
         """log P(y | x_s, b) summed over the rows: a float for one (n x k)
         x_s, an array of C sums for a (C x n x k) stack."""
-        return _row_sum(np.sum(self.loglik_rows(spec, x_s, b, y), axis=-1))
+        return self.loglik_rows_and_sum(spec, x_s, b, y)[1]
+
+    def loglik_rows_and_sum(self, spec, x_s, b, y):
+        """(loglik_rows, loglik) from one evaluation of the likelihood."""
+        rows = self.loglik_rows(spec, x_s, b, y)
+        return rows, _row_sum(np.sum(rows, axis=-1))
 
     def density_rows(self, spec, partition, b, x_s, y) -> np.ndarray:
         """Information density log P(y | x_s, b) / P(y | x_eq, b) per row."""
-        return self.loglik_rows(spec, x_s, b, y) - self.log_marginal_rows(
-            spec, partition, x_s, b, y
+        return self.density_from_rows(
+            self.loglik_rows(spec, x_s, b, y), self.log_marginal_rows(spec, partition, x_s, b, y)
         )
+
+    def density_from_rows(self, lik_rows, marginal_rows) -> np.ndarray:
+        """The density rows from likelihood and marginal rows already computed."""
+        return lik_rows - marginal_rows
 
 
 class _GaussianDesign(Channel):
@@ -143,18 +159,29 @@ class Linear(_GaussianDesign):
     # A residual whose square overflows scores -inf, which orders it right:
     # the overflow warnings are silenced, no value changes.
 
-    def loglik_rows(self, spec, x_s, b, y):
-        z = y - x_s @ b
+    @staticmethod
+    def _log_density_rows(z, v):
+        """log N(z; 0, v) per row."""
         with np.errstate(over="ignore"):
-            return -0.5 * (z**2) / spec.sigma**2 - 0.5 * np.log(2.0 * np.pi * spec.sigma**2)
+            return -0.5 * (z**2) / v - 0.5 * np.log(2.0 * np.pi * v)
 
-    def loglik(self, spec, x_s, b, y):
-        z = y - x_s @ b
+    def _log_density_sum(self, spec, z):
+        """log N(z; 0, sigma^2) summed over the rows."""
         with np.errstate(over="ignore"):
             return _row_sum(
                 -0.5 * np.sum(z**2, axis=-1) / spec.sigma**2
-                - 0.5 * y.shape[-1] * (_LOG_2PI + 2.0 * math.log(spec.sigma))
+                - 0.5 * z.shape[-1] * (_LOG_2PI + 2.0 * math.log(spec.sigma))
             )
+
+    def loglik_rows(self, spec, x_s, b, y):
+        return self._log_density_rows(y - x_s @ b, spec.sigma**2)
+
+    def loglik(self, spec, x_s, b, y):
+        return self._log_density_sum(spec, y - x_s @ b)
+
+    def loglik_rows_and_sum(self, spec, x_s, b, y):
+        z = y - x_s @ b
+        return self._log_density_rows(z, spec.sigma**2), self._log_density_sum(spec, z)
 
     def log_marginal_rows(self, spec, partition, x_s, b, y):
         sig_l_sq = _energy(b, partition.dif_index())
@@ -162,10 +189,7 @@ class Linear(_GaussianDesign):
             # y does not depend on x_dif: the marginal is the likelihood
             return self.loglik_rows(spec, x_s, b, y)
         eq = partition.eq_index()
-        resid_eq = y - x_s[..., eq] @ b[eq]
-        v = spec.sigma**2 + sig_l_sq
-        with np.errstate(over="ignore"):
-            return -0.5 * (resid_eq**2) / v - 0.5 * np.log(2.0 * np.pi * v)
+        return self._log_density_rows(y - x_s[..., eq] @ b[eq], spec.sigma**2 + sig_l_sq)
 
     def mi(self, spec, partition, b, quad):
         sig_l_sq = _energy(np.asarray(b, dtype=float), partition.dif_index())
@@ -354,12 +378,15 @@ class GroupTesting(Channel):
         return (n - n_miss) * log_match + n_miss * log_miss
 
     def loglik_rows(self, spec, x_s, b, y):
-        log_match, log_miss = _flip_logs(spec.rho)
-        return np.where((y > 0.5) == x_s.astype(bool).any(axis=-1), log_match, log_miss)
+        return self.loglik_rows_and_sum(spec, x_s, b, y)[0]
 
-    def loglik(self, spec, x_s, b, y):
-        n_miss = np.sum((y > 0.5) != x_s.astype(bool).any(axis=-1), axis=-1)
-        return _row_sum(self.score(spec, y.shape[-1], n_miss))
+    def loglik_rows_and_sum(self, spec, x_s, b, y):
+        """Per row log(1 - rho) where y is the noiseless output of x_s and
+        log rho where not, and their sum as the `score` of the misses."""
+        match = (y > 0.5) == x_s.astype(bool).any(axis=-1)
+        log_match, log_miss = _flip_logs(spec.rho)
+        n_miss = np.sum(~match, axis=-1)
+        return np.where(match, log_match, log_miss), _row_sum(self.score(spec, y.shape[-1], n_miss))
 
     def log_marginal_rows(self, spec, partition, x_s, b, y):
         t = self.table(spec, partition)
@@ -370,12 +397,11 @@ class GroupTesting(Channel):
             eq_hit, np.where(y1, t.log_match, t.log_miss), np.where(y1, t.log_y1, t.log_y0)
         )
 
-    def density_rows(self, spec, partition, b, x_s, y):
-        num = self.loglik_rows(spec, x_s, b, y)
+    def density_from_rows(self, lik_rows, marginal_rows):
         with np.errstate(invalid="ignore"):
-            out = num - self.log_marginal_rows(spec, partition, x_s, b, y)
+            out = lik_rows - marginal_rows
         # zero-probability observation: explicit -inf sentinel, never NaN
-        return np.where(np.isneginf(num), NEG_INF, out)
+        return np.where(np.isneginf(lik_rows), NEG_INF, out)
 
     def mi(self, spec, partition, b, quad):
         return gt_mi_closed_form(spec.nu, partition.k, partition.ell, spec.rho)

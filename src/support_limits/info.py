@@ -19,12 +19,12 @@ explicit -inf density, never a silent NaN; decoders treat -inf as
 """
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import logsumexp
 
 from .channels import CHANNELS, NEG_INF, _row_sum, gt_mi_closed_form  # noqa: F401 (re-exported)
 from .model import (
@@ -45,6 +45,7 @@ from .numerics import (
     QuadratureSpec,
     gaussian_expectation,
     log_q_function,
+    log_sum_exp,
     mean_entropy_q_scaled,
 )
 
@@ -254,21 +255,30 @@ def count_distinct_permutations(values: tuple[float, ...]) -> int:
     return total
 
 
+@functools.lru_cache(maxsize=16)
 def prior_atoms(prior: SignalPrior, k: int, max_atoms: int = 10**6):
-    """(log_weight, b_vector) atoms for discrete priors."""
+    """(log_weight, b_vector) atoms for discrete priors, b read-only.
+
+    Built once per (prior, k) and shared through the cache: the threshold
+    decoder and exhaustive ML read the same atoms on every call, and a
+    permuted prior is not re-enumerated per trial."""
     if prior.variant == FIXED_VECTOR:
-        return [(0.0, np.asarray(prior.b, dtype=float))]
-    if prior.variant == ALL_ONES:
-        return [(0.0, np.ones(k))]
-    if prior.variant == PERMUTED_VECTOR:
+        atoms = [(0.0, np.asarray(prior.b, dtype=float))]
+    elif prior.variant == ALL_ONES:
+        atoms = [(0.0, np.ones(k))]
+    elif prior.variant == PERMUTED_VECTOR:
         n_distinct = count_distinct_permutations(prior.b)
         if n_distinct > max_atoms:
             raise ValueError(
                 f"permutation mixture has {n_distinct} atoms > {max_atoms}"
             )
         lw = -math.log(n_distinct)
-        return [(lw, np.asarray(perm, dtype=float)) for perm in _distinct_permutations(prior.b)]
-    raise UnsupportedCombinationError(f"no atoms for prior {prior.variant!r}")
+        atoms = [(lw, np.asarray(perm, dtype=float)) for perm in _distinct_permutations(prior.b)]
+    else:
+        raise UnsupportedCombinationError(f"no atoms for prior {prior.variant!r}")
+    for _, b in atoms:
+        b.flags.writeable = False
+    return tuple(atoms)
 
 
 def log_conditional_likelihood(model: ModelSpec, x_s, b, y):
@@ -309,7 +319,7 @@ def _log_mixture(terms):
     """Log-sum-exp of the prior atoms' log-weighted terms, per candidate."""
     if len(terms) == 1:  # a single atom is its own log-sum-exp
         return terms[0]
-    return logsumexp(np.stack(terms, axis=-1), axis=-1)
+    return log_sum_exp(np.stack(terms, axis=-1))
 
 
 def _gaussian_evidence(sigma: float, sigma_beta_sq: float, x_s, y):

@@ -282,6 +282,36 @@ def log_binomial(n, r):
     return float(out) if out.ndim == 0 else out
 
 
+def log_sum_exp(a: np.ndarray):
+    """log(sum(exp(a))) over the last axis of a float array whose last axis
+    is not empty; a 1-d a gives a numpy float.
+
+    These are the steps scipy.special.logsumexp(a, axis=-1) (scipy 1.17.1)
+    takes for real input without weights, so every result equals scipy's,
+    NaN and signed zero included, without its per-call array-API dispatch.
+    With a_max the maximum and m the count of entries tied at it,
+
+        log_sum_exp(a) = log1p(s) + log(m) + a_max,
+        s = sum over the other entries of exp(a - a_max), divided by m,
+
+    and a row where that is not finite (an infinite or NaN entry, or all
+    -inf) takes log(sum(exp(a))) instead.
+    """
+    a_max = np.max(a, axis=-1, keepdims=True)
+    tied = a == a_max
+    m = np.sum(tied, axis=-1, keepdims=True, dtype=float)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        s = np.sum(np.exp(np.where(tied, -np.inf, a) - a_max), axis=-1, keepdims=True)
+        s = np.where(s == 0, s, s / m)
+        out = np.log1p(s) + np.log(m) + a_max
+    bad = ~np.isfinite(out)
+    if bad.any():
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            direct = np.log(np.sum(np.exp(a), axis=-1, keepdims=True))
+        out = np.where(bad, direct, out)
+    return out[..., 0][()]
+
+
 def _log_h2_of_q(z: np.ndarray) -> np.ndarray:
     """log H2(Q(z)) for z >= 0, stable far into the tail.
 

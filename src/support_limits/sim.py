@@ -21,7 +21,11 @@ Every exhaustive decoder works on all candidate supports at once.
 Candidates are drawn in lexicographic blocks of at most _CANDIDATE_BLOCK; a
 block's design columns are stacked into one (candidates x rows x k) array,
 which the channel likelihood and density methods take whole.  The threshold
-decoder computes its statistics from the stack, and exhaustive ML scores it
+decoder evaluates each prior atom's likelihood rows and sum once per block
+(the numerator log P(y|x_s) does not depend on the partition); each
+partition then adds only the atoms' marginal rows, the density sums and
+one denominator mixture, and the candidates that fail drop out of every
+array before the next partition.  Exhaustive ML scores a block
 with one `log_marginal_likelihood` call: a discrete prior sums the stacked
 likelihood over its atoms, and the iid-Gaussian prior (linear channel) takes
 the k x k evidence of Bayesian linear regression in its non-negative
@@ -55,14 +59,7 @@ import numpy as np
 
 from .bounds import gamma_select
 from .channels import CHANNELS
-from .info import (
-    NEG_INF,
-    _log_mixture,
-    density_rows,
-    log_conditional_likelihood,
-    log_marginal_likelihood,
-    prior_atoms,
-)
+from .info import NEG_INF, _log_mixture, log_marginal_likelihood, prior_atoms
 from .model import (
     ALL_ONES,
     GROUP_TESTING,
@@ -205,31 +202,53 @@ def combined_thresholds(dims: ProblemDims, delta1: float, gamma: float = 0.0):
     return out
 
 
-def _averaged_partition_density(model, prior, x_cand, y, partition):
-    """Beta-averaged statistic log P(y|x_s) - log P(y|x_eq) for one partition.
+def _atom_likelihoods(model, atoms, x_cands, y):
+    """Per prior atom (lw, b): its log-likelihood rows log P(y_i | x_i, b)
+    and its log-weighted sum lw + log P(y | x_s, b).  A (C x n x k) stack
+    x_cands gives (C x n) rows and C sums, one (n x k) candidate n rows and
+    a float."""
+    channel = CHANNELS[model.channel]
+    rows, nums = [], []
+    for lw, b in atoms:
+        lik_rows, lik = channel.loglik_rows_and_sum(model, x_cands, b, y)
+        rows.append(lik_rows)
+        nums.append(lw + lik)
+    return rows, nums
 
-    x_cand is one candidate's (n x k) design columns, which gives a float, or
-    a (C x n x k) stack of candidates, which gives one statistic each.  Each
-    atom's denominator is its numerator minus the summed densities; where
-    that is undefined (a zero-likelihood row) it is summed directly from the
-    channel's marginal rows."""
-    num_terms = []
+
+def _partition_statistic(model, atoms, partition, x_cands, y, rows, nums, num_total):
+    """Beta-averaged statistic num_total - log P(y|x_eq) on one partition,
+    from the atoms' `_atom_likelihoods` and their mixture num_total =
+    log P(y|x_s).  Each atom's denominator is its numerator minus the summed
+    densities; where that is undefined (a zero-likelihood row) it is summed
+    directly from the channel's marginal rows.  A zero-likelihood candidate
+    is eliminated with -inf."""
+    channel = CHANNELS[model.channel]
     den_terms = []
-    for lw, b in prior_atoms(prior, x_cand.shape[-1]):
-        num = lw + log_conditional_likelihood(model, x_cand, b, y)
-        dens = density_rows(model, partition, b, x_cand, y)
+    for (lw, b), lik_rows, num in zip(atoms, rows, nums):
+        marginal = channel.log_marginal_rows(model, partition, x_cands, b, y)
+        dens = channel.density_from_rows(lik_rows, marginal)
         with np.errstate(invalid="ignore"):
             den = num - np.sum(dens, axis=-1)
         direct = np.isneginf(num) | ~np.isfinite(dens).all(axis=-1)
         if direct.any():
-            marginal = CHANNELS[model.channel].log_marginal_rows(model, partition, x_cand, b, y)
             den = np.where(direct, lw + np.sum(marginal, axis=-1), den)
-        num_terms.append(num)
         den_terms.append(den)
-    num_total, den_total = _log_mixture(num_terms), _log_mixture(den_terms)
-    # a zero-likelihood candidate is eliminated
     with np.errstate(invalid="ignore"):
-        stat = np.where(np.isneginf(num_total), NEG_INF, num_total - den_total)
+        return np.where(np.isneginf(num_total), NEG_INF, num_total - _log_mixture(den_terms))
+
+
+def _averaged_partition_density(model, prior, x_cand, y, partition):
+    """Beta-averaged statistic log P(y|x_s) - log P(y|x_eq) for one partition:
+    `_partition_statistic` on the atoms' `_atom_likelihoods`, which
+    `_passing` evaluates once for all the partitions.
+
+    x_cand is one candidate's (n x k) design columns, which gives a float, or
+    a (C x n x k) stack of candidates, which gives one statistic each."""
+    x_cand, y = np.asarray(x_cand, dtype=float), np.asarray(y, dtype=float)
+    atoms = prior_atoms(prior, x_cand.shape[-1])
+    rows, nums = _atom_likelihoods(model, atoms, x_cand, y)
+    stat = _partition_statistic(model, atoms, partition, x_cand, y, rows, nums, _log_mixture(nums))
     return float(stat) if stat.ndim == 0 else stat
 
 
@@ -238,7 +257,8 @@ def _threshold_test(model, prior, dims: ProblemDims, delta1: float):
     """(thresholds, partitions) of the threshold test: the combined
     thresholds, gamma by the discrete rule, and every partition they cover.
     Built once per (model, prior, dims, delta1), that is once per simulated
-    cell, and shared read-only by its decodes."""
+    cell, and shared read-only by its decodes, as are the prior's atoms
+    (`prior_atoms` is cached too)."""
     gamma = gamma_select("discrete", model, prior, dims)
     thresholds = combined_thresholds(dims, delta1, gamma)
     return MappingProxyType(thresholds), tuple(enumerate_partitions(dims.k, thresholds))
@@ -247,13 +267,20 @@ def _threshold_test(model, prior, dims: ProblemDims, delta1: float):
 def _passing(model, prior, x_cands, y, thresholds, partitions) -> np.ndarray:
     """Indices of the candidates of the (C x n x k) stack x_cands whose
     statistic exceeds its threshold on every one of the partitions.  y is
-    the (n,) outputs all candidates share, or a (C x n) row per candidate,
-    filtered along with them."""
+    the (n,) outputs all candidates share, or a (C x n) row per candidate.
+
+    The atoms' likelihoods and their mixture are evaluated once; after each
+    partition only the candidates that pass stay in them, in x_cands and
+    in y."""
+    atoms = prior_atoms(prior, x_cands.shape[-1])
     live = np.arange(len(x_cands))
+    rows, nums = _atom_likelihoods(model, atoms, x_cands, y)
+    num_total = _log_mixture(nums)
     for part in partitions:
-        stat = _averaged_partition_density(model, prior, x_cands, y, part)
+        stat = _partition_statistic(model, atoms, part, x_cands, y, rows, nums, num_total)
         passed = stat > thresholds[part.ell]
-        live, x_cands = live[passed], x_cands[passed]
+        live, x_cands, num_total = live[passed], x_cands[passed], num_total[passed]
+        rows, nums = [r[passed] for r in rows], [v[passed] for v in nums]
         if y.ndim > 1:
             y = y[passed]
         if not live.size:

@@ -400,3 +400,46 @@ class TestScaledEntropyMeanGrid:
     def test_property_array_equals_scalar(self, xs):
         vals = nm.mean_entropy_q_scaled(np.array(xs))
         assert vals.tolist() == [nm.mean_entropy_q_scaled(x) for x in xs]
+
+
+class TestLogSumExp:
+    SPECIAL = np.array([-np.inf, np.inf, np.nan, 0.0, -0.0, 1e308, -1e308, 5e-324])
+
+    def _array(self, rng, kind):
+        """One seeded array of the given kind: 'normal', 'neg-inf' entries,
+        an 'all-neg-inf' row, 'nan' and other special entries, 'tied' maxima
+        or a 1-d array ('0-d' result); its last axis may have length 1."""
+        a_len = int(rng.integers(1, 6))
+        shape = (a_len,) if kind == "0-d" else (int(rng.integers(0, 6)), a_len)
+        a = rng.normal(scale=float(rng.choice([1e-3, 1.0, 50.0, 800.0])), size=shape)
+        if kind == "neg-inf":
+            a[rng.random(shape) < 0.4] = -np.inf
+        elif kind == "all-neg-inf" and a.ndim == 2 and len(a):
+            a[int(rng.integers(0, len(a)))] = -np.inf
+        elif kind == "nan":
+            mask = rng.random(shape) < 0.3
+            a[mask] = rng.choice(self.SPECIAL, size=int(mask.sum()))
+        elif kind == "tied" and a.size:
+            flat = a.reshape(-1)
+            flat[rng.integers(0, a.size, size=a.size)] = np.max(flat)
+        return a
+
+    def test_equals_scipy_bit_for_bit(self):
+        from scipy.special import logsumexp
+
+        rng = rng_stream(20240917, 21)
+        kinds = ("normal", "neg-inf", "all-neg-inf", "nan", "tied", "0-d")
+        seen = set()
+        for t in range(10002):  # at least 10^4 arrays, every kind alike
+            a = self._array(rng, kinds[t % len(kinds)])
+            with np.errstate(over="ignore"):  # both warn where a - max overflows
+                want = logsumexp(a, axis=-1)
+                got = nm.log_sum_exp(a)
+            assert type(got) is type(want) and np.shape(got) == np.shape(want), a
+            assert np.array_equal(got, want, equal_nan=True), a
+            assert np.array_equal(np.signbit(got), np.signbit(want)), a
+            seen.add("nan" if np.isnan(want).any() else "")
+            seen.add("-inf" if np.isneginf(want).any() else "")
+            seen.add("a=1" if a.shape[-1] == 1 else "")
+            seen.add("0-d" if np.ndim(want) == 0 else "")
+        assert seen >= {"nan", "-inf", "a=1", "0-d"}

@@ -779,3 +779,195 @@ class TestEmpiricalG:
         for s in range(3):
             table = verify.empirical_g_check(10**6, 1, SEED + s)
             assert max(abs(emp - g) for _, emp, g in table) <= 0.01
+
+
+# ---------------------------------------------------------------------------
+# The threshold test with each atom's likelihood once per candidate block,
+# against the per-partition code it replaced
+# ---------------------------------------------------------------------------
+
+
+def scipy_log_mixture(terms):
+    """Reference: the atoms' log-sum-exp by scipy, as `info._log_mixture` was."""
+    if len(terms) == 1:
+        return terms[0]
+    return logsumexp(np.stack(terms, axis=-1), axis=-1)
+
+
+def per_partition_statistic(model, prior, x_cand, y, partition):
+    """Reference: `_averaged_partition_density` as it was when `_passing`
+    called it for every partition, likelihoods included."""
+    num_terms = []
+    den_terms = []
+    for lw, b in info.prior_atoms(prior, x_cand.shape[-1]):
+        num = lw + info.log_conditional_likelihood(model, x_cand, b, y)
+        dens = info.density_rows(model, partition, b, x_cand, y)
+        with np.errstate(invalid="ignore"):
+            den = num - np.sum(dens, axis=-1)
+        direct = np.isneginf(num) | ~np.isfinite(dens).all(axis=-1)
+        if direct.any():
+            marginal = CHANNELS[model.channel].log_marginal_rows(model, partition, x_cand, b, y)
+            den = np.where(direct, lw + np.sum(marginal, axis=-1), den)
+        num_terms.append(num)
+        den_terms.append(den)
+    num_total, den_total = scipy_log_mixture(num_terms), scipy_log_mixture(den_terms)
+    # a zero-likelihood candidate is eliminated
+    with np.errstate(invalid="ignore"):
+        stat = np.where(np.isneginf(num_total), -np.inf, num_total - den_total)
+    return float(stat) if stat.ndim == 0 else stat
+
+
+def per_partition_passing(model, prior, x_cands, y, thresholds, partitions):
+    """Reference: `_passing` as it was, on `per_partition_statistic`; also
+    the index of the partition that eliminated each candidate (-1: none)."""
+    live = np.arange(len(x_cands))
+    out_at = np.full(len(x_cands), -1)
+    for i, part in enumerate(partitions):
+        stat = per_partition_statistic(model, prior, x_cands, y, part)
+        passed = stat > thresholds[part.ell]
+        out_at[live[~passed]] = i
+        live, x_cands = live[passed], x_cands[passed]
+        if y.ndim > 1:
+            y = y[passed]
+        if not live.size:
+            break
+    return live, out_at
+
+
+def staged_thresholds(model, prior, x_cands, y, partitions):
+    """Per-ell thresholds at a statistic value of the candidates still live:
+    the lower 30% quantile of each one's smallest statistic over that ell's
+    partitions, so that candidates drop out along the partition sequence,
+    one of them exactly at its threshold."""
+    thresholds, live = {}, np.ones(len(x_cands), dtype=bool)
+    for ell in sorted({part.ell for part in partitions}):
+        y_live = y[live] if y.ndim > 1 else y
+        low = np.min([
+            per_partition_statistic(model, prior, x_cands[live], y_live, part)
+            for part in partitions if part.ell == ell
+        ], axis=0)
+        thresholds[ell] = float(np.quantile(low, 0.3, method="lower"))
+        live[np.flatnonzero(live)[low <= thresholds[ell]]] = False
+        if not live.any():
+            break
+    return thresholds
+
+
+def _elimination_stages(out_at, n_parts):
+    """Which of the first, a middle and the last partition eliminated some
+    candidate."""
+    return {
+        "first" if i == 0 else "last" if i == n_parts - 1 else "middle"
+        for i in out_at.tolist() if i >= 0
+    }
+
+
+class TestPassingOncePerBlock:
+    DIMS = md.ProblemDims(p=7, k=3, n=25)
+
+    def _check(self, m, pr, x_cands, y):
+        """`_passing` equals the per-partition reference; returns the
+        stages at which the reference eliminated candidates."""
+        partitions = tuple(md.enumerate_partitions(3))
+        for part in partitions:
+            got = sim._averaged_partition_density(m, pr, x_cands, y, part)
+            assert got.tolist() == per_partition_statistic(m, pr, x_cands, y, part).tolist()
+        thresholds = staged_thresholds(m, pr, x_cands, y, partitions)
+        partitions = tuple(md.enumerate_partitions(3, thresholds))
+        expected, out_at = per_partition_passing(m, pr, x_cands, y, thresholds, partitions)
+        got = sim._passing(m, pr, x_cands, y, thresholds, partitions)
+        assert got.tolist() == expected.tolist()
+        return _elimination_stages(out_at, len(partitions))
+
+    def test_shared_outputs_equal_per_partition_code(self):
+        cands = np.array(list(sim.candidate_supports(self.DIMS)))
+        stages = set()
+        for m, pr in STAT_CASES.values():
+            for t in range(3):
+                real = md.sample_realization(self.DIMS, m, pr, SEED, stream=(11, t))
+                x_cands = np.ascontiguousarray(np.moveaxis(real.x[:, cands - 1], 1, 0))
+                stages |= self._check(m, pr, x_cands, real.y)
+        assert stages == {"first", "middle", "last"}
+
+    def test_per_candidate_outputs_equal_per_partition_code(self):
+        # the shape threshold_union_bound decodes: each trial's true support
+        # against that trial's own outputs
+        stages = set()
+        for m, pr in STAT_CASES.values():
+            reals = md.sample_realization(self.DIMS, m, pr, SEED, stream=(12,), trials=range(40))
+            assert reals.y.ndim == 2
+            stages |= self._check(m, pr, reals.x_support(), reals.y)
+        assert stages == {"first", "middle", "last"}
+
+    def test_zero_likelihood_candidates_equal_per_partition_code(self):
+        # nu = k: y = 0 rows a candidate misses have a +inf density, y = 1
+        # rows it misses zero likelihood, so the direct path runs
+        m, pr = md.ModelSpec.group_testing(rho=0.0, nu=3.0), GT
+        rng = md.rng_stream(SEED, 13)
+        x = (rng.random((12, 7)) < 0.25).astype(float)
+        y = x[:, :3].any(axis=1).astype(float)
+        cands = np.array(list(sim.candidate_supports(self.DIMS)))
+        x_cands = np.ascontiguousarray(np.moveaxis(x[:, cands - 1], 1, 0))
+        nums = info.log_conditional_likelihood(m, x_cands, np.ones(3), y)
+        part = next(md.enumerate_partitions(3))
+        dens = info.density_rows(m, part, np.ones(3), x_cands, y)
+        assert np.isneginf(nums).any() and np.isposinf(dens[np.isfinite(nums)]).any()
+        self._check(m, pr, x_cands, y)
+        # at sigma = 1e-200 the permuted prior mixes zero-likelihood atoms,
+        # whose denominators come from the marginal rows, with finite ones
+        m, pr = md.ModelSpec.one_bit(1e-200), STAT_CASES["one-bit-permuted"][1]
+        real = md.sample_realization(self.DIMS, m, pr, SEED, stream=(13,))
+        x_cands = np.ascontiguousarray(np.moveaxis(real.x[:, cands - 1], 1, 0))
+        self._check(m, pr, x_cands, real.y)
+
+    @pytest.mark.parametrize("name", sorted(STAT_CASES))
+    def test_each_atom_likelihood_evaluated_once_per_block(self, name, monkeypatch):
+        m, pr = STAT_CASES[name]
+        channel = type(CHANNELS[m.channel])
+        atoms = info.prior_atoms(pr, 3)
+        calls = {"loglik_rows_and_sum": [], "log_marginal_rows": 0}
+        pair = channel.loglik_rows_and_sum
+        marginal = channel.log_marginal_rows
+
+        def counted_pair(self, spec, x_s, b, y):
+            calls["loglik_rows_and_sum"].append(b)
+            return pair(self, spec, x_s, b, y)
+
+        def counted_marginal(self, *args):
+            calls["log_marginal_rows"] += 1
+            return marginal(self, *args)
+
+        def refused(*args):
+            raise AssertionError("likelihood evaluated outside loglik_rows_and_sum")
+
+        monkeypatch.setattr(channel, "loglik_rows_and_sum", counted_pair)
+        monkeypatch.setattr(channel, "log_marginal_rows", counted_marginal)
+        monkeypatch.setattr(channel, "loglik", refused)
+        monkeypatch.setattr(channel, "density_rows", refused)
+        real = md.sample_realization(self.DIMS, m, pr, SEED, stream=(14,))
+        cands = np.array(list(sim.candidate_supports(self.DIMS)))
+        x_cands = np.ascontiguousarray(np.moveaxis(real.x[:, cands - 1], 1, 0))
+        partitions = tuple(md.enumerate_partitions(3))
+        # every threshold -inf: the true support passes every partition
+        thresholds = dict.fromkeys((1, 2, 3), -np.inf)
+        live = sim._passing(m, pr, x_cands, real.y, thresholds, partitions)
+        assert live.size >= 1
+        assert [id(b) for b in calls["loglik_rows_and_sum"]] == [id(b) for _, b in atoms]
+        assert calls["log_marginal_rows"] == len(atoms) * len(partitions)
+
+    def test_prior_atoms_built_once_and_read_only(self, monkeypatch):
+        m, pr = md.ModelSpec.linear(0.7), md.SignalPrior.permuted([1.0, 1.0, 2.0])
+        atoms = info.prior_atoms(pr, 3)
+        assert info.prior_atoms(pr, 3) is atoms and len(atoms) == 3
+        with pytest.raises(ValueError):
+            atoms[0][1][0] = 5.0
+        # exhaustive ML reads the cached atoms: no enumeration per call
+        monkeypatch.setattr(info, "_distinct_permutations", None)
+        x, y = np.ones((4, 3)), np.arange(4.0)
+        first = info.log_marginal_likelihood(m, pr, x, y)
+        assert info.log_marginal_likelihood(m, pr, x, y) == first
+
+
+def test_threshold_statistic_mpmath_check():
+    (result,) = verify.run_checks("threshold-stat-vs-mpmath")
+    assert result.passed and result.tolerance == 1e-9, result.detail
