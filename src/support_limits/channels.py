@@ -92,28 +92,31 @@ class Channel:
     methods then return (C x n) arrays and loglik one sum per candidate.
 
     From these the base class derives loglik (the row sum), the pair
-    loglik_rows_and_sum and the density rows.  density_from_rows turns
-    likelihood rows and marginal rows already computed into density rows,
-    so that the threshold decoder evaluates each atom's likelihood once per
-    candidate block.  Linear and group testing compute their sums in their
-    own way, from the same residuals or matches as the rows.
+    loglik_rows_and_sum and the density rows.  density_rows takes
+    likelihood rows already computed, and density_from_rows turns them and
+    the marginal rows into density rows, so that the threshold decoder
+    evaluates each atom's likelihood once per candidate block.  Linear and
+    group testing compute their sums in their own way, and their pair from
+    the same residuals or matches for rows and sum.
     """
 
     def loglik(self, spec, x_s, b, y):
         """log P(y | x_s, b) summed over the rows: a float for one (n x k)
         x_s, an array of C sums for a (C x n x k) stack."""
-        return self.loglik_rows_and_sum(spec, x_s, b, y)[1]
+        return _row_sum(np.sum(self.loglik_rows(spec, x_s, b, y), axis=-1))
 
     def loglik_rows_and_sum(self, spec, x_s, b, y):
         """(loglik_rows, loglik) from one evaluation of the likelihood."""
         rows = self.loglik_rows(spec, x_s, b, y)
         return rows, _row_sum(np.sum(rows, axis=-1))
 
-    def density_rows(self, spec, partition, b, x_s, y) -> np.ndarray:
-        """Information density log P(y | x_s, b) / P(y | x_eq, b) per row."""
-        return self.density_from_rows(
-            self.loglik_rows(spec, x_s, b, y), self.log_marginal_rows(spec, partition, x_s, b, y)
-        )
+    def density_rows(self, spec, partition, b, x_s, y, lik_rows=None) -> np.ndarray:
+        """Information density log P(y | x_s, b) / P(y | x_eq, b) per row;
+        lik_rows, the loglik_rows of x_s already computed, are not
+        evaluated again."""
+        if lik_rows is None:
+            lik_rows = self.loglik_rows(spec, x_s, b, y)
+        return self.density_from_rows(lik_rows, self.log_marginal_rows(spec, partition, x_s, b, y))
 
     def density_from_rows(self, lik_rows, marginal_rows) -> np.ndarray:
         """The density rows from likelihood and marginal rows already computed."""
@@ -378,11 +381,16 @@ class GroupTesting(Channel):
         return (n - n_miss) * log_match + n_miss * log_miss
 
     def loglik_rows(self, spec, x_s, b, y):
-        return self.loglik_rows_and_sum(spec, x_s, b, y)[0]
+        log_match, log_miss = _flip_logs(spec.rho)
+        return np.where((y > 0.5) == x_s.astype(bool).any(axis=-1), log_match, log_miss)
+
+    def loglik(self, spec, x_s, b, y):
+        n_miss = np.sum((y > 0.5) != x_s.astype(bool).any(axis=-1), axis=-1)
+        return _row_sum(self.score(spec, y.shape[-1], n_miss))
 
     def loglik_rows_and_sum(self, spec, x_s, b, y):
-        """Per row log(1 - rho) where y is the noiseless output of x_s and
-        log rho where not, and their sum as the `score` of the misses."""
+        """Both from one comparison of y with the noiseless outputs of x_s:
+        log(1 - rho) or log rho per row, and the `score` of the misses."""
         match = (y > 0.5) == x_s.astype(bool).any(axis=-1)
         log_match, log_miss = _flip_logs(spec.rho)
         n_miss = np.sum(~match, axis=-1)

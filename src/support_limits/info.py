@@ -75,15 +75,17 @@ class InfoStats:
 # ---------------------------------------------------------------------------
 
 
-def density_rows(model: ModelSpec, partition: Partition, b, x_s, y) -> np.ndarray:
+def density_rows(model: ModelSpec, partition: Partition, b, x_s, y, lik_rows=None) -> np.ndarray:
     """Information density of each row of x_s (n x k) and y (n): the
     channel's log-likelihood rows minus its log-marginal rows.  Returns -inf
     (sentinel) for observations with zero likelihood under the channel.  A
-    (C x n x k) stack of candidate supports gives a (C x n) array."""
+    (C x n x k) stack of candidate supports gives a (C x n) array.
+    lik_rows, the likelihood rows of x_s and b already computed (as the
+    threshold decoder has them), are used instead of evaluating them again."""
     x_s = np.asarray(x_s, dtype=float)
     y = np.asarray(y, dtype=float)
     b = np.asarray(b, dtype=float)
-    return CHANNELS[model.channel].density_rows(model, partition, b, x_s, y)
+    return CHANNELS[model.channel].density_rows(model, partition, b, x_s, y, lik_rows)
 
 
 # ---------------------------------------------------------------------------

@@ -289,6 +289,8 @@ def log_sum_exp(a: np.ndarray):
     These are the steps scipy.special.logsumexp(a, axis=-1) (scipy 1.17.1)
     takes for real input without weights, so every result equals scipy's,
     NaN and signed zero included, without its per-call array-API dispatch.
+    Older scipy releases take other steps and round differently, which is
+    why pyproject.toml asks for scipy >= 1.17.1.
     With a_max the maximum and m the count of entries tied at it,
 
         log_sum_exp(a) = log1p(s) + log(m) + a_max,

@@ -23,9 +23,10 @@ block's design columns are stacked into one (candidates x rows x k) array,
 which the channel likelihood and density methods take whole.  The threshold
 decoder evaluates each prior atom's likelihood rows and sum once per block
 (the numerator log P(y|x_s) does not depend on the partition); each
-partition then adds only the atoms' marginal rows, the density sums and
-one denominator mixture, and the candidates that fail drop out of every
-array before the next partition.  Exhaustive ML scores a block
+partition then adds only the atoms' density rows (`density_rows`, given
+the likelihood rows, evaluates just the marginal rows), their sums and one
+denominator mixture, and the candidates that fail drop out of every array
+before the next partition.  Exhaustive ML scores a block
 with one `log_marginal_likelihood` call: a discrete prior sums the stacked
 likelihood over its atoms, and the iid-Gaussian prior (linear channel) takes
 the k x k evidence of Bayesian linear regression in its non-negative
@@ -59,7 +60,7 @@ import numpy as np
 
 from .bounds import gamma_select
 from .channels import CHANNELS
-from .info import NEG_INF, _log_mixture, log_marginal_likelihood, prior_atoms
+from .info import NEG_INF, _log_mixture, density_rows, log_marginal_likelihood, prior_atoms
 from .model import (
     ALL_ONES,
     GROUP_TESTING,
@@ -220,18 +221,18 @@ def _partition_statistic(model, atoms, partition, x_cands, y, rows, nums, num_to
     """Beta-averaged statistic num_total - log P(y|x_eq) on one partition,
     from the atoms' `_atom_likelihoods` and their mixture num_total =
     log P(y|x_s).  Each atom's denominator is its numerator minus the summed
-    densities; where that is undefined (a zero-likelihood row) it is summed
-    directly from the channel's marginal rows.  A zero-likelihood candidate
-    is eliminated with -inf."""
-    channel = CHANNELS[model.channel]
+    densities, which `density_rows` takes from the likelihood rows at hand;
+    where that is undefined (a zero-likelihood row) it is summed directly
+    from the channel's marginal rows.  A zero-likelihood candidate is
+    eliminated with -inf."""
     den_terms = []
     for (lw, b), lik_rows, num in zip(atoms, rows, nums):
-        marginal = channel.log_marginal_rows(model, partition, x_cands, b, y)
-        dens = channel.density_from_rows(lik_rows, marginal)
+        dens = density_rows(model, partition, b, x_cands, y, lik_rows)
         with np.errstate(invalid="ignore"):
             den = num - np.sum(dens, axis=-1)
         direct = np.isneginf(num) | ~np.isfinite(dens).all(axis=-1)
         if direct.any():
+            marginal = CHANNELS[model.channel].log_marginal_rows(model, partition, x_cands, b, y)
             den = np.where(direct, lw + np.sum(marginal, axis=-1), den)
         den_terms.append(den)
     with np.errstate(invalid="ignore"):

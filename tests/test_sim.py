@@ -925,25 +925,35 @@ class TestPassingOncePerBlock:
         m, pr = STAT_CASES[name]
         channel = type(CHANNELS[m.channel])
         atoms = info.prior_atoms(pr, 3)
-        calls = {"loglik_rows_and_sum": [], "log_marginal_rows": 0}
+        calls = {"loglik_rows_and_sum": [], "density_rows": 0, "in_pair": False}
         pair = channel.loglik_rows_and_sum
-        marginal = channel.log_marginal_rows
+        rows = channel.loglik_rows
+        density = channel.density_rows
 
         def counted_pair(self, spec, x_s, b, y):
             calls["loglik_rows_and_sum"].append(b)
-            return pair(self, spec, x_s, b, y)
+            calls["in_pair"] = True
+            try:
+                return pair(self, spec, x_s, b, y)
+            finally:
+                calls["in_pair"] = False
 
-        def counted_marginal(self, *args):
-            calls["log_marginal_rows"] += 1
-            return marginal(self, *args)
+        def rows_in_pair_only(self, *args):
+            assert calls["in_pair"], "likelihood rows evaluated outside loglik_rows_and_sum"
+            return rows(self, *args)
+
+        def counted_density(self, spec, partition, b, x_s, y, lik_rows=None):
+            assert lik_rows is not None, "density rows without the likelihood rows"
+            calls["density_rows"] += 1
+            return density(self, spec, partition, b, x_s, y, lik_rows)
 
         def refused(*args):
             raise AssertionError("likelihood evaluated outside loglik_rows_and_sum")
 
         monkeypatch.setattr(channel, "loglik_rows_and_sum", counted_pair)
-        monkeypatch.setattr(channel, "log_marginal_rows", counted_marginal)
+        monkeypatch.setattr(channel, "loglik_rows", rows_in_pair_only)
+        monkeypatch.setattr(channel, "density_rows", counted_density)
         monkeypatch.setattr(channel, "loglik", refused)
-        monkeypatch.setattr(channel, "density_rows", refused)
         real = md.sample_realization(self.DIMS, m, pr, SEED, stream=(14,))
         cands = np.array(list(sim.candidate_supports(self.DIMS)))
         x_cands = np.ascontiguousarray(np.moveaxis(real.x[:, cands - 1], 1, 0))
@@ -953,7 +963,7 @@ class TestPassingOncePerBlock:
         live = sim._passing(m, pr, x_cands, real.y, thresholds, partitions)
         assert live.size >= 1
         assert [id(b) for b in calls["loglik_rows_and_sum"]] == [id(b) for _, b in atoms]
-        assert calls["log_marginal_rows"] == len(atoms) * len(partitions)
+        assert calls["density_rows"] == len(atoms) * len(partitions)
 
     def test_prior_atoms_built_once_and_read_only(self, monkeypatch):
         m, pr = md.ModelSpec.linear(0.7), md.SignalPrior.permuted([1.0, 1.0, 2.0])
