@@ -35,6 +35,9 @@ from .info import (
     prior_divergence_stats,
 )
 from .model import (
+    ALL_ONES,
+    FIXED_VECTOR,
+    PERMUTED_VECTOR,
     ModelSpec,
     ProblemDims,
     SignalPrior,
@@ -147,9 +150,9 @@ def gamma_select(
     if prior is None:
         raise ValueError(f"gamma rule {rule!r} needs the prior")
     if rule == "discrete":
-        if prior.variant in ("fixed-vector", "all-ones"):
+        if prior.variant in (FIXED_VECTOR, ALL_ONES):
             return 0.0
-        if prior.variant == "permuted-vector":
+        if prior.variant == PERMUTED_VECTOR:
             return dims.k * math.log(prior.m_beta)
         raise ValueError("discrete gamma rule needs a discrete prior")
     if rule == "chebyshev":
@@ -357,25 +360,6 @@ def cor_linear_exact(
             rows.append(_ratio_row(ell, log_binomial(p - k, ell), mi))
         conv.append(_ratio_row(ell, log_binomial(p - k + ell, ell), mi))
     return _corollary_result(rows, conv, eta)
-
-
-def validity_conditions_linear(b, p: int, k: int) -> dict[str, bool]:
-    """Informational flags for the asymptotic regimes (i)-(iv) under which
-    the exact-recovery achievability constant is tight, as finite-size
-    proxies: (i) bounded k; (ii) k well below log p with few distinct
-    values; (iii) equal entries; (iv) equal entries with b_min^2 near
-    log(k)/k."""
-    b = np.asarray(b, dtype=float)
-    m_beta = len(set(np.round(b, 12).tolist()))
-    b_min_sq = float(np.min(b**2))
-    logp, logk = math.log(p), math.log(max(k, 2))
-    return {
-        "i_k_constant": k <= 8,
-        "ii_k_small_mbeta_const": logk <= 0.5 * logp and m_beta <= 4,
-        "iii_k_polylog_equal": m_beta == 1,
-        "iv_k_poly_bmin_logk_over_k": m_beta == 1
-        and abs(b_min_sq - logk / k) <= 0.5 * logk / k,
-    }
 
 
 def lasso_comparison_constant(c_beta: float, grid_points: int = 10**4) -> tuple[float, float]:

@@ -2,13 +2,16 @@
 The three observation channels, each written once.
 
 A channel is fully specified by a few facts: its measurement design and
-sampler, its per-row likelihood P(y | x_s, b), its per-row marginal over the
-differing part P(y | x_eq, b), its mutual information, the variance of the
-information density (apart: the thresholds read only the former), and the
-tail-bound families for the density sums.  The objects in CHANNELS state
-these facts once per channel; the rest of the package reaches them through
-CHANNELS[model.channel].  They hold no state: every method takes the
-ModelSpec `spec` first, which carries sigma, rho and nu.
+sampler, the signal priors it pairs with, its per-row likelihood
+P(y | x_s, b), its per-row marginal over the differing part P(y | x_eq, b),
+its mutual information, the variance of the information density (apart: the
+thresholds read only the former), the tail-bound families for the density
+sums, and, for the linear channel only, the evidence P(y | x_s) under the
+iid-Gaussian prior.  The objects in CHANNELS state these facts once per
+channel; the rest of the package reaches them through
+CHANNELS[model.channel] and never branches on the channel name.  They hold
+no state: every method takes the ModelSpec `spec` first, which carries
+sigma, rho and nu.
 
 Group testing has a finite outcome table (GtTable).  Given beta = ones, one
 measurement row falls in one of five cases: x_eq has a one (density 0), or
@@ -44,6 +47,10 @@ NEG_INF = float("-inf")
 _LOG_2PI = float(np.log(2.0 * np.pi))
 
 
+class UnsupportedCombinationError(ValueError):
+    """The (prior, channel) pair has no implemented marginal likelihood."""
+
+
 def one_bit_sign(v) -> np.ndarray:
     """Sign with the non-negative convention: sign(0) = +1."""
     return np.where(np.asarray(v) >= 0.0, 1.0, -1.0)
@@ -63,6 +70,8 @@ class Channel:
 
         validate(spec)                  reject a parameter that does not fit
         check_prior(spec, prior, k)     reject a signal prior it does not pair with
+        only_prior                      the one prior variant it pairs with, or
+                                        None when it takes several
         draw(spec, rng, raw, noise)     fill one trial's raw design draws (n x p)
                                         and then its noise draws (n), in place
         design(spec, raw, k)            measurement matrices from raw design
@@ -91,6 +100,10 @@ class Channel:
     candidate supports, x_s of shape (C x n x k) against the same y: the row
     methods then return (C x n) arrays and loglik one sum per candidate.
 
+    gaussian_evidence(spec, sigma_beta_sq, x_s, y), log P(y | x_s) under the
+    iid-Gaussian prior, is defined by the linear channel alone; the base
+    class refuses it with UnsupportedCombinationError.
+
     From these the base class derives loglik (the row sum), the pair
     loglik_rows_and_sum and the density rows.  density_rows takes
     likelihood rows already computed, and density_from_rows turns them and
@@ -99,6 +112,13 @@ class Channel:
     group testing compute their sums in their own way, and their pair from
     the same residuals or matches for rows and sum.
     """
+
+    only_prior: str | None = None
+
+    def gaussian_evidence(self, spec, sigma_beta_sq, x_s, y):
+        raise UnsupportedCombinationError(
+            "iid-gaussian marginal likelihood is only available for the linear channel"
+        )
 
     def loglik(self, spec, x_s, b, y):
         """log P(y | x_s, b) summed over the rows: a float for one (n x k)
@@ -133,7 +153,7 @@ class _GaussianDesign(Channel):
             raise ValueError(f"noise std sigma = {spec.sigma:g} has a square beyond the float range")
 
     def check_prior(self, spec, prior, k: int) -> None:
-        if prior.variant == "all-ones":
+        if prior.variant == GroupTesting.only_prior:
             raise ValueError("the all-ones prior pairs only with group testing")
 
     def draw(self, spec, rng, raw, noise):
@@ -193,6 +213,42 @@ class Linear(_GaussianDesign):
             return self.loglik_rows(spec, x_s, b, y)
         eq = partition.eq_index()
         return self._log_density_rows(y - x_s[..., eq] @ b[eq], spec.sigma**2 + sig_l_sq)
+
+    def gaussian_evidence(self, spec, sigma_beta_sq, x_s, y):
+        """log N(y; 0, Sigma), Sigma = sigma^2 I + sigma_beta^2 X_S X_S^T, from
+        k x k quantities only: the evidence of Bayesian linear regression (Bishop,
+        PRML, section 3.5).  With r = sigma_beta^2 / sigma^2, G = X_S^T X_S,
+        u = X_S^T y, M = I + r G, w = M^-1 u and the posterior mean m = r w,
+
+            log det Sigma  = n log sigma^2 + log det M
+            y^T Sigma^-1 y = (||y - X_S m||^2 + r ||w||^2) / sigma^2.
+
+        The quadratic form is a sum of non-negative terms; the Woodbury
+        difference (y^T y - r u^T w) / sigma^2 cancels and can go negative when
+        r is large.
+
+        M is positive definite only while its identity survives rounding against
+        r G: LinAlgError("covariance not positive definite") is raised when r
+        is not finite, or when r * max diag G >= 1 / eps for any candidate
+        (`validate` refuses a sigma^2 that underflows to 0).  At n = 4 this refuses from
+        sigma_beta^2 / sigma^2 of about 1e15 on.  Below the cut-off a singular G
+        (n < k) still carries a rounding error of about eps * max diag G, which
+        r scales: the relative error of the score grows like eps * r * max diag G
+        (2e-11 at sigma_beta^2 = 1e6, 2e-5 at 1e12, n = 1, k = 2).
+        """
+        sigma_sq = spec.sigma**2
+        r = sigma_beta_sq / sigma_sq
+        xt = np.swapaxes(x_s, -1, -2)
+        g = xt @ x_s
+        # a Python product: an overflow is inf, and inf * 0 is nan, both refused
+        if not r * float(np.max(np.diagonal(g, axis1=-2, axis2=-1))) < 1.0 / np.finfo(float).eps:
+            raise np.linalg.LinAlgError("covariance not positive definite")
+        m_mat = np.eye(x_s.shape[-1]) + r * g
+        _, logdet = np.linalg.slogdet(m_mat)
+        w = np.linalg.solve(m_mat, (xt @ y)[..., None])
+        resid = y - (x_s @ (r * w))[..., 0]
+        quad = (np.sum(resid**2, axis=-1) + r * np.sum(w[..., 0] ** 2, axis=-1)) / sigma_sq
+        return _row_sum(-0.5 * (quad + logdet + y.size * (math.log(sigma_sq) + _LOG_2PI)))
 
     def mi(self, spec, partition, b, quad):
         sig_l_sq = _energy(np.asarray(b, dtype=float), partition.dif_index())
@@ -344,6 +400,8 @@ class GroupTesting(Channel):
     testing only) has density -inf, never NaN.
     """
 
+    only_prior = "all-ones"
+
     def validate(self, spec) -> None:
         if not 0.0 <= spec.rho < 0.5:
             raise ValueError(f"crossover rho must lie in [0, 0.5), got {spec.rho}")
@@ -351,7 +409,7 @@ class GroupTesting(Channel):
             raise ValueError("Bernoulli design intensity nu must be > 0")
 
     def check_prior(self, spec, prior, k: int) -> None:
-        if prior.variant != "all-ones":
+        if prior.variant != self.only_prior:
             raise ValueError("group testing pairs only with the all-ones prior")
         spec.bernoulli_p(k)
 

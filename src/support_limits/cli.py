@@ -24,15 +24,8 @@ import sys
 import numpy as np
 
 from . import bounds, numerics, sim, verify
-from .model import (
-    IID_GAUSSIAN,
-    LINEAR,
-    GuardError,
-    ModelSpec,
-    ProblemDims,
-    SignalPrior,
-    c_beta_from_snr,
-)
+from .channels import CHANNELS
+from .model import IID_GAUSSIAN, GuardError, ModelSpec, ProblemDims, SignalPrior, c_beta_from_snr
 from .numerics import NonConvergenceError
 
 DEFAULT_SEED = 20240917
@@ -183,21 +176,17 @@ def _build_model(args) -> ModelSpec:
     raise ConfigError(f"unknown model {args.model!r}")
 
 
-def _build_prior(args, model: ModelSpec, k: int) -> SignalPrior:
-    if model.channel == "group-testing":
-        return SignalPrior.all_ones()
+def _build_prior(args, model: ModelSpec) -> SignalPrior:
+    only = CHANNELS[model.channel].only_prior
+    if only:  # group testing: its one prior, whatever --prior and --b say
+        return SignalPrior(variant=only)
     if args.prior == "gaussian":
         if args.b:
             raise ConfigError("--prior gaussian draws the entries: drop --b, or use "
                               "--prior fixed or --prior permuted")
-        if model.channel != LINEAR:
-            raise ConfigError("--prior gaussian needs --model linear: no decoder has a "
-                              f"{model.channel} likelihood under the Gaussian prior")
         return SignalPrior.iid_gaussian(args.sigma_beta_sq)
     if args.b:
         vals = [float(x) for x in args.b.split(",")]
-        if len(vals) != k:
-            raise ConfigError(f"--b needs {k} entries, got {len(vals)}")
         return SignalPrior.permuted(vals) if args.prior == "permuted" else SignalPrior.fixed(vals)
     raise ConfigError("linear/one-bit simulation needs --b or --prior gaussian")
 
@@ -209,7 +198,7 @@ def cmd_simulate(args) -> int:
     if args.trials < 1:
         raise ConfigError(f"--trials must be >= 1, got {args.trials}")
     model = _build_model(args)
-    prior = _build_prior(args, model, args.k)
+    prior = _build_prior(args, model)
     dims = ProblemDims(p=args.p, k=args.k, n=0, d_max=args.d_max)
     n_grid = [int(x) for x in parse_range(args.n_grid)]
     decoder_kind = {"ml": "exhaustive-ml", "threshold": "threshold", "comp": "comp-gt"}[

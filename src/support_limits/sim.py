@@ -28,11 +28,14 @@ the likelihood rows, evaluates just the marginal rows), their sums and one
 denominator mixture, and the candidates that fail drop out of every array
 before the next partition.  Exhaustive ML scores a block
 with one `log_marginal_likelihood` call: a discrete prior sums the stacked
-likelihood over its atoms, and the iid-Gaussian prior (linear channel) takes
-the k x k evidence of Bayesian linear regression in its non-negative
-residual form, which refuses a covariance it cannot tell from singular.
-Group-testing ML with the all-ones prior instead scores a block with one
-product of the design and a 0/1 (items x candidates) incidence matrix.
+likelihood over its atoms, and the iid-Gaussian prior takes the linear
+channel's `gaussian_evidence`, the k x k evidence of Bayesian linear
+regression in its non-negative residual form, which refuses a covariance it
+cannot tell from singular.  Group-testing ML with the all-ones prior instead
+scores a block with one product of the design and a 0/1 (items x
+candidates) incidence matrix.  The decoders choose these paths by the
+prior, never by the channel's name: `validate_pairing` ties the all-ones
+prior to group testing.
 
 `run_cell` draws and decodes trial blocks of at most _TRIAL_BLOCK_ENTRIES
 design entries (n x p per trial) and at least one trial, each drawn by one
@@ -63,7 +66,6 @@ from .channels import CHANNELS
 from .info import NEG_INF, _log_mixture, density_rows, log_marginal_likelihood, prior_atoms
 from .model import (
     ALL_ONES,
-    GROUP_TESTING,
     GuardError,
     ModelSpec,
     ProblemDims,
@@ -72,6 +74,7 @@ from .model import (
     SignalPrior,
     enumerate_partitions,
     sample_realization,
+    validate_pairing,
 )
 from .numerics import log_binomial
 
@@ -374,16 +377,18 @@ def decode_ml(
     """Exhaustive maximum-likelihood support estimate, lexicographic ties:
     one for a Realization, a list for a block or a sequence of them.
 
-    The candidate blocks are enumerated once for all the realizations.
-    Group testing with the all-ones prior scores a block through
-    `_ml_fast_gt` for groups of trials, each group's trials x n x candidates
-    hit counts at most _TRIAL_BLOCK_ENTRIES (and at least one trial); every
-    other pair scores it per realization through `log_marginal_likelihood`
-    on the block's stacked design columns."""
+    A (model, prior) pair that `sample_realization` refuses is refused here
+    too.  The candidate blocks are enumerated once for all the realizations.
+    The all-ones prior, which pairs only with group testing, scores a block
+    through `_ml_fast_gt` for groups of trials, each group's trials x n x
+    candidates hit counts at most _TRIAL_BLOCK_ENTRIES (and at least one
+    trial); every other prior scores it per realization through
+    `log_marginal_likelihood` on the block's stacked design columns."""
+    validate_pairing(model, prior, dims.k)
     reals = [realizations] if isinstance(realizations, Realization) else realizations
     if not len(reals):
         return []
-    fast_gt = model.channel == GROUP_TESTING and prior.variant == ALL_ONES
+    fast_gt = prior.variant == ALL_ONES  # validate_pairing ties it to group testing
     x, y = _stacked(reals)  # trials x n x p, trials x n
     rows = np.arange(len(reals))
     # the first candidate until one scores strictly higher
@@ -442,7 +447,7 @@ def _decode(decoder: DecoderSpec, reals, model, prior, dims) -> list[DecodeOutco
     if decoder.kind == "exhaustive-ml":
         estimates = decode_ml(reals, model, prior, dims)
     elif decoder.kind == "comp-gt":
-        if model.channel != GROUP_TESTING:
+        if prior.variant != ALL_ONES:  # the group-testing prior
             raise ValueError("comp-gt requires the group-testing model")
         estimates = decode_comp(reals, dims)
     else:

@@ -263,10 +263,6 @@ class TestCorLinearExact:
             assert val == pytest.approx(2.0 / math.log1p(cb), rel=1e-6)
             assert arg == pytest.approx(1.0)
 
-    def test_validity_flags_informational(self):
-        flags = bounds.validity_conditions_linear([1.0, 1.0], 10**6, 2)
-        assert flags["i_k_constant"] and flags["iii_k_polylog_equal"]
-
 
 class TestCorLinearPartial:
     def test_conv_vanishes_as_alpha_star_to_one(self):
@@ -318,6 +314,20 @@ class TestCor1BitExact:
         b = bounds.cor_1bit_exact_lowsnr([1e-3 * math.sqrt(2)] * 3, 1.0, 10**4, 3)
         assert b.n_ach / a.n_ach == pytest.approx(0.5, rel=1e-9)
 
+    def test_ell_one_denominator(self):
+        # the ell = 1 row's mi is sum_{1 smallest} b^2 / (pi sigma^2)
+        res = bounds.cor_1bit_exact_lowsnr([9.0, math.sqrt(math.pi)], 1.0, 10**4, 2)
+        assert res.breakdown[0][0] == 1
+        assert res.breakdown[0][2] == pytest.approx(1.0, abs=1e-12)
+
+    def test_ell_one_denominator_vs_quadrature_mi(self):
+        # at low SNR the exact 1-bit mutual information approaches the
+        # corollary's denominator
+        b = [1e-3, 1e-3, 1e-3]
+        res = bounds.cor_1bit_exact_lowsnr(b, 1.0, 10**4, 3)
+        exact = info.mutual_information(md.ModelSpec.one_bit(1.0), md.min_info_partition(b, 1), b)
+        assert exact / res.breakdown[0][2] == pytest.approx(1.0, abs=0.01)
+
 
 class TestCor1BitHighSnr:
     def test_scaling_regression(self):
@@ -341,10 +351,30 @@ class TestCor1BitHighSnr:
         with pytest.raises(ValueError, match="eta"):
             bounds.cor_1bit_highsnr_converse(0.1, 1.0, 1000, 500, eta=1.0)
 
-    def test_quadrupling_b0_sq_halves(self):
+    @pytest.mark.parametrize(
+        "b0,k,ratio",
+        [
+            (0.1, 5000, 0.5),
+            # the denominator goes as b0 / sqrt(k): doubling b0^2 and
+            # quadrupling k scale the count by sqrt(2)
+            (0.05 * math.sqrt(2.0), 20000, math.sqrt(2.0)),
+        ],
+        ids=["b0", "b0-and-k"],
+    )
+    def test_quadrupling_b0_sq_halves(self, b0, k, ratio):
         a = bounds.cor_1bit_highsnr_converse(0.05, 1.0, 10**4, 5000)
-        b = bounds.cor_1bit_highsnr_converse(0.1, 1.0, 10**4, 5000)
-        assert b / a == pytest.approx(0.5, rel=1e-9)
+        b = bounds.cor_1bit_highsnr_converse(b0, 1.0, 10**4, k)
+        assert b / a == pytest.approx(ratio, rel=1e-9)
+
+    def test_denominator_vs_exact_ell_one_mi(self):
+        # k = 1e4 equal entries b0 = sqrt(log k / k): the corollary's
+        # denominator log p / n against the exact ell = 1 quadrature MI
+        k, p = 10**4, 10**6
+        b0 = math.sqrt(math.log(k) / k)
+        approx = math.log(p) / bounds.cor_1bit_highsnr_converse(b0, 1.0, p, k)
+        b = np.full(k, b0)
+        exact = info.mutual_information(md.ModelSpec.one_bit(1.0), md.min_info_partition(b, 1), b)
+        assert 0.8 <= exact / approx <= 1.25
 
 
 class TestPsiFunction1Bit:

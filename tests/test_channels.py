@@ -1,8 +1,11 @@
+import ast
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import support_limits
 from support_limits import info
 from support_limits import model as md
 from support_limits.channels import CHANNELS, _energy, _gt_table, gt_mi_closed_form
@@ -142,3 +145,58 @@ def test_non_finite_one_bit_variance_raises_only_in_density_variance():
     assert np.isfinite(info.mutual_information(model, part, b))
     with pytest.raises(NonConvergenceError), np.errstate(over="ignore", invalid="ignore"):
         info.density_variance(model, part, b)
+
+
+# ---------------------------------------------------------------------------
+# Each channel fact is written once: outside `channels` no module branches on
+# the channel's name.  The oracles in `verify` may, because they must stay
+# independent of the channel table.
+# ---------------------------------------------------------------------------
+
+PACKAGE = Path(support_limits.__file__).parent
+CHANNEL_NAMES = {"LINEAR", "ONE_BIT", "GROUP_TESTING"}
+MODULES = sorted(
+    path.stem for path in PACKAGE.glob("*.py") if path.name not in ("channels.py", "verify.py")
+)
+
+
+def _channel_comparisons(tree) -> list[int]:
+    """Lines of the comparisons with a `.channel` operand."""
+    return [
+        node.lineno
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Compare)
+        and any(
+            isinstance(sub, ast.Attribute) and sub.attr == "channel"
+            for operand in (node.left, *node.comparators)
+            for sub in ast.walk(operand)
+        )
+    ]
+
+
+def _channel_name_imports(tree) -> set[str]:
+    return {
+        alias.name
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom)
+        for alias in node.names
+    } & CHANNEL_NAMES
+
+
+@pytest.mark.parametrize("name", MODULES)
+def test_no_branch_on_the_channel_name(name):
+    tree = ast.parse((PACKAGE / f"{name}.py").read_text())
+    assert not _channel_comparisons(tree)
+    if name in ("cli", "sim", "info"):
+        assert not _channel_name_imports(tree)
+
+
+def test_the_structural_check_sees_a_branch():
+    tree = ast.parse(
+        "from .model import LINEAR, ModelSpec\n"
+        "if model.channel != LINEAR:\n    pass\n"
+        "ok = prior.variant == 'all-ones'\n"
+        "gt = 'group-testing' in (spec.channel,)\n"
+    )
+    assert _channel_comparisons(tree) == [2, 5]
+    assert _channel_name_imports(tree) == {"LINEAR"}

@@ -348,6 +348,11 @@ BAD_INPUTS = [
       "--p", "6", "--k", "2", "--n-grid", "4:4:1", "--seed", "1"], 2, 1),
     (["simulate", "--model", "linear", "--prior", "gaussian", "--b", "1,2",
       "--p", "6", "--k", "2", "--n-grid", "4:4:1", "--seed", "1"], 2, 1),
+    # no entries for a linear model, and a --b whose length is not k
+    (["simulate", "--model", "linear", "--p", "6", "--k", "2", "--n-grid", "4:4:1",
+      "--seed", "1"], 2, 1),
+    (["simulate", "--model", "linear", "--b", "1,2,3", "--p", "6", "--k", "2",
+      "--n-grid", "4:4:1", "--seed", "1"], 2, 1),
 ] + [
     # the Gaussian evidence refuses a covariance it cannot tell from singular
     (["simulate", "--model", "linear", "--prior", "gaussian", "--p", "6", "--k", "2",

@@ -139,43 +139,9 @@ class TestMutualInformation:
             info.mutual_information(md.ModelSpec.one_bit(1.0), md.min_info_partition(b, 1), b)
 
 
-class TestAsymptotic1Bit:
-    def test_inversion(self):
-        b = [math.sqrt(math.pi), 9.0]
-        part = md.Partition(s_dif=(1,), s_eq=(2,))
-        assert info.mi_asymptotic_1bit_lowsnr(b, 1.0, part) == pytest.approx(1.0, abs=1e-12)
-
-    def test_ratio_to_quadrature_near_one(self):
-        b = [1e-3, 1e-3, 1e-3]
-        part = md.min_info_partition(b, 1)
-        m = md.ModelSpec.one_bit(1.0)
-        exact = info.mutual_information(m, part, b)
-        approx = info.mi_asymptotic_1bit_lowsnr(b, 1.0, part)
-        assert exact / approx == pytest.approx(1.0, abs=0.01)
-
-    def test_empty_dif_rejected_by_partition(self):
-        with pytest.raises(ValueError):
-            md.Partition(s_dif=(), s_eq=(1, 2, 3))
-
-
-class TestSingleSwap:
-    def test_algebraic_scaling(self):
-        # approx is proportional to b0^2 / sqrt(k b0^2) = b0 / sqrt(k):
-        # doubling b0^2 and quadrupling k scales the value by sqrt(2)/2
-        a = info.mi_1bit_single_swap(100, 0.1, 1.0)
-        b = info.mi_1bit_single_swap(400, 0.1 * math.sqrt(2.0), 1.0)
-        assert b.approx / a.approx == pytest.approx(math.sqrt(2.0) / 2.0, rel=1e-10)
-        c = info.mi_1bit_single_swap(100, 0.2, 1.0)
-        assert c.approx / a.approx == pytest.approx(2.0, rel=1e-10)
-
-    def test_approx_vs_exact_at_scale(self):
-        k = 10**4
-        b0 = math.sqrt(math.log(k) / k)
-        res = info.mi_1bit_single_swap(k, b0, 1.0)
-        assert 0.8 <= res.exact / res.approx <= 1.25
-
+class TestGaussianLogitSlope:
     def test_constant(self):
-        assert info.mi_1bit_single_swap(10, 0.5, 1.0).constant == pytest.approx(1.8064, abs=1e-3)
+        assert info.gaussian_logit_slope_constant() == pytest.approx(1.8064, abs=1e-3)
 
 
 class TestVarianceBound1Bit:
@@ -269,6 +235,14 @@ class TestPriorDivergence:
         bound, _, _ = info.prior_divergence_stats(m, pr, dims)
         assert float(np.mean(vals)) <= bound + 3 * float(np.std(vals) / math.sqrt(vals.size))
 
+    def test_group_testing_refused(self):
+        # validate_pairing refuses group testing with the Gaussian prior
+        dims = md.ProblemDims(p=30, k=10, n=100)
+        m = md.ModelSpec.group_testing(rho=0.11)
+        pr = md.SignalPrior.iid_gaussian(0.1)
+        with pytest.raises(ValueError, match="group testing pairs only with the all-ones prior"):
+            info.prior_divergence_stats(m, pr, dims)
+
 
 class TestMarginalLikelihood:
     def test_fixed_vector_equals_conditional(self):
@@ -314,13 +288,14 @@ class TestMarginalLikelihood:
         )
         assert info.log_marginal_likelihood(m, pr, x, y) == pytest.approx(oracle, abs=1e-10)
 
-    def test_unsupported_combination(self):
+    @pytest.mark.parametrize(
+        "model", [md.ModelSpec.one_bit(1.0), md.ModelSpec.group_testing()], ids=["one-bit", "gt"]
+    )
+    def test_unsupported_combination(self, model):
+        # only the linear channel defines the Gaussian evidence
         with pytest.raises(info.UnsupportedCombinationError):
             info.log_marginal_likelihood(
-                md.ModelSpec.one_bit(1.0),
-                md.SignalPrior.iid_gaussian(1.0),
-                np.zeros((2, 2)),
-                np.ones(2),
+                model, md.SignalPrior.iid_gaussian(1.0), np.zeros((2, 2)), np.ones(2)
             )
 
     def test_permutation_atom_budget(self):

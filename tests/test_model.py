@@ -56,6 +56,10 @@ class TestPartition:
         part = md.Partition(s_dif=(2, 1), s_eq=(3,))
         assert part.s_dif == (1, 2) and part.ell == 2 and part.k == 3
 
+    def test_empty_dif_rejected_by_partition(self):
+        with pytest.raises(ValueError):
+            md.Partition(s_dif=(), s_eq=(1, 2, 3))
+
 
 class TestMinInfoPartition:
     def test_smallest_magnitude(self):

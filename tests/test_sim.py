@@ -764,8 +764,15 @@ class TestPhaseSweep:
         m = md.ModelSpec.linear(1.0)
         pr = md.SignalPrior.fixed([1.0, 1.0])
         dims = md.ProblemDims(p=6, k=2, n=4)
-        with pytest.raises(ValueError):
-            sim.phase_sweep(m, pr, dims, [4], sim.DecoderSpec(kind="comp-gt"), 10, SEED)
+        with pytest.raises(ValueError, match="comp-gt requires the group-testing model"):
+            sim.run_cell(m, pr, dims, sim.DecoderSpec(kind="comp-gt"), 10, SEED)
+
+    def test_ml_refuses_a_pair_the_sampler_refuses(self):
+        # the all-ones prior pairs only with group testing
+        dims = md.ProblemDims(p=6, k=2, n=4)
+        real = md.sample_realization(dims, md.ModelSpec.group_testing(), GT, SEED)
+        with pytest.raises(ValueError, match="the all-ones prior pairs only with group testing"):
+            sim.decode_ml(real, md.ModelSpec.linear(1.0), GT, dims)
 
 
 class TestEmpiricalG:
