@@ -81,6 +81,17 @@ class BoundOptions:
 
     def __post_init__(self):
         _check_eta(self.eta)
+        # outside these ranges (or NaN) the counts divide by zero, turn
+        # negative or come out NaN
+        target = self.remainder_target
+        for name, ok, rng in (
+            ("delta1", 0.0 < self.delta1 <= 1.0, "(0, 1]"),
+            ("delta2", 0.0 <= self.delta2 < 1.0, "[0, 1)"),
+            ("delta0", self.delta0 > 0.0, "(0, inf)"),
+            ("remainder_target", target is None or 0.0 < target <= 1.0, "(0, 1]"),
+        ):
+            if not ok:
+                raise ValueError(f"{name} must lie in {rng}, got {getattr(self, name)}")
 
 
 def _check_eta(eta: float) -> None:

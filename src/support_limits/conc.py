@@ -18,8 +18,9 @@ min(1, V / (n (delta2 I)^2)), is a scalar bound only: no TailBoundSpec uses it.
 
 remainder_n_required finds the smallest n whose sum is at most the target.
 remainder_sum, a plain loop over ell with math.exp, is the exact sum and is
-nonincreasing in n, so that n is unique.  A numpy sum over arrays of the
-per-ell terms proposes n, and the exact sum confirms it at n and n - 1.
+nonincreasing in n, so that n is unique.  Newton steps on the log of the
+uncapped sum, over arrays of the per-ell terms, propose n, and the exact sum
+confirms it at n and n - 1.
 """
 from __future__ import annotations
 
@@ -222,32 +223,71 @@ def remainder_n_required(
     term min(1, scale exp(-q n / den)) is built from operations monotone in
     n, and the weighted terms are added in a fixed order.  So the smallest
     passing n is unique, and any search that brackets it finds the same n.
-    Each ell's (C(k, ell), scale, q, den) is read once per solve into
-    arrays.  Their numpy sum, whose exp differs from math.exp in the last
-    bit for a few percent of arguments, only proposes n: `_first_passing`
-    searches it from n = 0.  The proposal is then confirmed on the exact
-    sum, at a cost of two remainder_sum calls when it is right (one when it
-    is 0 or UNBOUNDED); otherwise the search gallops and bisects from the
-    proposal on exact sums.
+    Each ell's c = C(k, ell) scale and r = q / den are read once per solve
+    into arrays, and `_newton_guess` finds where sum_ell c exp(-r n) falls
+    to the target.  Below a target of 1 the min(1, .) caps do not move that
+    point: where the capped sum is at most the target, every term is at
+    most target / C(k, ell) < 1, so none is capped.  The guess is taken
+    with np.exp, which differs from math.exp in the last bit for a few
+    percent of arguments, so it only proposes n: `_first_passing` confirms
+    it on the exact sum, at a cost of two remainder_sum calls when it is
+    right (one when it is 0 or UNBOUNDED); otherwise it gallops and bisects
+    from the guess on exact sums.
     """
     if not 0.0 < target <= 1.0:
         raise ValueError("target must lie in (0, 1]")
     specs = [psi_family] if isinstance(psi_family, TailBoundSpec) else list(psi_family)
     ells = list(ell_range)
     rows = []
-    for ell in ells:  # each ell's (C(k, ell), scale, q, den), read once
-        spec = next((s for s in specs if s.covers(ell)), None)
-        if spec is not None:
-            rows.append((_binomial_weight(dims.k, ell), *spec.terms(ell)))
-    w, scale, q, den = np.array(rows, dtype=float).reshape(-1, 4).T
-    neg_q = -q
-
-    def proposal(n: int) -> float:
-        return min(1.0, float(np.sum(w * np.minimum(1.0, scale * np.exp(neg_q * n / den)))))
-
+    for ell in ells:  # each ell's (c, r), read once, from the spec remainder_sum uses
+        for spec in specs:
+            if spec.covers(ell):
+                scale, q, den = spec.terms(ell)
+                rows.append((_binomial_weight(dims.k, ell) * scale, q / den))
+                break
+    c, r = np.array(rows, dtype=float).reshape(-1, 2).T
     exact = lambda n: min(1.0, remainder_sum(specs, dims, ells, n))
     cap = max(n_cap, 1)
-    return _first_passing(exact, target, cap, _first_passing(proposal, target, cap, 0))
+    return _first_passing(exact, target, cap, _newton_guess(c, r, target, cap))
+
+
+# a safety cap: convergence is quadratic, and the thresholds benchmark's
+# solves stop after 1 or 2 steps
+_NEWTON_STEPS = 50
+_NEWTON_TOL = 1e-6
+
+
+def _newton_guess(c: np.ndarray, r: np.ndarray, target: float, cap: int) -> int:
+    """ceil of the root of f(n) = log sum_ell c_ell exp(-r_ell n) - log target,
+    clamped to [0, cap]: the uncapped remainder sum's crossing point.
+
+    f is convex and decreasing, and the largest one-term root is at or below
+    its root, so Newton steps from there rise to the root without passing
+    it; they stop once a step is below _NEWTON_TOL of n.  Terms with c = 0
+    drop out; one with c > 0 that never falls (r <= 0) sends the guess to
+    cap.  Sums are taken as exp(e - max e) of the log terms e, so nothing
+    overflows.
+    """
+    live = c > 0.0
+    c, r = c[live], r[live]
+    if target >= 1.0 or c.size == 0:
+        return 0
+    if np.any(r <= 0.0):
+        return cap
+    log_c, log_t = np.log(c), math.log(target)
+    n = max(float(np.max((log_c - log_t) / r)), 0.0)
+    for _ in range(_NEWTON_STEPS):
+        if n >= cap:
+            return cap
+        e = log_c - r * n
+        top = float(e.max())
+        z = np.exp(e - top)
+        s = float(z.sum())
+        step = (top + math.log(s) - log_t) * s / float(z @ r)  # f(n) / -f'(n)
+        n += step
+        if step <= _NEWTON_TOL * max(n, 1.0):
+            break
+    return max(0, min(math.ceil(n), cap))
 
 
 def _first_passing(

@@ -716,6 +716,51 @@ def _remainder_n_minimal():
 # --- bounds -----------------------------------------------------------------
 
 
+@check("achievability-generic-breakdown")
+def _ach_breakdown():
+    # every breakdown row (ell, num, mi, ratio) of the generic achievability
+    # and its binding ell, recomputed: num = log C(p - k, ell) + 2 log(k /
+    # delta1) + 2 log C(k, ell) from 30-digit mpmath binomials; mi by
+    # exhaustive enumeration (GT) or as 1/2 log(1 + sum_dif b^2 / sigma^2)
+    # over the ell smallest |b| (linear); the binding by brute-force argmax,
+    # ties to the smallest ell.  Measured: the largest relative error of num,
+    # mi and ratio; a wrong ell list or binding counts as 1
+    import mpmath
+
+    delta1 = 1e-3
+    opts = bounds.BoundOptions(delta1=delta1)
+    b_lin = [0.5, -1.0, 1.5]
+    cases = [(md.ModelSpec.group_testing(rho=rho), None, 10) for rho in (0.0, 0.11)]
+    cases.append((md.ModelSpec.linear(1.0), b_lin, len(b_lin)))
+    log_binom = lambda n, r: mpmath.log(mpmath.binomial(n, r))
+    worst, count = 0.0, 0
+    with mpmath.workdps(30):
+        for model, b, k in cases:
+            ells = range(1, k + 1)
+            if b is None:
+                mis = [_gt_mi_exhaustive(model.nu, k, ell, model.rho) for ell in ells]
+            else:
+                sq = [x * x for x in sorted(abs(x) for x in b)]
+                mis = [0.5 * math.log1p(sum(sq[:ell]) / model.sigma**2) for ell in ells]
+            for p in (10**4, 10**6):
+                dims = md.ProblemDims(p=p, k=k, n=0)
+                res = bounds.achievability_threshold_generic(model, b, dims, opts)
+                oracle = []
+                for ell, mi in zip(ells, mis):
+                    num = log_binom(p - k, ell) + 2 * mpmath.log(k / mpmath.mpf(delta1))
+                    num += 2 * log_binom(k, ell)
+                    oracle.append((ell, float(num), mi, float(num / mi)))
+                binding = max(oracle, key=lambda row: (row[3], -row[0]))[0]
+                got_ells = [row[0] for row in res.breakdown]
+                if got_ells != list(ells) or res.binding != binding:
+                    worst = max(worst, 1.0)
+                for got, want in zip(res.breakdown, oracle):
+                    for g, w in zip(got[1:], want[1:]):
+                        worst = max(worst, abs(g - w) / abs(w))
+                count += len(oracle)
+    return worst, 1e-9, f"{count} rows, max relative error {worst:.2e}"
+
+
 @check("cor-gt-noiseless-third")
 def _cor6_third():
     thetas = np.arange(0.05, 1.0 / 3.0 + 1e-12, 0.05).tolist()

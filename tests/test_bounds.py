@@ -141,6 +141,10 @@ class TestGenericAchievability:
         )
         assert folded.n_ach == max(res.n_ach, res.remainder_n)
 
+    def test_breakdown_matches_oracle_check(self):
+        (result,) = verify.run_checks("achievability-generic-breakdown")
+        assert result.passed and result.tolerance == 1e-9, result.detail
+
 
 class TestGenericConverse:
     def test_delta1_one_drops_term(self):
@@ -923,6 +927,30 @@ class TestEtaRange:
             m, [1.0, 1.0, 1.0], dims, bounds.BoundOptions(eta=0.5)
         ).n_conv
         assert half == full * 0.5 > 0.0
+
+
+NAN = float("nan")
+
+
+class TestBoundOptionsRange:
+    @pytest.mark.parametrize(
+        "field,value",
+        [("delta1", v) for v in (0.0, -0.1, 1.5, NAN)]
+        + [("delta2", v) for v in (1.0, 1.5, -0.1, NAN)]
+        + [("delta0", v) for v in (0.0, -1.0, NAN)]
+        + [("remainder_target", v) for v in (0.0, -0.5, 1.5, NAN)],
+    )
+    def test_outside_range_refused(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            bounds.BoundOptions(**{field: value})
+
+    @pytest.mark.parametrize(
+        "field,value",
+        [("delta1", 1.0), ("delta1", 1e-9), ("delta2", 0.0), ("delta2", 0.99),
+         ("delta0", 1e-9), ("remainder_target", None), ("remainder_target", 1.0)],
+    )
+    def test_inside_accepted(self, field, value):
+        bounds.BoundOptions(**{field: value})
 
 
 class TestNoWrongSupport:

@@ -1,5 +1,6 @@
 import math
 import random
+import warnings
 
 import numpy as np
 import pytest
@@ -257,6 +258,53 @@ class TestRemainderSolverEqualsOldSearch:
                 res = bounds.achievability_threshold_generic(model, None, dims)
                 assert res.remainder_n > 0
                 assert 1 <= len(sums) <= 3, (k, p)
+
+    @pytest.mark.parametrize(
+        "model", [md.ModelSpec.linear(1.0), md.ModelSpec.one_bit(1.0)], ids=["linear", "one-bit"]
+    )
+    def test_workload_real_solves_make_at_most_three_exact_sums(self, monkeypatch, model):
+        sums = []
+        real = conc.remainder_sum
+        monkeypatch.setattr(conc, "remainder_sum", lambda *args: sums.append(1) or real(*args))
+        for k in (3, 5, 8):
+            b = [(0.5 + (i % 4) * 0.5) * (-1) ** i for i in range(k)]
+            for p in (10**4, 10**6, 10**9):
+                sums.clear()
+                res = bounds.achievability_threshold_generic(model, b, md.ProblemDims(p=p, k=k, n=0))
+                assert res.remainder_n > 0
+                assert 1 <= len(sums) <= 3, (k, p)
+
+    def test_vacuous_target_makes_one_exact_sum(self, monkeypatch):
+        sums = []
+        real = conc.remainder_sum
+        monkeypatch.setattr(conc, "remainder_sum", lambda *args: sums.append(1) or real(*args))
+        dims = md.ProblemDims(p=1000, k=10, n=0)
+        assert conc.remainder_n_required(conc.gt_tail_specs(LN2, 10), dims, range(1, 11), 1.0) == 0
+        assert len(sums) == 1
+
+    def test_constant_term_above_target_is_unbounded(self):
+        # ell = 1 falls, ell = 2 stays at C(2, 2) 0.5 = 0.5 > 0.1 for every n
+        spec = conc.TailBoundSpec(lambda ell: (1.0, 1.0, 1.0) if ell == 1 else (0.5, 0.0, 1.0))
+        dims = md.ProblemDims(p=10, k=2, n=0)
+        for cap in (1, 1000, 2**30):
+            assert conc.remainder_n_required(spec, dims, [1, 2], 0.1, cap) == conc.UNBOUNDED
+        # a target above the constant is met: the guess is cap, and the
+        # search down from cap still finds the first passing n
+        assert conc.remainder_n_required(spec, dims, [1, 2], 0.6) == 3
+        assert _old_remainder_n_required(spec, dims, [1, 2], 0.6) == 3
+
+    def test_large_weights_raise_no_warning(self):
+        # C(100, 50) ~ 1e29: the guess works on log terms, so nothing over- or
+        # underflows, at small and large n alike
+        dims = md.ProblemDims(p=10**6, k=100, n=0)
+        families = [conc.gt_tail_specs(LN2, 100), conc.gt_tail_specs(LN2, 100, rho=0.11),
+                    TestRemainder._discrete(1e-9)]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for family in families:
+                for target in (1.0, 0.5, 1e-2, 1e-12, 1e-300):
+                    n = conc.remainder_n_required(family, dims, range(1, 101), target)
+                    assert n == _old_remainder_n_required(family, dims, range(1, 101), target)
 
     def test_remainder_n_minimal_check(self):
         (result,) = verify.run_checks("remainder-n-minimal")
