@@ -44,7 +44,7 @@ class ConfigError(ValueError):
 
 
 def parse_range(spec: str) -> list[float]:
-    """Inclusive numeric range 'start:stop:step'; step > 0 and stop >= start."""
+    """Inclusive numeric range 'start:stop:step': finite, step > 0 and stop >= start."""
     parts = spec.split(":")
     if len(parts) != 3:
         raise ConfigError(f"range must be start:stop:step, got {spec!r}")
@@ -52,7 +52,9 @@ def parse_range(spec: str) -> list[float]:
         start, stop, step = (float(x) for x in parts)
     except ValueError as exc:
         raise ConfigError(f"non-numeric range {spec!r}") from exc
-    if step <= 0 or stop < start:
+    if not all(math.isfinite(x) for x in (start, stop, step)):
+        raise ConfigError(f"range requires finite start, stop and step: {spec!r}")
+    if not (step > 0 and stop >= start):
         raise ConfigError(f"range requires step > 0 and stop >= start: {spec!r}")
     count = int(math.floor((stop - start) / step + 1e-9)) + 1
     return [start + i * step for i in range(count)]

@@ -28,6 +28,7 @@ from __future__ import annotations
 import bisect
 import functools
 import itertools
+import math
 import threading
 from dataclasses import dataclass
 from typing import Iterator, Sequence
@@ -297,9 +298,14 @@ class SignalPrior:
         if self.variant in (FIXED_VECTOR, PERMUTED_VECTOR):
             if len(self.b) == 0:
                 raise ValueError(f"{self.variant} prior needs a non-empty vector b")
+            # a zero entry is off the support; NaN or inf makes every
+            # likelihood NaN, and the decoders then report errors silently
+            if not all(math.isfinite(v) and v != 0.0 for v in self.b):
+                raise ValueError(f"prior vector b needs finite non-zero entries, got {self.b}")
         elif self.variant == IID_GAUSSIAN:
-            if not self.sigma_beta_sq > 0:
-                raise ValueError("iid-gaussian prior needs sigma_beta_sq > 0")
+            if not 0.0 < self.sigma_beta_sq < math.inf:
+                raise ValueError(f"iid-gaussian prior needs finite sigma_beta_sq > 0, "
+                                 f"got {self.sigma_beta_sq}")
         elif self.variant != ALL_ONES:
             raise ValueError(f"unknown prior variant {self.variant!r}")
 

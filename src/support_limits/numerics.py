@@ -41,13 +41,44 @@ conversion happens only at the CLI reporting layer.
 """
 from __future__ import annotations
 
+import importlib
+import os
+import sys
+import types
 from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
+import scipy
 from numpy.polynomial.hermite import hermgauss
-from scipy.special import gammaln, log_ndtr, ndtr, ndtri
+
+
+def _load_special_ufuncs():
+    """scipy.special's compiled ufuncs, loaded without scipy/special/__init__.py.
+
+    That __init__ imports scipy's array-API layer (scipy._lib._array_api, which
+    imports numpy.f2py and numpy.testing), most of this package's import time,
+    for a layer it never uses: only gammaln, log_ndtr, ndtr and ndtri are
+    needed (README, "Install and test").  A bare placeholder package with the
+    real __path__ stands in for scipy.special while the extension loads and is
+    removed afterwards, so a later `import scipy.special` runs the real
+    __init__, which takes the loaded extension from sys.modules: its ufuncs
+    are the very objects returned here.
+    """
+    if "scipy.special" in sys.modules:
+        return sys.modules["scipy.special"]
+    placeholder = types.ModuleType("scipy.special")
+    placeholder.__path__ = [os.path.join(scipy.__path__[0], "special")]
+    sys.modules["scipy.special"] = placeholder
+    try:
+        return importlib.import_module("scipy.special._ufuncs")
+    finally:
+        del sys.modules["scipy.special"]
+
+
+_ufuncs = _load_special_ufuncs()
+gammaln, log_ndtr, ndtr, ndtri = _ufuncs.gammaln, _ufuncs.log_ndtr, _ufuncs.ndtr, _ufuncs.ndtri
 
 LOG2 = float(np.log(2.0))
 _SQRT_2PI = float(np.sqrt(2.0 * np.pi))

@@ -96,6 +96,12 @@ class DecoderSpec:
     kind: str
     delta1: float = 0.1
 
+    def __post_init__(self):
+        # as in bounds.BoundOptions: 0 divides by zero in the thresholds,
+        # and NaN fails every test, so each trial counts as an error
+        if not 0.0 < self.delta1 <= 1.0:
+            raise ValueError(f"delta1 must lie in (0, 1], got {self.delta1}")
+
 
 @dataclass(frozen=True)
 class DecodeOutcome:

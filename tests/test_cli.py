@@ -378,6 +378,29 @@ BAD_INPUTS = [
 ] + [
     (["simulate", "--model", "one-bit", "--decoder", "threshold", "--b", "1,2", "--p", "6",
       "--k", "2", "--n-grid", "4:4:1", "--trials", "3", "--seed", "1", "--sigma", "1e200"], 2, 1),
+] + [
+    # a non-finite range: inf used to overflow the point count, NaN to fail
+    # its int conversion with a message that named no flag
+    (["threshold", "--figure", "gt-noiseless", f"--theta={theta}"], 2, 1)
+    for theta in ("0.1:inf:0.1", "nan:nan:0.1", "0.1:0.5:nan", "-inf:0.5:0.1")
+] + [
+    (["simulate", "--p", "8", "--k", "2", "--n-grid", "1:nan:1", "--trials", "4", "--seed", "1"],
+     2, 1),
+] + [
+    # delta1 outside (0, 1]: 0 divided by zero in the thresholds, NaN failed
+    # every trial silently
+    (["simulate", "--p", "8", "--k", "2", "--n-grid", "6:6:1", "--trials", "4", "--seed", "1",
+      "--decoder", "threshold", "--delta1", delta1], 2, 1)
+    for delta1 in ("0", "nan", "5", "-0.1", "inf")
+] + [
+    # prior entries must be finite and non-zero: NaN failed every trial silently
+    (["simulate", "--model", "linear", f"--b={b}", "--p", "6", "--k", "2", "--n-grid", "4:4:1",
+      "--trials", "3", "--seed", "1", "--decoder", "ml"], 2, 1)
+    for b in ("nan,1", "0,1", "1,inf", "-inf,1")
+] + [
+    (["simulate", "--model", "linear", "--prior", "gaussian", "--p", "6", "--k", "2",
+      "--n-grid", "4:4:1", "--trials", "3", "--seed", "1", "--sigma-beta-sq", value], 2, 1)
+    for value in ("inf", "nan")
 ]
 
 

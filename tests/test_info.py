@@ -299,7 +299,7 @@ class TestMarginalLikelihood:
             )
 
     def test_permutation_atom_budget(self):
-        pr = md.SignalPrior.permuted(list(range(12)))
+        pr = md.SignalPrior.permuted(list(range(1, 13)))  # 12 distinct entries: 12! atoms
         with pytest.raises(ValueError):
             info.prior_atoms(pr, 12, max_atoms=10**6)
 

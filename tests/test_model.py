@@ -45,6 +45,21 @@ class TestModelSpec:
             md.validate_pairing(md.ModelSpec.group_testing(nu=3.0), md.SignalPrior.all_ones(), 2)
 
 
+class TestSignalPrior:
+    @pytest.mark.parametrize("make", [md.SignalPrior.fixed, md.SignalPrior.permuted])
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, 0.0, -0.0])
+    def test_entries_finite_and_non_zero(self, make, bad):
+        with pytest.raises(ValueError, match="finite non-zero"):
+            make([bad, 1.0])
+        make([1e-300, -1e300])
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, 0.0, -1.0])
+    def test_gaussian_variance_finite_and_positive(self, bad):
+        with pytest.raises(ValueError, match="sigma_beta_sq"):
+            md.SignalPrior.iid_gaussian(bad)
+        md.SignalPrior.iid_gaussian(1e300)
+
+
 class TestPartition:
     def test_invariants(self):
         with pytest.raises(ValueError):

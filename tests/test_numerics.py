@@ -1,6 +1,11 @@
+import ast
 import math
+import os
 import re
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -443,3 +448,81 @@ class TestLogSumExp:
             seen.add("a=1" if a.shape[-1] == 1 else "")
             seen.add("0-d" if np.ndim(want) == 0 else "")
         assert seen >= {"nan", "-inf", "a=1", "0-d"}
+
+
+# ---------------------------------------------------------------------------
+# numerics loads scipy.special's compiled ufuncs without scipy/special's
+# __init__ and its array-API layer, most of the package's import time; the
+# ufuncs are the very objects a later `import scipy.special` exposes.
+# ---------------------------------------------------------------------------
+
+PACKAGE = Path(nm.__file__).parent
+UFUNCS = ("gammaln", "log_ndtr", "ndtr", "ndtri")
+
+
+def _fresh_python(code: str) -> None:
+    """Run `code` in a new interpreter that imports this package's source."""
+    path = os.pathsep.join(filter(None, [str(PACKAGE.parent), os.environ.get("PYTHONPATH")]))
+    out = subprocess.run(
+        [sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": path},
+        capture_output=True, text=True, timeout=120,
+    )
+    assert out.returncode == 0, out.stderr
+
+
+def test_cold_import_skips_the_array_api_layer():
+    _fresh_python(
+        "import sys\n"
+        "import support_limits.cli\n"
+        "heavy = {'scipy._lib._array_api', 'numpy.f2py', 'scipy.special'} & set(sys.modules)\n"
+        "assert not heavy, heavy\n"
+    )
+
+
+@pytest.mark.parametrize("first,second", [("support_limits", "scipy.special"),
+                                          ("scipy.special", "support_limits")])
+def test_ufuncs_are_scipy_specials_own(first, second):
+    _fresh_python(
+        f"import math, {first}, {second}\n"
+        "from support_limits import numerics as nm\n"
+        "import scipy.special as sc\n"
+        f"for name in {UFUNCS!r}:\n"
+        "    assert getattr(nm, name) is getattr(sc, name), name\n"
+        "assert abs(sc.erfc(1.0) - math.erfc(1.0)) < 1e-15\n"
+    )
+
+
+def _scipy_imports(tree) -> list[int]:
+    """Lines of the absolute imports of scipy or of a scipy submodule."""
+    lines = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            names = [node.module]
+        else:
+            continue
+        if any(n == "scipy" or n.startswith("scipy.") for n in names):
+            lines.append(node.lineno)
+    return lines
+
+
+@pytest.mark.parametrize(
+    "name",
+    # numerics holds the loader; verify's oracles stay independent of it, and
+    # cli imports verify only inside the verify command
+    sorted(path.stem for path in PACKAGE.glob("*.py") if path.stem not in ("numerics", "verify")),
+)
+def test_only_the_loader_and_the_oracles_import_scipy(name):
+    assert not _scipy_imports(ast.parse((PACKAGE / f"{name}.py").read_text()))
+
+
+def test_the_structural_check_sees_a_scipy_import():
+    tree = ast.parse(
+        "import numpy, scipy.special as sc\n"
+        "from scipy import stats\n"
+        "from .scipy_like import x\n"
+        "import scipyish\n"
+        "def f():\n    from scipy.special import erfc\n"
+    )
+    assert _scipy_imports(tree) == [1, 2, 6]
