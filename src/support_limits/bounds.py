@@ -47,9 +47,7 @@ from .model import (
 )
 from .numerics import (
     LOG2,
-    DEFAULT_QUAD,
     NonConvergenceError,
-    QuadratureSpec,
     binary_entropy,
     g_alpha,
     log_binomial,
@@ -180,10 +178,10 @@ def _entries(b, dims: ProblemDims) -> np.ndarray:
     return np.ones(dims.k) if b is None else np.asarray(b, dtype=float)
 
 
-def _per_ell_mi(model: ModelSpec, b, dims: ProblemDims, quad: QuadratureSpec):
+def _per_ell_mi(model: ModelSpec, b, dims: ProblemDims):
     """Worst-case (minimum) mutual information per ell = 1..k."""
     b = _entries(b, dims)
-    return {part.ell: mutual_information(model, part, b, quad) for part in min_info_partitions(b)}
+    return {part.ell: mutual_information(model, part, b) for part in min_info_partitions(b)}
 
 
 def _stirling_log_binom(N: float, r: float) -> float:
@@ -197,7 +195,6 @@ def achievability_threshold_generic(
     dims: ProblemDims,
     opts: BoundOptions = BoundOptions(),
     prior: SignalPrior | None = None,
-    quad: QuadratureSpec = DEFAULT_QUAD,
 ) -> ThresholdResult:
     """Sufficient measurement count: max-ratio over ell in
     {d_max+1..min(k, p-k)} with the worst-case (min-info) partition per ell.
@@ -212,7 +209,7 @@ def achievability_threshold_generic(
     ells = range(dims.d_max + 1, min(k, p - k) + 1)
     if not ells:
         return ThresholdResult(n_ach=0.0)
-    mi_map = _per_ell_mi(model, b, dims, quad)
+    mi_map = _per_ell_mi(model, b, dims)
     if opts.asymptotic:
         nums = [_stirling_log_binom(p - k, ell) + gamma for ell in ells]
     else:
@@ -263,7 +260,6 @@ def converse_threshold_generic(
     b,
     dims: ProblemDims,
     opts: BoundOptions = BoundOptions(),
-    quad: QuadratureSpec = DEFAULT_QUAD,
 ) -> ThresholdResult:
     """Necessary measurement count (strong-converse sense): max-ratio over
     ell in {d_max+1..k} with converse numerators.
@@ -275,7 +271,7 @@ def converse_threshold_generic(
     k, p = dims.k, dims.p
     if p == k:
         return ThresholdResult(n_conv=0.0)
-    mi_map = _per_ell_mi(model, b, dims, quad)
+    mi_map = _per_ell_mi(model, b, dims)
     ells = range(dims.d_max + 1, k + 1)
     if opts.asymptotic:
         mains = [_stirling_log_binom(p - k + ell, ell) for ell in ells]
@@ -309,7 +305,6 @@ def fano_lower_bound(
     b,
     dims: ProblemDims,
     delta2: float,
-    quad: QuadratureSpec = DEFAULT_QUAD,
 ) -> tuple[float, FanoRegion]:
     """Fano-style baseline: delta2 1{n <= boundary} - 1/log(p - k + 1) with
     boundary = min over partitions of log C(p-k+l, l) (1 - delta2) / I.
@@ -323,7 +318,7 @@ def fano_lower_bound(
     b = _entries(b, dims)
     boundary = INFINITE
     for ell in range(1, k + 1):
-        mi = mutual_information(model, max_info_partition(b, ell), b, quad)
+        mi = mutual_information(model, max_info_partition(b, ell), b)
         if mi <= 0.0:
             continue
         boundary = min(boundary, log_binomial(p - k + ell, ell) * (1.0 - delta2) / mi)
@@ -555,7 +550,6 @@ def cor_1bit_highsnr_converse(
     p: int,
     k: int,
     eta: float = 0.0,
-    quad: QuadratureSpec = DEFAULT_QUAD,
 ) -> float:
     """High-SNR 1-bit necessary count (k proportional to p, equal entries):
 
@@ -565,13 +559,11 @@ def cor_1bit_highsnr_converse(
     _check_eta(eta)
     snr = b0**2 / sigma**2
     denom = 0.5 * snr / math.sqrt(2.0 * math.pi * k * snr)
-    denom *= gaussian_logit_slope_constant(quad)
+    denom *= gaussian_logit_slope_constant()
     return math.log(p) / denom * (1.0 - eta)
 
 
-def psi_function_1bit(
-    alpha, c_beta, sigma: float = 1.0, quad: QuadratureSpec = DEFAULT_QUAD
-):
+def psi_function_1bit(alpha, c_beta, sigma: float = 1.0):
     """Psi(alpha, c_beta, sigma) =
         E[H2(Q(W sqrt(c_beta (1-g)/(sigma^2 + c_beta g))))]
         - E[H2(Q(W sqrt(c_beta)/sigma))],  g = g_alpha(alpha).
@@ -581,7 +573,7 @@ def psi_function_1bit(
     arrays of either are broadcast against each other and return an array,
     each element equal to the scalar call.  The first expectation is one
     mean_entropy_q_scaled call on all the points; the alpha-free second one
-    is cached per (c_beta, sigma, quad) and entropy perturbation, so the
+    is cached per (c_beta, sigma) and entropy perturbation, so the
     grid and every golden-section step of a partial-recovery pass compute
     it once per c_beta.
     """
@@ -589,12 +581,12 @@ def psi_function_1bit(
     a1 = np.sqrt(c_beta * (1.0 - g) / (sigma**2 + c_beta * g))
     eps = numerics._ENTROPY_PERTURBATION
     if np.ndim(c_beta) == 0:
-        full = _psi_full_term(c_beta, sigma, quad, eps)
+        full = _psi_full_term(c_beta, sigma, eps)
     else:
         cbs, inverse = np.unique(c_beta, return_inverse=True)
-        terms = np.array([_psi_full_term(cb, sigma, quad, eps) for cb in cbs.tolist()])
+        terms = np.array([_psi_full_term(cb, sigma, eps) for cb in cbs.tolist()])
         full = terms[inverse.ravel()].reshape(np.shape(c_beta))
-    diff = mean_entropy_q_scaled(a1, quad) - full
+    diff = mean_entropy_q_scaled(a1) - full
     scalar = np.ndim(diff) == 0
     if not (math.isfinite(diff) if scalar else np.isfinite(diff).all()):
         raise NonConvergenceError(f"Psi quadrature is not finite at c_beta={c_beta}, sigma={sigma}")
@@ -606,11 +598,11 @@ def psi_function_1bit(
 # Holds every c_beta of a figure call up to this many SNR points; beyond it
 # the lockstep steps recompute the term, with the same value.
 @functools.lru_cache(maxsize=1024)
-def _psi_full_term(c_beta: float, sigma: float, quad: QuadratureSpec, eps: float) -> float:
+def _psi_full_term(c_beta: float, sigma: float, eps: float) -> float:
     """E[H2(Q(W sqrt(c_beta)/sigma))], the alpha-free term of Psi.  `eps`
     is the entropy perturbation in force: it scales the value, so it is
     part of the cache key."""
-    return mean_entropy_q_scaled(math.sqrt(c_beta) / sigma, quad)
+    return mean_entropy_q_scaled(math.sqrt(c_beta) / sigma)
 
 
 def cor_1bit_partial(
@@ -619,7 +611,6 @@ def cor_1bit_partial(
     alpha_star: float = 0.1,
     eta: float = 0.0,
     grid_points: int = 10**4,
-    quad: QuadratureSpec = DEFAULT_QUAD,
 ) -> PartialCurves | list[PartialCurves]:
     """Partial-recovery coefficients for the 1-bit channel: as the linear
     case with denominator Psi(alpha, c_beta, sigma), float or sequence
@@ -628,7 +619,7 @@ def cor_1bit_partial(
     Each alpha grid is one array psi_function_1bit call, and each lockstep
     golden-section step one call over the live lanes (2 per c_beta)."""
     _check_eta(eta)
-    denom = lambda a, cb: psi_function_1bit(a, cb, sigma, quad)
+    denom = lambda a, cb: psi_function_1bit(a, cb, sigma)
     return _maximize_partial(denom, c_beta, alpha_star, grid_points, eta)
 
 
@@ -790,7 +781,6 @@ def cor_general_discrete_converse(
     alphabet_size: int,
     delta1: float = 0.01,
     eps: float = 0.01,
-    quad: QuadratureSpec = DEFAULT_QUAD,
     max_iter: int = 500,
     tol: float = 1e-9,
 ) -> float:
@@ -803,7 +793,7 @@ def cor_general_discrete_converse(
     """
     if dims.p == dims.k:
         return 0.0
-    mi_map = _per_ell_mi(model, b, dims, quad)
+    mi_map = _per_ell_mi(model, b, dims)
     nums = {
         ell: log_binomial(dims.p - dims.k + ell, ell) - math.log(delta1)
         for ell in range(1, dims.k + 1)

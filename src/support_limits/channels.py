@@ -82,9 +82,8 @@ class Channel:
         log_marginal_rows(spec, partition, x_s, b, y)
                                         log P(y | x_eq, b) per row, x_dif
                                         marginalized over the design
-        mi(spec, partition, b, quad)    I_{dif,eq}(b) in nats
-        variance(spec, partition, b, quad)
-                                        variance of the information density
+        mi(spec, partition, b)          I_{dif,eq}(b) in nats
+        variance(spec, partition, b)    variance of the information density
         tail_specs(spec, b, dims, mi_map)
                                         conc.TailBoundSpec list for the
                                         achievability remainder; mi_map:
@@ -104,13 +103,12 @@ class Channel:
     iid-Gaussian prior, is defined by the linear channel alone; the base
     class refuses it with UnsupportedCombinationError.
 
-    From these the base class derives loglik (the row sum), the pair
-    loglik_rows_and_sum and the density rows.  density_rows takes
-    likelihood rows already computed, and density_from_rows turns them and
-    the marginal rows into density rows, so that the threshold decoder
-    evaluates each atom's likelihood once per candidate block.  Linear and
-    group testing compute their sums in their own way, and their pair from
-    the same residuals or matches for rows and sum.
+    From these the base class derives the pair loglik_rows_and_sum, loglik
+    (its row sum) and the density rows.  density_rows takes likelihood rows
+    already computed, and density_from_rows turns them and the marginal rows
+    into density rows, so that the threshold decoder evaluates each atom's
+    likelihood once per candidate block.  Linear and group testing compute
+    their pair from the same residuals or matches for rows and sum.
     """
 
     only_prior: str | None = None
@@ -123,7 +121,7 @@ class Channel:
     def loglik(self, spec, x_s, b, y):
         """log P(y | x_s, b) summed over the rows: a float for one (n x k)
         x_s, an array of C sums for a (C x n x k) stack."""
-        return _row_sum(np.sum(self.loglik_rows(spec, x_s, b, y), axis=-1))
+        return self.loglik_rows_and_sum(spec, x_s, b, y)[1]
 
     def loglik_rows_and_sum(self, spec, x_s, b, y):
         """(loglik_rows, loglik) from one evaluation of the likelihood."""
@@ -199,9 +197,6 @@ class Linear(_GaussianDesign):
     def loglik_rows(self, spec, x_s, b, y):
         return self._log_density_rows(y - x_s @ b, spec.sigma**2)
 
-    def loglik(self, spec, x_s, b, y):
-        return self._log_density_sum(spec, y - x_s @ b)
-
     def loglik_rows_and_sum(self, spec, x_s, b, y):
         z = y - x_s @ b
         return self._log_density_rows(z, spec.sigma**2), self._log_density_sum(spec, z)
@@ -250,11 +245,11 @@ class Linear(_GaussianDesign):
         quad = (np.sum(resid**2, axis=-1) + r * np.sum(w[..., 0] ** 2, axis=-1)) / sigma_sq
         return _row_sum(-0.5 * (quad + logdet + y.size * (math.log(sigma_sq) + _LOG_2PI)))
 
-    def mi(self, spec, partition, b, quad):
+    def mi(self, spec, partition, b):
         sig_l_sq = _energy(np.asarray(b, dtype=float), partition.dif_index())
         return 0.5 * math.log1p(sig_l_sq / spec.sigma**2)
 
-    def variance(self, spec, partition, b, quad):
+    def variance(self, spec, partition, b):
         sig_l_sq = _energy(np.asarray(b, dtype=float), partition.dif_index())
         return sig_l_sq / (spec.sigma**2 + sig_l_sq)
 
@@ -285,7 +280,7 @@ class OneBit(_GaussianDesign):
         sig_l_sq = _energy(b, partition.dif_index())
         return log_q_function(-y * (x_s[..., eq] @ b[eq]) / np.sqrt(spec.sigma**2 + sig_l_sq))
 
-    def mi(self, spec, partition, b, quad):
+    def mi(self, spec, partition, b):
         b = np.asarray(b, dtype=float)
         sig_l_sq = _energy(b, partition.dif_index())
         if sig_l_sq == 0.0:
@@ -293,12 +288,12 @@ class OneBit(_GaussianDesign):
         sig_eq_sq = _energy(b, partition.eq_index())
         a_eq = math.sqrt(sig_eq_sq / (spec.sigma**2 + sig_l_sq))
         a_s = math.sqrt((sig_l_sq + sig_eq_sq)) / spec.sigma
-        mi = mean_entropy_q_scaled(a_eq, quad) - mean_entropy_q_scaled(a_s, quad)
+        mi = mean_entropy_q_scaled(a_eq) - mean_entropy_q_scaled(a_s)
         if not math.isfinite(mi):
             raise NonConvergenceError(f"1-bit quadrature gave mi={mi}")
         return max(0.0, mi)
 
-    def variance(self, spec, partition, b, quad):
+    def variance(self, spec, partition, b):
         """Var of the density by tensor quadrature over (W_dif, W_eq)."""
         b = np.asarray(b, dtype=float)
         sig_l_sq = _energy(b, partition.dif_index())
@@ -306,7 +301,7 @@ class OneBit(_GaussianDesign):
             return 0.0
         s_dif = math.sqrt(sig_l_sq)
         s_eq = math.sqrt(_energy(b, partition.eq_index()))
-        z, w = gauss_hermite_nodes(quad.node_count if quad.scheme == "gauss-hermite" else 96)
+        z, w = gauss_hermite_nodes()
         wd = s_dif * z[:, None]
         we = s_eq * z[None, :]
         denom_scale = math.sqrt(spec.sigma**2 + s_dif**2)
@@ -442,10 +437,6 @@ class GroupTesting(Channel):
         log_match, log_miss = _flip_logs(spec.rho)
         return np.where((y > 0.5) == x_s.astype(bool).any(axis=-1), log_match, log_miss)
 
-    def loglik(self, spec, x_s, b, y):
-        n_miss = np.sum((y > 0.5) != x_s.astype(bool).any(axis=-1), axis=-1)
-        return _row_sum(self.score(spec, y.shape[-1], n_miss))
-
     def loglik_rows_and_sum(self, spec, x_s, b, y):
         """Both from one comparison of y with the noiseless outputs of x_s:
         log(1 - rho) or log rho per row, and the `score` of the misses."""
@@ -469,10 +460,10 @@ class GroupTesting(Channel):
         # zero-probability observation: explicit -inf sentinel, never NaN
         return np.where(np.isneginf(lik_rows), NEG_INF, out)
 
-    def mi(self, spec, partition, b, quad):
+    def mi(self, spec, partition, b):
         return gt_mi_closed_form(spec.nu, partition.k, partition.ell, spec.rho)
 
-    def variance(self, spec, partition, b, quad):
+    def variance(self, spec, partition, b):
         t = self.table(spec, partition)
         mean = 0.0
         second = 0.0

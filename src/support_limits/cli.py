@@ -38,13 +38,18 @@ EXIT_GUARD = 4
 
 THRESHOLD_HEADER = ["figure", "x", "curve", "y"]
 
+# Most points a range may hold; a larger count is refused before any list
+# is built.
+MAX_RANGE_POINTS = 10**6
+
 
 class ConfigError(ValueError):
     pass
 
 
 def parse_range(spec: str) -> list[float]:
-    """Inclusive numeric range 'start:stop:step': finite, step > 0 and stop >= start."""
+    """Inclusive numeric range 'start:stop:step': finite, step > 0, stop >= start
+    and at most MAX_RANGE_POINTS points."""
     parts = spec.split(":")
     if len(parts) != 3:
         raise ConfigError(f"range must be start:stop:step, got {spec!r}")
@@ -56,7 +61,12 @@ def parse_range(spec: str) -> list[float]:
         raise ConfigError(f"range requires finite start, stop and step: {spec!r}")
     if not (step > 0 and stop >= start):
         raise ConfigError(f"range requires step > 0 and stop >= start: {spec!r}")
-    count = int(math.floor((stop - start) / step + 1e-9)) + 1
+    steps = (stop - start) / step + 1e-9
+    if not math.isfinite(steps):
+        raise ConfigError(f"range {spec!r} has a point count beyond the float range")
+    count = math.floor(steps) + 1
+    if count > MAX_RANGE_POINTS:
+        raise ConfigError(f"range {spec!r} has {count} points, more than {MAX_RANGE_POINTS}")
     return [start + i * step for i in range(count)]
 
 
@@ -202,7 +212,10 @@ def cmd_simulate(args) -> int:
     model = _build_model(args)
     prior = _build_prior(args, model)
     dims = ProblemDims(p=args.p, k=args.k, n=0, d_max=args.d_max)
-    n_grid = [int(x) for x in parse_range(args.n_grid)]
+    points = parse_range(args.n_grid)
+    if not all(x.is_integer() for x in points):
+        raise ConfigError(f"--n-grid must hold whole measurement counts, got {args.n_grid!r}")
+    n_grid = [int(x) for x in points]
     decoder_kind = {"ml": "exhaustive-ml", "threshold": "threshold", "comp": "comp-gt"}[
         args.decoder
     ]

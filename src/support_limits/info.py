@@ -43,13 +43,7 @@ from .model import (
     rng_stream,
     validate_pairing,
 )
-from .numerics import (
-    DEFAULT_QUAD,
-    QuadratureSpec,
-    gaussian_expectation,
-    log_q_function,
-    log_sum_exp,
-)
+from .numerics import gaussian_expectation, log_q_function, log_sum_exp
 
 
 class SupportMismatchError(ValueError):
@@ -89,39 +83,28 @@ def density_rows(model: ModelSpec, partition: Partition, b, x_s, y, lik_rows=Non
 # ---------------------------------------------------------------------------
 
 
-def mutual_information(
-    model: ModelSpec,
-    partition: Partition,
-    b=None,
-    quad: QuadratureSpec = DEFAULT_QUAD,
-) -> float:
+def mutual_information(model: ModelSpec, partition: Partition, b=None) -> float:
     """I_{dif,eq}(b) in nats.
 
     Linear and group testing are closed form; the 1-bit channel evaluates two
     scaled-entropy Gaussian expectations.  b is ignored for group testing.
     """
-    return CHANNELS[model.channel].mi(model, partition, b, quad)
+    return CHANNELS[model.channel].mi(model, partition, b)
 
 
-def density_variance(
-    model: ModelSpec,
-    partition: Partition,
-    b=None,
-    quad: QuadratureSpec = DEFAULT_QUAD,
-) -> float:
+def density_variance(model: ModelSpec, partition: Partition, b=None) -> float:
     """Variance of the information density i(x_dif; y | x_eq, b).
 
     Linear and group testing are closed form; the 1-bit channel evaluates a
     2-D tensor quadrature over (W_dif, W_eq).  b is ignored for group testing.
     """
-    return CHANNELS[model.channel].variance(model, partition, b, quad)
+    return CHANNELS[model.channel].variance(model, partition, b)
 
 
-def gaussian_logit_slope_constant(quad: QuadratureSpec = DEFAULT_QUAD) -> float:
+def gaussian_logit_slope_constant() -> float:
     """E[W log((1 - Q(W)) / Q(W))] for W ~ N(0,1), about 1.8064."""
     return gaussian_expectation(
-        lambda w: w * (log_q_function(-np.asarray(w)) - log_q_function(np.asarray(w))),
-        quad,
+        lambda w: w * (log_q_function(-np.asarray(w)) - log_q_function(np.asarray(w)))
     )
 
 

@@ -1,5 +1,5 @@
 """
-Special functions and quadrature primitives.
+Special functions and the one Gaussian quadrature rule.
 
 Everything downstream (mutual informations, tail bounds, threshold formulas)
 is built from a small set of functions:
@@ -10,9 +10,10 @@ is built from a small set of functions:
     F_chi2(u)      CDF of W^2 for W ~ N(0,1); equals 1 - 2 Q(sqrt(u))
     g(alpha)       int_0^inf [alpha - F_chi2(u)]^+ du
 
-and two expectation drivers over W ~ N(0,1):
+and two expectation drivers over W ~ N(0,1), both on the one
+HERMITE_NODES-node Gauss-Hermite rule:
 
-    gaussian_expectation(f)          E[f(W)] by Gauss-Hermite or adaptive Simpson
+    gaussian_expectation(f)          E[f(W)]
     mean_entropy_q_scaled(a)         E[H2(Q(a W))], robust for all a >= 0
 
 The last one needs care: the integrand H2(Q(a w)) is a spike of width ~1/a
@@ -22,8 +23,8 @@ few units.  For large a we substitute r = a w, giving
     E[H2(Q(aW))] = (1/a) E_R[ exp(r^2/2 (1 - 1/a^2)) H2(Q(R)) ],  R ~ N(0,1),
 
 whose integrand grows only polynomially and is evaluated in the log domain.
-Its a-independent factor log H2(Q(|r|)) is computed once per node count and
-cached beside the Hermite nodes.
+Its a-independent factor log H2(Q(|r|)) is computed once and cached beside
+the Hermite nodes.
 
 H2, g(alpha) and mean_entropy_q_scaled take a scalar (and return a Python
 float) or an array of arguments (and return an array of the same shape);
@@ -41,12 +42,12 @@ conversion happens only at the CLI reporting layer.
 """
 from __future__ import annotations
 
+import functools
 import importlib
 import os
 import sys
 import types
 from contextlib import contextmanager
-from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -88,19 +89,21 @@ _SQRT_2PI = float(np.sqrt(2.0 * np.pi))
 # normal operation.  Additive offsets would cancel in entropy differences.
 _ENTROPY_PERTURBATION = 0.0
 
-
-# hermgauss weights overflow to NaN from about 380 nodes (numpy 2.4); a NaN
-# weight would silently turn every expectation into NaN, so cap well below.
-MAX_HERMITE_NODES = 300
+# The Gauss-Hermite rule behind every Gaussian expectation.
+HERMITE_NODES = 96
 
 
 class NonConvergenceError(RuntimeError):
-    """Adaptive quadrature failed to reach the requested tolerance."""
+    """A numerical routine gave a non-finite value or did not converge."""
 
 
 def set_entropy_perturbation(eps: float) -> None:
-    """Inject a relative fault into the entropy routines (verify canary)."""
+    """Inject a relative fault into the entropy routines (verify canary).
+    Raises ValueError on NaN or an infinity, which would not perturb the
+    entropies but void them."""
     global _ENTROPY_PERTURBATION
+    if not np.isfinite(eps):
+        raise ValueError(f"entropy perturbation must be finite, got {eps!r}")
     _ENTROPY_PERTURBATION = float(eps)
 
 
@@ -116,35 +119,6 @@ def entropy_perturbation(eps: float):
         set_entropy_perturbation(previous)
 
 
-@dataclass(frozen=True)
-class QuadratureSpec:
-    """Configuration for expectations over W ~ N(0,1).
-
-    node_count applies to the gauss-hermite scheme (16..MAX_HERMITE_NODES);
-    abs_tol to the adaptive-simpson scheme (> 0, tails truncated at |w| = 10).
-    """
-
-    node_count: int = 96
-    scheme: str = "gauss-hermite"
-    abs_tol: float = 1e-10
-
-    def __post_init__(self):
-        if self.scheme not in ("gauss-hermite", "adaptive-simpson"):
-            raise ValueError(f"unknown quadrature scheme {self.scheme!r}")
-        if self.scheme == "gauss-hermite" and not 16 <= self.node_count <= MAX_HERMITE_NODES:
-            raise ValueError(
-                f"gauss-hermite requires 16 <= node_count <= {MAX_HERMITE_NODES}, "
-                f"got {self.node_count}"
-            )
-        if self.scheme == "adaptive-simpson" and not self.abs_tol > 0:
-            raise ValueError("adaptive-simpson requires abs_tol > 0")
-
-
-DEFAULT_QUAD = QuadratureSpec()
-
-_HERMITE_CACHE: dict[int, tuple[np.ndarray, np.ndarray]] = {}
-_SUBSTITUTION_CACHE: dict[int, tuple[np.ndarray, np.ndarray]] = {}
-
 # Rows per block of an array mean_entropy_q_scaled call; bounds each
 # (rows x nodes) temporary to ~100 kB at 96 nodes.  Summing a 2001-point alpha
 # grid unblocked raised the partial-recovery figure's peak RSS by ~7 MB;
@@ -152,12 +126,11 @@ _SUBSTITUTION_CACHE: dict[int, tuple[np.ndarray, np.ndarray]] = {}
 _GRID_BLOCK = 128
 
 
-def gauss_hermite_nodes(n: int) -> tuple[np.ndarray, np.ndarray]:
+@functools.cache
+def gauss_hermite_nodes() -> tuple[np.ndarray, np.ndarray]:
     """Nodes z and weights w with E[f(W)] ~ sum(w * f(z)), sum(w) = 1."""
-    if n not in _HERMITE_CACHE:
-        x, w = hermgauss(n)
-        _HERMITE_CACHE[n] = (np.sqrt(2.0) * x, w / np.sqrt(np.pi))
-    return _HERMITE_CACHE[n]
+    x, w = hermgauss(HERMITE_NODES)
+    return np.sqrt(2.0) * x, w / np.sqrt(np.pi)
 
 
 def binary_entropy(rho):
@@ -207,7 +180,7 @@ def chi2_cdf_1dof(u):
     return float(out) if np.ndim(u) == 0 else out
 
 
-def g_alpha(alpha, quad: QuadratureSpec | None = None):
+def g_alpha(alpha):
     """Truncated chi-square mean g(alpha) = int_0^inf [alpha - F_chi2(u)]^+ du.
 
     The integrand vanishes past u_a with F_chi2(u_a) = alpha, where
@@ -216,9 +189,7 @@ def g_alpha(alpha, quad: QuadratureSpec | None = None):
 
         g(alpha) = alpha - 2 t phi(t),   t = Phi^{-1}((1+alpha)/2),
 
-    i.e. the mean of W^2 restricted to W^2 <= u_a.  An adaptive-simpson quad
-    argument switches to direct numerical integration of [alpha - F]^+ over
-    [0, u_a]; the two routes agree to the requested tolerance.
+    i.e. the mean of W^2 restricted to W^2 <= u_a.
 
     Accepts a scalar (returns a float) or an array (returns an array of the
     same shape); raises if any argument lies outside [0, 1].  Where
@@ -229,7 +200,7 @@ def g_alpha(alpha, quad: QuadratureSpec | None = None):
             raise ValueError(f"g_alpha argument outside [0, 1]: {float(alpha)!r}")
         if alpha == 0.0:
             return float(alpha)
-        return 1.0 if (1.0 + alpha) / 2.0 == 1.0 else float(_g_interior(alpha, quad))
+        return 1.0 if (1.0 + alpha) / 2.0 == 1.0 else float(_g_interior(alpha))
     al = np.asarray(alpha, dtype=float)
     inside = (al >= 0.0) & (al <= 1.0)
     if not inside.all():
@@ -238,55 +209,20 @@ def g_alpha(alpha, quad: QuadratureSpec | None = None):
     top = (1.0 + al) / 2.0 == 1.0
     g[top] = 1.0
     interior = (al > 0.0) & ~top
-    g[interior] = _g_interior(al[interior], quad)
+    g[interior] = _g_interior(al[interior])
     return g
 
 
-def _g_interior(alpha, quad: QuadratureSpec | None):
+def _g_interior(alpha):
     """g(alpha) for 0 < alpha < 1; alpha is a float or a 1-D array."""
     t = ndtri((1.0 + alpha) / 2.0)
-    if quad is not None and quad.scheme == "adaptive-simpson":
-        # substitute u = s^2: removes the sqrt(u) kink of F_chi2 at zero
-        simpson = lambda x, u: _adaptive_simpson(
-            lambda s: (x - chi2_cdf_1dof(s * s)) * 2.0 * s, 0.0, u, quad.abs_tol
-        )
-        return np.vectorize(simpson, otypes=[float])(alpha, t)
     return alpha - 2.0 * t * np.exp(-0.5 * t * t) / _SQRT_2PI
 
 
-def gaussian_expectation(f: Callable, quad: QuadratureSpec = DEFAULT_QUAD) -> float:
-    """E[f(W)] for W ~ N(0,1); f must accept numpy arrays."""
-    if quad.scheme == "gauss-hermite":
-        z, w = gauss_hermite_nodes(quad.node_count)
-        return float(np.sum(w * np.asarray(f(z), dtype=float)))
-    phi = lambda w: np.exp(-0.5 * w * w) / _SQRT_2PI
-    return _adaptive_simpson(lambda w: f(w) * phi(w), -10.0, 10.0, quad.abs_tol)
-
-
-def _adaptive_simpson(f, a: float, b: float, tol: float, max_depth: int = 48) -> float:
-    def simp(lo, mid, hi, flo, fmid, fhi):
-        return (hi - lo) / 6.0 * (flo + 4.0 * fmid + fhi)
-
-    def recurse(lo, hi, flo, fmid, fhi, whole, tol, depth):
-        mid = 0.5 * (lo + hi)
-        lm, rm = 0.5 * (lo + mid), 0.5 * (mid + hi)
-        flm, frm = float(f(lm)), float(f(rm))
-        left = simp(lo, lm, mid, flo, flm, fmid)
-        right = simp(mid, rm, hi, fmid, frm, fhi)
-        if depth >= max_depth:
-            raise NonConvergenceError(
-                f"adaptive Simpson: depth {max_depth} exceeded on [{lo}, {hi}]"
-            )
-        if abs(left + right - whole) <= 15.0 * tol:
-            return left + right + (left + right - whole) / 15.0
-        return recurse(lo, mid, flo, flm, fmid, left, tol / 2.0, depth + 1) + recurse(
-            mid, hi, fmid, frm, fhi, right, tol / 2.0, depth + 1
-        )
-
-    mid = 0.5 * (a + b)
-    fa, fm, fb = float(f(a)), float(f(mid)), float(f(b))
-    whole = simp(a, mid, b, fa, fm, fb)
-    return recurse(a, b, fa, fm, fb, whole, tol, 0)
+def gaussian_expectation(f: Callable) -> float:
+    """E[f(W)] for W ~ N(0,1) by Gauss-Hermite; f must accept numpy arrays."""
+    z, w = gauss_hermite_nodes()
+    return float(np.sum(w * np.asarray(f(z), dtype=float)))
 
 
 def log_binomial(n, r):
@@ -361,35 +297,34 @@ def _log_h2_of_q(z: np.ndarray) -> np.ndarray:
     return out
 
 
-def _substitution_rows(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """(z^2/2, log H2(Q(|z|))) on the n-node rule: the a-independent rows of
-    the substituted branch, computed once per node count (read-only)."""
-    if n not in _SUBSTITUTION_CACHE:
-        za = np.abs(gauss_hermite_nodes(n)[0])
-        rows = (0.5 * za * za, _log_h2_of_q(za))
-        for r in rows:
-            r.setflags(write=False)
-        _SUBSTITUTION_CACHE[n] = rows
-    return _SUBSTITUTION_CACHE[n]
+@functools.cache
+def _substitution_rows() -> tuple[np.ndarray, np.ndarray]:
+    """(z^2/2, log H2(Q(|z|))) on the Hermite nodes: the a-independent rows
+    of the substituted branch, computed once (read-only)."""
+    za = np.abs(gauss_hermite_nodes()[0])
+    rows = (0.5 * za * za, _log_h2_of_q(za))
+    for r in rows:
+        r.setflags(write=False)
+    return rows
 
 
-def _direct_sums(a: np.ndarray, n: int) -> np.ndarray:
+def _direct_sums(a: np.ndarray) -> np.ndarray:
     """sum_j w_j H2(Q(a_i z_j)) for a 1-D array of 0 < a_i <= 1."""
-    z, w = gauss_hermite_nodes(n)
+    z, w = gauss_hermite_nodes()
     q = np.clip(ndtr(-a[:, None] * z), 1e-300, 1.0 - 1e-16)
     h = -q * np.log(q) - (1.0 - q) * np.log1p(-q)
     return np.sum(w * h, axis=1)
 
 
-def _substituted_sums(a: np.ndarray, n: int) -> np.ndarray:
+def _substituted_sums(a: np.ndarray) -> np.ndarray:
     """The r = a w form of E[H2(Q(a_i W))] for a 1-D array of a_i > 1."""
-    w = gauss_hermite_nodes(n)[1]
-    half_sq, log_h2 = _substitution_rows(n)
+    w = gauss_hermite_nodes()[1]
+    half_sq, log_h2 = _substitution_rows()
     t = half_sq * (1.0 - 1.0 / (a * a))[:, None]
     return np.sum(w * np.exp(t + log_h2), axis=1) / a
 
 
-def mean_entropy_q_scaled(a, quad: QuadratureSpec = DEFAULT_QUAD):
+def mean_entropy_q_scaled(a):
     """E[H2(Q(a W))] for W ~ N(0,1), accurate uniformly in a >= 0.
 
     Direct Gauss-Hermite in w for a <= 1 (the integrand is then wider than
@@ -400,16 +335,15 @@ def mean_entropy_q_scaled(a, quad: QuadratureSpec = DEFAULT_QUAD):
     each element equal to the scalar call.  A scalar goes straight to its
     branch; an array is split by branch and summed in blocks of _GRID_BLOCK
     rows, which bounds the (rows x nodes) temporaries.  The substituted
-    branch's a-independent row log H2(Q(|z|)) is cached per node count.
+    branch's a-independent row log H2(Q(|z|)) is cached.
     """
     scale = 1.0 + _ENTROPY_PERTURBATION
-    n = quad.node_count if quad.scheme == "gauss-hermite" else DEFAULT_QUAD.node_count
     if np.ndim(a) == 0:
         a = abs(float(a))
         if a == 0.0:
             return LOG2 * scale
         sums = _direct_sums if a <= 1.0 else _substituted_sums
-        return float(sums(np.array([a]), n)[0]) * scale
+        return float(sums(np.array([a]))[0]) * scale
     aa = np.abs(np.asarray(a, dtype=float))
     flat = aa.ravel()
     out = np.full(flat.shape, LOG2)
@@ -420,5 +354,5 @@ def mean_entropy_q_scaled(a, quad: QuadratureSpec = DEFAULT_QUAD):
     ):
         for lo in range(0, idx.size, _GRID_BLOCK):
             sel = idx[lo : lo + _GRID_BLOCK]
-            out[sel] = sums(flat[sel], n)
+            out[sel] = sums(flat[sel])
     return (out * scale).reshape(aa.shape)

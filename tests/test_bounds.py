@@ -282,9 +282,8 @@ class TestCorLinearPartial:
         # maximizer seeded by a coarse grid
         from scipy.optimize import minimize_scalar
 
-        quad = nm.QuadratureSpec(scheme="adaptive-simpson", abs_tol=1e-11)
         c_beta, a_star = md.c_beta_from_snr(10.0), 0.1
-        denom = lambda a: 0.5 * math.log1p(c_beta * nm.g_alpha(float(a), quad))
+        denom = lambda a: 0.5 * math.log1p(c_beta * verify.g_alpha_simpson(float(a), 1e-11))
 
         def refine(obj):
             grid = np.linspace(a_star, 1.0, 501)
@@ -455,12 +454,12 @@ class TestPartialGridEquivalence:
             corollary(10.0, **kwargs)
 
 
-def _old_psi(alpha, c_beta, sigma=1.0, quad=nm.DEFAULT_QUAD):
+def _old_psi(alpha, c_beta, sigma=1.0):
     """psi_function_1bit as it was: both expectations in one array call."""
     g = nm.g_alpha(alpha)
     a1 = np.sqrt(c_beta * (1.0 - g) / (sigma**2 + c_beta * g))
     a2 = math.sqrt(c_beta) / sigma
-    e = nm.mean_entropy_q_scaled(np.append(a1, a2), quad)
+    e = nm.mean_entropy_q_scaled(np.append(a1, a2))
     diff = e[:-1] - e[-1]
     psi = np.where(diff > 0.0, diff, 0.0)
     return float(psi[0]) if np.ndim(alpha) == 0 else psi.reshape(np.shape(alpha))

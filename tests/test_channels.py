@@ -10,7 +10,6 @@ from support_limits import info
 from support_limits import model as md
 from support_limits.channels import CHANNELS, _energy, _gt_table, gt_mi_closed_form
 from support_limits.numerics import (
-    DEFAULT_QUAD,
     NonConvergenceError,
     gauss_hermite_nodes,
     log_q_function,
@@ -77,7 +76,7 @@ def test_loglik_of_a_stack_against_per_candidate_outputs(name):
 # ---------------------------------------------------------------------------
 
 
-def _old_mi_var(spec, partition, b, quad):
+def _old_mi_var(spec, partition, b):
     if spec.channel == md.LINEAR:
         sig_l_sq = _energy(np.asarray(b, dtype=float), partition.dif_index())
         mi = 0.5 * math.log1p(sig_l_sq / spec.sigma**2)
@@ -90,9 +89,9 @@ def _old_mi_var(spec, partition, b, quad):
             return 0.0, 0.0
         a_eq = math.sqrt(sig_eq_sq / (spec.sigma**2 + sig_l_sq))
         a_s = math.sqrt((sig_l_sq + sig_eq_sq)) / spec.sigma
-        mi = mean_entropy_q_scaled(a_eq, quad) - mean_entropy_q_scaled(a_s, quad)
+        mi = mean_entropy_q_scaled(a_eq) - mean_entropy_q_scaled(a_s)
         sigma, s_dif, s_eq = spec.sigma, math.sqrt(sig_l_sq), math.sqrt(sig_eq_sq)
-        z, w = gauss_hermite_nodes(quad.node_count if quad.scheme == "gauss-hermite" else 96)
+        z, w = gauss_hermite_nodes()
         wd = s_dif * z[:, None]
         we = s_eq * z[None, :]
         denom_scale = math.sqrt(sigma**2 + s_dif**2)
@@ -131,7 +130,7 @@ _SPLIT_CASES = [
 
 @pytest.mark.parametrize("model, b, part", _SPLIT_CASES)
 def test_mi_and_variance_equal_the_joint_computation(model, b, part):
-    mi, var = _old_mi_var(model, part, b, DEFAULT_QUAD)
+    mi, var = _old_mi_var(model, part, b)
     assert info.mutual_information(model, part, b) == mi
     assert info.density_variance(model, part, b) == var
     assert type(info.mutual_information(model, part, b)) is float

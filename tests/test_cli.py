@@ -28,6 +28,17 @@ class TestRanges:
         with pytest.raises(cli.ConfigError):
             cli.parse_range("a:b:c")
 
+    def test_point_count_capped_before_the_list_is_built(self):
+        assert len(cli.parse_range(f"1:{cli.MAX_RANGE_POINTS}:1")) == cli.MAX_RANGE_POINTS
+        with pytest.raises(cli.ConfigError, match="more than"):
+            cli.parse_range(f"0:{cli.MAX_RANGE_POINTS}:1")
+        # 1e11 points: building the list exhausts memory
+        with pytest.raises(cli.ConfigError, match="100000000001 points"):
+            cli.parse_range("0.1:0.2:1e-12")
+        # (stop - start) / step overflows: the count is not finite
+        with pytest.raises(cli.ConfigError, match="beyond the float range"):
+            cli.parse_range("0.1:1e308:1e-300")
+
 
 class TestThresholdCommand:
     def test_gt_noiseless_rows(self, capsys):
@@ -401,6 +412,17 @@ BAD_INPUTS = [
     (["simulate", "--model", "linear", "--prior", "gaussian", "--p", "6", "--k", "2",
       "--n-grid", "4:4:1", "--trials", "3", "--seed", "1", "--sigma-beta-sq", value], 2, 1)
     for value in ("inf", "nan")
+] + [
+    # a non-integer n-grid ran n = 0, 0, 1, 1, 2 with duplicate rows
+    (["simulate", "--p", "8", "--k", "2", "--n-grid", "0:2:0.5", "--trials", "4", "--seed", "1"],
+     2, 1),
+    # a range whose point count overflows (OverflowError) or is too large
+    (["threshold", "--figure", "gt-noiseless", "--theta", "0.1:1e308:1e-300"], 2, 1),
+    (["threshold", "--figure", "gt-noiseless", "--theta", "0.1:0.2:1e-12"], 2, 1),
+] + [
+    # a non-finite perturbation: NaN passed the canary, inf warned from numpy
+    (["verify", "--only", "gt-mi-enumeration", f"--perturb={eps}"], 2, 1)
+    for eps in ("nan", "inf", "-inf")
 ]
 
 

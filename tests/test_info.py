@@ -133,7 +133,7 @@ class TestMutualInformation:
         from support_limits import channels
         from support_limits.numerics import NonConvergenceError
 
-        monkeypatch.setattr(channels, "mean_entropy_q_scaled", lambda a, quad: float("nan"))
+        monkeypatch.setattr(channels, "mean_entropy_q_scaled", lambda a: float("nan"))
         b = [1.0, -0.5, 2.0]
         with pytest.raises(NonConvergenceError):
             info.mutual_information(md.ModelSpec.one_bit(1.0), md.min_info_partition(b, 1), b)

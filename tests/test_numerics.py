@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 from scipy.special import erfc, ndtri
 
 from support_limits import numerics as nm
+from support_limits import verify
 from support_limits.model import rng_stream
 
 LOG2 = math.log(2.0)
@@ -108,6 +109,13 @@ class TestEntropyPerturbation:
             assert nm.mean_entropy_q_scaled(0.0) == LOG2 * (1.0 + 1e-3)
         assert nm.binary_entropy(0.5) == LOG2
 
+    @pytest.mark.parametrize("bad", [float("nan"), math.inf, -math.inf])
+    def test_non_finite_refused_and_nothing_set(self, bad):
+        # NaN made the verify canary report PASS with measured 0
+        with pytest.raises(ValueError, match="must be finite"):
+            nm.set_entropy_perturbation(bad)
+        assert nm.binary_entropy(0.5) == LOG2
+
 
 class TestQFunction:
     def test_median(self):
@@ -170,9 +178,8 @@ class TestGAlpha:
             assert v <= a * u_a + 1e-12
 
     def test_adaptive_route_matches_closed_form(self):
-        quad = nm.QuadratureSpec(scheme="adaptive-simpson", abs_tol=1e-12)
         for a in (0.1, 0.5, 0.9):
-            assert nm.g_alpha(a, quad) == pytest.approx(nm.g_alpha(a), abs=1e-9)
+            assert verify.g_alpha_simpson(a, 1e-12) == pytest.approx(nm.g_alpha(a), abs=1e-9)
 
     def test_domain_error(self):
         with pytest.raises(ValueError):
@@ -195,11 +202,6 @@ class TestGAlpha:
         assert vals[0] == 0.0 and vals[1] == 1.0
         assert type(nm.g_alpha(0.5)) is float and type(nm.g_alpha(1.0)) is float
         assert nm.g_alpha(grid[:999].reshape(-1, 3)).tolist() == vals[:999].reshape(-1, 3).tolist()
-
-    def test_array_adaptive_route_equals_scalar_calls(self):
-        quad = nm.QuadratureSpec(scheme="adaptive-simpson", abs_tol=1e-10)
-        grid = np.array([0.0, 0.2, 0.7, 1.0])
-        assert nm.g_alpha(grid, quad).tolist() == [nm.g_alpha(float(a), quad) for a in grid]
 
     @pytest.mark.parametrize("bad", [[0.5, 1.5], [-0.1, 0.2], [0.3, float("nan")]])
     def test_array_domain_error(self, bad):
@@ -228,17 +230,13 @@ class TestGaussianExpectation:
 
     def test_odd_function_vanishes(self):
         gh = nm.gaussian_expectation(lambda w: w**3)
-        simpson = nm.gaussian_expectation(
-            lambda w: w**3, nm.QuadratureSpec(scheme="adaptive-simpson", abs_tol=1e-10)
-        )
+        simpson = verify.gaussian_expectation_simpson(lambda w: w**3, 1e-10)
         assert abs(gh) < 1e-10 and abs(simpson) < 1e-10
 
     def test_nonconvergence_reported(self):
         jump = lambda w: np.sign(w - 1 / 3.0)
         with pytest.raises(nm.NonConvergenceError):
-            nm.gaussian_expectation(
-                jump, nm.QuadratureSpec(scheme="adaptive-simpson", abs_tol=1e-300)
-            )
+            verify.gaussian_expectation_simpson(jump, 1e-300)
 
 
 class TestLogBinomial:
@@ -296,23 +294,6 @@ class TestLogBinomial:
         with pytest.raises(ValueError, match=re.escape(named)) as err:
             nm.log_binomial(n, np.array(r))
         assert str(err.value).count("r[") == 1
-
-
-class TestQuadratureSpec:
-    def test_gauss_hermite_node_floor(self):
-        with pytest.raises(ValueError):
-            nm.QuadratureSpec(node_count=8)
-
-    def test_gauss_hermite_node_cap(self):
-        # hermgauss weights are NaN at 400 nodes; the cap keeps them finite
-        with pytest.raises(ValueError):
-            nm.QuadratureSpec(node_count=400)
-        spec = nm.QuadratureSpec(node_count=nm.MAX_HERMITE_NODES)
-        assert np.all(np.isfinite(nm.gauss_hermite_nodes(spec.node_count)[1]))
-
-    def test_simpson_needs_positive_tol(self):
-        with pytest.raises(ValueError):
-            nm.QuadratureSpec(scheme="adaptive-simpson", abs_tol=0.0)
 
 
 class TestScaledEntropyMean:
@@ -383,13 +364,6 @@ class TestScaledEntropyMeanGrid:
         assert nm.mean_entropy_q_scaled(np.array([])).shape == (0,)
         for x in (0.0, 0.5, 2.0, np.float64(2.0), np.array(2.0)):
             assert type(nm.mean_entropy_q_scaled(x)) is float
-
-    def test_node_count_and_scheme_follow_quad(self):
-        a = self._grid()[:200]
-        for quad in (nm.QuadratureSpec(node_count=30),
-                     nm.QuadratureSpec(scheme="adaptive-simpson")):
-            got = nm.mean_entropy_q_scaled(a, quad).tolist()
-            assert got == [nm.mean_entropy_q_scaled(float(x), quad) for x in a]
 
     def test_perturbation_scales_array_path(self):
         a = self._grid()[:200]
@@ -526,3 +500,45 @@ def test_the_structural_check_sees_a_scipy_import():
         "def f():\n    from scipy.special import erfc\n"
     )
     assert _scipy_imports(tree) == [1, 2, 6]
+
+
+# ---------------------------------------------------------------------------
+# One quadrature rule: no function takes a quadrature setting, and numerics
+# defines no settings object to pass.
+# ---------------------------------------------------------------------------
+
+
+def _quad_parameters(tree) -> list[int]:
+    """Lines of the functions with a parameter named `quad`."""
+    return [
+        node.lineno
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda))
+        and any(
+            arg.arg == "quad"
+            for arg in (*node.args.posonlyargs, *node.args.args, *node.args.kwonlyargs)
+        )
+    ]
+
+
+@pytest.mark.parametrize("name", sorted(path.stem for path in PACKAGE.glob("*.py")))
+def test_no_function_takes_a_quadrature_setting(name):
+    tree = ast.parse((PACKAGE / f"{name}.py").read_text())
+    assert not _quad_parameters(tree)
+    if name == "numerics":
+        defined = {node.name for node in ast.walk(tree) if isinstance(node, ast.ClassDef)} | {
+            node.id
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store)
+        }
+        assert not defined & {"QuadratureSpec", "DEFAULT_QUAD"}
+
+
+def test_the_structural_check_sees_a_quad_parameter():
+    tree = ast.parse(
+        "def f(a, quad=None):\n    pass\n"
+        "def g(a, *, quad):\n    pass\n"
+        "h = lambda a, quad: a\n"
+        "def quad(a):\n    pass\n"
+    )
+    assert _quad_parameters(tree) == [1, 3, 5]
