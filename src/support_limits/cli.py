@@ -19,6 +19,7 @@ import argparse
 import csv
 import json
 import math
+import re
 import sys
 
 import numpy as np
@@ -111,7 +112,16 @@ def _merge_config(args: argparse.Namespace, argv) -> argparse.Namespace:
     return build_parser(_ConfigParser).parse_args(argv[:at] + tokens + argv[at:])
 
 
-class _ConfigParser(argparse.ArgumentParser):
+class _Parser(argparse.ArgumentParser):
+    """argparse's parser, taking a token such as -1e-3 as a negative number,
+    a value, as it takes -1 and -0.5 (Python 3.11 reads it as an option)."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = re.compile(r"^-\.?\d")
+
+
+class _ConfigParser(_Parser):
     """The parser of a command line with config tokens: an error is the
     config file's, so it is a ConfigError, not a usage message."""
 
@@ -266,7 +276,7 @@ def cmd_verify(args) -> int:
 # ---------------------------------------------------------------------------
 
 
-def build_parser(cls=argparse.ArgumentParser) -> argparse.ArgumentParser:
+def build_parser(cls=_Parser) -> argparse.ArgumentParser:
     parser = cls(prog="support-limits", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 

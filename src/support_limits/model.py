@@ -17,8 +17,9 @@ Conventions used throughout the package:
   trials as one `RealizationBlock` of stacked arrays: per trial it takes
   only the draws, then maps the whole block to designs and outputs at once.
 - A support is drawn as `np.sort(rng.choice(p, size=k, replace=False))`
-  would draw it, for small k by a port of the steps `choice` takes (Floyd's
-  algorithm, then its shuffle) on the generator's own 32-bit draws.
+  would draw it.  Where `choice` runs Floyd's algorithm, each trial reads
+  the raw words of its 32-bit draws, and one pass over the block runs the
+  steps `choice` takes on them (Floyd's, then its shuffle) for all trials.
 
 The observation channels (linear, one-bit, group testing) and their designs
 are defined in `channels`.
@@ -178,49 +179,97 @@ def _rekeyed_generator(key: np.ndarray) -> np.random.Generator:
     return gen
 
 
-# Largest k whose support `_support` draws through its port of
-# `Generator.choice`; above it the port's Python steps cost about as much as
-# one `choice` call, and soon more.  Per call, port against np.sort(choice)
-# (fastest of 9 runs of 5000 calls, 2-vCPU VM, numpy 2.4.6), p = 16 / 1000:
-# k = 1: 3.3 / 2.0 vs 12.8 / 9.4 us, k = 2: 3.1 / 3.4 vs 8.3 / 9.0,
-# k = 3: 4.1 / 4.7 vs 8.0 / 8.8, k = 4: 5.9 / 5.8 vs 8.1 / 8.7,
-# k = 5: 7.0 / 7.6 vs 8.4 / 10.7, k = 6: 9.0 / 15.1 vs 10.5 / 15.0,
-# k = 8: 17.2 / 13.6 vs 13.6 / 9.7, k = 12: 18.0 / 30.5 vs 9.0 / 15.3.
-_FLOYD_MAX_K = 5
+@functools.lru_cache(maxsize=64)
+def _choice_draws(p: int, k: int) -> tuple[np.ndarray, np.ndarray] | None:
+    """Read-only uint64 spans of the 32-bit draws `Generator.choice(p,
+    size=k, replace=False)` takes where it runs Floyd's algorithm on them
+    (p <= 2^32, and p <= 10000 or k <= p // 50), and the Lemire threshold
+    (2^32 - span) mod span of each: a draw on [0, j] for j = p - k .. p - 1
+    (none for j = 0), then the k - 1 draws on [0, i], i = k - 1 .. 1, of
+    the shuffle the sort undoes.  None where `choice` takes other steps."""
+    if p > _MASK32 + 1 or (p > 10000 and k > p // 50):
+        return None
+    spans = np.array([*range(max(p - k, 1), p), *range(k - 1, 0, -1)], np.uint64) + 1
+    thresholds = (_MASK32 + 1 - spans) % spans
+    for a in (spans, thresholds):
+        a.setflags(write=False)
+    return spans, thresholds
 
 
-def _support(rng: np.random.Generator, p: int, k: int) -> np.ndarray:
-    """np.sort(rng.choice(p, size=k, replace=False)), leaving rng in the
-    same state.
+def _floyd_supports(words: np.ndarray, p: int, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """Sorted supports (T x k, 0-based) that `choice` draws on each row of
+    words (T x w uint64, a fresh generator's first raw words, w = ceil(m / 2)
+    for its m 32-bit draws), and a (T,) mask of the rows it does not.
 
-    For k <= _FLOYD_MAX_K and the population `choice` samples by Floyd's
-    algorithm (p < 2^32, and p <= 10000 or k <= p // 50) this runs numpy's
-    steps: for j = p - k .. p - 1 a draw v on [0, j], taken as j if already
-    chosen, then the k - 1 draws on [0, i], i = k - 1 .. 1, of the shuffle
-    the sort undoes.  Each draw is Lemire's on the generator's next 32-bit
-    words, read through its ctypes interface (which numpy builds once per
-    bit generator); it parks the unused half of a 64-bit word in the
-    generator just as `choice` does.
+    Draw d is Lemire's on the low (d even) or high half of word d // 2, as
+    `next_uint32` splits each word: v = (half * span) >> 32, unless the
+    product's low 32 bits fall below the threshold.  Then `choice` draws
+    again on a further word, and the row is marked.  Floyd's step at j
+    takes j where v is already chosen."""
+    spans, thresholds = _choice_draws(p, k)
+    halves = words.astype("<u8", copy=False).view("<u4")[:, : len(spans)]
+    product = halves * spans
+    rejected = ((product & _MASK32) < thresholds).any(axis=1)
+    first = int(p == k)  # the draw on [0, 0] takes no word and gives 0
+    chosen = np.zeros((len(words), k), dtype=np.int64)
+    chosen[:, first:] = product[:, : k - first] >> 32
+    for s in range(1, k):
+        chosen[(chosen[:, :s] == chosen[:, s, None]).any(axis=1), s] = p - k + s
+    chosen.sort(axis=1)
+    return chosen, rejected
+
+
+# Largest k whose supports `sample_realization` draws by the block pass, and
+# then only for blocks of more than k trials; `choice` draws the others.
+# The pass pays a numpy step per Floyd step once per block and T k^2
+# compares.  Per trial, block pass against a re-keyed `choice` (fastest of
+# 7 runs, 2-vCPU VM, numpy 2.4.6, p = 10^6 unless given):
+# k = 2, p = 16: T = 1: 34.8 vs 21.1 us, T = 3: 16.4 vs 20.2;
+# k = 8, p = 1000: T = 3: 33.1 vs 20.4, T = 9: 15.6 vs 20.7;
+# k = 32: T = 17: 26.4 vs 21.6, T = 33: 18.3 vs 21.1;
+# k = 48: T = 49: 20.4 vs 21.7, T = 101: 15.8 vs 22.1;
+# k = 64: T = 65: 23.2 vs 21.5, T = 101: 20.0 vs 22.6;
+# k = 100: T = 101: 30.9 vs 25.3.
+_FLOYD_MAX_K = 48
+
+
+def _block_supports(
+    keys: np.ndarray, p: int, k: int, draw_rest, park_half: bool = False, floyd: bool = True
+) -> np.ndarray:
+    """(T x k) supports, row i np.sort(rng.choice(p, size=k, replace=False))
+    of a fresh generator keyed keys[i]; draw_rest(i, rng) then takes trial
+    i's further draws from that generator.
+
+    With floyd, where `choice` runs Floyd's algorithm on 32-bit draws, each
+    trial reads their raw words in one call and one `_floyd_supports` pass
+    computes the block's supports.  A trial with a rejected draw is drawn
+    again, by `choice` on a re-keyed generator, and so is its draw_rest.  An
+    odd draw count leaves the high half of the last word parked, as
+    `choice` leaves it, only with park_half: later 32-bit draws read it,
+    64-bit ones never.  Every other support is drawn by `choice` itself.
     """
-    if k > _FLOYD_MAX_K or p > _MASK32 or (p > 10000 and k > p // 50):
-        return np.sort(rng.choice(p, size=k, replace=False))
-    words = rng.bit_generator.ctypes
-    next_uint32, state = words.next_uint32, words.state
-    chosen = []
-    for j in (*range(p - k, p), *range(k - 1, 0, -1)):
-        v = 0  # a draw on [0, 0] takes no word
-        if j:
-            span = j + 1
-            m = next_uint32(state) * span
-            if m & _MASK32 < span:
-                threshold = (_MASK32 - j) % span
-                while m & _MASK32 < threshold:
-                    m = next_uint32(state) * span
-            v = m >> 32
-        if len(chosen) < k:  # a Floyd step, not the shuffle
-            chosen.append(j if v in chosen else v)
-    chosen.sort()
-    return np.array(chosen, dtype=np.int64)
+    index = np.empty((len(keys), k), dtype=np.int64)
+    draws = _choice_draws(p, k) if floyd else None
+    redraw = range(len(keys))
+    if draws is not None:
+        m = len(draws[0])
+        w, park = (m + 1) // 2, park_half and m % 2
+        words = np.empty((len(keys), w), dtype=np.uint64)
+        for i, key in enumerate(keys):
+            rng = _rekeyed_generator(key)
+            if park:  # a 32-bit draw reads the last word and parks its high half
+                words[i, :-1] = rng.bit_generator.random_raw(w - 1)
+                words[i, -1] = rng.integers(_MASK32 + 1, dtype=np.uint32)
+            else:
+                words[i] = rng.bit_generator.random_raw(w)
+            draw_rest(i, rng)
+        index, rejected = _floyd_supports(words, p, k)
+        redraw = rejected.nonzero()[0].tolist()
+    for i in redraw:
+        rng = _rekeyed_generator(keys[i])
+        index[i] = np.sort(rng.choice(p, size=k, replace=False))
+        draw_rest(i, rng)
+    return index
 
 
 @dataclass(frozen=True)
@@ -556,10 +605,11 @@ def sample_realization(
     trial indices) trial t draws stream (*stream, t), and the trials come
     back as one RealizationBlock; without, one Realization, a block of one.
 
-    Per trial the generator takes its draws in a fixed order: the support,
-    the prior's entries (if the prior draws them), the raw design draws and
-    the noise draws, the last two straight into the block's buffers.  The
-    channel then maps the whole block to designs and outputs.
+    Per trial the generator takes its draws in a fixed order: the support
+    (`_block_supports`), the prior's entries (if the prior draws them), the
+    raw design draws and the noise draws, the last two straight into the
+    block's buffers.  The channel then maps the whole block to designs and
+    outputs.
     """
     validate_pairing(model, prior, dims.k)
     seed = _checked_seed(seed)
@@ -567,19 +617,21 @@ def sample_realization(
     keys = _stream_key(seed, stream)[None] if trials is None else _stream_keys(seed, stream, trials)
     n, p, k, count = dims.n, dims.p, dims.k, len(keys)
     channel = CHANNELS[model.channel]
-    index = np.empty((count, k), dtype=np.int64)
     b = np.empty((count, k))
     draw_b = _entry_draw(prior, k)
     if draw_b is None:
         b[:] = prior.b if prior.variant == FIXED_VECTOR else 1.0
     raw, noise = np.empty((count, n, p)), np.empty((count, n))
-    for i, key in enumerate(keys):
-        rng = _rekeyed_generator(key)
-        index[i] = _support(rng, p, k)
+
+    def draw_rest(i, rng):
         if draw_b:
             b[i] = draw_b(rng)
         channel.draw(model, rng, raw[i], noise[i])
 
+    # the permuted prior's shuffle is the one later draw on 32-bit words
+    park_half = prior.variant == PERMUTED_VECTOR
+    floyd = k < count and k <= _FLOYD_MAX_K
+    index = _block_supports(keys, p, k, draw_rest, park_half, floyd)
     x = channel.design(model, raw, k)
     y = channel.outputs(model, _support_columns(x, index), b, noise)
     beta = np.zeros((count, p))

@@ -420,7 +420,7 @@ def decode_ml(
         won = top > best_score
         best_score = np.where(won, top, best_score)
         best = np.where(won[:, None], block[i], best)
-    estimates = [frozenset(cand.tolist()) for cand in best]
+    estimates = list(map(frozenset, best.tolist()))
     return estimates[0] if isinstance(realizations, Realization) else estimates
 
 
@@ -437,7 +437,7 @@ def decode_comp(
     scores[(x & ~y).any(axis=1)] = -1.0
     # a stable sort on -score gives highest scores, ties to low index
     order = np.argsort(-scores, axis=1, kind="stable")[:, : dims.k]
-    estimates = [frozenset((row + 1).tolist()) for row in order]
+    estimates = list(map(frozenset, (order + 1).tolist()))
     return estimates[0] if isinstance(realizations, Realization) else estimates
 
 

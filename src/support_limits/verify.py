@@ -271,27 +271,45 @@ def _plain(state: dict) -> dict:
     return {k: _plain(v) if isinstance(v, dict) else np.asarray(v).tolist() for k, v in state.items()}
 
 
+def _live_state(gen: np.random.Generator) -> dict:
+    """gen's state as `_plain` gives it, with the parked half word zeroed
+    when has_uint32 marks it spent: nothing reads it then."""
+    state = _plain(gen.bit_generator.state)
+    state["uinteger"] *= state["has_uint32"]
+    return state
+
+
 @check("support-draw-vs-numpy-choice")
 def _support_draw():
-    # Edges of the port, its rejections (a quarter of the draws at 3 * 2^30)
-    # and every fallback: k above the port, numpy's tail shuffle, 64-bit draws.
-    cap = md._FLOYD_MAX_K
-    cases = [(1, 1), (7, 7), (50, 1), (16, cap), (16, cap + 1), (10000, 300),
-             (10001, 200), (10001, 201), (3 * 2**30, 3), (3 * 2**30, 5), (2**32, 2)]
-    keys = range(30)
-    bad = 0
+    # The block draw of 30 trials against np.sort(choice) on a fresh twin
+    # generator per trial: p = k, rejections (a quarter of the draws at
+    # 3 * 2^30), the span 2^32 (p = 2^32), and the steps the block draw
+    # leaves to choice: its tail shuffle (10001, 201) and 64-bit draws
+    # (p > 2^32).  With the half word parked, the generator state and the
+    # 32-bit draws that follow the support must match too.
+    cases = [(1, 1), (7, 7), (50, 1), (16, 5), (16, 6), (10000, 300), (10001, 200),
+             (10001, 201), (3 * 2**30, 3), (3 * 2**30, 5), (2**32, 2), (2**32 + 5, 2)]
+    trials = range(30)
+    keys = md._stream_keys(SEED, (9,), trials)
+    bad = redrawn = 0
     for p, k in cases:
-        for key in keys:
-            port, numpy_choice = [np.random.Generator(np.random.Philox(SEED + key)) for _ in range(2)]
-            if key % 2:  # start with half a 64-bit word parked
-                for gen in (port, numpy_choice):
-                    gen.integers(0, 2**32, dtype=np.uint32)
-            got = md._support(port, p, k)
-            want = np.sort(numpy_choice.choice(p, size=k, replace=False))
-            same = got.dtype == want.dtype and got.tolist() == want.tolist()
-            states = [_plain(gen.bit_generator.state) for gen in (port, numpy_choice)]
-            bad += not (same and states[0] == states[1])
-    return float(bad), 0.0, f"{len(cases) * len(keys)} draws: supports and generator states"
+        after, calls = {}, np.zeros(len(trials), dtype=int)
+
+        def rest(i, rng):
+            calls[i] += 1
+            after[i] = (_live_state(rng), rng.integers(0, 2**32, 3, np.uint32).tolist())
+
+        got = md._block_supports(keys, p, k, rest, park_half=True)
+        for t in trials:
+            twin = md.rng_stream(SEED, 9, t)
+            want = np.sort(twin.choice(p, size=k, replace=False))
+            state = _live_state(twin)
+            following = twin.integers(0, 2**32, 3, np.uint32).tolist()
+            same = got.dtype == want.dtype and got[t].tolist() == want.tolist()
+            bad += not (same and after[t] == (state, following))
+        redrawn += int((calls > 1).sum())
+    return float(bad), 0.0, (f"{len(cases) * len(trials)} draws ({redrawn} redrawn): supports, "
+                             f"generator states and the draws after them")
 
 
 def _fresh_realization(dims, model, prior, seed, stream=()):

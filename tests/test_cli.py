@@ -1,4 +1,5 @@
 import json
+import re
 import warnings
 
 import pytest
@@ -310,6 +311,14 @@ class TestVerifyCommand:
         code2, _, _ = run(capsys, "verify", "--only", "gt-mi-enumeration")
         assert code2 == 0
 
+    def test_negative_exponent_is_a_value(self, capsys):
+        # argparse alone reads "-1e-3" as an option, and exits 2 with usage
+        split = run(capsys, "verify", "--perturb", "-1e-3", "--only", "gt-mi-enumeration")
+        joined = run(capsys, "verify", "--perturb=-1e-3", "--only", "gt-mi-enumeration")
+        measured = [re.search(r"measured=\S+", out).group() for _, out, _ in (split, joined)]
+        assert split[0] == joined[0] == 1 and "FAIL" in split[1]
+        assert measured[0] == measured[1] == "measured=6.929e-04"
+
     def test_unknown_check_exits_2(self, capsys):
         code, _, err = run(capsys, "verify", "--only", "no-such-check")
         assert code == 2
@@ -419,6 +428,9 @@ BAD_INPUTS = [
     # a range whose point count overflows (OverflowError) or is too large
     (["threshold", "--figure", "gt-noiseless", "--theta", "0.1:1e308:1e-300"], 2, 1),
     (["threshold", "--figure", "gt-noiseless", "--theta", "0.1:0.2:1e-12"], 2, 1),
+    # a negative number in exponent form is a value, refused by the model
+    (["simulate", "--model", "linear", "--b", "1,2", "--p", "6", "--k", "2", "--n-grid", "4:4:1",
+      "--seed", "1", "--sigma", "-1e-3"], 2, 1),
 ] + [
     # a non-finite perturbation: NaN passed the canary, inf warned from numpy
     (["verify", "--only", "gt-mi-enumeration", f"--perturb={eps}"], 2, 1)

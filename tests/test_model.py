@@ -1,12 +1,15 @@
+import ast
 import math
 import sys
 import threading
+from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+import support_limits
 from support_limits import model as md
 from support_limits import verify
 from support_limits.channels import CHANNELS, one_bit_sign
@@ -241,12 +244,13 @@ SAMPLER_CASES = {
     # nu = 3: at k = 3 every design entry is 1 (q = nu / k = 1)
     "gt-nu-3": (md.ModelSpec.group_testing(0.0, nu=3.0), md.SignalPrior.all_ones()),
 }
-# The support draw's edges: p = k, k one above the port of Generator.choice,
-# and numpy's tail shuffle (p > 10000, k > p // 50).
+# The support draw's edges: p = k, an even draw count (k = 6: 11 draws, the
+# last word's high half parked for the permuted prior), and numpy's tail
+# shuffle (p > 10000, k > p // 50), which the sampler leaves to choice.
 SAMPLER_DIMS = [
     md.ProblemDims(p=11, k=3, n=9),
     md.ProblemDims(p=3, k=3, n=9),
-    md.ProblemDims(p=11, k=md._FLOYD_MAX_K + 1, n=9),
+    md.ProblemDims(p=11, k=6, n=9),
     md.ProblemDims(p=10001, k=201, n=1),
 ]
 
@@ -429,6 +433,141 @@ class TestBlockSampler:
     def test_block_draw_oracle(self):
         (result,) = verify.run_checks("block-draw-vs-rng-stream")
         assert (result.passed, result.measured, result.tolerance) == (True, 0.0, 0.0), result.detail
+
+
+def _following_draws(park_half):
+    """A draw_rest for `_block_supports` recording, per trial, the draws
+    right after the support: 32-bit ones read a parked half word, 64-bit
+    ones never do."""
+    after, calls = {}, {}
+
+    def rest(i, rng):
+        calls[i] = calls.get(i, 0) + 1
+        if park_half:
+            after[i] = rng.integers(0, 2**32, 3, np.uint32).tolist()
+        else:
+            after[i] = rng.random(2).tolist()
+
+    return rest, after, calls
+
+
+def _fresh_support_and_following(seed, prefix, t, p, k, park_half):
+    rng = md.rng_stream(seed, *prefix, t)
+    support = np.sort(rng.choice(p, size=k, replace=False)).tolist()
+    following = rng.integers(0, 2**32, 3, np.uint32) if park_half else rng.random(2)
+    return support, following.tolist()
+
+
+class TestBlockSupportDraw:
+    # supports need no dense arrays, so p ranges up to 3 * 2^30 here
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.integers(min_value=1, max_value=8),
+        st.integers(min_value=0, max_value=3 * 2**30),
+        st.integers(min_value=0, max_value=2**63 - 1),
+        st.integers(min_value=230, max_value=255),
+        st.integers(min_value=1, max_value=40),
+        st.booleans(),
+    )
+    def test_block_supports_equal_numpy_choice(self, k, p, seed, t0, count, park_half):
+        p = max(p, k)
+        trials = range(t0, t0 + count)
+        keys = md._stream_keys(seed, (6,), trials)
+        rest, after, _ = _following_draws(park_half)
+        got = md._block_supports(keys, p, k, rest, park_half)
+        for i, t in enumerate(trials):
+            support, following = _fresh_support_and_following(seed, (6,), t, p, k, park_half)
+            assert (got[i].tolist(), after[i]) == (support, following), (p, k, t)
+
+    @pytest.mark.parametrize("p,k", [(1, 1), (7, 7), (16, 2), (3 * 2**30, 5), (2**32, 2)])
+    def test_draw_spans_and_lemire_thresholds(self, p, k):
+        # numpy's bounded draw on [0, rng]: threshold (UINT32_MAX - rng) % (rng + 1);
+        # a threshold one off rejects with probability 2^-32, which no sample shows
+        spans, thresholds = md._choice_draws(p, k)
+        rngs = [j for j in range(p - k, p) if j] + list(range(k - 1, 0, -1))
+        assert spans.tolist() == [r + 1 for r in rngs]
+        assert thresholds.tolist() == [(2**32 - 1 - r) % (r + 1) for r in rngs]
+
+    def test_rejected_draws_are_drawn_again(self):
+        # at p = 3 * 2^30 about a quarter of the draws reject
+        p, k, trials = 3 * 2**30, 3, range(250, 290)
+        keys = md._stream_keys(2, (6,), trials)
+        rest, after, calls = _following_draws(True)
+        got = md._block_supports(keys, p, k, rest, park_half=True)
+        assert 0 < sum(c == 2 for c in calls.values()) < len(trials)
+        assert set(calls.values()) == {1, 2}
+        for i, t in enumerate(trials):
+            assert (got[i].tolist(), after[i]) == _fresh_support_and_following(2, (6,), t, p, k, True)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.sampled_from(sorted(SAMPLER_CASES)),
+        st.integers(min_value=1, max_value=8),
+        st.integers(min_value=0, max_value=24),
+        st.integers(min_value=1, max_value=6),
+        st.integers(min_value=0, max_value=2**63 - 1),
+        st.integers(min_value=230, max_value=255),
+        st.integers(min_value=1, max_value=30),
+    )
+    def test_block_equals_fresh_generator_per_trial(self, case, k, p, n, seed, t0, count):
+        model, prior = SAMPLER_CASES[case]
+        assume(model.nu / k <= 1.0)
+        dims, prior = md.ProblemDims(p=max(p, k), k=k, n=n), _prior_at(prior, k)
+        trials = range(t0, t0 + count)
+        block = md.sample_realization(dims, model, prior, seed, stream=(6,), trials=trials)
+        for real, t in zip(block, trials):
+            assert _same_realization(real, _fresh_sample(dims, model, prior, seed, (6, t))), t
+
+    @pytest.mark.parametrize("case", ["linear-permuted", "one-bit-gaussian", "gt-noisy"])
+    def test_redrawn_trials_keep_their_draws(self, case, monkeypatch):
+        # a trial marked rejected is drawn again whole: support, prior, design, noise
+        floyd = md._floyd_supports
+
+        def every_other_rejected(words, p, k):
+            index, rejected = floyd(words, p, k)
+            rejected[::2] = True
+            return index, rejected
+
+        monkeypatch.setattr(md, "_floyd_supports", every_other_rejected)
+        model, prior = SAMPLER_CASES[case]
+        dims, trials = md.ProblemDims(p=11, k=3, n=9), range(250, 262)
+        block = md.sample_realization(dims, model, prior, 4, stream=(6,), trials=trials)
+        for real, t in zip(block, trials):
+            assert _same_realization(real, _fresh_sample(dims, model, prior, 4, (6, t))), t
+
+
+# ---------------------------------------------------------------------------
+# The support's words are read in one call per trial: no module reaches the
+# bit generator's per-word ctypes interface.
+# ---------------------------------------------------------------------------
+
+PACKAGE = Path(support_limits.__file__).parent
+
+
+def _ctypes_reads(tree) -> list[int]:
+    """Lines that import ctypes or read a `.ctypes` attribute."""
+    return sorted(
+        node.lineno
+        for node in ast.walk(tree)
+        if (isinstance(node, ast.Attribute) and node.attr == "ctypes")
+        or (isinstance(node, ast.Import) and any(a.name == "ctypes" for a in node.names))
+        or (isinstance(node, ast.ImportFrom) and node.module == "ctypes")
+    )
+
+
+@pytest.mark.parametrize("name", sorted(path.stem for path in PACKAGE.glob("*.py")))
+def test_no_per_word_generator_access(name):
+    assert not _ctypes_reads(ast.parse((PACKAGE / f"{name}.py").read_text()))
+
+
+def test_the_structural_check_sees_a_ctypes_read():
+    tree = ast.parse(
+        "words = rng.bit_generator.ctypes\n"
+        "import ctypes\n"
+        "next_uint32 = gen.bit_generator.ctypes.next_uint32\n"
+        "from ctypes import c_uint32\n"
+    )
+    assert _ctypes_reads(tree) == [1, 2, 3, 4]
 
 
 class TestPriorAccessors:
