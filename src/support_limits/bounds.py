@@ -179,9 +179,11 @@ def _entries(b, dims: ProblemDims) -> np.ndarray:
 
 
 def _per_ell_mi(model: ModelSpec, b, dims: ProblemDims):
-    """Worst-case (minimum) mutual information per ell = 1..k."""
+    """The min-info partitions for ell = 1..k (list index ell - 1) and their
+    worst-case (minimum) mutual information per ell."""
     b = _entries(b, dims)
-    return {part.ell: mutual_information(model, part, b) for part in min_info_partitions(b)}
+    parts = min_info_partitions(b)
+    return parts, {part.ell: mutual_information(model, part, b) for part in parts}
 
 
 def _stirling_log_binom(N: float, r: float) -> float:
@@ -209,7 +211,7 @@ def achievability_threshold_generic(
     ells = range(dims.d_max + 1, min(k, p - k) + 1)
     if not ells:
         return ThresholdResult(n_ach=0.0)
-    mi_map = _per_ell_mi(model, b, dims)
+    parts, mi_map = _per_ell_mi(model, b, dims)
     if opts.asymptotic:
         nums = [_stirling_log_binom(p - k, ell) + gamma for ell in ells]
     else:
@@ -227,7 +229,7 @@ def achievability_threshold_generic(
     n_formula = ratio * (1.0 + opts.eta)
     remainder = None
     if math.isfinite(n_formula):
-        specs = CHANNELS[model.channel].tail_specs(model, b, dims, mi_map)
+        specs = CHANNELS[model.channel].tail_specs(model, b, parts, mi_map)
         target = opts.remainder_target if opts.remainder_target is not None else 1e-2
         remainder = remainder_n_required(specs, dims, list(ells), target)
     n_ach = n_formula
@@ -255,6 +257,21 @@ def log_partial_conv_subtraction(p: int, k: int, ell: int, d_max: int) -> float:
     return m + math.log(sum(math.exp(t - m) for t in terms))
 
 
+def _converse_numerators(
+    p: int, k: int, ells: range, delta1: float, asymptotic: bool
+) -> tuple[list[float], list[float]]:
+    """(main, num) per ell: main = log C(p-k+l, l), its leading order
+    l log((p-k+l)/l) in the asymptotic mode, and the converse numerator
+    num = main - log delta1."""
+    if asymptotic:
+        mains = [_stirling_log_binom(p - k + ell, ell) for ell in ells]
+    else:
+        r = np.arange(ells.start, ells.stop)
+        mains = log_binomial(p - k + r, r).tolist()
+    log_d1 = math.log(delta1)
+    return mains, [main - log_d1 for main in mains]
+
+
 def converse_threshold_generic(
     model: ModelSpec,
     b,
@@ -271,16 +288,11 @@ def converse_threshold_generic(
     k, p = dims.k, dims.p
     if p == k:
         return ThresholdResult(n_conv=0.0)
-    mi_map = _per_ell_mi(model, b, dims)
+    _, mi_map = _per_ell_mi(model, b, dims)
     ells = range(dims.d_max + 1, k + 1)
-    if opts.asymptotic:
-        mains = [_stirling_log_binom(p - k + ell, ell) for ell in ells]
-    else:
-        r = np.arange(ells.start, ells.stop)
-        mains = log_binomial(p - k + r, r).tolist()
+    mains, nums = _converse_numerators(p, k, ells, opts.delta1, opts.asymptotic)
     rows = []
-    for ell, main in zip(ells, mains):
-        num = main - math.log(opts.delta1)
+    for ell, main, num in zip(ells, mains, nums):
         if dims.d_max > 0:
             sub = log_partial_conv_subtraction(p, k, ell, dims.d_max)
             if sub >= main - 1e-9 * max(1.0, abs(main)):
@@ -793,11 +805,9 @@ def cor_general_discrete_converse(
     """
     if dims.p == dims.k:
         return 0.0
-    mi_map = _per_ell_mi(model, b, dims)
-    nums = {
-        ell: log_binomial(dims.p - dims.k + ell, ell) - math.log(delta1)
-        for ell in range(1, dims.k + 1)
-    }
+    _, mi_map = _per_ell_mi(model, b, dims)
+    ells = range(1, dims.k + 1)
+    nums = dict(zip(ells, _converse_numerators(dims.p, dims.k, ells, delta1, False)[1]))
 
     def rhs(n: float) -> float:
         extra = math.sqrt(alphabet_size / (n * eps))

@@ -19,8 +19,8 @@ x_eq = 0 crossed with (x_dif = 0 / != 0) x (y = 0 / 1).  Its density rows,
 its moments, the verification suite's density sums and the exhaustive-ML
 score are all read from it.
 
-This module imports only `numerics`, so that `model` and `info` can both use
-it.
+This module imports only `numerics` and `conc`, so that `model` and `info`
+can both use it.
 """
 from __future__ import annotations
 
@@ -30,6 +30,7 @@ from functools import lru_cache
 
 import numpy as np
 
+from . import conc
 from .numerics import (
     NonConvergenceError,
     binary_entropy,
@@ -84,10 +85,13 @@ class Channel:
                                         marginalized over the design
         mi(spec, partition, b)          I_{dif,eq}(b) in nats
         variance(spec, partition, b)    variance of the information density
-        tail_specs(spec, b, dims, mi_map)
+        tail_specs(spec, b, parts, mi_map)
                                         conc.TailBoundSpec list for the
-                                        achievability remainder; mi_map:
-                                        ell -> min-info I
+                                        achievability remainder: which
+                                        family, over which ell, with which
+                                        delta2; parts[ell - 1] is the
+                                        min-info partition of size ell and
+                                        mi_map[ell] its I
 
     The sampler is split so that only `draw` runs once per trial: `design`
     and `outputs` take any leading trial axes, x_s (... x n x k), b (... x k)
@@ -253,13 +257,12 @@ class Linear(_GaussianDesign):
         sig_l_sq = _energy(np.asarray(b, dtype=float), partition.dif_index())
         return sig_l_sq / (spec.sigma**2 + sig_l_sq)
 
-    def tail_specs(self, spec, b, dims, mi_map):
-        from .conc import TailBoundSpec, bernstein_linear_terms  # conc imports this module
-        from .model import min_info_partition  # model imports this module too
-
+    def tail_specs(self, spec, b, parts, mi_map):
         b = np.asarray(b, dtype=float)
-        terms = lambda ell: bernstein_linear_terms(b, spec.sigma, min_info_partition(b, ell), 0.5)
-        return [TailBoundSpec(terms)]
+        terms = lambda ell: conc.bernstein_linear_terms(
+            _energy(b, parts[ell - 1].dif_index()), spec.sigma, 0.5
+        )
+        return [conc.TailBoundSpec(terms)]
 
 
 class OneBit(_GaussianDesign):
@@ -318,10 +321,8 @@ class OneBit(_GaussianDesign):
             raise NonConvergenceError(f"1-bit quadrature gave var={var}")
         return max(0.0, var)
 
-    def tail_specs(self, spec, b, dims, mi_map):
-        from .conc import TailBoundSpec, bernstein_discrete_terms  # conc imports this module
-
-        return [TailBoundSpec(lambda ell: bernstein_discrete_terms(mi_map[ell], 2, 0.5))]
+    def tail_specs(self, spec, b, parts, mi_map):
+        return [conc.TailBoundSpec(lambda ell: conc.bernstein_discrete_terms(mi_map[ell], 2, 0.5))]
 
 
 # ---------------------------------------------------------------------------
@@ -473,10 +474,18 @@ class GroupTesting(Channel):
                 second += pr * v * v
         return max(0.0, second - mean**2)
 
-    def tail_specs(self, spec, b, dims, mi_map):
-        from .conc import gt_tail_specs  # conc imports this module
-
-        return gt_tail_specs(spec.nu, dims.k, spec.rho, mi=mi_map.__getitem__)
+    def tail_specs(self, spec, b, parts, mi_map):
+        """Chernoff (noiseless) or Bennett (noisy) with delta2 = 0.9 up to
+        floor(k / log k), where ell = o(k); discrete Bernstein with delta2 =
+        0.1 above.  eps = 0.05 is the slack for "sufficiently large p"."""
+        k, nu, rho = len(parts), spec.nu, spec.rho
+        cut = int(k / math.log(k)) if k >= 3 else 1
+        if rho == 0.0:
+            small = lambda ell: conc.chernoff_gt_terms(nu, k, ell, 0.9, 0.05)
+        else:
+            small = lambda ell: conc.bennett_gt_noisy_terms(nu, rho, k, ell, 0.9, 0.05)
+        large = lambda ell: conc.bernstein_discrete_terms(mi_map[ell], 2, 0.1)
+        return [conc.TailBoundSpec(small, ell_hi=cut), conc.TailBoundSpec(large, ell_lo=cut + 1)]
 
 
 CHANNELS: dict[str, Channel] = {

@@ -71,6 +71,14 @@ def parse_range(spec: str) -> list[float]:
     return [start + i * step for i in range(count)]
 
 
+def parse_floats(flag: str, text: str) -> list[float]:
+    """The comma-separated numbers given to flag."""
+    try:
+        return [float(x) for x in text.split(",")]
+    except ValueError:
+        raise ConfigError(f"{flag} must be comma-separated numbers, got {text!r}") from None
+
+
 def _write_rows(path: str | None, header: list[str], rows: list[list], fmt: str):
     out = open(path, "w", newline="") if path else sys.stdout
     try:
@@ -146,7 +154,7 @@ def cmd_threshold(args) -> int:
     else:
         grid = {"theta": parse_range(args.theta)}
         if fig == bounds.FIG_GT_NOISY:
-            grid["rho"] = [float(r) for r in args.rho.split(",")]
+            grid["rho"] = parse_floats("--rho", args.rho)
     rows = bounds.figure_curves(fig, grid)
     if args.verbose:
         for line in _verbose_lines(fig, grid, rows):
@@ -208,7 +216,7 @@ def _build_prior(args, model: ModelSpec) -> SignalPrior:
                               "--prior fixed or --prior permuted")
         return SignalPrior.iid_gaussian(args.sigma_beta_sq)
     if args.b:
-        vals = [float(x) for x in args.b.split(",")]
+        vals = parse_floats("--b", args.b)
         return SignalPrior.permuted(vals) if args.prior == "permuted" else SignalPrior.fixed(vals)
     raise ConfigError("linear/one-bit simulation needs --b or --prior gaussian")
 

@@ -4,23 +4,30 @@ solver for the measurement count that drives the weighted remainder
 sum_ell C(k, ell) psi_ell(n, delta2) below a target.
 
 Four families bound P[|i^n - n I| >= n delta2 I] (the lower tail only for
-group testing) given beta = b, all as min(1, scale exp(-q n / den)).  Each is
-written once, as the `*_terms` function of its n-free (scale, q, den):
+group testing) given beta = b, all as min(1, scale exp(-q n / den)), which
+`tail` evaluates.  Each is written once, as the `*_terms` function of its
+n-free (scale, q, den):
 
     bernstein-discrete  2, d^2, 2 (8|Y| + 2 d)        d = delta2 I
     bernstein-linear    2, d^2, 2 (4 a^2 + d a)       a = 2 s (sigma + s) / (sigma^2 + s^2)
     chernoff-gt         1, (l/k) e^-nu nu ((1-d2) log(1-d2) + d2)(1-eps), 1
     bennett-gt-noisy    1, (l/k) e^-nu nu d2^2 (1-2 rho)^2 / (2 (1 + d2 (1-2 rho)/3)) (1-eps), 1
 
-with s^2 = sum_dif b_i^2.  The group-testing families hold for l = o(k), with
-the explicit eps slack (default 0.05) for "sufficiently large p".  Chebyshev,
-min(1, V / (n (delta2 I)^2)), is a scalar bound only: no TailBoundSpec uses it.
+with s^2 = sum_dif b_i^2 and I = (1/2) log(1 + s^2 / sigma^2) for the linear
+family.  The group-testing families hold for l = o(k), with the explicit eps
+slack for "sufficiently large p".  Which family a channel uses, over which
+ell and with which delta2, is stated by the channel's `tail_specs` in
+`channels`.  Chebyshev, min(1, V / (n (delta2 I)^2)), is a scalar bound
+only: no TailBoundSpec uses it.
 
 remainder_n_required finds the smallest n whose sum is at most the target.
 remainder_sum, a plain loop over ell with math.exp, is the exact sum and is
 nonincreasing in n, so that n is unique.  Newton steps on the log of the
 uncapped sum, over arrays of the per-ell terms, propose n, and the exact sum
 confirms it at n and n - 1.
+
+This module imports only `numerics`, so that `channels` can build its
+families from it.
 """
 from __future__ import annotations
 
@@ -30,8 +37,6 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .channels import gt_mi_closed_form
-from .model import Partition, ProblemDims
 from .numerics import log_binomial
 
 E_SQ_CAP = (4.0 / math.e) ** 2
@@ -59,50 +64,32 @@ def variance_cap_discrete(alphabet_size: int) -> float:
     return alphabet_size * E_SQ_CAP
 
 
-def _tail(scale: float, q: float, den: float, n: int) -> float:
+def tail(scale: float, q: float, den: float, n: int) -> float:
+    """A family's tail at n from its n-free terms: min(1, scale exp(-q n / den))."""
     return min(1.0, scale * math.exp(-q * n / den))
 
 
 def bernstein_discrete_terms(I: float, alphabet_size: int, delta2: float) -> Terms:
     """Bernstein two-sided tail for finite alphabets."""
     if I <= 0:
-        raise ValueError("psi_bernstein_discrete needs I > 0")
+        raise ValueError("bernstein_discrete_terms needs I > 0")
     d = delta2 * I
     return 2.0, d * d, 2.0 * (8.0 * alphabet_size + 2.0 * d)
 
 
-def psi_bernstein_discrete(I: float, alphabet_size: int, n: int, delta2: float) -> float:
-    """Bernstein two-sided tail for finite alphabets, clipped to [0, 1]."""
-    return _tail(*bernstein_discrete_terms(I, alphabet_size, delta2), n)
-
-
-def alpha_dif_linear(b, sigma: float, partition: Partition) -> float:
-    """Bernstein scale 2 s (sigma + s) / (sigma^2 + s^2), s^2 = sum_dif b^2."""
-    b = np.asarray(b, dtype=float)
-    s = math.sqrt(float(np.sum(b[partition.dif_index()] ** 2)))
-    if s == 0.0:
-        return 0.0
-    return 2.0 * s * (sigma + s) / (sigma**2 + s * s)
-
-
-def bernstein_linear_terms(b, sigma: float, partition: Partition, delta2: float) -> Terms:
-    """Bernstein two-sided tail for the linear channel."""
-    b = np.asarray(b, dtype=float)
-    s_sq = float(np.sum(b[partition.dif_index()] ** 2))
+def bernstein_linear_terms(s_sq: float, sigma: float, delta2: float) -> Terms:
+    """Bernstein two-sided tail for the linear channel, from the energy
+    s^2 = sum_dif b^2 of the differing entries."""
     if s_sq == 0.0:  # the density is constant: the tail is 0
         return 0.0, 0.0, 1.0
-    a = alpha_dif_linear(b, sigma, partition)
+    s = math.sqrt(s_sq)
+    a = 2.0 * s * (sigma + s) / (sigma**2 + s * s)
     I = 0.5 * math.log1p(s_sq / sigma**2)
     d = delta2 * I
     return 2.0, d * d, 2.0 * (4.0 * a * a + d * a)
 
 
-def psi_bernstein_linear(b, sigma: float, partition: Partition, n: int, delta2: float) -> float:
-    """Bernstein two-sided tail for the linear channel; 0 if sum_dif b^2 = 0."""
-    return _tail(*bernstein_linear_terms(b, sigma, partition, delta2), n)
-
-
-def chernoff_gt_terms(nu: float, k: int, ell: int, delta2: float, eps: float = 0.05) -> Terms:
+def chernoff_gt_terms(nu: float, k: int, ell: int, delta2: float, eps: float) -> Terms:
     """Binomial-Chernoff lower-tail bound for noiseless group testing."""
     if not 0.0 < delta2 < 1.0:
         raise ValueError("delta2 must lie in (0, 1)")
@@ -110,15 +97,8 @@ def chernoff_gt_terms(nu: float, k: int, ell: int, delta2: float, eps: float = 0
     return 1.0, (ell / k) * math.exp(-nu) * nu * h * (1.0 - eps), 1.0
 
 
-def psi_chernoff_gt(
-    nu: float, k: int, ell: int, n: int, delta2: float, eps: float = 0.05
-) -> float:
-    """Binomial-Chernoff lower-tail bound for noiseless group testing."""
-    return _tail(*chernoff_gt_terms(nu, k, ell, delta2, eps), n)
-
-
 def bennett_gt_noisy_terms(
-    nu: float, rho: float, k: int, ell: int, delta2: float, eps: float = 0.05
+    nu: float, rho: float, k: int, ell: int, delta2: float, eps: float
 ) -> Terms:
     """Bennett-form lower-tail bound for noisy group testing (rho in (0, 0.5))."""
     if not 0.0 < delta2 < 1.0:
@@ -133,13 +113,6 @@ def bennett_gt_noisy_terms(
         * (1.0 - eps)
     )
     return 1.0, rate, 1.0
-
-
-def psi_bennett_gt_noisy(
-    nu: float, rho: float, k: int, ell: int, n: int, delta2: float, eps: float = 0.05
-) -> float:
-    """Bennett-form lower-tail bound for noisy group testing."""
-    return _tail(*bennett_gt_noisy_terms(nu, rho, k, ell, delta2, eps), n)
 
 
 class TailBoundSpec:
@@ -158,29 +131,7 @@ class TailBoundSpec:
         return ell >= self.ell_lo and (self.ell_hi is None or ell <= self.ell_hi)
 
     def psi(self, ell: int, n: int) -> float:
-        return _tail(*self.terms(ell), n)
-
-
-def gt_tail_specs(
-    nu: float,
-    k: int,
-    rho: float = 0.0,
-    d2_small: float = 0.9,
-    d2_large: float = 0.1,
-    eps: float = 0.05,
-    mi: Callable[[int], float] | None = None,
-) -> list[TailBoundSpec]:
-    """The group-testing pair: Chernoff/Bennett below floor(k/log k) with
-    delta2 near one, discrete Bernstein above with delta2 near zero; mi(ell)
-    defaults to the closed-form mutual information."""
-    cut = int(k / math.log(k)) if k >= 3 else 1
-    mi_fn = mi if mi is not None else (lambda ell: gt_mi_closed_form(nu, k, ell, rho))
-    if rho == 0.0:
-        small = lambda ell: chernoff_gt_terms(nu, k, ell, d2_small, eps)
-    else:
-        small = lambda ell: bennett_gt_noisy_terms(nu, rho, k, ell, d2_small, eps)
-    large = lambda ell: bernstein_discrete_terms(mi_fn(ell), 2, d2_large)
-    return [TailBoundSpec(small, ell_hi=cut), TailBoundSpec(large, ell_lo=cut + 1)]
+        return tail(*self.terms(ell), n)
 
 
 @functools.lru_cache(maxsize=4096)
@@ -189,14 +140,13 @@ def _binomial_weight(k: int, ell: int) -> float:
 
 
 def remainder_sum(
-    specs: TailBoundSpec | Sequence[TailBoundSpec],
-    dims: ProblemDims,
+    specs: Sequence[TailBoundSpec],
+    dims,
     ell_range: Sequence[int],
     n: int,
 ) -> float:
-    """sum over ell of C(k, ell) psi_ell(n, delta2)."""
-    if isinstance(specs, TailBoundSpec):
-        specs = [specs]
+    """sum over ell of C(k, ell) psi_ell(n, delta2), k = dims.k; each ell
+    takes the first spec that covers it."""
     total = 0.0
     for ell in ell_range:
         for spec in specs:
@@ -207,8 +157,8 @@ def remainder_sum(
 
 
 def remainder_n_required(
-    psi_family: TailBoundSpec | Sequence[TailBoundSpec],
-    dims: ProblemDims,
+    specs: Sequence[TailBoundSpec],
+    dims,
     ell_range: Sequence[int],
     target: float,
     n_cap: int = 2**30,
@@ -236,7 +186,6 @@ def remainder_n_required(
     """
     if not 0.0 < target <= 1.0:
         raise ValueError("target must lie in (0, 1]")
-    specs = [psi_family] if isinstance(psi_family, TailBoundSpec) else list(psi_family)
     ells = list(ell_range)
     rows = []
     for ell in ells:  # each ell's (c, r), read once, from the spec remainder_sum uses

@@ -503,9 +503,11 @@ def snr_db(prior: SignalPrior, model: ModelSpec, k: int) -> float:
 
 
 def c_beta_from_snr(snr: float, sigma: float = 1.0) -> float:
-    """Inverse of snr_db at fixed sigma: c_beta = k sigma_beta^2.  A c_beta
-    beyond the float range (or NaN) raises ValueError, and then so do a
-    sigma <= 0 and a c_beta that underflows to 0."""
+    """Inverse of snr_db at fixed sigma: c_beta = k sigma_beta^2.  A sigma
+    that is not a finite number > 0 raises ValueError, and then so do a
+    c_beta beyond the float range and one that underflows to 0."""
+    if not 0.0 < sigma < math.inf:
+        raise ValueError(f"sigma must be > 0 and finite, got {sigma:g}")
     try:
         c_beta = sigma**2 * 10.0 ** (snr / 10.0)
     except OverflowError:
@@ -514,8 +516,6 @@ def c_beta_from_snr(snr: float, sigma: float = 1.0) -> float:
         raise ValueError(
             f"SNR {snr:g} dB puts the signal power sigma^2 10^(SNR/10) beyond the float range"
         )
-    if not sigma > 0.0:
-        raise ValueError(f"sigma must be > 0, got {sigma:g}")
     if not c_beta > 0.0:
         raise ValueError(
             f"SNR {snr:g} dB puts the signal power sigma^2 10^(SNR/10) below the float range"

@@ -631,7 +631,7 @@ def _psi_bd_dom():
         y = np.where(x @ b + rng.standard_normal(x.shape[0]) >= 0, 1.0, -1.0)
         dens = info.density_rows(m, part, b, x, y).reshape(10**4, n)
         p, se = _tail_freq(dens.sum(axis=1), n, mi, d2, two_sided=True)
-        bound = conc.psi_bernstein_discrete(mi, 2, n, d2)
+        bound = conc.tail(*conc.bernstein_discrete_terms(mi, 2, d2), n)
         worst = max(worst, p - bound - 3 * se)
     return worst, 0.0, "empirical tail <= discrete Bernstein"
 
@@ -649,7 +649,8 @@ def _psi_bl_dom():
         y = x @ b + rng.standard_normal(x.shape[0])
         dens = info.density_rows(m, part, b, x, y).reshape(10**4, n)
         p, se = _tail_freq(dens.sum(axis=1), n, mi, d2, two_sided=True)
-        bound = conc.psi_bernstein_linear(b, 1.0, part, n, d2)
+        s_sq = float(np.sum(b[part.dif_index()] ** 2))
+        bound = conc.tail(*conc.bernstein_linear_terms(s_sq, 1.0, d2), n)
         worst = max(worst, p - bound - 3 * se)
     return worst, 0.0, "empirical tail <= linear Bernstein"
 
@@ -663,7 +664,7 @@ def _psi_chernoff_dom():
         mi = info.mutual_information(m, part)
         sums = _gt_density_sums(m, part, n, 10**4, SEED + 13 + ell)
         p, se = _tail_freq(sums, n, mi, d2, two_sided=False)
-        bound = conc.psi_chernoff_gt(m.nu, 100, ell, n, d2)
+        bound = conc.tail(*conc.chernoff_gt_terms(m.nu, 100, ell, d2, 0.05), n)
         worst = max(worst, p - bound - 3 * se)
     return worst, 0.0, "empirical lower tail <= Chernoff"
 
@@ -677,7 +678,7 @@ def _psi_bennett_dom():
         mi = info.mutual_information(m, part)
         sums = _gt_density_sums(m, part, n, 10**4, SEED + 17 + ell)
         p, se = _tail_freq(sums, n, mi, d2, two_sided=False)
-        bound = conc.psi_bennett_gt_noisy(m.nu, 0.11, 100, ell, n, d2)
+        bound = conc.tail(*conc.bennett_gt_noisy_terms(m.nu, 0.11, 100, ell, d2, 0.05), n)
         worst = max(worst, p - bound - 3 * se)
     return worst, 0.0, "empirical lower tail <= Bennett"
 
@@ -695,10 +696,16 @@ def _var_cap():
     return worst, 0.0, f"GT variances <= |Y|(4/e)^2 = {cap:.3f}"
 
 
+def _gt_specs(dims: md.ProblemDims) -> list[conc.TailBoundSpec]:
+    """The noiseless group-testing channel's own tail families for dims.k."""
+    model = md.ModelSpec.group_testing()
+    return CHANNELS[GROUP_TESTING].tail_specs(model, None, *bounds._per_ell_mi(model, None, dims))
+
+
 @check("remainder-monotone")
 def _remainder_monotone():
     dims = md.ProblemDims(p=10**4, k=20, n=0)
-    specs = conc.gt_tail_specs(math.log(2.0), 20)
+    specs = _gt_specs(dims)
     ns = [
         conc.remainder_n_required(specs, dims, range(1, 21), t)
         for t in (0.5, 0.1, 0.01)
@@ -714,7 +721,7 @@ def _remainder_scaling():
     for p in (10**3, 10**4, 10**5):
         k = round(math.sqrt(p))
         dims = md.ProblemDims(p=p, k=k, n=0)
-        specs = conc.gt_tail_specs(math.log(2.0), k)
+        specs = _gt_specs(dims)
         n = float(conc.remainder_n_required(specs, dims, range(1, k + 1), 0.01))
         xs.append(math.log(k * math.log(p / k)))
         ys.append(math.log(n))

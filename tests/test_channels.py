@@ -199,3 +199,75 @@ def test_the_structural_check_sees_a_branch():
     )
     assert _channel_comparisons(tree) == [2, 5]
     assert _channel_name_imports(tree) == {"LINEAR"}
+
+
+# ---------------------------------------------------------------------------
+# Every package import is at module top, so the import graph is what the
+# module headers say: `conc` is a leaf over `numerics`, and `channels` builds
+# its tail families from it.  `cli` imports `verify` inside `cmd_verify`
+# only, which keeps the other commands' start-up short.
+# ---------------------------------------------------------------------------
+
+DEFERRED_IMPORTS = {"cli": {("verify", "cmd_verify")}}
+
+
+def _package_imports(tree) -> list[tuple[str, str | None]]:
+    """(package module, enclosing function or None) of each import of a
+    support_limits module, in source order."""
+    found = []
+
+    def visit(node, func):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.ImportFrom):
+                module = child.module or ""
+                if child.level == 0:  # absolute: only support_limits[.x] counts
+                    if module.split(".")[0] != "support_limits":
+                        continue
+                    module = module.removeprefix("support_limits").lstrip(".")
+                mods = [module] if module else [a.name for a in child.names]
+                found.extend((m.split(".")[0], func) for m in mods)
+            elif isinstance(child, ast.Import):
+                found.extend(
+                    (a.name.split(".")[1], func)
+                    for a in child.names
+                    if a.name.startswith("support_limits.")
+                )
+            inner = isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda))
+            visit(child, getattr(child, "name", "<lambda>") if inner else func)
+
+    visit(tree, None)
+    return found
+
+
+@pytest.mark.parametrize("name", sorted(path.stem for path in PACKAGE.glob("*.py")))
+def test_package_imports_at_module_top(name):
+    tree = ast.parse((PACKAGE / f"{name}.py").read_text())
+    deferred = {imp for imp in _package_imports(tree) if imp[1] is not None}
+    assert deferred <= DEFERRED_IMPORTS.get(name, set())
+
+
+def test_conc_is_a_leaf_over_numerics():
+    tree = ast.parse((PACKAGE / "conc.py").read_text())
+    assert {module for module, _ in _package_imports(tree)} == {"numerics"}
+
+
+def test_the_import_walker_sees_each_form():
+    tree = ast.parse(
+        "import math\n"
+        "from . import bounds, numerics as nm\n"
+        "from .model import ModelSpec\n"
+        "from support_limits.info import mutual_information\n"
+        "import support_limits.sim\n"
+        "class A:\n"
+        "    def f(self):\n"
+        "        from .conc import tail\n"
+        "        import scipy\n"
+        "def g():\n"
+        "    h = lambda: None\n"
+        "    def inner():\n"
+        "        from support_limits import verify\n"
+    )
+    assert _package_imports(tree) == [
+        ("bounds", None), ("numerics", None), ("model", None), ("info", None), ("sim", None),
+        ("conc", "f"), ("verify", "inner"),
+    ]

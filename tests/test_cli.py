@@ -85,7 +85,10 @@ class TestThresholdCommand:
         [("--grid-points", "1", "grid_points must be at least 2, got 1"),
          ("--alpha-star", "1.5", "alpha_star must lie in [0, 1], got 1.5"),
          ("--alpha-star", "0",
-          "alpha_star must be > 0: both coefficients are infinite at alpha_star = 0")],
+          "alpha_star must be > 0: both coefficients are infinite at alpha_star = 0"),
+         # a sigma that is not finite is named, not the SNR
+         ("--sigma", "nan", "sigma must be > 0 and finite, got nan"),
+         ("--sigma", "inf", "sigma must be > 0 and finite, got inf")],
     )
     def test_partial_recovery_degenerate_grid_named(self, capsys, flag, value, message):
         code, out, err = run(
@@ -436,6 +439,19 @@ BAD_INPUTS = [
     (["verify", "--only", "gt-mi-enumeration", f"--perturb={eps}"], 2, 1)
     for eps in ("nan", "inf", "-inf")
 ]
+
+
+@pytest.mark.parametrize(
+    "flag,value,argv",
+    [("--rho", "0.11,abc", ["threshold", "--figure", "gt-noisy"]),
+     ("--rho", "0.11,", ["threshold", "--figure", "gt-noisy"]),
+     ("--b", "1,abc", ["simulate", "--model", "linear", "--p", "6", "--k", "2",
+                       "--n-grid", "4:4:1", "--seed", "1"])],
+)
+def test_comma_list_flag_named(capsys, flag, value, argv):
+    code, out, err = run(capsys, *argv, flag, value)
+    assert (code, out) == (2, "")
+    assert err == f"configuration error: {flag} must be comma-separated numbers, got {value!r}\n"
 
 
 @pytest.mark.parametrize("argv,code,err_lines", BAD_INPUTS)

@@ -14,6 +14,24 @@ from support_limits import model as md
 LN2 = math.log(2.0)
 
 
+def _tail(terms, n):
+    return conc.tail(*terms, n)
+
+
+def _gt_pair(nu, k, rho=0.0, d2_small=0.9, d2_large=0.1, eps=0.05):
+    """The group-testing pair with free constants: Chernoff/Bennett below
+    floor(k/log k), discrete Bernstein over the closed-form MI above."""
+    cut = int(k / math.log(k)) if k >= 3 else 1
+    if rho == 0.0:
+        small = lambda ell: conc.chernoff_gt_terms(nu, k, ell, d2_small, eps)
+    else:
+        small = lambda ell: conc.bennett_gt_noisy_terms(nu, rho, k, ell, d2_small, eps)
+    large = lambda ell: conc.bernstein_discrete_terms(
+        info.gt_mi_closed_form(nu, k, ell, rho), 2, d2_large
+    )
+    return [conc.TailBoundSpec(small, ell_hi=cut), conc.TailBoundSpec(large, ell_lo=cut + 1)]
+
+
 class TestChebyshev:
     def test_zero_variance(self):
         assert conc.psi_chebyshev(1.0, 0.0, 100, 0.5) == 0.0
@@ -46,73 +64,77 @@ class TestVarianceCap:
 class TestBernsteinDiscrete:
     def test_direct_value(self):
         # delta2 I = 1, |Y| = 2, n = 1000
-        assert conc.psi_bernstein_discrete(2.0, 2, 1000, 0.5) == pytest.approx(
+        assert _tail(conc.bernstein_discrete_terms(2.0, 2, 0.5), 1000) == pytest.approx(
             2 * math.exp(-1000 / 36), rel=1e-12
         )
 
     def test_decreasing_to_zero(self):
-        vals = [conc.psi_bernstein_discrete(0.5, 2, n, 0.5) for n in (10, 100, 1000, 10**5)]
+        terms = conc.bernstein_discrete_terms(0.5, 2, 0.5)
+        vals = [_tail(terms, n) for n in (10, 100, 1000, 10**5)]
         assert all(b <= a for a, b in zip(vals, vals[1:]))
         assert vals[-1] < 1e-6
 
 
 class TestBernsteinLinear:
     def test_degenerate_dif(self):
-        part = md.Partition(s_dif=(1,), s_eq=(2,))
-        assert conc.psi_bernstein_linear([0.0, 1.0], 1.0, part, 100, 0.5) == 0.0
+        assert _tail(conc.bernstein_linear_terms(0.0, 1.0, 0.5), 100) == 0.0
 
     def test_alpha_at_equal_scales(self):
-        part = md.Partition(s_dif=(1,), s_eq=(2,))
-        # s = sigma gives alpha = 2 s (s + s) / (2 s^2) = 2
-        assert conc.alpha_dif_linear([1.0, 0.0], 1.0, part) == pytest.approx(2.0)
-        a = conc.alpha_dif_linear([3.0, 0.0], 3.0, part)
-        assert a == pytest.approx(2.0)
+        # s = sigma gives alpha = 2 s (s + s) / (2 s^2) = 2, so den = 2 (16 + 2 d)
+        for s, sigma in ((1.0, 1.0), (3.0, 3.0)):
+            _, q, den = conc.bernstein_linear_terms(s * s, sigma, 0.5)
+            d = math.sqrt(q)
+            assert d == pytest.approx(0.5 * 0.5 * math.log(2.0), rel=1e-12)
+            assert den == pytest.approx(2.0 * (16.0 + 2.0 * d), rel=1e-12)
 
     def test_formula_assembly(self):
-        part = md.Partition(s_dif=(1,), s_eq=(2,))
-        b = [1.0, 0.5]
-        n, d2 = 2000, 0.4
-        a = conc.alpha_dif_linear(b, 1.0, part)
+        n, d2 = 2000, 0.4  # b_dif = 1, sigma = 1
+        a = 2.0 * 1.0 * (1.0 + 1.0) / (1.0 + 1.0)
         I = 0.5 * math.log1p(1.0)
         d = d2 * I
         expect = 2 * math.exp(-(d * d) * n / (2 * (4 * a * a + d * a)))
         assert expect < 1.0
-        assert conc.psi_bernstein_linear(b, 1.0, part, n, d2) == pytest.approx(expect, rel=1e-12)
+        got = _tail(conc.bernstein_linear_terms(1.0, 1.0, d2), n)
+        assert got == pytest.approx(expect, rel=1e-12)
 
 
 class TestChernoffGt:
     def test_small_delta_limit(self):
-        assert conc.psi_chernoff_gt(LN2, 100, 1, 10**4, 1e-9) == pytest.approx(1.0, abs=1e-4)
+        assert _tail(conc.chernoff_gt_terms(LN2, 100, 1, 1e-9, 0.05), 10**4) == pytest.approx(
+            1.0, abs=1e-4
+        )
 
     def test_direct_arithmetic(self):
         nu, k, ell, d2, eps, n = LN2, 100, 1, 0.9, 0.1, 10**4
         h = 0.1 * math.log(0.1) + 0.9
         expect = math.exp(-n * (ell / k) * math.exp(-nu) * nu * h * (1 - eps))
-        assert conc.psi_chernoff_gt(nu, k, ell, n, d2, eps) == pytest.approx(expect, rel=1e-12)
+        assert _tail(conc.chernoff_gt_terms(nu, k, ell, d2, eps), n) == pytest.approx(
+            expect, rel=1e-12
+        )
 
     def test_log_linear_in_ell(self):
-        b1 = conc.psi_chernoff_gt(LN2, 100, 1, 500, 0.9)
-        b2 = conc.psi_chernoff_gt(LN2, 100, 2, 500, 0.9)
+        b1 = _tail(conc.chernoff_gt_terms(LN2, 100, 1, 0.9, 0.05), 500)
+        b2 = _tail(conc.chernoff_gt_terms(LN2, 100, 2, 0.9, 0.05), 500)
         assert math.log(b2) / math.log(b1) == pytest.approx(2.0, rel=1e-9)
 
 
 class TestBennettGtNoisy:
     def test_pure_noise_limit(self):
-        assert conc.psi_bennett_gt_noisy(LN2, 0.4999, 100, 2, 10**5, 0.9) > 0.99
+        assert _tail(conc.bennett_gt_noisy_terms(LN2, 0.4999, 100, 2, 0.9, 0.05), 10**5) > 0.99
 
     def test_shared_prefactor_with_chernoff(self):
         # both exponents scale linearly in (ell/k) e^-nu nu
-        b1 = conc.psi_bennett_gt_noisy(LN2, 0.11, 100, 1, 800, 0.9)
-        b2 = conc.psi_bennett_gt_noisy(LN2, 0.11, 100, 3, 800, 0.9)
+        b1 = _tail(conc.bennett_gt_noisy_terms(LN2, 0.11, 100, 1, 0.9, 0.05), 800)
+        b2 = _tail(conc.bennett_gt_noisy_terms(LN2, 0.11, 100, 3, 0.9, 0.05), 800)
         assert math.log(b2) / math.log(b1) == pytest.approx(3.0, rel=1e-9)
-        c1 = conc.psi_chernoff_gt(LN2, 100, 1, 800, 0.9)
-        c3 = conc.psi_chernoff_gt(LN2, 100, 3, 800, 0.9)
+        c1 = _tail(conc.chernoff_gt_terms(LN2, 100, 1, 0.9, 0.05), 800)
+        c3 = _tail(conc.chernoff_gt_terms(LN2, 100, 3, 0.9, 0.05), 800)
         assert math.log(c3) / math.log(c1) == pytest.approx(3.0, rel=1e-9)
 
 
 class TestRemainder:
     def _specs(self, k):
-        return conc.gt_tail_specs(LN2, k)
+        return _gt_pair(LN2, k)
 
     def test_vacuous_target(self):
         dims = md.ProblemDims(p=1000, k=10, n=0)
@@ -126,7 +148,7 @@ class TestRemainder:
 
     @staticmethod
     def _discrete(I):
-        return conc.TailBoundSpec(lambda ell: conc.bernstein_discrete_terms(I, 2, 0.5))
+        return [conc.TailBoundSpec(lambda ell: conc.bernstein_discrete_terms(I, 2, 0.5))]
 
     def test_unbounded_sentinel(self):
         # I so small that psi stays 1 out to n_cap
@@ -187,10 +209,12 @@ def _solver_families(rng: random.Random, k: int):
     b = [0.0 if rng.random() < 0.2 else rng.uniform(-3.0, 3.0) for _ in range(k)]
     dims = md.ProblemDims(p=10**6, k=k, n=0)
     return [
-        conc.gt_tail_specs(nu, k, 0.0, d2s, d2l, eps),
-        conc.gt_tail_specs(nu, k, rho, d2s, d2l, eps),
-        conc.TailBoundSpec(lambda ell: conc.bernstein_discrete_terms(mis[ell], alphabet, d2)),
-        CHANNELS[LINEAR].tail_specs(md.ModelSpec.linear(rng.uniform(0.1, 3.0)), b, dims, {}),
+        _gt_pair(nu, k, 0.0, d2s, d2l, eps),
+        _gt_pair(nu, k, rho, d2s, d2l, eps),
+        [conc.TailBoundSpec(lambda ell: conc.bernstein_discrete_terms(mis[ell], alphabet, d2))],
+        CHANNELS[LINEAR].tail_specs(
+            md.ModelSpec.linear(rng.uniform(0.1, 3.0)), b, md.min_info_partitions(b), {}
+        ),
     ]
 
 
@@ -238,7 +262,7 @@ class TestRemainderSolverEqualsOldSearch:
     def test_cap_below_one_counts_as_one(self):
         # bound(0) = 0.5, bound(1) = 0.5 / e: the old bracket's first step
         # reaches n = 1 whatever the cap
-        spec = conc.TailBoundSpec(lambda ell: (0.5, 1.0, 1.0))
+        spec = [conc.TailBoundSpec(lambda ell: (0.5, 1.0, 1.0))]
         dims = md.ProblemDims(p=10, k=1, n=0)
         for cap in (1, 0, -5):
             assert _old_remainder_n_required(spec, dims, [1], 0.3, cap) == 1
@@ -279,12 +303,12 @@ class TestRemainderSolverEqualsOldSearch:
         real = conc.remainder_sum
         monkeypatch.setattr(conc, "remainder_sum", lambda *args: sums.append(1) or real(*args))
         dims = md.ProblemDims(p=1000, k=10, n=0)
-        assert conc.remainder_n_required(conc.gt_tail_specs(LN2, 10), dims, range(1, 11), 1.0) == 0
+        assert conc.remainder_n_required(_gt_pair(LN2, 10), dims, range(1, 11), 1.0) == 0
         assert len(sums) == 1
 
     def test_constant_term_above_target_is_unbounded(self):
         # ell = 1 falls, ell = 2 stays at C(2, 2) 0.5 = 0.5 > 0.1 for every n
-        spec = conc.TailBoundSpec(lambda ell: (1.0, 1.0, 1.0) if ell == 1 else (0.5, 0.0, 1.0))
+        spec = [conc.TailBoundSpec(lambda ell: (1.0, 1.0, 1.0) if ell == 1 else (0.5, 0.0, 1.0))]
         dims = md.ProblemDims(p=10, k=2, n=0)
         for cap in (1, 1000, 2**30):
             assert conc.remainder_n_required(spec, dims, [1, 2], 0.1, cap) == conc.UNBOUNDED
@@ -297,7 +321,7 @@ class TestRemainderSolverEqualsOldSearch:
         # C(100, 50) ~ 1e29: the guess works on log terms, so nothing over- or
         # underflows, at small and large n alike
         dims = md.ProblemDims(p=10**6, k=100, n=0)
-        families = [conc.gt_tail_specs(LN2, 100), conc.gt_tail_specs(LN2, 100, rho=0.11),
+        families = [_gt_pair(LN2, 100), _gt_pair(LN2, 100, rho=0.11),
                     TestRemainder._discrete(1e-9)]
         with warnings.catch_warnings():
             warnings.simplefilter("error")
@@ -312,7 +336,8 @@ class TestRemainderSolverEqualsOldSearch:
 
 
 class TestSpecsMatchScalars:
-    """Every spec's psi equals the public scalar of its family, bit for bit."""
+    """Every channel's tail_specs equals conc.tail of its family's terms at
+    the channel's own delta2, eps and cut, bit for bit."""
 
     @settings(max_examples=150, deadline=None)
     @given(
@@ -324,12 +349,14 @@ class TestSpecsMatchScalars:
     @example(b=[0.0, 1.0], sigma=1.0, n=100, ell=1)  # sum_dif b^2 = 0: psi = 0
     def test_linear(self, b, sigma, n, ell):
         ell = min(ell, len(b))
-        dims = md.ProblemDims(p=100, k=len(b), n=0)
-        (spec,) = CHANNELS[LINEAR].tail_specs(md.ModelSpec.linear(sigma), b, dims, {})
-        part = md.min_info_partition(np.asarray(b, dtype=float), ell)
-        expect = conc.psi_bernstein_linear(b, sigma, part, n, 0.5)
+        b = np.asarray(b, dtype=float)
+        parts = md.min_info_partitions(b)
+        (spec,) = CHANNELS[LINEAR].tail_specs(md.ModelSpec.linear(sigma), b, parts, {})
+        part = md.min_info_partition(b, ell)  # a sort of its own for this ell
+        s_sq = float(np.sum(b[part.dif_index()] ** 2))
+        expect = conc.tail(*conc.bernstein_linear_terms(s_sq, sigma, 0.5), n)
         assert spec.psi(ell, n) == expect
-        if not np.any(np.asarray(b)[part.dif_index()]):
+        if s_sq == 0.0:
             assert expect == 0.0
 
     @settings(max_examples=100, deadline=None)
@@ -341,9 +368,9 @@ class TestSpecsMatchScalars:
     def test_one_bit(self, mis, n, data):
         ell = data.draw(st.integers(1, len(mis)))
         mi_map = dict(enumerate(mis, start=1))
-        dims = md.ProblemDims(p=100, k=len(mis), n=0)
-        (spec,) = CHANNELS[ONE_BIT].tail_specs(md.ModelSpec.one_bit(1.0), None, dims, mi_map)
-        assert spec.psi(ell, n) == conc.psi_bernstein_discrete(mi_map[ell], 2, n, 0.5)
+        parts = md.min_info_partitions(np.ones(len(mis)))
+        (spec,) = CHANNELS[ONE_BIT].tail_specs(md.ModelSpec.one_bit(1.0), None, parts, mi_map)
+        assert spec.psi(ell, n) == conc.tail(*conc.bernstein_discrete_terms(mi_map[ell], 2, 0.5), n)
 
     @settings(max_examples=150, deadline=None)
     @given(
@@ -358,54 +385,29 @@ class TestSpecsMatchScalars:
         # any map: the specs must read the MI they are given
         mis = data.draw(st.lists(st.floats(1e-9, 1.0), min_size=k, max_size=k))
         mi_map = dict(enumerate(mis, start=1))
-        dims = md.ProblemDims(p=10**4, k=k, n=0)
+        parts = md.min_info_partitions(np.ones(k))
         model = md.ModelSpec.group_testing(rho=rho, nu=nu)
-        small, large = CHANNELS[GROUP_TESTING].tail_specs(model, None, dims, mi_map)
-        assert small.covers(ell) != large.covers(ell)
-        if large.covers(ell):
-            spec, expect = large, conc.psi_bernstein_discrete(mi_map[ell], 2, n, 0.1)
+        small, large = CHANNELS[GROUP_TESTING].tail_specs(model, None, parts, mi_map)
+        cut = int(k / math.log(k)) if k >= 3 else 1
+        assert small.covers(ell) == (ell <= cut) != large.covers(ell)
+        if ell > cut:
+            spec, terms = large, conc.bernstein_discrete_terms(mi_map[ell], 2, 0.1)
         elif rho == 0.0:
-            spec, expect = small, conc.psi_chernoff_gt(nu, k, ell, n, 0.9)
+            spec, terms = small, conc.chernoff_gt_terms(nu, k, ell, 0.9, 0.05)
         else:
-            spec, expect = small, conc.psi_bennett_gt_noisy(nu, rho, k, ell, n, 0.9)
-        assert spec.psi(ell, n) == expect
-
-    @settings(max_examples=100, deadline=None)
-    @given(
-        k=st.integers(1, 80),
-        nu=st.floats(0.05, 0.95),
-        rho=st.one_of(st.just(0.0), st.floats(1e-4, 0.49)),
-        d2_small=st.floats(0.01, 0.99),
-        d2_large=st.floats(0.01, 0.99),
-        eps=st.floats(0.0, 0.5),
-        n=st.integers(0, 10**7),
-        data=st.data(),
-    )
-    def test_gt_tail_specs(self, k, nu, rho, d2_small, d2_large, eps, n, data):
-        ell = data.draw(st.integers(1, k))
-        specs = conc.gt_tail_specs(nu, k, rho, d2_small, d2_large, eps)
-        (spec,) = [s for s in specs if s.covers(ell)]
-        if spec is specs[1]:
-            mi = info.gt_mi_closed_form(nu, k, ell, rho)
-            expect = conc.psi_bernstein_discrete(mi, 2, n, d2_large)
-        elif rho == 0.0:
-            expect = conc.psi_chernoff_gt(nu, k, ell, n, d2_small, eps)
-        else:
-            expect = conc.psi_bennett_gt_noisy(nu, rho, k, ell, n, d2_small, eps)
-        assert spec.psi(ell, n) == expect
+            spec, terms = small, conc.bennett_gt_noisy_terms(nu, rho, k, ell, 0.9, 0.05)
+        assert spec.psi(ell, n) == conc.tail(*terms, n)
 
 
 class TestFamilyProperties:
     def test_all_bounds_in_unit_interval_and_nonincreasing(self):
-        part = md.Partition(s_dif=(1,), s_eq=(2, 3))
-        b = [0.8, 1.0, -0.4]
         ns = [1, 10, 100, 1000, 10**4]
         families = [
             lambda n: conc.psi_chebyshev(0.2, 1.0, n, 0.5),
-            lambda n: conc.psi_bernstein_discrete(0.2, 2, n, 0.5),
-            lambda n: conc.psi_bernstein_linear(b, 1.0, part, n, 0.5),
-            lambda n: conc.psi_chernoff_gt(LN2, 50, 1, n, 0.9),
-            lambda n: conc.psi_bennett_gt_noisy(LN2, 0.11, 50, 1, n, 0.9),
+            lambda n: _tail(conc.bernstein_discrete_terms(0.2, 2, 0.5), n),
+            lambda n: _tail(conc.bernstein_linear_terms(0.8**2, 1.0, 0.5), n),
+            lambda n: _tail(conc.chernoff_gt_terms(LN2, 50, 1, 0.9, 0.05), n),
+            lambda n: _tail(conc.bennett_gt_noisy_terms(LN2, 0.11, 50, 1, 0.9, 0.05), n),
         ]
         for fam in families:
             vals = [fam(n) for n in ns]
@@ -418,7 +420,7 @@ class TestFamilyProperties:
         n = int(1.0 / (d2 * I) ** 2)
         cap = conc.variance_cap_discrete(2)
         assert conc.psi_chebyshev(I, cap, n, d2) > 0.5
-        assert conc.psi_bernstein_discrete(I, 2, n, d2) > 0.5
+        assert _tail(conc.bernstein_discrete_terms(I, 2, d2), n) > 0.5
 
 
 class TestEmpiricalDomination:
@@ -440,4 +442,4 @@ class TestEmpiricalDomination:
         sums = verify._gt_density_sums(m, part, n, 10**4, 34)
         freq = float(np.mean(sums <= n * mi * (1 - d2)))
         se = math.sqrt(max(freq * (1 - freq), 1e-4) / 10**4)
-        assert freq <= conc.psi_chernoff_gt(m.nu, 100, 2, n, d2) + 3 * se
+        assert freq <= _tail(conc.chernoff_gt_terms(m.nu, 100, 2, d2, 0.05), n) + 3 * se

@@ -146,7 +146,12 @@ class TestSnr:
     @pytest.mark.parametrize("snr,sigma", [(4000.0, 1.0), (0.0, 1e200), (0.0, math.inf),
                                            (-4000.0, math.inf), (0.0, math.nan)])
     def test_c_beta_beyond_float_range_refused(self, snr, sigma):
-        with pytest.raises(ValueError, match=f"SNR {snr:g} dB .* beyond the float range"):
+        # a sigma that is not finite is named before the SNR is blamed
+        if math.isfinite(sigma):
+            match = f"SNR {snr:g} dB .* beyond the float range"
+        else:
+            match = f"sigma must be > 0 and finite, got {sigma:g}"
+        with pytest.raises(ValueError, match=match):
             md.c_beta_from_snr(snr, sigma)
 
     @pytest.mark.parametrize("snr,sigma,match", [(0.0, 0.0, "sigma must be > 0"),
