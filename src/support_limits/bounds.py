@@ -191,6 +191,17 @@ def _stirling_log_binom(N: float, r: float) -> float:
     return r * math.log(N / r) if r > 0 else 0.0
 
 
+def achievability_numerators(dims: ProblemDims, ells: range, delta1: float, gamma: float) -> list:
+    """log C(p-k, l) + 2 log(k/d1) + 2 log C(k, l) + gamma per l in ells: the
+    numerators that achievability_threshold_generic divides by I_l and the
+    thresholds of sim's threshold decoder."""
+    k = dims.k
+    r = np.arange(ells.start, ells.stop)
+    return (
+        log_binomial(dims.p - k, r) + 2.0 * math.log(k / delta1) + 2.0 * log_binomial(k, r) + gamma
+    ).tolist()
+
+
 def achievability_threshold_generic(
     model: ModelSpec,
     b,
@@ -215,13 +226,7 @@ def achievability_threshold_generic(
     if opts.asymptotic:
         nums = [_stirling_log_binom(p - k, ell) + gamma for ell in ells]
     else:
-        r = np.arange(ells.start, ells.stop)
-        nums = (
-            log_binomial(p - k, r)
-            + 2.0 * math.log(k / opts.delta1)
-            + 2.0 * log_binomial(k, r)
-            + gamma
-        ).tolist()
+        nums = achievability_numerators(dims, ells, opts.delta1, gamma)
     rows = [
         _ratio_row(ell, num, mi_map[ell], 1.0 - opts.delta2) for ell, num in zip(ells, nums)
     ]

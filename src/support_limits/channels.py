@@ -79,7 +79,9 @@ class Channel:
                                         draws; may overwrite raw
         outputs(spec, x_s, b, noise)    y | x_s, b from the noise draws, one
                                         output per row
-        loglik_rows(spec, x_s, b, y)    log P(y | x_s, b) per row
+        loglik_rows_and_sum(spec, x_s, b, y)
+                                        (log P(y | x_s, b) per row, their
+                                        sum), the one likelihood method
         log_marginal_rows(spec, partition, x_s, b, y)
                                         log P(y | x_eq, b) per row, x_dif
                                         marginalized over the design
@@ -101,18 +103,18 @@ class Channel:
     non-zero entries aligned with its columns (a float array) and y the n
     outputs.  The likelihood and marginal methods also take a stack of C
     candidate supports, x_s of shape (C x n x k) against the same y: the row
-    methods then return (C x n) arrays and loglik one sum per candidate.
+    methods then return (C x n) arrays and one sum per candidate.
 
     gaussian_evidence(spec, sigma_beta_sq, x_s, y), log P(y | x_s) under the
     iid-Gaussian prior, is defined by the linear channel alone; the base
     class refuses it with UnsupportedCombinationError.
 
-    From these the base class derives the pair loglik_rows_and_sum, loglik
-    (its row sum) and the density rows.  density_rows takes likelihood rows
+    From these the base class derives loglik_rows and loglik (the pair's
+    rows and sum) and the density rows.  density_rows takes likelihood rows
     already computed, and density_from_rows turns them and the marginal rows
     into density rows, so that the threshold decoder evaluates each atom's
-    likelihood once per candidate block.  Linear and group testing compute
-    their pair from the same residuals or matches for rows and sum.
+    likelihood once per candidate block.  Each channel computes its pair's
+    rows and sum from the same residuals, arguments or matches.
     """
 
     only_prior: str | None = None
@@ -122,15 +124,14 @@ class Channel:
             "iid-gaussian marginal likelihood is only available for the linear channel"
         )
 
+    def loglik_rows(self, spec, x_s, b, y):
+        """log P(y | x_s, b) per row."""
+        return self.loglik_rows_and_sum(spec, x_s, b, y)[0]
+
     def loglik(self, spec, x_s, b, y):
         """log P(y | x_s, b) summed over the rows: a float for one (n x k)
         x_s, an array of C sums for a (C x n x k) stack."""
         return self.loglik_rows_and_sum(spec, x_s, b, y)[1]
-
-    def loglik_rows_and_sum(self, spec, x_s, b, y):
-        """(loglik_rows, loglik) from one evaluation of the likelihood."""
-        rows = self.loglik_rows(spec, x_s, b, y)
-        return rows, _row_sum(np.sum(rows, axis=-1))
 
     def density_rows(self, spec, partition, b, x_s, y, lik_rows=None) -> np.ndarray:
         """Information density log P(y | x_s, b) / P(y | x_eq, b) per row;
@@ -197,9 +198,6 @@ class Linear(_GaussianDesign):
                 -0.5 * np.sum(z**2, axis=-1) / spec.sigma**2
                 - 0.5 * z.shape[-1] * (_LOG_2PI + 2.0 * math.log(spec.sigma))
             )
-
-    def loglik_rows(self, spec, x_s, b, y):
-        return self._log_density_rows(y - x_s @ b, spec.sigma**2)
 
     def loglik_rows_and_sum(self, spec, x_s, b, y):
         z = y - x_s @ b
@@ -275,8 +273,9 @@ class OneBit(_GaussianDesign):
     def outputs(self, spec, x_s, b, noise):
         return one_bit_sign(self._response(spec, x_s, b, noise))
 
-    def loglik_rows(self, spec, x_s, b, y):
-        return log_q_function(-y * (x_s @ b) / spec.sigma)
+    def loglik_rows_and_sum(self, spec, x_s, b, y):
+        rows = log_q_function(-y * (x_s @ b) / spec.sigma)
+        return rows, _row_sum(np.sum(rows, axis=-1))
 
     def log_marginal_rows(self, spec, partition, x_s, b, y):
         eq = partition.eq_index()
@@ -433,10 +432,6 @@ class GroupTesting(Channel):
             return np.where(n_miss == 0, 0.0, NEG_INF)
         log_match, log_miss = _flip_logs(spec.rho)
         return (n - n_miss) * log_match + n_miss * log_miss
-
-    def loglik_rows(self, spec, x_s, b, y):
-        log_match, log_miss = _flip_logs(spec.rho)
-        return np.where((y > 0.5) == x_s.astype(bool).any(axis=-1), log_match, log_miss)
 
     def loglik_rows_and_sum(self, spec, x_s, b, y):
         """Both from one comparison of y with the noiseless outputs of x_s:

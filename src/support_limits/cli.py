@@ -6,7 +6,8 @@ Command-line front end.
         --n-grid 2:40:2 --trials 500 --seed 1
     support-limits verify [--only NAME] [--perturb 1e-3]
 
-Exit codes: 0 success, 1 failed verification check, 2 configuration error,
+Exit codes: 0 success, 1 failed verification check, 2 configuration error
+(a config or output path that cannot be read or written included),
 3 numerical non-convergence, 4 desk-scale guard refusal.
 
 Config may also be supplied as a JSON file via --config; explicit flags
@@ -341,7 +342,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(_merge_config(args, argv))
-    except (ConfigError, ValueError, FileNotFoundError, KeyError) as exc:
+    except (ConfigError, ValueError, OSError, KeyError) as exc:
         if isinstance(exc, GuardError):
             print(f"guard refused: {exc}", file=sys.stderr)
             return EXIT_GUARD

@@ -28,10 +28,12 @@ the Hermite nodes.
 
 H2, g(alpha) and mean_entropy_q_scaled take a scalar (and return a Python
 float) or an array of arguments (and return an array of the same shape);
-every element equals the scalar call bit for bit.  A scalar takes a scalar
-path with no array overhead; the figure corollaries' golden-section steps
-pass all their lanes as one array.  mean_entropy_q_scaled sums an array as
-(grid x nodes) Gauss-Hermite matrices of at most _GRID_BLOCK rows.
+every element equals the scalar call bit for bit.  In H2 and
+mean_entropy_q_scaled a scalar takes a scalar path with no array overhead;
+g(alpha), which no figure calls with a scalar, has the array path alone.
+The figure corollaries' golden-section steps pass all their lanes as one
+array.  mean_entropy_q_scaled sums an array as (grid x nodes) Gauss-Hermite
+matrices of at most _GRID_BLOCK rows.
 log_binomial(n, r) follows the same rule: two ints take the scalar path, and
 integer arrays (n and r broadcast) give one array whose elements equal the
 scalar calls bit for bit, so a threshold's numerators for every ell come
@@ -195,12 +197,6 @@ def g_alpha(alpha):
     same shape); raises if any argument lies outside [0, 1].  Where
     (1 + alpha)/2 rounds to 1, t is infinite and g is the alpha = 1 limit, 1.
     """
-    if np.ndim(alpha) == 0:
-        if not 0.0 <= alpha <= 1.0:
-            raise ValueError(f"g_alpha argument outside [0, 1]: {float(alpha)!r}")
-        if alpha == 0.0:
-            return float(alpha)
-        return 1.0 if (1.0 + alpha) / 2.0 == 1.0 else float(_g_interior(alpha))
     al = np.asarray(alpha, dtype=float)
     inside = (al >= 0.0) & (al <= 1.0)
     if not inside.all():
@@ -210,11 +206,11 @@ def g_alpha(alpha):
     g[top] = 1.0
     interior = (al > 0.0) & ~top
     g[interior] = _g_interior(al[interior])
-    return g
+    return float(g) if g.ndim == 0 else g
 
 
 def _g_interior(alpha):
-    """g(alpha) for 0 < alpha < 1; alpha is a float or a 1-D array."""
+    """g(alpha) for 0 < alpha < 1; alpha is a 1-D array."""
     t = ndtri((1.0 + alpha) / 2.0)
     return alpha - 2.0 * t * np.exp(-0.5 * t * t) / _SQRT_2PI
 

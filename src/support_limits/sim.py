@@ -5,13 +5,11 @@ for explicit decoders at desk scale.
 Decoders:
 
 - threshold: searches for the unique candidate support whose beta-averaged
-  information density exceeds the combined per-size threshold
-
-      gamma_l + gamma'_l = log((k/d1) C(p-k, l) C(k, l)) + log((k/d1) C(k, l))
-
-  for every partition of the candidate with l <= p - k (no wrong support
-  lies at a larger distance); "none" and "multiple" outcomes both count as
-  errors.
+  information density exceeds the paper's per-size threshold
+  gamma_l + gamma'_l + gamma on every partition of the candidate with
+  l <= p - k (no wrong support lies at a larger distance).  The threshold
+  is the achievability bound's numerator, `bounds.achievability_numerators`.
+  "none" and "multiple" outcomes both count as errors.
 - exhaustive-ml: argmax of the beta-averaged likelihood over all C(p, k)
   candidate supports, lexicographic tie-break.
 - comp-gt: rules out any item appearing in a negative test, then keeps the k
@@ -61,7 +59,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .bounds import gamma_select
+from .bounds import achievability_numerators, gamma_select
 from .channels import CHANNELS
 from .info import NEG_INF, _log_mixture, density_rows, log_marginal_likelihood, prior_atoms
 from .model import (
@@ -200,18 +198,6 @@ def _stacked(realizations) -> tuple[np.ndarray, np.ndarray]:
 # ---------------------------------------------------------------------------
 
 
-def combined_thresholds(dims: ProblemDims, delta1: float, gamma: float = 0.0):
-    """gamma_l + gamma'_l (+ gamma) for l = 1..min(k, p - k): no wrong
-    support lies at a larger distance l."""
-    k, p = dims.k, dims.p
-    out = {}
-    for ell in range(1, min(k, p - k) + 1):
-        g1 = math.log(k / delta1) + log_binomial(p - k, ell) + log_binomial(k, ell)
-        g2 = math.log(k / delta1) + log_binomial(k, ell)
-        out[ell] = g1 + g2 + gamma
-    return out
-
-
 def _atom_likelihoods(model, atoms, x_cands, y):
     """Per prior atom (lw, b): its log-likelihood rows log P(y_i | x_i, b)
     and its log-weighted sum lw + log P(y | x_s, b).  A (C x n x k) stack
@@ -264,13 +250,15 @@ def _averaged_partition_density(model, prior, x_cand, y, partition):
 
 @functools.lru_cache(maxsize=64)
 def _threshold_test(model, prior, dims: ProblemDims, delta1: float):
-    """(thresholds, partitions) of the threshold test: the combined
-    thresholds, gamma by the discrete rule, and every partition they cover.
+    """(thresholds, partitions) of the threshold test: the achievability
+    numerators, gamma by the discrete rule, for l = 1..min(k, p - k) (no
+    wrong support lies at a larger distance), and every partition they cover.
     Built once per (model, prior, dims, delta1), that is once per simulated
     cell, and shared read-only by its decodes, as are the prior's atoms
     (`prior_atoms` is cached too)."""
     gamma = gamma_select("discrete", model, prior, dims)
-    thresholds = combined_thresholds(dims, delta1, gamma)
+    ells = range(1, min(dims.k, dims.p - dims.k) + 1)
+    thresholds = dict(zip(ells, achievability_numerators(dims, ells, delta1, gamma)))
     return MappingProxyType(thresholds), tuple(enumerate_partitions(dims.k, thresholds))
 
 
@@ -305,7 +293,7 @@ def decode_threshold(
     dims: ProblemDims,
     delta1: float = 0.1,
 ) -> DecodeOutcome:
-    """Unique candidate passing the combined threshold test on every
+    """Unique candidate passing the threshold test on every
     partition; "none" or "multiple" otherwise (both are errors).  gamma
     follows the discrete rule, the one defined for the discrete priors this
     decoder accepts."""

@@ -8,7 +8,7 @@ import pytest
 import support_limits
 from support_limits import info
 from support_limits import model as md
-from support_limits.channels import CHANNELS, _energy, _gt_table, gt_mi_closed_form
+from support_limits.channels import CHANNELS, Channel, _energy, _gt_table, gt_mi_closed_form
 from support_limits.numerics import (
     NonConvergenceError,
     gauss_hermite_nodes,
@@ -68,6 +68,37 @@ def test_loglik_of_a_stack_against_per_candidate_outputs(name):
     for c in range(5):
         assert stacked[c] == channel.loglik(model, x[c], b, y[c])
         assert stacked[c] == pytest.approx(np.sum(channel.loglik_rows(model, x[c], b, y[c])))
+
+
+@pytest.mark.parametrize("name", sorted(CHANNELS))
+def test_one_likelihood_method_per_channel(name):
+    # each channel writes its likelihood once, as the (rows, sum) pair; only
+    # the base class reads loglik_rows and loglik off that pair
+    mro = type(CHANNELS[name]).__mro__
+    assert any("loglik_rows_and_sum" in vars(cls) for cls in mro[: mro.index(Channel)])
+    for cls in mro:
+        if cls is not Channel:
+            assert "loglik_rows" not in vars(cls) and "loglik" not in vars(cls), cls
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_loglik_rows_and_loglik_are_the_pair(name):
+    model, b, _ = CASES[name]
+    channel = CHANNELS[model.channel]
+    b = np.asarray(b)
+    rng = md.rng_stream(7)
+    raw, noise = np.empty((4, 30, 3)), np.empty((4, 30))
+    for c in range(4):
+        channel.draw(model, rng, raw[c], noise[c])
+    x = channel.design(model, raw, 3)
+    y = channel.outputs(model, x, b, noise)
+    # one (n x k) candidate gives a float sum, a (C x n x k) stack C sums
+    for x_s, y_s in ((x[0], y[0]), (x, y)):
+        rows, total = channel.loglik_rows_and_sum(model, x_s, b, y_s)
+        assert np.array_equal(channel.loglik_rows(model, x_s, b, y_s), rows)
+        assert np.array_equal(channel.loglik(model, x_s, b, y_s), total)
+    assert isinstance(channel.loglik(model, x[0], b, y[0]), float)
+    assert channel.loglik(model, x, b, y).shape == (4,)
 
 
 # ---------------------------------------------------------------------------

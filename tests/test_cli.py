@@ -465,3 +465,24 @@ def test_bad_input_exit_codes(capsys, tmp_path, argv, code, err_lines):
         report = json.loads((tmp_path / "r.json").read_text(), parse_constant=_reject_constant)
         assert report[0]["passed"] is True
         assert isinstance(report[0]["measured"], float)
+
+
+# an --output or --config path that names a directory cannot be opened as a
+# file: a configuration error (exit 2), not a failed verification check (1)
+DIRECTORY_PATHS = [
+    ["threshold", "--figure", "gt-noiseless", "--theta", "0.1:0.2:0.1", "--output", "{tmp}"],
+    ["simulate", "--p", "8", "--k", "2", "--n-grid", "2:4:2", "--trials", "2", "--seed", "1",
+     "--output", "{tmp}"],
+    ["verify", "--only", "q-symmetry", "--output", "{tmp}"],
+    ["threshold", "--figure", "gt-noiseless", "--theta", "0.1:0.2:0.1", "--config", "{tmp}"],
+]
+
+
+@pytest.mark.parametrize("argv", DIRECTORY_PATHS)
+def test_directory_path_exits_2(capsys, tmp_path, argv):
+    argv = [a.replace("{tmp}", str(tmp_path)) for a in argv]
+    got, _, err = run(capsys, *argv)
+    assert got == 2
+    assert len(err.splitlines()) == 1
+    assert err.startswith("configuration error: ")
+    assert "Traceback" not in err

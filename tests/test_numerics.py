@@ -453,6 +453,15 @@ def test_cold_import_skips_the_array_api_layer():
     )
 
 
+def test_verify_import_skips_scipy_special():
+    _fresh_python(
+        "import sys\n"
+        "import support_limits.verify\n"
+        "heavy = {'scipy._lib._array_api', 'scipy.special'} & set(sys.modules)\n"
+        "assert not heavy, heavy\n"
+    )
+
+
 @pytest.mark.parametrize("first,second", [("support_limits", "scipy.special"),
                                           ("scipy.special", "support_limits")])
 def test_ufuncs_are_scipy_specials_own(first, second):
@@ -483,9 +492,9 @@ def _scipy_imports(tree) -> list[int]:
 
 @pytest.mark.parametrize(
     "name",
-    # numerics holds the loader; verify's oracles stay independent of it, and
-    # cli imports verify only inside the verify command
-    sorted(path.stem for path in PACKAGE.glob("*.py") if path.stem not in ("numerics", "verify")),
+    # numerics holds the loader; verify takes ndtr and ndtri from it and its
+    # Q-tail oracle from math.erfc
+    sorted(path.stem for path in PACKAGE.glob("*.py") if path.stem != "numerics"),
 )
 def test_only_the_loader_and_the_oracles_import_scipy(name):
     assert not _scipy_imports(ast.parse((PACKAGE / f"{name}.py").read_text()))

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 from scipy.special import logsumexp
 
 from support_limits import bounds, info, sim, verify
@@ -23,6 +25,13 @@ def gt_consistent_supports(realization, dims):
         if np.array_equal(hits, y):
             out.append(frozenset(cand))
     return out
+
+
+def threshold_map(dims, delta1, gamma=0.0):
+    """The threshold decoder's {l: threshold} for l = 1..min(k, p - k): the
+    achievability numerators."""
+    ells = range(1, min(dims.k, dims.p - dims.k) + 1)
+    return dict(zip(ells, bounds.achievability_numerators(dims, ells, delta1, gamma)))
 
 
 def loop_statistic(model, prior, x_cand, y, partition):
@@ -49,7 +58,7 @@ def loop_statistic(model, prior, x_cand, y, partition):
 def loop_threshold_decode(real, model, prior, dims, delta1):
     """Reference: the threshold decoder as a loop over candidates."""
     gamma = bounds.gamma_select("discrete", model, prior, dims)
-    thresholds = sim.combined_thresholds(dims, delta1, gamma)
+    thresholds = threshold_map(dims, delta1, gamma)
     winners = [
         frozenset(cand)
         for cand in sim.candidate_supports(dims)
@@ -524,7 +533,7 @@ class TestThresholdDecoder:
         m = md.ModelSpec.group_testing(rho=0.0)
         pr = md.SignalPrior.all_ones()
         dims = md.ProblemDims(p=10, k=2, n=40)
-        thresholds = sim.combined_thresholds(dims, delta1=0.1)
+        thresholds = threshold_map(dims, delta1=0.1)
         for t in range(50):
             real = md.sample_realization(dims, m, pr, SEED, stream=(1, t))
             out = sim.decode_threshold(real, m, pr, dims)
@@ -560,7 +569,7 @@ def loop_union_bound(model, prior, dims, delta1, trials, seed):
     """Reference: the union bound's true-support loop as it was before it
     shared the decoder's survivor loop, one unstacked candidate per trial."""
     gamma = bounds.gamma_select("discrete", model, prior, dims)
-    thresholds = sim.combined_thresholds(dims, delta1, gamma)
+    thresholds = threshold_map(dims, delta1, gamma)
     partitions = list(md.enumerate_partitions(dims.k, thresholds))
     fails = 0
     for t in range(trials):
@@ -605,10 +614,47 @@ def test_threshold_test_built_once_per_cell():
     thresholds, partitions = first = sim._threshold_test(m, pr, dims, 0.1)
     assert sim._threshold_test(m, pr, dims, 0.1) is first
     assert sim._threshold_test(m, pr, dims, 0.2) is not first
-    assert dict(thresholds) == sim.combined_thresholds(dims, 0.1)
+    assert dict(thresholds) == threshold_map(dims, 0.1)
     assert partitions == tuple(md.enumerate_partitions(dims.k, thresholds))
     with pytest.raises(TypeError):  # shared by every decode of the cell: read-only
         thresholds[1] = 0.0
+
+
+# (model, prior of k entries or None): b is the prior's entries, all ones for
+# group testing; the permuted b repeats values, so gamma = k log m_beta
+THRESHOLD_PRIORS = {
+    "gt": lambda k: (md.ModelSpec.group_testing(), None),
+    "linear-fixed": lambda k: (
+        md.ModelSpec.linear(0.7), md.SignalPrior.fixed([0.5 * (-1) ** i * (i + 1) for i in range(k)])
+    ),
+    "linear-permuted": lambda k: (
+        md.ModelSpec.linear(0.7), md.SignalPrior.permuted([1.0 + i % 3 for i in range(k)])
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(THRESHOLD_PRIORS))
+@settings(max_examples=60, deadline=None)
+@given(
+    k=st.integers(1, 12),
+    p=st.integers(2, 10**6),
+    delta1=st.floats(0.0, 1.0, exclude_min=True),
+)
+def test_decoder_thresholds_are_the_bound_numerators(name, k, p, delta1):
+    # d_max = 0: the decoder tests each partition of size l against the
+    # numerator the achievability bound divides by I_l, bit for bit
+    assume(k < p)
+    dims = md.ProblemDims(p=p, k=k, n=0)
+    model, prior = THRESHOLD_PRIORS[name](k)
+    if prior is None:
+        prior, b = md.SignalPrior.all_ones(), None
+    else:
+        b = prior.b
+    thresholds, _ = sim._threshold_test(model, prior, dims, delta1)
+    opts = bounds.BoundOptions(delta1=delta1, gamma_rule="discrete")
+    rows = bounds.achievability_threshold_generic(model, b, dims, opts, prior).breakdown
+    assert list(thresholds) == [row[0] for row in rows]
+    assert list(thresholds.values()) == [row[1] for row in rows]
 
 
 class TestThresholdBelowTwiceK:
@@ -617,7 +663,7 @@ class TestThresholdBelowTwiceK:
     def test_decoder_equals_candidate_loop(self, p):
         m, pr = md.ModelSpec.group_testing(rho=0.11), GT
         dims = md.ProblemDims(p=p, k=3, n=12)
-        assert list(sim.combined_thresholds(dims, 1.0)) == list(range(1, p - 3 + 1))
+        assert list(threshold_map(dims, 1.0)) == list(range(1, p - 3 + 1))
         for t in range(8):
             real = md.sample_realization(dims, m, pr, SEED, stream=(4, t))
             out = sim.decode_threshold(real, m, pr, dims, delta1=1.0)
