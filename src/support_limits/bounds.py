@@ -414,14 +414,16 @@ def _maximize_partial(
     each c_beta, on a grid refined by golden-section; ties resolve to the
     smaller alpha.  The maxima are scaled by (1 + eta) and (1 - eta).
 
-    denom(alpha, c_beta) takes arrays broadcast against each other.  Each
-    c_beta's alpha grid is one denom call, kept only as the brackets around
-    its two argmaxes (and as `curves` for a single c_beta); then every
-    c_beta's two refinements run as lanes of one `_golden_lanes` pass, whose
-    steps are one denom call over the live lanes.  A float c_beta returns
-    one PartialCurves, a sequence a list of them with empty curves.  A
-    denominator that is not > 0 at a refinement point raises
-    NonConvergenceError naming its c_beta."""
+    denom(alpha, c_beta) takes arrays broadcast against each other.  A float
+    c_beta evaluates its whole alpha grid in one denom call and returns one
+    PartialCurves with the grid rows as `curves`.  A sequence finds each
+    c_beta's two grid argmaxes by a lockstep bisection over the grid
+    (`_bisect_argmax`), the same indices from a few percent of the points,
+    and returns a list of PartialCurves with empty curves.  Either way every
+    c_beta's two refinements then run as lanes of one `_golden_lanes` pass,
+    whose steps are one denom call over the live lanes.  A denominator that
+    is not > 0 at a refinement point raises NonConvergenceError naming its
+    c_beta."""
     if grid_points < 2:
         raise ValueError(f"grid_points must be at least 2, got {grid_points!r}")
     if not 0.0 <= alpha_star <= 1.0:
@@ -431,16 +433,14 @@ def _maximize_partial(
     single = np.ndim(c_beta) == 0
     c_betas = [c_beta] if single else list(c_beta)
     alphas = np.linspace(alpha_star, 1.0, grid_points)
-    best, curves = [], ()
-    for cb in c_betas:
-        dens = denom(alphas, cb)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            obj_a = np.where(dens > 0, alphas / dens, INFINITE)
-            obj_c = np.where(dens > 0, (alphas - alpha_star) / dens, 0.0)
-        obj_c[0] = 0.0
-        best += [int(np.argmax(obj_a)), int(np.argmax(obj_c))]  # lanes ach, conv
-        if single:
-            curves = tuple(zip(alphas.tolist(), dens.tolist(), obj_a.tolist(), obj_c.tolist()))
+    curves = ()
+    if single:
+        dens = denom(alphas, c_beta)
+        obj_a, obj_c = _partial_objectives(alphas, dens, alpha_star, np.arange(grid_points) == 0)
+        best = [int(np.argmax(obj_a)), int(np.argmax(obj_c))]  # lanes ach, conv
+        curves = tuple(zip(alphas.tolist(), dens.tolist(), obj_a.tolist(), obj_c.tolist()))
+    else:
+        best = _bisect_argmax(denom, c_betas, alphas, alpha_star)
     lane_cb = np.repeat(np.asarray(c_betas, dtype=float), 2)
     offset = np.tile([0.0, alpha_star], len(c_betas))
 
@@ -469,6 +469,83 @@ def _maximize_partial(
         for j in range(0, len(x), 2)
     ]
     return out[0] if single else out
+
+
+def _partial_objectives(alphas, dens, alpha_star: float, first) -> tuple[np.ndarray, np.ndarray]:
+    """The ach and conv objectives at grid points with denominators dens:
+    alpha/D and (alpha - alpha*)/D where D > 0, else inf and 0; the conv
+    objective is 0 at the grid's first point (where `first` is true)."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        obj_a = np.where(dens > 0, alphas / dens, INFINITE)
+        obj_c = np.where((dens > 0) & ~first, (alphas - alpha_star) / dens, 0.0)
+    return obj_a, obj_c
+
+
+# Slack of the bisection's interval bound num(alpha_j) / (D(alpha_i) - eps):
+# relative, for the rounding of the divisions, and absolute.  Below about
+# -100 dB Psi is the difference of two expectations near log 2 and falls to
+# 1e-11 ... 3e-15, where rounding leaves the grid non-monotone (most steps
+# do not rise at -130 dB); a relative margin alone then drops intervals that
+# hold the argmax.  The largest fall of D below its running maximum measured
+# over -140 ... 80 dB is 2.2e-16 (the verify check
+# partial-argmax-vs-full-grid asserts it stays within _BOUND_ABS).
+_BOUND_REL = 1e-9
+_BOUND_ABS = 1e-13
+
+
+def _bisect_argmax(denom: Callable, c_betas, alphas: np.ndarray, alpha_star: float) -> np.ndarray:
+    """Each c_beta's grid argmaxes of the ach and conv objectives of
+    `_partial_objectives`, as np.argmax of the whole grid gives them (the
+    first maximum), in lane order [ach 0, conv 0, ach 1, ...].
+
+    Both numerators rise with alpha and D is non-decreasing on the grid up
+    to _BOUND_ABS, so every point inside a grid interval [i, j] has an
+    objective at most num(alpha_j) / (D(alpha_i) - _BOUND_ABS), raised by
+    _BOUND_REL, and unbounded where D(alpha_i) <= _BOUND_ABS.  Each c_beta
+    starts with its grid's two end points.  An interval lives while its
+    bound can reach its lane's best value so far: on >= left of the best
+    index and on > right of it, since a later point wins only a strict
+    maximum.  Each level halves every live interval of every c_beta with
+    one denom call over the midpoints; the ach and conv lanes of a c_beta
+    share its D values."""
+    n, last = len(c_betas), len(alphas) - 1
+    cbs = np.asarray(c_betas, dtype=float)
+    best = np.full((n, 2), -INFINITE)  # each lane's best objective so far
+    at = np.full((n, 2), last + 1)  # and its grid index
+
+    def visit(owner, idx):
+        """D at grid points idx of c_betas owner; folds their objectives
+        into each lane's best, the smaller index winning a tie."""
+        dens = denom(alphas[idx], cbs[owner])
+        obj = np.stack(_partial_objectives(alphas[idx], dens, alpha_star, idx == 0), axis=1)
+        top = np.full((n, 2), -INFINITE)
+        np.maximum.at(top, owner, obj)
+        first = np.full((n, 2), last + 1)
+        np.minimum.at(first, owner, np.where(obj == top[owner], idx[:, None], last + 1))
+        better = (top > best) | ((top == best) & (first < at))
+        best[better], at[better] = top[better], first[better]
+        return dens
+
+    own = np.arange(n)
+    lo, hi = np.zeros(n, dtype=int), np.full(n, last)
+    d_lo = visit(np.concatenate([own, own]), np.concatenate([lo, hi]))[:n]
+    while True:
+        num = np.stack([alphas[hi], alphas[hi] - alpha_star], axis=1)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            bound = np.where(
+                (d_lo > _BOUND_ABS)[:, None], num / (d_lo - _BOUND_ABS)[:, None], INFINITE
+            )
+        bound *= 1.0 + _BOUND_REL
+        reach = np.where(hi[:, None] <= at[own], bound >= best[own], bound > best[own])
+        live = reach.any(axis=1) & (hi - lo > 1)
+        if not live.any():
+            return at.ravel()
+        own, lo, hi, d_lo = own[live], lo[live], hi[live], d_lo[live]
+        mid = (lo + hi) // 2
+        d_mid = visit(own, mid)
+        own = np.concatenate([own, own])
+        lo, hi = np.concatenate([lo, mid]), np.concatenate([mid, hi])
+        d_lo = np.concatenate([d_lo, d_mid])
 
 
 _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
@@ -525,16 +602,26 @@ def cor_linear_partial(
         coef_conv = max_{a in [a*,1]} (a - a*) / (same denominator),
 
     both multiplying k log(p/k); eta scales them by (1 +/- eta).  A float
-    c_beta returns one PartialCurves with its alpha grid rows; a sequence
-    refines every point in one lockstep pass (`_maximize_partial`) and
-    returns a list whose curves are empty.
+    c_beta returns one PartialCurves with its whole alpha grid as rows; a
+    sequence bisects every point's grid for its argmaxes and refines them
+    in one lockstep pass (`_maximize_partial`), and returns a list whose
+    curves are empty.
     """
     _check_eta(eta)
-    # math.log1p per element: np.log1p differs from it in the last bit on
-    # some numpy builds, and the figure CSVs must not change.
-    log1p = np.vectorize(math.log1p, otypes=[float])
-    denom = lambda a, cb: 0.5 * log1p(cb * g_alpha(a) / sigma**2)
+    denom = lambda a, cb: linear_partial_denominator(a, cb, sigma)
     return _maximize_partial(denom, c_beta, alpha_star, grid_points, eta)
+
+
+# math.log1p per element: np.log1p differs from it in the last bit on some
+# numpy builds, and the figure CSVs must not change.
+_log1p = np.vectorize(math.log1p, otypes=[float])
+
+
+def linear_partial_denominator(alpha: np.ndarray, c_beta, sigma: float = 1.0) -> np.ndarray:
+    """(1/2) log(1 + c_beta g(alpha) / sigma^2), the linear channel's
+    partial-recovery denominator, for an array alpha and a float or array
+    c_beta broadcast against it."""
+    return 0.5 * _log1p(c_beta * g_alpha(alpha) / sigma**2)
 
 
 # ---------------------------------------------------------------------------
@@ -591,8 +678,8 @@ def psi_function_1bit(alpha, c_beta, sigma: float = 1.0):
     each element equal to the scalar call.  The first expectation is one
     mean_entropy_q_scaled call on all the points; the alpha-free second one
     is cached per (c_beta, sigma) and entropy perturbation, so the
-    grid and every golden-section step of a partial-recovery pass compute
-    it once per c_beta.
+    grid or bisection and every golden-section step of a partial-recovery
+    pass compute it once per c_beta.
     """
     g = g_alpha(alpha)
     a1 = np.sqrt(c_beta * (1.0 - g) / (sigma**2 + c_beta * g))
@@ -633,8 +720,11 @@ def cor_1bit_partial(
     case with denominator Psi(alpha, c_beta, sigma), float or sequence
     c_beta alike.
 
-    Each alpha grid is one array psi_function_1bit call, and each lockstep
-    golden-section step one call over the live lanes (2 per c_beta)."""
+    A float c_beta's alpha grid is one array psi_function_1bit call.  A
+    sequence makes one call per bisection level, over the live interval
+    midpoints of every c_beta (about 12 levels at 2001 points), and every
+    lockstep golden-section step one call over the live lanes (2 per
+    c_beta)."""
     _check_eta(eta)
     denom = lambda a, cb: psi_function_1bit(a, cb, sigma)
     return _maximize_partial(denom, c_beta, alpha_star, grid_points, eta)
@@ -845,10 +935,11 @@ def figure_curves(figure: str, grid: dict) -> list[tuple[float, str, float]]:
     partial-recovery: y = n/(k log(p/k)) coefficients in nats vs SNR in dB,
     four curves (linear/1-bit x ach/conv), alpha* and sigma from the grid;
     every SNR's c_beta is checked (`c_beta_from_snr`) before the first
-    corollary runs, and each channel refines all its points in one lockstep
-    pass.  gt-noiseless / gt-noisy: y = base-2 rate k log2(p/k)/n vs theta,
-    achievability and converse curves (per rho for the noisy figure), one
-    corollary call per curve family.
+    corollary runs, and each channel bisects the alpha grids of all its
+    points and refines them in one lockstep pass.  gt-noiseless / gt-noisy:
+    y = base-2 rate k log2(p/k)/n vs theta, achievability and converse
+    curves (per rho for the noisy figure), one corollary call per curve
+    family.
     """
     rows: list[tuple[float, str, float]] = []
     if figure == FIG_PARTIAL:

@@ -7,7 +7,8 @@ Command-line front end.
     support-limits verify [--only NAME] [--perturb 1e-3]
 
 Exit codes: 0 success, 1 failed verification check, 2 configuration error
-(a config or output path that cannot be read or written included),
+(a config or output path that cannot be read or written included; the
+output path is checked before any work),
 3 numerical non-convergence, 4 desk-scale guard refusal.
 
 Config may also be supplied as a JSON file via --config; explicit flags
@@ -20,6 +21,7 @@ import argparse
 import csv
 import json
 import math
+import os
 import re
 import sys
 
@@ -78,6 +80,17 @@ def parse_floats(flag: str, text: str) -> list[float]:
         return [float(x) for x in text.split(",")]
     except ValueError:
         raise ConfigError(f"{flag} must be comma-separated numbers, got {text!r}") from None
+
+
+def _check_writable(path: str | None) -> None:
+    """Raise the OSError that writing path would raise, before any work is
+    done; a file that was not there is not left behind."""
+    if not path:
+        return
+    existed = os.path.lexists(path)
+    open(path, "a").close()
+    if not existed:
+        os.remove(path)
 
 
 def _write_rows(path: str | None, header: list[str], rows: list[list], fmt: str):
@@ -146,6 +159,12 @@ class _ConfigParser(_Parser):
 def cmd_threshold(args) -> int:
     fig = args.figure
     if fig == bounds.FIG_PARTIAL:
+        if args.grid_points < 2:  # in the words of bounds._maximize_partial
+            raise ConfigError(f"grid_points must be at least 2, got {args.grid_points}")
+        if args.grid_points > MAX_RANGE_POINTS:
+            raise ConfigError(
+                f"--grid-points {args.grid_points} is more than {MAX_RANGE_POINTS} points"
+            )
         grid = {
             "snr_db": parse_range(args.snr_db),
             "alpha_star": args.alpha_star,
@@ -341,7 +360,9 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(_merge_config(args, argv))
+        args = _merge_config(args, argv)
+        _check_writable(args.output)
+        return args.func(args)
     except (ConfigError, ValueError, OSError, KeyError) as exc:
         if isinstance(exc, GuardError):
             print(f"guard refused: {exc}", file=sys.stderr)

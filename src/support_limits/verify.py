@@ -911,6 +911,47 @@ def _partial_dense_grid():
     return worst, 1e-8, "partial-recovery coefficients vs dense alpha grid, SNR -10/10/30 dB"
 
 
+@check("partial-argmax-vs-full-grid")
+def _partial_argmax():
+    # the bisection's grid argmaxes (bounds._bisect_argmax, the figure's
+    # path) against np.argmax of each whole grid on all four curves, and the
+    # bisection's precondition: no grid denominator falls more than
+    # bounds._BOUND_ABS below its running maximum (a strict rise is false
+    # below about -100 dB).  Seeded sets of SNRs over -140 ... 80 dB, with
+    # -120 and -110 dB fixed at 2001 and 10^4 points, where a relative margin
+    # alone changes the 1-bit argmax
+    rng = np.random.default_rng(SEED)
+    cases = [(1.0, 0.1, gp, [-120.0, -110.0]) for gp in (2001, 10**4)]
+    for gp in (2, 3, 50, 2001, 10**4):
+        for _ in range(2):
+            sigma = float(rng.choice([0.5, 1.0, 2.0]))
+            alpha_star = float(rng.choice([0.05, 0.1, 0.3, 0.9, 0.999, 1.0]))
+            cases.append((sigma, alpha_star, gp, rng.uniform(-140.0, 80.0, 6).round(1).tolist()))
+    denoms = (bounds.linear_partial_denominator, bounds.psi_function_1bit)
+    lanes = wrong = 0
+    fall = 0.0
+    for sigma, alpha_star, gp, snrs in cases:
+        cbs = [md.c_beta_from_snr(snr, sigma) for snr in snrs]
+        alphas = np.linspace(alpha_star, 1.0, gp)
+        for f in denoms:
+            denom = lambda a, cb: f(a, cb, sigma)
+            got = bounds._bisect_argmax(denom, cbs, alphas, alpha_star).reshape(-1, 2).tolist()
+            for cb, pair in zip(cbs, got):
+                dens = denom(alphas, cb)
+                fall = max(fall, float(np.max(np.maximum.accumulate(dens) - dens)))
+                with np.errstate(divide="ignore", invalid="ignore"):
+                    obj_a = np.where(dens > 0, alphas / dens, math.inf)
+                    obj_c = np.where(dens > 0, (alphas - alpha_star) / dens, 0.0)
+                obj_c[0] = 0.0
+                wrong += sum(i != int(np.argmax(o)) for i, o in zip(pair, (obj_a, obj_c)))
+                lanes += 2
+    eps = bounds._BOUND_ABS
+    return wrong + (fall > eps), 0.0, (
+        f"{wrong} of {lanes} grid argmaxes differ; largest fall below the running "
+        f"max {fall:.2e} (eps {eps:g})"
+    )
+
+
 @check("psi1bit-range-monotone")
 def _psi_range():
     worst = 0.0

@@ -4,7 +4,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from support_limits import bounds, info, verify
+from support_limits import bounds, cli, info, verify
 from support_limits import model as md
 from support_limits import numerics as nm
 
@@ -705,6 +705,99 @@ class TestFigureCorollariesEqualOldLoops:
         assert [row[1] for row in perturbed.curves] == np.where(diff > 0.0, diff, 0.0).tolist()
         assert perturbed.coef_ach != plain.coef_ach
         assert bounds.cor_1bit_partial(cb, grid_points=101) == plain
+
+
+def _full_grid_reference(maximize, c_betas):
+    """A sequence's results from the full grid: one float-c_beta call per
+    point (the float path evaluates every grid point), curves dropped."""
+    return [replace(maximize(cb), curves=()) for cb in c_betas]
+
+
+# SNRs in dB, each a c_beta at sigma = 1
+BISECTION_SNRS = (-40.0, -20.0, -5.0, 0.0, 10.0, 30.0, 60.0)
+
+
+class TestPartialBisectionEqualsFullGrid:
+    """A sequence of c_beta finds each grid argmax by bisection; every
+    result equals the full grid's (==, no tolerance)."""
+
+    @pytest.mark.parametrize("corollary", [bounds.cor_linear_partial, bounds.cor_1bit_partial])
+    @pytest.mark.parametrize(
+        "alpha_star,grid_points",
+        [(0.1, 2001), (1.0, 50), (0.999, 201), (0.1, 2), (0.1, 3), (0.6, 2), (0.6, 3)],
+    )
+    def test_sequence_equals_full_grid(self, corollary, alpha_star, grid_points):
+        cbs = [md.c_beta_from_snr(snr) for snr in BISECTION_SNRS]
+        run = lambda cb: corollary(cb, 1.0, alpha_star, 0.05, grid_points=grid_points)
+        assert run(cbs) == _full_grid_reference(run, cbs)
+
+    @pytest.mark.parametrize("grid_points", [2001, 10**4])
+    def test_below_minus_100_db_equals_full_grid(self, grid_points):
+        # Psi's grid is not monotone here: it falls to 1e-11 ... 3e-15, so the
+        # interval bound needs its absolute slack to keep the argmax
+        cbs = [md.c_beta_from_snr(snr) for snr in (-120.0, -115.0, -110.0)]
+        for corollary in (bounds.cor_linear_partial, bounds.cor_1bit_partial):
+            run = lambda cb: corollary(cb, grid_points=grid_points)
+            assert run(cbs) == _full_grid_reference(run, cbs)
+
+    @pytest.mark.parametrize(
+        "denom",
+        [
+            # objective 2/cb for every alpha >= 1/2: the first maximum is inside
+            lambda a, cb: cb * np.maximum(a / 2.0, 0.25),
+            # objective 2/cb for every alpha <= 1/2: the first maximum is alpha*
+            lambda a, cb: cb * np.where(a <= 0.5, a / 2.0, a * a),
+            # objective 1/cb everywhere
+            lambda a, cb: cb * a,
+        ],
+    )
+    @pytest.mark.parametrize("grid_points", [2, 3, 50, 2001])
+    def test_exact_ties_keep_the_first_maximum(self, denom, grid_points):
+        cbs = [0.5, 1.0, 4.0]  # powers of two keep the tied objectives exact
+        run = lambda cb: bounds._maximize_partial(denom, cb, 0.1, grid_points, 0.0)
+        assert run(cbs) == _full_grid_reference(run, cbs)
+
+    @pytest.mark.parametrize("grid_points", [3, 50, 2001])
+    @pytest.mark.parametrize("cut", [0.1001, 0.3, 0.95])
+    @pytest.mark.parametrize("floor", [0.0, 5e-324])
+    def test_infinite_ties_keep_the_first_maximum(self, grid_points, cut, floor):
+        # D falls from 1e-15 to `floor` at alpha = cut, less than the bound's
+        # absolute slack: from there on the ach objective is infinite (the
+        # conv one too where 5e-324 overflows it), and the argmax is the
+        # first of them, left of the grid's last point
+        denom = lambda a, cb: np.where(a < cut, cb * 1e-15, floor)
+        alphas = np.linspace(0.1, 1.0, grid_points)
+        cbs = [1.0, 2.0]
+        want = []
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            for cb in cbs:
+                dens = denom(alphas, cb)
+                ach = np.where(dens > 0, alphas / dens, math.inf)
+                conv = np.where(dens > 0, (alphas - 0.1) / dens, 0.0)
+                conv[0] = 0.0
+                want += [int(np.argmax(ach)), int(np.argmax(conv))]
+            assert bounds._bisect_argmax(denom, cbs, alphas, 0.1).tolist() == want
+
+    def test_argmax_check_passes(self):
+        (result,) = verify.run_checks("partial-argmax-vs-full-grid")
+        assert result.passed and result.measured == 0.0, result.detail
+
+    def test_benchmark_op_evaluates_under_a_tenth_of_the_grid(self, monkeypatch, capsys):
+        points = []
+        bisect = bounds._bisect_argmax
+
+        def counting(denom, c_betas, alphas, alpha_star):
+            def counted(a, cb):
+                points.append(np.size(a))
+                return denom(a, cb)
+
+            return bisect(counted, c_betas, alphas, alpha_star)
+
+        monkeypatch.setattr(bounds, "_bisect_argmax", counting)
+        argv = ["threshold", "--figure", "partial-recovery", "--snr-db=-20:-10:2"]
+        assert cli.main(argv) == 0
+        assert len(capsys.readouterr().out.splitlines()) == 1 + 6 * 4
+        assert 0 < sum(points) < 0.1 * (2 * 6 * 2001)
 
 
 class TestCor1BitPartial:

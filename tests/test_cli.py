@@ -4,7 +4,7 @@ import warnings
 
 import pytest
 
-from support_limits import cli, numerics
+from support_limits import bounds, cli, numerics, sim, verify
 from support_limits.numerics import NonConvergenceError
 
 
@@ -438,6 +438,10 @@ BAD_INPUTS = [
     # a non-finite perturbation: NaN passed the canary, inf warned from numpy
     (["verify", "--only", "gt-mi-enumeration", f"--perturb={eps}"], 2, 1)
     for eps in ("nan", "inf", "-inf")
+] + [
+    # more grid points than MAX_RANGE_POINTS: refused before numpy is asked for the array
+    (["threshold", "--figure", "partial-recovery", "--snr-db=0:0:1", "--grid-points",
+      "10000000000000"], 2, 1),
 ]
 
 
@@ -486,3 +490,34 @@ def test_directory_path_exits_2(capsys, tmp_path, argv):
     assert len(err.splitlines()) == 1
     assert err.startswith("configuration error: ")
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("argv", DIRECTORY_PATHS[:3])
+def test_unwritable_output_refused_before_work(capsys, monkeypatch, tmp_path, argv):
+    # the output path is checked before the command computes anything: no
+    # PASS line, no sweep, no figure
+    def work(*args, **kwargs):
+        raise AssertionError("the command ran before its output path was checked")
+
+    for owner, name in ((verify, "run_checks"), (sim, "phase_sweep"), (bounds, "figure_curves")):
+        monkeypatch.setattr(owner, name, work)
+    argv = [a.replace("{tmp}", str(tmp_path)) for a in argv]
+    got, out, err = run(capsys, *argv)
+    assert (got, out) == (2, "")
+    assert err == f"configuration error: [Errno 21] Is a directory: '{tmp_path}'\n"
+
+
+def test_output_check_leaves_no_file_behind(capsys, tmp_path):
+    target = tmp_path / "fig.csv"
+    # the figure's c_beta is refused after the output check: no file is created
+    got, _, _ = run(capsys, "threshold", "--figure", "partial-recovery", "--snr-db=4000:4000:1",
+                    "--output", str(target))
+    assert got == 2 and not target.exists()
+    # an existing file is only replaced when the command succeeds
+    target.write_text("kept")
+    got, _, _ = run(capsys, "threshold", "--figure", "partial-recovery", "--snr-db=4000:4000:1",
+                    "--output", str(target))
+    assert got == 2 and target.read_text() == "kept"
+    got, _, _ = run(capsys, "threshold", "--figure", "gt-noiseless", "--theta", "0.1:0.2:0.1",
+                    "--output", str(target))
+    assert got == 0 and target.read_text().startswith("figure,x,curve,y")
