@@ -404,7 +404,6 @@ class PartialCurves:
     coef_conv: float
     alpha_ach: float
     alpha_conv: float
-    curves: tuple  # rows (alpha, denominator, ach_objective, conv_objective)
 
 
 def _maximize_partial(
@@ -415,14 +414,13 @@ def _maximize_partial(
     smaller alpha.  The maxima are scaled by (1 + eta) and (1 - eta).
 
     denom(alpha, c_beta) takes arrays broadcast against each other.  A float
-    c_beta evaluates its whole alpha grid in one denom call and returns one
-    PartialCurves with the grid rows as `curves`.  A sequence finds each
-    c_beta's two grid argmaxes by a lockstep bisection over the grid
-    (`_bisect_argmax`), the same indices from a few percent of the points,
-    and returns a list of PartialCurves with empty curves.  Either way every
-    c_beta's two refinements then run as lanes of one `_golden_lanes` pass,
-    whose steps are one denom call over the live lanes.  A denominator that
-    is not > 0 at a refinement point raises NonConvergenceError naming its
+    c_beta is a sequence of one and returns one PartialCurves; a sequence
+    returns a list.  Each c_beta's two grid argmaxes come from a lockstep
+    bisection over the grid (`_bisect_argmax`), the indices np.argmax of
+    the whole grid gives from a few percent of its points; every c_beta's
+    two refinements then run as lanes of one `_golden_lanes` pass, whose
+    steps are one denom call over the live lanes.  A denominator that is
+    not > 0 at a refinement point raises NonConvergenceError naming its
     c_beta."""
     if grid_points < 2:
         raise ValueError(f"grid_points must be at least 2, got {grid_points!r}")
@@ -433,14 +431,7 @@ def _maximize_partial(
     single = np.ndim(c_beta) == 0
     c_betas = [c_beta] if single else list(c_beta)
     alphas = np.linspace(alpha_star, 1.0, grid_points)
-    curves = ()
-    if single:
-        dens = denom(alphas, c_beta)
-        obj_a, obj_c = _partial_objectives(alphas, dens, alpha_star, np.arange(grid_points) == 0)
-        best = [int(np.argmax(obj_a)), int(np.argmax(obj_c))]  # lanes ach, conv
-        curves = tuple(zip(alphas.tolist(), dens.tolist(), obj_a.tolist(), obj_c.tolist()))
-    else:
-        best = _bisect_argmax(denom, c_betas, alphas, alpha_star)
+    best = _bisect_argmax(denom, c_betas, alphas, alpha_star)
     lane_cb = np.repeat(np.asarray(c_betas, dtype=float), 2)
     offset = np.tile([0.0, alpha_star], len(c_betas))
 
@@ -464,21 +455,10 @@ def _maximize_partial(
             coef_conv=v[j + 1] * (1.0 - eta),
             alpha_ach=x[j],
             alpha_conv=x[j + 1],
-            curves=curves,
         )
         for j in range(0, len(x), 2)
     ]
     return out[0] if single else out
-
-
-def _partial_objectives(alphas, dens, alpha_star: float, first) -> tuple[np.ndarray, np.ndarray]:
-    """The ach and conv objectives at grid points with denominators dens:
-    alpha/D and (alpha - alpha*)/D where D > 0, else inf and 0; the conv
-    objective is 0 at the grid's first point (where `first` is true)."""
-    with np.errstate(divide="ignore", invalid="ignore"):
-        obj_a = np.where(dens > 0, alphas / dens, INFINITE)
-        obj_c = np.where((dens > 0) & ~first, (alphas - alpha_star) / dens, 0.0)
-    return obj_a, obj_c
 
 
 # Slack of the bisection's interval bound num(alpha_j) / (D(alpha_i) - eps):
@@ -494,8 +474,9 @@ _BOUND_ABS = 1e-13
 
 
 def _bisect_argmax(denom: Callable, c_betas, alphas: np.ndarray, alpha_star: float) -> np.ndarray:
-    """Each c_beta's grid argmaxes of the ach and conv objectives of
-    `_partial_objectives`, as np.argmax of the whole grid gives them (the
+    """Each c_beta's grid argmaxes of the ach and conv objectives, alpha/D
+    and (alpha - alpha*)/D where D > 0, else inf and 0, the conv one 0 at
+    the grid's first point, as np.argmax of the whole grid gives them (the
     first maximum), in lane order [ach 0, conv 0, ach 1, ...].
 
     Both numerators rise with alpha and D is non-decreasing on the grid up
@@ -505,9 +486,11 @@ def _bisect_argmax(denom: Callable, c_betas, alphas: np.ndarray, alpha_star: flo
     starts with its grid's two end points.  An interval lives while its
     bound can reach its lane's best value so far: on >= left of the best
     index and on > right of it, since a later point wins only a strict
-    maximum.  Each level halves every live interval of every c_beta with
-    one denom call over the midpoints; the ach and conv lanes of a c_beta
-    share its D values."""
+    maximum.  An interval whose ends share one alpha (every interval at
+    alpha* = 1) holds only points equal to its visited left end and never
+    lives.  Each level halves every live interval of every c_beta with one
+    denom call over the midpoints; the ach and conv lanes of a c_beta share
+    its D values."""
     n, last = len(c_betas), len(alphas) - 1
     cbs = np.asarray(c_betas, dtype=float)
     best = np.full((n, 2), -INFINITE)  # each lane's best objective so far
@@ -516,8 +499,12 @@ def _bisect_argmax(denom: Callable, c_betas, alphas: np.ndarray, alpha_star: flo
     def visit(owner, idx):
         """D at grid points idx of c_betas owner; folds their objectives
         into each lane's best, the smaller index winning a tie."""
-        dens = denom(alphas[idx], cbs[owner])
-        obj = np.stack(_partial_objectives(alphas[idx], dens, alpha_star, idx == 0), axis=1)
+        a = alphas[idx]
+        dens = denom(a, cbs[owner])
+        with np.errstate(divide="ignore", invalid="ignore"):
+            obj_a = np.where(dens > 0, a / dens, INFINITE)
+            obj_c = np.where((dens > 0) & (idx > 0), (a - alpha_star) / dens, 0.0)
+        obj = np.stack([obj_a, obj_c], axis=1)
         top = np.full((n, 2), -INFINITE)
         np.maximum.at(top, owner, obj)
         first = np.full((n, 2), last + 1)
@@ -537,7 +524,7 @@ def _bisect_argmax(denom: Callable, c_betas, alphas: np.ndarray, alpha_star: flo
             )
         bound *= 1.0 + _BOUND_REL
         reach = np.where(hi[:, None] <= at[own], bound >= best[own], bound > best[own])
-        live = reach.any(axis=1) & (hi - lo > 1)
+        live = reach.any(axis=1) & (hi - lo > 1) & (alphas[lo] < alphas[hi])
         if not live.any():
             return at.ravel()
         own, lo, hi, d_lo = own[live], lo[live], hi[live], d_lo[live]
@@ -601,11 +588,10 @@ def cor_linear_partial(
         coef_ach  = max_{a in [a*,1]}  a / ((1/2) log(1 + c_beta g(a)/sigma^2))
         coef_conv = max_{a in [a*,1]} (a - a*) / (same denominator),
 
-    both multiplying k log(p/k); eta scales them by (1 +/- eta).  A float
-    c_beta returns one PartialCurves with its whole alpha grid as rows; a
-    sequence bisects every point's grid for its argmaxes and refines them
-    in one lockstep pass (`_maximize_partial`), and returns a list whose
-    curves are empty.
+    both multiplying k log(p/k); eta scales them by (1 +/- eta).  Every
+    c_beta's grid is bisected for its argmaxes and refined in one lockstep
+    pass (`_maximize_partial`); a float c_beta returns one PartialCurves, a
+    sequence a list.
     """
     _check_eta(eta)
     denom = lambda a, cb: linear_partial_denominator(a, cb, sigma)
@@ -673,30 +659,24 @@ def psi_function_1bit(alpha, c_beta, sigma: float = 1.0):
         - E[H2(Q(W sqrt(c_beta)/sigma))],  g = g_alpha(alpha).
 
     Always in [0, log 2]; a non-finite quadrature value (e.g. c_beta = inf)
-    raises NonConvergenceError.  A scalar alpha and c_beta return a float;
-    arrays of either are broadcast against each other and return an array,
-    each element equal to the scalar call.  The first expectation is one
+    raises NonConvergenceError.  alpha and c_beta, floats or arrays, are
+    broadcast against each other through one array path; a 0-d result is
+    returned as a float, as g_alpha does.  The first expectation is one
     mean_entropy_q_scaled call on all the points; the alpha-free second one
     is cached per (c_beta, sigma) and entropy perturbation, so the
-    grid or bisection and every golden-section step of a partial-recovery
-    pass compute it once per c_beta.
+    bisection and every golden-section step of a partial-recovery pass
+    compute it once per c_beta.
     """
     g = g_alpha(alpha)
     a1 = np.sqrt(c_beta * (1.0 - g) / (sigma**2 + c_beta * g))
     eps = numerics._ENTROPY_PERTURBATION
-    if np.ndim(c_beta) == 0:
-        full = _psi_full_term(c_beta, sigma, eps)
-    else:
-        cbs, inverse = np.unique(c_beta, return_inverse=True)
-        terms = np.array([_psi_full_term(cb, sigma, eps) for cb in cbs.tolist()])
-        full = terms[inverse.ravel()].reshape(np.shape(c_beta))
-    diff = mean_entropy_q_scaled(a1) - full
-    scalar = np.ndim(diff) == 0
-    if not (math.isfinite(diff) if scalar else np.isfinite(diff).all()):
+    cbs, inverse = np.unique(c_beta, return_inverse=True)
+    terms = np.array([_psi_full_term(cb, sigma, eps) for cb in cbs.tolist()])
+    diff = mean_entropy_q_scaled(a1) - terms[inverse.ravel()].reshape(np.shape(c_beta))
+    if not np.isfinite(diff).all():
         raise NonConvergenceError(f"Psi quadrature is not finite at c_beta={c_beta}, sigma={sigma}")
-    if scalar:
-        return diff if diff > 0.0 else 0.0  # max(0.0, diff)
-    return np.where(diff > 0.0, diff, 0.0)
+    psi = np.where(diff > 0.0, diff, 0.0)
+    return float(psi) if psi.ndim == 0 else psi
 
 
 # Holds every c_beta of a figure call up to this many SNR points; beyond it
@@ -720,10 +700,9 @@ def cor_1bit_partial(
     case with denominator Psi(alpha, c_beta, sigma), float or sequence
     c_beta alike.
 
-    A float c_beta's alpha grid is one array psi_function_1bit call.  A
-    sequence makes one call per bisection level, over the live interval
-    midpoints of every c_beta (about 12 levels at 2001 points), and every
-    lockstep golden-section step one call over the live lanes (2 per
+    Each bisection level is one psi_function_1bit call over the live
+    interval midpoints of every c_beta (about 12 levels at 2001 points), and
+    every lockstep golden-section step one call over the live lanes (2 per
     c_beta)."""
     _check_eta(eta)
     denom = lambda a, cb: psi_function_1bit(a, cb, sigma)
@@ -776,10 +755,11 @@ def cor_gt_noiseless(theta, eta: float = 0.0) -> GtNoiselessResult | list[GtNois
     _check_eta(eta)
     single, thetas = _thetas(theta)
     grid = np.linspace(1e-3, 5.0, 256)
+    nu_stars, bests = _grid_golden_min(_gt_noiseless_objective, grid, thetas)
+    # nu = log 2 minimizes the second term exactly; prefer it when optimal
+    at_log2s = _gt_noiseless_objective(np.array(thetas, dtype=float), np.full(len(thetas), LOG2))
     out = []
-    for t, nu_star, best in zip(thetas, *_grid_golden_min(_gt_noiseless_objective, grid, thetas)):
-        # nu = log 2 minimizes the second term exactly; prefer it when optimal
-        at_log2 = _gt_noiseless_objective(t, LOG2)
+    for nu_star, best, at_log2 in zip(nu_stars, bests, at_log2s.tolist()):
         if at_log2 <= best + 1e-15:
             nu_star, best = LOG2, at_log2
         out.append(GtNoiselessResult(
@@ -791,13 +771,10 @@ def cor_gt_noiseless(theta, eta: float = 0.0) -> GtNoiselessResult | list[GtNois
 
 
 def _gt_noiseless_objective(theta, nu):
-    """max{theta/(e^-nu nu (1-theta)), 1/H2(e^-nu)} at a float nu, or at each
-    element of an array of nus (theta a float or an array broadcast against
-    it) with the same bits: e^-nu by math.exp (np.exp differs from it in the
-    last bit on some numpy builds) and the operands in the same order."""
-    if np.ndim(nu) == 0:
-        e = math.exp(-nu)
-        return max(theta / (e * nu * (1.0 - theta)), 1.0 / binary_entropy(e))
+    """max{theta/(e^-nu nu (1-theta)), 1/H2(e^-nu)} at each element of an
+    array of nus, theta a float or an array broadcast against it: e^-nu by
+    math.exp (np.exp differs from it in the last bit on some numpy builds),
+    so each element has the bits of the scalar formula."""
     e = np.array([math.exp(-v) for v in nu.tolist()])
     return np.maximum(theta / (e * nu * (1.0 - theta)), 1.0 / binary_entropy(e))
 
@@ -847,9 +824,8 @@ def cor_gt_noisy(theta, rho: float, eta: float = 0.0) -> GtNoisyResult | list[Gt
     for d2_star, zeta_min in zip(*_grid_golden_min(zeta, grid, thetas)):
         # the converse-matching floor is exact whenever some delta2 drives the
         # concentration side below it
-        coef = floor if zeta_min <= floor else max(zeta_min, floor)
         out.append(GtNoisyResult(
-            coef_ach=coef * (1.0 + eta),
+            coef_ach=max(zeta_min, floor) * (1.0 + eta),
             coef_conv=floor * (1.0 - eta),
             delta2_star=d2_star,
         ))

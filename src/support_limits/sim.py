@@ -78,6 +78,9 @@ from .numerics import log_binomial
 
 CANDIDATE_CAP = 10**6
 K_CAP = 12
+# n x p design entries of one trial: run_cell refuses a larger design before
+# it samples, where numpy would fail to allocate it
+DESIGN_ENTRY_CAP = 10**7
 
 # Candidates decoded together.  A threshold-decoder block holds
 # _CANDIDATE_BLOCK x n x k design entries, a group-testing ML block
@@ -460,9 +463,14 @@ def run_cell(
 ) -> SimReport:
     """One (n, trials) simulation cell with per-(n, trial) derived streams,
     decoded in trial blocks of at most _TRIAL_BLOCK_ENTRIES design entries.
-    trials < 1 raises ValueError before any sampling."""
+    trials < 1 raises ValueError and a design of more than DESIGN_ENTRY_CAP
+    entries GuardError, both before any sampling."""
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
+    if dims.n * dims.p > DESIGN_ENTRY_CAP:
+        raise GuardError(
+            f"an n x p design of {dims.n} x {dims.p} exceeds the {DESIGN_ENTRY_CAP} entry cap"
+        )
     errors_exact = errors_partial = 0
     for block in _trial_blocks(dims, trials):
         reals = sample_realization(dims, model, prior, seed, stream=(n_index,), trials=block)

@@ -1,8 +1,10 @@
 import math
-from dataclasses import replace
+from dataclasses import fields
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from support_limits import bounds, cli, info, verify
 from support_limits import model as md
@@ -86,6 +88,26 @@ class TestBindingRule:
         assert bounds._binding(rows[:1]) == (None, -bounds.INFINITE)
         assert bounds._ratio_row(5, 3.0, 0.0, 0.5) == (5, 3.0, 0.0, bounds.INFINITE)
         assert bounds._ratio_row(5, 3.0, 2.0, 0.5) == (5, 3.0, 2.0, 3.0)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(
+        st.tuples(
+            st.integers(1, 40),
+            st.one_of(
+                st.sampled_from([0.0, 1.0, 2.5, math.inf, "converse vacuous at this ell"]),
+                st.floats(-1e6, 1e6),
+            ),
+        ),
+        unique_by=lambda row: row[0],
+        max_size=12,
+    ))
+    def test_binding_equals_brute_force(self, pairs):
+        rows = [(ell, 1.0, 1.0, ratio) for ell, ratio in pairs]
+        want = (None, -bounds.INFINITE)
+        for ell, ratio in sorted(pairs, key=lambda pair: pair[0]):
+            if not isinstance(ratio, str) and (want[0] is None or ratio > want[1]):
+                want = (ell, ratio)
+        assert bounds._binding(rows) == want
 
 
 class TestGenericAchievability:
@@ -426,21 +448,24 @@ class TestPartialGridEquivalence:
         )
 
     def test_1bit_curve_denominators_equal_scalar_psi(self):
+        alphas = np.linspace(0.1, 1.0, 301)
         for cb in (0.1, 10.0, 1e5):
-            res = bounds.cor_1bit_partial(cb, 1.0, 0.1, grid_points=301)
-            alphas = [row[0] for row in res.curves]
-            assert alphas == np.linspace(0.1, 1.0, 301).tolist()
-            assert [row[1] for row in res.curves] == [
-                bounds.psi_function_1bit(a, cb, 1.0) for a in alphas
-            ]
-            assert all(type(v) is float for row in res.curves for v in row)
+            scalars = [bounds.psi_function_1bit(a, cb, 1.0) for a in alphas.tolist()]
+            assert bounds.psi_function_1bit(alphas, cb, 1.0).tolist() == scalars
+            assert all(type(v) is float for v in scalars)
 
     def test_linear_curve_denominators_equal_scalar_formula(self):
         cb, sigma = 50.0, 1.5
-        res = bounds.cor_linear_partial(cb, sigma, 0.2, grid_points=301)
-        assert [row[1] for row in res.curves] == [
-            0.5 * math.log1p(cb * nm.g_alpha(row[0]) / sigma**2) for row in res.curves
+        alphas = np.linspace(0.2, 1.0, 301)
+        assert bounds.linear_partial_denominator(alphas, cb, sigma).tolist() == [
+            0.5 * math.log1p(cb * nm.g_alpha(a) / sigma**2) for a in alphas.tolist()
         ]
+
+    def test_psi_0d_c_beta_is_the_float_call(self):
+        got = bounds.psi_function_1bit(0.5, np.array(10.0))
+        assert type(got) is float and got == bounds.psi_function_1bit(0.5, 10.0)
+        got = bounds.psi_function_1bit(np.array(0.5), np.array(10.0))
+        assert type(got) is float and got == bounds.psi_function_1bit(0.5, 10.0)
 
     @pytest.mark.parametrize("corollary", [bounds.cor_linear_partial, bounds.cor_1bit_partial])
     @pytest.mark.parametrize(
@@ -512,13 +537,11 @@ def _old_maximize_partial(denom, alpha_star, grid_points, eta):
     ia, ic = int(np.argmax(obj_a)), int(np.argmax(obj_c))
     a_a, v_a = _old_golden_refine(lambda a: a / denom(a), alphas, ia)
     a_c, v_c = _old_golden_refine(lambda a: (a - alpha_star) / denom(a), alphas, ic)
-    curves = tuple(zip(alphas.tolist(), dens.tolist(), obj_a.tolist(), obj_c.tolist()))
     return bounds.PartialCurves(
         coef_ach=v_a * (1.0 + eta),
         coef_conv=v_c * (1.0 - eta),
         alpha_ach=a_a,
         alpha_conv=a_c,
-        curves=curves,
     )
 
 
@@ -612,10 +635,14 @@ class TestFigureCorollariesEqualOldLoops:
         ends = set()
         for cb, sigma in PSI_CASES:
             for alpha_star in PARTIAL_ALPHA_STARS:
-                for res in (bounds.cor_linear_partial(cb, sigma, alpha_star, grid_points=201),
-                            bounds.cor_1bit_partial(cb, sigma, alpha_star, grid_points=201)):
-                    for col in (2, 3):
-                        ends.add(int(np.argmax([row[col] for row in res.curves])))
+                alphas = np.linspace(alpha_star, 1.0, 201)
+                for dens in (bounds.linear_partial_denominator(alphas, cb, sigma),
+                             bounds.psi_function_1bit(alphas, cb, sigma)):
+                    with np.errstate(divide="ignore", invalid="ignore"):
+                        obj_a = np.where(dens > 0, alphas / dens, math.inf)
+                        obj_c = np.where(dens > 0, (alphas - alpha_star) / dens, 0.0)
+                    obj_c[0] = 0.0
+                    ends |= {int(np.argmax(obj_a)), int(np.argmax(obj_c))}
         assert {0, 200} <= ends
 
     @pytest.mark.parametrize("eps", [0.0, 1e-3])
@@ -627,13 +654,11 @@ class TestFigureCorollariesEqualOldLoops:
                 lin = bounds.cor_linear_partial(cbs, sigma, alpha_star, 0.05, grid_points=201)
                 one = bounds.cor_1bit_partial(cbs, sigma, alpha_star, 0.05, grid_points=201)
                 assert lin == [
-                    replace(_old_maximize_partial(_old_linear_denom(cb, sigma), alpha_star,
-                                                  201, 0.05), curves=())
+                    _old_maximize_partial(_old_linear_denom(cb, sigma), alpha_star, 201, 0.05)
                     for cb in cbs
                 ]
                 assert one == [
-                    replace(_old_maximize_partial(lambda a: _old_psi(a, cb, sigma), alpha_star,
-                                                  201, 0.05), curves=())
+                    _old_maximize_partial(lambda a: _old_psi(a, cb, sigma), alpha_star, 201, 0.05)
                     for cb in cbs
                 ]
 
@@ -697,20 +722,32 @@ class TestFigureCorollariesEqualOldLoops:
         with nm.entropy_perturbation(eps):
             perturbed = bounds.cor_1bit_partial(cb, grid_points=101)
         # both expectations of Psi scale by (1 + eps), the alpha-free one too
-        alphas = np.array([row[0] for row in plain.curves])
+        alphas = np.linspace(0.1, 1.0, 101)
         g = nm.g_alpha(alphas)
         e1 = nm.mean_entropy_q_scaled(np.sqrt(cb * (1.0 - g) / (1.0 + cb * g)))
         e2 = nm.mean_entropy_q_scaled(math.sqrt(cb))
         diff = e1 * (1.0 + eps) - e2 * (1.0 + eps)
-        assert [row[1] for row in perturbed.curves] == np.where(diff > 0.0, diff, 0.0).tolist()
+        with nm.entropy_perturbation(eps):
+            dens = bounds.psi_function_1bit(alphas, cb)
+        assert dens.tolist() == np.where(diff > 0.0, diff, 0.0).tolist()
         assert perturbed.coef_ach != plain.coef_ach
         assert bounds.cor_1bit_partial(cb, grid_points=101) == plain
 
 
-def _full_grid_reference(maximize, c_betas):
-    """A sequence's results from the full grid: one float-c_beta call per
-    point (the float path evaluates every grid point), curves dropped."""
-    return [replace(maximize(cb), curves=()) for cb in c_betas]
+def _full_grid_reference(denom, c_betas, alpha_star, grid_points, eta):
+    """A sequence's results from the full grid: the old scalar loop per
+    c_beta, its argmaxes from every grid point's denom(alpha, c_beta)."""
+    return [
+        _old_maximize_partial(lambda a: denom(a, cb), alpha_star, grid_points, eta)
+        for cb in c_betas
+    ]
+
+
+# each partial corollary's denominator at sigma = 1
+PARTIAL_DENOMS = {
+    bounds.cor_linear_partial: lambda a, cb: bounds.linear_partial_denominator(a, cb, 1.0),
+    bounds.cor_1bit_partial: lambda a, cb: bounds.psi_function_1bit(a, cb, 1.0),
+}
 
 
 # SNRs in dB, each a c_beta at sigma = 1
@@ -728,17 +765,19 @@ class TestPartialBisectionEqualsFullGrid:
     )
     def test_sequence_equals_full_grid(self, corollary, alpha_star, grid_points):
         cbs = [md.c_beta_from_snr(snr) for snr in BISECTION_SNRS]
-        run = lambda cb: corollary(cb, 1.0, alpha_star, 0.05, grid_points=grid_points)
-        assert run(cbs) == _full_grid_reference(run, cbs)
+        got = corollary(cbs, 1.0, alpha_star, 0.05, grid_points=grid_points)
+        assert got == _full_grid_reference(
+            PARTIAL_DENOMS[corollary], cbs, alpha_star, grid_points, 0.05
+        )
 
     @pytest.mark.parametrize("grid_points", [2001, 10**4])
     def test_below_minus_100_db_equals_full_grid(self, grid_points):
         # Psi's grid is not monotone here: it falls to 1e-11 ... 3e-15, so the
         # interval bound needs its absolute slack to keep the argmax
         cbs = [md.c_beta_from_snr(snr) for snr in (-120.0, -115.0, -110.0)]
-        for corollary in (bounds.cor_linear_partial, bounds.cor_1bit_partial):
-            run = lambda cb: corollary(cb, grid_points=grid_points)
-            assert run(cbs) == _full_grid_reference(run, cbs)
+        for corollary, denom in PARTIAL_DENOMS.items():
+            got = corollary(cbs, grid_points=grid_points)
+            assert got == _full_grid_reference(denom, cbs, 0.1, grid_points, 0.0)
 
     @pytest.mark.parametrize(
         "denom",
@@ -754,8 +793,8 @@ class TestPartialBisectionEqualsFullGrid:
     @pytest.mark.parametrize("grid_points", [2, 3, 50, 2001])
     def test_exact_ties_keep_the_first_maximum(self, denom, grid_points):
         cbs = [0.5, 1.0, 4.0]  # powers of two keep the tied objectives exact
-        run = lambda cb: bounds._maximize_partial(denom, cb, 0.1, grid_points, 0.0)
-        assert run(cbs) == _full_grid_reference(run, cbs)
+        got = bounds._maximize_partial(denom, cbs, 0.1, grid_points, 0.0)
+        assert got == _full_grid_reference(denom, cbs, 0.1, grid_points, 0.0)
 
     @pytest.mark.parametrize("grid_points", [3, 50, 2001])
     @pytest.mark.parametrize("cut", [0.1001, 0.3, 0.95])
@@ -777,6 +816,43 @@ class TestPartialBisectionEqualsFullGrid:
                 conv[0] = 0.0
                 want += [int(np.argmax(ach)), int(np.argmax(conv))]
             assert bounds._bisect_argmax(denom, cbs, alphas, 0.1).tolist() == want
+
+    @pytest.mark.parametrize("denom", list(PARTIAL_DENOMS.values()), ids=["linear", "1bit"])
+    def test_alpha_star_one_evaluates_two_points_per_c_beta(self, denom):
+        # every grid point is alpha = 1: the two end points decide both lanes
+        cbs = [md.c_beta_from_snr(snr) for snr in (-20.0, 0.0, 10.0, 20.0, 40.0, 60.0)]
+        points = []
+
+        def counted(a, cb):
+            points.append(np.size(a))
+            return denom(a, cb)
+
+        got = bounds._bisect_argmax(counted, cbs, np.linspace(1.0, 1.0, 2001), 1.0)
+        assert got.tolist() == [0] * (2 * len(cbs))
+        assert sum(points) <= 2 * len(cbs)
+
+
+class TestOnePartialSearchPath:
+    """A float c_beta is a sequence of one: the same bisection, no grid rows."""
+
+    def test_partial_curves_holds_only_the_coefficients(self):
+        assert [f.name for f in fields(bounds.PartialCurves)] == [
+            "coef_ach", "coef_conv", "alpha_ach", "alpha_conv"
+        ]
+
+    @pytest.mark.parametrize("corollary", list(PARTIAL_DENOMS))
+    def test_float_c_beta_is_bisected(self, monkeypatch, corollary):
+        lanes = []
+        bisect = bounds._bisect_argmax
+
+        def counted(denom, c_betas, alphas, alpha_star):
+            lanes.append(list(c_betas))
+            return bisect(denom, c_betas, alphas, alpha_star)
+
+        monkeypatch.setattr(bounds, "_bisect_argmax", counted)
+        one = corollary(10.0, grid_points=201)
+        assert lanes == [[10.0]]
+        assert [one] == corollary([10.0], grid_points=201)
 
     def test_argmax_check_passes(self):
         (result,) = verify.run_checks("partial-argmax-vs-full-grid")

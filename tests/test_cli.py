@@ -442,6 +442,9 @@ BAD_INPUTS = [
     # more grid points than MAX_RANGE_POINTS: refused before numpy is asked for the array
     (["threshold", "--figure", "partial-recovery", "--snr-db=0:0:1", "--grid-points",
       "10000000000000"], 2, 1),
+    # a 10^12 x 10 design: refused before sampling, where numpy failed to allocate it
+    (["simulate", "--p", "10", "--k", "2", "--n-grid", "1000000000000:1000000000000:1",
+      "--trials", "1", "--seed", "1"], 4, 1),
 ]
 
 

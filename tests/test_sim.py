@@ -493,6 +493,16 @@ class TestGuards:
         with pytest.raises(md.GuardError):
             list(sim.candidate_supports(md.ProblemDims(p=14, k=13, n=1)))
 
+    def test_design_entry_cap_refuses_before_sampling(self, monkeypatch):
+        def no_sampling(*args, **kwargs):
+            raise AssertionError("sampled a design over the cap")
+
+        monkeypatch.setattr(sim, "sample_realization", no_sampling)
+        m, decoder = md.ModelSpec.group_testing(), sim.DecoderSpec(kind="exhaustive-ml")
+        for n, p in ((sim.DESIGN_ENTRY_CAP // 10 + 1, 10), (10**12, 10)):
+            with pytest.raises(md.GuardError, match="entry cap"):
+                sim.run_cell(m, GT, md.ProblemDims(p=p, k=2, n=n), decoder, 1, SEED)
+
 
 class TestWilson:
     def test_basic_properties(self):
