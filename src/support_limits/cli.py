@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import json
 import math
 import os
@@ -304,7 +305,11 @@ def cmd_verify(args) -> int:
 # ---------------------------------------------------------------------------
 
 
+@functools.cache
 def build_parser(cls=_Parser) -> argparse.ArgumentParser:
+    """The command-line parser of parser class cls, built once per class and
+    process and shared by every later call: each subcommand's func, the
+    cmd_* function it runs, is the one bound at that first build."""
     parser = cls(prog="support-limits", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 

@@ -17,10 +17,11 @@ Decoders:
 
 Every exhaustive decoder works on all candidate supports at once.
 Candidates are drawn in lexicographic blocks of at most _CANDIDATE_BLOCK; a
-block's design columns are stacked into one (candidates x rows x k) array,
-which the channel likelihood and density methods take whole.  The threshold
-decoder evaluates each prior atom's likelihood rows and sum once per block
-(the numerator log P(y|x_s) does not depend on the partition); each
+block's design columns are stacked, from rows of the transposed design, into
+one (candidates x rows x k) array, which the channel likelihood and density
+methods take whole.  The threshold decoder evaluates each prior atom's
+likelihood rows and sum once per block (the numerator log P(y|x_s) does
+not depend on the partition); each
 partition then adds only the atoms' density rows (`density_rows`, given
 the likelihood rows, evaluates just the marginal rows), their sums and one
 denominator mixture, and the candidates that fail drop out of every array
@@ -43,7 +44,10 @@ candidates (and GT incidence matrices) once per block, and the threshold
 decoder takes the block's realizations one per call.  Group-testing ML
 scores each candidate block for groups of trials with one product, each
 group's trials x n x candidates hit counts again at most
-_TRIAL_BLOCK_ENTRIES.
+_TRIAL_BLOCK_ENTRIES.  ML and COMP return a block's estimates as one
+(trials x k) array, on which `run_cell` counts the errors; the threshold
+decoder still returns one DecodeOutcome per realization, whose status the
+benchmark's tracer counts.
 
 Exhaustive decoding is guarded at C(p, k) <= 10^6 and k <= 12; the guards
 are hard errors, not warnings.
@@ -170,15 +174,24 @@ def candidate_supports(dims: ProblemDims):
 
 def _candidate_blocks(dims: ProblemDims):
     """candidate_supports(dims) in lexicographic blocks, each a (B x k) array
-    of 1-based indices with B <= _CANDIDATE_BLOCK."""
-    cands = candidate_supports(dims)
-    while block := list(itertools.islice(cands, _CANDIDATE_BLOCK)):
-        yield np.array(block, dtype=int)
+    of 1-based indices with B <= _CANDIDATE_BLOCK, read off the chained
+    tuples by one np.fromiter per block."""
+    entries = itertools.chain.from_iterable(candidate_supports(dims))
+    total = math.comb(dims.p, dims.k)
+    for start in range(0, total, _CANDIDATE_BLOCK):
+        size = min(_CANDIDATE_BLOCK, total - start)
+        yield np.fromiter(entries, dtype=int, count=size * dims.k).reshape(size, dims.k)
 
 
 def _design_stack(x, block):
-    """The (B x n x k) design columns of the candidates in block."""
-    return np.ascontiguousarray(np.moveaxis(x[:, block - 1], 1, 0))
+    """The C-ordered (B x n x k) design columns of the candidates in block,
+    filled one support position at a time from rows of x.T: contiguous row
+    gathers, where x[:, block - 1] takes numpy's slow strided path."""
+    rows = np.ascontiguousarray(x.T)
+    stack = np.empty((len(block), x.shape[0], block.shape[1]), dtype=x.dtype)
+    for j in range(block.shape[1]):
+        stack[:, :, j] = rows[block[:, j] - 1]
+    return stack
 
 
 def _trial_blocks(dims: ProblemDims, trials: int):
@@ -370,9 +383,10 @@ def decode_ml(
     model: ModelSpec,
     prior: SignalPrior,
     dims: ProblemDims,
-) -> frozenset[int] | list[frozenset[int]]:
+) -> frozenset[int] | np.ndarray:
     """Exhaustive maximum-likelihood support estimate, lexicographic ties:
-    one for a Realization, a list for a block or a sequence of them.
+    a frozenset for a Realization; for a block or a sequence of T of them a
+    (T x k) int array whose row t is trial t's sorted, 1-based estimate.
 
     A (model, prior) pair that `sample_realization` refuses is refused here
     too.  The candidate blocks are enumerated once for all the realizations.
@@ -384,7 +398,7 @@ def decode_ml(
     validate_pairing(model, prior, dims.k)
     reals = [realizations] if isinstance(realizations, Realization) else realizations
     if not len(reals):
-        return []
+        return np.empty((0, dims.k), dtype=int)
     fast_gt = prior.variant == ALL_ONES  # validate_pairing ties it to group testing
     x, y = _stacked(reals)  # trials x n x p, trials x n
     rows = np.arange(len(reals))
@@ -411,25 +425,27 @@ def decode_ml(
         won = top > best_score
         best_score = np.where(won, top, best_score)
         best = np.where(won[:, None], block[i], best)
-    estimates = list(map(frozenset, best.tolist()))
-    return estimates[0] if isinstance(realizations, Realization) else estimates
+    return frozenset(best[0].tolist()) if isinstance(realizations, Realization) else best
 
 
 def decode_comp(
     realizations: Realization | RealizationBlock | Sequence[Realization], dims: ProblemDims
-) -> frozenset[int] | list[frozenset[int]]:
+) -> frozenset[int] | np.ndarray:
     """COMP baseline: items in any negative test are non-defective; the k
-    highest positive-test membership counts win, lexicographic ties.  One
-    estimate for a Realization, a list for a block or a sequence of them."""
+    highest positive-test membership counts win, lexicographic ties.  A
+    frozenset for a Realization; for a block or a sequence of T of them a
+    (T x k) int array whose row t is trial t's sorted, 1-based estimate."""
     reals = [realizations] if isinstance(realizations, Realization) else realizations
+    if not len(reals):
+        return np.empty((0, dims.k), dtype=int)
     x, y = _stacked(reals)  # trials x n x p, trials x n
     x, y = x.astype(bool), (y > 0.5)[:, :, None]
     scores = (x & y).sum(axis=1).astype(float)
     scores[(x & ~y).any(axis=1)] = -1.0
     # a stable sort on -score gives highest scores, ties to low index
     order = np.argsort(-scores, axis=1, kind="stable")[:, : dims.k]
-    estimates = list(map(frozenset, (order + 1).tolist()))
-    return estimates[0] if isinstance(realizations, Realization) else estimates
+    best = np.sort(order, axis=1) + 1
+    return frozenset(best[0].tolist()) if isinstance(realizations, Realization) else best
 
 
 # ---------------------------------------------------------------------------
@@ -437,10 +453,15 @@ def decode_comp(
 # ---------------------------------------------------------------------------
 
 
-def _decode(decoder: DecoderSpec, reals, model, prior, dims) -> list[DecodeOutcome]:
-    """One DecodeOutcome per realization in reals."""
+def _decode(decoder: DecoderSpec, reals, model, prior, dims) -> tuple[np.ndarray, np.ndarray]:
+    """(estimates, unique) for the T realizations in reals: a (T x k) array
+    of sorted, 1-based support estimates and a (T,) bool mask of the unique
+    ones.  The threshold decoder still returns one DecodeOutcome per call,
+    whose status the benchmark's tracer counts; a non-unique row is zero."""
     if decoder.kind == "threshold":
-        return [decode_threshold(real, model, prior, dims, decoder.delta1) for real in reals]
+        outs = [decode_threshold(real, model, prior, dims, decoder.delta1) for real in reals]
+        estimates = np.array([sorted(out.estimate or [0] * dims.k) for out in outs])
+        return estimates, np.array([out.status == "unique" for out in outs])
     if decoder.kind == "exhaustive-ml":
         estimates = decode_ml(reals, model, prior, dims)
     elif decoder.kind == "comp-gt":
@@ -449,7 +470,7 @@ def _decode(decoder: DecoderSpec, reals, model, prior, dims) -> list[DecodeOutco
         estimates = decode_comp(reals, dims)
     else:
         raise ValueError(f"unknown decoder kind {decoder.kind!r}")
-    return [DecodeOutcome(estimate=est, status="unique", candidates_passing=1) for est in estimates]
+    return estimates, np.ones(len(estimates), dtype=bool)
 
 
 def run_cell(
@@ -464,7 +485,9 @@ def run_cell(
     """One (n, trials) simulation cell with per-(n, trial) derived streams,
     decoded in trial blocks of at most _TRIAL_BLOCK_ENTRIES design entries.
     trials < 1 raises ValueError and a design of more than DESIGN_ENTRY_CAP
-    entries GuardError, both before any sampling."""
+    entries GuardError, both before any sampling.  Errors are counted on
+    `_decode`'s arrays: a unique estimate holds k distinct items, so with
+    hits of them true it misses k - hits true items and adds as many."""
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
     if dims.n * dims.p > DESIGN_ENTRY_CAP:
@@ -474,12 +497,10 @@ def run_cell(
     errors_exact = errors_partial = 0
     for block in _trial_blocks(dims, trials):
         reals = sample_realization(dims, model, prior, seed, stream=(n_index,), trials=block)
-        for support, out in zip(reals.support.tolist(), _decode(decoder, reals, model, prior, dims)):
-            true, est = frozenset(support), out.estimate
-            unique = out.status == "unique"
-            errors_exact += not unique or est != true
-            # missed or extra items beyond d_max
-            errors_partial += not unique or max(len(true - est), len(est - true)) > dims.d_max
+        est, unique = _decode(decoder, reals, model, prior, dims)
+        hits = (est[:, :, None] == reals.support[:, None, :]).sum(axis=(1, 2))
+        errors_exact += int(np.sum(~unique | (hits < dims.k)))
+        errors_partial += int(np.sum(~unique | (dims.k - hits > dims.d_max)))
     pe = errors_exact / trials
     lo, hi = wilson_interval(errors_exact, trials)
     return SimReport(

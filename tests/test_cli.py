@@ -524,3 +524,32 @@ def test_output_check_leaves_no_file_behind(capsys, tmp_path):
     got, _, _ = run(capsys, "threshold", "--figure", "gt-noiseless", "--theta", "0.1:0.2:0.1",
                     "--output", str(target))
     assert got == 0 and target.read_text().startswith("figure,x,curve,y")
+
+
+def test_parser_built_once_per_class(capsys, monkeypatch, tmp_path):
+    cfg = tmp_path / "run.json"
+    cfg.write_text(json.dumps({"p": 8, "k": 2, "n_grid": "4:4:1", "trials": 30, "seed": 2}))
+    runs = [
+        ["threshold", "--figure", "gt-noiseless", "--theta", "0.1:0.3:0.1"],
+        ["simulate", "--p", "8", "--k", "2", "--decoder", "comp", "--n-grid", "4:6:2",
+         "--trials", "20", "--seed", "1"],
+        ["simulate", "--config", str(cfg), "--trials", "40"],
+    ]
+    alone = []
+    for argv in runs:
+        cli.build_parser.cache_clear()
+        alone.append(run(capsys, *argv)[:2])
+    assert [code for code, _ in alone] == [0, 0, 0]
+    assert alone[2][1].splitlines()[1].split(",")[:2] == ["4", "40"]  # the flag wins
+
+    built, init = [], cli._Parser.__init__
+
+    def spy(self, *args, **kwargs):
+        if kwargs.get("prog") == "support-limits":  # not a subcommand's parser
+            built.append(type(self))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(cli._Parser, "__init__", spy)
+    cli.build_parser.cache_clear()
+    assert [run(capsys, *argv)[:2] for argv in runs] == alone
+    assert built == [cli._Parser, cli._ConfigParser]

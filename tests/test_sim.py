@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -152,6 +153,32 @@ class TestBatchedCandidates:
             # a (trials x n x p) stack gives one row of scores per trial
             x, y = np.stack([r.x for r in reals]), np.stack([r.y for r in reals])
             assert np.array_equal(sim._ml_fast_gt(m, x, y, incidence), np.stack(expected))
+
+    @pytest.mark.parametrize("dtype", [float, int])
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    @pytest.mark.parametrize("n", [0, 1, 52])
+    def test_design_stack_equals_fancy_index(self, n, k, dtype):
+        dims = md.ProblemDims(p=7, k=k, n=n)
+        x = md.rng_stream(SEED).standard_normal((n, dims.p)) * 4
+        x = x.astype(dtype)
+        block = np.array(list(sim.candidate_supports(dims)))
+        expected = np.ascontiguousarray(np.moveaxis(x[:, block - 1], 1, 0))
+        stack = sim._design_stack(x, block)
+        assert stack.dtype == expected.dtype and stack.flags.c_contiguous
+        assert stack.shape == expected.shape and stack.tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("p,k", [(7, 1), (7, 3), (12, 2)])
+    def test_candidate_blocks_equal_candidate_lists(self, p, k, monkeypatch):
+        monkeypatch.setattr(sim, "_CANDIDATE_BLOCK", 7)
+        dims = md.ProblemDims(p=p, k=k)
+        cands = sim.candidate_supports(dims)
+        expected = []
+        while block := list(itertools.islice(cands, 7)):
+            expected.append(np.array(block))
+        blocks = list(sim._candidate_blocks(dims))
+        assert len(blocks) == len(expected) == math.ceil(math.comb(p, k) / 7)
+        for got, want in zip(blocks, expected):
+            assert got.dtype == want.dtype and np.array_equal(got, want)
 
     def test_decoders_across_block_boundaries(self, monkeypatch):
         cases = [
@@ -320,6 +347,14 @@ class TestBlockMl:
             md.ModelSpec.linear(1e-300)
 
 
+def block_rows(estimates, k):
+    """A decoder's block return as a list of frozensets, after checking that
+    it is a (T x k) int array of sorted, 1-based rows."""
+    assert estimates.dtype == int and estimates.shape == (len(estimates), k)
+    assert (estimates[:, 0] >= 1).all() and (np.diff(estimates, axis=1) > 0).all()
+    return list(map(frozenset, estimates.tolist()))
+
+
 def loop_run_cell(model, prior, dims, decoder, trials, seed, n_index=0):
     """Reference: run_cell as one decode per trial, as it was before trial
     blocks."""
@@ -377,7 +412,7 @@ class TestTrialBlocks:
             if isinstance(reals, md.Realization):  # a call from loop_run_cell
                 return decode(reals, *args)
             estimates = decode(reals, *args)
-            assert estimates == [decode(r, *args) for r in reals]
+            assert block_rows(estimates, dims.k) == [decode(r, *args) for r in reals]
             sizes.append(len(reals))
             return estimates
 
@@ -431,6 +466,44 @@ class TestTrialBlocks:
         sim.run_cell(m, GT, dims, sim.DecoderSpec(kind="comp-gt"), sum(sizes), SEED)
         assert seen == sizes
 
+    @pytest.mark.parametrize("d_max", [0, 1])
+    def test_threshold_cell_equals_trial_loop(self, d_max, monkeypatch):
+        # of these 40 trials, some end unique and right, some unique and
+        # wrong, some with no candidate passing and some with several
+        m, dims = md.ModelSpec.group_testing(rho=0.0), md.ProblemDims(p=6, k=2, n=10, d_max=d_max)
+        decoder = sim.DecoderSpec(kind="threshold", delta1=1.0)
+        decode, kinds = sim.decode_threshold, set()
+
+        def spy(real, *args):
+            out = decode(real, *args)
+            right = out.estimate == real.support_set()
+            kinds.add(out.status if out.status != "unique" else ("wrong", "right")[right])
+            return out
+
+        monkeypatch.setattr(sim, "decode_threshold", spy)
+        rep = sim.run_cell(m, GT, dims, decoder, 40, SEED)
+        assert kinds == {"right", "wrong", "none", "multiple"}
+        assert rep == loop_run_cell(m, GT, dims, decoder, 40, SEED)
+
+    def test_only_the_threshold_decoder_builds_outcomes(self, monkeypatch):
+        # ML and COMP cells count errors on arrays; the threshold decoder
+        # keeps one call and one DecodeOutcome per trial, whose status the
+        # benchmark's tracer reads
+        outcome, decode, built, calls = sim.DecodeOutcome, sim.decode_threshold, [], []
+        monkeypatch.setattr(
+            sim, "DecodeOutcome", lambda *a, **kw: built.append(1) or outcome(*a, **kw)
+        )
+        monkeypatch.setattr(
+            sim, "decode_threshold", lambda real, *args: calls.append(1) or decode(real, *args)
+        )
+        m, dims = md.ModelSpec.group_testing(rho=0.11), md.ProblemDims(p=8, k=2, n=10)
+        monkeypatch.setattr(sim, "_TRIAL_BLOCK_ENTRIES", 4 * dims.n * dims.p)
+        for kind in ("exhaustive-ml", "comp-gt"):
+            sim.run_cell(m, GT, dims, sim.DecoderSpec(kind=kind), 9, SEED)
+        assert built == calls == []
+        sim.run_cell(m, GT, dims, sim.DecoderSpec(kind="threshold"), 9, SEED)
+        assert len(built) == len(calls) == 9
+
 
 def loop_gt_ml(model, reals, dims):
     """Reference: group-testing ML one trial at a time, as before trial
@@ -468,7 +541,7 @@ class TestGroupedGtMl:
             return score(model, x, y, incidence)
 
         monkeypatch.setattr(sim, "_ml_fast_gt", spy)
-        assert sim.decode_ml(reals, m, GT, dims) == expected
+        assert block_rows(sim.decode_ml(reals, m, GT, dims), dims.k) == expected
         assert seen == sizes
 
     @pytest.mark.parametrize("rho", [0.0, 0.11])
@@ -480,8 +553,9 @@ class TestGroupedGtMl:
         assert rep == loop_run_cell(m, GT, dims, decoder, 13, SEED, 2)
 
     def test_no_realizations(self):
-        m = md.ModelSpec.group_testing()
-        assert sim.decode_ml([], m, GT, md.ProblemDims(p=9, k=2, n=4)) == []
+        m, dims = md.ModelSpec.group_testing(), md.ProblemDims(p=9, k=2, n=4)
+        for estimates in (sim.decode_ml([], m, GT, dims), sim.decode_comp([], dims)):
+            assert estimates.shape == (0, 2) and estimates.dtype == int
 
 
 class TestGuards:
@@ -767,7 +841,7 @@ class TestCompDecoder:
                 score = [-1 if x[~y, i].any() else int(x[y, i].sum()) for i in range(dims.p)]
                 ranked = sorted(range(dims.p), key=lambda i: (-score[i], i))
                 expected.append(frozenset(i + 1 for i in ranked[: dims.k]))
-            assert sim.decode_comp(reals, dims) == expected
+            assert block_rows(sim.decode_comp(reals, dims), dims.k) == expected
             assert [sim.decode_comp(real, dims) for real in reals] == expected
 
     def test_ml_no_worse_than_comp(self):
