@@ -525,15 +525,13 @@ def c_beta_from_snr(snr: float, sigma: float = 1.0) -> float:
 
 @dataclass(frozen=True)
 class Realization:
-    """One (S, beta, X, Y) draw; support is a sorted 1-based tuple."""
+    """One (S, beta, X, Y) draw; support is a sorted 1-based tuple, the
+    format of the threshold decoder's estimate."""
 
     support: tuple[int, ...]
     beta: np.ndarray
     x: np.ndarray
     y: np.ndarray
-
-    def support_set(self) -> frozenset[int]:
-        return frozenset(self.support)
 
     def x_support(self) -> np.ndarray:
         """Measurement columns restricted to the support, in support order."""

@@ -44,10 +44,11 @@ candidates (and GT incidence matrices) once per block, and the threshold
 decoder takes the block's realizations one per call.  Group-testing ML
 scores each candidate block for groups of trials with one product, each
 group's trials x n x candidates hit counts again at most
-_TRIAL_BLOCK_ENTRIES.  ML and COMP return a block's estimates as one
-(trials x k) array, on which `run_cell` counts the errors; the threshold
-decoder still returns one DecodeOutcome per realization, whose status the
-benchmark's tracer counts.
+_TRIAL_BLOCK_ENTRIES.  An estimate has the format of its truth: ML and
+COMP return a (trials x k) array like the block's `support`, on which
+`run_cell` counts the errors; the threshold decoder a DecodeOutcome whose
+estimate is a tuple like a Realization's, and whose status the benchmark's
+tracer counts.
 
 Exhaustive decoding is guarded at C(p, k) <= 10^6 and k <= 12; the guards
 are hard errors, not warnings.
@@ -102,6 +103,8 @@ class DecoderSpec:
     delta1: float = 0.1
 
     def __post_init__(self):
+        if self.kind not in ("threshold", "exhaustive-ml", "comp-gt"):
+            raise ValueError(f"unknown decoder kind {self.kind!r}")
         # as in bounds.BoundOptions: 0 divides by zero in the thresholds,
         # and NaN fails every test, so each trial counts as an error
         if not 0.0 < self.delta1 <= 1.0:
@@ -110,9 +113,11 @@ class DecoderSpec:
 
 @dataclass(frozen=True)
 class DecodeOutcome:
-    estimate: frozenset[int] | None
+    """One threshold decode: the unique passing candidate as a sorted,
+    1-based tuple, as Realization.support is, or None."""
+
+    estimate: tuple[int, ...] | None
     status: str  # "unique" | "none" | "multiple"
-    candidates_passing: int = 0
 
 
 @dataclass(frozen=True)
@@ -199,14 +204,6 @@ def _trial_blocks(dims: ProblemDims, trials: int):
     design entries (n x p per trial) and at least one trial."""
     size = max(1, _TRIAL_BLOCK_ENTRIES // max(1, dims.n * dims.p))
     return (range(t, min(t + size, trials)) for t in range(0, trials, size))
-
-
-def _stacked(realizations) -> tuple[np.ndarray, np.ndarray]:
-    """(x, y) of trials x n x p designs and trials x n outputs: a
-    RealizationBlock's own arrays, a sequence of Realizations' stacked."""
-    if isinstance(realizations, RealizationBlock):
-        return realizations.x, realizations.y
-    return np.stack([r.x for r in realizations]), np.stack([r.y for r in realizations])
 
 
 # ---------------------------------------------------------------------------
@@ -318,13 +315,12 @@ def decode_threshold(
     winners = []
     for block in _candidate_blocks(dims):
         live = _passing(model, prior, _design_stack(x, block), y, thresholds, partitions)
-        winners += [frozenset(block[i].tolist()) for i in live]
+        winners += [tuple(block[i].tolist()) for i in live]
         if len(winners) > 1:
             break
     if len(winners) == 1:
-        return DecodeOutcome(estimate=winners[0], status="unique", candidates_passing=1)
-    status = "none" if not winners else "multiple"
-    return DecodeOutcome(estimate=None, status=status, candidates_passing=min(len(winners), 2))
+        return DecodeOutcome(estimate=winners[0], status="unique")
+    return DecodeOutcome(estimate=None, status="none" if not winners else "multiple")
 
 
 def threshold_union_bound(
@@ -338,7 +334,10 @@ def threshold_union_bound(
     """Numeric evaluation of the two-term union bound on the threshold
     decoder's error: (true-support failure probability estimated by Monte
     Carlo, its standard error, exact wrong-support mass
-    sum_l C(p-k,l) C(k,l) e^{-t_l}), with gamma by the discrete rule."""
+    sum_l C(p-k,l) C(k,l) e^{-t_l}), with gamma by the discrete rule.
+    trials < 1 raises ValueError."""
+    if trials < 1:
+        raise ValueError(f"trials must be >= 1, got {trials}")
     thresholds, partitions = _threshold_test(model, prior, dims, delta1)
     fails = 0
     for block in _trial_blocks(dims, trials):
@@ -379,28 +378,24 @@ def _ml_fast_gt(model, x, y, incidence):
 
 
 def decode_ml(
-    realizations: Realization | RealizationBlock | Sequence[Realization],
-    model: ModelSpec,
-    prior: SignalPrior,
-    dims: ProblemDims,
-) -> frozenset[int] | np.ndarray:
-    """Exhaustive maximum-likelihood support estimate, lexicographic ties:
-    a frozenset for a Realization; for a block or a sequence of T of them a
-    (T x k) int array whose row t is trial t's sorted, 1-based estimate.
+    reals: RealizationBlock, model: ModelSpec, prior: SignalPrior, dims: ProblemDims
+) -> np.ndarray:
+    """Exhaustive maximum-likelihood support estimates of the T trials of
+    reals, lexicographic ties: a (T x k) int array whose row t is trial t's
+    sorted, 1-based estimate, as reals.support holds its truth.
 
     A (model, prior) pair that `sample_realization` refuses is refused here
-    too.  The candidate blocks are enumerated once for all the realizations.
+    too.  The candidate blocks are enumerated once for all the trials.
     The all-ones prior, which pairs only with group testing, scores a block
     through `_ml_fast_gt` for groups of trials, each group's trials x n x
     candidates hit counts at most _TRIAL_BLOCK_ENTRIES (and at least one
     trial); every other prior scores it per realization through
     `log_marginal_likelihood` on the block's stacked design columns."""
     validate_pairing(model, prior, dims.k)
-    reals = [realizations] if isinstance(realizations, Realization) else realizations
-    if not len(reals):
+    if not len(reals):  # np.concatenate and np.stack refuse an empty list
         return np.empty((0, dims.k), dtype=int)
     fast_gt = prior.variant == ALL_ONES  # validate_pairing ties it to group testing
-    x, y = _stacked(reals)  # trials x n x p, trials x n
+    x, y = reals.x, reals.y  # trials x n x p, trials x n
     rows = np.arange(len(reals))
     # the first candidate until one scores strictly higher
     best_score = np.full(len(reals), -math.inf)
@@ -425,27 +420,20 @@ def decode_ml(
         won = top > best_score
         best_score = np.where(won, top, best_score)
         best = np.where(won[:, None], block[i], best)
-    return frozenset(best[0].tolist()) if isinstance(realizations, Realization) else best
+    return best
 
 
-def decode_comp(
-    realizations: Realization | RealizationBlock | Sequence[Realization], dims: ProblemDims
-) -> frozenset[int] | np.ndarray:
+def decode_comp(reals: RealizationBlock, dims: ProblemDims) -> np.ndarray:
     """COMP baseline: items in any negative test are non-defective; the k
-    highest positive-test membership counts win, lexicographic ties.  A
-    frozenset for a Realization; for a block or a sequence of T of them a
-    (T x k) int array whose row t is trial t's sorted, 1-based estimate."""
-    reals = [realizations] if isinstance(realizations, Realization) else realizations
-    if not len(reals):
-        return np.empty((0, dims.k), dtype=int)
-    x, y = _stacked(reals)  # trials x n x p, trials x n
-    x, y = x.astype(bool), (y > 0.5)[:, :, None]
+    highest positive-test membership counts win, lexicographic ties.  For
+    the T trials of reals a (T x k) int array whose row t is trial t's
+    sorted, 1-based estimate, as reals.support holds its truth."""
+    x, y = reals.x.astype(bool), (reals.y > 0.5)[:, :, None]  # trials x n x p, x 1
     scores = (x & y).sum(axis=1).astype(float)
     scores[(x & ~y).any(axis=1)] = -1.0
     # a stable sort on -score gives highest scores, ties to low index
     order = np.argsort(-scores, axis=1, kind="stable")[:, : dims.k]
-    best = np.sort(order, axis=1) + 1
-    return frozenset(best[0].tolist()) if isinstance(realizations, Realization) else best
+    return np.sort(order, axis=1) + 1
 
 
 # ---------------------------------------------------------------------------
@@ -454,22 +442,19 @@ def decode_comp(
 
 
 def _decode(decoder: DecoderSpec, reals, model, prior, dims) -> tuple[np.ndarray, np.ndarray]:
-    """(estimates, unique) for the T realizations in reals: a (T x k) array
-    of sorted, 1-based support estimates and a (T,) bool mask of the unique
-    ones.  The threshold decoder still returns one DecodeOutcome per call,
-    whose status the benchmark's tracer counts; a non-unique row is zero."""
+    """(estimates, unique) for the RealizationBlock reals of T trials: a
+    (T x k) array of sorted, 1-based support estimates, as reals.support,
+    and a (T,) bool mask of the unique ones.  The threshold decoder makes
+    one call per Realization, whose status the benchmark's tracer counts;
+    a non-unique row is zero."""
     if decoder.kind == "threshold":
         outs = [decode_threshold(real, model, prior, dims, decoder.delta1) for real in reals]
-        estimates = np.array([sorted(out.estimate or [0] * dims.k) for out in outs])
+        estimates = np.array([out.estimate or (0,) * dims.k for out in outs])
         return estimates, np.array([out.status == "unique" for out in outs])
     if decoder.kind == "exhaustive-ml":
         estimates = decode_ml(reals, model, prior, dims)
-    elif decoder.kind == "comp-gt":
-        if prior.variant != ALL_ONES:  # the group-testing prior
-            raise ValueError("comp-gt requires the group-testing model")
-        estimates = decode_comp(reals, dims)
     else:
-        raise ValueError(f"unknown decoder kind {decoder.kind!r}")
+        estimates = decode_comp(reals, dims)
     return estimates, np.ones(len(estimates), dtype=bool)
 
 
@@ -484,16 +469,22 @@ def run_cell(
 ) -> SimReport:
     """One (n, trials) simulation cell with per-(n, trial) derived streams,
     decoded in trial blocks of at most _TRIAL_BLOCK_ENTRIES design entries.
-    trials < 1 raises ValueError and a design of more than DESIGN_ENTRY_CAP
-    entries GuardError, both before any sampling.  Errors are counted on
-    `_decode`'s arrays: a unique estimate holds k distinct items, so with
-    hits of them true it misses k - hits true items and adds as many."""
+    trials < 1, COMP without the all-ones prior and the threshold decoder
+    without a discrete prior raise ValueError, and a design of more than
+    DESIGN_ENTRY_CAP entries GuardError, all before any sampling.  Errors
+    are counted on `_decode`'s arrays: a unique estimate holds k distinct
+    items, so with hits of them true it misses k - hits true items and adds
+    as many."""
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
     if dims.n * dims.p > DESIGN_ENTRY_CAP:
         raise GuardError(
             f"an n x p design of {dims.n} x {dims.p} exceeds the {DESIGN_ENTRY_CAP} entry cap"
         )
+    if decoder.kind == "comp-gt" and prior.variant != ALL_ONES:  # the group-testing prior
+        raise ValueError("comp-gt requires the group-testing model")
+    if decoder.kind == "threshold":  # the cell's cached test; gamma needs a discrete prior
+        _threshold_test(model, prior, dims, decoder.delta1)
     errors_exact = errors_partial = 0
     for block in _trial_blocks(dims, trials):
         reals = sample_realization(dims, model, prior, seed, stream=(n_index,), trials=block)

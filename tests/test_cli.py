@@ -272,6 +272,13 @@ class TestSimulateCommand:
         code, _, err = run(capsys, "threshold", "--figure", "gt-noiseless", "--config", str(cfg))
         assert code == 2 and "argument --verbose: ignored explicit argument '1'" in err
 
+    def test_comp_on_linear_refused_in_one_line(self, capsys):
+        code, out, err = run(capsys, "simulate", "--model", "linear", "--decoder", "comp",
+                             "--b", "1,2", "--k", "2", "--p", "5", "--n-grid", "10:10:1",
+                             "--seed", "1")
+        assert (code, out) == (2, "")
+        assert err == "configuration error: comp-gt requires the group-testing model\n"
+
     def test_linear_model_with_b(self, capsys):
         code, out, _ = run(
             capsys, "simulate", "--p", "8", "--k", "2", "--model", "linear",

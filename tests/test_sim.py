@@ -1,5 +1,7 @@
+import ast
 import itertools
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -24,7 +26,7 @@ def gt_consistent_supports(realization, dims):
     for cand in sim.candidate_supports(dims):
         hits = x[:, np.asarray(cand) - 1].any(axis=1)
         if np.array_equal(hits, y):
-            out.append(frozenset(cand))
+            out.append(cand)
     return out
 
 
@@ -61,7 +63,7 @@ def loop_threshold_decode(real, model, prior, dims, delta1):
     gamma = bounds.gamma_select("discrete", model, prior, dims)
     thresholds = threshold_map(dims, delta1, gamma)
     winners = [
-        frozenset(cand)
+        cand
         for cand in sim.candidate_supports(dims)
         if all(
             loop_statistic(model, prior, real.x[:, np.asarray(cand) - 1], real.y, part)
@@ -70,9 +72,8 @@ def loop_threshold_decode(real, model, prior, dims, delta1):
         )
     ]
     if len(winners) == 1:
-        return sim.DecodeOutcome(estimate=winners[0], status="unique", candidates_passing=1)
-    status = "none" if not winners else "multiple"
-    return sim.DecodeOutcome(estimate=None, status=status, candidates_passing=min(len(winners), 2))
+        return sim.DecodeOutcome(estimate=winners[0], status="unique")
+    return sim.DecodeOutcome(estimate=None, status="none" if not winners else "multiple")
 
 
 def loop_gt_scores(model, x, y, cands):
@@ -193,15 +194,17 @@ class TestBatchedCandidates:
         for m, pr, p, k, n, d1 in cases:
             dims = md.ProblemDims(p=p, k=k, n=n)
             cands = list(sim.candidate_supports(dims))
-            for t in range(6):
-                real = md.sample_realization(dims, m, pr, SEED, stream=(9, t))
+            reals = md.sample_realization(dims, m, pr, SEED, stream=(9,), trials=range(6))
+            for real in reals:
                 out = sim.decode_threshold(real, m, pr, dims, delta1=d1)
                 assert out == loop_threshold_decode(real, m, pr, dims, d1)
                 statuses.add(out.status)
-                if m.channel == md.GROUP_TESTING:
-                    scores = loop_gt_scores(m, real.x, real.y, cands)
-                    expected = frozenset(cands[int(np.argmax(scores))])
-                    assert sim.decode_ml(real, m, pr, dims) == expected
+            if m.channel == md.GROUP_TESTING:
+                expected = [
+                    cands[int(np.argmax(loop_gt_scores(m, real.x, real.y, cands)))]
+                    for real in reals
+                ]
+                assert block_rows(sim.decode_ml(reals, m, pr, dims), k) == expected
         assert statuses == {"unique", "none", "multiple"}
 
 
@@ -232,7 +235,7 @@ def loop_ml_decode(real, model, prior, dims, score=loop_ml_score):
         s = score(model, prior, real.x[:, np.asarray(cand) - 1], real.y)
         if s > best_score:
             best_score, best_cand = s, cand
-    return frozenset(best_cand)
+    return best_cand
 
 
 def mp_gaussian_evidence(model, prior, x_cand, y, dps=60):
@@ -262,15 +265,16 @@ class TestBlockMl:
         m, pr = STAT_CASES[name]
         dims = md.ProblemDims(p=7, k=3, n=n)
         monkeypatch.setattr(sim, "_CANDIDATE_BLOCK", 7)
-        for t in range(6):
-            real = md.sample_realization(dims, m, pr, SEED, stream=(10, n, t))
+        reals = md.sample_realization(dims, m, pr, SEED, stream=(10, n), trials=range(6))
+        for real in reals:
             cands = np.array(list(sim.candidate_supports(dims)))
             x_cands = sim._design_stack(real.x, cands)
             scores = info.log_marginal_likelihood(m, pr, x_cands, real.y)
             assert scores.tolist() == [loop_ml_score(m, pr, x, real.y) for x in x_cands]
             one = info.log_marginal_likelihood(m, pr, x_cands[0], real.y)
             assert type(one) is float and one == scores[0]
-            assert sim.decode_ml(real, m, pr, dims) == loop_ml_decode(real, m, pr, dims)
+        expected = [loop_ml_decode(real, m, pr, dims) for real in reals]
+        assert block_rows(sim.decode_ml(reals, m, pr, dims), dims.k) == expected
 
     @pytest.mark.parametrize("prior", [md.SignalPrior.fixed([1.0, -0.5, 2.0]),
                                        md.SignalPrior.permuted([1.0, -0.5, 2.0])])
@@ -280,13 +284,14 @@ class TestBlockMl:
         dims = md.ProblemDims(p=6, k=3, n=12)
         monkeypatch.setattr(sim, "_CANDIDATE_BLOCK", 7)
         seen = set()
-        for t in range(6):
-            real = md.sample_realization(dims, m, prior, SEED, stream=(11, t))
+        reals = md.sample_realization(dims, m, prior, SEED, stream=(11,), trials=range(6))
+        for real in reals:
             x_cands = sim._design_stack(real.x, np.array(list(sim.candidate_supports(dims))))
             scores = info.log_marginal_likelihood(m, prior, x_cands, real.y).tolist()
             assert scores == [loop_ml_score(m, prior, x, real.y) for x in x_cands]
             seen.update("finite" if math.isfinite(v) else v for v in scores)
-            assert sim.decode_ml(real, m, prior, dims) == loop_ml_decode(real, m, prior, dims)
+        expected = [loop_ml_decode(real, m, prior, dims) for real in reals]
+        assert block_rows(sim.decode_ml(reals, m, prior, dims), dims.k) == expected
         assert seen == {"finite", -math.inf}
 
     def test_nan_scores_never_win(self):
@@ -298,12 +303,13 @@ class TestBlockMl:
         cands = np.array(list(sim.candidate_supports(dims)))
         mixed = 0
         with np.errstate(all="ignore"):
-            for t in range(20):
-                real = md.sample_realization(dims, m, pr, SEED, stream=(14, t))
+            reals = md.sample_realization(dims, m, pr, SEED, stream=(14,), trials=range(20))
+            for real in reals:
                 x_cands = sim._design_stack(real.x, cands)
                 nan = np.isnan(info.log_marginal_likelihood(m, pr, x_cands, real.y))
                 mixed += nan.any() and not nan.all()
-                assert sim.decode_ml(real, m, pr, dims) == loop_ml_decode(real, m, pr, dims)
+            expected = [loop_ml_decode(real, m, pr, dims) for real in reals]
+            assert block_rows(sim.decode_ml(reals, m, pr, dims), dims.k) == expected
         assert mixed > 0
 
     @pytest.mark.parametrize("sigma_beta_sq", [0.25, 1.0, 1e6])
@@ -329,10 +335,11 @@ class TestBlockMl:
         monkeypatch.setattr(sim, "_CANDIDATE_BLOCK", 7)
         for n in (2, 8, 30):
             dims = md.ProblemDims(p=8, k=2, n=n)
-            for t in range(15):
-                real = md.sample_realization(dims, m, pr, SEED, stream=(13, n, t))
-                expected = loop_ml_decode(real, m, pr, dims, score=loop_gaussian_score)
-                assert sim.decode_ml(real, m, pr, dims) == expected
+            reals = md.sample_realization(dims, m, pr, SEED, stream=(13, n), trials=range(15))
+            expected = [
+                loop_ml_decode(real, m, pr, dims, score=loop_gaussian_score) for real in reals
+            ]
+            assert block_rows(sim.decode_ml(reals, m, pr, dims), dims.k) == expected
 
     def test_gaussian_guard(self):
         x = md.rng_stream(SEED).standard_normal((2, 4, 2))
@@ -348,33 +355,42 @@ class TestBlockMl:
 
 
 def block_rows(estimates, k):
-    """A decoder's block return as a list of frozensets, after checking that
-    it is a (T x k) int array of sorted, 1-based rows."""
+    """A decoder's block return as a list of tuples, after checking that it
+    is a (T x k) int array of sorted, 1-based rows."""
     assert estimates.dtype == int and estimates.shape == (len(estimates), k)
     assert (estimates[:, 0] >= 1).all() and (np.diff(estimates, axis=1) > 0).all()
-    return list(map(frozenset, estimates.tolist()))
+    return list(map(tuple, estimates.tolist()))
+
+
+def one_trial_blocks(reals):
+    """Each trial of the RealizationBlock reals as a block of one."""
+    arrays = (reals.support, reals.beta, reals.x, reals.y)
+    return [md.RealizationBlock(*(a[t : t + 1] for a in arrays)) for t in range(len(reals))]
 
 
 def loop_run_cell(model, prior, dims, decoder, trials, seed, n_index=0):
     """Reference: run_cell as one decode per trial, as it was before trial
-    blocks."""
+    blocks: trial t is the one-trial block that draws stream (n_index, t)."""
     errors_exact = errors_partial = 0
     for t in range(trials):
-        real = md.sample_realization(dims, model, prior, seed, stream=(n_index, t))
+        block = md.sample_realization(
+            dims, model, prior, seed, stream=(n_index,), trials=range(t, t + 1)
+        )
         if decoder.kind == "threshold":
-            out = sim.decode_threshold(real, model, prior, dims, decoder.delta1)
+            out = sim.decode_threshold(block[0], model, prior, dims, decoder.delta1)
         else:
             if decoder.kind == "exhaustive-ml":
-                est = sim.decode_ml(real, model, prior, dims)
+                est = sim.decode_ml(block, model, prior, dims)
             else:
-                est = sim.decode_comp(real, dims)
-            out = sim.DecodeOutcome(estimate=est, status="unique", candidates_passing=1)
-        true = real.support_set()
+                est = sim.decode_comp(block, dims)
+            out = sim.DecodeOutcome(estimate=block_rows(est, dims.k)[0], status="unique")
+        true = block[0].support
         if out.status != "unique" or out.estimate != true:
             errors_exact += 1
         if out.status != "unique":
             errors_partial += 1
-        elif len(true - out.estimate) > dims.d_max or len(out.estimate - true) > dims.d_max:
+        elif (len(set(true) - set(out.estimate)) > dims.d_max
+              or len(set(out.estimate) - set(true)) > dims.d_max):
             errors_partial += 1
     lo, hi = sim.wilson_interval(errors_exact, trials)
     return sim.SimReport(dims.n, trials, errors_exact, errors_partial, errors_exact / trials,
@@ -405,22 +421,22 @@ class TestTrialBlocks:
         # three trials to a block: 7 trials span blocks of 3, 3 and 1
         monkeypatch.setattr(sim, "_TRIAL_BLOCK_ENTRIES", 3 * max(1, n * dims.p))
         monkeypatch.setattr(sim, "_CANDIDATE_BLOCK", 7)
+        decoder = sim.DecoderSpec(kind=kind)
+        expected = loop_run_cell(m, pr, dims, decoder, 7, SEED, n_index=n)
         fn_name = "decode_comp" if kind == "comp-gt" else "decode_ml"
         decode, sizes = getattr(sim, fn_name), []
 
         def spy(reals, *args):
-            if isinstance(reals, md.Realization):  # a call from loop_run_cell
-                return decode(reals, *args)
             estimates = decode(reals, *args)
-            assert block_rows(estimates, dims.k) == [decode(r, *args) for r in reals]
+            singles = [block_rows(decode(one, *args), dims.k)[0] for one in one_trial_blocks(reals)]
+            assert block_rows(estimates, dims.k) == singles
             sizes.append(len(reals))
             return estimates
 
         monkeypatch.setattr(sim, fn_name, spy)
-        decoder = sim.DecoderSpec(kind=kind)
         rep = sim.run_cell(m, pr, dims, decoder, 7, SEED, n_index=n)
         assert sizes == [3, 3, 1]
-        assert rep == loop_run_cell(m, pr, dims, decoder, 7, SEED, n_index=n)
+        assert rep == expected
 
     @pytest.mark.parametrize("name", sorted(BLOCK_CASES))
     def test_run_cell_equals_trial_loop(self, name):
@@ -476,7 +492,7 @@ class TestTrialBlocks:
 
         def spy(real, *args):
             out = decode(real, *args)
-            right = out.estimate == real.support_set()
+            right = out.estimate == real.support
             kinds.add(out.status if out.status != "unique" else ("wrong", "right")[right])
             return out
 
@@ -511,7 +527,7 @@ def loop_gt_ml(model, reals, dims):
     cands = np.array(list(sim.candidate_supports(dims)))
     incidence = sim._incidence(dims.p, cands)
     return [
-        frozenset(cands[int(np.argmax(sim._ml_fast_gt(model, r.x, r.y, incidence)))].tolist())
+        tuple(cands[int(np.argmax(sim._ml_fast_gt(model, r.x, r.y, incidence)))].tolist())
         for r in reals
     ]
 
@@ -530,7 +546,7 @@ class TestGroupedGtMl:
         dims = md.ProblemDims(p=p, k=2, n=n)
         if p == 9:
             monkeypatch.setattr(sim, "_TRIAL_BLOCK_ENTRIES", 5 * max(1, n) * 36)
-        reals = [md.sample_realization(dims, m, GT, SEED, stream=(5, t)) for t in range(13)]
+        reals = md.sample_realization(dims, m, GT, SEED, stream=(5,), trials=range(13))
         expected = loop_gt_ml(m, reals, dims)
         score, seen = sim._ml_fast_gt, []
 
@@ -554,7 +570,8 @@ class TestGroupedGtMl:
 
     def test_no_realizations(self):
         m, dims = md.ModelSpec.group_testing(), md.ProblemDims(p=9, k=2, n=4)
-        for estimates in (sim.decode_ml([], m, GT, dims), sim.decode_comp([], dims)):
+        reals = md.sample_realization(dims, m, GT, SEED, stream=(5,), trials=range(0))
+        for estimates in (sim.decode_ml(reals, m, GT, dims), sim.decode_comp(reals, dims)):
             assert estimates.shape == (0, 2) and estimates.dtype == int
 
 
@@ -598,10 +615,10 @@ class TestThresholdDecoder:
         for t in range(trials):
             real = md.sample_realization(dims, m, pr, SEED, stream=(0, t))
             out = sim.decode_threshold(real, m, pr, dims)
-            if out.status == "unique" and out.estimate == real.support_set():
+            if out.status == "unique" and out.estimate == real.support:
                 hits += 1
             # simulation oracle: the true support must always be consistent
-            assert real.support_set() in gt_consistent_supports(real, dims)
+            assert real.support in gt_consistent_supports(real, dims)
         assert hits / trials >= 0.99
 
     def test_zero_measurements_returns_none(self):
@@ -623,7 +640,7 @@ class TestThresholdDecoder:
             out = sim.decode_threshold(real, m, pr, dims)
             if out.status != "unique":
                 continue
-            x_cand = real.x[:, np.asarray(sorted(out.estimate)) - 1]
+            x_cand = real.x[:, np.asarray(out.estimate) - 1]
             for part in md.enumerate_partitions(2):
                 stat = sim._averaged_partition_density(m, pr, x_cand, real.y, part)
                 assert stat > thresholds[part.ell]
@@ -636,6 +653,13 @@ class TestThresholdDecoder:
         rep = sim.run_cell(m, pr, dims, sim.DecoderSpec(kind="threshold"), 300, SEED + 1)
         se = math.sqrt(rep.pe_hat * (1 - rep.pe_hat) / rep.trials + se1**2)
         assert rep.pe_hat <= p1 + term2 + 3 * max(se, 1.0 / rep.trials)
+
+    @pytest.mark.parametrize("trials", [0, -3])
+    def test_union_bound_refuses_no_trials(self, trials):
+        # 0 divided by zero, and -3 returned (-0.0, 0.0, 0.00375)
+        m, dims = md.ModelSpec.group_testing(), md.ProblemDims(p=6, k=2, n=10)
+        with pytest.raises(ValueError, match=f"trials must be >= 1, got {trials}"):
+            sim.threshold_union_bound(m, GT, dims, trials=trials, seed=SEED)
 
     def test_union_bound_linear_low_noise(self):
         # linear channel at small noise, n = p: empirical error rate stays
@@ -764,10 +788,9 @@ class TestMlDecoder:
         m = md.ModelSpec.linear(1e-9)
         pr = md.SignalPrior.fixed([1.0, -0.7])
         dims = md.ProblemDims(p=8, k=2, n=3)
-        for t in range(25):
-            real = md.sample_realization(dims, m, pr, SEED, stream=(2, t))
-            est = sim.decode_ml(real, m, pr, dims)
-            assert est == real.support_set()
+        reals = md.sample_realization(dims, m, pr, SEED, stream=(2,), trials=range(25))
+        assert np.array_equal(sim.decode_ml(reals, m, pr, dims), reals.support)
+        for real in reals:
             # linear-algebra oracle: the true support has ~zero residual
             x_s = real.x_support()
             resid = real.y - x_s @ real.b_support()
@@ -777,13 +800,12 @@ class TestMlDecoder:
         m = md.ModelSpec.group_testing(rho=0.0)
         pr = md.SignalPrior.all_ones()
         dims = md.ProblemDims(p=12, k=2, n=14)
-        for t in range(200):
-            real = md.sample_realization(dims, m, pr, SEED, stream=(3, t))
-            est = sim.decode_ml(real, m, pr, dims)
+        reals = md.sample_realization(dims, m, pr, SEED, stream=(3,), trials=range(200))
+        for real, est in zip(reals, block_rows(sim.decode_ml(reals, m, pr, dims), dims.k)):
             consistent = gt_consistent_supports(real, dims)
             assert est in consistent
             # ML errs only when some other support also explains every test
-            if est != real.support_set():
+            if est != real.support:
                 assert len(consistent) > 1
             assert est == min(consistent)  # lexicographic tie-break
 
@@ -791,18 +813,17 @@ class TestMlDecoder:
         m = md.ModelSpec.group_testing(rho=0.11)
         pr = md.SignalPrior.all_ones()
         dims = md.ProblemDims(p=3, k=3, n=5)
-        real = md.sample_realization(dims, m, pr, SEED)
-        assert sim.decode_ml(real, m, pr, dims) == frozenset({1, 2, 3})
+        reals = md.sample_realization(dims, m, pr, SEED, trials=range(1))
+        assert block_rows(sim.decode_ml(reals, m, pr, dims), dims.k) == [(1, 2, 3)]
 
     def test_exact_recovery_event_equivalence(self):
         # |S \ Shat| = |Shat \ S| whenever both have cardinality k
         m = md.ModelSpec.group_testing(rho=0.11)
         pr = md.SignalPrior.all_ones()
         dims = md.ProblemDims(p=10, k=3, n=10)
-        for t in range(50):
-            real = md.sample_realization(dims, m, pr, SEED, stream=(4, t))
-            est = sim.decode_ml(real, m, pr, dims)
-            true = real.support_set()
+        reals = md.sample_realization(dims, m, pr, SEED, stream=(4,), trials=range(50))
+        for real, row in zip(reals, block_rows(sim.decode_ml(reals, m, pr, dims), dims.k)):
+            est, true = set(row), set(real.support)
             assert len(est) == dims.k
             assert len(true - est) == len(est - true)
 
@@ -819,14 +840,19 @@ class TestCompDecoder:
             dtype=float,
         )
         y = np.array([1.0, 0.0, 1.0])  # support {1, 2}: row 2 excludes 3, 4, 5
-        real = md.Realization(support=(1, 2), beta=np.zeros(5), x=x, y=y)
-        assert sim.decode_comp(real, md.ProblemDims(p=5, k=2, n=3)) == frozenset({1, 2})
+        reals = md.RealizationBlock(
+            support=np.array([[1, 2]]), beta=np.zeros((1, 5)), x=x[None], y=y[None]
+        )
+        estimates = sim.decode_comp(reals, md.ProblemDims(p=5, k=2, n=3))
+        assert block_rows(estimates, 2) == [(1, 2)]
 
     def test_degenerate_no_tests(self):
-        real = md.Realization(
-            support=(3, 4), beta=np.zeros(6), x=np.zeros((0, 6)), y=np.zeros(0)
+        reals = md.RealizationBlock(
+            support=np.array([[3, 4]]), beta=np.zeros((1, 6)), x=np.zeros((1, 0, 6)),
+            y=np.zeros((1, 0)),
         )
-        assert sim.decode_comp(real, md.ProblemDims(p=6, k=2, n=0)) == frozenset({1, 2})
+        estimates = sim.decode_comp(reals, md.ProblemDims(p=6, k=2, n=0))
+        assert block_rows(estimates, 2) == [(1, 2)]
 
     @pytest.mark.parametrize("rho", [0.0, 0.11])
     def test_ties_break_to_lowest_index(self, rho):
@@ -834,27 +860,25 @@ class TestCompDecoder:
         m = md.ModelSpec.group_testing(rho=rho)
         for n in (0, 5, 30):
             dims = md.ProblemDims(p=40, k=3, n=n)
-            reals = [md.sample_realization(dims, m, GT, SEED, stream=(6, n, t)) for t in range(20)]
+            reals = md.sample_realization(dims, m, GT, SEED, stream=(6, n), trials=range(20))
             expected = []
             for real in reals:
                 x, y = real.x.astype(bool), real.y > 0.5
                 score = [-1 if x[~y, i].any() else int(x[y, i].sum()) for i in range(dims.p)]
                 ranked = sorted(range(dims.p), key=lambda i: (-score[i], i))
-                expected.append(frozenset(i + 1 for i in ranked[: dims.k]))
+                expected.append(tuple(sorted(i + 1 for i in ranked[: dims.k])))
             assert block_rows(sim.decode_comp(reals, dims), dims.k) == expected
-            assert [sim.decode_comp(real, dims) for real in reals] == expected
+            singles = [sim.decode_comp(one, dims) for one in one_trial_blocks(reals)]
+            assert [block_rows(est, dims.k)[0] for est in singles] == expected
 
     def test_ml_no_worse_than_comp(self):
         m = md.ModelSpec.group_testing(rho=0.0)
         pr = md.SignalPrior.all_ones()
         dims = md.ProblemDims(p=12, k=2, n=14)
-        err_ml = err_comp = 0
         trials = 1000
-        for t in range(trials):
-            real = md.sample_realization(dims, m, pr, SEED, stream=(5, t))
-            true = real.support_set()
-            err_ml += sim.decode_ml(real, m, pr, dims) != true
-            err_comp += sim.decode_comp(real, dims) != true
+        reals = md.sample_realization(dims, m, pr, SEED, stream=(5,), trials=range(trials))
+        err_ml = (sim.decode_ml(reals, m, pr, dims) != reals.support).any(axis=1).sum()
+        err_comp = (sim.decode_comp(reals, dims) != reals.support).any(axis=1).sum()
         se = math.sqrt(2 * 0.25 / trials)
         assert err_comp / trials >= err_ml / trials - 3 * se
 
@@ -897,12 +921,27 @@ class TestPhaseSweep:
         with pytest.raises(ValueError, match="comp-gt requires the group-testing model"):
             sim.run_cell(m, pr, dims, sim.DecoderSpec(kind="comp-gt"), 10, SEED)
 
+    @pytest.mark.parametrize("kind,m,pr,message", [
+        ("bogus", md.ModelSpec.group_testing(), GT, "unknown decoder kind 'bogus'"),
+        ("comp-gt", md.ModelSpec.linear(1.0), md.SignalPrior.fixed([1.0, 2.0]),
+         "comp-gt requires the group-testing model"),
+        ("threshold", md.ModelSpec.linear(1.0), md.SignalPrior.iid_gaussian(1.0),
+         "discrete gamma rule needs a discrete prior"),
+    ])
+    def test_decoder_refused_before_sampling(self, kind, m, pr, message, monkeypatch):
+        calls = []
+        monkeypatch.setattr(sim, "sample_realization", lambda *a, **kw: calls.append(a))
+        dims = md.ProblemDims(p=5, k=2, n=10)
+        with pytest.raises(ValueError, match=message):
+            sim.run_cell(m, pr, dims, sim.DecoderSpec(kind=kind), 10, SEED)
+        assert calls == []
+
     def test_ml_refuses_a_pair_the_sampler_refuses(self):
         # the all-ones prior pairs only with group testing
         dims = md.ProblemDims(p=6, k=2, n=4)
-        real = md.sample_realization(dims, md.ModelSpec.group_testing(), GT, SEED)
+        reals = md.sample_realization(dims, md.ModelSpec.group_testing(), GT, SEED, trials=range(1))
         with pytest.raises(ValueError, match="the all-ones prior pairs only with group testing"):
-            sim.decode_ml(real, md.ModelSpec.linear(1.0), GT, dims)
+            sim.decode_ml(reals, md.ModelSpec.linear(1.0), GT, dims)
 
 
 class TestEmpiricalG:
@@ -1118,3 +1157,36 @@ class TestPassingOncePerBlock:
 def test_threshold_statistic_mpmath_check():
     (result,) = verify.run_checks("threshold-stat-vs-mpmath")
     assert result.passed and result.tolerance == 1e-9, result.detail
+
+
+# ---------------------------------------------------------------------------
+# An estimate has the format of the truth it is scored against, a sorted
+# tuple or a (T x k) array: no module of the package names frozenset
+# ---------------------------------------------------------------------------
+
+PACKAGE = Path(sim.__file__).parent
+
+
+def _frozenset_names(tree) -> list[int]:
+    """Lines that name frozenset, as a name or an attribute."""
+    return [
+        node.lineno
+        for node in ast.walk(tree)
+        if (isinstance(node, ast.Name) and node.id == "frozenset")
+        or (isinstance(node, ast.Attribute) and node.attr == "frozenset")
+    ]
+
+
+@pytest.mark.parametrize("name", sorted(path.stem for path in PACKAGE.glob("*.py")))
+def test_no_module_names_frozenset(name):
+    assert not _frozenset_names(ast.parse((PACKAGE / f"{name}.py").read_text()))
+
+
+def test_the_frozenset_check_sees_each_use():
+    tree = ast.parse(
+        "estimate = frozenset(block[i].tolist())\n"
+        "def decode(real) -> frozenset[int]:\n    pass\n"
+        "same = isinstance(est, builtins.frozenset)\n"
+        "text = 'a frozenset'\n"
+    )
+    assert _frozenset_names(tree) == [1, 2, 4]
