@@ -387,6 +387,17 @@ def gt_mi_closed_form(nu: float, k: int, ell: int, rho: float = 0.0) -> float:
     return q0 * (binary_entropy(star) - binary_entropy(rho))
 
 
+def _any_nonzero(x, cols=None) -> np.ndarray:
+    """Whether some column of x, or of its columns cols, is non-zero, per
+    row: x.astype(bool).any(axis=-1) (NaN counts, -0.0 does not, no column
+    gives False) as an OR over the k columns, where numpy would reduce the
+    short last axis one row at a time and fancy-indexing cols would copy."""
+    hit = np.zeros(x.shape[:-1], dtype=bool)
+    for j in range(x.shape[-1]) if cols is None else cols:
+        hit |= x[..., j] != 0
+    return hit
+
+
 class GroupTesting(Channel):
     """y = 1{any tested item defective} xor Bernoulli(rho), x ~ Bernoulli(nu/k);
 
@@ -417,7 +428,7 @@ class GroupTesting(Channel):
         return np.less(raw, spec.bernoulli_p(k), out=raw)  # 0/1 floats
 
     def outputs(self, spec, x_s, b, noise):
-        hit = x_s.astype(bool).any(axis=-1)
+        hit = _any_nonzero(x_s)
         if spec.rho > 0.0:
             hit ^= noise < spec.rho
         return hit.astype(float)
@@ -436,14 +447,14 @@ class GroupTesting(Channel):
     def loglik_rows_and_sum(self, spec, x_s, b, y):
         """Both from one comparison of y with the noiseless outputs of x_s:
         log(1 - rho) or log rho per row, and the `score` of the misses."""
-        match = (y > 0.5) == x_s.astype(bool).any(axis=-1)
+        match = (y > 0.5) == _any_nonzero(x_s)
         log_match, log_miss = _flip_logs(spec.rho)
         n_miss = np.sum(~match, axis=-1)
         return np.where(match, log_match, log_miss), _row_sum(self.score(spec, y.shape[-1], n_miss))
 
     def log_marginal_rows(self, spec, partition, x_s, b, y):
         t = self.table(spec, partition)
-        eq_hit = x_s[..., partition.eq_index()].astype(bool).any(axis=-1)
+        eq_hit = _any_nonzero(x_s, partition.eq_index())
         y1 = y > 0.5
         # x_eq has a one: the noiseless output is 1 whatever x_dif is
         return np.where(

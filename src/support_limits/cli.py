@@ -30,7 +30,7 @@ import numpy as np
 
 from . import bounds, numerics, sim
 from .channels import CHANNELS
-from .model import IID_GAUSSIAN, GuardError, ModelSpec, ProblemDims, SignalPrior, c_beta_from_snr
+from .model import GuardError, ModelSpec, ProblemDims, SignalPrior, c_beta_from_snr
 from .numerics import NonConvergenceError
 
 DEFAULT_SEED = 20240917
@@ -258,11 +258,6 @@ def cmd_simulate(args) -> int:
     decoder_kind = {"ml": "exhaustive-ml", "threshold": "threshold", "comp": "comp-gt"}[
         args.decoder
     ]
-    if decoder_kind == "threshold" and prior.variant == IID_GAUSSIAN:
-        raise ConfigError(
-            "the threshold decoder needs a discrete prior (--prior fixed or "
-            "--prior permuted with --b); use --decoder ml with --prior gaussian"
-        )
     decoder = sim.DecoderSpec(kind=decoder_kind, delta1=args.delta1)
     if args.seed is None:
         args.seed = DEFAULT_SEED

@@ -21,11 +21,12 @@ block's design columns are stacked, from rows of the transposed design, into
 one (candidates x rows x k) array, which the channel likelihood and density
 methods take whole.  The threshold decoder evaluates each prior atom's
 likelihood rows and sum once per block (the numerator log P(y|x_s) does
-not depend on the partition); each
-partition then adds only the atoms' density rows (`density_rows`, given
-the likelihood rows, evaluates just the marginal rows), their sums and one
-denominator mixture, and the candidates that fail drop out of every array
-before the next partition.  Exhaustive ML scores a block
+not depend on the partition), and the zero-likelihood candidates, whose
+statistic is -inf on every partition, drop out of every array before the
+first partition.  Each partition then adds only the atoms' density rows
+(`density_rows`, given the likelihood rows, evaluates just the marginal
+rows), their sums and one denominator mixture, and the candidates that fail
+drop out before the next partition.  Exhaustive ML scores a block
 with one `log_marginal_likelihood` call: a discrete prior sums the stacked
 likelihood over its atoms, and the iid-Gaussian prior takes the linear
 channel's `gaussian_evidence`, the k x k evidence of Bayesian linear
@@ -69,6 +70,7 @@ from .channels import CHANNELS
 from .info import NEG_INF, _log_mixture, density_rows, log_marginal_likelihood, prior_atoms
 from .model import (
     ALL_ONES,
+    IID_GAUSSIAN,
     GuardError,
     ModelSpec,
     ProblemDims,
@@ -280,23 +282,28 @@ def _passing(model, prior, x_cands, y, thresholds, partitions) -> np.ndarray:
     statistic exceeds its threshold on every one of the partitions.  y is
     the (n,) outputs all candidates share, or a (C x n) row per candidate.
 
-    The atoms' likelihoods and their mixture are evaluated once; after each
-    partition only the candidates that pass stay in them, in x_cands and
-    in y."""
-    atoms = prior_atoms(prior, x_cands.shape[-1])
+    The atoms' likelihoods and their mixture are evaluated once.  A
+    zero-likelihood candidate (num_total = -inf), whose statistic is -inf on
+    every partition, leaves before the first; after each partition only the
+    candidates that pass stay in them, in x_cands and in y."""
     live = np.arange(len(x_cands))
+    if not partitions:
+        return live
+    atoms = prior_atoms(prior, x_cands.shape[-1])
     rows, nums = _atom_likelihoods(model, atoms, x_cands, y)
     num_total = _log_mixture(nums)
+    passed = ~np.isneginf(num_total)
     for part in partitions:
+        if not passed.all():
+            live, x_cands, num_total = live[passed], x_cands[passed], num_total[passed]
+            rows, nums = [r[passed] for r in rows], [v[passed] for v in nums]
+            if y.ndim > 1:
+                y = y[passed]
+            if not live.size:
+                return live
         stat = _partition_statistic(model, atoms, part, x_cands, y, rows, nums, num_total)
         passed = stat > thresholds[part.ell]
-        live, x_cands, num_total = live[passed], x_cands[passed], num_total[passed]
-        rows, nums = [r[passed] for r in rows], [v[passed] for v in nums]
-        if y.ndim > 1:
-            y = y[passed]
-        if not live.size:
-            break
-    return live
+    return live[passed]
 
 
 def decode_threshold(
@@ -483,8 +490,13 @@ def run_cell(
         )
     if decoder.kind == "comp-gt" and prior.variant != ALL_ONES:  # the group-testing prior
         raise ValueError("comp-gt requires the group-testing model")
-    if decoder.kind == "threshold":  # the cell's cached test; gamma needs a discrete prior
-        _threshold_test(model, prior, dims, decoder.delta1)
+    if decoder.kind == "threshold":
+        if prior.variant == IID_GAUSSIAN:  # gamma by the discrete rule
+            raise ValueError(
+                "the threshold decoder needs a discrete prior, fixed or permuted "
+                "entries b; the ml decoder takes the gaussian prior"
+            )
+        _threshold_test(model, prior, dims, decoder.delta1)  # the cell's cached test
     errors_exact = errors_partial = 0
     for block in _trial_blocks(dims, trials):
         reals = sample_realization(dims, model, prior, seed, stream=(n_index,), trials=block)

@@ -1,4 +1,5 @@
 import ast
+import itertools
 import math
 from pathlib import Path
 
@@ -8,7 +9,15 @@ import pytest
 import support_limits
 from support_limits import info
 from support_limits import model as md
-from support_limits.channels import CHANNELS, Channel, _energy, _gt_table, gt_mi_closed_form
+from support_limits.channels import (
+    CHANNELS,
+    Channel,
+    _any_nonzero,
+    _energy,
+    _flip_logs,
+    _gt_table,
+    gt_mi_closed_form,
+)
 from support_limits.numerics import (
     NonConvergenceError,
     gauss_hermite_nodes,
@@ -99,6 +108,107 @@ def test_loglik_rows_and_loglik_are_the_pair(name):
         assert np.array_equal(channel.loglik(model, x_s, b, y_s), total)
     assert isinstance(channel.loglik(model, x[0], b, y[0]), float)
     assert channel.loglik(model, x, b, y).shape == (4,)
+
+
+# ---------------------------------------------------------------------------
+# Group testing reads "some column is non-zero" per row as an OR over the k
+# columns, equal to the trailing-axis reduction it replaced
+# ---------------------------------------------------------------------------
+
+
+def _any_reference(x):
+    return x.astype(bool).any(axis=-1)
+
+
+@pytest.mark.parametrize("k", [0, 1, 2, 12])
+def test_any_nonzero_equals_the_reduction(k):
+    rng = md.rng_stream(21, k)
+    x = np.where(rng.random((9, 30, k)) < 0.2, 1.0, 0.0)
+    for stack in (x, x[0], x.astype(bool), x > 2.0):
+        got = _any_nonzero(stack)
+        assert got.dtype == bool and got.shape == stack.shape[:-1]
+        assert np.array_equal(got, _any_reference(stack))
+    if k == 0:
+        assert not _any_nonzero(x).any()
+
+
+def test_any_nonzero_reads_nan_negatives_and_signed_zeros():
+    x = np.array([
+        [np.nan, 0.0], [-0.0, 0.0], [-0.0, -0.0], [-2.0, 0.0], [0.0, -1e-300], [0.0, np.inf],
+    ])
+    assert _any_nonzero(x).tolist() == _any_reference(x).tolist()
+    assert _any_nonzero(x).tolist() == [True, False, False, True, True, True]
+
+
+@pytest.mark.parametrize("k", [1, 2, 12])
+def test_any_nonzero_on_support_views(k):
+    # RealizationBlock.x_support() returns strided views, not C-ordered stacks
+    dims = md.ProblemDims(p=16, k=k, n=25)
+    model = md.ModelSpec.group_testing(rho=0.11)
+    reals = md.sample_realization(dims, model, md.SignalPrior.all_ones(), 3, trials=range(6))
+    assert k == 1 or not reals.x_support().flags.c_contiguous
+    for x_s in (reals.x_support(), reals[2].x_support()):
+        assert np.array_equal(_any_nonzero(x_s), _any_reference(x_s))
+
+
+def test_any_nonzero_of_columns_equals_the_indexed_reduction():
+    x = np.where(md.rng_stream(22).random((7, 40, 3)) < 0.3, 1.0, 0.0)
+    for part in md.enumerate_partitions(3):
+        eq = part.eq_index()
+        assert np.array_equal(_any_nonzero(x, eq), _any_reference(x[..., eq]))
+    assert not _any_nonzero(x, np.array([], dtype=int)).any()
+
+
+def _old_gt_outputs(spec, x_s, noise):
+    hit = x_s.astype(bool).any(axis=-1)
+    if spec.rho > 0.0:
+        hit ^= noise < spec.rho
+    return hit.astype(float)
+
+
+def _old_gt_loglik(spec, x_s, y):
+    match = (y > 0.5) == x_s.astype(bool).any(axis=-1)
+    log_match, log_miss = _flip_logs(spec.rho)
+    n_miss = np.sum(~match, axis=-1)
+    total = CHANNELS[spec.channel].score(spec, y.shape[-1], n_miss)
+    return np.where(match, log_match, log_miss), float(total) if np.ndim(total) == 0 else total
+
+
+def _old_gt_marginal(spec, partition, x_s, y):
+    t = CHANNELS[spec.channel].table(spec, partition)
+    eq_hit = x_s[..., partition.eq_index()].astype(bool).any(axis=-1)
+    y1 = y > 0.5
+    return np.where(
+        eq_hit, np.where(y1, t.log_match, t.log_miss), np.where(y1, t.log_y1, t.log_y0)
+    )
+
+
+@pytest.mark.parametrize("rho", [0.0, 0.11])
+def test_gt_methods_equal_the_reduction_formulas(rho):
+    model = md.ModelSpec.group_testing(rho=rho)
+    channel, b = CHANNELS[model.channel], np.ones(3)
+    dims = md.ProblemDims(p=9, k=3, n=30)
+    reals = md.sample_realization(dims, model, md.SignalPrior.all_ones(), 4, trials=range(20))
+    noise = md.rng_stream(23).random((20, 30))
+    x_true = reals.x_support()
+    y = _old_gt_outputs(model, x_true, noise)
+    assert np.array_equal(channel.outputs(model, x_true, b, noise), y)
+    # each trial's own support, and every candidate of one trial's design
+    # against its outputs, where zero-likelihood candidates are common at rho = 0
+    cands = np.array(list(itertools.combinations(range(dims.p), 3)))
+    x_cands = np.moveaxis(reals.x[0][:, cands], 1, 0)
+    for x_s, y_s in ((x_true, y), (x_true[0], y[0]), (x_cands, y[0])):
+        rows, total = channel.loglik_rows_and_sum(model, x_s, b, y_s)
+        old_rows, old_total = _old_gt_loglik(model, x_s, y_s)
+        assert np.array_equal(rows, old_rows) and np.array_equal(total, old_total)
+        assert type(total) is type(old_total)
+        for part in md.enumerate_partitions(3):
+            assert np.array_equal(
+                channel.log_marginal_rows(model, part, x_s, b, y_s),
+                _old_gt_marginal(model, part, x_s, y_s),
+            )
+    if rho == 0.0:
+        assert np.isneginf(channel.loglik(model, x_cands, b, y[0])).any()
 
 
 # ---------------------------------------------------------------------------
@@ -302,3 +412,47 @@ def test_the_import_walker_sees_each_form():
         ("bounds", None), ("numerics", None), ("model", None), ("info", None), ("sim", None),
         ("conc", "f"), ("verify", "inner"),
     ]
+
+
+# ---------------------------------------------------------------------------
+# No trailing-axis reduction in `channels`: numpy reduces a short last axis
+# one row at a time, so group testing ORs its k columns instead
+# ---------------------------------------------------------------------------
+
+
+def _last_axis_reductions(tree) -> list[int]:
+    """Lines of the .any(...) and .all(...) calls given axis=-1, by keyword
+    or as the first argument."""
+    def is_last(node):
+        return (
+            isinstance(node, ast.UnaryOp) and isinstance(node.op, ast.USub)
+            and isinstance(node.operand, ast.Constant) and node.operand.value == 1
+        ) or (isinstance(node, ast.Constant) and node.value == -1)
+
+    return [
+        node.lineno
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Attribute)
+        and node.func.attr in ("any", "all")
+        and (
+            any(kw.arg == "axis" and is_last(kw.value) for kw in node.keywords)
+            or (node.args and is_last(node.args[0]))
+        )
+    ]
+
+
+def test_no_last_axis_any_or_all_in_channels():
+    assert not _last_axis_reductions(ast.parse((PACKAGE / "channels.py").read_text()))
+
+
+def test_the_reduction_check_sees_each_form():
+    tree = ast.parse(
+        "hit = x_s.astype(bool).any(axis=-1)\n"
+        "ok = np.isfinite(dens).all(-1)\n"
+        "both = np.all(x, axis=-1)\n"
+        "rows = x.any(axis=1)\n"
+        "total = np.sum(x, axis=-1)\n"
+        "text = 'x.any(axis=-1)'\n"
+    )
+    assert _last_axis_reductions(tree) == [1, 2, 3]

@@ -5,6 +5,7 @@ import warnings
 import pytest
 
 from support_limits import bounds, cli, numerics, sim, verify
+from support_limits import model as md
 from support_limits.numerics import NonConvergenceError
 
 
@@ -278,6 +279,17 @@ class TestSimulateCommand:
                              "--seed", "1")
         assert (code, out) == (2, "")
         assert err == "configuration error: comp-gt requires the group-testing model\n"
+
+    def test_threshold_with_gaussian_prior_refused_with_the_library_message(self, capsys):
+        # run_cell refuses the pairing before sampling; the CLI prints its message
+        args = ("--model", "linear", "--prior", "gaussian", "--p", "6", "--k", "2")
+        code, out, err = run(capsys, "simulate", *args, "--decoder", "threshold",
+                             "--n-grid", "4:4:1", "--seed", "1")
+        assert (code, out) == (2, "")
+        with pytest.raises(ValueError) as refused:
+            sim.run_cell(md.ModelSpec.linear(1.0), md.SignalPrior.iid_gaussian(1.0),
+                         md.ProblemDims(p=6, k=2, n=4), sim.DecoderSpec(kind="threshold"), 1, 1)
+        assert err == f"configuration error: {refused.value}\n"
 
     def test_linear_model_with_b(self, capsys):
         code, out, _ = run(

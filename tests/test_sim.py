@@ -926,7 +926,7 @@ class TestPhaseSweep:
         ("comp-gt", md.ModelSpec.linear(1.0), md.SignalPrior.fixed([1.0, 2.0]),
          "comp-gt requires the group-testing model"),
         ("threshold", md.ModelSpec.linear(1.0), md.SignalPrior.iid_gaussian(1.0),
-         "discrete gamma rule needs a discrete prior"),
+         "the threshold decoder needs a discrete prior"),
     ])
     def test_decoder_refused_before_sampling(self, kind, m, pr, message, monkeypatch):
         calls = []
@@ -1095,6 +1095,52 @@ class TestPassingOncePerBlock:
         real = md.sample_realization(self.DIMS, m, pr, SEED, stream=(13,))
         x_cands = np.ascontiguousarray(np.moveaxis(real.x[:, cands - 1], 1, 0))
         self._check(m, pr, x_cands, real.y)
+
+    # the decode-gt benchmark's threshold cell: noiseless group testing with
+    # p = 12, k = 2, n = 52, where few candidates agree with every test
+    GT_DIMS = md.ProblemDims(p=12, k=2, n=52)
+
+    def _spied_passing(self, m, x_cands, y, monkeypatch):
+        """(`_passing` on x_cands, the x_s stacks `density_rows` saw), after
+        checking the indices against `per_partition_passing`."""
+        thresholds, partitions = sim._threshold_test(m, GT, self.GT_DIMS, 0.1)
+        expected, _ = per_partition_passing(m, GT, x_cands, y, thresholds, partitions)
+        seen, density = [], sim.density_rows
+        def spy(model, partition, b, x_s, y, lik_rows=None):
+            seen.append(x_s)
+            return density(model, partition, b, x_s, y, lik_rows)
+
+        monkeypatch.setattr(sim, "density_rows", spy)
+        got = sim._passing(m, GT, x_cands, y, thresholds, partitions)
+        assert got.tolist() == expected.tolist()
+        return got, seen
+
+    def test_zero_likelihood_candidates_leave_before_the_first_partition(self, monkeypatch):
+        m = md.ModelSpec.group_testing(rho=0.0)
+        real = md.sample_realization(self.GT_DIMS, m, GT, SEED, stream=(15,))
+        (block,) = sim._candidate_blocks(self.GT_DIMS)
+        x_cands = sim._design_stack(real.x, block)
+        nums = info.log_conditional_likelihood(m, x_cands, np.ones(2), real.y)
+        assert 1 <= np.isfinite(nums).sum() < len(x_cands)
+        got, seen = self._spied_passing(m, x_cands, real.y, monkeypatch)
+        assert block[got].tolist() == [list(real.support)]
+        assert seen
+        for x_s in seen:
+            assert np.isfinite(info.log_conditional_likelihood(m, x_s, np.ones(2), real.y)).all()
+
+    def test_no_density_rows_when_every_candidate_has_zero_likelihood(self, monkeypatch):
+        # a positive test that no item is in contradicts every candidate
+        m = md.ModelSpec.group_testing(rho=0.0)
+        real = md.sample_realization(self.GT_DIMS, m, GT, SEED, stream=(16,))
+        x, y = real.x.copy(), real.y.copy()
+        x[0], y[0] = 0.0, 1.0
+        (block,) = sim._candidate_blocks(self.GT_DIMS)
+        x_cands = sim._design_stack(x, block)
+        assert np.isneginf(info.log_conditional_likelihood(m, x_cands, np.ones(2), y)).all()
+        got, seen = self._spied_passing(m, x_cands, y, monkeypatch)
+        assert got.size == 0 and seen == []
+        # p = k leaves no partition to fail: every candidate passes, as before
+        assert sim._passing(m, GT, x_cands, y, {}, ()).tolist() == list(range(len(x_cands)))
 
     @pytest.mark.parametrize("name", sorted(STAT_CASES))
     def test_each_atom_likelihood_evaluated_once_per_block(self, name, monkeypatch):
