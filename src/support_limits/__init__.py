@@ -6,7 +6,6 @@ from .model import (
     ModelSpec,
     Partition,
     ProblemDims,
-    Realization,
     SignalPrior,
     enumerate_partitions,
     min_info_partition,
@@ -40,7 +39,6 @@ __all__ = [
     "ModelSpec",
     "Partition",
     "ProblemDims",
-    "Realization",
     "SignalPrior",
     "SimReport",
     "ThresholdResult",

@@ -92,6 +92,13 @@ class BoundOptions:
                 raise ValueError(f"{name} must lie in {rng}, got {getattr(self, name)}")
 
 
+def _check_delta1(delta1: float) -> None:
+    """The numerators take log delta1; outside (0, 1] (or NaN) they divide
+    by zero, fail every test or relax the bound past its statement."""
+    if not 0.0 < delta1 <= 1.0:
+        raise ValueError(f"delta1 must lie in (0, 1], got {delta1}")
+
+
 def _check_eta(eta: float) -> None:
     """The slack eta scales counts by (1 +/- eta); outside [0, 1) (or NaN)
     the converse count turns zero, negative or NaN."""
@@ -194,7 +201,9 @@ def _stirling_log_binom(N: float, r: float) -> float:
 def achievability_numerators(dims: ProblemDims, ells: range, delta1: float, gamma: float) -> list:
     """log C(p-k, l) + 2 log(k/d1) + 2 log C(k, l) + gamma per l in ells: the
     numerators that achievability_threshold_generic divides by I_l and the
-    thresholds of sim's threshold decoder."""
+    thresholds of sim's threshold decoder.  delta1 outside (0, 1] raises
+    ValueError."""
+    _check_delta1(delta1)
     k = dims.k
     r = np.arange(ells.start, ells.stop)
     return (
@@ -267,7 +276,8 @@ def _converse_numerators(
 ) -> tuple[list[float], list[float]]:
     """(main, num) per ell: main = log C(p-k+l, l), its leading order
     l log((p-k+l)/l) in the asymptotic mode, and the converse numerator
-    num = main - log delta1."""
+    num = main - log delta1.  delta1 outside (0, 1] raises ValueError."""
+    _check_delta1(delta1)
     if asymptotic:
         mains = [_stirling_log_binom(p - k + ell, ell) for ell in ells]
     else:

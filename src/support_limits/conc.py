@@ -136,7 +136,12 @@ class TailBoundSpec:
 
 @functools.lru_cache(maxsize=4096)
 def _binomial_weight(k: int, ell: int) -> float:
-    return math.exp(log_binomial(k, ell))
+    """C(k, ell) as a float; ValueError where it exceeds the float range."""
+    try:
+        return math.exp(log_binomial(k, ell))
+    except OverflowError:
+        raise ValueError(f"k = {k} is too large for the remainder sum: C({k}, {ell}) "
+                         f"exceeds the float range") from None
 
 
 def remainder_sum(

@@ -10,12 +10,13 @@ Conventions used throughout the package:
 - Randomness comes from the counter-based Philox generator keyed by
   SeedSequence([seed, *stream]), so parallel trials are reproducible and
   independent.  `rng_stream` builds a new generator for its caller to keep;
-  `sample_realization` draws the same stream from one generator per thread,
-  re-keyed for every trial it draws, and reads the keys of a trial range as
-  rows of memoized tables of 256 consecutive trials' keys.
-- `sample_realization` draws one trial as a `Realization`, or a range of
-  trials as one `RealizationBlock` of stacked arrays: per trial it takes
-  only the draws, then maps the whole block to designs and outputs at once.
+  `sample_realization` draws trial t of a range on stream (*stream, t) from
+  one generator per thread, re-keyed for every trial it draws, and reads
+  the keys of a trial range as rows of memoized tables of 256 consecutive
+  trials' keys.
+- `sample_realization` draws a range of trials as one `RealizationBlock` of
+  stacked arrays, the only trial type: per trial it takes only the draws,
+  then maps the whole block to designs and outputs at once.
 - A support is drawn as `np.sort(rng.choice(p, size=k, replace=False))`
   would draw it.  Where `choice` runs Floyd's algorithm, each trial reads
   the raw words of its 32-bit draws, and one pass over the block runs the
@@ -148,15 +149,6 @@ def _stream_keys(seed: int, prefix: tuple[int, ...], trials: range) -> np.ndarra
     return np.array(keys, dtype=np.uint64).reshape(-1, 2)
 
 
-def _stream_key(seed: int, stream: tuple[int, ...]) -> np.ndarray:
-    """Philox key of SeedSequence([seed, *stream]) as two uint64 words: a
-    stream ending in an int is trial stream[-1] of `_stream_keys`."""
-    if stream and isinstance(stream[-1], (int, np.integer)):
-        t = int(stream[-1])
-        return _stream_keys(seed, stream[:-1], range(t, t + 1))[0]
-    return np.random.SeedSequence([seed, *stream]).generate_state(2, np.uint64)
-
-
 _THREAD = threading.local()
 _ZERO_WORDS = np.zeros(4, np.uint64)
 _ZERO_WORDS.setflags(write=False)
@@ -164,7 +156,11 @@ _ZERO_WORDS.setflags(write=False)
 
 def _rekeyed_generator(key: np.ndarray) -> np.random.Generator:
     """This thread's Generator(Philox), reset to the state a fresh
-    Philox(SeedSequence) with this key starts in: zero counter, empty buffer."""
+    Philox(SeedSequence) with this key starts in: zero counter, empty buffer.
+
+    The generator lives in _THREAD, one per thread, not in the module: the
+    sampler is public, and one generator shared by threads drawing at once
+    would be re-keyed by one between another's draws."""
     gen = getattr(_THREAD, "generator", None)
     if gen is None:
         gen = _THREAD.generator = np.random.Generator(np.random.Philox(0))
@@ -523,24 +519,6 @@ def c_beta_from_snr(snr: float, sigma: float = 1.0) -> float:
     return c_beta
 
 
-@dataclass(frozen=True)
-class Realization:
-    """One (S, beta, X, Y) draw; support is a sorted 1-based tuple, the
-    format of the threshold decoder's estimate."""
-
-    support: tuple[int, ...]
-    beta: np.ndarray
-    x: np.ndarray
-    y: np.ndarray
-
-    def x_support(self) -> np.ndarray:
-        """Measurement columns restricted to the support, in support order."""
-        return self.x[:, np.asarray(self.support, dtype=int) - 1]
-
-    def b_support(self) -> np.ndarray:
-        return self.beta[np.asarray(self.support, dtype=int) - 1]
-
-
 def _support_columns(x: np.ndarray, index: np.ndarray) -> np.ndarray:
     """(T x n x k) columns index (T x k, 0-based) of the (T x n x p) designs
     x, each trial's laid out column-major as x[t][:, index[t]] is, so that
@@ -550,9 +528,8 @@ def _support_columns(x: np.ndarray, index: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class RealizationBlock:
-    """T realizations drawn together, stacked: support (T x k, each row
-    sorted and 1-based), beta (T x p), x (T x n x p) and y (T x n).
-    block[i] is trial i's Realization, a view of the block's rows."""
+    """T trials' (S, beta, X, Y) draws, stacked: support (T x k, each row
+    sorted and 1-based), beta (T x p), x (T x n x p) and y (T x n)."""
 
     support: np.ndarray
     beta: np.ndarray
@@ -562,15 +539,9 @@ class RealizationBlock:
     def __len__(self) -> int:
         return len(self.support)
 
-    def __getitem__(self, i: int) -> Realization:
-        return Realization(tuple(self.support[i].tolist()), self.beta[i], self.x[i], self.y[i])
-
-    def __iter__(self) -> Iterator[Realization]:
-        return map(self.__getitem__, range(len(self)))
-
     def x_support(self) -> np.ndarray:
-        """(T x n x k) design columns on each trial's support, each trial's
-        laid out as its Realization.x_support() is."""
+        """(T x n x k) design columns on each trial's support, trial t's
+        laid out column-major as x[t][:, support[t] - 1] is."""
         return _support_columns(self.x, self.support - 1)
 
 
@@ -592,16 +563,17 @@ def sample_realization(
     prior: SignalPrior,
     seed: int,
     stream: tuple[int, ...] = (),
-    trials: range | None = None,
-) -> Realization | RealizationBlock:
-    """Draw (S, beta, X, Y): S uniform over k-subsets, X i.i.d. from the
-    design, beta_S from the prior, Y conditionally i.i.d. per row.
+    *,
+    trials: range,
+) -> RealizationBlock:
+    """Draw (S, beta, X, Y) for each trial t of the range trials: S uniform
+    over k-subsets, X i.i.d. from the design, beta_S from the prior, Y
+    conditionally i.i.d. per row.
 
-    Deterministic given (seed, stream): the draws are those of
-    rng_stream(seed, *stream), taken from this thread's re-keyed generator,
-    which never leaves this function.  With trials (a range of consecutive
-    trial indices) trial t draws stream (*stream, t), and the trials come
-    back as one RealizationBlock; without, one Realization, a block of one.
+    Deterministic given (seed, stream, t): trial t takes the draws of
+    rng_stream(seed, *stream, t) from this thread's re-keyed generator,
+    which never leaves this function.  trials has no default: the draws of
+    rng_stream(seed, *stream) themselves belong to no trial.
 
     Per trial the generator takes its draws in a fixed order: the support
     (`_block_supports`), the prior's entries (if the prior draws them), the
@@ -611,8 +583,7 @@ def sample_realization(
     """
     validate_pairing(model, prior, dims.k)
     seed = _checked_seed(seed)
-    stream = tuple(stream)
-    keys = _stream_key(seed, stream)[None] if trials is None else _stream_keys(seed, stream, trials)
+    keys = _stream_keys(seed, tuple(stream), trials)
     n, p, k, count = dims.n, dims.p, dims.k, len(keys)
     channel = CHANNELS[model.channel]
     b = np.empty((count, k))
@@ -634,5 +605,4 @@ def sample_realization(
     y = channel.outputs(model, _support_columns(x, index), b, noise)
     beta = np.zeros((count, p))
     beta[np.arange(count)[:, None], index] = b
-    block = RealizationBlock(support=index + 1, beta=beta, x=x, y=y)
-    return block[0] if trials is None else block
+    return RealizationBlock(support=index + 1, beta=beta, x=x, y=y)

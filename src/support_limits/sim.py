@@ -42,14 +42,13 @@ design entries (n x p per trial) and at least one trial, each drawn by one
 `sample_realization` call as a RealizationBlock: COMP scores a block in one
 pass on its stacked designs and outputs, exhaustive ML enumerates the
 candidates (and GT incidence matrices) once per block, and the threshold
-decoder takes the block's realizations one per call.  Group-testing ML
+decoder takes one trial's design and outputs per call.  Group-testing ML
 scores each candidate block for groups of trials with one product, each
 group's trials x n x candidates hit counts again at most
-_TRIAL_BLOCK_ENTRIES.  An estimate has the format of its truth: ML and
-COMP return a (trials x k) array like the block's `support`, on which
-`run_cell` counts the errors; the threshold decoder a DecodeOutcome whose
-estimate is a tuple like a Realization's, and whose status the benchmark's
-tracer counts.
+_TRIAL_BLOCK_ENTRIES.  ML and COMP return a (trials x k) array like the
+block's `support`, on which `run_cell` counts the errors; the threshold
+decoder returns one DecodeOutcome per trial, a sorted 1-based tuple or
+None and a status, which `_decode` stacks into such an array.
 
 Exhaustive decoding is guarded at C(p, k) <= 10^6 and k <= 12; the guards
 are hard errors, not warnings.
@@ -74,7 +73,6 @@ from .model import (
     GuardError,
     ModelSpec,
     ProblemDims,
-    Realization,
     RealizationBlock,
     SignalPrior,
     enumerate_partitions,
@@ -115,8 +113,8 @@ class DecoderSpec:
 
 @dataclass(frozen=True)
 class DecodeOutcome:
-    """One threshold decode: the unique passing candidate as a sorted,
-    1-based tuple, as Realization.support is, or None."""
+    """One trial's threshold decode: the unique passing candidate as a
+    sorted, 1-based tuple, or None."""
 
     estimate: tuple[int, ...] | None
     status: str  # "unique" | "none" | "multiple"
@@ -307,18 +305,21 @@ def _passing(model, prior, x_cands, y, thresholds, partitions) -> np.ndarray:
 
 
 def decode_threshold(
-    realization: Realization,
+    x: np.ndarray,
+    y: np.ndarray,
     model: ModelSpec,
     prior: SignalPrior,
     dims: ProblemDims,
     delta1: float = 0.1,
 ) -> DecodeOutcome:
-    """Unique candidate passing the threshold test on every
-    partition; "none" or "multiple" otherwise (both are errors).  gamma
-    follows the discrete rule, the one defined for the discrete priors this
-    decoder accepts."""
+    """Unique candidate passing the threshold test on every partition, for
+    one trial's (n x p) design x and (n,) outputs y; "none" or "multiple"
+    otherwise (both are errors).  gamma follows the discrete rule, the one
+    defined for the discrete priors this decoder accepts.
+
+    It decodes one trial per call, with one outcome each, because the
+    benchmark's tracer counts the status of each call."""
     thresholds, partitions = _threshold_test(model, prior, dims, delta1)
-    x, y = realization.x, realization.y
     winners = []
     for block in _candidate_blocks(dims):
         live = _passing(model, prior, _design_stack(x, block), y, thresholds, partitions)
@@ -452,10 +453,13 @@ def _decode(decoder: DecoderSpec, reals, model, prior, dims) -> tuple[np.ndarray
     """(estimates, unique) for the RealizationBlock reals of T trials: a
     (T x k) array of sorted, 1-based support estimates, as reals.support,
     and a (T,) bool mask of the unique ones.  The threshold decoder makes
-    one call per Realization, whose status the benchmark's tracer counts;
-    a non-unique row is zero."""
+    one call per trial, whose status the benchmark's tracer counts; a
+    non-unique row is zero."""
     if decoder.kind == "threshold":
-        outs = [decode_threshold(real, model, prior, dims, decoder.delta1) for real in reals]
+        outs = [
+            decode_threshold(x, y, model, prior, dims, decoder.delta1)
+            for x, y in zip(reals.x, reals.y)
+        ]
         estimates = np.array([out.estimate or (0,) * dims.k for out in outs])
         return estimates, np.array([out.status == "unique" for out in outs])
     if decoder.kind == "exhaustive-ml":

@@ -253,14 +253,12 @@ def _support_uniform():
     dims = md.ProblemDims(p=6, k=2, n=0)
     m = md.ModelSpec.linear(1.0)
     pr = md.SignalPrior.fixed([1.0, 2.0])
-    counts = {}
-    n_seeds = 10**4
-    for s in range(n_seeds):
-        r = md.sample_realization(dims, m, pr, seed=s)
-        counts[r.support] = counts.get(r.support, 0) + 1
-    expect = n_seeds / 15.0
-    sd = math.sqrt(n_seeds * (1 / 15) * (14 / 15))
-    worst = max(abs(c - expect) for c in counts.values())
+    trials = 10**4
+    block = md.sample_realization(dims, m, pr, SEED, trials=range(trials))
+    counts = np.unique(block.support, axis=0, return_counts=True)[1]
+    expect = trials / 15.0
+    sd = math.sqrt(trials * (1 / 15) * (14 / 15))
+    worst = float(np.max(np.abs(counts - expect)))
     return worst, 4 * sd, f"15 supports, worst dev {worst:.0f}"
 
 
@@ -310,9 +308,10 @@ def _support_draw():
                              f"generator states and the draws after them")
 
 
-def _fresh_realization(dims, model, prior, seed, stream=()):
-    """The Realization sample_realization draws for (seed, stream), drawn
-    from a new rng_stream generator with numpy's own calls in its order:
+def _fresh_realization(dims, model, prior, seed, stream):
+    """The one-trial RealizationBlock sample_realization draws for trial
+    stream[-1] after the prefix stream[:-1], drawn from a new
+    rng_stream(seed, *stream) generator with numpy's own calls in its order:
     np.sort(choice), the prior's permutation or normal draw, the design's
     random or standard_normal fill and then the noise's."""
     md.validate_pairing(model, prior, dims.k)
@@ -340,15 +339,14 @@ def _fresh_realization(dims, model, prior, seed, stream=()):
             y = np.where(y >= 0.0, 1.0, -1.0)
     beta = np.zeros(p)
     beta[index] = b_s
-    return md.Realization(support=tuple((index + 1).tolist()), beta=beta, x=x, y=y)
+    return md.RealizationBlock(support=index[None] + 1, beta=beta[None], x=x[None], y=y[None])
 
 
-def _same_realization(a, b) -> bool:
-    return (
-        a.support == b.support
-        and a.beta.tolist() == b.beta.tolist()
-        and a.x.tolist() == b.x.tolist()
-        and a.y.tolist() == b.y.tolist()
+def _same_trial(block, t, one) -> bool:
+    """Trial t of block equals the one-trial block one, bit for bit."""
+    return all(
+        getattr(block, f)[t].tolist() == getattr(one, f)[0].tolist()
+        for f in ("support", "beta", "x", "y")
     )
 
 
@@ -370,8 +368,9 @@ def _block_draw():
         for n in (0, 9):
             dims = md.ProblemDims(p=11, k=3, n=n)
             block = md.sample_realization(dims, model, prior, SEED, stream=(4,), trials=trials)
-            for real, t in zip(block, trials):
-                bad += not _same_realization(real, _fresh_realization(dims, model, prior, SEED, (4, t)))
+            for i, t in enumerate(trials):
+                fresh = _fresh_realization(dims, model, prior, SEED, (4, t))
+                bad += not _same_trial(block, i, fresh)
                 draws += 1
     return float(bad), 0.0, f"{draws} block trials: supports, beta, x and y"
 
@@ -381,11 +380,9 @@ def _permuted_multiset():
     dims = md.ProblemDims(p=9, k=4, n=2)
     m = md.ModelSpec.linear(1.0)
     pr = md.SignalPrior.permuted([1.0, 1.0, -2.0, 0.5])
-    bad = 0
-    for s in range(200):
-        r = md.sample_realization(dims, m, pr, seed=s)
-        if sorted(r.b_support()) != sorted(pr.b):
-            bad += 1
+    block = md.sample_realization(dims, m, pr, SEED, trials=range(200))
+    b_s = np.sort(np.take_along_axis(block.beta, block.support - 1, axis=1), axis=1)
+    bad = int((b_s != sorted(pr.b)).any(axis=1).sum())
     return float(bad), 0.0, "non-zero values preserve the multiset"
 
 
@@ -1068,16 +1065,18 @@ def _threshold_stat_mpmath():
             atoms = set(itertools.permutations(prior.b))
         else:
             atoms = {prior.b}
-        real = md.sample_realization(md.ProblemDims(p=p, k=k, n=n), model, prior, SEED)
-        cands = [real.support] + list(itertools.combinations(range(1, p + 1), k))[:4]
-        x_cands = np.stack([real.x[:, np.asarray(c) - 1] for c in cands])
+        dims = md.ProblemDims(p=p, k=k, n=n)
+        real = md.sample_realization(dims, model, prior, SEED, trials=range(1))
+        x, y = real.x[0], real.y[0]
+        cands = [real.support[0]] + list(itertools.combinations(range(1, p + 1), k))[:4]
+        x_cands = np.stack([x[:, np.asarray(c) - 1] for c in cands])
         for part in md.enumerate_partitions(k):
-            got = sim._averaged_partition_density(model, prior, x_cands, real.y, part)
+            got = sim._averaged_partition_density(model, prior, x_cands, y, part)
             eq = set(part.eq_index().tolist())
             with mpmath.workdps(50):
-                for x, value in zip(x_cands, got.tolist()):
+                for x_c, value in zip(x_cands, got.tolist()):
                     oracle = _mp_threshold_statistic(
-                        model.channel == LINEAR, model.sigma, atoms, x, real.y, eq
+                        model.channel == LINEAR, model.sigma, atoms, x_c, y, eq
                     )
                     worst = max(worst, float(abs((value - oracle) / oracle)))
                     count += 1

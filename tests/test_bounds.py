@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from support_limits import bounds, cli, info, verify
+from support_limits import bounds, cli, info, sim, verify
 from support_limits import model as md
 from support_limits import numerics as nm
 
@@ -1119,6 +1119,30 @@ class TestBoundOptionsRange:
     )
     def test_inside_accepted(self, field, value):
         bounds.BoundOptions(**{field: value})
+
+
+def _threshold_paths():
+    """The calls that take delta1 without BoundOptions or DecoderSpec."""
+    gt, pr = md.ModelSpec.group_testing(0.0), md.SignalPrior.all_ones()
+    dims = md.ProblemDims(p=6, k=2, n=4)
+    x, y = np.zeros((4, 6)), np.zeros(4)
+    return {
+        "decode_threshold": lambda d1: sim.decode_threshold(x, y, gt, pr, dims, d1),
+        "threshold_union_bound": lambda d1: sim.threshold_union_bound(gt, pr, dims, d1, trials=2),
+        "cor_general_discrete_converse": lambda d1: bounds.cor_general_discrete_converse(
+            gt, None, dims, 2, delta1=d1
+        ),
+    }
+
+
+class TestDelta1Range:
+    # the numerators refuse delta1 outside (0, 1]: before, 0 divided by
+    # zero, NaN gave "none" or a NaN bound, and 2 was taken silently
+    @pytest.mark.parametrize("delta1", [0.0, -1.0, NAN, 2.0])
+    @pytest.mark.parametrize("path", sorted(_threshold_paths()))
+    def test_outside_range_refused(self, path, delta1):
+        with pytest.raises(ValueError, match=r"delta1 must lie in \(0, 1\]"):
+            _threshold_paths()[path](delta1)
 
 
 class TestNoWrongSupport:

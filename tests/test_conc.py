@@ -283,6 +283,14 @@ class TestRemainderSolverEqualsOldSearch:
                 assert res.remainder_n > 0
                 assert 1 <= len(sums) <= 3, (k, p)
 
+    def test_binomial_weight_beyond_float_range_refused(self):
+        # C(k, k / 2) passes the float range between k = 1020 and 1030
+        model = md.ModelSpec.group_testing(rho=0.0)
+        res = bounds.achievability_threshold_generic(model, None, md.ProblemDims(p=10**9, k=1020))
+        assert res.remainder_n == 44732220.0
+        with pytest.raises(ValueError, match="k = 1030"):
+            bounds.achievability_threshold_generic(model, None, md.ProblemDims(p=10**9, k=1030))
+
     @pytest.mark.parametrize(
         "model", [md.ModelSpec.linear(1.0), md.ModelSpec.one_bit(1.0)], ids=["linear", "one-bit"]
     )

@@ -182,11 +182,11 @@ class TestSampler:
         dims = md.ProblemDims(p=20, k=3, n=15)
         m = md.ModelSpec.one_bit(0.5)
         pr = md.SignalPrior.permuted([1.0, -2.0, 1.0])
-        a = md.sample_realization(dims, m, pr, seed=99)
-        b = md.sample_realization(dims, m, pr, seed=99)
-        assert a.support == b.support
+        a = md.sample_realization(dims, m, pr, seed=99, trials=range(1))
+        b = md.sample_realization(dims, m, pr, seed=99, trials=range(1))
+        assert np.array_equal(a.support, b.support)
         assert np.array_equal(a.x, b.x) and np.array_equal(a.y, b.y)
-        c = md.sample_realization(dims, m, pr, seed=100)
+        c = md.sample_realization(dims, m, pr, seed=100, trials=range(1))
         assert not np.array_equal(a.x, c.x)
 
     def test_gt_all_zero_rows_give_zero_output(self):
@@ -198,12 +198,13 @@ class TestSampler:
         dims = md.ProblemDims(p=10, k=2, n=7)
         m = md.ModelSpec.linear(1e-12)
         pr = md.SignalPrior.fixed([1.5, -0.3])
-        r = md.sample_realization(dims, m, pr, seed=5)
-        assert np.max(np.abs(r.y - r.x @ r.beta)) < 1e-10
+        r = md.sample_realization(dims, m, pr, seed=5, trials=range(1))
+        assert np.max(np.abs(r.y[0] - r.x[0] @ r.beta[0])) < 1e-10
 
     def test_one_bit_alphabet(self):
         dims = md.ProblemDims(p=6, k=2, n=1000)
-        r = md.sample_realization(dims, md.ModelSpec.one_bit(1.0), md.SignalPrior.fixed([1.0, 1.0]), seed=3)
+        m, pr = md.ModelSpec.one_bit(1.0), md.SignalPrior.fixed([1.0, 1.0])
+        r = md.sample_realization(dims, m, pr, seed=3, trials=range(1))
         assert set(np.unique(r.y)) <= {-1.0, 1.0}
 
     def test_sign_zero_convention(self):
@@ -213,28 +214,33 @@ class TestSampler:
         dims = md.ProblemDims(p=6, k=2, n=0)
         m = md.ModelSpec.linear(1.0)
         pr = md.SignalPrior.fixed([1.0, 2.0])
-        counts = {}
-        n_seeds = 10**4
-        for s in range(n_seeds):
-            sup = md.sample_realization(dims, m, pr, seed=s).support
-            counts[sup] = counts.get(sup, 0) + 1
+        trials = 10**4
+        block = md.sample_realization(dims, m, pr, seed=0, trials=range(trials))
+        counts = np.unique(block.support, axis=0, return_counts=True)[1]
         assert len(counts) == 15
-        expect = n_seeds / 15
-        sd = math.sqrt(n_seeds * (1 / 15) * (14 / 15))
-        assert all(abs(c - expect) <= 4 * sd for c in counts.values())
+        expect = trials / 15
+        sd = math.sqrt(trials * (1 / 15) * (14 / 15))
+        assert all(abs(c - expect) <= 4 * sd for c in counts)
 
     def test_permuted_prior_preserves_multiset(self):
         dims = md.ProblemDims(p=9, k=4, n=2)
         pr = md.SignalPrior.permuted([1.0, 1.0, -2.0, 0.5])
-        for s in range(100):
-            r = md.sample_realization(dims, md.ModelSpec.linear(1.0), pr, seed=s)
-            assert sorted(r.b_support()) == sorted(pr.b)
+        block = md.sample_realization(dims, md.ModelSpec.linear(1.0), pr, seed=0, trials=range(100))
+        for beta, support in zip(block.beta, block.support):
+            assert sorted(beta[support - 1]) == sorted(pr.b)
 
 
-# sample_realization with a new rng_stream generator per call, drawn with
+# sample_realization with a new rng_stream generator per trial, drawn with
 # numpy's own calls inline (the `block-draw-vs-rng-stream` oracle's draw)
 _fresh_sample = verify._fresh_realization
-_same_realization = verify._same_realization
+_same_trial = verify._same_trial
+
+
+def _one_trial(dims, model, prior, seed, stream):
+    """The one-trial block sample_realization draws for trial stream[-1]
+    after the prefix stream[:-1]."""
+    t = stream[-1]
+    return md.sample_realization(dims, model, prior, seed, stream[:-1], trials=range(t, t + 1))
 
 
 SAMPLER_CASES = {
@@ -273,13 +279,15 @@ class TestStreamKey:
     def test_key_table_port_equals_seed_sequence(self, seed, n_index):
         for t in [*range(600), 2**31, 2**32 - 1, 2**32, 2**40]:
             expect = np.random.SeedSequence([seed, n_index, t]).generate_state(2, np.uint64)
-            assert md._stream_key(seed, (n_index, t)).tolist() == expect.tolist(), t
+            got = md._stream_keys(seed, (n_index,), range(t, t + 1))[0]
+            assert got.tolist() == expect.tolist(), t
 
-    @pytest.mark.parametrize("stream", [(), (5,), (1, 2, 3, 4, 5), (3, 2**40)])
+    @pytest.mark.parametrize("stream", [(5,), (1, 2, 3, 4, 5), (3, 2**40)])
     @pytest.mark.parametrize("seed", [0, 2**32, 2**63 - 1])
     def test_other_streams_equal_seed_sequence(self, seed, stream):
         expect = np.random.SeedSequence([seed, *stream]).generate_state(2, np.uint64)
-        assert md._stream_key(seed, stream).tolist() == expect.tolist()
+        t = stream[-1]
+        assert md._stream_keys(seed, stream[:-1], range(t, t + 1))[0].tolist() == expect.tolist()
 
     @pytest.mark.parametrize(
         "prefix,trials",
@@ -308,15 +316,15 @@ class TestRekeyedSampler:
         model, prior = SAMPLER_CASES[case]
         for dims in SAMPLER_DIMS:
             prior_k = _prior_at(prior, dims.k)
-            for stream in [(), (3,), (2, 255), (2, 256), (2, 2**32)]:
-                got = md.sample_realization(dims, model, prior_k, seed, stream=stream)
+            for stream in [(3,), (2, 255), (2, 256), (2, 2**32)]:
+                got = _one_trial(dims, model, prior_k, seed, stream)
                 expect = _fresh_sample(dims, model, prior_k, seed, stream)
-                assert _same_realization(got, expect), (dims, stream)
+                assert len(got) == 1 and _same_trial(got, 0, expect), (dims, stream)
 
     def test_rekeyed_generator_draws_as_fresh_philox(self):
         # A numpy upgrade that changes Philox's state dict must fail here
         # rather than let the sampler's draws drift.
-        key = md._stream_key(11, (4, 300))
+        key = md._stream_keys(11, (4,), range(300, 301))[0]
         used = md._rekeyed_generator(key)
         used.integers(0, 2**32, size=3, dtype=np.uint32)  # leaves one buffered uint32
         used.standard_normal(5)
@@ -351,13 +359,13 @@ class TestRekeyedSampler:
         model, prior = SAMPLER_CASES["gt-noisy"]
         dims = md.ProblemDims(p=15, k=3, n=12)
         streams = [(n_index, t) for n_index in (0, 1) for t in range(250, 262)]
-        serial = {s: md.sample_realization(dims, model, prior, 5, s) for s in streams}
+        serial = {s: _one_trial(dims, model, prior, 5, s) for s in streams}
         results, errors = {}, []
 
         def work(part):
             try:
                 for s in part:
-                    results[s] = md.sample_realization(dims, model, prior, 5, s)
+                    results[s] = _one_trial(dims, model, prior, 5, s)
             except Exception as exc:  # reported by the assertion below
                 errors.append(exc)
 
@@ -373,13 +381,18 @@ class TestRekeyedSampler:
             sys.setswitchinterval(old)
         assert not any(th.is_alive() for th in threads)
         assert errors == []
-        assert all(_same_realization(results[s], serial[s]) for s in streams)
+        assert all(_same_trial(results[s], 0, serial[s]) for s in streams)
 
     @pytest.mark.parametrize("seed", [-1, 2**63, 2**64])
     def test_seed_outside_range_refused(self, seed):
         model, prior = SAMPLER_CASES["gt-noisy"]
         with pytest.raises(ValueError, match="seed must lie"):
-            md.sample_realization(md.ProblemDims(p=5, k=2, n=3), model, prior, seed, stream=(0, 1))
+            _one_trial(md.ProblemDims(p=5, k=2, n=3), model, prior, seed, (0, 1))
+
+    def test_trials_is_required(self):
+        model, prior = SAMPLER_CASES["gt-noisy"]
+        with pytest.raises(TypeError, match="trials"):
+            md.sample_realization(md.ProblemDims(p=5, k=2, n=3), model, prior, 1, (0,))
 
 
 # a range inside one 256-trial key chunk, one across two, one from a prefix
@@ -401,11 +414,11 @@ class TestBlockSampler:
                 assert block.support.shape == (count, dims.k)
                 assert (block.beta.shape, block.x.shape) == ((count, dims.p), (count, dims.n, dims.p))
                 assert block.y.shape == (count, dims.n)
-                for real, t in zip(block, trials):
+                for i, t in enumerate(trials):
                     stream = (*prefix, t)
-                    assert _same_realization(real, _fresh_sample(dims, model, prior_k, 7, stream))
-                    one = md.sample_realization(dims, model, prior_k, 7, stream=stream)
-                    assert _same_realization(real, one), (dims, stream)
+                    assert _same_trial(block, i, _fresh_sample(dims, model, prior_k, 7, stream))
+                    one = _one_trial(dims, model, prior_k, 7, stream)
+                    assert _same_trial(block, i, one), (dims, stream)
 
     @pytest.mark.parametrize("case", ["linear-permuted", "gt-noisy"])
     def test_support_columns_equal_each_realization(self, case):
@@ -413,9 +426,10 @@ class TestBlockSampler:
         dims = md.ProblemDims(p=11, k=3, n=9)
         block = md.sample_realization(dims, model, prior, 3, stream=(1,), trials=range(6))
         x_s = block.x_support()
-        for i, real in enumerate(block):
-            assert x_s[i].strides == real.x_support().strides  # column-major, as x[:, index]
-            assert x_s[i].tolist() == real.x_support().tolist()
+        for i, (x, support) in enumerate(zip(block.x, block.support)):
+            x_true = x[:, support - 1]
+            assert x_s[i].strides == x_true.strides  # column-major, as x[:, index]
+            assert x_s[i].tolist() == x_true.tolist()
 
     def test_stacked_product_equals_per_trial_products(self):
         rng = np.random.default_rng(0)
@@ -520,8 +534,8 @@ class TestBlockSupportDraw:
         dims, prior = md.ProblemDims(p=max(p, k), k=k, n=n), _prior_at(prior, k)
         trials = range(t0, t0 + count)
         block = md.sample_realization(dims, model, prior, seed, stream=(6,), trials=trials)
-        for real, t in zip(block, trials):
-            assert _same_realization(real, _fresh_sample(dims, model, prior, seed, (6, t))), t
+        for i, t in enumerate(trials):
+            assert _same_trial(block, i, _fresh_sample(dims, model, prior, seed, (6, t))), t
 
     @pytest.mark.parametrize("case", ["linear-permuted", "one-bit-gaussian", "gt-noisy"])
     def test_redrawn_trials_keep_their_draws(self, case, monkeypatch):
@@ -537,8 +551,8 @@ class TestBlockSupportDraw:
         model, prior = SAMPLER_CASES[case]
         dims, trials = md.ProblemDims(p=11, k=3, n=9), range(250, 262)
         block = md.sample_realization(dims, model, prior, 4, stream=(6,), trials=trials)
-        for real, t in zip(block, trials):
-            assert _same_realization(real, _fresh_sample(dims, model, prior, 4, (6, t))), t
+        for i, t in enumerate(trials):
+            assert _same_trial(block, i, _fresh_sample(dims, model, prior, 4, (6, t))), t
 
 
 # ---------------------------------------------------------------------------

@@ -18,10 +18,18 @@ LN2 = math.log(2.0)
 SEED = 314159
 
 
-def gt_consistent_supports(realization, dims):
+def draw_one(dims, model, prior, seed, stream):
+    """x, y and the support tuple of the trial stream (*prefix, t) names:
+    trial t of the block sample_realization draws on stream prefix."""
+    *prefix, t = stream
+    block = md.sample_realization(dims, model, prior, seed, tuple(prefix), trials=range(t, t + 1))
+    return block.x[0], block.y[0], tuple(block.support[0].tolist())
+
+
+def gt_consistent_supports(x, y, dims):
     """Brute-force oracle: all k-sets explaining every noiseless test."""
-    x = realization.x.astype(bool)
-    y = realization.y > 0.5
+    x = x.astype(bool)
+    y = y > 0.5
     out = []
     for cand in sim.candidate_supports(dims):
         hits = x[:, np.asarray(cand) - 1].any(axis=1)
@@ -58,7 +66,7 @@ def loop_statistic(model, prior, x_cand, y, partition):
     return num_total - float(logsumexp(den_terms))
 
 
-def loop_threshold_decode(real, model, prior, dims, delta1):
+def loop_threshold_decode(x, y, model, prior, dims, delta1):
     """Reference: the threshold decoder as a loop over candidates."""
     gamma = bounds.gamma_select("discrete", model, prior, dims)
     thresholds = threshold_map(dims, delta1, gamma)
@@ -66,7 +74,7 @@ def loop_threshold_decode(real, model, prior, dims, delta1):
         cand
         for cand in sim.candidate_supports(dims)
         if all(
-            loop_statistic(model, prior, real.x[:, np.asarray(cand) - 1], real.y, part)
+            loop_statistic(model, prior, x[:, np.asarray(cand) - 1], y, part)
             > thresholds[part.ell]
             for part in md.enumerate_partitions(dims.k, thresholds)
         )
@@ -100,14 +108,14 @@ class TestBatchedCandidates:
     def test_statistic_equals_candidate_loop(self, name, n):
         m, pr = STAT_CASES[name]
         dims = md.ProblemDims(p=7, k=3, n=n)
-        real = md.sample_realization(dims, m, pr, SEED, stream=(8, n))
+        x, y, _ = draw_one(dims, m, pr, SEED, (8, n))
         cands = np.array(list(sim.candidate_supports(dims)))
-        x_cands = np.ascontiguousarray(np.moveaxis(real.x[:, cands - 1], 1, 0))
+        x_cands = np.ascontiguousarray(np.moveaxis(x[:, cands - 1], 1, 0))
         for part in md.enumerate_partitions(dims.k):
-            batched = sim._averaged_partition_density(m, pr, x_cands, real.y, part)
-            expected = [loop_statistic(m, pr, x, real.y, part) for x in x_cands]
+            batched = sim._averaged_partition_density(m, pr, x_cands, y, part)
+            expected = [loop_statistic(m, pr, xc, y, part) for xc in x_cands]
             assert batched.tolist() == expected
-            one = sim._averaged_partition_density(m, pr, x_cands[0], real.y, part)
+            one = sim._averaged_partition_density(m, pr, x_cands[0], y, part)
             assert type(one) is float and one == expected[0]
 
     def test_zero_likelihood_rows_equal_candidate_loop(self):
@@ -124,10 +132,10 @@ class TestBatchedCandidates:
         one_bit = md.ModelSpec.one_bit(1e-200)
         permuted = md.SignalPrior.permuted([1.0, -0.5, 2.0])
         dims = md.ProblemDims(p=6, k=3, n=12)
-        real = md.sample_realization(dims, one_bit, permuted, SEED)
+        x_1bit, y_1bit, _ = draw_one(dims, one_bit, permuted, SEED, (0,))
         for m, pr, k, x, y, kinds in (
             (gt, md.SignalPrior.all_ones(), 2, x, y, {math.inf, -math.inf}),
-            (one_bit, permuted, 3, real.x, real.y, {"finite", -math.inf}),
+            (one_bit, permuted, 3, x_1bit, y_1bit, {"finite", -math.inf}),
         ):
             cands = np.array(list(sim.candidate_supports(md.ProblemDims(p=6, k=k, n=12))))
             x_cands = np.ascontiguousarray(np.moveaxis(x[:, cands - 1], 1, 0))
@@ -147,13 +155,13 @@ class TestBatchedCandidates:
             dims = md.ProblemDims(p=9, k=3, n=n)
             cands = list(sim.candidate_supports(dims))
             incidence = sim._incidence(dims.p, np.array(cands))
-            reals = [md.sample_realization(dims, m, pr, SEED, stream=(n, t)) for t in range(10)]
-            expected = [loop_gt_scores(m, real.x, real.y, cands) for real in reals]
-            for real, scores in zip(reals, expected):
-                assert np.array_equal(sim._ml_fast_gt(m, real.x, real.y, incidence), scores)
+            reals = md.sample_realization(dims, m, pr, SEED, stream=(n,), trials=range(10))
+            expected = [loop_gt_scores(m, x, y, cands) for x, y in zip(reals.x, reals.y)]
+            for x, y, scores in zip(reals.x, reals.y, expected):
+                assert np.array_equal(sim._ml_fast_gt(m, x, y, incidence), scores)
             # a (trials x n x p) stack gives one row of scores per trial
-            x, y = np.stack([r.x for r in reals]), np.stack([r.y for r in reals])
-            assert np.array_equal(sim._ml_fast_gt(m, x, y, incidence), np.stack(expected))
+            scores = sim._ml_fast_gt(m, reals.x, reals.y, incidence)
+            assert np.array_equal(scores, np.stack(expected))
 
     @pytest.mark.parametrize("dtype", [float, int])
     @pytest.mark.parametrize("k", [1, 2, 3])
@@ -182,27 +190,28 @@ class TestBatchedCandidates:
             assert got.dtype == want.dtype and np.array_equal(got, want)
 
     def test_decoders_across_block_boundaries(self, monkeypatch):
+        # delta1 = 1, the largest the bound allows: its lowest thresholds
+        # give every status within 30 trials
         cases = [
-            (md.ModelSpec.group_testing(rho=rho), md.SignalPrior.all_ones(), 8, 2, n, d1)
+            (md.ModelSpec.group_testing(rho=rho), md.SignalPrior.all_ones(), 8, 2, n, 1.0)
             for rho in (0.0, 0.11)
-            for n in (6, 14)
-            for d1 in (1.0, 10.0)
+            for n in (6, 14, 20)
         ]
-        cases.append((*STAT_CASES["linear-permuted"], 7, 3, 5, 100.0))
+        cases.append((*STAT_CASES["linear-permuted"], 7, 3, 15, 1.0))
         monkeypatch.setattr(sim, "_CANDIDATE_BLOCK", 7)
         statuses = set()
         for m, pr, p, k, n, d1 in cases:
             dims = md.ProblemDims(p=p, k=k, n=n)
             cands = list(sim.candidate_supports(dims))
-            reals = md.sample_realization(dims, m, pr, SEED, stream=(9,), trials=range(6))
-            for real in reals:
-                out = sim.decode_threshold(real, m, pr, dims, delta1=d1)
-                assert out == loop_threshold_decode(real, m, pr, dims, d1)
+            reals = md.sample_realization(dims, m, pr, SEED, stream=(9,), trials=range(30))
+            for x, y in zip(reals.x, reals.y):
+                out = sim.decode_threshold(x, y, m, pr, dims, delta1=d1)
+                assert out == loop_threshold_decode(x, y, m, pr, dims, d1)
                 statuses.add(out.status)
             if m.channel == md.GROUP_TESTING:
                 expected = [
-                    cands[int(np.argmax(loop_gt_scores(m, real.x, real.y, cands)))]
-                    for real in reals
+                    cands[int(np.argmax(loop_gt_scores(m, x, y, cands)))]
+                    for x, y in zip(reals.x, reals.y)
                 ]
                 assert block_rows(sim.decode_ml(reals, m, pr, dims), k) == expected
         assert statuses == {"unique", "none", "multiple"}
@@ -227,12 +236,12 @@ def loop_gaussian_score(model, prior, x_cand, y):
     return float(-0.5 * (y @ sol) - 0.5 * logdet - 0.5 * y.size * math.log(2.0 * math.pi))
 
 
-def loop_ml_decode(real, model, prior, dims, score=loop_ml_score):
+def loop_ml_decode(x, y, model, prior, dims, score=loop_ml_score):
     """Reference: exhaustive ML as a loop over candidates, first strict max."""
     cands = list(sim.candidate_supports(dims))
     best_score, best_cand = -math.inf, cands[0]
     for cand in cands:
-        s = score(model, prior, real.x[:, np.asarray(cand) - 1], real.y)
+        s = score(model, prior, x[:, np.asarray(cand) - 1], y)
         if s > best_score:
             best_score, best_cand = s, cand
     return best_cand
@@ -266,14 +275,14 @@ class TestBlockMl:
         dims = md.ProblemDims(p=7, k=3, n=n)
         monkeypatch.setattr(sim, "_CANDIDATE_BLOCK", 7)
         reals = md.sample_realization(dims, m, pr, SEED, stream=(10, n), trials=range(6))
-        for real in reals:
+        for x, y in zip(reals.x, reals.y):
             cands = np.array(list(sim.candidate_supports(dims)))
-            x_cands = sim._design_stack(real.x, cands)
-            scores = info.log_marginal_likelihood(m, pr, x_cands, real.y)
-            assert scores.tolist() == [loop_ml_score(m, pr, x, real.y) for x in x_cands]
-            one = info.log_marginal_likelihood(m, pr, x_cands[0], real.y)
+            x_cands = sim._design_stack(x, cands)
+            scores = info.log_marginal_likelihood(m, pr, x_cands, y)
+            assert scores.tolist() == [loop_ml_score(m, pr, xc, y) for xc in x_cands]
+            one = info.log_marginal_likelihood(m, pr, x_cands[0], y)
             assert type(one) is float and one == scores[0]
-        expected = [loop_ml_decode(real, m, pr, dims) for real in reals]
+        expected = [loop_ml_decode(x, y, m, pr, dims) for x, y in zip(reals.x, reals.y)]
         assert block_rows(sim.decode_ml(reals, m, pr, dims), dims.k) == expected
 
     @pytest.mark.parametrize("prior", [md.SignalPrior.fixed([1.0, -0.5, 2.0]),
@@ -285,12 +294,12 @@ class TestBlockMl:
         monkeypatch.setattr(sim, "_CANDIDATE_BLOCK", 7)
         seen = set()
         reals = md.sample_realization(dims, m, prior, SEED, stream=(11,), trials=range(6))
-        for real in reals:
-            x_cands = sim._design_stack(real.x, np.array(list(sim.candidate_supports(dims))))
-            scores = info.log_marginal_likelihood(m, prior, x_cands, real.y).tolist()
-            assert scores == [loop_ml_score(m, prior, x, real.y) for x in x_cands]
+        for x, y in zip(reals.x, reals.y):
+            x_cands = sim._design_stack(x, np.array(list(sim.candidate_supports(dims))))
+            scores = info.log_marginal_likelihood(m, prior, x_cands, y).tolist()
+            assert scores == [loop_ml_score(m, prior, xc, y) for xc in x_cands]
             seen.update("finite" if math.isfinite(v) else v for v in scores)
-        expected = [loop_ml_decode(real, m, prior, dims) for real in reals]
+        expected = [loop_ml_decode(x, y, m, prior, dims) for x, y in zip(reals.x, reals.y)]
         assert block_rows(sim.decode_ml(reals, m, prior, dims), dims.k) == expected
         assert seen == {"finite", -math.inf}
 
@@ -304,11 +313,11 @@ class TestBlockMl:
         mixed = 0
         with np.errstate(all="ignore"):
             reals = md.sample_realization(dims, m, pr, SEED, stream=(14,), trials=range(20))
-            for real in reals:
-                x_cands = sim._design_stack(real.x, cands)
-                nan = np.isnan(info.log_marginal_likelihood(m, pr, x_cands, real.y))
+            for x, y in zip(reals.x, reals.y):
+                x_cands = sim._design_stack(x, cands)
+                nan = np.isnan(info.log_marginal_likelihood(m, pr, x_cands, y))
                 mixed += nan.any() and not nan.all()
-            expected = [loop_ml_decode(real, m, pr, dims) for real in reals]
+            expected = [loop_ml_decode(x, y, m, pr, dims) for x, y in zip(reals.x, reals.y)]
             assert block_rows(sim.decode_ml(reals, m, pr, dims), dims.k) == expected
         assert mixed > 0
 
@@ -319,13 +328,13 @@ class TestBlockMl:
         pr = md.SignalPrior.iid_gaussian(sigma_beta_sq)
         for n in (0, 1, 12):
             dims = md.ProblemDims(p=6, k=2, n=n)
-            real = md.sample_realization(dims, m, pr, SEED, stream=(12, n))
-            x_cands = sim._design_stack(real.x, np.array(list(sim.candidate_supports(dims))))
-            scores = info.log_marginal_likelihood(m, pr, x_cands, real.y)
-            for got, x in zip(scores, x_cands):
-                exact = mp_gaussian_evidence(m, pr, x, real.y)
+            x, y, _ = draw_one(dims, m, pr, SEED, (12, n))
+            x_cands = sim._design_stack(x, np.array(list(sim.candidate_supports(dims))))
+            scores = info.log_marginal_likelihood(m, pr, x_cands, y)
+            for got, xc in zip(scores, x_cands):
+                exact = mp_gaussian_evidence(m, pr, xc, y)
                 assert abs(got - exact) <= 1e-9 * abs(exact)
-            one = info.log_marginal_likelihood(m, pr, x_cands[0], real.y)
+            one = info.log_marginal_likelihood(m, pr, x_cands[0], y)
             assert type(one) is float and one == scores[0]
 
     @pytest.mark.parametrize("sigma_beta_sq", [0.25, 1.0])
@@ -337,7 +346,8 @@ class TestBlockMl:
             dims = md.ProblemDims(p=8, k=2, n=n)
             reals = md.sample_realization(dims, m, pr, SEED, stream=(13, n), trials=range(15))
             expected = [
-                loop_ml_decode(real, m, pr, dims, score=loop_gaussian_score) for real in reals
+                loop_ml_decode(x, y, m, pr, dims, score=loop_gaussian_score)
+                for x, y in zip(reals.x, reals.y)
             ]
             assert block_rows(sim.decode_ml(reals, m, pr, dims), dims.k) == expected
 
@@ -377,14 +387,14 @@ def loop_run_cell(model, prior, dims, decoder, trials, seed, n_index=0):
             dims, model, prior, seed, stream=(n_index,), trials=range(t, t + 1)
         )
         if decoder.kind == "threshold":
-            out = sim.decode_threshold(block[0], model, prior, dims, decoder.delta1)
+            out = sim.decode_threshold(block.x[0], block.y[0], model, prior, dims, decoder.delta1)
         else:
             if decoder.kind == "exhaustive-ml":
                 est = sim.decode_ml(block, model, prior, dims)
             else:
                 est = sim.decode_comp(block, dims)
             out = sim.DecodeOutcome(estimate=block_rows(est, dims.k)[0], status="unique")
-        true = block[0].support
+        true = tuple(block.support[0].tolist())
         if out.status != "unique" or out.estimate != true:
             errors_exact += 1
         if out.status != "unique":
@@ -488,16 +498,22 @@ class TestTrialBlocks:
         # wrong, some with no candidate passing and some with several
         m, dims = md.ModelSpec.group_testing(rho=0.0), md.ProblemDims(p=6, k=2, n=10, d_max=d_max)
         decoder = sim.DecoderSpec(kind="threshold", delta1=1.0)
-        decode, kinds = sim.decode_threshold, set()
+        decode, draw, outs, truths = sim.decode_threshold, sim.sample_realization, [], []
 
-        def spy(real, *args):
-            out = decode(real, *args)
-            right = out.estimate == real.support
-            kinds.add(out.status if out.status != "unique" else ("wrong", "right")[right])
-            return out
+        def draw_spy(*args, **kwargs):
+            reals = draw(*args, **kwargs)
+            truths.extend(map(tuple, reals.support.tolist()))
+            return reals
 
-        monkeypatch.setattr(sim, "decode_threshold", spy)
+        monkeypatch.setattr(sim, "sample_realization", draw_spy)
+        monkeypatch.setattr(
+            sim, "decode_threshold", lambda *args: outs.append(decode(*args)) or outs[-1]
+        )
         rep = sim.run_cell(m, GT, dims, decoder, 40, SEED)
+        kinds = {
+            out.status if out.status != "unique" else ("wrong", "right")[out.estimate == true]
+            for out, true in zip(outs, truths, strict=True)
+        }
         assert kinds == {"right", "wrong", "none", "multiple"}
         assert rep == loop_run_cell(m, GT, dims, decoder, 40, SEED)
 
@@ -510,7 +526,7 @@ class TestTrialBlocks:
             sim, "DecodeOutcome", lambda *a, **kw: built.append(1) or outcome(*a, **kw)
         )
         monkeypatch.setattr(
-            sim, "decode_threshold", lambda real, *args: calls.append(1) or decode(real, *args)
+            sim, "decode_threshold", lambda *args: calls.append(1) or decode(*args)
         )
         m, dims = md.ModelSpec.group_testing(rho=0.11), md.ProblemDims(p=8, k=2, n=10)
         monkeypatch.setattr(sim, "_TRIAL_BLOCK_ENTRIES", 4 * dims.n * dims.p)
@@ -527,8 +543,8 @@ def loop_gt_ml(model, reals, dims):
     cands = np.array(list(sim.candidate_supports(dims)))
     incidence = sim._incidence(dims.p, cands)
     return [
-        tuple(cands[int(np.argmax(sim._ml_fast_gt(model, r.x, r.y, incidence)))].tolist())
-        for r in reals
+        tuple(cands[int(np.argmax(sim._ml_fast_gt(model, x, y, incidence)))].tolist())
+        for x, y in zip(reals.x, reals.y)
     ]
 
 
@@ -612,21 +628,21 @@ class TestThresholdDecoder:
         dims = md.ProblemDims(p=12, k=2, n=n)
         hits = 0
         trials = 1000
-        for t in range(trials):
-            real = md.sample_realization(dims, m, pr, SEED, stream=(0, t))
-            out = sim.decode_threshold(real, m, pr, dims)
-            if out.status == "unique" and out.estimate == real.support:
+        reals = md.sample_realization(dims, m, pr, SEED, stream=(0,), trials=range(trials))
+        for x, y, support in zip(reals.x, reals.y, reals.support.tolist()):
+            out = sim.decode_threshold(x, y, m, pr, dims)
+            if out.status == "unique" and out.estimate == tuple(support):
                 hits += 1
             # simulation oracle: the true support must always be consistent
-            assert real.support in gt_consistent_supports(real, dims)
+            assert tuple(support) in gt_consistent_supports(x, y, dims)
         assert hits / trials >= 0.99
 
     def test_zero_measurements_returns_none(self):
         m = md.ModelSpec.group_testing(rho=0.0)
         pr = md.SignalPrior.all_ones()
         dims = md.ProblemDims(p=10, k=2, n=0)
-        real = md.sample_realization(dims, m, pr, SEED)
-        out = sim.decode_threshold(real, m, pr, dims)
+        reals = md.sample_realization(dims, m, pr, SEED, trials=range(1))
+        out = sim.decode_threshold(reals.x[0], reals.y[0], m, pr, dims)
         assert out.status == "none" and out.estimate is None
 
     def test_soundness_of_unique_winner(self):
@@ -635,14 +651,14 @@ class TestThresholdDecoder:
         pr = md.SignalPrior.all_ones()
         dims = md.ProblemDims(p=10, k=2, n=40)
         thresholds = threshold_map(dims, delta1=0.1)
-        for t in range(50):
-            real = md.sample_realization(dims, m, pr, SEED, stream=(1, t))
-            out = sim.decode_threshold(real, m, pr, dims)
+        reals = md.sample_realization(dims, m, pr, SEED, stream=(1,), trials=range(50))
+        for x, y in zip(reals.x, reals.y):
+            out = sim.decode_threshold(x, y, m, pr, dims)
             if out.status != "unique":
                 continue
-            x_cand = real.x[:, np.asarray(out.estimate) - 1]
+            x_cand = x[:, np.asarray(out.estimate) - 1]
             for part in md.enumerate_partitions(2):
-                stat = sim._averaged_partition_density(m, pr, x_cand, real.y, part)
+                stat = sim._averaged_partition_density(m, pr, x_cand, y, part)
                 assert stat > thresholds[part.ell]
 
     def test_union_bound_dominates_empirical_pe(self):
@@ -681,11 +697,11 @@ def loop_union_bound(model, prior, dims, delta1, trials, seed):
     partitions = list(md.enumerate_partitions(dims.k, thresholds))
     fails = 0
     for t in range(trials):
-        real = md.sample_realization(dims, model, prior, seed, stream=(7, t))
-        x_true = real.x_support()
+        real = md.sample_realization(dims, model, prior, seed, stream=(7,), trials=range(t, t + 1))
+        x_true, y = real.x_support()[0], real.y[0]
         ok = True
         for part in partitions:
-            stat = sim._averaged_partition_density(model, prior, x_true, real.y, part)
+            stat = sim._averaged_partition_density(model, prior, x_true, y, part)
             if not stat > thresholds[part.ell]:
                 ok = False
                 break
@@ -772,10 +788,10 @@ class TestThresholdBelowTwiceK:
         m, pr = md.ModelSpec.group_testing(rho=0.11), GT
         dims = md.ProblemDims(p=p, k=3, n=12)
         assert list(threshold_map(dims, 1.0)) == list(range(1, p - 3 + 1))
-        for t in range(8):
-            real = md.sample_realization(dims, m, pr, SEED, stream=(4, t))
-            out = sim.decode_threshold(real, m, pr, dims, delta1=1.0)
-            assert out == loop_threshold_decode(real, m, pr, dims, 1.0)
+        reals = md.sample_realization(dims, m, pr, SEED, stream=(4,), trials=range(8))
+        for x, y in zip(reals.x, reals.y):
+            out = sim.decode_threshold(x, y, m, pr, dims, delta1=1.0)
+            assert out == loop_threshold_decode(x, y, m, pr, dims, 1.0)
 
     def test_union_bound_is_finite(self):
         m, pr = md.ModelSpec.group_testing(rho=0.0), GT
@@ -790,22 +806,22 @@ class TestMlDecoder:
         dims = md.ProblemDims(p=8, k=2, n=3)
         reals = md.sample_realization(dims, m, pr, SEED, stream=(2,), trials=range(25))
         assert np.array_equal(sim.decode_ml(reals, m, pr, dims), reals.support)
-        for real in reals:
-            # linear-algebra oracle: the true support has ~zero residual
-            x_s = real.x_support()
-            resid = real.y - x_s @ real.b_support()
-            assert float(np.max(np.abs(resid))) < 1e-6
+        # linear-algebra oracle: the true support has ~zero residual
+        b_s = np.take_along_axis(reals.beta, reals.support - 1, axis=1)
+        resid = reals.y - np.matmul(reals.x_support(), b_s[..., None])[..., 0]
+        assert float(np.max(np.abs(resid))) < 1e-6
 
     def test_gt_matches_consistency_oracle(self):
         m = md.ModelSpec.group_testing(rho=0.0)
         pr = md.SignalPrior.all_ones()
         dims = md.ProblemDims(p=12, k=2, n=14)
         reals = md.sample_realization(dims, m, pr, SEED, stream=(3,), trials=range(200))
-        for real, est in zip(reals, block_rows(sim.decode_ml(reals, m, pr, dims), dims.k)):
-            consistent = gt_consistent_supports(real, dims)
+        estimates = block_rows(sim.decode_ml(reals, m, pr, dims), dims.k)
+        for x, y, support, est in zip(reals.x, reals.y, reals.support.tolist(), estimates):
+            consistent = gt_consistent_supports(x, y, dims)
             assert est in consistent
             # ML errs only when some other support also explains every test
-            if est != real.support:
+            if est != tuple(support):
                 assert len(consistent) > 1
             assert est == min(consistent)  # lexicographic tie-break
 
@@ -822,8 +838,9 @@ class TestMlDecoder:
         pr = md.SignalPrior.all_ones()
         dims = md.ProblemDims(p=10, k=3, n=10)
         reals = md.sample_realization(dims, m, pr, SEED, stream=(4,), trials=range(50))
-        for real, row in zip(reals, block_rows(sim.decode_ml(reals, m, pr, dims), dims.k)):
-            est, true = set(row), set(real.support)
+        estimates = block_rows(sim.decode_ml(reals, m, pr, dims), dims.k)
+        for support, row in zip(reals.support.tolist(), estimates):
+            est, true = set(row), set(support)
             assert len(est) == dims.k
             assert len(true - est) == len(est - true)
 
@@ -862,8 +879,8 @@ class TestCompDecoder:
             dims = md.ProblemDims(p=40, k=3, n=n)
             reals = md.sample_realization(dims, m, GT, SEED, stream=(6, n), trials=range(20))
             expected = []
-            for real in reals:
-                x, y = real.x.astype(bool), real.y > 0.5
+            for x, y in zip(reals.x, reals.y):
+                x, y = x.astype(bool), y > 0.5
                 score = [-1 if x[~y, i].any() else int(x[y, i].sum()) for i in range(dims.p)]
                 ranked = sorted(range(dims.p), key=lambda i: (-score[i], i))
                 expected.append(tuple(sorted(i + 1 for i in ranked[: dims.k])))
@@ -1059,10 +1076,10 @@ class TestPassingOncePerBlock:
         cands = np.array(list(sim.candidate_supports(self.DIMS)))
         stages = set()
         for m, pr in STAT_CASES.values():
-            for t in range(3):
-                real = md.sample_realization(self.DIMS, m, pr, SEED, stream=(11, t))
-                x_cands = np.ascontiguousarray(np.moveaxis(real.x[:, cands - 1], 1, 0))
-                stages |= self._check(m, pr, x_cands, real.y)
+            reals = md.sample_realization(self.DIMS, m, pr, SEED, stream=(11,), trials=range(3))
+            for x, y in zip(reals.x, reals.y):
+                x_cands = np.ascontiguousarray(np.moveaxis(x[:, cands - 1], 1, 0))
+                stages |= self._check(m, pr, x_cands, y)
         assert stages == {"first", "middle", "last"}
 
     def test_per_candidate_outputs_equal_per_partition_code(self):
@@ -1092,9 +1109,9 @@ class TestPassingOncePerBlock:
         # at sigma = 1e-200 the permuted prior mixes zero-likelihood atoms,
         # whose denominators come from the marginal rows, with finite ones
         m, pr = md.ModelSpec.one_bit(1e-200), STAT_CASES["one-bit-permuted"][1]
-        real = md.sample_realization(self.DIMS, m, pr, SEED, stream=(13,))
-        x_cands = np.ascontiguousarray(np.moveaxis(real.x[:, cands - 1], 1, 0))
-        self._check(m, pr, x_cands, real.y)
+        x, y, _ = draw_one(self.DIMS, m, pr, SEED, (13,))
+        x_cands = np.ascontiguousarray(np.moveaxis(x[:, cands - 1], 1, 0))
+        self._check(m, pr, x_cands, y)
 
     # the decode-gt benchmark's threshold cell: noiseless group testing with
     # p = 12, k = 2, n = 52, where few candidates agree with every test
@@ -1117,22 +1134,21 @@ class TestPassingOncePerBlock:
 
     def test_zero_likelihood_candidates_leave_before_the_first_partition(self, monkeypatch):
         m = md.ModelSpec.group_testing(rho=0.0)
-        real = md.sample_realization(self.GT_DIMS, m, GT, SEED, stream=(15,))
+        x, y, support = draw_one(self.GT_DIMS, m, GT, SEED, (15,))
         (block,) = sim._candidate_blocks(self.GT_DIMS)
-        x_cands = sim._design_stack(real.x, block)
-        nums = info.log_conditional_likelihood(m, x_cands, np.ones(2), real.y)
+        x_cands = sim._design_stack(x, block)
+        nums = info.log_conditional_likelihood(m, x_cands, np.ones(2), y)
         assert 1 <= np.isfinite(nums).sum() < len(x_cands)
-        got, seen = self._spied_passing(m, x_cands, real.y, monkeypatch)
-        assert block[got].tolist() == [list(real.support)]
+        got, seen = self._spied_passing(m, x_cands, y, monkeypatch)
+        assert block[got].tolist() == [list(support)]
         assert seen
         for x_s in seen:
-            assert np.isfinite(info.log_conditional_likelihood(m, x_s, np.ones(2), real.y)).all()
+            assert np.isfinite(info.log_conditional_likelihood(m, x_s, np.ones(2), y)).all()
 
     def test_no_density_rows_when_every_candidate_has_zero_likelihood(self, monkeypatch):
         # a positive test that no item is in contradicts every candidate
         m = md.ModelSpec.group_testing(rho=0.0)
-        real = md.sample_realization(self.GT_DIMS, m, GT, SEED, stream=(16,))
-        x, y = real.x.copy(), real.y.copy()
+        x, y, _ = draw_one(self.GT_DIMS, m, GT, SEED, (16,))
         x[0], y[0] = 0.0, 1.0
         (block,) = sim._candidate_blocks(self.GT_DIMS)
         x_cands = sim._design_stack(x, block)
@@ -1176,13 +1192,13 @@ class TestPassingOncePerBlock:
         monkeypatch.setattr(channel, "loglik_rows", rows_in_pair_only)
         monkeypatch.setattr(channel, "density_rows", counted_density)
         monkeypatch.setattr(channel, "loglik", refused)
-        real = md.sample_realization(self.DIMS, m, pr, SEED, stream=(14,))
+        x, y, _ = draw_one(self.DIMS, m, pr, SEED, (14,))
         cands = np.array(list(sim.candidate_supports(self.DIMS)))
-        x_cands = np.ascontiguousarray(np.moveaxis(real.x[:, cands - 1], 1, 0))
+        x_cands = np.ascontiguousarray(np.moveaxis(x[:, cands - 1], 1, 0))
         partitions = tuple(md.enumerate_partitions(3))
         # every threshold -inf: the true support passes every partition
         thresholds = dict.fromkeys((1, 2, 3), -np.inf)
-        live = sim._passing(m, pr, x_cands, real.y, thresholds, partitions)
+        live = sim._passing(m, pr, x_cands, y, thresholds, partitions)
         assert live.size >= 1
         assert [id(b) for b in calls["loglik_rows_and_sum"]] == [id(b) for _, b in atoms]
         assert calls["density_rows"] == len(atoms) * len(partitions)
