@@ -82,6 +82,9 @@ class Channel:
         loglik_rows_and_sum(spec, x_s, b, y)
                                         (log P(y | x_s, b) per row, their
                                         sum), the one likelihood method
+        loglik_row_max(spec)            the largest value one likelihood
+                                        row can take: 0.0 where the outputs
+                                        have probabilities (the base class)
         log_marginal_rows(spec, partition, x_s, b, y)
                                         log P(y | x_eq, b) per row, x_dif
                                         marginalized over the design
@@ -123,6 +126,11 @@ class Channel:
         raise UnsupportedCombinationError(
             "iid-gaussian marginal likelihood is only available for the linear channel"
         )
+
+    def loglik_row_max(self, spec) -> float:
+        """An upper bound on every row of loglik_rows: a log-probability
+        is at most 0."""
+        return 0.0
 
     def loglik_rows(self, spec, x_s, b, y):
         """log P(y | x_s, b) per row."""
@@ -198,6 +206,12 @@ class Linear(_GaussianDesign):
                 -0.5 * np.sum(z**2, axis=-1) / spec.sigma**2
                 - 0.5 * z.shape[-1] * (_LOG_2PI + 2.0 * math.log(spec.sigma))
             )
+
+    def loglik_row_max(self, spec) -> float:
+        """The peak of the N(0, sigma^2) density, -(1/2) log(2 pi sigma^2),
+        as the row at residual 0 (rounding is monotone, so no row exceeds
+        it); positive for sigma below 1/sqrt(2 pi)."""
+        return float(self._log_density_rows(0.0, spec.sigma**2))
 
     def loglik_rows_and_sum(self, spec, x_s, b, y):
         z = y - x_s @ b

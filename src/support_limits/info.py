@@ -239,7 +239,10 @@ def log_conditional_likelihood(model: ModelSpec, x_s, b, y):
 
 def log_marginal_likelihood(model: ModelSpec, prior: SignalPrior, x_s, y):
     """log P(y | x_s), marginalizing beta_S over the prior.  A float for one
-    (n x k) x_s; one score per candidate for a (C x n x k) stack.
+    (n x k) x_s; one score per candidate for a (C x n x k) stack, against
+    the (n,) outputs all candidates share or, under a discrete prior, a
+    (C x n) y, one row of outputs per candidate, which scores each
+    candidate as its own call would.
 
     Exact finite mixture over distinct permutations for permuted-vector
     priors (all channels); the channel's `gaussian_evidence` for the

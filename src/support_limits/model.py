@@ -8,8 +8,17 @@ Conventions used throughout the package:
 - The support is split into (s_dif, s_eq) with s_dif nonempty; all
   information measures are indexed by ell = |s_dif|.
 - Randomness comes from the counter-based Philox generator keyed by
-  SeedSequence([seed, *stream]), so parallel trials are reproducible and
-  independent.  `rng_stream` builds a new generator for its caller to keep;
+  SeedSequence([seed, *stream]), so every (seed, stream) pair draws
+  reproducibly.  Streams are independent apart from one case: SeedSequence
+  pads its entropy pool of four 32-bit words with zeros, so entropy lists
+  that differ only by trailing zero words within the pool share a
+  generator.  `rng_stream(7, 5)` draws what `rng_stream(7, 5, 0)` draws, and
+  `rng_stream(7)` what `rng_stream(7, 0)` and `rng_stream(7, 0, 0)` draw;
+  `rng_stream(7, 1, 2, 3)` and `rng_stream(7, 1, 2, 3, 0)` differ (the zero
+  lies past the pool).  So `run_cell`'s trial 0 at n index 0, stream
+  (0, 0), draws what `rng_stream(seed)` draws.  The keying stays as it is:
+  changing it would change every simulated number.  `rng_stream` builds a
+  new generator for its caller to keep;
   `sample_realization` draws trial t of a range on stream (*stream, t) from
   one generator per thread, re-keyed for every trial it draws, and reads
   the keys of a trial range as rows of memoized tables of 256 consecutive

@@ -27,28 +27,35 @@ first partition.  Each partition then adds only the atoms' density rows
 (`density_rows`, given the likelihood rows, evaluates just the marginal
 rows), their sums and one denominator mixture, and the candidates that fail
 drop out before the next partition.  Exhaustive ML scores a block
-with one `log_marginal_likelihood` call: a discrete prior sums the stacked
-likelihood over its atoms, and the iid-Gaussian prior takes the linear
-channel's `gaussian_evidence`, the k x k evidence of Bayesian linear
-regression in its non-negative residual form, which refuses a covariance it
-cannot tell from singular.  Group-testing ML with the all-ones prior instead
-scores a block with one product of the design and a 0/1 (items x
-candidates) incidence matrix.  The decoders choose these paths by the
-prior, never by the channel's name: `validate_pairing` ties the all-ones
-prior to group testing.
+for a group of trials at once.  Under a fixed or permuted prior it stacks
+the block's (trial, candidate) pairs and bounds each pair's score by its
+`log_marginal_likelihood` on the first _ML_HEAD_SHARE of the rows plus the
+channel's `loglik_row_max` for each other row; only the pairs whose bound
+can still reach the best full score of their trial are scored in full, by
+the same call on all the rows, so the estimates and ties are those of
+scoring every candidate.  The iid-Gaussian prior scores each trial's block
+with the linear channel's `gaussian_evidence`, the k x k evidence of
+Bayesian linear regression in its non-negative residual form, which
+refuses a covariance it cannot tell from singular; that evidence is not a
+sum over rows, so it has no such bound.  Group-testing ML with the
+all-ones prior instead scores a block with one product of the design and a
+0/1 (items x candidates) incidence matrix.  The decoders choose these paths
+by the prior, never by the channel's name: `validate_pairing` ties the
+all-ones prior to group testing.
 
 `run_cell` draws and decodes trial blocks of at most _TRIAL_BLOCK_ENTRIES
 design entries (n x p per trial) and at least one trial, each drawn by one
 `sample_realization` call as a RealizationBlock: COMP scores a block in one
 pass on its stacked designs and outputs, exhaustive ML enumerates the
 candidates (and GT incidence matrices) once per block, and the threshold
-decoder takes one trial's design and outputs per call.  Group-testing ML
-scores each candidate block for groups of trials with one product, each
-group's trials x n x candidates hit counts again at most
-_TRIAL_BLOCK_ENTRIES.  ML and COMP return a (trials x k) array like the
-block's `support`, on which `run_cell` counts the errors; the threshold
-decoder returns one DecodeOutcome per trial, a sorted 1-based tuple or
-None and a status, which `_decode` stacks into such an array.
+decoder takes one trial's design and outputs per call.  Exhaustive ML
+scores each candidate block for groups of trials, each group's trials x n x
+candidates at most _TRIAL_BLOCK_ENTRIES (and at least one trial), so its
+stacks stay bounded as the trial block does.  ML and COMP return a
+(trials x k) array like the block's `support`, on which `run_cell` counts
+the errors; the threshold decoder returns one DecodeOutcome per trial, a
+sorted 1-based tuple or None and a status, which `_decode` stacks into such
+an array.
 
 Exhaustive decoding is guarded at C(p, k) <= 10^6 and k <= 12; the guards
 are hard errors, not warnings.
@@ -93,6 +100,14 @@ DESIGN_ENTRY_CAP = 10**7
 _CANDIDATE_BLOCK = 512
 # Design entries (n x p per trial) of the trials run_cell decodes together.
 _TRIAL_BLOCK_ENTRIES = 2**16
+# Share of the n rows on which discrete-prior ML bounds a candidate's score
+# before it scores the candidates that can still win in full.  decode_ml
+# times (ms, best of 8 x 2 in-process, 2-vCPU VM) at shares 0.2 / 0.3 / 0.4
+# / 0.5: 1-bit p = 12, k = 3, n = 100, 30 trials 20.4 / 15.3 / 15.0 / 16.4;
+# the same at n = 20, 100 trials 25.3 / 19.2 / 16.4 / 14.9, and at n = 60,
+# 40 trials 19.8 / 13.7 / 13.1 / 14.1; linear permuted p = 10, k = 3,
+# n = 40, 30 trials 4.2 / 3.1 / 3.0 / 3.3.
+_ML_HEAD_SHARE = 0.4
 
 
 @dataclass(frozen=True)
@@ -189,11 +204,20 @@ def _candidate_blocks(dims: ProblemDims):
 
 
 def _design_stack(x, block):
-    """The C-ordered (B x n x k) design columns of the candidates in block,
-    filled one support position at a time from rows of x.T: contiguous row
-    gathers, where x[:, block - 1] takes numpy's slow strided path."""
-    rows = np.ascontiguousarray(x.T)
-    stack = np.empty((len(block), x.shape[0], block.shape[1]), dtype=x.dtype)
+    """The C-ordered (B x n x k) design columns of the candidates in block, a
+    (B x k) array of 1-based column indices, filled one support position at
+    a time from rows of the transposed design: contiguous row gathers, where
+    x[:, block - 1] takes numpy's slow strided path.
+
+    x is one (n x p) design, or T designs as a (T x n x p) stack, read as the
+    one n x Tp design whose columns t p + 1 .. t p + p are trial t's: the
+    row block[i] = t p + c gathers candidate c of trial t, so one call
+    stacks any (trial, candidate) pairs.  The rows come from the (T x p x n)
+    transposed designs, which are copied only when x is not already a
+    transposed view of a C-ordered array."""
+    n, p = x.shape[-2:]
+    rows = np.ascontiguousarray(np.swapaxes(x, -1, -2)).reshape(math.prod(x.shape[:-2]) * p, n)
+    stack = np.empty((len(block), n, block.shape[1]), dtype=x.dtype)
     for j in range(block.shape[1]):
         stack[:, :, j] = rows[block[:, j] - 1]
     return stack
@@ -385,6 +409,60 @@ def _ml_fast_gt(model, x, y, incidence):
     return CHANNELS[model.channel].score(model, y.shape[-1], n_miss)
 
 
+def _ml_scores(model, prior, x_s, y):
+    """`log_marginal_likelihood` of the (C x n x k) stack x_s, a NaN as
+    -inf: a nan score never wins, as under a strict > comparison."""
+    scores = log_marginal_likelihood(model, prior, x_s, y)
+    return np.where(np.isnan(scores), -math.inf, scores)
+
+
+def _ml_bounded_scores(model, prior, x, x_head, y, trials, block, floor):
+    """(G x C) ML scores of the candidates of block (C x k) for the G trials
+    of the range trials, under a discrete prior: the exact score of every
+    (trial, candidate) pair that can still win or tie, -inf for the others.
+    floor holds each trial's best score from earlier candidate blocks.
+
+    Every likelihood row is at most the channel's c = loglik_row_max, so
+    the score H of the first m rows (x_head, y[:, :m]) plus (n - m) c bounds
+    the full score S, also for a mixture of prior atoms, whose sum over the
+    last n - m rows is at most (n - m) c for each atom.  Per trial the pair
+    with the largest bound is scored in full; with the floor raised to that
+    score, a pair is scored in full only while its bound is at least
+    floor - slack, and every other pair has S < floor, so it neither wins
+    nor ties and its -inf changes no decision.
+
+    The slack covers rounding.  Each row is rounded to a few eps and numpy
+    sums a contiguous row pairwise (in blocks of 128), so a computed sum of
+    rows r_i, the head or the full one, lies within about 1e-13 sum |r_i| of
+    its exact value for any n, as do the (n - m) c term and the mixture's
+    log-sum-exp.  Since every r_i <= c, sum |r_i| <= |S| + 2 n |c|, and a
+    pair with S >= floor has |S| <= |floor| + n |c| (as S <= n c).  Its
+    computed bound is then above floor - 1e-12 (|floor| + 3 n |c|), more
+    than floor - slack for slack = 1e-9 (|floor| + 2 n |c|): a pair whose
+    bound lies below floor - slack has S < floor.  A non-finite floor (no
+    finite score yet) keeps every pair."""
+    n, m = y.shape[1], x_head.shape[1]
+    count, size = len(trials), len(block)
+    trial = np.repeat(np.arange(trials.start, trials.stop), size)
+    pairs = np.tile(block, (count, 1)) + (trial * x.shape[2])[:, None]
+    if not m:
+        return _ml_scores(model, prior, _design_stack(x, pairs), y[trial]).reshape(count, size)
+    row_max = CHANNELS[model.channel].loglik_row_max(model)
+    head = log_marginal_likelihood(model, prior, _design_stack(x_head, pairs), y[trial, :m])
+    bound = head.reshape(count, size) + (n - m) * row_max
+    bound = np.where(np.isnan(bound), -math.inf, bound)
+    lead = np.arange(count) * size + np.argmax(bound, axis=1)
+    lead_score = _ml_scores(model, prior, _design_stack(x, pairs[lead]), y[trial[lead]])
+    floor = np.maximum(floor, lead_score)
+    slack = 1e-9 * (np.abs(floor) + 2 * n * abs(row_max))
+    keep = ((bound >= (floor - slack)[:, None]) | ~np.isfinite(floor)[:, None]).reshape(-1)
+    keep[lead] = False  # scored already
+    scores = np.full(count * size, -math.inf)
+    scores[lead] = lead_score
+    scores[keep] = _ml_scores(model, prior, _design_stack(x, pairs[keep]), y[trial[keep]])
+    return scores.reshape(count, size)
+
+
 def decode_ml(
     reals: RealizationBlock, model: ModelSpec, prior: SignalPrior, dims: ProblemDims
 ) -> np.ndarray:
@@ -393,36 +471,51 @@ def decode_ml(
     sorted, 1-based estimate, as reals.support holds its truth.
 
     A (model, prior) pair that `sample_realization` refuses is refused here
-    too.  The candidate blocks are enumerated once for all the trials.
-    The all-ones prior, which pairs only with group testing, scores a block
-    through `_ml_fast_gt` for groups of trials, each group's trials x n x
-    candidates hit counts at most _TRIAL_BLOCK_ENTRIES (and at least one
-    trial); every other prior scores it per realization through
-    `log_marginal_likelihood` on the block's stacked design columns."""
+    too.  The candidate blocks are enumerated once for all the trials, and
+    each block is scored for groups of trials, a group's trials x n x
+    candidates at most _TRIAL_BLOCK_ENTRIES (and at least one trial).  The
+    all-ones prior, which pairs only with group testing, scores a group
+    through `_ml_fast_gt`; the iid-Gaussian prior scores it one trial at a
+    time through `log_marginal_likelihood`, whose evidence is not a sum over
+    rows; every other prior through `_ml_bounded_scores`, which scores in
+    full only the candidates whose bound on the first _ML_HEAD_SHARE of the
+    rows can still reach the best score, with the same estimates."""
     validate_pairing(model, prior, dims.k)
     if not len(reals):  # np.concatenate and np.stack refuse an empty list
         return np.empty((0, dims.k), dtype=int)
-    fast_gt = prior.variant == ALL_ONES  # validate_pairing ties it to group testing
     x, y = reals.x, reals.y  # trials x n x p, trials x n
+    if prior.variant != ALL_ONES:
+        # views of the C-ordered transposed designs, made once, from which
+        # _design_stack gathers without a copy
+        x, x_head = (
+            np.swapaxes(np.ascontiguousarray(np.swapaxes(a, 1, 2)), 1, 2)
+            for a in (x, x[:, : int(dims.n * _ML_HEAD_SHARE)])
+        )
     rows = np.arange(len(reals))
     # the first candidate until one scores strictly higher
     best_score = np.full(len(reals), -math.inf)
     best = np.tile(np.arange(1, dims.k + 1), (len(reals), 1))
     for block in _candidate_blocks(dims):
-        if fast_gt:
+        if prior.variant == ALL_ONES:  # validate_pairing ties it to group testing
             incidence = _incidence(dims.p, block)
-            group = max(1, _TRIAL_BLOCK_ENTRIES // max(1, x.shape[1] * len(block)))
-            scores = np.concatenate([
-                _ml_fast_gt(model, x[g : g + group], y[g : g + group], incidence)
-                for g in range(0, len(reals), group)
-            ])
-        else:
-            scores = np.stack([
-                log_marginal_likelihood(model, prior, _design_stack(x_t, block), y_t)
-                for x_t, y_t in zip(x, y)
-            ])
-            # a nan score never wins, as under a strict > comparison
-            scores = np.where(np.isnan(scores), -math.inf, scores)
+        size = max(1, _TRIAL_BLOCK_ENTRIES // max(1, dims.n * len(block)))
+        groups = []
+        for g in range(0, len(reals), size):
+            group = slice(g, g + size)
+            if prior.variant == ALL_ONES:
+                scores = _ml_fast_gt(model, x[group], y[group], incidence)
+            elif prior.variant == IID_GAUSSIAN:
+                scores = np.stack([
+                    _ml_scores(model, prior, _design_stack(x_t, block), y_t)
+                    for x_t, y_t in zip(x[group], y[group])
+                ])
+            else:
+                trials = range(len(reals))[group]
+                scores = _ml_bounded_scores(
+                    model, prior, x, x_head, y, trials, block, best_score[group]
+                )
+            groups.append(scores)
+        scores = np.concatenate(groups)
         i = np.argmax(scores, axis=1)  # argmax takes the first (lexicographic) max
         top = scores[rows, i]
         won = top > best_score

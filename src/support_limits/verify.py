@@ -1083,6 +1083,35 @@ def _threshold_stat_mpmath():
     return worst, 1e-9, f"{count} statistics, max relative error {worst:.2e}"
 
 
+@check("ml-prefix-bound-vs-full-scan")
+def _ml_prefix_bound():
+    # exhaustive ML, which scores in full only the candidates whose bound
+    # from the first rows can still win, against a scan that scores every
+    # candidate of each trial on all its rows and keeps the first strict
+    # maximum.  Measured: the trials whose estimates differ
+    b = [1.0, -0.5, 2.0]
+    cases = [
+        (model, prior)
+        for model in (md.ModelSpec.linear(0.3), md.ModelSpec.one_bit(1.0))
+        for prior in (md.SignalPrior.fixed(b), md.SignalPrior.permuted(b))
+    ]
+    bad = count = 0
+    for i, (model, prior) in enumerate(cases):
+        for n in (4, 8, 12):
+            dims = md.ProblemDims(p=8, k=3, n=n)
+            reals = md.sample_realization(dims, model, prior, SEED, stream=(i, n), trials=range(25))
+            got = sim.decode_ml(reals, model, prior, dims)
+            for x, y, est in zip(reals.x, reals.y, got.tolist()):
+                best, scan = -math.inf, tuple(range(1, dims.k + 1))
+                for cand in itertools.combinations(range(1, dims.p + 1), dims.k):
+                    score = info.log_marginal_likelihood(model, prior, x[:, np.asarray(cand) - 1], y)
+                    if score > best:
+                        best, scan = score, cand
+                bad += list(scan) != est
+                count += 1
+    return float(bad), 0.0, f"{count} trials: linear and 1-bit, fixed and permuted b"
+
+
 @check("comp-vs-ml")
 def _comp_vs_ml():
     m = md.ModelSpec.group_testing(rho=0.0)

@@ -79,6 +79,36 @@ def test_loglik_of_a_stack_against_per_candidate_outputs(name):
         assert stacked[c] == pytest.approx(np.sum(channel.loglik_rows(model, x[c], b, y[c])))
 
 
+@pytest.mark.parametrize(
+    "model",
+    [md.ModelSpec.one_bit(1.0), md.ModelSpec.one_bit(0.05), md.ModelSpec.group_testing(rho=0.0),
+     md.ModelSpec.group_testing(rho=0.11)]
+    + [md.ModelSpec.linear(s) for s in (1e-150, 0.05, 0.3, 1 / math.sqrt(2 * math.pi), 1.0, 3.0)],
+    ids=lambda m: f"{m.channel}-{m.sigma:g}-{m.rho:g}",
+)
+def test_no_likelihood_row_exceeds_row_max(model):
+    # the bound exhaustive ML prunes with: every row, the exact-fit rows of
+    # the linear channel (residual 0) included, is at most loglik_row_max
+    channel = CHANNELS[model.channel]
+    row_max = channel.loglik_row_max(model)
+    assert type(row_max) is float and math.isfinite(row_max)
+    b = np.array([1.0, -0.6, 0.3])
+    rng = md.rng_stream(8)
+    raw, noise = np.empty((6, 50, 3)), np.empty((6, 50))
+    for c in range(6):
+        channel.draw(model, rng, raw[c], noise[c])
+    x = channel.design(model, raw, 3)
+    y = channel.outputs(model, x, b, noise)
+    rows = channel.loglik_rows(model, x, b, y)
+    assert rows.max() <= row_max
+    if model.channel == md.LINEAR:
+        exact = channel.loglik_rows(model, x, b, x @ b)
+        assert exact.max() == row_max
+        assert row_max == pytest.approx(-0.5 * math.log(2 * math.pi * model.sigma**2), rel=1e-15)
+    else:
+        assert row_max == 0.0
+
+
 @pytest.mark.parametrize("name", sorted(CHANNELS))
 def test_one_likelihood_method_per_channel(name):
     # each channel writes its likelihood once, as the (rows, sum) pair; only

@@ -298,6 +298,25 @@ class TestMarginalLikelihood:
                 model, md.SignalPrior.iid_gaussian(1.0), np.zeros((2, 2)), np.ones(2)
             )
 
+    @pytest.mark.parametrize("prior", [md.SignalPrior.fixed([1.0, -0.5, 2.0]),
+                                       md.SignalPrior.permuted([1.0, -0.5, 2.0])])
+    @pytest.mark.parametrize("model", [md.ModelSpec.linear(0.3), md.ModelSpec.one_bit(1.0)],
+                             ids=["linear", "one-bit"])
+    def test_per_candidate_outputs_equal_per_candidate_calls(self, model, prior):
+        # a (C x n) y, one row of outputs per candidate, scores each
+        # candidate as its own call does, bit for bit
+        rng = md.rng_stream(9)
+        for n in (0, 1, 7, 40):
+            x = rng.standard_normal((11, n, 3))
+            y = rng.standard_normal((11, n))
+            if model.channel == md.ONE_BIT:
+                y = np.where(y >= 0.0, 1.0, -1.0)
+            scores = info.log_marginal_likelihood(model, prior, x, y)
+            assert scores.shape == (11,)
+            assert scores.tolist() == [
+                info.log_marginal_likelihood(model, prior, xc, yc) for xc, yc in zip(x, y)
+            ]
+
     def test_permutation_atom_budget(self):
         pr = md.SignalPrior.permuted(list(range(1, 13)))  # 12 distinct entries: 12! atoms
         with pytest.raises(ValueError):

@@ -171,6 +171,18 @@ class TestRngStream:
         old = np.random.Generator(np.random.Philox(key=ss.generate_state(2, np.uint64)))
         assert md.rng_stream(seed, *stream).random(16).tolist() == old.random(16).tolist()
 
+    def test_trailing_zero_streams_share_a_generator(self):
+        # SeedSequence pads its 4-word entropy pool with zeros, so a stream
+        # that differs from another only by zeros inside the pool keys the
+        # same generator; past the pool the zero counts
+        draws = lambda *key: md.rng_stream(*key).random(8).tolist()
+        assert draws(7, 5) == draws(7, 5, 0)
+        assert draws(7) == draws(7, 0) == draws(7, 0, 0)
+        assert draws(7, 1, 2, 3) != draws(7, 1, 2, 3, 0)
+        # run_cell's trial 0 at n index 0 draws rng_stream(seed)
+        key = md._stream_keys(7, (0,), range(1))[0]
+        assert key.tolist() == md.rng_stream(7).bit_generator.state["state"]["key"].tolist()
+
     @pytest.mark.parametrize("seed", [-1, 2**63, 2**64])
     def test_seed_outside_range_refused(self, seed):
         with pytest.raises(ValueError, match="seed"):

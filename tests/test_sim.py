@@ -176,6 +176,20 @@ class TestBatchedCandidates:
         assert stack.dtype == expected.dtype and stack.flags.c_contiguous
         assert stack.shape == expected.shape and stack.tobytes() == expected.tobytes()
 
+    @pytest.mark.parametrize("n", [0, 1, 52])
+    def test_design_stack_of_trial_candidate_pairs(self, n):
+        # T designs read as one n x Tp design: the pair (t, c) is the
+        # column c + t p, gathered from a transposed view without a copy
+        dims = md.ProblemDims(p=7, k=3, n=n)
+        x = md.rng_stream(SEED).standard_normal((4, n, dims.p))
+        cands = np.array(list(sim.candidate_supports(dims)))
+        trial = md.rng_stream(SEED, 1).integers(0, 4, len(cands))
+        expected = np.stack([x[t][:, c - 1] for t, c in zip(trial, cands)])
+        xt = np.swapaxes(np.ascontiguousarray(np.swapaxes(x, 1, 2)), 1, 2)
+        for designs in (x, xt):
+            stack = sim._design_stack(designs, cands + (trial * dims.p)[:, None])
+            assert stack.flags.c_contiguous and stack.tobytes() == expected.tobytes()
+
     @pytest.mark.parametrize("p,k", [(7, 1), (7, 3), (12, 2)])
     def test_candidate_blocks_equal_candidate_lists(self, p, k, monkeypatch):
         monkeypatch.setattr(sim, "_CANDIDATE_BLOCK", 7)
@@ -362,6 +376,148 @@ class TestBlockMl:
         # a sigma whose square underflows to 0 is refused before any evidence
         with pytest.raises(ValueError, match="sigma = 1e-300"):
             md.ModelSpec.linear(1e-300)
+
+
+def ml_block(x, y, support):
+    """A RealizationBlock of one trial with the given design and outputs
+    (beta is not read by the decoders)."""
+    return md.RealizationBlock(
+        support=np.array([support]), beta=np.zeros((1, x.shape[1])), x=x[None], y=y[None]
+    )
+
+
+PREFIX_CHANNELS = {"linear": md.ModelSpec.linear, "one-bit": md.ModelSpec.one_bit}
+
+
+class TestPrefixBoundMl:
+    """Discrete-prior ML scores in full only the (trial, candidate) pairs
+    whose bound from the first rows can still win, with the estimates of
+    the full candidate loop."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        channel=st.sampled_from(sorted(PREFIX_CHANNELS)),
+        permuted=st.booleans(),
+        sigma=st.sampled_from([0.05, 0.3, 1.0, 3.0]),
+        n=st.sampled_from([0, 1, 2, 3, 7, 25, 60]),
+        k=st.integers(1, 3),
+        extra=st.integers(0, 4),
+        trials=st.integers(1, 6),
+        candidate_block=st.sampled_from([1, 3, 7]),
+        entries=st.sampled_from([1, 200, 2**16]),
+        seed=st.integers(0, 2**32),
+    )
+    def test_equals_candidate_loop(
+        self, channel, permuted, sigma, n, k, extra, trials, candidate_block, entries, seed
+    ):
+        # sigma below 1/sqrt(2 pi) gives the linear channel a positive row
+        # maximum; small candidate blocks carry each trial's floor across
+        # blocks, and a small entry bound splits the trials into groups
+        m = PREFIX_CHANNELS[channel](sigma)
+        b = [1.0, -0.5, 2.0][:k]
+        pr = md.SignalPrior.permuted(b) if permuted else md.SignalPrior.fixed(b)
+        dims = md.ProblemDims(p=k + extra, k=k, n=n)
+        reals = md.sample_realization(dims, m, pr, seed, stream=(15,), trials=range(trials))
+        expected = [loop_ml_decode(x, y, m, pr, dims) for x, y in zip(reals.x, reals.y)]
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(sim, "_CANDIDATE_BLOCK", candidate_block)
+            mp.setattr(sim, "_TRIAL_BLOCK_ENTRIES", entries)
+            assert block_rows(sim.decode_ml(reals, m, pr, dims), k) == expected
+
+    @pytest.mark.parametrize("candidate_block", [3, 512])
+    def test_exact_tie_goes_to_the_first_candidate(self, candidate_block, monkeypatch):
+        # columns 2 and 5 are equal, so (1, 2) and (1, 5) score the same; the
+        # outputs come from (1, 5), and the first in lexicographic order wins,
+        # within one candidate block and across two
+        monkeypatch.setattr(sim, "_CANDIDATE_BLOCK", candidate_block)
+        m, pr = md.ModelSpec.linear(0.3), md.SignalPrior.fixed([1.0, 2.0])
+        dims = md.ProblemDims(p=6, k=2, n=40)
+        rng = md.rng_stream(SEED, 16)
+        x = rng.standard_normal((dims.n, dims.p))
+        x[:, 4] = x[:, 1]
+        y = x[:, [0, 4]] @ np.array(pr.b) + 0.3 * rng.standard_normal(dims.n)
+        assert loop_ml_decode(x, y, m, pr, dims) == (1, 2)
+        cands = np.array(list(sim.candidate_supports(dims)))
+        scores = info.log_marginal_likelihood(m, pr, sim._design_stack(x, cands), y)
+        assert scores[0] == scores[3] == scores.max()
+        assert block_rows(sim.decode_ml(ml_block(x, y, [1, 5]), m, pr, dims), 2) == [(1, 2)]
+
+    @pytest.mark.parametrize("name", ["linear", "one-bit"])
+    def test_candidates_equal_on_the_head_rows(self, name):
+        # columns 2 and 3 agree on the first rows, where the bound is read,
+        # and differ after; the outputs come from (1, 3), whose bound ties
+        # with that of (1, 2), the candidate scored first
+        m, pr = PREFIX_CHANNELS[name](0.3), md.SignalPrior.fixed([1.0, 2.0])
+        dims = md.ProblemDims(p=5, k=2, n=40)
+        head = int(dims.n * sim._ML_HEAD_SHARE)
+        rng = md.rng_stream(SEED, 17)
+        x = rng.standard_normal((dims.n, dims.p))
+        x[:head, 2] = x[:head, 1]
+        noise = rng.standard_normal(dims.n)
+        y = CHANNELS[m.channel].outputs(m, x[:, [0, 2]], np.array(pr.b), noise)
+        cands = np.array(list(sim.candidate_supports(dims)))
+        heads = info.log_marginal_likelihood(
+            m, pr, sim._design_stack(x[:head], cands), y[:head]
+        )
+        assert heads[0] == heads[1] == heads.max()
+        assert loop_ml_decode(x, y, m, pr, dims) == (1, 3)
+        assert block_rows(sim.decode_ml(ml_block(x, y, [1, 3]), m, pr, dims), 2) == [(1, 3)]
+
+    @pytest.mark.parametrize("name", ML_CASES)
+    def test_full_scores_equal_per_trial_scores_bit_for_bit(self, name, monkeypatch):
+        # every score the bounded pass computes is the per-trial score of the
+        # whole candidate block; the others are -inf and below the winner
+        m, pr = STAT_CASES[name]
+        dims = md.ProblemDims(p=8, k=3, n=40)
+        monkeypatch.setattr(sim, "_CANDIDATE_BLOCK", 20)
+        reals = md.sample_realization(dims, m, pr, SEED, stream=(18,), trials=range(12))
+        calls = []
+        bounded = sim._ml_bounded_scores
+
+        def recorded(model, prior, x, x_head, y, trials, block, floor):
+            scores = bounded(model, prior, x, x_head, y, trials, block, floor)
+            calls.append((trials, block, scores))
+            return scores
+
+        monkeypatch.setattr(sim, "_ml_bounded_scores", recorded)
+        est = sim.decode_ml(reals, m, pr, dims)
+        scored = pruned = 0
+        for trials, block, scores in calls:
+            for t, got in zip(trials, scores):
+                want = info.log_marginal_likelihood(
+                    m, pr, sim._design_stack(reals.x[t], block), reals.y[t]
+                )
+                want = np.where(np.isnan(want), -math.inf, want)
+                full = got > -math.inf
+                assert got[full].tolist() == want[full].tolist()
+                best = info.log_marginal_likelihood(
+                    m, pr, sim._design_stack(reals.x[t], est[t : t + 1]), reals.y[t]
+                )
+                assert (want[~full] < best).all()
+                scored += int(full.sum())
+                pruned += int((~full).sum())
+        assert scored and pruned
+
+    def test_bounded_pass_scores_at_most_half_the_pairs(self, monkeypatch):
+        # the benchmark's 1-bit ML cell (p = 12, k = 3, n = 100, 30 trials):
+        # a change that turns the pruning off fails here, with no timing
+        m, pr = md.ModelSpec.one_bit(1.0), md.SignalPrior.fixed([1.0, 0.5, 2.0])
+        dims = md.ProblemDims(p=12, k=3, n=100)
+        reals = md.sample_realization(dims, m, pr, 1, stream=(0,), trials=range(30))
+        full_pairs = []
+        score = sim.log_marginal_likelihood
+
+        def counted(model, prior, x_s, y):
+            if x_s.shape[-2] == dims.n:
+                full_pairs.append(len(x_s))
+            return score(model, prior, x_s, y)
+
+        monkeypatch.setattr(sim, "log_marginal_likelihood", counted)
+        est = sim.decode_ml(reals, m, pr, dims)
+        pairs = len(reals) * math.comb(dims.p, dims.k)
+        assert 0 < sum(full_pairs) <= pairs // 2
+        expected = [loop_ml_decode(x, y, m, pr, dims) for x, y in zip(reals.x, reals.y)]
+        assert block_rows(est, dims.k) == expected
 
 
 def block_rows(estimates, k):
