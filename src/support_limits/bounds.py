@@ -827,7 +827,7 @@ def cor_gt_noisy(theta, rho: float, eta: float = 0.0) -> GtNoisyResult | list[Gt
     if not 0.0 < rho < 0.5:
         raise ValueError("rho must lie in (0, 0.5)")
     single, thetas = _thetas(theta)
-    floor = 1.0 / (LOG2 - binary_entropy(rho))
+    floor = 1.0 / _gt_capacity(rho)
     grid = np.linspace(1e-4, 1.0 - 1e-4, 256)
     zeta = lambda t, d2: gt_noisy_zeta(rho, d2, t)
     out = []
@@ -851,8 +851,17 @@ def cor_gt_partial(rho: float, alpha_star: float, eta: float = 0.0) -> tuple[flo
     _check_eta(eta)
     if not 0.0 <= rho < 0.5:
         raise ValueError("rho must lie in [0, 0.5)")
-    base = 1.0 / (LOG2 - binary_entropy(rho))
+    base = 1.0 / _gt_capacity(rho)
     return base * (1.0 + eta), (1.0 - alpha_star) * base * (1.0 - eta)
+
+
+def _gt_capacity(rho: float) -> float:
+    """log 2 - H2(rho), which the group-testing coefficients divide by; it
+    rounds to 0 or below within about 1e-8 of 0.5, and then raises ValueError."""
+    cap = LOG2 - binary_entropy(rho)
+    if not cap > 0.0:
+        raise ValueError(f"rho={float(rho)!r} is too close to 0.5: log 2 - H2(rho) rounds to {cap:g}")
+    return cap
 
 
 def gt_logit_entropy_margin(rho: float) -> float:
@@ -914,20 +923,21 @@ FIG_GT_NOISELESS = "gt-noiseless"
 FIG_GT_NOISY = "gt-noisy"
 
 
-def figure_curves(figure: str, grid: dict) -> list[tuple[float, str, float]]:
-    """(x, curve-name, y) rows behind the three numeric figures; the curve
-    name states the unit.
+def figure_table(figure: str, grid: dict) -> tuple[list[tuple[float, str, float]], list[str]]:
+    """(rows, notes): the (x, curve-name, y) rows behind the three numeric
+    figures, the curve name stating the unit, and lines naming the optimizer
+    behind them, both from one corollary call per curve family.
 
     partial-recovery: y = n/(k log(p/k)) coefficients in nats vs SNR in dB,
     four curves (linear/1-bit x ach/conv), alpha* and sigma from the grid;
     every SNR's c_beta is checked (`c_beta_from_snr`) before the first
-    corollary runs, and each channel bisects the alpha grids of all its
-    points and refines them in one lockstep pass.  gt-noiseless / gt-noisy:
-    y = base-2 rate k log2(p/k)/n vs theta, achievability and converse
-    curves (per rho for the noisy figure), one corollary call per curve
-    family.
+    corollary runs; a note per SNR gives the four maximizing alphas.
+    gt-noiseless / gt-noisy: y = base-2 rate k log2(p/k)/n vs theta,
+    achievability and converse curves (per rho for the noisy figure); a note
+    per noiseless row gives nu*, one per (theta, rho), theta-major, delta2*.
     """
     rows: list[tuple[float, str, float]] = []
+    notes: list[str] = []
     if figure == FIG_PARTIAL:
         alpha_star = grid.get("alpha_star", 0.1)
         sigma = grid.get("sigma", 1.0)
@@ -942,20 +952,36 @@ def figure_curves(figure: str, grid: dict) -> list[tuple[float, str, float]]:
                 (snr, "1bit-ach-coef-nats", oc.coef_ach),
                 (snr, "1bit-conv-coef-nats", oc.coef_conv),
             ]
-        return rows
+            notes.append(
+                f"snr={snr:g} linear alpha*={lc.alpha_ach:.4f}/{lc.alpha_conv:.4f} "
+                f"1bit alpha*={oc.alpha_ach:.4f}/{oc.alpha_conv:.4f}"
+            )
+        return rows, notes
     if figure == FIG_GT_NOISELESS:
         for theta, res in zip(grid["theta"], cor_gt_noiseless(grid["theta"])):
-            rows += [
-                (theta, "ach-rate-log2", 1.0 / (res.coef_ach * LOG2)),
-                (theta, "conv-rate-log2", 1.0 / (res.coef_conv * LOG2)),
-            ]
-        return rows
+            for curve, coef in (("ach-rate-log2", res.coef_ach), ("conv-rate-log2", res.coef_conv)):
+                rate = 1.0 / (coef * LOG2)
+                rows.append((theta, curve, rate))
+                notes.append(f"theta={theta:.4g} {curve} rate={rate:.6f} nu*={res.nu_star:.6f}")
+        return rows, notes
     if figure == FIG_GT_NOISY:
-        for rho in grid.get("rho", (0.11,)):
-            for theta, res in zip(grid["theta"], cor_gt_noisy(grid["theta"], rho)):
+        thetas, rhos = grid["theta"], grid.get("rho", (0.11,))
+        per_rho = [cor_gt_noisy(thetas, rho) for rho in rhos]
+        for rho, results in zip(rhos, per_rho):
+            for theta, res in zip(thetas, results):
                 rows += [
                     (theta, f"ach-rate-log2 rho={rho:g}", 1.0 / (res.coef_ach * LOG2)),
                     (theta, f"conv-rate-log2 rho={rho:g}", 1.0 / (res.coef_conv * LOG2)),
                 ]
-        return rows
+        return rows, [
+            f"theta={theta:.4g} rho={rho:g} delta2*={results[i].delta2_star:.6f}"
+            for i, theta in enumerate(thetas)
+            for rho, results in zip(rhos, per_rho)
+        ]
     raise ValueError(f"unknown figure {figure!r}")
+
+
+def figure_curves(figure: str, grid: dict) -> list[tuple[float, str, float]]:
+    """The (x, curve-name, y) rows of `figure_table(figure, grid)`, without
+    its notes."""
+    return figure_table(figure, grid)[0]

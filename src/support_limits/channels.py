@@ -35,7 +35,7 @@ from .numerics import (
     NonConvergenceError,
     binary_entropy,
     gauss_hermite_nodes,
-    log_q_function,
+    log_ndtr,
     mean_entropy_q_scaled,
 )
 
@@ -288,13 +288,13 @@ class OneBit(_GaussianDesign):
         return one_bit_sign(self._response(spec, x_s, b, noise))
 
     def loglik_rows_and_sum(self, spec, x_s, b, y):
-        rows = log_q_function(-y * (x_s @ b) / spec.sigma)
+        rows = log_ndtr(y * (x_s @ b) / spec.sigma)
         return rows, _row_sum(np.sum(rows, axis=-1))
 
     def log_marginal_rows(self, spec, partition, x_s, b, y):
         eq = partition.eq_index()
         sig_l_sq = _energy(b, partition.dif_index())
-        return log_q_function(-y * (x_s[..., eq] @ b[eq]) / np.sqrt(spec.sigma**2 + sig_l_sq))
+        return log_ndtr(y * (x_s[..., eq] @ b[eq]) / np.sqrt(spec.sigma**2 + sig_l_sq))
 
     def mi(self, spec, partition, b):
         b = np.asarray(b, dtype=float)
@@ -324,8 +324,8 @@ class OneBit(_GaussianDesign):
         mean = 0.0
         second = 0.0
         for y in (1.0, -1.0):
-            log_p_y = log_q_function(-y * (wd + we) / spec.sigma)
-            dens = log_p_y - log_q_function(-y * we / denom_scale)
+            log_p_y = log_ndtr(y * (wd + we) / spec.sigma)
+            dens = log_p_y - log_ndtr(y * we / denom_scale)
             p_y = np.exp(log_p_y)
             mean += float(w @ (p_y * dens) @ w)
             second += float(w @ (p_y * dens**2) @ w)

@@ -30,7 +30,7 @@ import numpy as np
 
 from . import bounds, numerics, sim
 from .channels import CHANNELS
-from .model import GuardError, ModelSpec, ProblemDims, SignalPrior, c_beta_from_snr
+from .model import GuardError, ModelSpec, ProblemDims, SignalPrior
 from .numerics import NonConvergenceError
 
 DEFAULT_SEED = 20240917
@@ -158,10 +158,10 @@ class _ConfigParser(_Parser):
 
 
 def cmd_threshold(args) -> int:
+    """Write the figure's rows sorted by (x, curve); --verbose first prints
+    `bounds.figure_table`'s notes, from the corollary calls behind the rows."""
     fig = args.figure
     if fig == bounds.FIG_PARTIAL:
-        if args.grid_points < 2:  # in the words of bounds._maximize_partial
-            raise ConfigError(f"grid_points must be at least 2, got {args.grid_points}")
         if args.grid_points > MAX_RANGE_POINTS:
             raise ConfigError(
                 f"--grid-points {args.grid_points} is more than {MAX_RANGE_POINTS} points"
@@ -176,40 +176,16 @@ def cmd_threshold(args) -> int:
         grid = {"theta": parse_range(args.theta)}
         if fig == bounds.FIG_GT_NOISY:
             grid["rho"] = parse_floats("--rho", args.rho)
-    rows = bounds.figure_curves(fig, grid)
     if args.verbose:
-        for line in _verbose_lines(fig, grid, rows):
+        rows, notes = bounds.figure_table(fig, grid)
+        for line in notes:
             print(line)
+    else:
+        rows = bounds.figure_curves(fig, grid)
     out = [[fig, f"{x:.6g}", c, f"{y:.10g}"] for x, c, y in rows]
     out.sort(key=lambda r: (float(r[1]), r[2]))
     _write_rows(args.output, THRESHOLD_HEADER, out, args.format)
     return EXIT_OK
-
-
-def _verbose_lines(fig: str, grid: dict, rows):
-    """The optimizer behind each figure point: nu* per noiseless row,
-    delta2* per (theta, rho), the maximizing alphas per SNR; each curve
-    family is one batched corollary call."""
-    thetas = grid.get("theta")
-    if fig == bounds.FIG_GT_NOISELESS:
-        nu_star = {t: r.nu_star for t, r in zip(thetas, bounds.cor_gt_noiseless(thetas))}
-        for x, c, y in rows:
-            yield f"theta={x:.4g} {c} rate={y:.6f} nu*={nu_star[x]:.6f}"
-    elif fig == bounds.FIG_GT_NOISY:
-        d2_star = {r: bounds.cor_gt_noisy(thetas, r) for r in grid["rho"]}
-        for i, t in enumerate(thetas):
-            for r in grid["rho"]:
-                yield f"theta={t:.4g} rho={r:g} delta2*={d2_star[r][i].delta2_star:.6f}"
-    else:
-        sigma, alpha_star, gp = grid["sigma"], grid["alpha_star"], grid["grid_points"]
-        cbs = [c_beta_from_snr(snr, sigma) for snr in grid["snr_db"]]
-        lin = bounds.cor_linear_partial(cbs, sigma, alpha_star, grid_points=gp)
-        ob = bounds.cor_1bit_partial(cbs, sigma, alpha_star, grid_points=gp)
-        for snr, lc, oc in zip(grid["snr_db"], lin, ob):
-            yield (
-                f"snr={snr:g} linear alpha*={lc.alpha_ach:.4f}/{lc.alpha_conv:.4f} "
-                f"1bit alpha*={oc.alpha_ach:.4f}/{oc.alpha_conv:.4f}"
-            )
 
 
 # ---------------------------------------------------------------------------

@@ -71,7 +71,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .bounds import achievability_numerators, gamma_select
+from .bounds import _check_delta1, achievability_numerators, gamma_select
 from .channels import CHANNELS
 from .info import NEG_INF, _log_mixture, density_rows, log_marginal_likelihood, prior_atoms
 from .model import (
@@ -120,10 +120,7 @@ class DecoderSpec:
     def __post_init__(self):
         if self.kind not in ("threshold", "exhaustive-ml", "comp-gt"):
             raise ValueError(f"unknown decoder kind {self.kind!r}")
-        # as in bounds.BoundOptions: 0 divides by zero in the thresholds,
-        # and NaN fails every test, so each trial counts as an error
-        if not 0.0 < self.delta1 <= 1.0:
-            raise ValueError(f"delta1 must lie in (0, 1], got {self.delta1}")
+        _check_delta1(self.delta1)
 
 
 @dataclass(frozen=True)

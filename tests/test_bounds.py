@@ -946,6 +946,45 @@ class TestCorGtNoisy:
         assert lhs >= rhs
 
 
+# log 2 - H2(rho) rounds to 0 at the first and to -1.1e-16 at the second
+NEAR_HALF_RHOS = [0.4999999999, 0.4999999939535565]
+
+
+class TestGtCapacityNearHalf:
+    """Both group-testing corollaries divide by log 2 - H2(rho), which rounds
+    to 0 or below within about 1e-8 of 0.5: they refuse such a rho by name
+    instead of dividing by zero or returning negative coefficients."""
+
+    @pytest.mark.parametrize("rho", NEAR_HALF_RHOS)
+    def test_cor_gt_noisy_refuses(self, rho):
+        assert nm.LOG2 - nm.binary_entropy(rho) <= 0.0
+        with pytest.raises(ValueError, match=rf"^rho={rho!r} is too close to 0\.5"):
+            bounds.cor_gt_noisy([0.1, 0.2], rho)
+
+    @pytest.mark.parametrize("rho", NEAR_HALF_RHOS)
+    def test_cor_gt_partial_refuses(self, rho):
+        with pytest.raises(ValueError, match=rf"^rho={rho!r} is too close to 0\.5"):
+            bounds.cor_gt_partial(rho, 0.1)
+
+    def test_every_other_rho_keeps_its_value(self):
+        # 0.5 - [1e-16, 1e-6]: each rho is refused or gives the former
+        # 1 / (log 2 - H2(rho)), which is then finite and > 0
+        refused = 0
+        for rho in (0.5 - np.logspace(-16, -6, 2001)).tolist() + [0.0, 0.11, 0.3, 0.49]:
+            cap = nm.LOG2 - nm.binary_entropy(rho)
+            if not cap > 0.0:
+                refused += 1
+                with pytest.raises(ValueError, match="too close to 0.5"):
+                    bounds.cor_gt_partial(rho, 0.25)
+                continue
+            a, c = bounds.cor_gt_partial(rho, 0.25)
+            assert (a, c) == (1.0 / cap, 0.75 * (1.0 / cap)) and 0.0 < c < a < math.inf
+        assert 0 < refused < 2001
+        for rho in (0.11, 0.4999, 0.49999999):
+            cap = nm.LOG2 - nm.binary_entropy(rho)
+            assert bounds.cor_gt_noisy(0.2, rho).coef_conv == 1.0 / cap
+
+
 class TestCorGtPartial:
     def test_alpha_star_zero(self):
         a, c = bounds.cor_gt_partial(0.11, 0.0)
@@ -1023,8 +1062,24 @@ class TestFigureCurves:
         assert conv == pytest.approx(0.5001, abs=2e-4)
 
     def test_unknown_figure(self):
-        with pytest.raises(ValueError):
-            bounds.figure_curves("nope", {})
+        for figure_fn in (bounds.figure_curves, bounds.figure_table):
+            with pytest.raises(ValueError, match="unknown figure 'nope'"):
+                figure_fn("nope", {})
+
+    @pytest.mark.parametrize(
+        "figure,grid,n_notes",
+        [
+            (bounds.FIG_GT_NOISELESS, {"theta": [0.1, 0.3, 0.5]}, 6),
+            (bounds.FIG_GT_NOISY, {"theta": [0.1, 0.3, 0.5], "rho": [0.05, 0.11]}, 6),
+            (bounds.FIG_PARTIAL,
+             {"snr_db": [-10.0, 0.0, 20.0], "alpha_star": 0.1, "sigma": 1.0, "grid_points": 51}, 3),
+        ],
+    )
+    def test_table_rows_are_the_curves(self, figure, grid, n_notes):
+        # one note per noiseless row, per (theta, rho) and per SNR
+        rows, notes = bounds.figure_table(figure, grid)
+        assert rows == bounds.figure_curves(figure, grid)
+        assert len(notes) == n_notes and all(isinstance(line, str) for line in notes)
 
     def test_coefficients_match_dense_grid_check(self):
         (result,) = verify.run_checks("partial-coef-vs-dense-grid")
@@ -1143,6 +1198,14 @@ class TestDelta1Range:
     def test_outside_range_refused(self, path, delta1):
         with pytest.raises(ValueError, match=r"delta1 must lie in \(0, 1\]"):
             _threshold_paths()[path](delta1)
+
+    @pytest.mark.parametrize("delta1", [0.0, -1.0, NAN, 2.0])
+    def test_decoder_spec_refuses_in_the_same_words(self, delta1):
+        with pytest.raises(ValueError) as spec_err:
+            sim.DecoderSpec(kind="threshold", delta1=delta1)
+        with pytest.raises(ValueError) as bound_err:
+            bounds._check_delta1(delta1)
+        assert str(spec_err.value) == str(bound_err.value)
 
 
 class TestNoWrongSupport:

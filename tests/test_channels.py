@@ -9,6 +9,7 @@ import pytest
 import support_limits
 from support_limits import info
 from support_limits import model as md
+from support_limits import numerics as nm
 from support_limits.channels import (
     CHANNELS,
     Channel,
@@ -211,6 +212,45 @@ def _old_gt_marginal(spec, partition, x_s, y):
     return np.where(
         eq_hit, np.where(y1, t.log_match, t.log_miss), np.where(y1, t.log_y1, t.log_y0)
     )
+
+
+# y = +-1, sigma and the arguments of the 1-bit likelihoods, edge values included
+_ONE_BIT_ARGS = np.concatenate([
+    [0.0, -0.0, np.inf, -np.inf, np.nan, 1e308, -1e308, 5e-324, -5e-324, 40.0, -40.0],
+    md.rng_stream(31).standard_normal(10**4),
+])
+
+
+@pytest.mark.parametrize("sigma", [1.0, 0.3, 1e-300, 7.0])
+@pytest.mark.parametrize("y", [1.0, -1.0])
+def test_one_bit_log_ndtr_equals_log_q_of_the_negation(y, sigma):
+    # the 1-bit likelihoods take log_ndtr(y u / sigma) for log Q(-y u / sigma):
+    # negation is exact, so the bits agree, NaN and signed zeros included
+    for u in (_ONE_BIT_ARGS, _ONE_BIT_ARGS[: 220 * 45].reshape(220, 45)):
+        with np.errstate(over="ignore"):  # 1e308 / 1e-300
+            new, old = nm.log_ndtr(y * u / sigma), log_q_function(-y * u / sigma)
+        assert np.array_equal(new.view(np.uint64), old.view(np.uint64))
+
+
+@pytest.mark.parametrize("sigma", [0.3, 1.0, 7.0])
+def test_one_bit_rows_equal_the_log_q_form(sigma):
+    model, b = md.ModelSpec.one_bit(sigma), np.array([1.0, -0.6, 0.3])
+    channel = CHANNELS[model.channel]
+    rng = md.rng_stream(11)
+    raw, noise = np.empty((5, 40, 3)), np.empty((5, 40))
+    for c in range(5):
+        channel.draw(model, rng, raw[c], noise[c])
+    x = channel.design(model, raw, 3)
+    y = channel.outputs(model, x, b, noise)
+    for x_s, y_s in ((x[0], y[0]), (x, y)):
+        rows, _ = channel.loglik_rows_and_sum(model, x_s, b, y_s)
+        old = log_q_function(-y_s * (x_s @ b) / sigma)
+        assert np.array_equal(rows.view(np.uint64), old.view(np.uint64))
+        for part in md.enumerate_partitions(3):
+            eq, scale = part.eq_index(), math.sqrt(sigma**2 + _energy(b, part.dif_index()))
+            old = log_q_function(-y_s * (x_s[..., eq] @ b[eq]) / scale)
+            new = channel.log_marginal_rows(model, part, x_s, b, y_s)
+            assert np.array_equal(new.view(np.uint64), old.view(np.uint64))
 
 
 @pytest.mark.parametrize("rho", [0.0, 0.11])

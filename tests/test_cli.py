@@ -132,6 +132,27 @@ class TestThresholdCommand:
         assert code == 0
         assert out.splitlines() == ["snr=0 linear alpha*=0.1000/0.1497 1bit alpha*=0.1000/0.1497"]
 
+    @pytest.mark.parametrize("verbose", [[], ["--verbose"]])
+    def test_one_corollary_call_per_curve_family(self, capsys, monkeypatch, tmp_path, verbose):
+        # --verbose reads its optimizers from the calls behind the rows
+        calls = {}
+        for name in ("cor_gt_noiseless", "cor_gt_noisy", "cor_linear_partial", "cor_1bit_partial"):
+            def counted(*args, _name=name, _real=getattr(bounds, name), **kwargs):
+                calls[_name] = calls.get(_name, 0) + 1
+                return _real(*args, **kwargs)
+
+            monkeypatch.setattr(bounds, name, counted)
+        for argv, expected in (
+            (["gt-noiseless", "--theta", "0.1:0.2:0.1"], {"cor_gt_noiseless": 1}),
+            (["gt-noisy", "--theta", "0.1:0.2:0.1", "--rho", "0.05,0.11"], {"cor_gt_noisy": 2}),
+            (["partial-recovery", "--snr-db", "0:10:5", "--grid-points", "21"],
+             {"cor_linear_partial": 1, "cor_1bit_partial": 1}),
+        ):
+            calls.clear()
+            code, _, _ = run(capsys, "threshold", "--figure", *argv, *verbose,
+                             "--output", str(tmp_path / "fig.csv"))
+            assert (code, calls) == (0, expected)
+
     def test_json_format(self, capsys, tmp_path):
         out_file = tmp_path / "rows.json"
         code, _, _ = run(
@@ -464,6 +485,10 @@ BAD_INPUTS = [
     # a 10^12 x 10 design: refused before sampling, where numpy failed to allocate it
     (["simulate", "--p", "10", "--k", "2", "--n-grid", "1000000000000:1000000000000:1",
       "--trials", "1", "--seed", "1"], 4, 1),
+    # log 2 - H2(rho) rounds to 0, or below it, near rho = 0.5
+    (["threshold", "--figure", "gt-noisy", "--theta", "0.1:0.1:0.1", "--rho", "0.4999999999"], 2, 1),
+    (["threshold", "--figure", "gt-noisy", "--theta", "0.1:0.1:0.1",
+      "--rho", "0.4999999939535565"], 2, 1),
 ]
 
 
