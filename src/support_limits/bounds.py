@@ -187,10 +187,10 @@ def _entries(b, dims: ProblemDims) -> np.ndarray:
 
 def _per_ell_mi(model: ModelSpec, b, dims: ProblemDims):
     """The min-info partitions for ell = 1..k (list index ell - 1) and their
-    worst-case (minimum) mutual information per ell."""
+    worst-case (minimum) mutual information per ell, from one call."""
     b = _entries(b, dims)
     parts = min_info_partitions(b)
-    return parts, {part.ell: mutual_information(model, part, b) for part in parts}
+    return parts, dict(enumerate(mutual_information(model, parts, b), start=1))
 
 
 def _stirling_log_binom(N: float, r: float) -> float:
@@ -825,7 +825,7 @@ def cor_gt_noisy(theta, rho: float, eta: float = 0.0) -> GtNoisyResult | list[Gt
     """
     _check_eta(eta)
     if not 0.0 < rho < 0.5:
-        raise ValueError("rho must lie in (0, 0.5)")
+        raise ValueError(f"rho must lie in (0, 0.5), got {float(rho)!r}")
     single, thetas = _thetas(theta)
     floor = 1.0 / _gt_capacity(rho)
     grid = np.linspace(1e-4, 1.0 - 1e-4, 256)
@@ -850,7 +850,7 @@ def cor_gt_partial(rho: float, alpha_star: float, eta: float = 0.0) -> tuple[flo
     """
     _check_eta(eta)
     if not 0.0 <= rho < 0.5:
-        raise ValueError("rho must lie in [0, 0.5)")
+        raise ValueError(f"rho must lie in [0, 0.5), got {float(rho)!r}")
     base = 1.0 / _gt_capacity(rho)
     return base * (1.0 + eta), (1.0 - alpha_star) * base * (1.0 - eta)
 
@@ -970,11 +970,11 @@ def figure_table(figure: str, grid: dict) -> tuple[list[tuple[float, str, float]
         for rho, results in zip(rhos, per_rho):
             for theta, res in zip(thetas, results):
                 rows += [
-                    (theta, f"ach-rate-log2 rho={rho:g}", 1.0 / (res.coef_ach * LOG2)),
-                    (theta, f"conv-rate-log2 rho={rho:g}", 1.0 / (res.coef_conv * LOG2)),
+                    (theta, f"ach-rate-log2 rho={float(rho)!r}", 1.0 / (res.coef_ach * LOG2)),
+                    (theta, f"conv-rate-log2 rho={float(rho)!r}", 1.0 / (res.coef_conv * LOG2)),
                 ]
         return rows, [
-            f"theta={theta:.4g} rho={rho:g} delta2*={results[i].delta2_star:.6f}"
+            f"theta={theta:.4g} rho={float(rho)!r} delta2*={results[i].delta2_star:.6f}"
             for i, theta in enumerate(thetas)
             for rho, results in zip(rhos, per_rho)
         ]

@@ -25,6 +25,7 @@ can both use it.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -88,7 +89,9 @@ class Channel:
         log_marginal_rows(spec, partition, x_s, b, y)
                                         log P(y | x_eq, b) per row, x_dif
                                         marginalized over the design
-        mi(spec, partition, b)          I_{dif,eq}(b) in nats
+        mi(spec, parts, b)              I_{dif,eq}(b) in nats for each
+                                        partition of the sequence parts, as
+                                        a list
         variance(spec, partition, b)    variance of the information density
         tail_specs(spec, b, parts, mi_map)
                                         conc.TailBoundSpec list for the
@@ -261,9 +264,9 @@ class Linear(_GaussianDesign):
         quad = (np.sum(resid**2, axis=-1) + r * np.sum(w[..., 0] ** 2, axis=-1)) / sigma_sq
         return _row_sum(-0.5 * (quad + logdet + y.size * (math.log(sigma_sq) + _LOG_2PI)))
 
-    def mi(self, spec, partition, b):
-        sig_l_sq = _energy(np.asarray(b, dtype=float), partition.dif_index())
-        return 0.5 * math.log1p(sig_l_sq / spec.sigma**2)
+    def mi(self, spec, parts, b):
+        b = np.asarray(b, dtype=float)
+        return [0.5 * math.log1p(_energy(b, part.dif_index()) / spec.sigma**2) for part in parts]
 
     def variance(self, spec, partition, b):
         sig_l_sq = _energy(np.asarray(b, dtype=float), partition.dif_index())
@@ -296,18 +299,28 @@ class OneBit(_GaussianDesign):
         sig_l_sq = _energy(b, partition.dif_index())
         return log_ndtr(y * (x_s[..., eq] @ b[eq]) / np.sqrt(spec.sigma**2 + sig_l_sq))
 
-    def mi(self, spec, partition, b):
+    def mi(self, spec, parts, b):
+        """Both scaled entropies of every partition from one array call of
+        mean_entropy_q_scaled, whose elements equal its scalar calls; a
+        partition with sum_dif b^2 = 0 has I = 0 and takes none."""
         b = np.asarray(b, dtype=float)
-        sig_l_sq = _energy(b, partition.dif_index())
-        if sig_l_sq == 0.0:
-            return 0.0
-        sig_eq_sq = _energy(b, partition.eq_index())
-        a_eq = math.sqrt(sig_eq_sq / (spec.sigma**2 + sig_l_sq))
-        a_s = math.sqrt((sig_l_sq + sig_eq_sq)) / spec.sigma
-        mi = mean_entropy_q_scaled(a_eq) - mean_entropy_q_scaled(a_s)
-        if not math.isfinite(mi):
-            raise NonConvergenceError(f"1-bit quadrature gave mi={mi}")
-        return max(0.0, mi)
+        args, live = [], []
+        for part in parts:
+            sig_l_sq = _energy(b, part.dif_index())
+            live.append(sig_l_sq != 0.0)
+            if live[-1]:
+                sig_eq_sq = _energy(b, part.eq_index())
+                a_eq = math.sqrt(sig_eq_sq / (spec.sigma**2 + sig_l_sq))
+                a_s = math.sqrt(sig_l_sq + sig_eq_sq) / spec.sigma
+                args += [a_eq, a_s]
+        ent = iter(mean_entropy_q_scaled(np.array(args)).tolist())
+        out = []
+        for on in live:
+            mi = next(ent) - next(ent) if on else 0.0
+            if not math.isfinite(mi):
+                raise NonConvergenceError(f"1-bit quadrature gave mi={mi}")
+            out.append(max(0.0, mi))
+        return out
 
     def variance(self, spec, partition, b):
         """Var of the density by tensor quadrature over (W_dif, W_eq)."""
@@ -390,15 +403,24 @@ def _gt_table(p1: float, k: int, ell: int, rho: float) -> GtTable:
     return GtTable(log_match, log_miss, log_y1, log_y0, probs, vals)
 
 
-def gt_mi_closed_form(nu: float, k: int, ell: int, rho: float = 0.0) -> float:
-    """(1 - nu/k)^(k-ell) (H2(xi * rho) - H2(rho)), xi = (1 - nu/k)^ell."""
+def gt_mi_closed_form(nu: float, k: int, ell, rho: float = 0.0):
+    """(1 - nu/k)^(k-ell) (H2(xi * rho) - H2(rho)), xi = (1 - nu/k)^ell.
+
+    An int ell gives a float; a sequence of ells (a tuple or a range) gives
+    a list, each element equal to the int call bit for bit.  The powers are
+    Python's, one per ell; H2 takes every ell's argument in one array call,
+    whose elements equal its scalar calls.
+    """
     nu_over_k = nu / k
     if nu_over_k > 1.0:
         raise ValueError("nu/k exceeds 1")
-    xi = (1.0 - nu_over_k) ** ell
-    q0 = (1.0 - nu_over_k) ** (k - ell)
+    single = isinstance(ell, numbers.Integral)
+    ells = (ell,) if single else ell
+    xi = np.array([(1.0 - nu_over_k) ** e for e in ells])
+    q0 = np.array([(1.0 - nu_over_k) ** (k - e) for e in ells])
     star = xi * rho + (1.0 - xi) * (1.0 - rho)
-    return q0 * (binary_entropy(star) - binary_entropy(rho))
+    mi = (q0 * (binary_entropy(star) - binary_entropy(rho))).tolist()
+    return mi[0] if single else mi
 
 
 def _any_nonzero(x, cols=None) -> np.ndarray:
@@ -481,8 +503,14 @@ class GroupTesting(Channel):
         # zero-probability observation: explicit -inf sentinel, never NaN
         return np.where(np.isneginf(lik_rows), NEG_INF, out)
 
-    def mi(self, spec, partition, b):
-        return gt_mi_closed_form(spec.nu, partition.k, partition.ell, spec.rho)
+    def mi(self, spec, parts, b):
+        """One gt_mi_closed_form call over the partitions' sizes; they
+        must share k."""
+        ks = {part.k for part in parts}
+        if len(ks) > 1:
+            raise ValueError(f"group-testing partitions of one k only, got k in {sorted(ks)}")
+        ells = tuple(part.ell for part in parts)
+        return gt_mi_closed_form(spec.nu, ks.pop(), ells, spec.rho) if ells else []
 
     def variance(self, spec, partition, b):
         t = self.table(spec, partition)

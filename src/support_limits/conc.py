@@ -21,10 +21,11 @@ ell and with which delta2, is stated by the channel's `tail_specs` in
 only: no TailBoundSpec uses it.
 
 remainder_n_required finds the smallest n whose sum is at most the target.
-remainder_sum, a plain loop over ell with math.exp, is the exact sum and is
-nonincreasing in n, so that n is unique.  Newton steps on the log of the
-uncapped sum, over arrays of the per-ell terms, propose n, and the exact sum
-confirms it at n and n - 1.
+It reads each ell's (C(k, ell), scale, q, den) once into a row
+(`remainder_rows`).  remainder_sum, a plain loop over those rows in ell
+order with math.exp, is the exact sum and is nonincreasing in n, so that n
+is unique.  Newton steps on the log of the uncapped sum, over arrays of the
+rows, propose n, and the exact sum confirms it at n and n - 1.
 
 This module imports only `numerics`, so that `channels` can build its
 families from it.
@@ -119,11 +120,12 @@ class TailBoundSpec:
     """One family over ell_lo <= ell <= ell_hi (ell_hi None: no upper end).
 
     terms(ell) gives the family's n-free (scale, q, den) for that ell, with
-    delta2 and the model parameters bound in; it is evaluated once per ell.
+    delta2 and the model parameters bound in; a solve reads it once per ell
+    into `remainder_rows`.  psi(ell, n) is that ell's tail at n on its own.
     """
 
     def __init__(self, terms: Callable[[int], Terms], ell_lo: int = 1, ell_hi: int | None = None):
-        self.terms = functools.cache(terms)
+        self.terms = terms
         self.ell_lo = ell_lo
         self.ell_hi = ell_hi
 
@@ -144,20 +146,30 @@ def _binomial_weight(k: int, ell: int) -> float:
                          f"exceeds the float range") from None
 
 
-def remainder_sum(
-    specs: Sequence[TailBoundSpec],
-    dims,
-    ell_range: Sequence[int],
-    n: int,
-) -> float:
-    """sum over ell of C(k, ell) psi_ell(n, delta2), k = dims.k; each ell
-    takes the first spec that covers it."""
-    total = 0.0
+Row = tuple[float, float, float, float]
+
+
+def remainder_rows(specs: Sequence[TailBoundSpec], dims, ell_range: Sequence[int]) -> list[Row]:
+    """(C(k, ell), scale, q, den) per ell of ell_range, k = dims.k, in that
+    order: each ell takes the terms of the first spec that covers it, and an
+    ell that no spec covers has no row."""
+    rows = []
     for ell in ell_range:
         for spec in specs:
             if spec.covers(ell):
-                total += _binomial_weight(dims.k, ell) * spec.psi(ell, n)
+                rows.append((_binomial_weight(dims.k, ell), *spec.terms(ell)))
                 break
+    return rows
+
+
+def remainder_sum(rows: Sequence[Row], n: int) -> float:
+    """sum over ell of C(k, ell) psi_ell(n, delta2) from `remainder_rows`,
+    added in their order: w min(1, scale exp(-q n / den)) per row, the
+    min written as a comparison (the same float, NaN included)."""
+    total = 0.0
+    for w, scale, q, den in rows:
+        t = scale * math.exp(-q * n / den)
+        total += w * (t if t < 1.0 else 1.0)
     return total
 
 
@@ -178,9 +190,10 @@ def remainder_n_required(
     term min(1, scale exp(-q n / den)) is built from operations monotone in
     n, and the weighted terms are added in a fixed order.  So the smallest
     passing n is unique, and any search that brackets it finds the same n.
-    Each ell's c = C(k, ell) scale and r = q / den are read once per solve
-    into arrays, and `_newton_guess` finds where sum_ell c exp(-r n) falls
-    to the target.  Below a target of 1 the min(1, .) caps do not move that
+    Each ell's row is read once per solve (`remainder_rows`); the exact
+    sums add up the rows, and `_newton_guess` finds where
+    sum_ell c exp(-r n), c = C(k, ell) scale and r = q / den, falls to the
+    target.  Below a target of 1 the min(1, .) caps do not move that
     point: where the capped sum is at most the target, every term is at
     most target / C(k, ell) < 1, so none is capped.  The guess is taken
     with np.exp, which differs from math.exp in the last bit for a few
@@ -191,16 +204,10 @@ def remainder_n_required(
     """
     if not 0.0 < target <= 1.0:
         raise ValueError("target must lie in (0, 1]")
-    ells = list(ell_range)
-    rows = []
-    for ell in ells:  # each ell's (c, r), read once, from the spec remainder_sum uses
-        for spec in specs:
-            if spec.covers(ell):
-                scale, q, den = spec.terms(ell)
-                rows.append((_binomial_weight(dims.k, ell) * scale, q / den))
-                break
-    c, r = np.array(rows, dtype=float).reshape(-1, 2).T
-    exact = lambda n: min(1.0, remainder_sum(specs, dims, ells, n))
+    rows = remainder_rows(specs, dims, ell_range)
+    w, scale, q, den = np.array(rows, dtype=float).reshape(-1, 4).T
+    c, r = w * scale, q / den
+    exact = lambda n: min(1.0, remainder_sum(rows, n))
     cap = max(n_cap, 1)
     return _first_passing(exact, target, cap, _newton_guess(c, r, target, cap))
 

@@ -9,11 +9,12 @@ information density is the log-likelihood ratio
 where the denominator marginalizes x_dif over the measurement design (never
 an empirical plug-in).  Its conditional mean is the mutual information
 I_{dif,eq}(b) = I(X_dif; Y | X_eq, beta = b), a float from `mutual_information`
-(closed form or quadrature); `density_variance` gives its variance.  The
-per-channel formulas live in `channels`, the linear channel's Gaussian
-evidence among them; this module turns them into densities, mutual
-informations and marginal likelihoods, and reaches every one through
-CHANNELS[model.channel], never by the channel's name.
+(closed form or quadrature; a list, from one call, for a sequence of
+partitions); `density_variance` gives its variance.  The per-channel
+formulas live in `channels`, the linear channel's Gaussian evidence among
+them; this module turns them into densities, mutual informations and
+marginal likelihoods, and reaches every one through CHANNELS[model.channel],
+never by the channel's name.
 
 Zero-probability observations (noiseless group testing only) yield an
 explicit -inf density, never a silent NaN; decoders treat -inf as
@@ -83,12 +84,17 @@ def density_rows(model: ModelSpec, partition: Partition, b, x_s, y, lik_rows=Non
 # ---------------------------------------------------------------------------
 
 
-def mutual_information(model: ModelSpec, partition: Partition, b=None) -> float:
-    """I_{dif,eq}(b) in nats.
+def mutual_information(model: ModelSpec, partition, b=None):
+    """I_{dif,eq}(b) in nats: a float for one Partition, a list for a
+    sequence of them, each element equal to the call on its partition bit
+    for bit (a Partition is the sequence of one the channel evaluates).
 
     Linear and group testing are closed form; the 1-bit channel evaluates two
-    scaled-entropy Gaussian expectations.  b is ignored for group testing.
+    scaled-entropy Gaussian expectations per partition.  b is ignored for
+    group testing, whose sequence must share one k.
     """
+    if isinstance(partition, Partition):
+        return CHANNELS[model.channel].mi(model, (partition,), b)[0]
     return CHANNELS[model.channel].mi(model, partition, b)
 
 

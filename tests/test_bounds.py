@@ -986,6 +986,13 @@ class TestGtCapacityNearHalf:
 
 
 class TestCorGtPartial:
+    def test_refusal_names_rho(self):
+        for rho in (0.6, -0.1, float("nan")):
+            with pytest.raises(ValueError, match=rf"^rho must lie in \[0, 0\.5\), got {rho!r}$"):
+                bounds.cor_gt_partial(rho, 0.1)
+            with pytest.raises(ValueError, match=rf"^rho must lie in \(0, 0\.5\), got {rho!r}$"):
+                bounds.cor_gt_noisy(0.2, rho)
+
     def test_alpha_star_zero(self):
         a, c = bounds.cor_gt_partial(0.11, 0.0)
         assert a == pytest.approx(c)
@@ -1341,3 +1348,43 @@ class TestThresholdsNeverReadTheVariance:
         b = self._workloads()._bvec(k)
         pe, region = bounds.fano_lower_bound(md.ModelSpec.one_bit(1.0), b, md.ProblemDims(p, k, 1), 0.5)
         assert pe > 0.0 and math.isfinite(region.boundary_n)
+
+
+class TestOnePassOverTheEllFacts:
+    """A generic threshold reads every ell's facts in one pass: one mutual
+    information call (one closed-form call for group testing), and a
+    remainder solve that sums per-ell rows and calls no TailBoundSpec.psi."""
+
+    @pytest.fixture
+    def counts(self, monkeypatch):
+        from support_limits import channels, conc
+
+        counts = {"mi": 0, "gt": 0, "psi": 0}
+
+        def counting(key, real):
+            def wrapper(*args, **kwargs):
+                counts[key] += 1
+                return real(*args, **kwargs)
+            return wrapper
+
+        monkeypatch.setattr(bounds, "mutual_information", counting("mi", bounds.mutual_information))
+        monkeypatch.setattr(channels, "gt_mi_closed_form", counting("gt", channels.gt_mi_closed_form))
+        monkeypatch.setattr(conc.TailBoundSpec, "psi", counting("psi", conc.TailBoundSpec.psi))
+        return counts
+
+    CASES = [
+        (md.ModelSpec.group_testing(rho=0.0), None, 100),
+        (md.ModelSpec.group_testing(rho=0.11), None, 50),
+        (md.ModelSpec.linear(1.0), [0.5, -1.0, 1.5, -2.0, 0.5], 5),
+        (md.ModelSpec.one_bit(1.0), [0.5, -1.0, 1.5, -2.0, 0.5, -1.0, 1.5, -2.0], 8),
+    ]
+
+    @pytest.mark.parametrize("model,b,k", CASES, ids=["gt", "gt-noisy", "linear", "one-bit"])
+    @pytest.mark.parametrize("fn", [bounds.achievability_threshold_generic,
+                                    bounds.converse_threshold_generic], ids=["ach", "conv"])
+    def test_one_call_per_threshold(self, counts, model, b, k, fn):
+        for p in (10**4, 10**6):
+            res = fn(model, b, md.ProblemDims(p=p, k=k, n=0))
+            assert res.breakdown
+        gt = model.channel == "group-testing"
+        assert counts == {"mi": 2, "gt": 2 if gt else 0, "psi": 0}

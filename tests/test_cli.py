@@ -132,6 +132,25 @@ class TestThresholdCommand:
         assert code == 0
         assert out.splitlines() == ["snr=0 linear alpha*=0.1000/0.1497 1bit alpha*=0.1000/0.1497"]
 
+    def test_nearby_rhos_keep_their_own_labels(self, capsys, tmp_path):
+        out_file = tmp_path / "rho.csv"
+        code, _, _ = run(
+            capsys, "threshold", "--figure", "gt-noisy", "--theta", "0.2:0.2:0.1",
+            "--rho", "0.11,0.1100001", "--output", str(out_file),
+        )
+        assert code == 0
+        rows = [line.split(",") for line in out_file.read_text().splitlines()[1:]]
+        assert [curve for _, _, curve, _ in rows] == [
+            "ach-rate-log2 rho=0.11", "ach-rate-log2 rho=0.1100001",
+            "conv-rate-log2 rho=0.11", "conv-rate-log2 rho=0.1100001",
+        ]
+        assert rows[0][3] != rows[1][3]
+
+    def test_rho_refusal_names_the_value(self, capsys):
+        code, out, err = run(capsys, "threshold", "--figure", "gt-noisy", "--rho", "0.11,0.6")
+        assert (code, out) == (2, "")
+        assert err == "configuration error: rho must lie in (0, 0.5), got 0.6\n"
+
     @pytest.mark.parametrize("verbose", [[], ["--verbose"]])
     def test_one_corollary_call_per_curve_family(self, capsys, monkeypatch, tmp_path, verbose):
         # --verbose reads its optimizers from the calls behind the rows

@@ -169,18 +169,30 @@ class TestRemainder:
         spec = self._discrete(0.5)
         dims = md.ProblemDims(p=100, k=2, n=0)
         n = conc.remainder_n_required(spec, dims, [1, 2], 0.05)
-        assert conc.remainder_sum(spec, dims, [1, 2], n) <= 0.05
-        assert conc.remainder_sum(spec, dims, [1, 2], n - 1) > 0.05
+        rows = conc.remainder_rows(spec, dims, [1, 2])
+        assert conc.remainder_sum(rows, n) <= 0.05
+        assert conc.remainder_sum(rows, n - 1) > 0.05
 
+
+def _loop_remainder_sum(specs, dims, ell_range, n):
+    """The exact sum as it was before the per-ell rows, verbatim: a loop
+    over ell and the specs, with a psi call per term."""
+    total = 0.0
+    for ell in ell_range:
+        for spec in specs:
+            if spec.covers(ell):
+                total += conc._binomial_weight(dims.k, ell) * spec.psi(ell, n)
+                break
+    return total
 
 
 def _old_remainder_n_required(psi_family, dims, ell_range, target, n_cap=2**30):
     """The solver as it was before the numpy proposal, verbatim: a doubling
-    bracket clamped to n_cap plus integer bisection, all on remainder_sum."""
+    bracket clamped to n_cap plus integer bisection, all on the loop sum."""
     if not 0.0 < target <= 1.0:
         raise ValueError("target must lie in (0, 1]")
     ells = list(ell_range)
-    bound = lambda n: min(1.0, conc.remainder_sum(psi_family, dims, ells, n))
+    bound = lambda n: min(1.0, _loop_remainder_sum(psi_family, dims, ells, n))
     if bound(0) <= target:
         return 0
     lo, hi = 0, 1
@@ -341,6 +353,58 @@ class TestRemainderSolverEqualsOldSearch:
     def test_remainder_n_minimal_check(self):
         (result,) = verify.run_checks("remainder-n-minimal")
         assert result.passed and result.tolerance == 1e-12, result.detail
+
+
+def _channel_families():
+    """(specs, dims, ells) for the channels' own tail families:
+    group testing noiseless and noisy at k = 10, 100 and 1020, linear and
+    1-bit at the thresholds workload's b."""
+    out = []
+    for rho in (0.0, 0.11):
+        for k in (10, 100, 1020):
+            model, dims = md.ModelSpec.group_testing(rho=rho), md.ProblemDims(p=10**9, k=k)
+            specs = CHANNELS[GROUP_TESTING].tail_specs(model, None, *bounds._per_ell_mi(model, None, dims))
+            out.append(pytest.param(specs, dims, range(1, k + 1), id=f"gt-rho{rho}-k{k}"))
+    for model in (md.ModelSpec.linear(1.0), md.ModelSpec.one_bit(1.0)):
+        for k in (3, 8):
+            b = [(0.5 + (i % 4) * 0.5) * (-1) ** i for i in range(k)]
+            dims = md.ProblemDims(p=10**6, k=k)
+            specs = CHANNELS[model.channel].tail_specs(model, b, *bounds._per_ell_mi(model, b, dims))
+            out.append(pytest.param(specs, dims, range(1, k + 1), id=f"{model.channel}-k{k}"))
+    return out
+
+
+class TestRowSumsEqualTheLoop:
+    """remainder_sum over remainder_rows is the loop over ell and the specs
+    it replaced, bit for bit, around the solved n and far from it."""
+
+    @pytest.mark.parametrize("specs,dims,ells", _channel_families())
+    def test_channel_families(self, specs, dims, ells):
+        rows = conc.remainder_rows(specs, dims, ells)
+        n = conc.remainder_n_required(specs, dims, ells, 1e-2)
+        assert n == _old_remainder_n_required(specs, dims, ells, 1e-2)
+        for m in (n - 1, n, n + 1, 0, 1, 17, n // 3, 5 * n, 10**9, 2**40):
+            assert conc.remainder_sum(rows, m) == _loop_remainder_sum(specs, dims, ells, m), m
+
+    def test_seeded_families_and_ell_ranges(self):
+        rng = random.Random(20261020)
+        for _ in range(200):
+            k = rng.choice([1, 2, 3, 5, 8, 13, 34, 100])
+            dims = md.ProblemDims(p=10**6, k=k, n=0)
+            lo = rng.randint(1, k)
+            ells = range(lo, rng.randint(lo, k) + 1)
+            for family in _solver_families(rng, k):
+                rows = conc.remainder_rows(family, dims, ells)
+                for n in (0, 1, rng.randint(0, 10**4), rng.randint(0, 10**9)):
+                    assert conc.remainder_sum(rows, n) == _loop_remainder_sum(family, dims, ells, n)
+
+    def test_uncovered_ells_have_no_row(self):
+        spec = [conc.TailBoundSpec(lambda ell: (1.0, float(ell), 2.0), ell_lo=2, ell_hi=3)]
+        dims = md.ProblemDims(p=10, k=4)
+        rows = conc.remainder_rows(spec, dims, range(1, 5))
+        w = conc._binomial_weight
+        assert rows == [(w(4, 2), 1.0, 2.0, 2.0), (w(4, 3), 1.0, 3.0, 2.0)]
+        assert conc.remainder_sum(rows, 3) == _loop_remainder_sum(spec, dims, range(1, 5), 3)
 
 
 class TestSpecsMatchScalars:

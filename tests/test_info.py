@@ -2,10 +2,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from support_limits import info
 from support_limits import model as md
-from support_limits.numerics import LOG2
+from support_limits.numerics import LOG2, binary_entropy, mean_entropy_q_scaled
 
 LN2 = math.log(2.0)
 
@@ -133,10 +135,116 @@ class TestMutualInformation:
         from support_limits import channels
         from support_limits.numerics import NonConvergenceError
 
-        monkeypatch.setattr(channels, "mean_entropy_q_scaled", lambda a: float("nan"))
+        monkeypatch.setattr(channels, "mean_entropy_q_scaled", lambda a: np.full(np.shape(a), np.nan))
         b = [1.0, -0.5, 2.0]
         with pytest.raises(NonConvergenceError):
             info.mutual_information(md.ModelSpec.one_bit(1.0), md.min_info_partition(b, 1), b)
+
+
+def _scalar_mi(model, part, b):
+    """I for one partition by the per-partition formulas, each evaluated on
+    scalars: the oracle the sequence form must match bit for bit."""
+    if model.channel == "group-testing":
+        x = 1.0 - model.nu / part.k
+        xi, q0 = x**part.ell, x ** (part.k - part.ell)
+        star = xi * model.rho + (1.0 - xi) * (1.0 - model.rho)
+        return q0 * (binary_entropy(star) - binary_entropy(model.rho))
+    b = np.asarray(b, dtype=float)
+    dif = float(np.sum(b[part.dif_index()] ** 2))
+    if model.channel == "linear":
+        return 0.5 * math.log1p(dif / model.sigma**2)
+    if dif == 0.0:
+        return 0.0
+    eq = float(np.sum(b[part.eq_index()] ** 2))
+    a_eq = math.sqrt(eq / (model.sigma**2 + dif))
+    a_s = math.sqrt(dif + eq) / model.sigma
+    return max(0.0, mean_entropy_q_scaled(a_eq) - mean_entropy_q_scaled(a_s))
+
+
+def _split(k, dif):
+    return md.Partition(s_dif=tuple(sorted(dif)), s_eq=tuple(i for i in range(1, k + 1) if i not in dif))
+
+
+class TestMutualInformationSequence:
+    """mutual_information over a sequence of partitions is a list whose
+    elements equal one call per partition, and the per-partition formulas on
+    scalars, bit for bit."""
+
+    @staticmethod
+    def _check(model, parts, b):
+        got = info.mutual_information(model, parts, b)
+        assert type(got) is list
+        assert got == [info.mutual_information(model, part, b) for part in parts]
+        assert got == [_scalar_mi(model, part, b) for part in parts]
+        for part in parts[:3]:  # a sequence of one is the scalar call
+            assert info.mutual_information(model, [part], b) == [info.mutual_information(model, part, b)]
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        # zeros give partitions of zero energy; the repeated magnitudes give ties in |b|
+        b=st.lists(
+            st.one_of(st.just(0.0), st.sampled_from([0.5, -0.5, 2.0, -2.0]), st.floats(-3.0, 3.0)),
+            min_size=1, max_size=7,
+        ),
+        sigma=st.floats(0.05, 5.0),
+        data=st.data(),
+    )
+    @example(b=[0.0, 0.0, 1.0], sigma=1.0, data=None)
+    @example(b=[1.0, -1.0, 1.0, 0.5, -0.5], sigma=0.3, data=None)
+    def test_linear_and_one_bit(self, b, sigma, data):
+        k = len(b)
+        parts = md.min_info_partitions(b)
+        if data is not None:  # and some partitions of no particular order
+            difs = data.draw(st.lists(st.sets(st.integers(1, k), min_size=1), max_size=6))
+            parts += [_split(k, dif) for dif in difs]
+        for model in (md.ModelSpec.linear(sigma), md.ModelSpec.one_bit(sigma)):
+            self._check(model, parts, b)
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        k=st.integers(1, 1020),
+        rho=st.sampled_from([0.0, 0.11]),
+        nu=st.sampled_from([LN2, 0.3, 0.95]),
+        data=st.data(),
+    )
+    @example(k=1020, rho=0.0, nu=LN2, data=None)
+    @example(k=1020, rho=0.11, nu=LN2, data=None)
+    def test_group_testing(self, k, rho, nu, data):
+        if data is None:
+            ells = range(1, k + 1)
+        else:
+            ells = data.draw(st.lists(st.integers(1, k), min_size=1, max_size=30))
+        parts = [md.min_info_partition(np.ones(k), ell) for ell in ells]
+        model = md.ModelSpec.group_testing(rho=rho, nu=nu)
+        self._check(model, parts, None)
+        mi = info.gt_mi_closed_form(nu, k, tuple(ells), rho)
+        assert mi == [info.gt_mi_closed_form(nu, k, ell, rho) for ell in ells]
+        assert info.gt_mi_closed_form(nu, k, range(1, k + 1), rho) == info.mutual_information(
+            model, md.min_info_partitions(np.ones(k))
+        )
+
+    def test_empty_sequence(self):
+        for model in (md.ModelSpec.linear(1.0), md.ModelSpec.one_bit(1.0),
+                      md.ModelSpec.group_testing(rho=0.11)):
+            assert info.mutual_information(model, [], [1.0, 2.0]) == []
+
+    def test_group_testing_refuses_mixed_k(self):
+        parts = [md.min_info_partition(np.ones(3), 1), md.min_info_partition(np.ones(4), 1)]
+        with pytest.raises(ValueError, match="one k"):
+            info.mutual_information(md.ModelSpec.group_testing(), parts)
+
+    def test_one_bit_non_finite_entropy_raises_in_a_sequence(self, monkeypatch):
+        from support_limits import channels
+        from support_limits.numerics import NonConvergenceError
+
+        # the second partition's a_s is the first non-finite entropy
+        monkeypatch.setattr(
+            channels, "mean_entropy_q_scaled",
+            lambda a: np.where(np.arange(np.size(a)) == 3, np.inf, 0.5),
+        )
+        b = [1.0, -0.5, 2.0]
+        with pytest.raises(NonConvergenceError, match="mi=-inf"):
+            info.mutual_information(md.ModelSpec.one_bit(1.0), md.min_info_partitions(b), b)
 
 
 class TestGaussianLogitSlope:
