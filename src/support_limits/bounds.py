@@ -181,8 +181,11 @@ def gamma_select(
 
 
 def _entries(b, dims: ProblemDims) -> np.ndarray:
-    """b as a float vector; all ones when absent (group testing)."""
-    return np.ones(dims.k) if b is None else np.asarray(b, dtype=float)
+    """b as k finite floats; all ones when absent (group testing)."""
+    b = np.ones(dims.k) if b is None else np.asarray(b, dtype=float)
+    if b.shape != (dims.k,) or not np.isfinite(b).all():
+        raise ValueError(f"b needs k = {dims.k} finite entries, got {b.tolist()}")
+    return b
 
 
 def _per_ell_mi(model: ModelSpec, b, dims: ProblemDims):
@@ -236,25 +239,18 @@ def achievability_threshold_generic(
         nums = [_stirling_log_binom(p - k, ell) + gamma for ell in ells]
     else:
         nums = achievability_numerators(dims, ells, opts.delta1, gamma)
-    rows = [
-        _ratio_row(ell, num, mi_map[ell], 1.0 - opts.delta2) for ell, num in zip(ells, nums)
-    ]
+    rows = [_ratio_row(ell, num, mi_map[ell], 1.0 - opts.delta2) for ell, num in zip(ells, nums)]
     binding, ratio = _binding(rows)
     n_formula = ratio * (1.0 + opts.eta)
     remainder = None
     if math.isfinite(n_formula):
-        specs = CHANNELS[model.channel].tail_specs(model, b, parts, mi_map)
-        target = opts.remainder_target if opts.remainder_target is not None else 1e-2
-        remainder = remainder_n_required(specs, dims, list(ells), target)
+        spec = CHANNELS[model.channel].tail_spec(model, b, parts, mi_map)
+        remainder = float(remainder_n_required(spec, dims, ells, opts.remainder_target or 1e-2))
     n_ach = n_formula
     if opts.remainder_target is not None and remainder is not None:
-        n_ach = max(n_ach, float(remainder))
+        n_ach = max(n_ach, remainder)
     return ThresholdResult(
-        n_ach=n_ach,
-        n_conv=INFINITE,
-        binding=binding,
-        breakdown=tuple(rows),
-        remainder_n=None if remainder is None else float(remainder),
+        n_ach=n_ach, n_conv=INFINITE, binding=binding, breakdown=tuple(rows), remainder_n=remainder
     )
 
 

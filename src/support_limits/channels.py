@@ -93,10 +93,10 @@ class Channel:
                                         partition of the sequence parts, as
                                         a list
         variance(spec, partition, b)    variance of the information density
-        tail_specs(spec, b, parts, mi_map)
-                                        conc.TailBoundSpec list for the
+        tail_spec(spec, b, parts, mi_map)
+                                        the conc.TailBoundSpec of the
                                         achievability remainder: which
-                                        family, over which ell, with which
+                                        family bounds each ell, with which
                                         delta2; parts[ell - 1] is the
                                         min-info partition of size ell and
                                         mi_map[ell] its I
@@ -272,12 +272,12 @@ class Linear(_GaussianDesign):
         sig_l_sq = _energy(np.asarray(b, dtype=float), partition.dif_index())
         return sig_l_sq / (spec.sigma**2 + sig_l_sq)
 
-    def tail_specs(self, spec, b, parts, mi_map):
+    def tail_spec(self, spec, b, parts, mi_map):
         b = np.asarray(b, dtype=float)
         terms = lambda ell: conc.bernstein_linear_terms(
             _energy(b, parts[ell - 1].dif_index()), spec.sigma, 0.5
         )
-        return [conc.TailBoundSpec(terms)]
+        return conc.TailBoundSpec(terms)
 
 
 class OneBit(_GaussianDesign):
@@ -347,8 +347,8 @@ class OneBit(_GaussianDesign):
             raise NonConvergenceError(f"1-bit quadrature gave var={var}")
         return max(0.0, var)
 
-    def tail_specs(self, spec, b, parts, mi_map):
-        return [conc.TailBoundSpec(lambda ell: conc.bernstein_discrete_terms(mi_map[ell], 2, 0.5))]
+    def tail_spec(self, spec, b, parts, mi_map):
+        return conc.TailBoundSpec(lambda ell: conc.bernstein_discrete_terms(mi_map[ell], 2, 0.5))
 
 
 # ---------------------------------------------------------------------------
@@ -408,8 +408,8 @@ def gt_mi_closed_form(nu: float, k: int, ell, rho: float = 0.0):
 
     An int ell gives a float; a sequence of ells (a tuple or a range) gives
     a list, each element equal to the int call bit for bit.  The powers are
-    Python's, one per ell; H2 takes every ell's argument in one array call,
-    whose elements equal its scalar calls.
+    Python's, one per ell; H2 takes every ell's argument, and rho last, in
+    one array call.
     """
     nu_over_k = nu / k
     if nu_over_k > 1.0:
@@ -419,7 +419,8 @@ def gt_mi_closed_form(nu: float, k: int, ell, rho: float = 0.0):
     xi = np.array([(1.0 - nu_over_k) ** e for e in ells])
     q0 = np.array([(1.0 - nu_over_k) ** (k - e) for e in ells])
     star = xi * rho + (1.0 - xi) * (1.0 - rho)
-    mi = (q0 * (binary_entropy(star) - binary_entropy(rho))).tolist()
+    h = binary_entropy(np.append(star, rho))
+    mi = (q0 * (h[:-1] - h[-1])).tolist()
     return mi[0] if single else mi
 
 
@@ -522,7 +523,7 @@ class GroupTesting(Channel):
                 second += pr * v * v
         return max(0.0, second - mean**2)
 
-    def tail_specs(self, spec, b, parts, mi_map):
+    def tail_spec(self, spec, b, parts, mi_map):
         """Chernoff (noiseless) or Bennett (noisy) with delta2 = 0.9 up to
         floor(k / log k), where ell = o(k); discrete Bernstein with delta2 =
         0.1 above.  eps = 0.05 is the slack for "sufficiently large p"."""
@@ -533,7 +534,7 @@ class GroupTesting(Channel):
         else:
             small = lambda ell: conc.bennett_gt_noisy_terms(nu, rho, k, ell, 0.9, 0.05)
         large = lambda ell: conc.bernstein_discrete_terms(mi_map[ell], 2, 0.1)
-        return [conc.TailBoundSpec(small, ell_hi=cut), conc.TailBoundSpec(large, ell_lo=cut + 1)]
+        return conc.TailBoundSpec(lambda ell: small(ell) if ell <= cut else large(ell))
 
 
 CHANNELS: dict[str, Channel] = {

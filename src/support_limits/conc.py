@@ -15,17 +15,19 @@ n-free (scale, q, den):
 
 with s^2 = sum_dif b_i^2 and I = (1/2) log(1 + s^2 / sigma^2) for the linear
 family.  The group-testing families hold for l = o(k), with the explicit eps
-slack for "sufficiently large p".  Which family a channel uses, over which
-ell and with which delta2, is stated by the channel's `tail_specs` in
-`channels`.  Chebyshev, min(1, V / (n (delta2 I)^2)), is a scalar bound
-only: no TailBoundSpec uses it.
+slack for "sufficiently large p".  Which family bounds each ell, and with
+which delta2, is stated once per channel by its `tail_spec` in `channels`:
+one TailBoundSpec whose terms(ell) picks the family for that ell.
+Chebyshev, min(1, V / (n (delta2 I)^2)), is a scalar bound only: no
+TailBoundSpec uses it.
 
 remainder_n_required finds the smallest n whose sum is at most the target.
 It reads each ell's (C(k, ell), scale, q, den) once into a row
-(`remainder_rows`).  remainder_sum, a plain loop over those rows in ell
-order with math.exp, is the exact sum and is nonincreasing in n, so that n
-is unique.  Newton steps on the log of the uncapped sum, over arrays of the
-rows, propose n, and the exact sum confirms it at n and n - 1.
+(`remainder_rows`) and refuses a row with a non-finite term.  remainder_sum,
+a plain loop over those rows in ell order with math.exp, is the exact sum
+and is nonincreasing in n, so that n is unique.  Newton steps on the log
+of the uncapped sum, over arrays of the rows, propose n, and the exact sum
+confirms it at n and n - 1.
 
 This module imports only `numerics`, so that `channels` can build its
 families from it.
@@ -117,20 +119,16 @@ def bennett_gt_noisy_terms(
 
 
 class TailBoundSpec:
-    """One family over ell_lo <= ell <= ell_hi (ell_hi None: no upper end).
+    """A channel's tail family for every ell of the remainder.
 
-    terms(ell) gives the family's n-free (scale, q, den) for that ell, with
-    delta2 and the model parameters bound in; a solve reads it once per ell
-    into `remainder_rows`.  psi(ell, n) is that ell's tail at n on its own.
+    terms(ell) gives the n-free (scale, q, den) of the family that bounds
+    that ell, with delta2 and the model parameters bound in; a solve reads
+    it once per ell into `remainder_rows`.  psi(ell, n) is that ell's tail
+    at n on its own.
     """
 
-    def __init__(self, terms: Callable[[int], Terms], ell_lo: int = 1, ell_hi: int | None = None):
+    def __init__(self, terms: Callable[[int], Terms]):
         self.terms = terms
-        self.ell_lo = ell_lo
-        self.ell_hi = ell_hi
-
-    def covers(self, ell: int) -> bool:
-        return ell >= self.ell_lo and (self.ell_hi is None or ell <= self.ell_hi)
 
     def psi(self, ell: int, n: int) -> float:
         return tail(*self.terms(ell), n)
@@ -149,17 +147,10 @@ def _binomial_weight(k: int, ell: int) -> float:
 Row = tuple[float, float, float, float]
 
 
-def remainder_rows(specs: Sequence[TailBoundSpec], dims, ell_range: Sequence[int]) -> list[Row]:
-    """(C(k, ell), scale, q, den) per ell of ell_range, k = dims.k, in that
-    order: each ell takes the terms of the first spec that covers it, and an
-    ell that no spec covers has no row."""
-    rows = []
-    for ell in ell_range:
-        for spec in specs:
-            if spec.covers(ell):
-                rows.append((_binomial_weight(dims.k, ell), *spec.terms(ell)))
-                break
-    return rows
+def remainder_rows(spec: TailBoundSpec, dims, ells: Sequence[int]) -> list[Row]:
+    """(C(k, ell), scale, q, den) per ell of ells, k = dims.k, in that order."""
+    k = dims.k
+    return [(_binomial_weight(k, ell), *spec.terms(ell)) for ell in ells]
 
 
 def remainder_sum(rows: Sequence[Row], n: int) -> float:
@@ -174,9 +165,9 @@ def remainder_sum(rows: Sequence[Row], n: int) -> float:
 
 
 def remainder_n_required(
-    specs: Sequence[TailBoundSpec],
+    spec: TailBoundSpec,
     dims,
-    ell_range: Sequence[int],
+    ells: Sequence[int],
     target: float,
     n_cap: int = 2**30,
 ) -> int | float:
@@ -184,7 +175,9 @@ def remainder_n_required(
 
     The weighted sum caps at 1 (it bounds a union probability), so a target
     of 1 is vacuous and yields n = 0.  Returns the UNBOUNDED sentinel (inf)
-    if no n <= n_cap suffices (n_cap below 1 counts as 1).
+    if no n <= n_cap suffices (n_cap below 1 counts as 1).  A row with a
+    non-finite term, such as a linear family whose entries overflow,
+    raises ValueError naming its ell.
 
     The exact bound, min(1, remainder_sum), is nonincreasing in n: each
     term min(1, scale exp(-q n / den)) is built from operations monotone in
@@ -204,8 +197,12 @@ def remainder_n_required(
     """
     if not 0.0 < target <= 1.0:
         raise ValueError("target must lie in (0, 1]")
-    rows = remainder_rows(specs, dims, ell_range)
-    w, scale, q, den = np.array(rows, dtype=float).reshape(-1, 4).T
+    rows = remainder_rows(spec, dims, ells)
+    table = np.array(rows, dtype=float).reshape(-1, 4)
+    finite = np.isfinite(table).all(axis=1)
+    if not finite.all():
+        raise ValueError(f"the tail terms at ell = {ells[int(np.argmin(finite))]} are not finite")
+    w, scale, q, den = table.T
     c, r = w * scale, q / den
     exact = lambda n: min(1.0, remainder_sum(rows, n))
     cap = max(n_cap, 1)

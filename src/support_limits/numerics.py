@@ -28,16 +28,16 @@ the Hermite nodes.
 
 H2, g(alpha) and mean_entropy_q_scaled take a scalar (and return a Python
 float) or an array of arguments (and return an array of the same shape);
-every element equals the scalar call bit for bit.  In H2 and
-mean_entropy_q_scaled a scalar takes a scalar path with no array overhead;
-g(alpha), which no figure calls with a scalar, has the array path alone.
-The figure corollaries' golden-section steps pass all their lanes as one
-array.  mean_entropy_q_scaled sums an array as (grid x nodes) Gauss-Hermite
-matrices of at most _GRID_BLOCK rows.
-log_binomial(n, r) follows the same rule: two ints take the scalar path, and
-integer arrays (n and r broadcast) give one array whose elements equal the
-scalar calls bit for bit, so a threshold's numerators for every ell come
-from one call per binomial.
+every element equals the scalar call bit for bit.  Each has one path, the
+array one: a scalar is a 0-d array, and the callers that matter pass all
+their points at once (the figure corollaries' golden-section steps pass
+their lanes, gt_mi_closed_form every ell and rho).  mean_entropy_q_scaled
+sums an array as (grid x nodes) Gauss-Hermite matrices of at most
+_GRID_BLOCK rows.
+log_binomial(n, r) takes two ints on a scalar path, the only one exact for
+Python ints beyond the int64 range, and integer arrays (n and r broadcast)
+on an array path whose elements equal the scalar calls bit for bit, so a
+threshold's numerators for every ell come from one call per binomial.
 
 All entropies and information measures are in nats (base-e logs); base-2
 conversion happens only at the CLI reporting layer.
@@ -138,20 +138,12 @@ def gauss_hermite_nodes() -> tuple[np.ndarray, np.ndarray]:
 def binary_entropy(rho):
     """Binary entropy -rho log rho - (1-rho) log(1-rho) in nats.
 
-    A float (np.float64 included) takes a scalar path and returns a float;
-    anything else goes through numpy and returns a float for a 0-d argument,
-    an array otherwise.  The scalar path applies np.log and np.log1p in the
-    array path's order, so it equals the array element bit for bit, signed
-    zeros included (H2(0) = 0.0, H2(1) = -0.0).  Raises ValueError on values
-    outside [0, 1] and on NaN.
+    Returns a float for a 0-d argument (a Python or numpy scalar) and an
+    array of the argument's shape otherwise, each element computed alike,
+    signed zeros included (H2(0) = 0.0, H2(1) = -0.0).  Raises ValueError
+    on values outside [0, 1] and on NaN.
     """
     scale = 1.0 + _ENTROPY_PERTURBATION
-    if isinstance(rho, float):
-        if not 0.0 <= rho <= 1.0:
-            raise ValueError(f"binary_entropy argument outside [0, 1]: {float(rho)!r}")
-        h = -(rho * np.log(rho)) if rho > 0.0 else -0.0
-        h -= (1.0 - rho) * np.log1p(-rho) if rho < 1.0 else 0.0
-        return float(h * scale)
     r = np.asarray(rho, dtype=float)
     bad = ~((r >= 0.0) & (r <= 1.0))  # NaN included
     if bad.any():
@@ -328,27 +320,22 @@ def mean_entropy_q_scaled(a):
     docstring otherwise.  Both branches agree to ~1e-15 at the crossover.
 
     A scalar a returns a float; an array returns an array of the same shape,
-    each element equal to the scalar call.  A scalar goes straight to its
-    branch; an array is split by branch and summed in blocks of _GRID_BLOCK
-    rows, which bounds the (rows x nodes) temporaries.  The substituted
-    branch's a-independent row log H2(Q(|z|)) is cached.
+    each element equal to the scalar call.  The arguments are split by
+    branch and summed in blocks of _GRID_BLOCK rows, which bounds the
+    (rows x nodes) temporaries.  The substituted branch's a-independent row
+    log H2(Q(|z|)) is cached.
     """
     scale = 1.0 + _ENTROPY_PERTURBATION
-    if np.ndim(a) == 0:
-        a = abs(float(a))
-        if a == 0.0:
-            return LOG2 * scale
-        sums = _direct_sums if a <= 1.0 else _substituted_sums
-        return float(sums(np.array([a]))[0]) * scale
     aa = np.abs(np.asarray(a, dtype=float))
     flat = aa.ravel()
     out = np.full(flat.shape, LOG2)
     small = flat <= 1.0
     for sums, idx in (
         (_direct_sums, np.flatnonzero(small & (flat > 0.0))),
-        (_substituted_sums, np.flatnonzero(~small)),  # NaN lands here, as for a scalar
+        (_substituted_sums, np.flatnonzero(~small)),  # NaN lands here
     ):
         for lo in range(0, idx.size, _GRID_BLOCK):
             sel = idx[lo : lo + _GRID_BLOCK]
             out[sel] = sums(flat[sel])
-    return (out * scale).reshape(aa.shape)
+    out = (out * scale).reshape(aa.shape)
+    return float(out) if out.ndim == 0 else out

@@ -178,7 +178,7 @@ def wilson_interval(errors: int, trials: int, z: float = 1.959963984540054):
 def _guard_candidates(dims: ProblemDims) -> None:
     if dims.k > K_CAP:
         raise GuardError(f"exhaustive decoding limited to k <= {K_CAP}, got {dims.k}")
-    if log_binomial(dims.p, dims.k) > math.log(CANDIDATE_CAP):
+    if math.comb(dims.p, dims.k) > CANDIDATE_CAP:
         raise GuardError(
             f"C({dims.p}, {dims.k}) exceeds the {CANDIDATE_CAP} candidate cap"
         )
@@ -289,7 +289,12 @@ def _threshold_test(model, prior, dims: ProblemDims, delta1: float):
     wrong support lies at a larger distance), and every partition they cover.
     Built once per (model, prior, dims, delta1), that is once per simulated
     cell, and shared read-only by its decodes, as are the prior's atoms
-    (`prior_atoms` is cached too)."""
+    (`prior_atoms` is cached too).  Entries whose squares sum beyond the
+    float range raise ValueError: the marginal variance sigma^2 + sum b^2
+    would be inf, and every statistic NaN."""
+    if not math.isfinite(sum(v * v for v in prior.b)):
+        raise ValueError(f"the threshold decoder needs entries whose squares sum below "
+                         f"the float range, got b = {prior.b}")
     gamma = gamma_select("discrete", model, prior, dims)
     ells = range(1, min(dims.k, dims.p - dims.k) + 1)
     thresholds = dict(zip(ells, achievability_numerators(dims, ells, delta1, gamma)))
@@ -571,7 +576,8 @@ def run_cell(
     """One (n, trials) simulation cell with per-(n, trial) derived streams,
     decoded in trial blocks of at most _TRIAL_BLOCK_ENTRIES design entries.
     trials < 1, COMP without the all-ones prior and the threshold decoder
-    without a discrete prior raise ValueError, and a design of more than
+    without a discrete prior or with entries whose squares overflow raise
+    ValueError, and a design of more than
     DESIGN_ENTRY_CAP entries GuardError, all before any sampling.  Errors
     are counted on `_decode`'s arrays: a unique estimate holds k distinct
     items, so with hits of them true it misses k - hits true items and adds

@@ -691,18 +691,18 @@ def _var_cap():
     return worst, 0.0, f"GT variances <= |Y|(4/e)^2 = {cap:.3f}"
 
 
-def _gt_specs(dims: md.ProblemDims) -> list[conc.TailBoundSpec]:
-    """The noiseless group-testing channel's own tail families for dims.k."""
+def _gt_spec(dims: md.ProblemDims) -> conc.TailBoundSpec:
+    """The noiseless group-testing channel's own tail spec for dims.k."""
     model = md.ModelSpec.group_testing()
-    return CHANNELS[GROUP_TESTING].tail_specs(model, None, *bounds._per_ell_mi(model, None, dims))
+    return CHANNELS[GROUP_TESTING].tail_spec(model, None, *bounds._per_ell_mi(model, None, dims))
 
 
 @check("remainder-monotone")
 def _remainder_monotone():
     dims = md.ProblemDims(p=10**4, k=20, n=0)
-    specs = _gt_specs(dims)
+    spec = _gt_spec(dims)
     ns = [
-        conc.remainder_n_required(specs, dims, range(1, 21), t)
+        conc.remainder_n_required(spec, dims, range(1, 21), t)
         for t in (0.5, 0.1, 0.01)
     ]
     ok = ns[0] <= ns[1] <= ns[2]
@@ -716,8 +716,8 @@ def _remainder_scaling():
     for p in (10**3, 10**4, 10**5):
         k = round(math.sqrt(p))
         dims = md.ProblemDims(p=p, k=k, n=0)
-        specs = _gt_specs(dims)
-        n = float(conc.remainder_n_required(specs, dims, range(1, k + 1), 0.01))
+        spec = _gt_spec(dims)
+        n = float(conc.remainder_n_required(spec, dims, range(1, k + 1), 0.01))
         xs.append(math.log(k * math.log(p / k)))
         ys.append(math.log(n))
     slope = float(np.polyfit(xs, ys, 1)[0])

@@ -1215,6 +1215,36 @@ class TestDelta1Range:
         assert str(spec_err.value) == str(bound_err.value)
 
 
+class TestEntryVectorRefused:
+    """Entry vectors that broke the generic thresholds' numbers silently (a
+    split of the wrong length, inf or NaN counts, an overflowed tail family)
+    end in one ValueError line; finite terms near the edge still solve."""
+
+    DIMS = md.ProblemDims(p=100, k=2)
+
+    @pytest.mark.parametrize("b, message", [
+        ([1.0, 2.0, 3.0], r"b needs k = 2 finite entries"),
+        ([NAN, 1.0], r"b needs k = 2 finite entries"),
+        ([1e200, 1.0], r"the tail terms at ell = 2 are not finite"),
+        ([1.2e154, 1.0], r"the tail terms at ell = 2 are not finite"),
+        ([1e154, 1e154], r"the tail terms at ell = 1 are not finite"),
+    ])
+    def test_achievability(self, b, message):
+        with np.errstate(over="ignore"), pytest.raises(ValueError, match=message) as err:
+            bounds.achievability_threshold_generic(md.ModelSpec.linear(1.0), b, self.DIMS)
+        assert "\n" not in str(err.value)
+
+    @pytest.mark.parametrize("b", [[1.0, 2.0, 3.0], [1.0], [NAN, 1.0], [1.0, -math.inf]])
+    def test_converse(self, b):
+        with pytest.raises(ValueError, match=r"b needs k = 2 finite entries"):
+            bounds.converse_threshold_generic(md.ModelSpec.linear(1.0), b, self.DIMS)
+
+    def test_terms_near_the_edge_still_solve(self):
+        m = md.ModelSpec.linear(1.0)
+        res = bounds.achievability_threshold_generic(m, [9e153, 1.0], self.DIMS)
+        assert (res.n_ach, res.remainder_n) == (pytest.approx(61.09, abs=0.01), 6524.0)
+
+
 class TestNoWrongSupport:
     """p = k: the true support is the only k-subset, so every threshold that
     counts wrong supports is 0 with no binding ell."""

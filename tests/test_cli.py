@@ -508,6 +508,10 @@ BAD_INPUTS = [
     (["threshold", "--figure", "gt-noisy", "--theta", "0.1:0.1:0.1", "--rho", "0.4999999999"], 2, 1),
     (["threshold", "--figure", "gt-noisy", "--theta", "0.1:0.1:0.1",
       "--rho", "0.4999999939535565"], 2, 1),
+    # entries whose squares sum past the float range: the threshold decoder's
+    # marginal variance was inf, its statistics NaN and every trial an error
+    (["simulate", "--model", "linear", "--b", "1e200,1", "--p", "4", "--k", "2", "--n-grid",
+      "3:3:1", "--trials", "20", "--seed", "1", "--decoder", "threshold"], 2, 1),
 ]
 
 

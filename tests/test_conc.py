@@ -18,18 +18,67 @@ def _tail(terms, n):
     return conc.tail(*terms, n)
 
 
-def _gt_pair(nu, k, rho=0.0, d2_small=0.9, d2_large=0.1, eps=0.05):
-    """The group-testing pair with free constants: Chernoff/Bennett below
-    floor(k/log k), discrete Bernstein over the closed-form MI above."""
+def _gt_families(nu, k, rho, d2_small, d2_large, eps, mi=None):
+    """(small, large, cut) of group testing with free constants: Chernoff or
+    Bennett up to cut = floor(k/log k), discrete Bernstein above, over the
+    map mi (the closed-form MI when None)."""
     cut = int(k / math.log(k)) if k >= 3 else 1
     if rho == 0.0:
         small = lambda ell: conc.chernoff_gt_terms(nu, k, ell, d2_small, eps)
     else:
         small = lambda ell: conc.bennett_gt_noisy_terms(nu, rho, k, ell, d2_small, eps)
-    large = lambda ell: conc.bernstein_discrete_terms(
-        info.gt_mi_closed_form(nu, k, ell, rho), 2, d2_large
-    )
-    return [conc.TailBoundSpec(small, ell_hi=cut), conc.TailBoundSpec(large, ell_lo=cut + 1)]
+    if mi is None:
+        large = lambda ell: conc.bernstein_discrete_terms(
+            info.gt_mi_closed_form(nu, k, ell, rho), 2, d2_large
+        )
+    else:
+        large = lambda ell: conc.bernstein_discrete_terms(mi[ell], 2, d2_large)
+    return small, large, cut
+
+
+def _gt_spec(nu, k, rho=0.0, d2_small=0.9, d2_large=0.1, eps=0.05):
+    """The group-testing spec with free constants, built as the channel's."""
+    small, large, cut = _gt_families(nu, k, rho, d2_small, d2_large, eps)
+    return conc.TailBoundSpec(lambda ell: small(ell) if ell <= cut else large(ell))
+
+
+class _RangeSpec:
+    """The reference form of a tail spec, as the channels once returned it in
+    a list: one family over ell_lo <= ell <= ell_hi (ell_hi None: no upper
+    end), an ell taking the first spec of the list that covers it."""
+
+    def __init__(self, terms, ell_lo=1, ell_hi=None):
+        self.terms, self.ell_lo, self.ell_hi = terms, ell_lo, ell_hi
+
+    def covers(self, ell):
+        return ell >= self.ell_lo and (self.ell_hi is None or ell <= self.ell_hi)
+
+    def psi(self, ell, n):
+        return conc.tail(*self.terms(ell), n)
+
+
+def _gt_ranges(nu, k, rho=0.0, d2_small=0.9, d2_large=0.1, eps=0.05, mi=None):
+    """The group-testing pair of range specs, split at the cut."""
+    small, large, cut = _gt_families(nu, k, rho, d2_small, d2_large, eps, mi)
+    return [_RangeSpec(small, ell_hi=cut), _RangeSpec(large, ell_lo=cut + 1)]
+
+
+def _ranges(spec):
+    """A one-family spec's reference form: one range over every ell."""
+    return [_RangeSpec(spec.terms)]
+
+
+def _reference_specs(model, b, dims):
+    """The channel's tail families in the reference form, written out as the
+    channels stated them before each returned one spec."""
+    parts, mi_map = bounds._per_ell_mi(model, b, dims)
+    if model.channel == GROUP_TESTING:
+        return _gt_ranges(model.nu, dims.k, model.rho, mi=mi_map)
+    if model.channel == ONE_BIT:
+        return [_RangeSpec(lambda ell: conc.bernstein_discrete_terms(mi_map[ell], 2, 0.5))]
+    b = np.asarray(b, dtype=float)
+    energy = lambda ell: float(np.sum(b[parts[ell - 1].dif_index()] ** 2))
+    return [_RangeSpec(lambda ell: conc.bernstein_linear_terms(energy(ell), model.sigma, 0.5))]
 
 
 class TestChebyshev:
@@ -133,22 +182,19 @@ class TestBennettGtNoisy:
 
 
 class TestRemainder:
-    def _specs(self, k):
-        return _gt_pair(LN2, k)
-
     def test_vacuous_target(self):
         dims = md.ProblemDims(p=1000, k=10, n=0)
-        assert conc.remainder_n_required(self._specs(10), dims, range(1, 11), 1.0) == 0
+        assert conc.remainder_n_required(_gt_spec(LN2, 10), dims, range(1, 11), 1.0) == 0
 
     def test_monotone_in_target(self):
         dims = md.ProblemDims(p=10**4, k=20, n=0)
-        specs = self._specs(20)
-        ns = [conc.remainder_n_required(specs, dims, range(1, 21), t) for t in (0.5, 0.1, 0.01)]
+        spec = _gt_spec(LN2, 20)
+        ns = [conc.remainder_n_required(spec, dims, range(1, 21), t) for t in (0.5, 0.1, 0.01)]
         assert ns[0] <= ns[1] <= ns[2]
 
     @staticmethod
     def _discrete(I):
-        return [conc.TailBoundSpec(lambda ell: conc.bernstein_discrete_terms(I, 2, 0.5))]
+        return conc.TailBoundSpec(lambda ell: conc.bernstein_discrete_terms(I, 2, 0.5))
 
     def test_unbounded_sentinel(self):
         # I so small that psi stays 1 out to n_cap
@@ -176,7 +222,7 @@ class TestRemainder:
 
 def _loop_remainder_sum(specs, dims, ell_range, n):
     """The exact sum as it was before the per-ell rows, verbatim: a loop
-    over ell and the specs, with a psi call per term."""
+    over ell and the reference range specs, with a psi call per term."""
     total = 0.0
     for ell in ell_range:
         for spec in specs:
@@ -210,9 +256,10 @@ def _old_remainder_n_required(psi_family, dims, ell_range, target, n_cap=2**30):
 
 
 def _solver_families(rng: random.Random, k: int):
-    """One seeded family of each kind for k: GT noiseless and noisy (random
-    nu, delta2 pair and eps), discrete Bernstein over random per-ell MIs and
-    linear Bernstein over a random b with some zero entries."""
+    """One seeded family of each kind for k, as (spec, its reference range
+    specs): GT noiseless and noisy (random nu, delta2 pair and eps), discrete
+    Bernstein over random per-ell MIs and linear Bernstein over a random b
+    with some zero entries."""
     nu = rng.uniform(0.05, 0.95)
     d2s, d2l, eps = rng.uniform(0.05, 0.99), rng.uniform(0.01, 0.95), rng.uniform(0.0, 0.5)
     rho = rng.uniform(1e-3, 0.45)
@@ -220,13 +267,17 @@ def _solver_families(rng: random.Random, k: int):
     alphabet, d2 = rng.randint(2, 6), rng.uniform(0.05, 0.95)
     b = [0.0 if rng.random() < 0.2 else rng.uniform(-3.0, 3.0) for _ in range(k)]
     dims = md.ProblemDims(p=10**6, k=k, n=0)
+    discrete = conc.TailBoundSpec(
+        lambda ell: conc.bernstein_discrete_terms(mis[ell], alphabet, d2)
+    )
+    linear = CHANNELS[LINEAR].tail_spec(
+        md.ModelSpec.linear(rng.uniform(0.1, 3.0)), b, md.min_info_partitions(b), {}
+    )
     return [
-        _gt_pair(nu, k, 0.0, d2s, d2l, eps),
-        _gt_pair(nu, k, rho, d2s, d2l, eps),
-        [conc.TailBoundSpec(lambda ell: conc.bernstein_discrete_terms(mis[ell], alphabet, d2))],
-        CHANNELS[LINEAR].tail_specs(
-            md.ModelSpec.linear(rng.uniform(0.1, 3.0)), b, md.min_info_partitions(b), {}
-        ),
+        (_gt_spec(nu, k, 0.0, d2s, d2l, eps), _gt_ranges(nu, k, 0.0, d2s, d2l, eps)),
+        (_gt_spec(nu, k, rho, d2s, d2l, eps), _gt_ranges(nu, k, rho, d2s, d2l, eps)),
+        (discrete, _ranges(discrete)),
+        (linear, _ranges(linear)),
     ]
 
 
@@ -242,15 +293,15 @@ class TestRemainderSolverEqualsOldSearch:
             dims = md.ProblemDims(p=10**6, k=k, n=0)
             lo = 1 if rng.random() < 0.5 else rng.randint(1, k)
             ells = range(lo, rng.randint(lo, k) + 1)
-            for family in _solver_families(rng, k):
+            for spec, ref in _solver_families(rng, k):
                 target = rng.choice([1.0, 0.5, 1e-2, 1e-9, 10 ** rng.uniform(-12, 0)])
-                n = _old_remainder_n_required(family, dims, ells, target)
+                n = _old_remainder_n_required(ref, dims, ells, target)
                 caps = [2**30, 10**6, 1000, 1, 0] + ([n, n - 1] if 1 <= n < conc.UNBOUNDED else [])
                 for cap in caps:
                     expect = n if cap == 2**30 else _old_remainder_n_required(
-                        family, dims, ells, target, cap
+                        ref, dims, ells, target, cap
                     )
-                    got = conc.remainder_n_required(family, dims, ells, target, cap)
+                    got = conc.remainder_n_required(spec, dims, ells, target, cap)
                     assert got == expect, (k, ells, target, cap)
                     solves += 1
 
@@ -274,10 +325,10 @@ class TestRemainderSolverEqualsOldSearch:
     def test_cap_below_one_counts_as_one(self):
         # bound(0) = 0.5, bound(1) = 0.5 / e: the old bracket's first step
         # reaches n = 1 whatever the cap
-        spec = [conc.TailBoundSpec(lambda ell: (0.5, 1.0, 1.0))]
+        spec = conc.TailBoundSpec(lambda ell: (0.5, 1.0, 1.0))
         dims = md.ProblemDims(p=10, k=1, n=0)
         for cap in (1, 0, -5):
-            assert _old_remainder_n_required(spec, dims, [1], 0.3, cap) == 1
+            assert _old_remainder_n_required(_ranges(spec), dims, [1], 0.3, cap) == 1
             assert conc.remainder_n_required(spec, dims, [1], 0.3, cap) == 1
             assert conc.remainder_n_required(spec, dims, [1], 0.1, cap) == conc.UNBOUNDED
 
@@ -323,32 +374,34 @@ class TestRemainderSolverEqualsOldSearch:
         real = conc.remainder_sum
         monkeypatch.setattr(conc, "remainder_sum", lambda *args: sums.append(1) or real(*args))
         dims = md.ProblemDims(p=1000, k=10, n=0)
-        assert conc.remainder_n_required(_gt_pair(LN2, 10), dims, range(1, 11), 1.0) == 0
+        assert conc.remainder_n_required(_gt_spec(LN2, 10), dims, range(1, 11), 1.0) == 0
         assert len(sums) == 1
 
     def test_constant_term_above_target_is_unbounded(self):
         # ell = 1 falls, ell = 2 stays at C(2, 2) 0.5 = 0.5 > 0.1 for every n
-        spec = [conc.TailBoundSpec(lambda ell: (1.0, 1.0, 1.0) if ell == 1 else (0.5, 0.0, 1.0))]
+        spec = conc.TailBoundSpec(lambda ell: (1.0, 1.0, 1.0) if ell == 1 else (0.5, 0.0, 1.0))
         dims = md.ProblemDims(p=10, k=2, n=0)
         for cap in (1, 1000, 2**30):
             assert conc.remainder_n_required(spec, dims, [1, 2], 0.1, cap) == conc.UNBOUNDED
         # a target above the constant is met: the guess is cap, and the
         # search down from cap still finds the first passing n
         assert conc.remainder_n_required(spec, dims, [1, 2], 0.6) == 3
-        assert _old_remainder_n_required(spec, dims, [1, 2], 0.6) == 3
+        assert _old_remainder_n_required(_ranges(spec), dims, [1, 2], 0.6) == 3
 
     def test_large_weights_raise_no_warning(self):
         # C(100, 50) ~ 1e29: the guess works on log terms, so nothing over- or
         # underflows, at small and large n alike
         dims = md.ProblemDims(p=10**6, k=100, n=0)
-        families = [_gt_pair(LN2, 100), _gt_pair(LN2, 100, rho=0.11),
-                    TestRemainder._discrete(1e-9)]
+        discrete = TestRemainder._discrete(1e-9)
+        families = [(_gt_spec(LN2, 100), _gt_ranges(LN2, 100)),
+                    (_gt_spec(LN2, 100, rho=0.11), _gt_ranges(LN2, 100, rho=0.11)),
+                    (discrete, _ranges(discrete))]
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            for family in families:
+            for spec, ref in families:
                 for target in (1.0, 0.5, 1e-2, 1e-12, 1e-300):
-                    n = conc.remainder_n_required(family, dims, range(1, 101), target)
-                    assert n == _old_remainder_n_required(family, dims, range(1, 101), target)
+                    n = conc.remainder_n_required(spec, dims, range(1, 101), target)
+                    assert n == _old_remainder_n_required(ref, dims, range(1, 101), target)
 
     def test_remainder_n_minimal_check(self):
         (result,) = verify.run_checks("remainder-n-minimal")
@@ -356,35 +409,38 @@ class TestRemainderSolverEqualsOldSearch:
 
 
 def _channel_families():
-    """(specs, dims, ells) for the channels' own tail families:
-    group testing noiseless and noisy at k = 10, 100 and 1020, linear and
-    1-bit at the thresholds workload's b."""
+    """(spec, reference range specs, dims, ells) for the channels' own tail
+    families: group testing noiseless and noisy at k = 10, 100 and 1020,
+    linear and 1-bit at the thresholds workload's b."""
     out = []
     for rho in (0.0, 0.11):
         for k in (10, 100, 1020):
             model, dims = md.ModelSpec.group_testing(rho=rho), md.ProblemDims(p=10**9, k=k)
-            specs = CHANNELS[GROUP_TESTING].tail_specs(model, None, *bounds._per_ell_mi(model, None, dims))
-            out.append(pytest.param(specs, dims, range(1, k + 1), id=f"gt-rho{rho}-k{k}"))
+            spec = CHANNELS[GROUP_TESTING].tail_spec(model, None, *bounds._per_ell_mi(model, None, dims))
+            ref = _reference_specs(model, None, dims)
+            out.append(pytest.param(spec, ref, dims, range(1, k + 1), id=f"gt-rho{rho}-k{k}"))
     for model in (md.ModelSpec.linear(1.0), md.ModelSpec.one_bit(1.0)):
         for k in (3, 8):
             b = [(0.5 + (i % 4) * 0.5) * (-1) ** i for i in range(k)]
             dims = md.ProblemDims(p=10**6, k=k)
-            specs = CHANNELS[model.channel].tail_specs(model, b, *bounds._per_ell_mi(model, b, dims))
-            out.append(pytest.param(specs, dims, range(1, k + 1), id=f"{model.channel}-k{k}"))
+            spec = CHANNELS[model.channel].tail_spec(model, b, *bounds._per_ell_mi(model, b, dims))
+            ref = _reference_specs(model, b, dims)
+            out.append(pytest.param(spec, ref, dims, range(1, k + 1), id=f"{model.channel}-k{k}"))
     return out
 
 
 class TestRowSumsEqualTheLoop:
-    """remainder_sum over remainder_rows is the loop over ell and the specs
-    it replaced, bit for bit, around the solved n and far from it."""
+    """remainder_sum over one spec's remainder_rows is the loop over ell and
+    the reference range specs it replaced, bit for bit, around the solved n
+    and far from it."""
 
-    @pytest.mark.parametrize("specs,dims,ells", _channel_families())
-    def test_channel_families(self, specs, dims, ells):
-        rows = conc.remainder_rows(specs, dims, ells)
-        n = conc.remainder_n_required(specs, dims, ells, 1e-2)
-        assert n == _old_remainder_n_required(specs, dims, ells, 1e-2)
+    @pytest.mark.parametrize("spec,ref,dims,ells", _channel_families())
+    def test_channel_families(self, spec, ref, dims, ells):
+        rows = conc.remainder_rows(spec, dims, ells)
+        n = conc.remainder_n_required(spec, dims, ells, 1e-2)
+        assert n == _old_remainder_n_required(ref, dims, ells, 1e-2)
         for m in (n - 1, n, n + 1, 0, 1, 17, n // 3, 5 * n, 10**9, 2**40):
-            assert conc.remainder_sum(rows, m) == _loop_remainder_sum(specs, dims, ells, m), m
+            assert conc.remainder_sum(rows, m) == _loop_remainder_sum(ref, dims, ells, m), m
 
     def test_seeded_families_and_ell_ranges(self):
         rng = random.Random(20261020)
@@ -393,22 +449,14 @@ class TestRowSumsEqualTheLoop:
             dims = md.ProblemDims(p=10**6, k=k, n=0)
             lo = rng.randint(1, k)
             ells = range(lo, rng.randint(lo, k) + 1)
-            for family in _solver_families(rng, k):
-                rows = conc.remainder_rows(family, dims, ells)
+            for spec, ref in _solver_families(rng, k):
+                rows = conc.remainder_rows(spec, dims, ells)
                 for n in (0, 1, rng.randint(0, 10**4), rng.randint(0, 10**9)):
-                    assert conc.remainder_sum(rows, n) == _loop_remainder_sum(family, dims, ells, n)
-
-    def test_uncovered_ells_have_no_row(self):
-        spec = [conc.TailBoundSpec(lambda ell: (1.0, float(ell), 2.0), ell_lo=2, ell_hi=3)]
-        dims = md.ProblemDims(p=10, k=4)
-        rows = conc.remainder_rows(spec, dims, range(1, 5))
-        w = conc._binomial_weight
-        assert rows == [(w(4, 2), 1.0, 2.0, 2.0), (w(4, 3), 1.0, 3.0, 2.0)]
-        assert conc.remainder_sum(rows, 3) == _loop_remainder_sum(spec, dims, range(1, 5), 3)
+                    assert conc.remainder_sum(rows, n) == _loop_remainder_sum(ref, dims, ells, n)
 
 
 class TestSpecsMatchScalars:
-    """Every channel's tail_specs equals conc.tail of its family's terms at
+    """Every channel's tail_spec equals conc.tail of its family's terms at
     the channel's own delta2, eps and cut, bit for bit."""
 
     @settings(max_examples=150, deadline=None)
@@ -423,7 +471,7 @@ class TestSpecsMatchScalars:
         ell = min(ell, len(b))
         b = np.asarray(b, dtype=float)
         parts = md.min_info_partitions(b)
-        (spec,) = CHANNELS[LINEAR].tail_specs(md.ModelSpec.linear(sigma), b, parts, {})
+        spec = CHANNELS[LINEAR].tail_spec(md.ModelSpec.linear(sigma), b, parts, {})
         part = md.min_info_partition(b, ell)  # a sort of its own for this ell
         s_sq = float(np.sum(b[part.dif_index()] ** 2))
         expect = conc.tail(*conc.bernstein_linear_terms(s_sq, sigma, 0.5), n)
@@ -441,7 +489,7 @@ class TestSpecsMatchScalars:
         ell = data.draw(st.integers(1, len(mis)))
         mi_map = dict(enumerate(mis, start=1))
         parts = md.min_info_partitions(np.ones(len(mis)))
-        (spec,) = CHANNELS[ONE_BIT].tail_specs(md.ModelSpec.one_bit(1.0), None, parts, mi_map)
+        spec = CHANNELS[ONE_BIT].tail_spec(md.ModelSpec.one_bit(1.0), None, parts, mi_map)
         assert spec.psi(ell, n) == conc.tail(*conc.bernstein_discrete_terms(mi_map[ell], 2, 0.5), n)
 
     @settings(max_examples=150, deadline=None)
@@ -459,15 +507,15 @@ class TestSpecsMatchScalars:
         mi_map = dict(enumerate(mis, start=1))
         parts = md.min_info_partitions(np.ones(k))
         model = md.ModelSpec.group_testing(rho=rho, nu=nu)
-        small, large = CHANNELS[GROUP_TESTING].tail_specs(model, None, parts, mi_map)
+        spec = CHANNELS[GROUP_TESTING].tail_spec(model, None, parts, mi_map)
         cut = int(k / math.log(k)) if k >= 3 else 1
-        assert small.covers(ell) == (ell <= cut) != large.covers(ell)
         if ell > cut:
-            spec, terms = large, conc.bernstein_discrete_terms(mi_map[ell], 2, 0.1)
+            terms = conc.bernstein_discrete_terms(mi_map[ell], 2, 0.1)
         elif rho == 0.0:
-            spec, terms = small, conc.chernoff_gt_terms(nu, k, ell, 0.9, 0.05)
+            terms = conc.chernoff_gt_terms(nu, k, ell, 0.9, 0.05)
         else:
-            spec, terms = small, conc.bennett_gt_noisy_terms(nu, rho, k, ell, 0.9, 0.05)
+            terms = conc.bennett_gt_noisy_terms(nu, rho, k, ell, 0.9, 0.05)
+        assert spec.terms(ell) == terms
         assert spec.psi(ell, n) == conc.tail(*terms, n)
 
 

@@ -756,6 +756,15 @@ class TestGuards:
         with pytest.raises(md.GuardError):
             list(sim.candidate_supports(md.ProblemDims(p=14, k=13, n=1)))
 
+    def test_candidate_cap_is_inclusive(self):
+        # C(10^6, 1) is the cap itself, though its float log rounds above
+        # log(10^6); nothing is decoded here (a GT block's incidence would
+        # take gigabytes at this p)
+        assert math.comb(10**6, 1) == sim.CANDIDATE_CAP
+        sim.candidate_supports(md.ProblemDims(p=10**6, k=1, n=1))
+        with pytest.raises(md.GuardError, match="candidate cap"):
+            sim.candidate_supports(md.ProblemDims(p=10**6 + 1, k=1, n=1))
+
     def test_design_entry_cap_refuses_before_sampling(self, monkeypatch):
         def no_sampling(*args, **kwargs):
             raise AssertionError("sampled a design over the cap")
@@ -1100,6 +1109,8 @@ class TestPhaseSweep:
          "comp-gt requires the group-testing model"),
         ("threshold", md.ModelSpec.linear(1.0), md.SignalPrior.iid_gaussian(1.0),
          "the threshold decoder needs a discrete prior"),
+        ("threshold", md.ModelSpec.linear(1.0), md.SignalPrior.fixed([1e200, 1.0]),
+         "the threshold decoder needs entries whose squares sum below the float range"),
     ])
     def test_decoder_refused_before_sampling(self, kind, m, pr, message, monkeypatch):
         calls = []
