@@ -30,6 +30,7 @@ from . import numerics
 from .channels import CHANNELS
 from .conc import remainder_n_required
 from .info import (
+    finite_mi,
     gaussian_logit_slope_constant,
     mutual_information,
     prior_divergence_stats,
@@ -259,10 +260,8 @@ def log_partial_conv_subtraction(p: int, k: int, ell: int, d_max: int) -> float:
 
     Terms with d > p - k or d > ell vanish (zero binomial coefficients).
     """
-    terms = [
-        log_binomial(p - k, d) + log_binomial(ell, d)
-        for d in range(0, min(d_max, ell, p - k) + 1)
-    ]
+    d = np.arange(0, min(d_max, ell, p - k) + 1)
+    terms = (log_binomial(p - k, d) + log_binomial(ell, d)).tolist()
     m = max(terms)
     return m + math.log(sum(math.exp(t - m) for t in terms))
 
@@ -304,13 +303,14 @@ def converse_threshold_generic(
     mains, nums = _converse_numerators(p, k, ells, opts.delta1, opts.asymptotic)
     rows = []
     for ell, main, num in zip(ells, mains, nums):
+        mi = finite_mi(ell, mi_map[ell])
         if dims.d_max > 0:
             sub = log_partial_conv_subtraction(p, k, ell, dims.d_max)
             if sub >= main - 1e-9 * max(1.0, abs(main)):
-                rows.append((ell, num, mi_map[ell], "converse vacuous at this ell"))
+                rows.append((ell, num, mi, "converse vacuous at this ell"))
                 continue
             num -= sub
-        rows.append(_ratio_row(ell, num, mi_map[ell], 1.0 + opts.delta2))
+        rows.append(_ratio_row(ell, num, mi, 1.0 + opts.delta2))
     binding, ratio = _binding(rows)
     # every ell vacuous (no binding): the bound makes no converse claim
     n_conv = 0.0 if binding is None else ratio * (1.0 - opts.eta)
@@ -341,7 +341,7 @@ def fano_lower_bound(
     b = _entries(b, dims)
     boundary = INFINITE
     for ell in range(1, k + 1):
-        mi = mutual_information(model, max_info_partition(b, ell), b)
+        mi = finite_mi(ell, mutual_information(model, max_info_partition(b, ell), b))
         if mi <= 0.0:
             continue
         boundary = min(boundary, log_binomial(p - k + ell, ell) * (1.0 - delta2) / mi)
@@ -897,7 +897,7 @@ def cor_general_discrete_converse(
 
     def rhs(n: float) -> float:
         extra = math.sqrt(alphabet_size / (n * eps))
-        return max(nums[ell] / (mi_map[ell] + extra) for ell in nums)
+        return max(nums[ell] / (finite_mi(ell, mi_map[ell]) + extra) for ell in nums)
 
     n = max(rhs(1.0), 1.0)
     for _ in range(max_iter):

@@ -115,10 +115,10 @@ class Channel:
     iid-Gaussian prior, is defined by the linear channel alone; the base
     class refuses it with UnsupportedCombinationError.
 
-    From these the base class derives loglik_rows and loglik (the pair's
-    rows and sum) and the density rows.  density_rows takes likelihood rows
-    already computed, and density_from_rows turns them and the marginal rows
-    into density rows, so that the threshold decoder evaluates each atom's
+    density_from_rows(lik_rows, marginal_rows), defined by the base class
+    (group testing adds its -inf sentinel), turns likelihood and marginal
+    rows already computed into density rows; `info.density_rows` composes
+    the three, so that the threshold decoder evaluates each atom's
     likelihood once per candidate block.  Each channel computes its pair's
     rows and sum from the same residuals, arguments or matches.
     """
@@ -131,26 +131,9 @@ class Channel:
         )
 
     def loglik_row_max(self, spec) -> float:
-        """An upper bound on every row of loglik_rows: a log-probability
-        is at most 0."""
+        """An upper bound on every likelihood row: a log-probability is at
+        most 0."""
         return 0.0
-
-    def loglik_rows(self, spec, x_s, b, y):
-        """log P(y | x_s, b) per row."""
-        return self.loglik_rows_and_sum(spec, x_s, b, y)[0]
-
-    def loglik(self, spec, x_s, b, y):
-        """log P(y | x_s, b) summed over the rows: a float for one (n x k)
-        x_s, an array of C sums for a (C x n x k) stack."""
-        return self.loglik_rows_and_sum(spec, x_s, b, y)[1]
-
-    def density_rows(self, spec, partition, b, x_s, y, lik_rows=None) -> np.ndarray:
-        """Information density log P(y | x_s, b) / P(y | x_eq, b) per row;
-        lik_rows, the loglik_rows of x_s already computed, are not
-        evaluated again."""
-        if lik_rows is None:
-            lik_rows = self.loglik_rows(spec, x_s, b, y)
-        return self.density_from_rows(lik_rows, self.log_marginal_rows(spec, partition, x_s, b, y))
 
     def density_from_rows(self, lik_rows, marginal_rows) -> np.ndarray:
         """The density rows from likelihood and marginal rows already computed."""
@@ -224,7 +207,7 @@ class Linear(_GaussianDesign):
         sig_l_sq = _energy(b, partition.dif_index())
         if sig_l_sq == 0.0:
             # y does not depend on x_dif: the marginal is the likelihood
-            return self.loglik_rows(spec, x_s, b, y)
+            return self.loglik_rows_and_sum(spec, x_s, b, y)[0]
         eq = partition.eq_index()
         return self._log_density_rows(y - x_s[..., eq] @ b[eq], spec.sigma**2 + sig_l_sq)
 
@@ -265,8 +248,11 @@ class Linear(_GaussianDesign):
         return _row_sum(-0.5 * (quad + logdet + y.size * (math.log(sigma_sq) + _LOG_2PI)))
 
     def mi(self, spec, parts, b):
+        """An energy beyond the float range gives I = inf, without a warning;
+        the converse-side bounds refuse it by ell."""
         b = np.asarray(b, dtype=float)
-        return [0.5 * math.log1p(_energy(b, part.dif_index()) / spec.sigma**2) for part in parts]
+        with np.errstate(over="ignore"):
+            return [0.5 * math.log1p(_energy(b, part.dif_index()) / spec.sigma**2) for part in parts]
 
     def variance(self, spec, partition, b):
         sig_l_sq = _energy(np.asarray(b, dtype=float), partition.dif_index())

@@ -192,8 +192,8 @@ def remainder_n_required(
     with np.exp, which differs from math.exp in the last bit for a few
     percent of arguments, so it only proposes n: `_first_passing` confirms
     it on the exact sum, at a cost of two remainder_sum calls when it is
-    right (one when it is 0 or UNBOUNDED); otherwise it gallops and bisects
-    from the guess on exact sums.
+    right (one when it is 0 or UNBOUNDED); otherwise it bisects on exact
+    sums inside the bracket those probes leave.
     """
     if not 0.0 < target <= 1.0:
         raise ValueError("target must lie in (0, 1]")
@@ -252,27 +252,17 @@ def _first_passing(
     bound: Callable[[int], float], target: float, cap: int, guess: int | float
 ) -> int | float:
     """Smallest n in [0, cap] with bound(n) <= target, UNBOUNDED if none,
-    for a bound nonincreasing in n.  Probes the guess (cap if above it),
-    gallops away from it in steps 1, 2, 4, ... until the answer is
-    bracketed, then bisects."""
+    for a bound nonincreasing in n.  Probes the guess (cap if above it) and,
+    if it passes, n - 1; a passing guess whose n - 1 fails is the answer.
+    Otherwise bisects inside the bracket the probes left."""
     lo, hi = -1, cap + 1  # bound(lo) > target >= bound(hi); neither end is probed
-    n, step = min(guess, cap), 1
-    if bound(n) <= target:
-        hi = n
-        while lo + 1 < hi:
-            n = max(hi - step, lo + 1)
-            if bound(n) > target:
-                lo = n
-                break
-            hi, step = n, 2 * step
-    else:
+    n = min(guess, cap)
+    if bound(n) > target:
         lo = n
-        while lo + 1 < hi:
-            n = min(lo + step, hi - 1)
-            if bound(n) <= target:
-                hi = n
-                break
-            lo, step = n, 2 * step
+    elif n == 0 or bound(n - 1) > target:
+        return n
+    else:
+        hi = n - 1
     while lo + 1 < hi:
         mid = (lo + hi) // 2
         if bound(mid) <= target:

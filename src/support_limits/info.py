@@ -76,7 +76,10 @@ def density_rows(model: ModelSpec, partition: Partition, b, x_s, y, lik_rows=Non
     x_s = np.asarray(x_s, dtype=float)
     y = np.asarray(y, dtype=float)
     b = np.asarray(b, dtype=float)
-    return CHANNELS[model.channel].density_rows(model, partition, b, x_s, y, lik_rows)
+    channel = CHANNELS[model.channel]
+    if lik_rows is None:
+        lik_rows = channel.loglik_rows_and_sum(model, x_s, b, y)[0]
+    return channel.density_from_rows(lik_rows, channel.log_marginal_rows(model, partition, x_s, b, y))
 
 
 # ---------------------------------------------------------------------------
@@ -96,6 +99,15 @@ def mutual_information(model: ModelSpec, partition, b=None):
     if isinstance(partition, Partition):
         return CHANNELS[model.channel].mi(model, (partition,), b)[0]
     return CHANNELS[model.channel].mi(model, partition, b)
+
+
+def finite_mi(ell: int, mi: float) -> float:
+    """I_ell, refused in one line where it is not finite (entries whose
+    energy passes the float range), which a converse-side bound would read
+    as a ratio of 0."""
+    if not math.isfinite(mi):
+        raise ValueError(f"the mutual information at ell = {ell} is not finite")
+    return mi
 
 
 def density_variance(model: ModelSpec, partition: Partition, b=None) -> float:
@@ -240,7 +252,7 @@ def log_conditional_likelihood(model: ModelSpec, x_s, b, y):
     x_s = np.asarray(x_s, dtype=float)
     y = np.asarray(y, dtype=float)
     b = np.asarray(b, dtype=float)
-    return CHANNELS[model.channel].loglik(model, x_s, b, y)
+    return CHANNELS[model.channel].loglik_rows_and_sum(model, x_s, b, y)[1]
 
 
 def log_marginal_likelihood(model: ModelSpec, prior: SignalPrior, x_s, y):

@@ -287,8 +287,8 @@ class ProblemDims:
     d_max: int = 0
 
     def __post_init__(self):
-        if not 1 <= self.k <= self.p:
-            raise ValueError(f"need 1 <= k <= p, got k={self.k}, p={self.p}")
+        if not 1 <= self.k <= self.p < 2**63 - 1:  # log C(p, k) is taken on int64
+            raise ValueError(f"need 1 <= k <= p < 2**63 - 1, got k={self.k}, p={self.p}")
         if self.n < 0:
             raise ValueError("n must be >= 0")
         if not 0 <= self.d_max <= self.k - 1:

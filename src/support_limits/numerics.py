@@ -34,10 +34,10 @@ their points at once (the figure corollaries' golden-section steps pass
 their lanes, gt_mi_closed_form every ell and rho).  mean_entropy_q_scaled
 sums an array as (grid x nodes) Gauss-Hermite matrices of at most
 _GRID_BLOCK rows.
-log_binomial(n, r) takes two ints on a scalar path, the only one exact for
-Python ints beyond the int64 range, and integer arrays (n and r broadcast)
-on an array path whose elements equal the scalar calls bit for bit, so a
-threshold's numerators for every ell come from one call per binomial.
+log_binomial(n, r) has one path too: n and r broadcast as int64 arrays (two
+ints are 0-d ones and give a float), so a threshold's numerators for every
+ell come from one call per binomial, and a value int64 cannot hold is
+refused by name.
 
 All entropies and information measures are in nats (base-e logs); base-2
 conversion happens only at the CLI reporting layer.
@@ -216,23 +216,26 @@ def gaussian_expectation(f: Callable) -> float:
 def log_binomial(n, r):
     """log C(n, r) in nats via log-gamma; requires 0 <= r <= n.
 
-    Two ints (np.integer included) take the scalar path and return a float.
-    Otherwise n and r broadcast as integer arrays (below 2**63), and the
-    result is an array, each element equal to the scalar call bit for bit.
-    An element out of range raises one ValueError that names the first one.
+    n and r broadcast as int64 arrays; the result is an array of their
+    shape, or a Python float when both are 0-d (ints included).  A
+    non-integer argument, an element out of range (the first one named) and
+    an n that int64 cannot hold with room for n + 1 (n >= 2**63 - 1; the
+    largest named) each raise one ValueError.
     """
-    if isinstance(r, (int, np.integer)) and isinstance(n, (int, np.integer)):
-        if r < 0 or n < 0 or r > n:
-            raise ValueError(f"log_binomial requires 0 <= r <= n, got n={n}, r={r}")
-        return float(gammaln(n + 1) - gammaln(r + 1) - gammaln(n - r + 1))
-    nn, rr = np.broadcast_arrays(np.asarray(n), np.asarray(r))
+    nn, rr = np.asarray(n), np.asarray(r)
+    if {nn.dtype.kind, rr.dtype.kind} - set("iuO"):  # O: Python ints beyond 64 bits
+        raise ValueError(f"log_binomial needs integers, got n of dtype {nn.dtype}, r of {rr.dtype}")
     bad = ~((rr >= 0) & (rr <= nn))
     if bad.any():
+        nn, rr = np.broadcast_arrays(nn, rr)
         i = np.argwhere(bad)[0]
         at = "".join(f"[{j}]" for j in i)
         raise ValueError(
             f"log_binomial requires 0 <= r <= n, got n{at}={nn[tuple(i)]}, r{at}={rr[tuple(i)]}"
         )
+    if nn.max(initial=0) >= 2**63 - 1:
+        raise ValueError(f"log_binomial needs n < 2**63 - 1, got n={nn.max()}")
+    nn, rr = nn.astype(np.int64, copy=False), rr.astype(np.int64, copy=False)
     out = gammaln(nn + 1) - gammaln(rr + 1) - gammaln(nn - rr + 1)
     return float(out) if out.ndim == 0 else out
 

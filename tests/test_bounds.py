@@ -1,4 +1,6 @@
+import itertools
 import math
+import warnings
 from dataclasses import fields
 
 import numpy as np
@@ -168,6 +170,33 @@ class TestGenericAchievability:
         assert result.passed and result.tolerance == 1e-9, result.detail
 
 
+def _loop_partial_conv_subtraction(p, k, ell, d_max):
+    """log sum_{d <= d_max} C(p-k, d) C(ell, d) as one scalar log-gamma
+    formula per binomial and d, the loop the library replaced."""
+    log_binomial = lambda n, r: float(nm.gammaln(n + 1) - nm.gammaln(r + 1) - nm.gammaln(n - r + 1))
+    terms = [
+        log_binomial(p - k, d) + log_binomial(ell, d)
+        for d in range(0, min(d_max, ell, p - k) + 1)
+    ]
+    m = max(terms)
+    return m + math.log(sum(math.exp(t - m) for t in terms))
+
+
+def _partial_converse_oracle(b, p, d_max, delta1):
+    """(ell, num, I, num / I) for ell = d_max + 1 .. k of the linear (sigma
+    = 1) partial converse, from math.comb and math.log: num = log
+    C(p-k+ell, ell) - log delta1 - log sum_{d <= d_max} C(p-k, d) C(ell, d),
+    I over the ell smallest squared entries."""
+    k = len(b)
+    rows = []
+    for ell in range(d_max + 1, k + 1):
+        sub = sum(math.comb(p - k, d) * math.comb(ell, d) for d in range(d_max + 1))
+        num = math.log(math.comb(p - k + ell, ell)) - math.log(delta1) - math.log(sub)
+        mi = 0.5 * math.log(1.0 + math.fsum(sorted(v * v for v in b)[:ell]))
+        rows.append((ell, num, mi, num / mi))
+    return rows
+
+
 class TestGenericConverse:
     def test_delta1_one_drops_term(self):
         m = md.ModelSpec.linear(1.0)
@@ -191,6 +220,34 @@ class TestGenericConverse:
         assert bounds.log_partial_conv_subtraction(p, k, ell, d_max) == pytest.approx(
             direct, rel=1e-12
         )
+
+    @pytest.mark.parametrize("p", [10, 100, 10**6, 10**12])
+    @pytest.mark.parametrize("k", [2, 5])
+    def test_subtraction_equals_the_loop_over_d(self, p, k):
+        # the array form against the loop of scalar calls it replaced, bit
+        # for bit: the same terms, summed by the same Python log-sum-exp
+        for ell in range(1, k + 1):
+            for d_max in range(0, k):
+                got = bounds.log_partial_conv_subtraction(p, k, ell, d_max)
+                assert got == _loop_partial_conv_subtraction(p, k, ell, d_max), (ell, d_max)
+
+    @pytest.mark.parametrize("b, p, d_max, binding, n_conv", [
+        ([0.5, -1.0, 1.5, 2.0], 100, 1, 2, 24.9382651293236),
+        ([0.5, -1.0, 1.5, 2.0], 1000, 2, 3, 15.4503895245914),
+        ([0.5, -1.0, 1.5], 30, 1, 2, 21.9668106459493),
+    ])
+    def test_partial_subtraction_against_comb_oracle(self, b, p, d_max, binding, n_conv):
+        # p - k > d_max: no ell is vacuous, so every row subtracts
+        # log sum_d C(p-k, d) C(ell, d) from its numerator
+        m = md.ModelSpec.linear(1.0)
+        res = bounds.converse_threshold_generic(m, b, md.ProblemDims(p=p, k=len(b), d_max=d_max))
+        rows = _partial_converse_oracle(b, p, d_max, delta1=1e-3)
+        assert max(rows, key=lambda row: row[3])[0] == res.binding == binding
+        assert res.n_conv == pytest.approx(n_conv, rel=1e-12)
+        assert len(res.breakdown) == len(rows)
+        for got, want in zip(res.breakdown, rows):
+            assert got[0] == want[0]
+            assert got[1:] == pytest.approx(want[1:], rel=1e-12)
 
     def test_gt_restricted_to_k_matches_stirling_oracle(self):
         m = md.ModelSpec.group_testing(rho=0.0, nu=LN2)
@@ -1234,15 +1291,55 @@ class TestEntryVectorRefused:
             bounds.achievability_threshold_generic(md.ModelSpec.linear(1.0), b, self.DIMS)
         assert "\n" not in str(err.value)
 
-    @pytest.mark.parametrize("b", [[1.0, 2.0, 3.0], [1.0], [NAN, 1.0], [1.0, -math.inf]])
-    def test_converse(self, b):
-        with pytest.raises(ValueError, match=r"b needs k = 2 finite entries"):
-            bounds.converse_threshold_generic(md.ModelSpec.linear(1.0), b, self.DIMS)
+    # the converse-side bounds, which read an infinite I_ell as a ratio of 0
+    CONVERSE_SIDE = {
+        "converse": lambda b, dims: bounds.converse_threshold_generic(
+            md.ModelSpec.linear(1.0), b, dims),
+        "fano": lambda b, dims: bounds.fano_lower_bound(
+            md.ModelSpec.linear(1.0), b, md.ProblemDims(p=dims.p, k=dims.k, n=5), 0.5),
+        "discrete-converse": lambda b, dims: bounds.cor_general_discrete_converse(
+            md.ModelSpec.linear(1.0), b, dims, 2),
+    }
+    ENTRIES = [
+        ([1.0, 2.0, 3.0], r"b needs k = 2 finite entries"),
+        ([1.0], r"b needs k = 2 finite entries"),
+        ([NAN, 1.0], r"b needs k = 2 finite entries"),
+        ([1.0, -math.inf], r"b needs k = 2 finite entries"),
+        ([1e154, 1e154], r"the mutual information at ell = 2 is not finite"),
+    ]
+
+    @pytest.mark.parametrize("bound, b, message", [
+        (bound, *entry) for bound, entry in itertools.product(sorted(CONVERSE_SIDE), ENTRIES)
+    ] + [
+        # the min-info partitions reach 1e200 at ell = 2, fano's max-info ones at ell = 1
+        ("converse", [1e200, 1.0], r"the mutual information at ell = 2 is not finite"),
+        ("discrete-converse", [1e200, 1.0], r"the mutual information at ell = 2 is not finite"),
+        ("fano", [1e200, 1.0], r"the mutual information at ell = 1 is not finite"),
+    ])
+    def test_converse(self, bound, b, message):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=message) as err:
+                self.CONVERSE_SIDE[bound](b, self.DIMS)
+        assert "\n" not in str(err.value)
 
     def test_terms_near_the_edge_still_solve(self):
         m = md.ModelSpec.linear(1.0)
         res = bounds.achievability_threshold_generic(m, [9e153, 1.0], self.DIMS)
         assert (res.n_ach, res.remainder_n) == (pytest.approx(61.09, abs=0.01), 6524.0)
+
+
+class TestBeyondInt64:
+    # log C(p - k + l, l) is taken on int64: before, the achievability at
+    # this p read a numerator of 18.21 at ell = 1, where log C(p - k, 1)
+    # alone is 43.7, and the converse raised OverflowError
+    @pytest.mark.parametrize("bound", [
+        bounds.achievability_threshold_generic, bounds.converse_threshold_generic
+    ])
+    def test_generic_thresholds_refuse_p(self, bound):
+        with pytest.raises(ValueError, match=r"p < 2\*\*63 - 1, got k=3, p=9223372036854775818") as err:
+            bound(md.ModelSpec.group_testing(), None, md.ProblemDims(p=2**63 + 10, k=3))
+        assert "\n" not in str(err.value)
 
 
 class TestNoWrongSupport:

@@ -46,7 +46,7 @@ def test_density_is_loglik_minus_log_marginal(name):
     y = channel.outputs(model, x, b, noise)
     for part in md.enumerate_partitions(3):
         dens = info.density_rows(model, part, b, x, y)
-        expected = channel.loglik_rows(model, x, b, y) - channel.log_marginal_rows(
+        expected = channel.loglik_rows_and_sum(model, x, b, y)[0] - channel.log_marginal_rows(
             model, part, x, b, y
         )
         assert np.array_equal(dens, expected)
@@ -73,11 +73,12 @@ def test_loglik_of_a_stack_against_per_candidate_outputs(name):
         channel.draw(model, rng, raw[c], noise[c])
     x = channel.design(model, raw, 3)
     y = channel.outputs(model, x, b, noise)
-    stacked = channel.loglik(model, x, b, y)
+    stacked = info.log_conditional_likelihood(model, x, b, y)
     assert stacked.shape == (5,)
     for c in range(5):
-        assert stacked[c] == channel.loglik(model, x[c], b, y[c])
-        assert stacked[c] == pytest.approx(np.sum(channel.loglik_rows(model, x[c], b, y[c])))
+        assert stacked[c] == info.log_conditional_likelihood(model, x[c], b, y[c])
+        rows, _ = channel.loglik_rows_and_sum(model, x[c], b, y[c])
+        assert stacked[c] == pytest.approx(np.sum(rows))
 
 
 @pytest.mark.parametrize(
@@ -100,10 +101,10 @@ def test_no_likelihood_row_exceeds_row_max(model):
         channel.draw(model, rng, raw[c], noise[c])
     x = channel.design(model, raw, 3)
     y = channel.outputs(model, x, b, noise)
-    rows = channel.loglik_rows(model, x, b, y)
+    rows, _ = channel.loglik_rows_and_sum(model, x, b, y)
     assert rows.max() <= row_max
     if model.channel == md.LINEAR:
-        exact = channel.loglik_rows(model, x, b, x @ b)
+        exact, _ = channel.loglik_rows_and_sum(model, x, b, x @ b)
         assert exact.max() == row_max
         assert row_max == pytest.approx(-0.5 * math.log(2 * math.pi * model.sigma**2), rel=1e-15)
     else:
@@ -112,17 +113,17 @@ def test_no_likelihood_row_exceeds_row_max(model):
 
 @pytest.mark.parametrize("name", sorted(CHANNELS))
 def test_one_likelihood_method_per_channel(name):
-    # each channel writes its likelihood once, as the (rows, sum) pair; only
-    # the base class reads loglik_rows and loglik off that pair
+    # each channel writes its likelihood once, as the (rows, sum) pair; no
+    # class, the base class included, derives rows, sums or densities from it
     mro = type(CHANNELS[name]).__mro__
     assert any("loglik_rows_and_sum" in vars(cls) for cls in mro[: mro.index(Channel)])
     for cls in mro:
-        if cls is not Channel:
-            assert "loglik_rows" not in vars(cls) and "loglik" not in vars(cls), cls
+        for derived in ("loglik_rows", "loglik", "density_rows"):
+            assert derived not in vars(cls), (cls, derived)
 
 
 @pytest.mark.parametrize("name", sorted(CASES))
-def test_loglik_rows_and_loglik_are_the_pair(name):
+def test_info_reads_the_likelihood_pair(name):
     model, b, _ = CASES[name]
     channel = CHANNELS[model.channel]
     b = np.asarray(b)
@@ -133,12 +134,17 @@ def test_loglik_rows_and_loglik_are_the_pair(name):
     x = channel.design(model, raw, 3)
     y = channel.outputs(model, x, b, noise)
     # one (n x k) candidate gives a float sum, a (C x n x k) stack C sums
+    # (info.density_rows without lik_rows evaluates the pair's rows)
+    part = next(md.enumerate_partitions(3))
     for x_s, y_s in ((x[0], y[0]), (x, y)):
         rows, total = channel.loglik_rows_and_sum(model, x_s, b, y_s)
-        assert np.array_equal(channel.loglik_rows(model, x_s, b, y_s), rows)
-        assert np.array_equal(channel.loglik(model, x_s, b, y_s), total)
-    assert isinstance(channel.loglik(model, x[0], b, y[0]), float)
-    assert channel.loglik(model, x, b, y).shape == (4,)
+        assert np.array_equal(
+            info.density_rows(model, part, b, x_s, y_s),
+            info.density_rows(model, part, b, x_s, y_s, lik_rows=rows),
+        )
+        assert np.array_equal(info.log_conditional_likelihood(model, x_s, b, y_s), total)
+    assert isinstance(info.log_conditional_likelihood(model, x[0], b, y[0]), float)
+    assert info.log_conditional_likelihood(model, x, b, y).shape == (4,)
 
 
 # ---------------------------------------------------------------------------
@@ -278,7 +284,7 @@ def test_gt_methods_equal_the_reduction_formulas(rho):
                 _old_gt_marginal(model, part, x_s, y_s),
             )
     if rho == 0.0:
-        assert np.isneginf(channel.loglik(model, x_cands, b, y[0])).any()
+        assert np.isneginf(info.log_conditional_likelihood(model, x_cands, b, y[0])).any()
 
 
 # ---------------------------------------------------------------------------

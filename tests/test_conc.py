@@ -322,6 +322,37 @@ class TestRemainderSolverEqualsOldSearch:
             if guess == answer and answer <= cap:
                 assert len(probes) == (1 if answer == 0 else 2)
 
+    def test_any_guess_gives_plain_bisections_n(self):
+        # a step bound that first passes at `answer` (above cap: none
+        # passes), guessed anywhere on [0, cap]: the first passing n, with
+        # no more probes than the two at the guess and one bisection
+        rng = random.Random(20261021)
+        for _ in range(3000):
+            cap = rng.choice([1, 2, 3, 37, 1000, 10**6, 2**30])
+            answer = rng.choice([0, 1, cap - 1, cap, cap + 1, rng.randint(0, cap + 1)])
+            bound = lambda n: 0.5 if n >= answer else 0.7
+            for guess in (0, cap, answer, rng.randint(0, cap)):
+                probes = []
+                got = conc._first_passing(lambda n: probes.append(n) or bound(n), 0.6, cap, guess)
+                assert got == _plain_bisection(bound, 0.6, cap), (answer, cap, guess)
+                assert all(0 <= n <= cap for n in probes)
+                assert len(probes) <= 2 + (cap + 1).bit_length(), (answer, cap, guess)
+
+    @pytest.mark.parametrize("answer, cap, guess, calls", [
+        (0, 100, 0, 1),
+        (1, 100, 1, 2),
+        (57, 100, 57, 2),
+        (100, 100, 100, 2),
+        (101, 100, conc.UNBOUNDED, 1),
+        (101, 100, 100, 1),
+    ])
+    def test_a_confirmed_guess_costs_two_bound_calls(self, answer, cap, guess, calls):
+        probes = []
+        bound = lambda n: probes.append(n) or (0.5 if n >= answer else 0.7)
+        got = conc._first_passing(bound, 0.6, cap, guess)
+        assert got == (answer if answer <= cap else conc.UNBOUNDED)
+        assert len(probes) == calls
+
     def test_cap_below_one_counts_as_one(self):
         # bound(0) = 0.5, bound(1) = 0.5 / e: the old bracket's first step
         # reaches n = 1 whatever the cap
@@ -406,6 +437,19 @@ class TestRemainderSolverEqualsOldSearch:
     def test_remainder_n_minimal_check(self):
         (result,) = verify.run_checks("remainder-n-minimal")
         assert result.passed and result.tolerance == 1e-12, result.detail
+
+
+def _plain_bisection(bound, target, cap):
+    """Smallest n in [0, cap] with bound(n) <= target, UNBOUNDED if none, by
+    bisection alone."""
+    lo, hi = -1, cap + 1
+    while lo + 1 < hi:
+        mid = (lo + hi) // 2
+        if bound(mid) <= target:
+            hi = mid
+        else:
+            lo = mid
+    return conc.UNBOUNDED if hi > cap else hi
 
 
 def _channel_families():

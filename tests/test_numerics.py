@@ -281,6 +281,38 @@ class TestLogBinomial:
         assert isinstance(nm.log_binomial(10, np.array(3)), float)
         assert nm.log_binomial(np.int64(10), np.int64(3)) == nm.log_binomial(10, 3)
 
+    @staticmethod
+    def _scalar_twin(n, r):
+        """The scalar path the function had, on Python ints."""
+        return float(nm.gammaln(n + 1) - nm.gammaln(r + 1) - nm.gammaln(n - r + 1))
+
+    @pytest.mark.parametrize("n", NS)
+    def test_one_path_equals_the_former_scalar_path(self, n):
+        rng = np.random.default_rng(n + 1)
+        rs = [0, 1, n // 2, n - 1, n] + rng.integers(0, n, 200, endpoint=True).tolist()
+        for r in (r for r in rs if 0 <= r <= n):
+            want = self._scalar_twin(n, r)
+            for args in ((n, r), (np.int64(n), np.int64(r)), (np.array(n), np.array(r))):
+                got = nm.log_binomial(*args)
+                assert type(got) is float and got == want, (args, got, want)
+
+    @pytest.mark.parametrize("n", [2**63 - 1, 2**63, 2**64 + 7])
+    def test_beyond_int64_refused_by_name(self, n):
+        # n = 2**63 - 1 fits int64, but its n + 1 wraps
+        for r in (1, np.array([0, 1])):
+            with pytest.raises(ValueError, match=f"got n={n}$") as err:
+                nm.log_binomial(n, r)
+            assert "\n" not in str(err.value)
+        with pytest.raises(ValueError, match=f"got n=10, r={n}$"):
+            nm.log_binomial(10, n)
+
+    @pytest.mark.parametrize("n, r", [(5.5, 2), (10, np.array([1.0, 2.0])), (np.float64(10), 3)])
+    def test_non_integers_refused(self, n, r):
+        # int64 would truncate them to a wrong count without a word
+        with pytest.raises(ValueError, match="log_binomial needs integers") as err:
+            nm.log_binomial(n, r)
+        assert "\n" not in str(err.value)
+
     @pytest.mark.parametrize(
         "n, r, named",
         [

