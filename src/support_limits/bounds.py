@@ -340,11 +340,12 @@ def fano_lower_bound(
         return 0.0, FanoRegion(boundary_n=0.0, description="no wrong support at p = k")
     b = _entries(b, dims)
     boundary = INFINITE
-    for ell in range(1, k + 1):
+    r = np.arange(1, k + 1)
+    for ell, num in zip(r.tolist(), log_binomial(p - k + r, r).tolist()):
         mi = finite_mi(ell, mutual_information(model, max_info_partition(b, ell), b))
         if mi <= 0.0:
             continue
-        boundary = min(boundary, log_binomial(p - k + ell, ell) * (1.0 - delta2) / mi)
+        boundary = min(boundary, num * (1.0 - delta2) / mi)
     indicator = 1.0 if dims.n <= boundary else 0.0
     pe = max(0.0, delta2 * indicator - 1.0 / math.log(p - k + 1))
     return pe, FanoRegion(
@@ -380,15 +381,11 @@ def cor_linear_exact(
     _check_eta(eta)
     if p == k:
         return ThresholdResult(n_ach=0.0, n_conv=0.0)
-    b = np.asarray(b, dtype=float)
-    rows, conv = [], []
-    for ell in range(1, k + 1):
-        s_sq = float(np.sum(np.sort(b**2)[:ell]))
-        mi = 0.5 * math.log1p(s_sq / sigma**2)
-        if ell <= p - k:
-            rows.append(_ratio_row(ell, log_binomial(p - k, ell), mi))
-        conv.append(_ratio_row(ell, log_binomial(p - k + ell, ell), mi))
-    return _corollary_result(rows, conv, eta)
+    sq, r = np.sort(np.asarray(b, dtype=float) ** 2), np.arange(1, k + 1)
+    mis = [0.5 * math.log1p(float(np.sum(sq[:ell])) / sigma**2) for ell in r.tolist()]
+    ach = zip(r.tolist(), log_binomial(p - k, r[: p - k]).tolist(), mis)  # ell <= min(k, p - k)
+    conv = zip(r.tolist(), log_binomial(p - k + r, r).tolist(), mis)
+    return _corollary_result([_ratio_row(*t) for t in ach], [_ratio_row(*t) for t in conv], eta)
 
 
 def lasso_comparison_constant(c_beta: float, grid_points: int = 10**4) -> tuple[float, float]:
@@ -412,59 +409,71 @@ class PartialCurves:
     alpha_conv: float
 
 
-def _maximize_partial(
-    denom: Callable, c_beta, alpha_star: float, grid_points: int, eta: float
-) -> PartialCurves | list[PartialCurves]:
+def _maximize_partial(denom, c_beta, alpha_star: float, grid_points: int, eta: float):
     """Maximize alpha/denom and (alpha - alpha*)/denom over [alpha*, 1] for
     each c_beta, on a grid refined by golden-section; ties resolve to the
     smaller alpha.  The maxima are scaled by (1 + eta) and (1 - eta).
 
     denom(alpha, c_beta) takes arrays broadcast against each other.  A float
-    c_beta is a sequence of one and returns one PartialCurves; a sequence
-    returns a list.  Each c_beta's two grid argmaxes come from a lockstep
-    bisection over the grid (`_bisect_argmax`), the indices np.argmax of
-    the whole grid gives from a few percent of its points; every c_beta's
-    two refinements then run as lanes of one `_golden_lanes` pass, whose
-    steps are one denom call over the live lanes.  A denominator that is
-    not > 0 at a refinement point raises NonConvergenceError naming its
-    c_beta."""
+    c_beta is a sequence of one and returns one PartialCurves, a sequence a
+    list; a tuple of denominators returns a tuple of those, one per
+    denominator.  Every (denominator, c_beta) lane takes its two grid
+    argmaxes from one lockstep bisection (`_bisect_argmax`: np.argmax of the
+    whole grid from a few percent of its points) and its refinements from
+    one `_golden_lanes` pass, each level and step one `_lanes` call.  A
+    denominator not > 0 at a refinement point raises NonConvergenceError."""
+    _check_eta(eta)
     if grid_points < 2:
         raise ValueError(f"grid_points must be at least 2, got {grid_points!r}")
     if not 0.0 <= alpha_star <= 1.0:
         raise ValueError(f"alpha_star must lie in [0, 1], got {float(alpha_star)!r}")
     if alpha_star == 0.0:  # alpha / denom(alpha) grows without bound as alpha -> 0
         raise ValueError("alpha_star must be > 0: both coefficients are infinite at alpha_star = 0")
+    denoms = denom if isinstance(denom, tuple) else (denom,)
     single = np.ndim(c_beta) == 0
     c_betas = [c_beta] if single else list(c_beta)
+    n, cbs = len(c_betas), np.tile(np.asarray(c_betas, dtype=float), len(denoms))
     alphas = np.linspace(alpha_star, 1.0, grid_points)
-    best = _bisect_argmax(denom, c_betas, alphas, alpha_star)
-    lane_cb = np.repeat(np.asarray(c_betas, dtype=float), 2)
-    offset = np.tile([0.0, alpha_star], len(c_betas))
-
-    def objective(x, lanes):
-        den = denom(x, lane_cb[lanes])
-        bad = ~(den > 0.0)
-        if bad.any():
-            j = int(np.argmax(bad))
-            raise NonConvergenceError(
-                f"the partial-recovery denominator is {float(den[j]):g} at "
-                f"alpha={float(x[j]):.6g}, c_beta={float(lane_cb[lanes[j]]):g}: "
-                "the SNR is too low for the quadrature to resolve"
-            )
-        return (x - offset[lanes]) / den
-
-    x, v = _golden_lanes(objective, alphas, best)
+    keys, lanes = _lanes(denoms, cbs, False)
+    best = _bisect_argmax(lanes, keys, alphas, alpha_star)
+    lane_key, checked = np.repeat(keys, 2), _lanes(denoms, cbs, True)[1]
+    offset = np.tile([0.0, alpha_star], cbs.size)
+    x, v = _golden_lanes(lambda x, i: (x - offset[i]) / checked(x, lane_key[i]), alphas, best)
     x, v = x.tolist(), v.tolist()
-    out = [
-        PartialCurves(
-            coef_ach=v[j] * (1.0 + eta),
-            coef_conv=v[j + 1] * (1.0 - eta),
-            alpha_ach=x[j],
-            alpha_conv=x[j + 1],
-        )
-        for j in range(0, len(x), 2)
-    ]
-    return out[0] if single else out
+    out = [PartialCurves(v[j] * (1.0 + eta), v[j + 1] * (1.0 - eta), x[j], x[j + 1])
+           for j in range(0, len(x), 2)]
+    per = [out[i] if single else out[i * n : i * n + n] for i in range(len(denoms))]
+    return tuple(per) if isinstance(denom, tuple) else per[0]
+
+
+def _lanes(denoms: tuple, cbs: np.ndarray, check: bool) -> tuple[np.ndarray, Callable]:
+    """(keys, denom(alpha, key)) over the lanes of `denoms`, whose c_betas
+    cbs holds denominator by denominator: the keys are the c_betas for one
+    denominator, the lane indices for several.  A call runs each
+    denominator once on its own points, in order; with check, a value not
+    > 0 raises NonConvergenceError before the next one runs."""
+    def call(f, x, cb):
+        den = f(x, cb)
+        if check and not (den > 0.0).all():
+            j = int(np.argmax(~(den > 0.0)))
+            raise NonConvergenceError(
+                f"the partial-recovery denominator is {float(den[j]):g} at alpha={float(x[j]):.6g}, "
+                f"c_beta={float(cb[j]):g}: the SNR is too low for the quadrature to resolve")
+        return den
+
+    if len(denoms) == 1:
+        return cbs, lambda x, cb: call(denoms[0], x, cb)
+    owner = np.repeat(np.arange(len(denoms)), cbs.size // len(denoms))
+
+    def joint(x, key):
+        key = key.astype(int)
+        own, cb, out = owner[key], cbs[key], np.empty(x.shape)
+        for j, f in enumerate(denoms):
+            if (on := own == j).any():
+                out[on] = call(f, x[on], cb[on])
+        return out
+
+    return np.arange(cbs.size), joint
 
 
 # Slack of the bisection's interval bound num(alpha_j) / (D(alpha_i) - eps):
@@ -483,7 +492,8 @@ def _bisect_argmax(denom: Callable, c_betas, alphas: np.ndarray, alpha_star: flo
     """Each c_beta's grid argmaxes of the ach and conv objectives, alpha/D
     and (alpha - alpha*)/D where D > 0, else inf and 0, the conv one 0 at
     the grid's first point, as np.argmax of the whole grid gives them (the
-    first maximum), in lane order [ach 0, conv 0, ach 1, ...].
+    first maximum), in lane order [ach 0, conv 0, ach 1, ...].  The c_betas
+    are the keys D = denom(alpha, key) takes: lane indices in a joint pass.
 
     Both numerators rise with alpha and D is non-decreasing on the grid up
     to _BOUND_ABS, so every point inside a grid interval [i, j] has an
@@ -594,13 +604,10 @@ def cor_linear_partial(
         coef_ach  = max_{a in [a*,1]}  a / ((1/2) log(1 + c_beta g(a)/sigma^2))
         coef_conv = max_{a in [a*,1]} (a - a*) / (same denominator),
 
-    both multiplying k log(p/k); eta scales them by (1 +/- eta).  Every
-    c_beta's grid is bisected for its argmaxes and refined in one lockstep
-    pass (`_maximize_partial`); a float c_beta returns one PartialCurves, a
-    sequence a list.
+    both multiplying k log(p/k); eta scales them by (1 +/- eta).  A float
+    c_beta returns one PartialCurves, a sequence a list (`_maximize_partial`).
     """
-    _check_eta(eta)
-    denom = lambda a, cb: linear_partial_denominator(a, cb, sigma)
+    denom = functools.partial(linear_partial_denominator, sigma=sigma)
     return _maximize_partial(denom, c_beta, alpha_star, grid_points, eta)
 
 
@@ -632,11 +639,9 @@ def cor_1bit_exact_lowsnr(
     ell.
     """
     _check_eta(eta)
-    b = np.asarray(b, dtype=float)
-    rows = []
-    for ell in range(1, k + 1):
-        s_sq = float(np.sum(np.sort(b**2)[:ell]))
-        rows.append(_ratio_row(ell, ell * math.log(p), s_sq / (math.pi * sigma**2)))
+    sq = np.sort(np.asarray(b, dtype=float) ** 2)
+    rows = [_ratio_row(ell, ell * math.log(p), float(np.sum(sq[:ell])) / (math.pi * sigma**2))
+            for ell in range(1, k + 1)]
     return _corollary_result(rows, rows, eta)
 
 
@@ -669,16 +674,14 @@ def psi_function_1bit(alpha, c_beta, sigma: float = 1.0):
     broadcast against each other through one array path; a 0-d result is
     returned as a float, as g_alpha does.  The first expectation is one
     mean_entropy_q_scaled call on all the points; the alpha-free second one
-    is cached per (c_beta, sigma) and entropy perturbation, so the
-    bisection and every golden-section step of a partial-recovery pass
-    compute it once per c_beta.
+    is a cached lookup per element of c_beta, computed once per c_beta.
     """
     g = g_alpha(alpha)
     a1 = np.sqrt(c_beta * (1.0 - g) / (sigma**2 + c_beta * g))
     eps = numerics._ENTROPY_PERTURBATION
-    cbs, inverse = np.unique(c_beta, return_inverse=True)
-    terms = np.array([_psi_full_term(cb, sigma, eps) for cb in cbs.tolist()])
-    diff = mean_entropy_q_scaled(a1) - terms[inverse.ravel()].reshape(np.shape(c_beta))
+    cbs = np.asarray(c_beta, dtype=float)
+    full = np.array([_psi_full_term(cb, sigma, eps) for cb in cbs.ravel().tolist()])
+    diff = mean_entropy_q_scaled(a1) - full.reshape(cbs.shape)
     if not np.isfinite(diff).all():
         raise NonConvergenceError(f"Psi quadrature is not finite at c_beta={c_beta}, sigma={sigma}")
     psi = np.where(diff > 0.0, diff, 0.0)
@@ -704,14 +707,9 @@ def cor_1bit_partial(
 ) -> PartialCurves | list[PartialCurves]:
     """Partial-recovery coefficients for the 1-bit channel: as the linear
     case with denominator Psi(alpha, c_beta, sigma), float or sequence
-    c_beta alike.
-
-    Each bisection level is one psi_function_1bit call over the live
-    interval midpoints of every c_beta (about 12 levels at 2001 points), and
-    every lockstep golden-section step one call over the live lanes (2 per
-    c_beta)."""
-    _check_eta(eta)
-    denom = lambda a, cb: psi_function_1bit(a, cb, sigma)
+    c_beta alike, one psi_function_1bit call per bisection level (about 12
+    at 2001 points) and golden-section step."""
+    denom = functools.partial(psi_function_1bit, sigma=sigma)
     return _maximize_partial(denom, c_beta, alpha_star, grid_points, eta)
 
 
@@ -922,12 +920,13 @@ FIG_GT_NOISY = "gt-noisy"
 def figure_table(figure: str, grid: dict) -> tuple[list[tuple[float, str, float]], list[str]]:
     """(rows, notes): the (x, curve-name, y) rows behind the three numeric
     figures, the curve name stating the unit, and lines naming the optimizer
-    behind them, both from one corollary call per curve family.
+    behind them, both from one optimizer pass per curve family.
 
     partial-recovery: y = n/(k log(p/k)) coefficients in nats vs SNR in dB,
     four curves (linear/1-bit x ach/conv), alpha* and sigma from the grid;
-    every SNR's c_beta is checked (`c_beta_from_snr`) before the first
-    corollary runs; a note per SNR gives the four maximizing alphas.
+    every SNR's c_beta is checked (`c_beta_from_snr`), then both channels
+    share one `_maximize_partial` pass; a note per SNR gives the four
+    maximizing alphas.
     gt-noiseless / gt-noisy: y = base-2 rate k log2(p/k)/n vs theta,
     achievability and converse curves (per rho for the noisy figure); a note
     per noiseless row gives nu*, one per (theta, rho), theta-major, delta2*.
@@ -939,8 +938,9 @@ def figure_table(figure: str, grid: dict) -> tuple[list[tuple[float, str, float]
         sigma = grid.get("sigma", 1.0)
         gp = grid.get("grid_points", 2001)
         c_betas = [c_beta_from_snr(snr, sigma) for snr in grid["snr_db"]]
-        lin = cor_linear_partial(c_betas, sigma, alpha_star, grid_points=gp)
-        ob = cor_1bit_partial(c_betas, sigma, alpha_star, grid_points=gp)
+        denoms = (functools.partial(linear_partial_denominator, sigma=sigma),
+                  functools.partial(psi_function_1bit, sigma=sigma))
+        lin, ob = _maximize_partial(denoms, c_betas, alpha_star, gp, 0.0)
         for snr, lc, oc in zip(grid["snr_db"], lin, ob):
             rows += [
                 (snr, "linear-ach-coef-nats", lc.coef_ach),

@@ -259,11 +259,14 @@ class Linear(_GaussianDesign):
         return sig_l_sq / (spec.sigma**2 + sig_l_sq)
 
     def tail_spec(self, spec, b, parts, mi_map):
+        """Every partition's energy computed once; one beyond the float range
+        is inf, without a warning, and its tail terms are refused by ell."""
         b = np.asarray(b, dtype=float)
-        terms = lambda ell: conc.bernstein_linear_terms(
-            _energy(b, parts[ell - 1].dif_index()), spec.sigma, 0.5
+        with np.errstate(over="ignore"):
+            energies = [_energy(b, part.dif_index()) for part in parts]
+        return conc.TailBoundSpec(
+            lambda ell: conc.bernstein_linear_terms(energies[ell - 1], spec.sigma, 0.5)
         )
-        return conc.TailBoundSpec(terms)
 
 
 class OneBit(_GaussianDesign):

@@ -187,24 +187,19 @@ def g_alpha(alpha):
 
     Accepts a scalar (returns a float) or an array (returns an array of the
     same shape); raises if any argument lies outside [0, 1].  Where
-    (1 + alpha)/2 rounds to 1, t is infinite and g is the alpha = 1 limit, 1.
+    (1 + alpha)/2 rounds to 1, t is infinite and g is the alpha = 1 limit, 1;
+    at alpha = 0, t = 0 and the formula gives alpha itself.  Every element
+    takes the same few array operations, so it equals the scalar call.
     """
     al = np.asarray(alpha, dtype=float)
     inside = (al >= 0.0) & (al <= 1.0)
     if not inside.all():
         raise ValueError(f"g_alpha argument outside [0, 1]: {float(al[~inside][0])!r}")
-    g = al.copy()
-    top = (1.0 + al) / 2.0 == 1.0
-    g[top] = 1.0
-    interior = (al > 0.0) & ~top
-    g[interior] = _g_interior(al[interior])
+    h = (1.0 + al) / 2.0
+    t = ndtri(h)
+    with np.errstate(invalid="ignore"):  # inf * 0 where h = 1, not selected
+        g = np.where(h == 1.0, 1.0, al - 2.0 * t * np.exp(-0.5 * t * t) / _SQRT_2PI)
     return float(g) if g.ndim == 0 else g
-
-
-def _g_interior(alpha):
-    """g(alpha) for 0 < alpha < 1; alpha is a 1-D array."""
-    t = ndtri((1.0 + alpha) / 2.0)
-    return alpha - 2.0 * t * np.exp(-0.5 * t * t) / _SQRT_2PI
 
 
 def gaussian_expectation(f: Callable) -> float:

@@ -381,10 +381,9 @@ def threshold_union_bound(
         fails += len(block) - live.size
     p1 = fails / trials
     se = math.sqrt(max(p1 * (1 - p1), 1.0 / trials) / trials)
-    term2 = sum(
-        math.exp(log_binomial(dims.p - dims.k, ell) + log_binomial(dims.k, ell) - t)
-        for ell, t in thresholds.items()
-    )
+    ells = np.array(list(thresholds), dtype=int)
+    logs = (log_binomial(dims.p - dims.k, ells) + log_binomial(dims.k, ells)).tolist()
+    term2 = sum(math.exp(lb - t) for lb, t in zip(logs, thresholds.values()))
     return p1, se, term2
 
 

@@ -910,13 +910,14 @@ def _partial_dense_grid():
 
 @check("partial-argmax-vs-full-grid")
 def _partial_argmax():
-    # the bisection's grid argmaxes (bounds._bisect_argmax, the figure's
-    # path) against np.argmax of each whole grid on all four curves, and the
-    # bisection's precondition: no grid denominator falls more than
-    # bounds._BOUND_ABS below its running maximum (a strict rise is false
-    # below about -100 dB).  Seeded sets of SNRs over -140 ... 80 dB, with
-    # -120 and -110 dB fixed at 2001 and 10^4 points, where a relative margin
-    # alone changes the 1-bit argmax
+    # the bisection's grid argmaxes (bounds._bisect_argmax) against np.argmax
+    # of each whole grid on all four curves, each channel's lanes alone (the
+    # corollaries' path) and both channels' in one joint pass (the figure's,
+    # bounds._lanes), and the bisection's precondition: no grid denominator
+    # falls more than bounds._BOUND_ABS below its running maximum (a strict
+    # rise is false below about -100 dB).  Seeded sets of SNRs over
+    # -140 ... 80 dB, with -120 and -110 dB fixed at 2001 and 10^4 points,
+    # where a relative margin alone changes the 1-bit argmax
     rng = np.random.default_rng(SEED)
     cases = [(1.0, 0.1, gp, [-120.0, -110.0]) for gp in (2001, 10**4)]
     for gp in (2, 3, 50, 2001, 10**4):
@@ -930,18 +931,21 @@ def _partial_argmax():
     for sigma, alpha_star, gp, snrs in cases:
         cbs = [md.c_beta_from_snr(snr, sigma) for snr in snrs]
         alphas = np.linspace(alpha_star, 1.0, gp)
-        for f in denoms:
-            denom = lambda a, cb: f(a, cb, sigma)
-            got = bounds._bisect_argmax(denom, cbs, alphas, alpha_star).reshape(-1, 2).tolist()
-            for cb, pair in zip(cbs, got):
+        fs = tuple(lambda a, cb, f=f: f(a, cb, sigma) for f in denoms)
+        keys, lanes_denom = bounds._lanes(fs, np.tile(cbs, len(fs)), False)
+        joint = bounds._bisect_argmax(lanes_denom, keys, alphas, alpha_star).reshape(len(fs), -1, 2)
+        for denom, both in zip(fs, joint.tolist()):
+            alone = bounds._bisect_argmax(denom, cbs, alphas, alpha_star).reshape(-1, 2).tolist()
+            for cb, pair, joint_pair in zip(cbs, alone, both):
                 dens = denom(alphas, cb)
                 fall = max(fall, float(np.max(np.maximum.accumulate(dens) - dens)))
                 with np.errstate(divide="ignore", invalid="ignore"):
                     obj_a = np.where(dens > 0, alphas / dens, math.inf)
                     obj_c = np.where(dens > 0, (alphas - alpha_star) / dens, 0.0)
                 obj_c[0] = 0.0
-                wrong += sum(i != int(np.argmax(o)) for i, o in zip(pair, (obj_a, obj_c)))
-                lanes += 2
+                want = [int(np.argmax(o)) for o in (obj_a, obj_c)]
+                wrong += sum(i != w for i, w in zip(pair + joint_pair, want * 2))
+                lanes += 4
     eps = bounds._BOUND_ABS
     return wrong + (fall > eps), 0.0, (
         f"{wrong} of {lanes} grid argmaxes differ; largest fall below the running "

@@ -1,3 +1,4 @@
+import functools
 import itertools
 import math
 import warnings
@@ -933,6 +934,86 @@ class TestOnePartialSearchPath:
         assert 0 < sum(points) < 0.1 * (2 * 6 * 2001)
 
 
+# SNR ranges of the partial-recovery figure, as the CLI parses them
+JOINT_SNRS = ("4:14:2", "-20:-10:2", "40:50:2", "-120:-95:5", "80:80:1")
+
+
+class TestFigureJointPass:
+    """The partial-recovery figure runs every (channel, c_beta) lane through
+    one bisection and one golden-section pass; its rows and notes equal what
+    the two corollaries give on their own (==, no tolerance)."""
+
+    @staticmethod
+    def check(monkeypatch, snrs, alpha_star, sigma, grid_points):
+        grid = {"snr_db": cli.parse_range(snrs), "alpha_star": alpha_star, "sigma": sigma,
+                "grid_points": grid_points}
+        cbs = [md.c_beta_from_snr(snr, sigma) for snr in grid["snr_db"]]
+        lin = bounds.cor_linear_partial(cbs, sigma, alpha_star, grid_points=grid_points)
+        one = bounds.cor_1bit_partial(cbs, sigma, alpha_star, grid_points=grid_points)
+        passes = []
+        maximize = bounds._maximize_partial
+        monkeypatch.setattr(
+            bounds, "_maximize_partial", lambda *args: passes.append(maximize(*args)) or passes[-1]
+        )
+        rows, notes = bounds.figure_table(bounds.FIG_PARTIAL, grid)
+        assert passes == [(lin, one)]  # every PartialCurves field, both channels
+        want_rows, want_notes = [], []
+        for snr, lc, oc in zip(grid["snr_db"], lin, one):
+            for name, res in (("linear", lc), ("1bit", oc)):
+                want_rows += [(snr, f"{name}-ach-coef-nats", res.coef_ach),
+                              (snr, f"{name}-conv-coef-nats", res.coef_conv)]
+            want_notes.append(f"snr={snr:g} linear alpha*={lc.alpha_ach:.4f}/{lc.alpha_conv:.4f} "
+                              f"1bit alpha*={oc.alpha_ach:.4f}/{oc.alpha_conv:.4f}")
+        assert (rows, notes) == (want_rows, want_notes)
+
+    @pytest.mark.parametrize("sigma", [1.0, 0.7])
+    @pytest.mark.parametrize("alpha_star", [0.1, 0.999, 1.0])
+    @pytest.mark.parametrize("snrs", JOINT_SNRS)
+    def test_equals_separate_corollaries(self, monkeypatch, snrs, alpha_star, sigma):
+        self.check(monkeypatch, snrs, alpha_star, sigma, 201)
+
+    @pytest.mark.parametrize("snrs", ["4:14:2", "-120:-95:5"])
+    def test_equals_separate_corollaries_at_2001_points(self, monkeypatch, snrs):
+        self.check(monkeypatch, snrs, 0.1, 1.0, 2001)
+
+    @pytest.mark.parametrize("snrs, alpha_star", [("-140:-100:20", 0.1), ("-20:-10:2", 1e-5)])
+    def test_refusal_names_the_corollary_lane(self, snrs, alpha_star):
+        # the 1-bit denominator reaches 0 first; the joint pass names the same
+        # alpha and c_beta as the corollary alone
+        grid = {"snr_db": cli.parse_range(snrs), "alpha_star": alpha_star, "grid_points": 2001}
+        cbs = [md.c_beta_from_snr(snr) for snr in grid["snr_db"]]
+        bounds.cor_linear_partial(cbs, alpha_star=alpha_star, grid_points=2001)
+        with pytest.raises(nm.NonConvergenceError) as alone:
+            bounds.cor_1bit_partial(cbs, alpha_star=alpha_star, grid_points=2001)
+        with pytest.raises(nm.NonConvergenceError) as joint:
+            bounds.figure_table(bounds.FIG_PARTIAL, grid)
+        assert str(joint.value) == str(alone.value)
+
+    def test_linear_lanes_are_checked_first(self):
+        # both denominators are 0 at every point: the linear lanes' check runs
+        # before the 1-bit denominator is called
+        called = []
+        lin = lambda a, cb: np.zeros(np.shape(a))
+        one = lambda a, cb: called.append(1) or np.zeros(np.shape(a))
+        with pytest.raises(nm.NonConvergenceError, match=r"alpha=0.1\d*, c_beta=2:"):
+            bounds._maximize_partial((lin, one), [2.0, 3.0], 0.1, 21, 0.0)
+        levels = []
+        bounds._bisect_argmax(lambda a, cb: levels.append(1) or np.zeros(np.shape(a)), [2.0, 3.0],
+                              np.linspace(0.1, 1.0, 21), 0.1)
+        assert len(called) == len(levels)  # no golden-section step reached it
+
+    def test_single_denominator_tuple_equals_plain(self):
+        denom = functools.partial(bounds.linear_partial_denominator, sigma=1.0)
+        cbs = [0.5, 10.0]
+        assert bounds._maximize_partial((denom,), cbs, 0.1, 101, 0.0) == (
+            bounds._maximize_partial(denom, cbs, 0.1, 101, 0.0),
+        )
+        assert bounds._maximize_partial((denom, denom), 10.0, 0.1, 101, 0.0) == (
+            bounds._maximize_partial(denom, 10.0, 0.1, 101, 0.0),
+        ) * 2
+        assert bounds._maximize_partial((denom, denom), [], 0.1, 101, 0.0) == ([], [])
+
+
 class TestCor1BitPartial:
     def test_floor_from_log2(self):
         for cb in (0.1, 10.0, 1e4):
@@ -1287,7 +1368,7 @@ class TestEntryVectorRefused:
         ([1e154, 1e154], r"the tail terms at ell = 1 are not finite"),
     ])
     def test_achievability(self, b, message):
-        with np.errstate(over="ignore"), pytest.raises(ValueError, match=message) as err:
+        with pytest.raises(ValueError, match=message) as err:
             bounds.achievability_threshold_generic(md.ModelSpec.linear(1.0), b, self.DIMS)
         assert "\n" not in str(err.value)
 
@@ -1515,3 +1596,70 @@ class TestOnePassOverTheEllFacts:
             assert res.breakdown
         gt = model.channel == "group-testing"
         assert counts == {"mi": 2, "gt": 2 if gt else 0, "psi": 0}
+
+
+def _scalar_cor_linear_exact(b, sigma, p, k, eta):
+    """cor_linear_exact as it was: a sort and two 0-d log_binomial calls per ell."""
+    b = np.asarray(b, dtype=float)
+    rows, conv = [], []
+    for ell in range(1, k + 1):
+        s_sq = float(np.sum(np.sort(b**2)[:ell]))
+        mi = 0.5 * math.log1p(s_sq / sigma**2)
+        if ell <= p - k:
+            rows.append(bounds._ratio_row(ell, nm.log_binomial(p - k, ell), mi))
+        conv.append(bounds._ratio_row(ell, nm.log_binomial(p - k + ell, ell), mi))
+    return bounds._corollary_result(rows, conv, eta)
+
+
+def _scalar_cor_1bit_exact_lowsnr(b, sigma, p, k, eta):
+    """cor_1bit_exact_lowsnr as it was: a sort per ell."""
+    b = np.asarray(b, dtype=float)
+    rows = []
+    for ell in range(1, k + 1):
+        s_sq = float(np.sum(np.sort(b**2)[:ell]))
+        rows.append(bounds._ratio_row(ell, ell * math.log(p), s_sq / (math.pi * sigma**2)))
+    return bounds._corollary_result(rows, rows, eta)
+
+
+def _scalar_fano_boundary(model, b, dims, delta2):
+    """fano_lower_bound's boundary as it was: one 0-d log_binomial call per ell."""
+    k, p = dims.k, dims.p
+    b = np.asarray(b, dtype=float)
+    boundary = math.inf
+    for ell in range(1, k + 1):
+        mi = info.finite_mi(ell, info.mutual_information(model, md.max_info_partition(b, ell), b))
+        if mi <= 0.0:
+            continue
+        boundary = min(boundary, nm.log_binomial(p - k + ell, ell) * (1.0 - delta2) / mi)
+    return boundary
+
+
+class TestArrayBinomialsEqualScalarCalls:
+    """The exact corollaries and Fano's boundary take one array log_binomial
+    call per binomial; every value equals the per-ell 0-d calls (==)."""
+
+    # p - k above, at and below k; n = p - k + ell near 2**40 and 1e15
+    PK = [(10, 3), (8, 4), (7, 5), (6, 5), (10**9, 8), (2**40, 2), (10**15, 9)]
+
+    @staticmethod
+    def entries(k):
+        # distinct magnitudes and a zero; at k = 9 np.sum adds nine entries
+        # in its unrolled order, not as a running sum
+        return np.random.default_rng(k).normal(size=k).tolist()[:-1] + [0.0]
+
+    @pytest.mark.parametrize("p,k", PK)
+    def test_exact_corollaries(self, p, k):
+        b = self.entries(k)
+        for sigma, eta in ((1.0, 0.0), (0.3, 0.1)):
+            assert bounds.cor_linear_exact(b, sigma, p, k, eta) == (
+                _scalar_cor_linear_exact(b, sigma, p, k, eta))
+            assert bounds.cor_1bit_exact_lowsnr(b, sigma, p, k, eta) == (
+                _scalar_cor_1bit_exact_lowsnr(b, sigma, p, k, eta))
+
+    @pytest.mark.parametrize("p,k", PK)
+    @pytest.mark.parametrize("model", [md.ModelSpec.linear(0.7), md.ModelSpec.one_bit(1.0)],
+                             ids=["linear", "one-bit"])
+    def test_fano_boundary(self, p, k, model):
+        b, dims = self.entries(k), md.ProblemDims(p=p, k=k, n=3)
+        _, region = bounds.fano_lower_bound(model, b, dims, 0.5)
+        assert region.boundary_n == _scalar_fano_boundary(model, b, dims, 0.5)

@@ -153,19 +153,23 @@ class TestThresholdCommand:
 
     @pytest.mark.parametrize("verbose", [[], ["--verbose"]])
     def test_one_corollary_call_per_curve_family(self, capsys, monkeypatch, tmp_path, verbose):
-        # --verbose reads its optimizers from the calls behind the rows
+        # --verbose reads its optimizers from the calls behind the rows; the
+        # partial-recovery figure runs both channels' lanes through one
+        # bisection and one golden-section pass
         calls = {}
-        for name in ("cor_gt_noiseless", "cor_gt_noisy", "cor_linear_partial", "cor_1bit_partial"):
+        for name in ("cor_gt_noiseless", "cor_gt_noisy", "_bisect_argmax", "_golden_lanes"):
             def counted(*args, _name=name, _real=getattr(bounds, name), **kwargs):
                 calls[_name] = calls.get(_name, 0) + 1
                 return _real(*args, **kwargs)
 
             monkeypatch.setattr(bounds, name, counted)
         for argv, expected in (
-            (["gt-noiseless", "--theta", "0.1:0.2:0.1"], {"cor_gt_noiseless": 1}),
-            (["gt-noisy", "--theta", "0.1:0.2:0.1", "--rho", "0.05,0.11"], {"cor_gt_noisy": 2}),
+            (["gt-noiseless", "--theta", "0.1:0.2:0.1"],
+             {"cor_gt_noiseless": 1, "_golden_lanes": 1}),
+            (["gt-noisy", "--theta", "0.1:0.2:0.1", "--rho", "0.05,0.11"],
+             {"cor_gt_noisy": 2, "_golden_lanes": 2}),
             (["partial-recovery", "--snr-db", "0:10:5", "--grid-points", "21"],
-             {"cor_linear_partial": 1, "cor_1bit_partial": 1}),
+             {"_bisect_argmax": 1, "_golden_lanes": 1}),
         ):
             calls.clear()
             code, _, _ = run(capsys, "threshold", "--figure", *argv, *verbose,

@@ -880,6 +880,18 @@ def loop_union_bound(model, prior, dims, delta1, trials, seed):
     return p1, se, term2
 
 
+@pytest.mark.parametrize("p,k", [(6, 2), (6, 4), (9, 4), (7, 6)])
+def test_union_bound_wrong_support_mass_equals_scalar_calls(p, k):
+    # one array log_binomial call per binomial, summed in ell order, gives
+    # the per-ell 0-d calls' value (==)
+    m, dims = md.ModelSpec.group_testing(rho=0.11), md.ProblemDims(p=p, k=k, n=5)
+    want = sum(
+        math.exp(nm.log_binomial(p - k, ell) + nm.log_binomial(k, ell) - t)
+        for ell, t in threshold_map(dims, 0.1).items()
+    )
+    assert sim.threshold_union_bound(m, GT, dims, trials=1, seed=SEED)[2] == want
+
+
 UNION_CASES = {
     "gt-noiseless": (md.ModelSpec.group_testing(rho=0.0), GT, md.ProblemDims(p=12, k=2, n=30)),
     "gt-noisy": (md.ModelSpec.group_testing(rho=0.11), GT, md.ProblemDims(p=12, k=2, n=60)),
