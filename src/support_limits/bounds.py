@@ -80,11 +80,11 @@ class BoundOptions:
 
     def __post_init__(self):
         _check_eta(self.eta)
+        _check_delta1(self.delta1)
         # outside these ranges (or NaN) the counts divide by zero, turn
         # negative or come out NaN
         target = self.remainder_target
         for name, ok, rng in (
-            ("delta1", 0.0 < self.delta1 <= 1.0, "(0, 1]"),
             ("delta2", 0.0 <= self.delta2 < 1.0, "[0, 1)"),
             ("delta0", self.delta0 > 0.0, "(0, inf)"),
             ("remainder_target", target is None or 0.0 < target <= 1.0, "(0, 1]"),
@@ -409,19 +409,20 @@ class PartialCurves:
     alpha_conv: float
 
 
-def _maximize_partial(denom, c_beta, alpha_star: float, grid_points: int, eta: float):
-    """Maximize alpha/denom and (alpha - alpha*)/denom over [alpha*, 1] for
-    each c_beta, on a grid refined by golden-section; ties resolve to the
-    smaller alpha.  The maxima are scaled by (1 + eta) and (1 - eta).
+def _maximize_partial(denoms: tuple, c_beta, alpha_star: float, grid_points: int, eta: float):
+    """Maximize alpha/D and (alpha - alpha*)/D over [alpha*, 1] for each
+    denominator D(alpha, c_beta) of `denoms` (arrays broadcast against each
+    other) and each c_beta, on a grid refined by golden-section; ties
+    resolve to the smaller alpha.  The maxima are scaled by (1 + eta) and
+    (1 - eta).
 
-    denom(alpha, c_beta) takes arrays broadcast against each other.  A float
-    c_beta is a sequence of one and returns one PartialCurves, a sequence a
-    list; a tuple of denominators returns a tuple of those, one per
-    denominator.  Every (denominator, c_beta) lane takes its two grid
-    argmaxes from one lockstep bisection (`_bisect_argmax`: np.argmax of the
-    whole grid from a few percent of its points) and its refinements from
-    one `_golden_lanes` pass, each level and step one `_lanes` call.  A
-    denominator not > 0 at a refinement point raises NonConvergenceError."""
+    Returns a tuple with one entry per denominator.  A float c_beta is a
+    sequence of one: its entry is one PartialCurves, a sequence's a list.
+    Every (denominator, c_beta) lane takes its two grid argmaxes from one
+    lockstep bisection (`_bisect_argmax`: np.argmax of the whole grid from a
+    few percent of its points) and its refinements from one `_golden_lanes`
+    pass, each level and step one `_lanes` call.  A denominator not > 0 at
+    a refinement point raises NonConvergenceError."""
     _check_eta(eta)
     if grid_points < 2:
         raise ValueError(f"grid_points must be at least 2, got {grid_points!r}")
@@ -429,51 +430,42 @@ def _maximize_partial(denom, c_beta, alpha_star: float, grid_points: int, eta: f
         raise ValueError(f"alpha_star must lie in [0, 1], got {float(alpha_star)!r}")
     if alpha_star == 0.0:  # alpha / denom(alpha) grows without bound as alpha -> 0
         raise ValueError("alpha_star must be > 0: both coefficients are infinite at alpha_star = 0")
-    denoms = denom if isinstance(denom, tuple) else (denom,)
     single = np.ndim(c_beta) == 0
-    c_betas = [c_beta] if single else list(c_beta)
-    n, cbs = len(c_betas), np.tile(np.asarray(c_betas, dtype=float), len(denoms))
-    alphas = np.linspace(alpha_star, 1.0, grid_points)
-    keys, lanes = _lanes(denoms, cbs, False)
-    best = _bisect_argmax(lanes, keys, alphas, alpha_star)
-    lane_key, checked = np.repeat(keys, 2), _lanes(denoms, cbs, True)[1]
-    offset = np.tile([0.0, alpha_star], cbs.size)
-    x, v = _golden_lanes(lambda x, i: (x - offset[i]) / checked(x, lane_key[i]), alphas, best)
+    cbs = np.asarray([c_beta] if single else list(c_beta), dtype=float)
+    n, alphas = cbs.size, np.linspace(alpha_star, 1.0, grid_points)
+    best = _bisect_argmax(_lanes(denoms, cbs, False), len(denoms) * n, alphas, alpha_star)
+    lane, checked = np.arange(len(denoms) * n).repeat(2), _lanes(denoms, cbs, True)
+    offset = np.tile([0.0, alpha_star], len(denoms) * n)
+    x, v = _golden_lanes(lambda x, i: (x - offset[i]) / checked(x, lane[i]), alphas, best)
     x, v = x.tolist(), v.tolist()
     out = [PartialCurves(v[j] * (1.0 + eta), v[j + 1] * (1.0 - eta), x[j], x[j + 1])
            for j in range(0, len(x), 2)]
-    per = [out[i] if single else out[i * n : i * n + n] for i in range(len(denoms))]
-    return tuple(per) if isinstance(denom, tuple) else per[0]
+    return tuple(out[i] if single else out[i * n : i * n + n] for i in range(len(denoms)))
 
 
-def _lanes(denoms: tuple, cbs: np.ndarray, check: bool) -> tuple[np.ndarray, Callable]:
-    """(keys, denom(alpha, key)) over the lanes of `denoms`, whose c_betas
-    cbs holds denominator by denominator: the keys are the c_betas for one
-    denominator, the lane indices for several.  A call runs each
-    denominator once on its own points, in order; with check, a value not
-    > 0 raises NonConvergenceError before the next one runs."""
+def _lanes(denoms: tuple, cbs: np.ndarray, check: bool) -> Callable:
+    """denom(alpha, lanes) for an int array of lane ids, lane i being
+    denominator i // cbs.size of `denoms` at c_beta cbs[i % cbs.size].  A
+    call runs each denominator once on its own points, in order; with check,
+    a value not > 0 raises NonConvergenceError before the next one runs."""
     def call(f, x, cb):
         den = f(x, cb)
         if check and not (den > 0.0).all():
             j = int(np.argmax(~(den > 0.0)))
             raise NonConvergenceError(
                 f"the partial-recovery denominator is {float(den[j]):g} at alpha={float(x[j]):.6g}, "
-                f"c_beta={float(cb[j]):g}: the SNR is too low for the quadrature to resolve")
+                f"c_beta={float(cb[j]):g}: the SNR is too low, or alpha* too small, for the "
+                f"quadrature to resolve")
         return den
 
-    if len(denoms) == 1:
-        return cbs, lambda x, cb: call(denoms[0], x, cb)
-    owner = np.repeat(np.arange(len(denoms)), cbs.size // len(denoms))
-
-    def joint(x, key):
-        key = key.astype(int)
-        own, cb, out = owner[key], cbs[key], np.empty(x.shape)
+    def denom(x, lanes):
+        own, cb, out = lanes // cbs.size, cbs[lanes % cbs.size], np.empty(x.shape)
         for j, f in enumerate(denoms):
             if (on := own == j).any():
                 out[on] = call(f, x[on], cb[on])
         return out
 
-    return np.arange(cbs.size), joint
+    return denom
 
 
 # Slack of the bisection's interval bound num(alpha_j) / (D(alpha_i) - eps):
@@ -488,35 +480,34 @@ _BOUND_REL = 1e-9
 _BOUND_ABS = 1e-13
 
 
-def _bisect_argmax(denom: Callable, c_betas, alphas: np.ndarray, alpha_star: float) -> np.ndarray:
-    """Each c_beta's grid argmaxes of the ach and conv objectives, alpha/D
-    and (alpha - alpha*)/D where D > 0, else inf and 0, the conv one 0 at
-    the grid's first point, as np.argmax of the whole grid gives them (the
-    first maximum), in lane order [ach 0, conv 0, ach 1, ...].  The c_betas
-    are the keys D = denom(alpha, key) takes: lane indices in a joint pass.
+def _bisect_argmax(denom: Callable, n: int, alphas: np.ndarray, alpha_star: float) -> np.ndarray:
+    """Each of the n lanes' grid argmaxes of the ach and conv objectives,
+    alpha/D and (alpha - alpha*)/D where D > 0, else inf and 0, the conv one
+    0 at the grid's first point, as np.argmax of the whole grid gives them
+    (the first maximum), in order [ach 0, conv 0, ach 1, ...].  D =
+    denom(alpha, lanes) takes int lane ids.
 
     Both numerators rise with alpha and D is non-decreasing on the grid up
     to _BOUND_ABS, so every point inside a grid interval [i, j] has an
     objective at most num(alpha_j) / (D(alpha_i) - _BOUND_ABS), raised by
-    _BOUND_REL, and unbounded where D(alpha_i) <= _BOUND_ABS.  Each c_beta
+    _BOUND_REL, and unbounded where D(alpha_i) <= _BOUND_ABS.  Each lane
     starts with its grid's two end points.  An interval lives while its
-    bound can reach its lane's best value so far: on >= left of the best
-    index and on > right of it, since a later point wins only a strict
+    bound can reach its objective's best value so far: on >= left of the
+    best index and on > right of it, since a later point wins only a strict
     maximum.  An interval whose ends share one alpha (every interval at
     alpha* = 1) holds only points equal to its visited left end and never
-    lives.  Each level halves every live interval of every c_beta with one
-    denom call over the midpoints; the ach and conv lanes of a c_beta share
+    lives.  Each level halves every live interval of every lane with one
+    denom call over the midpoints; a lane's ach and conv objectives share
     its D values."""
-    n, last = len(c_betas), len(alphas) - 1
-    cbs = np.asarray(c_betas, dtype=float)
-    best = np.full((n, 2), -INFINITE)  # each lane's best objective so far
+    last = len(alphas) - 1
+    best = np.full((n, 2), -INFINITE)  # each objective's best value so far
     at = np.full((n, 2), last + 1)  # and its grid index
 
     def visit(owner, idx):
-        """D at grid points idx of c_betas owner; folds their objectives
+        """D at grid points idx of lanes owner; folds their objectives
         into each lane's best, the smaller index winning a tie."""
         a = alphas[idx]
-        dens = denom(a, cbs[owner])
+        dens = denom(a, owner)
         with np.errstate(divide="ignore", invalid="ignore"):
             obj_a = np.where(dens > 0, a / dens, INFINITE)
             obj_c = np.where((dens > 0) & (idx > 0), (a - alpha_star) / dens, 0.0)
@@ -605,22 +596,24 @@ def cor_linear_partial(
         coef_conv = max_{a in [a*,1]} (a - a*) / (same denominator),
 
     both multiplying k log(p/k); eta scales them by (1 +/- eta).  A float
-    c_beta returns one PartialCurves, a sequence a list (`_maximize_partial`).
+    c_beta returns one PartialCurves, a sequence a list: the one-denominator
+    `_maximize_partial` call.
     """
     denom = functools.partial(linear_partial_denominator, sigma=sigma)
-    return _maximize_partial(denom, c_beta, alpha_star, grid_points, eta)
+    return _maximize_partial((denom,), c_beta, alpha_star, grid_points, eta)[0]
 
 
 # math.log1p per element: np.log1p differs from it in the last bit on some
-# numpy builds, and the figure CSVs must not change.
-_log1p = np.vectorize(math.log1p, otypes=[float])
+# numpy builds, and the figure CSVs must not change.  It returns objects, a
+# bare float for a 0-d argument, which np.asarray turns into float64.
+_log1p = np.frompyfunc(math.log1p, 1, 1)
 
 
 def linear_partial_denominator(alpha: np.ndarray, c_beta, sigma: float = 1.0) -> np.ndarray:
     """(1/2) log(1 + c_beta g(alpha) / sigma^2), the linear channel's
     partial-recovery denominator, for an array alpha and a float or array
     c_beta broadcast against it."""
-    return 0.5 * _log1p(c_beta * g_alpha(alpha) / sigma**2)
+    return 0.5 * np.asarray(_log1p(c_beta * g_alpha(alpha) / sigma**2), dtype=float)
 
 
 # ---------------------------------------------------------------------------
@@ -710,7 +703,7 @@ def cor_1bit_partial(
     c_beta alike, one psi_function_1bit call per bisection level (about 12
     at 2001 points) and golden-section step."""
     denom = functools.partial(psi_function_1bit, sigma=sigma)
-    return _maximize_partial(denom, c_beta, alpha_star, grid_points, eta)
+    return _maximize_partial((denom,), c_beta, alpha_star, grid_points, eta)[0]
 
 
 # ---------------------------------------------------------------------------

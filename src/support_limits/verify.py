@@ -912,8 +912,8 @@ def _partial_dense_grid():
 def _partial_argmax():
     # the bisection's grid argmaxes (bounds._bisect_argmax) against np.argmax
     # of each whole grid on all four curves, each channel's lanes alone (the
-    # corollaries' path) and both channels' in one joint pass (the figure's,
-    # bounds._lanes), and the bisection's precondition: no grid denominator
+    # corollaries' pass) and both channels' in one pass (the figure's), each
+    # through bounds._lanes, and the bisection's precondition: no grid denominator
     # falls more than bounds._BOUND_ABS below its running maximum (a strict
     # rise is false below about -100 dB).  Seeded sets of SNRs over
     # -140 ... 80 dB, with -120 and -110 dB fixed at 2001 and 10^4 points,
@@ -932,10 +932,11 @@ def _partial_argmax():
         cbs = [md.c_beta_from_snr(snr, sigma) for snr in snrs]
         alphas = np.linspace(alpha_star, 1.0, gp)
         fs = tuple(lambda a, cb, f=f: f(a, cb, sigma) for f in denoms)
-        keys, lanes_denom = bounds._lanes(fs, np.tile(cbs, len(fs)), False)
-        joint = bounds._bisect_argmax(lanes_denom, keys, alphas, alpha_star).reshape(len(fs), -1, 2)
-        for denom, both in zip(fs, joint.tolist()):
-            alone = bounds._bisect_argmax(denom, cbs, alphas, alpha_star).reshape(-1, 2).tolist()
+        bisect = lambda fs: bounds._bisect_argmax(
+            bounds._lanes(fs, np.asarray(cbs), False), len(fs) * len(cbs), alphas, alpha_star
+        ).reshape(len(fs), -1, 2).tolist()
+        for denom, both in zip(fs, bisect(fs)):
+            (alone,) = bisect((denom,))
             for cb, pair, joint_pair in zip(cbs, alone, both):
                 dens = denom(alphas, cb)
                 fall = max(fall, float(np.max(np.maximum.accumulate(dens) - dens)))

@@ -513,11 +513,18 @@ class TestPartialGridEquivalence:
             assert all(type(v) is float for v in scalars)
 
     def test_linear_curve_denominators_equal_scalar_formula(self):
-        cb, sigma = 50.0, 1.5
-        alphas = np.linspace(0.2, 1.0, 301)
-        assert bounds.linear_partial_denominator(alphas, cb, sigma).tolist() == [
-            0.5 * math.log1p(cb * nm.g_alpha(a) / sigma**2) for a in alphas.tolist()
-        ]
+        # math.log1p per element, also on the figure's alpha grid at -20, 0
+        # and 50 dB: np.log1p differs from it in the last bit on some builds
+        figure = np.linspace(0.1, 1.0, 2001)
+        cases = [(50.0, 1.5, np.linspace(0.2, 1.0, 301))]
+        cases += [(md.c_beta_from_snr(snr), 1.0, figure) for snr in (-20.0, 0.0, 50.0)]
+        for cb, sigma, alphas in cases:
+            got = bounds.linear_partial_denominator(alphas, cb, sigma)
+            assert got.dtype == np.float64
+            assert got.tolist() == [
+                0.5 * math.log1p(cb * nm.g_alpha(a) / sigma**2) for a in alphas.tolist()
+            ]
+        assert bounds.linear_partial_denominator(0.5, 50.0) == 0.5 * math.log1p(50.0 * nm.g_alpha(0.5))
 
     def test_psi_0d_c_beta_is_the_float_call(self):
         got = bounds.psi_function_1bit(0.5, np.array(10.0))
@@ -812,6 +819,12 @@ PARTIAL_DENOMS = {
 BISECTION_SNRS = (-40.0, -20.0, -5.0, 0.0, 10.0, 30.0, 60.0)
 
 
+def _bisect_one(denom, cbs, alphas, alpha_star):
+    """_bisect_argmax over the lanes of one denominator(alpha, c_beta)."""
+    lanes = bounds._lanes((denom,), np.asarray(cbs, dtype=float), False)
+    return bounds._bisect_argmax(lanes, len(cbs), alphas, alpha_star)
+
+
 class TestPartialBisectionEqualsFullGrid:
     """A sequence of c_beta finds each grid argmax by bisection; every
     result equals the full grid's (==, no tolerance)."""
@@ -851,8 +864,8 @@ class TestPartialBisectionEqualsFullGrid:
     @pytest.mark.parametrize("grid_points", [2, 3, 50, 2001])
     def test_exact_ties_keep_the_first_maximum(self, denom, grid_points):
         cbs = [0.5, 1.0, 4.0]  # powers of two keep the tied objectives exact
-        got = bounds._maximize_partial(denom, cbs, 0.1, grid_points, 0.0)
-        assert got == _full_grid_reference(denom, cbs, 0.1, grid_points, 0.0)
+        got = bounds._maximize_partial((denom,), cbs, 0.1, grid_points, 0.0)
+        assert got == (_full_grid_reference(denom, cbs, 0.1, grid_points, 0.0),)
 
     @pytest.mark.parametrize("grid_points", [3, 50, 2001])
     @pytest.mark.parametrize("cut", [0.1001, 0.3, 0.95])
@@ -873,7 +886,7 @@ class TestPartialBisectionEqualsFullGrid:
                 conv = np.where(dens > 0, (alphas - 0.1) / dens, 0.0)
                 conv[0] = 0.0
                 want += [int(np.argmax(ach)), int(np.argmax(conv))]
-            assert bounds._bisect_argmax(denom, cbs, alphas, 0.1).tolist() == want
+            assert _bisect_one(denom, cbs, alphas, 0.1).tolist() == want
 
     @pytest.mark.parametrize("denom", list(PARTIAL_DENOMS.values()), ids=["linear", "1bit"])
     def test_alpha_star_one_evaluates_two_points_per_c_beta(self, denom):
@@ -885,7 +898,7 @@ class TestPartialBisectionEqualsFullGrid:
             points.append(np.size(a))
             return denom(a, cb)
 
-        got = bounds._bisect_argmax(counted, cbs, np.linspace(1.0, 1.0, 2001), 1.0)
+        got = _bisect_one(counted, cbs, np.linspace(1.0, 1.0, 2001), 1.0)
         assert got.tolist() == [0] * (2 * len(cbs))
         assert sum(points) <= 2 * len(cbs)
 
@@ -903,13 +916,13 @@ class TestOnePartialSearchPath:
         lanes = []
         bisect = bounds._bisect_argmax
 
-        def counted(denom, c_betas, alphas, alpha_star):
-            lanes.append(list(c_betas))
-            return bisect(denom, c_betas, alphas, alpha_star)
+        def counted(denom, n, alphas, alpha_star):
+            lanes.append(n)
+            return bisect(denom, n, alphas, alpha_star)
 
         monkeypatch.setattr(bounds, "_bisect_argmax", counted)
         one = corollary(10.0, grid_points=201)
-        assert lanes == [[10.0]]
+        assert lanes == [1]
         assert [one] == corollary([10.0], grid_points=201)
 
     def test_argmax_check_passes(self):
@@ -920,12 +933,12 @@ class TestOnePartialSearchPath:
         points = []
         bisect = bounds._bisect_argmax
 
-        def counting(denom, c_betas, alphas, alpha_star):
-            def counted(a, cb):
+        def counting(denom, n, alphas, alpha_star):
+            def counted(a, lanes):
                 points.append(np.size(a))
-                return denom(a, cb)
+                return denom(a, lanes)
 
-            return bisect(counted, c_betas, alphas, alpha_star)
+            return bisect(counted, n, alphas, alpha_star)
 
         monkeypatch.setattr(bounds, "_bisect_argmax", counting)
         argv = ["threshold", "--figure", "partial-recovery", "--snr-db=-20:-10:2"]
@@ -998,7 +1011,7 @@ class TestFigureJointPass:
         with pytest.raises(nm.NonConvergenceError, match=r"alpha=0.1\d*, c_beta=2:"):
             bounds._maximize_partial((lin, one), [2.0, 3.0], 0.1, 21, 0.0)
         levels = []
-        bounds._bisect_argmax(lambda a, cb: levels.append(1) or np.zeros(np.shape(a)), [2.0, 3.0],
+        bounds._bisect_argmax(lambda a, lanes: levels.append(1) or np.zeros(np.shape(a)), 2,
                               np.linspace(0.1, 1.0, 21), 0.1)
         assert len(called) == len(levels)  # no golden-section step reached it
 
@@ -1006,10 +1019,10 @@ class TestFigureJointPass:
         denom = functools.partial(bounds.linear_partial_denominator, sigma=1.0)
         cbs = [0.5, 10.0]
         assert bounds._maximize_partial((denom,), cbs, 0.1, 101, 0.0) == (
-            bounds._maximize_partial(denom, cbs, 0.1, 101, 0.0),
+            bounds.cor_linear_partial(cbs, grid_points=101),
         )
         assert bounds._maximize_partial((denom, denom), 10.0, 0.1, 101, 0.0) == (
-            bounds._maximize_partial(denom, 10.0, 0.1, 101, 0.0),
+            bounds.cor_linear_partial(10.0, grid_points=101),
         ) * 2
         assert bounds._maximize_partial((denom, denom), [], 0.1, 101, 0.0) == ([], [])
 
@@ -1348,9 +1361,11 @@ class TestDelta1Range:
     def test_decoder_spec_refuses_in_the_same_words(self, delta1):
         with pytest.raises(ValueError) as spec_err:
             sim.DecoderSpec(kind="threshold", delta1=delta1)
+        with pytest.raises(ValueError) as options_err:
+            bounds.BoundOptions(delta1=delta1)
         with pytest.raises(ValueError) as bound_err:
             bounds._check_delta1(delta1)
-        assert str(spec_err.value) == str(bound_err.value)
+        assert str(spec_err.value) == str(options_err.value) == str(bound_err.value)
 
 
 class TestEntryVectorRefused:

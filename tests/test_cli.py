@@ -43,6 +43,20 @@ class TestRanges:
 
 
 class TestThresholdCommand:
+    def test_small_alpha_star_refusal_names_alpha_star(self, capsys):
+        # g(alpha) is of order alpha^3 near 0: at -16 dB alpha* = 1e-4 resolves
+        # and 1e-5 does not, so the SNR alone is not the cause
+        code, out, err = run(capsys, "threshold", "--figure", "partial-recovery",
+                             "--snr-db=-16:-16:1", "--alpha-star", "1e-5")
+        assert (code, out) == (3, "")
+        assert err == (
+            "numerical non-convergence: the partial-recovery denominator is 0 at "
+            "alpha=2.72208e-05, c_beta=0.0251189: the SNR is too low, or alpha* too small, "
+            "for the quadrature to resolve\n"
+        )
+        assert run(capsys, "threshold", "--figure", "partial-recovery", "--snr-db=-16:-16:1",
+                   "--alpha-star", "1e-4")[0] == 0
+
     def test_gt_noiseless_rows(self, capsys):
         code, out, _ = run(
             capsys, "threshold", "--figure", "gt-noiseless", "--theta", "0.05:0.95:0.05"
@@ -516,6 +530,10 @@ BAD_INPUTS = [
     # marginal variance was inf, its statistics NaN and every trial an error
     (["simulate", "--model", "linear", "--b", "1e200,1", "--p", "4", "--k", "2", "--n-grid",
       "3:3:1", "--trials", "20", "--seed", "1", "--decoder", "threshold"], 2, 1),
+    # near alpha = 0 g(alpha) is of order alpha^3: a small alpha* leaves Psi 0
+    # at an SNR where alpha* = 1e-4 resolves
+    (["threshold", "--figure", "partial-recovery", "--snr-db=-16:-16:1", "--alpha-star", "1e-5"],
+     3, 1),
 ]
 
 
