@@ -12,7 +12,7 @@ from .model import (
     sample_realization,
     snr_db,
 )
-from .info import InfoStats, density_variance, mutual_information, variance_mc
+from .info import density_variance, mutual_information
 from .bounds import (
     BoundOptions,
     ThresholdResult,
@@ -35,7 +35,6 @@ __version__ = "0.1.0"
 __all__ = [
     "BoundOptions",
     "DecoderSpec",
-    "InfoStats",
     "ModelSpec",
     "Partition",
     "ProblemDims",
@@ -63,5 +62,4 @@ __all__ = [
     "psi_function_1bit",
     "sample_realization",
     "snr_db",
-    "variance_mc",
 ]

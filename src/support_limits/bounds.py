@@ -341,9 +341,9 @@ def fano_lower_bound(
     b = _entries(b, dims)
     boundary = INFINITE
     r = np.arange(1, k + 1)
-    for ell, num in zip(r.tolist(), log_binomial(p - k + r, r).tolist()):
-        mi = finite_mi(ell, mutual_information(model, max_info_partition(b, ell), b))
-        if mi <= 0.0:
+    mis = mutual_information(model, [max_info_partition(b, ell) for ell in r.tolist()], b)
+    for ell, num, mi in zip(r.tolist(), log_binomial(p - k + r, r).tolist(), mis):
+        if finite_mi(ell, mi) <= 0.0:
             continue
         boundary = min(boundary, num * (1.0 - delta2) / mi)
     indicator = 1.0 if dims.n <= boundary else 0.0

@@ -18,8 +18,6 @@ family.  The group-testing families hold for l = o(k), with the explicit eps
 slack for "sufficiently large p".  Which family bounds each ell, and with
 which delta2, is stated once per channel by its `tail_spec` in `channels`:
 one TailBoundSpec whose terms(ell) picks the family for that ell.
-Chebyshev, min(1, V / (n (delta2 I)^2)), is a scalar bound only: no
-TailBoundSpec uses it.
 
 remainder_n_required finds the smallest n whose sum is at most the target.
 It reads each ell's (C(k, ell), scale, q, den) once into a row
@@ -42,29 +40,9 @@ import numpy as np
 
 from .numerics import log_binomial
 
-E_SQ_CAP = (4.0 / math.e) ** 2
-
 UNBOUNDED = float("inf")
 
 Terms = tuple[float, float, float]
-
-
-def psi_chebyshev(I: float, V: float, n: int, delta2: float) -> float:
-    """Chebyshev two-sided tail: min(1, V / (n (delta2 I)^2)); trivial at n = 0."""
-    if I <= 0 or n < 0:
-        raise ValueError("psi_chebyshev needs I > 0 and n >= 0")
-    if V == 0.0:
-        return 0.0
-    if n == 0:
-        return 1.0
-    return min(1.0, V / (n * (delta2 * I) ** 2))
-
-
-def variance_cap_discrete(alphabet_size: int) -> float:
-    """Uniform variance cap |Y| (4/e)^2 for finite observation alphabets."""
-    if alphabet_size < 2:
-        raise ValueError("alphabet_size must be >= 2")
-    return alphabet_size * E_SQ_CAP
 
 
 def tail(scale: float, q: float, den: float, n: int) -> float:

@@ -25,7 +25,6 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -41,24 +40,9 @@ from .model import (
     Partition,
     ProblemDims,
     SignalPrior,
-    rng_stream,
     validate_pairing,
 )
-from .numerics import gaussian_expectation, log_q_function, log_sum_exp
-
-
-class SupportMismatchError(ValueError):
-    """A sampled observation had zero likelihood under the stated model."""
-
-
-@dataclass(frozen=True)
-class InfoStats:
-    """Monte Carlo density mean (nats) and variance, from variance_mc."""
-
-    mi: float
-    var: float
-    trials: int = 0
-    std_err: float = 0.0
+from .numerics import gaussian_expectation, log_ndtr, log_sum_exp
 
 
 # ---------------------------------------------------------------------------
@@ -121,50 +105,7 @@ def density_variance(model: ModelSpec, partition: Partition, b=None) -> float:
 
 def gaussian_logit_slope_constant() -> float:
     """E[W log((1 - Q(W)) / Q(W))] for W ~ N(0,1), about 1.8064."""
-    return gaussian_expectation(
-        lambda w: w * (log_q_function(-np.asarray(w)) - log_q_function(np.asarray(w)))
-    )
-
-
-def variance_bound_1bit(b, sigma: float, partition: Partition, c0: float = 1.0) -> float:
-    """Structural upper-bound shape for the 1-bit density variance:
-
-        c0 [ t + t^2 + min(1, t^2) e ],  t = sum_dif b^2/sigma^2,
-                                         e = sum_eq b^2/sigma^2.
-
-    The universal constant is configurable (default 1); a working empirical
-    value is calibrated in the tests, not hard-coded here.
-    """
-    b = np.asarray(b, dtype=float)
-    t = float(np.sum(b[partition.dif_index()] ** 2)) / sigma**2
-    e = float(np.sum(b[partition.eq_index()] ** 2)) / sigma**2
-    return c0 * (t + t * t + min(1.0, t * t) * e)
-
-
-def variance_mc(
-    model: ModelSpec, partition: Partition, b, trials: int, seed: int
-) -> InfoStats:
-    """Unbiased Monte Carlo mean/variance of the single-letter density.
-
-    Aborts with SupportMismatchError if any sampled density is -inf, which
-    signals a (model, b) pair inconsistent with the sampled observations.
-    """
-    if trials < 1000:
-        raise ValueError("variance_mc requires trials >= 1000")
-    rng = rng_stream(seed)
-    channel = CHANNELS[model.channel]
-    b = np.ones(partition.k) if b is None else np.asarray(b, dtype=float)
-    raw, noise = np.empty((trials, partition.k)), np.empty(trials)
-    channel.draw(model, rng, raw, noise)
-    x = channel.design(model, raw, partition.k)
-    y = channel.outputs(model, x, b, noise)
-    dens = density_rows(model, partition, b, x, y)
-    if not np.all(np.isfinite(dens)):
-        raise SupportMismatchError("sampled a zero-likelihood observation")
-    mean = float(np.mean(dens))
-    var = float(np.var(dens, ddof=1))
-    se_mean = math.sqrt(var / trials)
-    return InfoStats(mi=mean, var=var, trials=trials, std_err=se_mean)
+    return gaussian_expectation(lambda w: w * (log_ndtr(w) - log_ndtr(-w)))
 
 
 # ---------------------------------------------------------------------------

@@ -6,9 +6,8 @@ is built from a small set of functions:
 
     H2(rho)        binary entropy in nats, with the 0 log 0 = 0 convention
     Q(x)           standard normal upper tail P[W >= x]
-    log Q(x)       finite for |x| <= 40 (naive log(Q(x)) underflows near 38)
-    F_chi2(u)      CDF of W^2 for W ~ N(0,1); equals 1 - 2 Q(sqrt(u))
-    g(alpha)       int_0^inf [alpha - F_chi2(u)]^+ du
+    g(alpha)       int_0^inf [alpha - F_chi2(u)]^+ du, F_chi2 the CDF of W^2
+                   for W ~ N(0,1)
 
 and two expectation drivers over W ~ N(0,1), both on the one
 HERMITE_NODES-node Gauss-Hermite rule:
@@ -158,20 +157,6 @@ def binary_entropy(rho):
 def q_function(x):
     """Standard normal upper tail Q(x) = P[W >= x]."""
     return ndtr(-np.asarray(x, dtype=float)) if np.ndim(x) else float(ndtr(-x))
-
-
-def log_q_function(x):
-    """log Q(x); stays finite for |x| <= 40 where Q itself underflows."""
-    return log_ndtr(-np.asarray(x, dtype=float)) if np.ndim(x) else float(log_ndtr(-x))
-
-
-def chi2_cdf_1dof(u):
-    """CDF of W^2, W ~ N(0,1): P[W^2 <= u] = 1 - 2 Q(sqrt(u))."""
-    uu = np.asarray(u, dtype=float)
-    if np.any(uu < 0.0):
-        raise ValueError(f"chi2_cdf_1dof argument must be >= 0, got {u!r}")
-    out = 1.0 - 2.0 * ndtr(-np.sqrt(uu))
-    return float(out) if np.ndim(u) == 0 else out
 
 
 def g_alpha(alpha):

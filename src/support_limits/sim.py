@@ -441,13 +441,12 @@ def _ml_bounded_scores(model, prior, x, x_head, y, trials, block, floor):
     computed bound is then above floor - 1e-12 (|floor| + 3 n |c|), more
     than floor - slack for slack = 1e-9 (|floor| + 2 n |c|): a pair whose
     bound lies below floor - slack has S < floor.  A non-finite floor (no
-    finite score yet) keeps every pair."""
+    finite score yet) keeps every pair, and so does an empty head (m = 0),
+    where every bound is n c."""
     n, m = y.shape[1], x_head.shape[1]
     count, size = len(trials), len(block)
     trial = np.repeat(np.arange(trials.start, trials.stop), size)
     pairs = np.tile(block, (count, 1)) + (trial * x.shape[2])[:, None]
-    if not m:
-        return _ml_scores(model, prior, _design_stack(x, pairs), y[trial]).reshape(count, size)
     row_max = CHANNELS[model.channel].loglik_row_max(model)
     head = log_marginal_likelihood(model, prior, _design_stack(x_head, pairs), y[trial, :m])
     bound = head.reshape(count, size) + (n - m) * row_max

@@ -7,6 +7,12 @@ enumeration, Monte Carlo, dense quadrature, finite differences of closed
 forms) and compares against the library path at a stated tolerance.  A check
 returns (measured, tolerance, passed); the CLI emits one line per check and
 a machine-readable JSON report.
+
+Four formulas that no command computes live here, not in the library, and
+their checks test this module's formula against sampling or a library value:
+F_chi2 (`chi2-identity`, `chi2-mc`), the 1-bit variance-bound shape
+(`variance-bound-1bit-c0`), the Chebyshev tail (`psi-chebyshev-domination`)
+and the variance cap |Y| (4/e)^2 (`variance-cap-discrete`).
 """
 from __future__ import annotations
 
@@ -100,10 +106,15 @@ def _q_tail():
     return abs(nm.q_function(1.2816) - oracle), 1e-6, "Q(1.2816) vs erfc series"
 
 
+def _chi2_cdf_1dof(u):
+    """CDF of W^2, W ~ N(0,1): P[W^2 <= u] = 1 - 2 Q(sqrt(u)), for u >= 0."""
+    return 1.0 - 2.0 * ndtr(-np.sqrt(u))
+
+
 @check("chi2-identity")
 def _chi2_identity():
     us = np.linspace(0.0, 25.0, 501)
-    err = float(np.max(np.abs(nm.chi2_cdf_1dof(us) - (1.0 - 2.0 * nm.q_function(np.sqrt(us))))))
+    err = float(np.max(np.abs(_chi2_cdf_1dof(us) - (1.0 - 2.0 * nm.q_function(np.sqrt(us))))))
     return err, 1e-12, "F(u) vs 1 - 2Q(sqrt(u))"
 
 
@@ -114,7 +125,7 @@ def _chi2_mc():
     w = rng.standard_normal(n)
     emp = float(np.mean(w * w <= 1.0))
     se = math.sqrt(emp * (1 - emp) / n)
-    return abs(nm.chi2_cdf_1dof(1.0) - emp), 3 * se, "F(1) vs 1e7-sample MC"
+    return abs(_chi2_cdf_1dof(1.0) - emp), 3 * se, "F(1) vs 1e7-sample MC"
 
 
 @check("g-endpoints")
@@ -178,7 +189,7 @@ def g_alpha_simpson(alpha: float, tol: float) -> float:
     if math.isinf(t):
         return 1.0
     # substitute u = s^2: removes the sqrt(u) kink of F_chi2 at zero
-    integrand = lambda s: (alpha - nm.chi2_cdf_1dof(s * s)) * 2.0 * s
+    integrand = lambda s: (alpha - _chi2_cdf_1dof(s * s)) * 2.0 * s
     return float(_adaptive_simpson(integrand, 0.0, t, tol))
 
 
@@ -441,14 +452,31 @@ def _gt_mi_enum():
     return worst, 1e-12, "closed form vs exhaustive joint enumeration"
 
 
+def _variance_mc(model: md.ModelSpec, partition: md.Partition, b, trials: int, seed: int):
+    """(mean, unbiased variance, standard error of the mean) of the
+    single-letter density over trials draws of rng_stream(seed); b = None
+    is all ones.  A zero-likelihood draw raises ValueError."""
+    rng = md.rng_stream(seed)
+    channel = CHANNELS[model.channel]
+    b = np.ones(partition.k) if b is None else np.asarray(b, dtype=float)
+    raw, noise = np.empty((trials, partition.k)), np.empty(trials)
+    channel.draw(model, rng, raw, noise)
+    x = channel.design(model, raw, partition.k)
+    dens = info.density_rows(model, partition, b, x, channel.outputs(model, x, b, noise))
+    if not np.all(np.isfinite(dens)):
+        raise ValueError("sampled a zero-likelihood observation")
+    var = float(np.var(dens, ddof=1))
+    return float(np.mean(dens)), var, math.sqrt(var / trials)
+
+
 @check("info-density-mean-linear")
 def _idens_mean_linear():
     m = md.ModelSpec.linear(0.8)
     b = np.array([1.0, -0.6, 0.3])
     part = md.min_info_partition(b, 2)
-    mc = info.variance_mc(m, part, b, trials=10**6, seed=SEED + 5)
+    mean, _, se = _variance_mc(m, part, b, trials=10**6, seed=SEED + 5)
     closed = info.mutual_information(m, part, b)
-    return abs(mc.mi - closed), 3 * mc.std_err, "1e6-sample density mean vs closed form"
+    return abs(mean - closed), 3 * se, "1e6-sample density mean vs closed form"
 
 
 @check("info-density-mean-1bit")
@@ -456,18 +484,18 @@ def _idens_mean_1bit():
     m = md.ModelSpec.one_bit(1.0)
     b = np.array([1.0, 1.0, -0.5])
     part = md.min_info_partition(b, 1)
-    mc = info.variance_mc(m, part, b, trials=10**6, seed=SEED + 6)
+    mean, _, se = _variance_mc(m, part, b, trials=10**6, seed=SEED + 6)
     quad = info.mutual_information(m, part, b)
-    return abs(mc.mi - quad), 3 * mc.std_err, "1e6-sample density mean vs quadrature"
+    return abs(mean - quad), 3 * se, "1e6-sample density mean vs quadrature"
 
 
 @check("info-density-mean-gt")
 def _idens_mean_gt():
     m = md.ModelSpec.group_testing(rho=0.11)
     part = md.min_info_partition([1.0] * 4, 2)
-    mc = info.variance_mc(m, part, None, trials=10**6, seed=SEED + 7)
+    mean, _, se = _variance_mc(m, part, None, trials=10**6, seed=SEED + 7)
     closed = info.mutual_information(m, part)
-    return abs(mc.mi - closed), 3 * mc.std_err, "1e6-sample density mean vs closed form"
+    return abs(mean - closed), 3 * se, "1e6-sample density mean vs closed form"
 
 
 @check("gt-variance-enumeration")
@@ -478,9 +506,10 @@ def _gt_var_enum():
             part = md.min_info_partition([1.0] * k, ell)
             m = md.ModelSpec.group_testing(rho=0.11)
             var_table = info.density_variance(m, part)
-            mc = info.variance_mc(m, part, None, trials=2 * 10**5, seed=SEED + k + ell)
-            se = mc.var * math.sqrt(2.0 / (mc.trials - 1))
-            worst = max(worst, abs(var_table - mc.var) - 3 * se)
+            trials = 2 * 10**5
+            var = _variance_mc(m, part, None, trials=trials, seed=SEED + k + ell)[1]
+            se = var * math.sqrt(2.0 / (trials - 1))
+            worst = max(worst, abs(var_table - var) - 3 * se)
     return worst, 0.0, "case-table variance vs MC, 3 SE"
 
 
@@ -526,6 +555,16 @@ def _min_partition_mi():
     return worst, 1e-9, "min-info split minimizes MI (brute force)"
 
 
+def _variance_bound_1bit(b, sigma: float, partition: md.Partition) -> float:
+    """The 1-bit density variance's bound shape 16 [t + t^2 + min(1, t^2) e],
+    t = sum_dif b^2 / sigma^2 and e = sum_eq b^2 / sigma^2, with the constant
+    16 that `variance-bound-1bit-c0` calibrates."""
+    b = np.asarray(b, dtype=float)
+    t = float(np.sum(b[partition.dif_index()] ** 2)) / sigma**2
+    e = float(np.sum(b[partition.eq_index()] ** 2)) / sigma**2
+    return 16.0 * (t + t * t + min(1.0, t * t) * e)
+
+
 @check("variance-bound-1bit-c0")
 def _var_bound_1bit():
     # MC variance <= c0 x structural bound with c0 = 16 across a (b, sigma) grid
@@ -535,9 +574,8 @@ def _var_bound_1bit():
             b = scale * np.array([1.0, -0.7, 0.4])
             part = md.min_info_partition(b, 2)
             m = md.ModelSpec.one_bit(sigma)
-            mc = info.variance_mc(m, part, b, trials=10**5, seed=SEED)
-            bound = info.variance_bound_1bit(b, sigma, part, c0=16.0)
-            worst = max(worst, mc.var - bound)
+            var = _variance_mc(m, part, b, trials=10**5, seed=SEED)[1]
+            worst = max(worst, var - _variance_bound_1bit(b, sigma, part))
     return worst, 0.0, "MC variance within c0=16 x structural bound"
 
 
@@ -599,6 +637,15 @@ def _tail_freq(sums: np.ndarray, n: int, I: float, delta2: float, two_sided: boo
     return p, se
 
 
+def _psi_chebyshev(I: float, V: float, n: int, delta2: float) -> float:
+    """Chebyshev two-sided tail: min(1, V / (n (delta2 I)^2)); trivial at n = 0."""
+    if V == 0.0:
+        return 0.0
+    if n == 0:
+        return 1.0
+    return min(1.0, V / (n * (delta2 * I) ** 2))
+
+
 @check("psi-chebyshev-domination")
 def _psi_cheby_dom():
     worst = -math.inf
@@ -608,7 +655,7 @@ def _psi_cheby_dom():
         mi = info.mutual_information(m, part)
         sums = _gt_density_sums(m, part, n, 10**4, SEED + ell)
         p, se = _tail_freq(sums, n, mi, d2, two_sided=True)
-        bound = conc.psi_chebyshev(mi, info.density_variance(m, part), n, d2)
+        bound = _psi_chebyshev(mi, info.density_variance(m, part), n, d2)
         worst = max(worst, p - bound - 3 * se)
     return worst, 0.0, "empirical two-sided tail <= Chebyshev"
 
@@ -678,9 +725,14 @@ def _psi_bennett_dom():
     return worst, 0.0, "empirical lower tail <= Bennett"
 
 
+def _variance_cap_discrete(alphabet_size: int) -> float:
+    """Uniform variance cap |Y| (4/e)^2 for finite observation alphabets."""
+    return alphabet_size * (4.0 / math.e) ** 2
+
+
 @check("variance-cap-discrete")
 def _var_cap():
-    cap = conc.variance_cap_discrete(2)
+    cap = _variance_cap_discrete(2)
     worst = -math.inf
     for k in (4, 6, 8):
         for ell in (1, k // 2, k):

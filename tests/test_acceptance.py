@@ -161,18 +161,18 @@ def test_criterion_07_mi_oracle_equivalence():
                     worst_gt = max(worst_gt, abs(closed - brute))
     b = np.array([1.0, -0.6, 0.3])
     part = md.min_info_partition(b, 2)
-    lin_mc = info.variance_mc(md.ModelSpec.linear(0.8), part, b, 10**6, SEED)
+    lin_mi, _, lin_se = verify._variance_mc(md.ModelSpec.linear(0.8), part, b, 10**6, SEED)
     lin_closed = info.mutual_information(md.ModelSpec.linear(0.8), part, b)
-    lin_ok = abs(lin_mc.mi - lin_closed) <= 3 * lin_mc.std_err
-    ob_mc = info.variance_mc(md.ModelSpec.one_bit(1.0), part, b, 10**6, SEED + 1)
+    lin_ok = abs(lin_mi - lin_closed) <= 3 * lin_se
+    ob_mi, _, ob_se = verify._variance_mc(md.ModelSpec.one_bit(1.0), part, b, 10**6, SEED + 1)
     ob_quad = info.mutual_information(md.ModelSpec.one_bit(1.0), part, b)
-    ob_ok = abs(ob_mc.mi - ob_quad) <= 3 * ob_mc.std_err
+    ob_ok = abs(ob_mi - ob_quad) <= 3 * ob_se
     ok = worst_gt <= 1e-12 and lin_ok and ob_ok
     _report(
         7, ok, 60.0, time.perf_counter() - t0,
         f"GT enum dev {worst_gt:.1e} (tol 1e-12), linear MC dev "
-        f"{abs(lin_mc.mi - lin_closed):.1e} <= {3 * lin_mc.std_err:.1e}, 1-bit MC dev "
-        f"{abs(ob_mc.mi - ob_quad):.1e} <= {3 * ob_mc.std_err:.1e}",
+        f"{abs(lin_mi - lin_closed):.1e} <= {3 * lin_se:.1e}, 1-bit MC dev "
+        f"{abs(ob_mi - ob_quad):.1e} <= {3 * ob_se:.1e}",
     )
 
 

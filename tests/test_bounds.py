@@ -1576,7 +1576,8 @@ class TestThresholdsNeverReadTheVariance:
 class TestOnePassOverTheEllFacts:
     """A generic threshold reads every ell's facts in one pass: one mutual
     information call (one closed-form call for group testing), and a
-    remainder solve that sums per-ell rows and calls no TailBoundSpec.psi."""
+    remainder solve that sums per-ell rows and calls no TailBoundSpec.psi.
+    The Fano baseline reads its max-info partitions in one call too."""
 
     @pytest.fixture
     def counts(self, monkeypatch):
@@ -1611,6 +1612,12 @@ class TestOnePassOverTheEllFacts:
             assert res.breakdown
         gt = model.channel == "group-testing"
         assert counts == {"mi": 2, "gt": 2 if gt else 0, "psi": 0}
+
+    @pytest.mark.parametrize("model,b,k", CASES, ids=["gt", "gt-noisy", "linear", "one-bit"])
+    def test_one_call_per_fano_bound(self, counts, model, b, k):
+        bounds.fano_lower_bound(model, b, md.ProblemDims(p=10**4, k=k, n=0), delta2=0.5)
+        gt = model.channel == "group-testing"
+        assert counts == {"mi": 1, "gt": 1 if gt else 0, "psi": 0}
 
 
 def _scalar_cor_linear_exact(b, sigma, p, k, eta):

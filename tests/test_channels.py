@@ -22,7 +22,7 @@ from support_limits.channels import (
 from support_limits.numerics import (
     NonConvergenceError,
     gauss_hermite_nodes,
-    log_q_function,
+    log_ndtr,
     mean_entropy_q_scaled,
 )
 
@@ -234,7 +234,7 @@ def test_one_bit_log_ndtr_equals_log_q_of_the_negation(y, sigma):
     # negation is exact, so the bits agree, NaN and signed zeros included
     for u in (_ONE_BIT_ARGS, _ONE_BIT_ARGS[: 220 * 45].reshape(220, 45)):
         with np.errstate(over="ignore"):  # 1e308 / 1e-300
-            new, old = nm.log_ndtr(y * u / sigma), log_q_function(-y * u / sigma)
+            new, old = nm.log_ndtr(y * u / sigma), log_ndtr(-(-y * u / sigma))
         assert np.array_equal(new.view(np.uint64), old.view(np.uint64))
 
 
@@ -250,11 +250,11 @@ def test_one_bit_rows_equal_the_log_q_form(sigma):
     y = channel.outputs(model, x, b, noise)
     for x_s, y_s in ((x[0], y[0]), (x, y)):
         rows, _ = channel.loglik_rows_and_sum(model, x_s, b, y_s)
-        old = log_q_function(-y_s * (x_s @ b) / sigma)
+        old = log_ndtr(-(-y_s * (x_s @ b) / sigma))
         assert np.array_equal(rows.view(np.uint64), old.view(np.uint64))
         for part in md.enumerate_partitions(3):
             eq, scale = part.eq_index(), math.sqrt(sigma**2 + _energy(b, part.dif_index()))
-            old = log_q_function(-y_s * (x_s[..., eq] @ b[eq]) / scale)
+            old = log_ndtr(-(-y_s * (x_s[..., eq] @ b[eq]) / scale))
             new = channel.log_marginal_rows(model, part, x_s, b, y_s)
             assert np.array_equal(new.view(np.uint64), old.view(np.uint64))
 
@@ -315,8 +315,8 @@ def _old_mi_var(spec, partition, b):
         mean = 0.0
         second = 0.0
         for y in (1.0, -1.0):
-            dens = log_q_function(-y * (wd + we) / sigma) - log_q_function(-y * we / denom_scale)
-            p_y = np.exp(log_q_function(-y * (wd + we) / sigma))
+            dens = log_ndtr(-(-y * (wd + we) / sigma)) - log_ndtr(-(-y * we / denom_scale))
+            p_y = np.exp(log_ndtr(-(-y * (wd + we) / sigma)))
             mean += float(w @ (p_y * dens) @ w)
             second += float(w @ (p_y * dens**2) @ w)
         return max(0.0, mi), max(0.0, second - mean**2)

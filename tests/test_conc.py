@@ -83,25 +83,25 @@ def _reference_specs(model, b, dims):
 
 class TestChebyshev:
     def test_zero_variance(self):
-        assert conc.psi_chebyshev(1.0, 0.0, 100, 0.5) == 0.0
+        assert verify._psi_chebyshev(1.0, 0.0, 100, 0.5) == 0.0
 
     def test_direct_value(self):
-        assert conc.psi_chebyshev(1.0, 1.0, 100, 1.0) == pytest.approx(0.01)
+        assert verify._psi_chebyshev(1.0, 1.0, 100, 1.0) == pytest.approx(0.01)
 
     def test_clipped_to_one(self):
-        assert conc.psi_chebyshev(0.1, 50.0, 3, 0.5) == 1.0
+        assert verify._psi_chebyshev(0.1, 50.0, 3, 0.5) == 1.0
 
 
 class TestVarianceCap:
     def test_binary_value(self):
-        assert conc.variance_cap_discrete(2) == pytest.approx(2 * (4 / math.e) ** 2)
-        assert conc.variance_cap_discrete(2) == pytest.approx(4.330, abs=1e-3)
+        assert verify._variance_cap_discrete(2) == pytest.approx(2 * (4 / math.e) ** 2)
+        assert verify._variance_cap_discrete(2) == pytest.approx(4.330, abs=1e-3)
 
     def test_linear_in_alphabet(self):
-        assert conc.variance_cap_discrete(6) == pytest.approx(3 * conc.variance_cap_discrete(2))
+        assert verify._variance_cap_discrete(6) == pytest.approx(3 * verify._variance_cap_discrete(2))
 
     def test_gt_variances_below_cap(self):
-        cap = conc.variance_cap_discrete(2)
+        cap = verify._variance_cap_discrete(2)
         for k in (4, 8):
             for ell in (1, k // 2, k):
                 for rho in (0.0, 0.11, 0.25):
@@ -567,7 +567,7 @@ class TestFamilyProperties:
     def test_all_bounds_in_unit_interval_and_nonincreasing(self):
         ns = [1, 10, 100, 1000, 10**4]
         families = [
-            lambda n: conc.psi_chebyshev(0.2, 1.0, n, 0.5),
+            lambda n: verify._psi_chebyshev(0.2, 1.0, n, 0.5),
             lambda n: _tail(conc.bernstein_discrete_terms(0.2, 2, 0.5), n),
             lambda n: _tail(conc.bernstein_linear_terms(0.8**2, 1.0, 0.5), n),
             lambda n: _tail(conc.chernoff_gt_terms(LN2, 50, 1, 0.9, 0.05), n),
@@ -582,8 +582,8 @@ class TestFamilyProperties:
         # when n (delta2 I)^2 <= 1, both bounds exceed 1/2 (sanity cross-check)
         I, d2 = 0.2, 0.5
         n = int(1.0 / (d2 * I) ** 2)
-        cap = conc.variance_cap_discrete(2)
-        assert conc.psi_chebyshev(I, cap, n, d2) > 0.5
+        cap = verify._variance_cap_discrete(2)
+        assert verify._psi_chebyshev(I, cap, n, d2) > 0.5
         assert _tail(conc.bernstein_discrete_terms(I, 2, d2), n) > 0.5
 
 
@@ -596,7 +596,7 @@ class TestEmpiricalDomination:
         sums = verify._gt_density_sums(m, part, n, 10**4, 33)
         freq = float(np.mean(np.abs(sums - n * mi) >= n * d2 * mi))
         se = math.sqrt(max(freq * (1 - freq), 1e-4) / 10**4)
-        assert freq <= conc.psi_chebyshev(mi, var, n, d2) + 3 * se
+        assert freq <= verify._psi_chebyshev(mi, var, n, d2) + 3 * se
 
     def test_chernoff_gt_lower_tail(self):
         m = md.ModelSpec.group_testing(rho=0.0)

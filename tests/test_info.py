@@ -5,7 +5,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from support_limits import info
+from support_limits import info, verify
 from support_limits import model as md
 from support_limits.numerics import LOG2, binary_entropy, mean_entropy_q_scaled
 
@@ -66,9 +66,9 @@ class TestInfoDensity:
         m = md.ModelSpec.one_bit(1.0)
         b = [1.0, 1.0]
         part = md.min_info_partition(b, 1)
-        mc = info.variance_mc(m, part, b, trials=10**5, seed=21)
+        mean, _, se = verify._variance_mc(m, part, b, trials=10**5, seed=21)
         quad = info.mutual_information(m, part, b)
-        assert abs(mc.mi - quad) <= 3 * mc.std_err
+        assert abs(mean - quad) <= 3 * se
 
 
 class TestMutualInformation:
@@ -255,11 +255,11 @@ class TestGaussianLogitSlope:
 class TestVarianceBound1Bit:
     def test_zero_dif_energy(self):
         part = md.Partition(s_dif=(1,), s_eq=(2,))
-        assert info.variance_bound_1bit([0.0, 2.0], 1.0, part) == 0.0
+        assert verify._variance_bound_1bit([0.0, 2.0], 1.0, part) == 0.0
 
     def test_monotone_in_dif_energy(self):
         part = md.Partition(s_dif=(1,), s_eq=(2,))
-        vals = [info.variance_bound_1bit([t, 1.0], 1.0, part) for t in np.linspace(0, 3, 20)]
+        vals = [verify._variance_bound_1bit([t, 1.0], 1.0, part) for t in np.linspace(0, 3, 20)]
         assert all(b >= a for a, b in zip(vals, vals[1:]))
 
     def test_dominates_mc_variance_with_c0_16(self):
@@ -267,46 +267,43 @@ class TestVarianceBound1Bit:
             for scale in (0.3, 1.0, 2.0):
                 b = scale * np.array([1.0, -0.7, 0.4])
                 part = md.min_info_partition(b, 2)
-                mc = info.variance_mc(md.ModelSpec.one_bit(sigma), part, b, 10**5, seed=5)
-                assert mc.var <= info.variance_bound_1bit(b, sigma, part, c0=16.0)
+                var = verify._variance_mc(md.ModelSpec.one_bit(sigma), part, b, 10**5, seed=5)[1]
+                assert var <= verify._variance_bound_1bit(b, sigma, part)
 
 
 class TestVarianceMc:
-    def test_trials_floor(self):
-        with pytest.raises(ValueError):
-            info.variance_mc(md.ModelSpec.linear(1.0), md.Partition((1,), (2,)), [1, 1], 10, 0)
-
     def test_linear_mean_within_3se(self):
         m = md.ModelSpec.linear(1.0)
         b = [0.8, -0.5, 1.2]
         part = md.min_info_partition(b, 2)
-        mc = info.variance_mc(m, part, b, trials=2 * 10**5, seed=9)
-        assert abs(mc.mi - info.mutual_information(m, part, b)) <= 3 * mc.std_err
-        assert mc.var == pytest.approx(info.density_variance(m, part, b), rel=0.05)
+        mean, var, se = verify._variance_mc(m, part, b, trials=2 * 10**5, seed=9)
+        assert abs(mean - info.mutual_information(m, part, b)) <= 3 * se
+        assert var == pytest.approx(info.density_variance(m, part, b), rel=0.05)
 
     def test_one_bit_variance_quadrature_vs_mc(self):
         m = md.ModelSpec.one_bit(1.0)
         b = [1.0, -0.7, 0.4]
         part = md.min_info_partition(b, 2)
-        mc = info.variance_mc(m, part, b, trials=4 * 10**5, seed=10)
-        assert mc.var == pytest.approx(info.density_variance(m, part, b), rel=0.02)
+        var = verify._variance_mc(m, part, b, trials=4 * 10**5, seed=10)[1]
+        assert var == pytest.approx(info.density_variance(m, part, b), rel=0.02)
 
     def test_gt_variance_matches_enumeration(self):
         m = md.ModelSpec.group_testing(rho=0.11)
         for k in (4, 8):
             part = md.min_info_partition([1.0] * k, k // 2)
             var_exact = info.density_variance(m, part)
-            mc = info.variance_mc(m, part, None, trials=2 * 10**5, seed=k)
-            se = var_exact * math.sqrt(2.0 / (mc.trials - 1))
-            assert abs(mc.var - var_exact) <= 3 * max(se, 1e-4)
+            trials = 2 * 10**5
+            var = verify._variance_mc(m, part, None, trials=trials, seed=k)[1]
+            se = var_exact * math.sqrt(2.0 / (trials - 1))
+            assert abs(var - var_exact) <= 3 * max(se, 1e-4)
 
     def test_degenerate_channel_zero_variance(self):
         # s_dif holds a zero entry: the observation ignores X_dif entirely
         m = md.ModelSpec.linear(1.0)
         b = [0.0, 1.0]
         part = md.Partition(s_dif=(1,), s_eq=(2,))
-        mc = info.variance_mc(m, part, b, trials=10**3, seed=2)
-        assert mc.mi == 0.0 and mc.var == 0.0
+        mean, var, _ = verify._variance_mc(m, part, b, trials=10**3, seed=2)
+        assert mean == 0.0 and var == 0.0
 
 
 class TestPriorDivergence:

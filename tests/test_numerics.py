@@ -135,31 +135,27 @@ class TestQFunction:
 
     def test_log_q_finite_to_forty(self):
         for x in (-40.0, -8.0, 0.0, 8.0, 38.0, 40.0):
-            assert math.isfinite(nm.log_q_function(x))
-        assert nm.log_q_function(40.0) < -800.0
+            assert math.isfinite(nm.log_ndtr(-x))
+        assert nm.log_ndtr(-40.0) < -800.0
 
 
 class TestChi2Cdf:
     def test_zero(self):
-        assert nm.chi2_cdf_1dof(0.0) == 0.0
+        assert verify._chi2_cdf_1dof(0.0) == 0.0
 
     def test_one_vs_monte_carlo(self):
         rng = rng_stream(11)
         w = rng.standard_normal(10**7)
         emp = float(np.mean(w * w <= 1.0))
         se = math.sqrt(emp * (1 - emp) / w.size)
-        assert nm.chi2_cdf_1dof(1.0) == pytest.approx(emp, abs=3 * se)
+        assert verify._chi2_cdf_1dof(1.0) == pytest.approx(emp, abs=3 * se)
 
     def test_upper_limit(self):
-        assert 1.0 - nm.chi2_cdf_1dof(100.0) < 1e-9
-
-    def test_domain_error(self):
-        with pytest.raises(ValueError):
-            nm.chi2_cdf_1dof(-1e-9)
+        assert 1.0 - verify._chi2_cdf_1dof(100.0) < 1e-9
 
     def test_identity_with_q(self):
         us = np.linspace(0, 30, 301)
-        lhs = nm.chi2_cdf_1dof(us)
+        lhs = verify._chi2_cdf_1dof(us)
         rhs = 1.0 - 2.0 * nm.q_function(np.sqrt(us))
         assert np.max(np.abs(lhs - rhs)) < 1e-12
 
@@ -223,7 +219,7 @@ class TestGaussianExpectation:
         qm = nm.q_function(np.abs(t))
         oracle = float(np.trapezoid(phi * phi / (qm * (1 - qm)), t))
         mine = nm.gaussian_expectation(
-            lambda w: w * (nm.log_q_function(-np.asarray(w)) - nm.log_q_function(np.asarray(w)))
+            lambda w: w * (nm.log_ndtr(w) - nm.log_ndtr(-w))
         )
         assert mine == pytest.approx(oracle, abs=1e-4)
         assert mine == pytest.approx(1.806, abs=1e-3)
@@ -341,7 +337,7 @@ class TestScaledEntropyMean:
         for a in (0.3, 1.0, 3.9, 4.1, 25.0, 400.0):
             r = np.linspace(-45, 45, 400_001)
             q = nm.q_function(r)
-            lq = nm.log_q_function(r)
+            lq = nm.log_ndtr(-r)
             h = np.where(
                 q > 1e-8,
                 -np.clip(q, 1e-300, 1) * np.log(np.clip(q, 1e-300, 1))
