@@ -190,8 +190,8 @@ def _entries(b, dims: ProblemDims) -> np.ndarray:
 
 
 def _per_ell_mi(model: ModelSpec, b, dims: ProblemDims):
-    """The min-info partitions for ell = 1..k (list index ell - 1) and their
-    worst-case (minimum) mutual information per ell, from one call."""
+    """The min-info partitions for ell = 1..k (a lazy sequence, index ell - 1)
+    and their worst-case (minimum) mutual information per ell, from one call."""
     b = _entries(b, dims)
     parts = min_info_partitions(b)
     return parts, dict(enumerate(mutual_information(model, parts, b), start=1))

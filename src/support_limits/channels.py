@@ -97,9 +97,10 @@ class Channel:
                                         the conc.TailBoundSpec of the
                                         achievability remainder: which
                                         family bounds each ell, with which
-                                        delta2; parts[ell - 1] is the
-                                        min-info partition of size ell and
-                                        mi_map[ell] its I
+                                        delta2, over an ell array; parts
+                                        is model.min_info_partitions(b),
+                                        whose parts[ell - 1] is made when
+                                        read, and mi_map[ell] its I
 
     The sampler is split so that only `draw` runs once per trial: `design`
     and `outputs` take any leading trial axes, x_s (... x n x k), b (... x k)
@@ -264,9 +265,9 @@ class Linear(_GaussianDesign):
         b = np.asarray(b, dtype=float)
         with np.errstate(over="ignore"):
             energies = [_energy(b, part.dif_index()) for part in parts]
-        return conc.TailBoundSpec(
-            lambda ell: conc.bernstein_linear_terms(energies[ell - 1], spec.sigma, 0.5)
-        )
+        return conc.TailBoundSpec(lambda ells: np.array(
+            [conc.bernstein_linear_terms(energies[e - 1], spec.sigma, 0.5) for e in ells.tolist()]
+        ).reshape(-1, 3))
 
 
 class OneBit(_GaussianDesign):
@@ -337,7 +338,8 @@ class OneBit(_GaussianDesign):
         return max(0.0, var)
 
     def tail_spec(self, spec, b, parts, mi_map):
-        return conc.TailBoundSpec(lambda ell: conc.bernstein_discrete_terms(mi_map[ell], 2, 0.5))
+        return conc.TailBoundSpec(lambda ells: conc.term_rows(
+            conc.bernstein_discrete_terms(np.array([mi_map[e] for e in ells.tolist()]), 2, 0.5)))
 
 
 # ---------------------------------------------------------------------------
@@ -495,7 +497,10 @@ class GroupTesting(Channel):
 
     def mi(self, spec, parts, b):
         """One gt_mi_closed_form call over the partitions' sizes; they
-        must share k."""
+        must share k.  From a model.MinInfoPartitions, its own k and ells
+        (a range): none of its partitions is made."""
+        if hasattr(parts, "ells"):
+            return gt_mi_closed_form(spec.nu, parts.k, parts.ells, spec.rho)
         ks = {part.k for part in parts}
         if len(ks) > 1:
             raise ValueError(f"group-testing partitions of one k only, got k in {sorted(ks)}")
@@ -515,15 +520,18 @@ class GroupTesting(Channel):
     def tail_spec(self, spec, b, parts, mi_map):
         """Chernoff (noiseless) or Bennett (noisy) with delta2 = 0.9 up to
         floor(k / log k), where ell = o(k); discrete Bernstein with delta2 =
-        0.1 above.  eps = 0.05 is the slack for "sufficiently large p"."""
+        0.1 above.  eps = 0.05 is the slack for "sufficiently large p".
+        Only len(parts) is read, so no partition is made."""
         k, nu, rho = len(parts), spec.nu, spec.rho
         cut = int(k / math.log(k)) if k >= 3 else 1
         if rho == 0.0:
-            small = lambda ell: conc.chernoff_gt_terms(nu, k, ell, 0.9, 0.05)
+            small = lambda ells: conc.chernoff_gt_terms(nu, k, ells, 0.9, 0.05)
         else:
-            small = lambda ell: conc.bennett_gt_noisy_terms(nu, rho, k, ell, 0.9, 0.05)
-        large = lambda ell: conc.bernstein_discrete_terms(mi_map[ell], 2, 0.1)
-        return conc.TailBoundSpec(lambda ell: small(ell) if ell <= cut else large(ell))
+            small = lambda ells: conc.bennett_gt_noisy_terms(nu, rho, k, ells, 0.9, 0.05)
+        large = lambda ells: conc.bernstein_discrete_terms(
+            np.array([mi_map[e] for e in ells.tolist()]), 2, 0.1)
+        return conc.TailBoundSpec(lambda ells: np.where(
+            (ells <= cut)[:, None], conc.term_rows(small(ells)), conc.term_rows(large(ells))))
 
 
 CHANNELS: dict[str, Channel] = {

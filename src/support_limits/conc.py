@@ -6,7 +6,7 @@ sum_ell C(k, ell) psi_ell(n, delta2) below a target.
 Four families bound P[|i^n - n I| >= n delta2 I] (the lower tail only for
 group testing) given beta = b, all as min(1, scale exp(-q n / den)), which
 `tail` evaluates.  Each is written once, as the `*_terms` function of its
-n-free (scale, q, den):
+n-free (scale, q, den); l or I may be an array, each element the scalar's:
 
     bernstein-discrete  2, d^2, 2 (8|Y| + 2 d)        d = delta2 I
     bernstein-linear    2, d^2, 2 (4 a^2 + d a)       a = 2 s (sigma + s) / (sigma^2 + s^2)
@@ -17,10 +17,10 @@ with s^2 = sum_dif b_i^2 and I = (1/2) log(1 + s^2 / sigma^2) for the linear
 family.  The group-testing families hold for l = o(k), with the explicit eps
 slack for "sufficiently large p".  Which family bounds each ell, and with
 which delta2, is stated once per channel by its `tail_spec` in `channels`:
-one TailBoundSpec whose terms(ell) picks the family for that ell.
+one TailBoundSpec whose terms(ells) picks the family for each ell.
 
 remainder_n_required finds the smallest n whose sum is at most the target.
-It reads each ell's (C(k, ell), scale, q, den) once into a row
+It reads all its ells' rows (C(k, ell), scale, q, den) with one terms call
 (`remainder_rows`) and refuses a row with a non-finite term.  remainder_sum,
 a plain loop over those rows in ell order with math.exp, is the exact sum
 and is nonincreasing in n, so that n is unique.  Newton steps on the log
@@ -50,9 +50,9 @@ def tail(scale: float, q: float, den: float, n: int) -> float:
     return min(1.0, scale * math.exp(-q * n / den))
 
 
-def bernstein_discrete_terms(I: float, alphabet_size: int, delta2: float) -> Terms:
+def bernstein_discrete_terms(I, alphabet_size: int, delta2: float) -> Terms:
     """Bernstein two-sided tail for finite alphabets."""
-    if I <= 0:
+    if np.any(I <= 0):
         raise ValueError("bernstein_discrete_terms needs I > 0")
     d = delta2 * I
     return 2.0, d * d, 2.0 * (8.0 * alphabet_size + 2.0 * d)
@@ -60,7 +60,8 @@ def bernstein_discrete_terms(I: float, alphabet_size: int, delta2: float) -> Ter
 
 def bernstein_linear_terms(s_sq: float, sigma: float, delta2: float) -> Terms:
     """Bernstein two-sided tail for the linear channel, from the energy
-    s^2 = sum_dif b^2 of the differing entries."""
+    s^2 = sum_dif b^2 of the differing entries: a float, for math's sqrt
+    and log1p, which np's can differ from in the last bit."""
     if s_sq == 0.0:  # the density is constant: the tail is 0
         return 0.0, 0.0, 1.0
     s = math.sqrt(s_sq)
@@ -70,7 +71,7 @@ def bernstein_linear_terms(s_sq: float, sigma: float, delta2: float) -> Terms:
     return 2.0, d * d, 2.0 * (4.0 * a * a + d * a)
 
 
-def chernoff_gt_terms(nu: float, k: int, ell: int, delta2: float, eps: float) -> Terms:
+def chernoff_gt_terms(nu: float, k: int, ell, delta2: float, eps: float) -> Terms:
     """Binomial-Chernoff lower-tail bound for noiseless group testing."""
     if not 0.0 < delta2 < 1.0:
         raise ValueError("delta2 must lie in (0, 1)")
@@ -79,7 +80,7 @@ def chernoff_gt_terms(nu: float, k: int, ell: int, delta2: float, eps: float) ->
 
 
 def bennett_gt_noisy_terms(
-    nu: float, rho: float, k: int, ell: int, delta2: float, eps: float
+    nu: float, rho: float, k: int, ell, delta2: float, eps: float
 ) -> Terms:
     """Bennett-form lower-tail bound for noisy group testing (rho in (0, 0.5))."""
     if not 0.0 < delta2 < 1.0:
@@ -99,17 +100,26 @@ def bennett_gt_noisy_terms(
 class TailBoundSpec:
     """A channel's tail family for every ell of the remainder.
 
-    terms(ell) gives the n-free (scale, q, den) of the family that bounds
-    that ell, with delta2 and the model parameters bound in; a solve reads
-    it once per ell into `remainder_rows`.  psi(ell, n) is that ell's tail
-    at n on its own.
+    terms(ells) gives, for an int array of ells, the (len(ells) x 3) rows
+    of the n-free (scale, q, den) of the family that bounds each ell, with
+    delta2 and the model parameters bound in, each row the floats of the
+    family's scalar call; a solve reads them all in one call
+    (`remainder_rows`).  psi(ell, n) is one ell's tail at n on its own.
     """
 
-    def __init__(self, terms: Callable[[int], Terms]):
+    def __init__(self, terms: Callable[[np.ndarray], np.ndarray]):
         self.terms = terms
 
     def psi(self, ell: int, n: int) -> float:
-        return tail(*self.terms(ell), n)
+        return tail(*self.terms(np.array([ell]))[0].tolist(), n)
+
+
+def term_rows(terms: Terms) -> np.ndarray:
+    """(L x 3) rows of a family's (scale, q, den) over L ells: q an array
+    of L, scale and den arrays of L or floats that every row shares."""
+    rows = np.empty((len(terms[1]), 3))
+    rows[:, 0], rows[:, 1], rows[:, 2] = terms
+    return rows
 
 
 @functools.lru_cache(maxsize=4096)
@@ -122,19 +132,20 @@ def _binomial_weight(k: int, ell: int) -> float:
                          f"exceeds the float range") from None
 
 
-Row = tuple[float, float, float, float]
+def remainder_rows(spec: TailBoundSpec, dims, ells: Sequence[int]) -> np.ndarray:
+    """(len(ells) x 4) array of (C(k, ell), scale, q, den) per ell of ells,
+    k = dims.k, in that order, the terms from one spec.terms call."""
+    ells = np.asarray(ells, dtype=int)
+    table = np.empty((len(ells), 4))
+    table[:, 0] = [_binomial_weight(dims.k, ell) for ell in ells.tolist()]
+    table[:, 1:] = spec.terms(ells)
+    return table
 
 
-def remainder_rows(spec: TailBoundSpec, dims, ells: Sequence[int]) -> list[Row]:
-    """(C(k, ell), scale, q, den) per ell of ells, k = dims.k, in that order."""
-    k = dims.k
-    return [(_binomial_weight(k, ell), *spec.terms(ell)) for ell in ells]
-
-
-def remainder_sum(rows: Sequence[Row], n: int) -> float:
-    """sum over ell of C(k, ell) psi_ell(n, delta2) from `remainder_rows`,
-    added in their order: w min(1, scale exp(-q n / den)) per row, the
-    min written as a comparison (the same float, NaN included)."""
+def remainder_sum(rows: Sequence[Sequence[float]], n: int) -> float:
+    """sum over ell of C(k, ell) psi_ell(n, delta2) from remainder_rows(...)
+    .tolist(), added in their order: w min(1, scale exp(-q n / den)) per
+    row, the min written as a comparison (the same float, NaN included)."""
     total = 0.0
     for w, scale, q, den in rows:
         t = scale * math.exp(-q * n / den)
@@ -161,7 +172,7 @@ def remainder_n_required(
     term min(1, scale exp(-q n / den)) is built from operations monotone in
     n, and the weighted terms are added in a fixed order.  So the smallest
     passing n is unique, and any search that brackets it finds the same n.
-    Each ell's row is read once per solve (`remainder_rows`); the exact
+    The rows are read once per solve (`remainder_rows`); the exact
     sums add up the rows, and `_newton_guess` finds where
     sum_ell c exp(-r n), c = C(k, ell) scale and r = q / den, falls to the
     target.  Below a target of 1 the min(1, .) caps do not move that
@@ -175,8 +186,8 @@ def remainder_n_required(
     """
     if not 0.0 < target <= 1.0:
         raise ValueError("target must lie in (0, 1]")
-    rows = remainder_rows(spec, dims, ells)
-    table = np.array(rows, dtype=float).reshape(-1, 4)
+    table = remainder_rows(spec, dims, ells)
+    rows = table.tolist()
     finite = np.isfinite(table).all(axis=1)
     if not finite.all():
         raise ValueError(f"the tail terms at ell = {ells[int(np.argmin(finite))]} are not finite")

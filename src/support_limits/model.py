@@ -36,13 +36,12 @@ are defined in `channels`.
 """
 from __future__ import annotations
 
-import bisect
 import functools
 import itertools
 import math
 import threading
+from collections.abc import Iterator, Sequence
 from dataclasses import dataclass
-from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -430,12 +429,37 @@ class Partition:
         return np.asarray(self.s_eq, dtype=int) - 1
 
     @classmethod
-    def _of_sorted(cls, s_dif: tuple[int, ...], s_eq: tuple[int, ...]) -> Partition:
-        """A split known to be valid, both tuples sorted: skips the set checks."""
+    def _split_of(cls, order: list[int], ell: int) -> Partition:
+        """The split whose s_dif is the first ell positions of `order`, a
+        permutation of 1..k, with 1 <= ell <= k: no set checks."""
         part = object.__new__(cls)
-        object.__setattr__(part, "s_dif", s_dif)
-        object.__setattr__(part, "s_eq", s_eq)
+        object.__setattr__(part, "s_dif", tuple(sorted(order[:ell])))
+        object.__setattr__(part, "s_eq", tuple(sorted(order[ell:])))
         return part
+
+
+class MinInfoPartitions(Sequence):
+    """min_info_partition(b, ell) for ell = 1..k as element ell - 1.  Its
+    k and ells need only len(b): group testing reads nothing else and makes
+    no partition.  The elements, position tuples and all, are made from one
+    stable sort of |b| when one is first indexed."""
+
+    def __init__(self, b: Sequence[float]):
+        self._b = np.array(b, dtype=float)  # a copy: the sort may come later
+        self.k = self._b.size
+        self.ells = range(1, self.k + 1)
+        _check_ell(1, self.k)
+
+    def __len__(self) -> int:
+        return self.k
+
+    def __getitem__(self, i):
+        return self._parts[i]
+
+    @functools.cached_property
+    def _parts(self) -> list[Partition]:
+        order = _magnitude_order(self._b)
+        return [Partition._split_of(order, ell) for ell in self.ells]
 
 
 def min_info_partition(b: Sequence[float], ell: int) -> Partition:
@@ -446,41 +470,29 @@ def min_info_partition(b: Sequence[float], ell: int) -> Partition:
     and 1-bit channels and is the canonical per-ell representative for group
     testing, where all partitions of a given size are equivalent.
     """
-    return next(_splits(_magnitude_order(b, ell), [ell]))
+    return Partition._split_of(_magnitude_order(b), _check_ell(ell, len(b)))
 
 
-def min_info_partitions(b: Sequence[float]) -> list[Partition]:
-    """min_info_partition(b, ell) for ell = 1..k, from one sort of |b|."""
-    order = _magnitude_order(b, 1)
-    return list(_splits(order, range(1, len(order) + 1)))
+def min_info_partitions(b: Sequence[float]) -> MinInfoPartitions:
+    """min_info_partition(b, ell) for ell = 1..k, as a lazy sequence."""
+    return MinInfoPartitions(b)
 
 
 def max_info_partition(b: Sequence[float], ell: int) -> Partition:
     """Partition putting the ell largest-magnitude entries into s_dif."""
-    return next(_splits(_magnitude_order(b, ell)[::-1], [ell]))
+    return Partition._split_of(_magnitude_order(b)[::-1], _check_ell(ell, len(b)))
 
 
-def _magnitude_order(b: Sequence[float], ell: int) -> list[int]:
-    """1-based positions of b by increasing |b|, ties by index, for a split
-    with 1 <= ell <= k entries in s_dif (ValueError otherwise)."""
-    b = np.asarray(b, dtype=float)
-    if not 1 <= ell <= b.size:
-        raise ValueError(f"need 1 <= ell <= k, got ell={ell}, k={b.size}")
-    return (np.argsort(np.abs(b), kind="stable") + 1).tolist()
+def _magnitude_order(b: Sequence[float]) -> list[int]:
+    """1-based positions of b by increasing |b|, ties by index."""
+    return (np.argsort(np.abs(np.asarray(b, dtype=float)), kind="stable") + 1).tolist()
 
 
-def _splits(order: list[int], ells) -> Iterator[Partition]:
-    """The split rule: s_dif = the first ell positions of `order` (a
-    permutation of 1..k), for each of the increasing ells.  Each split moves
-    its new positions from the sorted s_eq into the sorted s_dif."""
-    dif, eq = [], sorted(order)
-    taken = 0
-    for ell in ells:
-        for i in order[taken:ell]:
-            bisect.insort(dif, i)
-            del eq[bisect.bisect_left(eq, i)]
-        taken = ell
-        yield Partition._of_sorted(tuple(dif), tuple(eq))
+def _check_ell(ell: int, k: int) -> int:
+    """ell, refused unless 1 <= ell <= k."""
+    if not 1 <= ell <= k:
+        raise ValueError(f"need 1 <= ell <= k, got ell={ell}, k={k}")
+    return ell
 
 
 def enumerate_partitions(k: int, ell_set: Sequence[int] | None = None) -> Iterator[Partition]:

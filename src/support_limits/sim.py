@@ -528,10 +528,11 @@ def decode_comp(reals: RealizationBlock, dims: ProblemDims) -> np.ndarray:
     """COMP baseline: items in any negative test are non-defective; the k
     highest positive-test membership counts win, lexicographic ties.  For
     the T trials of reals a (T x k) int array whose row t is trial t's
-    sorted, 1-based estimate, as reals.support holds its truth."""
-    x, y = reals.x.astype(bool), (reals.y > 0.5)[:, :, None]  # trials x n x p, x 1
-    scores = (x & y).sum(axis=1).astype(float)
-    scores[(x & ~y).any(axis=1)] = -1.0
+    sorted, 1-based estimate, as reals.support holds its truth.  x is the
+    0/1 float design, so both counts are exact matmuls over the tests."""
+    pos = (reals.y > 0.5).astype(float)[:, None, :]  # trials x 1 x n
+    scores = (pos @ reals.x)[:, 0]
+    scores[((1.0 - pos) @ reals.x)[:, 0] > 0.0] = -1.0
     # a stable sort on -score gives highest scores, ties to low index
     order = np.argsort(-scores, axis=1, kind="stable")[:, : dims.k]
     return np.sort(order, axis=1) + 1

@@ -6,7 +6,7 @@ from dataclasses import fields
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from support_limits import bounds, cli, info, sim, verify
@@ -104,6 +104,10 @@ class TestBindingRule:
         unique_by=lambda row: row[0],
         max_size=12,
     ))
+    @example([])
+    @example([(3, "converse vacuous at this ell"), (1, "converse vacuous at this ell")])
+    @example([(4, math.inf), (2, 1.0), (3, math.inf), (1, "converse vacuous at this ell")])
+    @example([(5, 2.5), (2, 2.5), (9, 2.5), (1, 0.0)])
     def test_binding_equals_brute_force(self, pairs):
         rows = [(ell, 1.0, 1.0, ratio) for ell, ratio in pairs]
         want = (None, -bounds.INFINITE)
@@ -1571,6 +1575,41 @@ class TestThresholdsNeverReadTheVariance:
         b = self._workloads()._bvec(k)
         pe, region = bounds.fano_lower_bound(md.ModelSpec.one_bit(1.0), b, md.ProblemDims(p, k, 1), 0.5)
         assert pe > 0.0 and math.isfinite(region.boundary_n)
+
+
+class TestGroupTestingBuildsNoPartition:
+    """A group-testing generic threshold reads only k and the ells of its
+    min-info sequence: it makes no partition and builds no position tuple.
+    The linear channel, which reads the positions, shows that the counts
+    see them."""
+
+    @pytest.fixture
+    def built(self, monkeypatch):
+        counts = {"split": 0, "checked": 0}
+        split_of, post_init = md.Partition._split_of.__func__, md.Partition.__post_init__
+
+        def counting(key, real):
+            def wrapper(*args):
+                counts[key] += 1
+                return real(*args)
+            return wrapper
+
+        monkeypatch.setattr(md.Partition, "_split_of", classmethod(counting("split", split_of)))
+        monkeypatch.setattr(md.Partition, "__post_init__", counting("checked", post_init))
+        return counts
+
+    @pytest.mark.parametrize("rho", [0.0, 0.11])
+    @pytest.mark.parametrize("fn", [bounds.achievability_threshold_generic,
+                                    bounds.converse_threshold_generic], ids=["ach", "conv"])
+    def test_group_testing(self, built, rho, fn):
+        res = fn(md.ModelSpec.group_testing(rho=rho), None, md.ProblemDims(p=10**6, k=100))
+        assert len(res.breakdown) == 100
+        assert built == {"split": 0, "checked": 0}
+
+    def test_linear_reads_positions(self, built):
+        b = [0.5, -1.0, 1.5, -2.0, 0.5]
+        bounds.achievability_threshold_generic(md.ModelSpec.linear(1.0), b, md.ProblemDims(p=10**4, k=5))
+        assert built == {"split": 5, "checked": 0}
 
 
 class TestOnePassOverTheEllFacts:

@@ -18,6 +18,11 @@ def _tail(terms, n):
     return conc.tail(*terms, n)
 
 
+def _per_ell(terms):
+    """TailBoundSpec terms from a family written for one ell, called per ell."""
+    return lambda ells: np.array([terms(ell) for ell in ells.tolist()], dtype=float).reshape(-1, 3)
+
+
 def _gt_families(nu, k, rho, d2_small, d2_large, eps, mi=None):
     """(small, large, cut) of group testing with free constants: Chernoff or
     Bennett up to cut = floor(k/log k), discrete Bernstein above, over the
@@ -39,7 +44,7 @@ def _gt_families(nu, k, rho, d2_small, d2_large, eps, mi=None):
 def _gt_spec(nu, k, rho=0.0, d2_small=0.9, d2_large=0.1, eps=0.05):
     """The group-testing spec with free constants, built as the channel's."""
     small, large, cut = _gt_families(nu, k, rho, d2_small, d2_large, eps)
-    return conc.TailBoundSpec(lambda ell: small(ell) if ell <= cut else large(ell))
+    return conc.TailBoundSpec(_per_ell(lambda ell: small(ell) if ell <= cut else large(ell)))
 
 
 class _RangeSpec:
@@ -63,9 +68,14 @@ def _gt_ranges(nu, k, rho=0.0, d2_small=0.9, d2_large=0.1, eps=0.05, mi=None):
     return [_RangeSpec(small, ell_hi=cut), _RangeSpec(large, ell_lo=cut + 1)]
 
 
+def _at(spec, ell):
+    """A spec's terms at one ell, as the tuple a scalar family gives."""
+    return tuple(spec.terms(np.array([ell]))[0].tolist())
+
+
 def _ranges(spec):
     """A one-family spec's reference form: one range over every ell."""
-    return [_RangeSpec(spec.terms)]
+    return [_RangeSpec(lambda ell: _at(spec, ell))]
 
 
 def _reference_specs(model, b, dims):
@@ -194,7 +204,7 @@ class TestRemainder:
 
     @staticmethod
     def _discrete(I):
-        return conc.TailBoundSpec(lambda ell: conc.bernstein_discrete_terms(I, 2, 0.5))
+        return conc.TailBoundSpec(_per_ell(lambda ell: conc.bernstein_discrete_terms(I, 2, 0.5)))
 
     def test_unbounded_sentinel(self):
         # I so small that psi stays 1 out to n_cap
@@ -215,7 +225,7 @@ class TestRemainder:
         spec = self._discrete(0.5)
         dims = md.ProblemDims(p=100, k=2, n=0)
         n = conc.remainder_n_required(spec, dims, [1, 2], 0.05)
-        rows = conc.remainder_rows(spec, dims, [1, 2])
+        rows = conc.remainder_rows(spec, dims, [1, 2]).tolist()
         assert conc.remainder_sum(rows, n) <= 0.05
         assert conc.remainder_sum(rows, n - 1) > 0.05
 
@@ -268,7 +278,7 @@ def _solver_families(rng: random.Random, k: int):
     b = [0.0 if rng.random() < 0.2 else rng.uniform(-3.0, 3.0) for _ in range(k)]
     dims = md.ProblemDims(p=10**6, k=k, n=0)
     discrete = conc.TailBoundSpec(
-        lambda ell: conc.bernstein_discrete_terms(mis[ell], alphabet, d2)
+        _per_ell(lambda ell: conc.bernstein_discrete_terms(mis[ell], alphabet, d2))
     )
     linear = CHANNELS[LINEAR].tail_spec(
         md.ModelSpec.linear(rng.uniform(0.1, 3.0)), b, md.min_info_partitions(b), {}
@@ -356,7 +366,7 @@ class TestRemainderSolverEqualsOldSearch:
     def test_cap_below_one_counts_as_one(self):
         # bound(0) = 0.5, bound(1) = 0.5 / e: the old bracket's first step
         # reaches n = 1 whatever the cap
-        spec = conc.TailBoundSpec(lambda ell: (0.5, 1.0, 1.0))
+        spec = conc.TailBoundSpec(_per_ell(lambda ell: (0.5, 1.0, 1.0)))
         dims = md.ProblemDims(p=10, k=1, n=0)
         for cap in (1, 0, -5):
             assert _old_remainder_n_required(_ranges(spec), dims, [1], 0.3, cap) == 1
@@ -410,7 +420,7 @@ class TestRemainderSolverEqualsOldSearch:
 
     def test_constant_term_above_target_is_unbounded(self):
         # ell = 1 falls, ell = 2 stays at C(2, 2) 0.5 = 0.5 > 0.1 for every n
-        spec = conc.TailBoundSpec(lambda ell: (1.0, 1.0, 1.0) if ell == 1 else (0.5, 0.0, 1.0))
+        spec = conc.TailBoundSpec(_per_ell(lambda ell: (1.0, 1.0, 1.0) if ell == 1 else (0.5, 0.0, 1.0)))
         dims = md.ProblemDims(p=10, k=2, n=0)
         for cap in (1, 1000, 2**30):
             assert conc.remainder_n_required(spec, dims, [1, 2], 0.1, cap) == conc.UNBOUNDED
@@ -480,11 +490,20 @@ class TestRowSumsEqualTheLoop:
 
     @pytest.mark.parametrize("spec,ref,dims,ells", _channel_families())
     def test_channel_families(self, spec, ref, dims, ells):
-        rows = conc.remainder_rows(spec, dims, ells)
+        rows = conc.remainder_rows(spec, dims, ells).tolist()
         n = conc.remainder_n_required(spec, dims, ells, 1e-2)
         assert n == _old_remainder_n_required(ref, dims, ells, 1e-2)
         for m in (n - 1, n, n + 1, 0, 1, 17, n // 3, 5 * n, 10**9, 2**40):
             assert conc.remainder_sum(rows, m) == _loop_remainder_sum(ref, dims, ells, m), m
+
+    @pytest.mark.parametrize("spec,ref,dims,ells", _channel_families())
+    def test_array_terms_are_the_scalar_terms(self, spec, ref, dims, ells):
+        # row i of one terms call over the ell array is the reference
+        # family's scalar call at ells[i], float for float
+        rows = spec.terms(np.asarray(ells))
+        assert rows.shape == (len(ells), 3) and rows.dtype == float
+        want = [list(next(r for r in ref if r.covers(ell)).terms(ell)) for ell in ells]
+        assert rows.tolist() == want
 
     def test_seeded_families_and_ell_ranges(self):
         rng = random.Random(20261020)
@@ -494,7 +513,7 @@ class TestRowSumsEqualTheLoop:
             lo = rng.randint(1, k)
             ells = range(lo, rng.randint(lo, k) + 1)
             for spec, ref in _solver_families(rng, k):
-                rows = conc.remainder_rows(spec, dims, ells)
+                rows = conc.remainder_rows(spec, dims, ells).tolist()
                 for n in (0, 1, rng.randint(0, 10**4), rng.randint(0, 10**9)):
                     assert conc.remainder_sum(rows, n) == _loop_remainder_sum(ref, dims, ells, n)
 
@@ -559,7 +578,7 @@ class TestSpecsMatchScalars:
             terms = conc.chernoff_gt_terms(nu, k, ell, 0.9, 0.05)
         else:
             terms = conc.bennett_gt_noisy_terms(nu, rho, k, ell, 0.9, 0.05)
-        assert spec.terms(ell) == terms
+        assert _at(spec, ell) == terms
         assert spec.psi(ell, n) == conc.tail(*terms, n)
 
 

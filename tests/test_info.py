@@ -193,10 +193,10 @@ class TestMutualInformationSequence:
     @example(b=[1.0, -1.0, 1.0, 0.5, -0.5], sigma=0.3, data=None)
     def test_linear_and_one_bit(self, b, sigma, data):
         k = len(b)
-        parts = md.min_info_partitions(b)
+        parts = md.min_info_partitions(b)  # a lazy sequence
         if data is not None:  # and some partitions of no particular order
             difs = data.draw(st.lists(st.sets(st.integers(1, k), min_size=1), max_size=6))
-            parts += [_split(k, dif) for dif in difs]
+            parts = list(parts) + [_split(k, dif) for dif in difs]
         for model in (md.ModelSpec.linear(sigma), md.ModelSpec.one_bit(sigma)):
             self._check(model, parts, b)
 

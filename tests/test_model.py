@@ -117,6 +117,73 @@ class TestMaxInfoPartition:
             split([1.0, 2.0, 3.0], ell)
 
 
+def _old_splits(order, ells):
+    """The split rule as it was before the lazy sequence, verbatim but for
+    the constructor: each split moves its new positions of `order` from the
+    sorted s_eq into the sorted s_dif."""
+    import bisect
+
+    dif, eq = [], sorted(order)
+    taken = 0
+    for ell in ells:
+        for i in order[taken:ell]:
+            bisect.insort(dif, i)
+            del eq[bisect.bisect_left(eq, i)]
+        taken = ell
+        yield md.Partition(s_dif=tuple(dif), s_eq=tuple(eq))
+
+
+def _old_order(b):
+    return (np.argsort(np.abs(np.asarray(b, dtype=float)), kind="stable") + 1).tolist()
+
+
+class TestMinInfoSequenceIsTheOldList:
+    """min_info_partitions(b) makes no partition before it is indexed, yet
+    element ell - 1 has the positions of min_info_partition(b, ell) and of
+    the old list's split: equal tuples, == both ways and the same hash.
+    max_info_partition keeps the old split of the reversed order."""
+
+    @staticmethod
+    def _check(b):
+        k = len(b)
+        seq = md.min_info_partitions(b)
+        assert (len(seq), seq.k, seq.ells) == (k, k, range(1, k + 1))
+        old = list(_old_splits(_old_order(b), range(1, k + 1)))
+        assert len(list(seq)) == k
+        for ell in range(1, k + 1):
+            lazy, single, want = seq[ell - 1], md.min_info_partition(b, ell), old[ell - 1]
+            for part in (lazy, single):
+                assert (part.s_dif, part.s_eq, part.ell, part.k) == (want.s_dif, want.s_eq, ell, k)
+                assert part == want and want == part and hash(part) == hash(want)
+                assert repr(part) == repr(want)
+            assert lazy == single and {lazy, single, want} == {want}
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.lists(st.one_of(st.sampled_from([0.0, 1.0, -1.0, 2.5]), st.floats(-5, 5)),
+                    min_size=1, max_size=8))
+    def test_hypothesis(self, b):
+        self._check(b)
+        for ell in range(1, len(b) + 1):
+            want = next(_old_splits(_old_order(b)[::-1], [ell]))
+            got = md.max_info_partition(b, ell)
+            assert (got.s_dif, got.s_eq) == (want.s_dif, want.s_eq) and got == want
+
+    @pytest.mark.parametrize("k", [1, 100, 1020])
+    def test_ones(self, k):
+        self._check(np.ones(k))
+
+    def test_elements_made_on_first_index(self):
+        seq = md.min_info_partitions([3.0, -1.0, 2.0])
+        assert "_parts" not in vars(seq)
+        part = seq[1]
+        assert (part.s_dif, part.s_eq) == ((2, 3), (1,)) and seq[1] is part
+        assert len(vars(seq)["_parts"]) == 3
+
+    def test_empty_b_refused(self):
+        with pytest.raises(ValueError, match="got ell=1, k=0"):
+            md.min_info_partitions([])
+
+
 class TestEnumeratePartitions:
     def test_counts(self):
         assert sum(1 for _ in md.enumerate_partitions(2)) == 3
